@@ -16,6 +16,14 @@
 //! `merge_skylines_{packed,scalar}` measure the cross-fragment merge operator the sharded
 //! service gathers with, on 8-way fragment skylines of the same workload.
 //!
+//! `merge_cross_source/{one_source, two_sources_60_40, eight_sources}` put the gather itself
+//! under the perf gate at the shape the repo benchmark's `tail_cold` workload gives it:
+//! n = 100k paper-default rows, order-3 preferences over all values, every source's exact
+//! local skyline (≈ 5k candidates in all) pushed into a fresh [`SkylineMerger`] and merged.
+//! One source is the no-test floor (push + tag copy), 60/40 the two-shard gather, eight
+//! sources the fan-in where every candidate probes seven foreign lane sets. Each arm batches
+//! 24 preferences so that even the floor clears the gate's 1 ms exemption.
+//!
 //! The build arms compare `AdaptiveSfs::build_with_workers(…, 1)` against the chunked
 //! divide-and-conquer scan on all available cores (identical output, asserted by the
 //! `kernel_equivalence` property suite; the win scales with core count, so expect parity on a
@@ -24,7 +32,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use skyline::prelude::*;
 use skyline_core::algo::sfs;
-use skyline_core::{merge_skylines, with_kernel_mode, KernelMode};
+use skyline_core::score::ScoreFn;
+use skyline_core::{merge_skylines, with_kernel_mode, CompiledOrder, KernelMode, SkylineMerger};
 use std::hint::black_box;
 use std::num::NonZeroUsize;
 use std::sync::Arc;
@@ -268,5 +277,83 @@ fn bench_kernel(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_kernel);
+/// Rows and preferences of the `merge_cross_source` arms (the `tail_cold` shape).
+const MERGE_TUPLES: usize = 100_000;
+const MERGE_QUERIES: usize = 24;
+
+/// One gather per preference: the compiled orders and the `(source, row)` candidates, each
+/// source's exact local skyline, sources one after another as the service pushes them.
+type GatherInput = (Vec<CompiledOrder>, Vec<(usize, PointId)>);
+
+fn bench_merge_cross_source(c: &mut Criterion) {
+    let config = ExperimentConfig {
+        n: MERGE_TUPLES,
+        ..ExperimentConfig::paper_default()
+    };
+    let data = Arc::new(config.generate_dataset());
+    let template = config.template(&data);
+    let block = Arc::new(PointBlock::new(&data));
+    let prefs = config.query_generator().random_preferences(
+        data.schema(),
+        &template,
+        config.pref_order,
+        MERGE_QUERIES,
+        None,
+    );
+    // Splits by row id, so that sources overlap on every nominal value (a hash-nominal
+    // partition would hand the zone maps disjoint value sets for free).
+    type SourceOf = fn(PointId) -> usize;
+    let splits: [(&str, usize, SourceOf); 3] = [
+        ("one_source", 1, |_| 0),
+        ("two_sources_60_40", 2, |p| usize::from(p % 5 >= 3)),
+        ("eight_sources", 8, |p| p as usize % 8),
+    ];
+    let gather_inputs = |sources: usize, source_of: SourceOf| -> Vec<GatherInput> {
+        prefs
+            .iter()
+            .map(|pref| {
+                let rel =
+                    CompiledRelation::for_query(block.clone(), data.schema(), &template, pref)
+                        .expect("workload preferences are valid");
+                let score = ScoreFn::for_preference(data.schema(), pref)
+                    .expect("workload preferences are valid");
+                let candidates = (0..sources)
+                    .flat_map(|s| {
+                        let rows: Vec<PointId> =
+                            data.point_ids().filter(|&p| source_of(p) == s).collect();
+                        let local = sfs::scan_presorted(&rel, &score.sort_by_score(&data, &rows));
+                        local.into_iter().map(move |p| (s, p))
+                    })
+                    .collect();
+                (rel.orders().to_vec(), candidates)
+            })
+            .collect()
+    };
+
+    let mut group = c.benchmark_group("merge_cross_source");
+    group.sample_size(5);
+    for (name, sources, source_of) in splits {
+        let inputs = gather_inputs(sources, source_of);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let survivors: usize = inputs
+                    .iter()
+                    .map(|(orders, candidates)| {
+                        let mut merger = SkylineMerger::new(orders.clone(), block.numeric_dims());
+                        for &(s, p) in candidates {
+                            merger
+                                .push(s, p, block.numeric_row(p), block.nominal_row(p))
+                                .expect("rows match the block's own dimensions");
+                        }
+                        merger.merge().len()
+                    })
+                    .sum();
+                black_box(survivors)
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_kernel, bench_merge_cross_source);
 criterion_main!(benches);

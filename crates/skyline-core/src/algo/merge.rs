@@ -1,23 +1,43 @@
 //! Cross-fragment skyline merge: the divide-and-conquer merge step promoted to a
 //! first-class query-time operator.
 //!
-//! The union property behind both entry points: for any partition `D = D₁ ∪ … ∪ Dₘ`,
+//! The union property behind every entry point: for any partition `D = D₁ ∪ … ∪ Dₘ`,
 //! `SKY(D) ⊆ SKY(D₁) ∪ … ∪ SKY(Dₘ)` — a point dominated inside its own fragment is dominated
 //! in the union, so merging the per-fragment skylines with one cross-fragment elimination
 //! pass yields exactly the global skyline. This holds for the paper's partial-order
 //! preferences because dominance is transitive (numeric `≤` composed with strict-order
 //! closures), not just for total orders.
 //!
-//! Two forms:
+//! Three forms over one elimination:
 //!
 //! * [`merge_skylines`] — all fragments live in **one** [`PointBlock`](crate::PointBlock) (the Adaptive-SFS
 //!   parallel build merges its per-chunk skylines this way);
 //! * [`SkylineMerger`] — fragments come from **different** sources with their own row-id
 //!   spaces (a sharded service merges per-shard skylines this way): callers push each
-//!   candidate's raw values and get back `(source, id)` tags.
+//!   candidate's raw values and get back `(source, id)` tags;
+//! * [`ProgressiveMerger`] — the same, fed by per-source streams and publishing confirmed
+//!   rows as early as the streams' score frontiers allow.
 //!
-//! Both preserve the input/push order of the surviving points, so feeding score-sorted
-//! candidates yields a score-sorted skyline (what the SFS machinery relies on).
+//! The batch forms preserve the input/push order of the surviving points, so feeding
+//! score-sorted candidates yields a score-sorted skyline (what the SFS machinery relies on).
+//!
+//! # The precondition: every source is its own skyline
+//!
+//! The rows of one source (fragment, shard, stream) must be **mutually non-dominating** —
+//! the source's local skyline, which is what every caller has in hand: engine answers and
+//! engine streams are exact local skylines, the chunked presorted scan passes chunk-local
+//! skylines. The elimination leans on it twice. A candidate is tested against the **other**
+//! sources only (with one source that is no test at all), and a candidate found dominated is
+//! dropped at once, so later candidates are tested against survivors only. The second is
+//! sound by transitivity given the first: if a dropped row `d` dominated a candidate `c`, then
+//! `d`'s own dominator `e` dominates `c` too, `e` cannot share `c`'s source (that source's
+//! rows do not dominate one another), and following the chain — it strictly descends in a
+//! finite order — ends in a live row of another source, which the probe finds. **Without** the
+//! precondition a row dominated only by a source-mate survives the merge: the answer is a
+//! superset of the skyline, never a subset.
+//!
+//! Fragments must not repeat a row: duplicates are value-identical, never dominate each
+//! other, and would both survive.
 
 use crate::error::{Result, SkylineError};
 use crate::kernel::{kernel_mode, CompiledOrder, CompiledRelation, KernelMode};
@@ -27,104 +47,233 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
-/// Merges per-fragment skylines of disjoint row sets of one block into the skyline of their
-/// union, preserving the concatenated input order of the survivors.
-///
-/// Each fragment must already be a skyline of its own rows (points dominated by a
-/// fragment-mate would be eliminated here too, so the answer stays correct — it is the
-/// near-quadratic merge that is sized for pre-reduced inputs). Fragments must not repeat a
-/// row id: duplicates are never dominated by themselves and would both survive.
-pub fn merge_skylines(relation: &CompiledRelation, fragments: &[&[PointId]]) -> Vec<PointId> {
-    let total = fragments.iter().map(|f| f.len()).sum();
-    let mut candidates: Vec<PointId> = Vec::with_capacity(total);
-    for fragment in fragments {
-        candidates.extend_from_slice(fragment);
+/// One candidate's raw values: numeric and nominal, each in dimension-index order.
+type Row<'a> = (&'a [f64], &'a [ValueId]);
+
+/// `p ≺ q` on raw row values, mirroring [`CompiledRelation::dominates`]: numeric
+/// smaller-is-better with NaN neither blocking nor establishing dominance, nominal strict
+/// preference through the compiled closures, value-identical rows co-existing. The scalar
+/// dominance test of every merge operator under [`KernelMode::Scalar`], and the oracle the
+/// packed lanes are tested against.
+fn dominates(orders: &[CompiledOrder], (pn, pm): Row<'_>, (qn, qm): Row<'_>) -> bool {
+    let mut strict = false;
+    for (pv, qv) in pn.iter().zip(qn) {
+        if pv > qv {
+            return false;
+        }
+        strict |= pv < qv;
     }
-    let block = relation.block();
-    let alive = if kernel_mode() == KernelMode::Packed {
-        packed_eliminate(
-            relation.orders(),
-            block.numeric_dims(),
-            candidates.len(),
-            |c| block.numeric_row(candidates[c]),
-            |c| block.nominal_row(candidates[c]),
-        )
-    } else {
-        eliminate(candidates.len(), |p, q| {
-            relation.dominates(candidates[p], candidates[q])
-        })
-    };
-    candidates
-        .into_iter()
-        .zip(alive)
-        .filter_map(|(p, keep)| keep.then_some(p))
-        .collect()
+    for (order, (&pv, &qv)) in orders.iter().zip(pm.iter().zip(qm)) {
+        if pv != qv {
+            if !order.strictly_preferred(pv, qv) {
+                return false;
+            }
+            strict = true;
+        }
+    }
+    strict
 }
 
-/// The bit-parallel form of [`eliminate`]: all candidates are packed into 64-row lane
-/// blocks up front, then each surviving candidate probes the lanes **strictly before its
-/// own** (a prefix `limit`) for a dominator and, failing that, mask-evicts the earlier
-/// lanes it dominates. Equivalent to the scalar interleaved loop: if an earlier survivor
-/// `k` dominates `c`, transitivity puts anything `c` could kill inside `k`'s kill set, and
-/// `k` already cleared it on its own turn.
-fn packed_eliminate<'a>(
+/// Stages a row's nominal values as the `(value id, layered rank)` pairs the lanes take.
+fn stage_probe(orders: &[CompiledOrder], nominal: &[ValueId], probe: &mut Vec<u16>) {
+    probe.clear();
+    for (order, &v) in orders.iter().zip(nominal) {
+        probe.push(v);
+        probe.push(order.layer(v));
+    }
+}
+
+/// True when a live lane of any source but `own` dominates the probe row: the cross-source
+/// test shared by the batch and the progressive merge.
+fn dominated_by_another_source(
+    lanes: &[PackedLanes],
+    own: usize,
+    orders: &[CompiledOrder],
+    pn: &[f64],
+    probe: &[u16],
+) -> bool {
+    lanes
+        .iter()
+        .enumerate()
+        .any(|(s, other)| s != own && other.first_dominator(orders, pn, probe).is_some())
+}
+
+/// Clusters a source's candidates by nominal tuple, then first numeric value, so that its
+/// 64-row lane blocks come out value-homogeneous and the lanes' zone maps rule most of them
+/// out unopened. Only the blocks' composition depends on the key — any packing order gives
+/// the same survivors — so the leading four nominal dimensions and an arbitrary place for
+/// NaN are enough.
+fn cluster_key((pn, pm): Row<'_>) -> (u64, u64) {
+    let nominal = pm.iter().take(4).fold(0, |k, &v| k << 16 | u64::from(v));
+    let numeric = pn.first().map_or(0, |v| {
+        let bits = v.to_bits();
+        bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
+    });
+    (nominal, numeric)
+}
+
+/// The cross-source elimination behind [`merge_skylines`] and [`SkylineMerger::merge`]:
+/// `alive[c]` is false exactly when a candidate of **another** source dominates candidate
+/// `c` (see the module header for why own-source rows are never tested).
+///
+/// Each source's candidates are packed into their own lanes; then, one source after another,
+/// every candidate probes the other sources' lanes and loses its validity bit at once when
+/// dominated, so later sources probe survivors only. There is no reverse pass: a row is only
+/// ever killed by its own probe. One distinct source means no test at all.
+fn eliminate<'a>(
     orders: &[CompiledOrder],
     numeric_dims: usize,
     n: usize,
-    numeric_row: impl Fn(usize) -> &'a [f64],
-    nominal_row: impl Fn(usize) -> &'a [ValueId],
+    source: impl Fn(usize) -> usize,
+    row: impl Fn(usize) -> Row<'a>,
 ) -> Vec<bool> {
-    let mut lanes = PackedLanes::default();
-    lanes.reset(numeric_dims, orders.len());
+    if (1..n).all(|c| source(c) == source(0)) {
+        return vec![true; n];
+    }
+    if kernel_mode() == KernelMode::Scalar {
+        return scalar_eliminate(orders, n, source, row);
+    }
+    // `(source, cluster key, candidate)`: one sort groups the sources and clusters each.
+    let mut sorted: Vec<(usize, (u64, u64), usize)> = (0..n)
+        .map(|c| (source(c), cluster_key(row(c)), c))
+        .collect();
+    sorted.sort_unstable();
+    let groups: Vec<_> = sorted.chunk_by(|a, b| a.0 == b.0).collect();
+    let mut lanes = vec![PackedLanes::default(); groups.len()];
     let mut probe: Vec<u16> = Vec::with_capacity(orders.len() * 2);
-    let stage_probe = |probe: &mut Vec<u16>, c: usize| {
-        probe.clear();
-        for (order, &v) in orders.iter().zip(nominal_row(c)) {
-            probe.push(v);
-            probe.push(order.layer(v));
-        }
-    };
-    for c in 0..n {
-        stage_probe(&mut probe, c);
-        lanes.push(numeric_row(c), &probe);
-    }
-    for c in 0..n {
-        if !lanes.is_valid(c) {
-            continue;
-        }
-        stage_probe(&mut probe, c);
-        let pn = numeric_row(c);
-        if lanes.first_dominator(orders, pn, &probe, c).is_some() {
-            lanes.clear_valid(c);
-        } else {
-            lanes.clear_dominated_by(orders, pn, &probe, c);
+    for (group, packed) in groups.iter().zip(lanes.iter_mut()) {
+        packed.reset(numeric_dims, orders.len());
+        for &(_, _, c) in *group {
+            let (pn, pm) = row(c);
+            stage_probe(orders, pm, &mut probe);
+            packed.push(pn, &probe);
         }
     }
-    (0..n).map(|c| lanes.is_valid(c)).collect()
-}
-
-/// The shared cross-candidate elimination: index `c` dies when an earlier survivor dominates
-/// it, and kills earlier survivors it dominates. Output flags preserve input order.
-fn eliminate(n: usize, dominates: impl Fn(usize, usize) -> bool) -> Vec<bool> {
     let mut alive = vec![true; n];
-    for c in 0..n {
-        if !alive[c] {
-            continue;
-        }
-        for k in 0..c {
-            if !alive[k] {
-                continue;
-            }
-            if dominates(k, c) {
+    for (g, group) in groups.iter().enumerate() {
+        for (l, &(_, _, c)) in group.iter().enumerate() {
+            let (pn, pm) = row(c);
+            stage_probe(orders, pm, &mut probe);
+            if dominated_by_another_source(&lanes, g, orders, pn, &probe) {
+                lanes[g].clear_valid(l);
                 alive[c] = false;
-                break;
-            }
-            if dominates(c, k) {
-                alive[k] = false;
             }
         }
     }
     alive
+}
+
+/// [`eliminate`] one row at a time on [`dominates`]: the [`KernelMode::Scalar`] path and the
+/// oracle of the packed one. Same contract, same kill-at-once rule.
+fn scalar_eliminate<'a>(
+    orders: &[CompiledOrder],
+    n: usize,
+    source: impl Fn(usize) -> usize,
+    row: impl Fn(usize) -> Row<'a>,
+) -> Vec<bool> {
+    let mut alive = vec![true; n];
+    for c in 0..n {
+        let (own, target) = (source(c), row(c));
+        let dominated =
+            (0..n).any(|k| alive[k] && source(k) != own && dominates(orders, row(k), target));
+        alive[c] = !dominated;
+    }
+    alive
+}
+
+/// Merges per-fragment skylines of disjoint row sets of one block into the skyline of their
+/// union, preserving the concatenated input order of the survivors.
+///
+/// **Each fragment must already be the skyline of its own rows**: rows are tested against the
+/// other fragments only, so a row dominated by nothing but a fragment-mate would survive
+/// (module header). Fragments must not repeat a row id either: duplicates never dominate
+/// each other and would both survive.
+pub fn merge_skylines(relation: &CompiledRelation, fragments: &[&[PointId]]) -> Vec<PointId> {
+    let tagged: Vec<(usize, PointId)> = fragments
+        .iter()
+        .enumerate()
+        .flat_map(|(f, fragment)| fragment.iter().map(move |&p| (f, p)))
+        .collect();
+    let block = relation.block();
+    let alive = eliminate(
+        relation.orders(),
+        block.numeric_dims(),
+        tagged.len(),
+        |c| tagged[c].0,
+        |c| {
+            let p = tagged[c].1;
+            (block.numeric_row(p), block.nominal_row(p))
+        },
+    );
+    tagged
+        .into_iter()
+        .zip(alive)
+        .filter_map(|((_, p), keep)| keep.then_some(p))
+        .collect()
+}
+
+/// Row-major candidate values under one set of compiled orders: the validated storage the
+/// push-based mergers share. A row's index (its *slot*) is its push position.
+#[derive(Debug, Clone)]
+struct CandidateRows {
+    orders: Vec<CompiledOrder>,
+    numeric_dims: usize,
+    numerics: Vec<f64>,
+    nominals: Vec<ValueId>,
+    len: usize,
+}
+
+impl CandidateRows {
+    fn new(orders: Vec<CompiledOrder>, numeric_dims: usize) -> Self {
+        Self {
+            orders,
+            numeric_dims,
+            numerics: Vec::new(),
+            nominals: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Appends one row after checking it against the dimensionality and the orders' domains;
+    /// returns its slot.
+    fn push(&mut self, numeric: &[f64], nominal: &[ValueId]) -> Result<usize> {
+        if numeric.len() != self.numeric_dims || nominal.len() != self.orders.len() {
+            return Err(SkylineError::InvalidArgument(format!(
+                "candidate has {} numeric / {} nominal values but the merger expects {} / {}",
+                numeric.len(),
+                nominal.len(),
+                self.numeric_dims,
+                self.orders.len()
+            )));
+        }
+        for (j, (&v, order)) in nominal.iter().zip(&self.orders).enumerate() {
+            if (v as usize) >= order.cardinality() {
+                return Err(SkylineError::InvalidArgument(format!(
+                    "nominal value {v} on dimension {j} is outside the compiled order's \
+                     cardinality {}",
+                    order.cardinality()
+                )));
+            }
+        }
+        self.numerics.extend_from_slice(numeric);
+        self.nominals.extend_from_slice(nominal);
+        self.len += 1;
+        Ok(self.len - 1)
+    }
+
+    fn row(&self, slot: usize) -> Row<'_> {
+        let (nd, md) = (self.numeric_dims, self.orders.len());
+        (
+            &self.numerics[slot * nd..(slot + 1) * nd],
+            &self.nominals[slot * md..(slot + 1) * md],
+        )
+    }
+
+    fn clear(&mut self) {
+        self.numerics.clear();
+        self.nominals.clear();
+        self.len = 0;
+    }
 }
 
 /// Push-based cross-source skyline merge on compiled nominal orders.
@@ -134,15 +283,16 @@ fn eliminate(n: usize, dominates: impl Fn(usize, usize) -> bool) -> Vec<bool> {
 /// push every per-source skyline member with its raw values, then [`SkylineMerger::merge`]
 /// returns the `(source, id)` tags of the global skyline in push order.
 ///
+/// **Each source's pushed rows must be mutually non-dominating** — its local skyline. Rows
+/// are tested against the other sources only, so a row dominated by nothing but a
+/// source-mate would survive (module header); push order across sources is free.
+///
 /// Dominance matches [`CompiledRelation::dominates`] exactly — numeric smaller-is-better
 /// with NaN neither blocking nor establishing dominance, nominal strict preference through
 /// the compiled closures, and value-identical candidates co-existing.
 #[derive(Debug, Clone)]
 pub struct SkylineMerger {
-    orders: Vec<CompiledOrder>,
-    numeric_dims: usize,
-    numerics: Vec<f64>,
-    nominals: Vec<ValueId>,
+    rows: CandidateRows,
     tags: Vec<(usize, PointId)>,
 }
 
@@ -151,10 +301,7 @@ impl SkylineMerger {
     /// nominal dimension (compile them once per query and reuse across sources).
     pub fn new(orders: Vec<CompiledOrder>, numeric_dims: usize) -> Self {
         Self {
-            orders,
-            numeric_dims,
-            numerics: Vec::new(),
-            nominals: Vec::new(),
+            rows: CandidateRows::new(orders, numeric_dims),
             tags: Vec::new(),
         }
     }
@@ -179,26 +326,7 @@ impl SkylineMerger {
         numeric: &[f64],
         nominal: &[ValueId],
     ) -> Result<()> {
-        if numeric.len() != self.numeric_dims || nominal.len() != self.orders.len() {
-            return Err(SkylineError::InvalidArgument(format!(
-                "candidate has {} numeric / {} nominal values but the merger expects {} / {}",
-                numeric.len(),
-                nominal.len(),
-                self.numeric_dims,
-                self.orders.len()
-            )));
-        }
-        for (j, (&v, order)) in nominal.iter().zip(&self.orders).enumerate() {
-            if (v as usize) >= order.cardinality() {
-                return Err(SkylineError::InvalidArgument(format!(
-                    "nominal value {v} on dimension {j} is outside the compiled order's \
-                     cardinality {}",
-                    order.cardinality()
-                )));
-            }
-        }
-        self.numerics.extend_from_slice(numeric);
-        self.nominals.extend_from_slice(nominal);
+        self.rows.push(numeric, nominal)?;
         self.tags.push((source, id));
         Ok(())
     }
@@ -206,73 +334,35 @@ impl SkylineMerger {
     /// Runs the cross-source elimination and returns the surviving `(source, id)` tags in
     /// push order. The merger is left empty, ready for the next query.
     pub fn merge(&mut self) -> Vec<(usize, PointId)> {
-        let alive = if kernel_mode() == KernelMode::Packed {
-            packed_eliminate(
-                &self.orders,
-                self.numeric_dims,
-                self.tags.len(),
-                |c| self.numeric_row(c),
-                |c| self.nominal_row(c),
-            )
-        } else {
-            eliminate(self.tags.len(), |p, q| self.dominates(p, q))
-        };
+        let alive = eliminate(
+            &self.rows.orders,
+            self.rows.numeric_dims,
+            self.tags.len(),
+            |c| self.tags[c].0,
+            |c| self.rows.row(c),
+        );
         let survivors = self
             .tags
             .iter()
             .zip(alive)
             .filter_map(|(&tag, keep)| keep.then_some(tag))
             .collect();
-        self.numerics.clear();
-        self.nominals.clear();
+        self.rows.clear();
         self.tags.clear();
         survivors
-    }
-
-    fn numeric_row(&self, c: usize) -> &[f64] {
-        &self.numerics[c * self.numeric_dims..(c + 1) * self.numeric_dims]
-    }
-
-    fn nominal_row(&self, c: usize) -> &[ValueId] {
-        let dims = self.orders.len();
-        &self.nominals[c * dims..(c + 1) * dims]
-    }
-
-    /// Candidate-index dominance, mirroring [`CompiledRelation::dominates`].
-    fn dominates(&self, p: usize, q: usize) -> bool {
-        let mut strict = false;
-        for (pv, qv) in self.numeric_row(p).iter().zip(self.numeric_row(q)) {
-            if pv > qv {
-                return false;
-            }
-            strict |= pv < qv;
-        }
-        for (order, (&pv, &qv)) in self
-            .orders
-            .iter()
-            .zip(self.nominal_row(p).iter().zip(self.nominal_row(q)))
-        {
-            if pv != qv {
-                if !order.strictly_preferred(pv, qv) {
-                    return false;
-                }
-                strict = true;
-            }
-        }
-        strict
     }
 }
 
 /// One candidate buffered inside a [`ProgressiveMerger`], ordered by
 /// `(score, source, id)` with [`f64::total_cmp`] so the resolution order is total and
-/// deterministic even in the presence of NaN scores.
+/// deterministic even in the presence of NaN scores. Its values stay in the merger's row
+/// buffer at `slot`.
 #[derive(Debug, Clone)]
 struct PendingCandidate {
     score: f64,
     source: usize,
     id: PointId,
-    numeric: Vec<f64>,
-    nominal: Vec<ValueId>,
+    slot: usize,
 }
 
 impl PartialEq for PendingCandidate {
@@ -301,14 +391,17 @@ impl Ord for PendingCandidate {
 ///
 /// Each source must emit its candidates in non-decreasing score order under a **shared**
 /// monotone score function (`p ≺ q ⇒ f(p) < f(q)` — the [`crate::score::ScoreFn`] of the
-/// query preference). Offering a candidate advances its source's *frontier* to that score; a
+/// query preference), and **a source's rows must be mutually non-dominating** — the stream of
+/// its local skyline; a row dominated by nothing but a source-mate would be published
+/// (module header). Offering a candidate advances its source's *frontier* to that score; a
 /// buffered candidate at score `s` is resolved once every unfinished source's frontier has
 /// reached `s`: by monotonicity any potential dominator scores strictly below `s`, so it has
 /// already been emitted by its source and resolved here. Resolution happens in ascending
-/// global score order, testing each candidate against the already-published survivors only —
-/// sufficient by transitivity, exactly as in the batch elimination. Published rows are
-/// **final**: the merged stream never retracts, and once every source is finished the
-/// published set equals what [`SkylineMerger`] would have produced from the same candidates.
+/// global score order, testing each candidate against the already-published survivors of the
+/// other sources only — sufficient by transitivity, exactly as in the batch elimination.
+/// Published rows are **final**: the merged stream never retracts, and once every source is
+/// finished the published set equals what [`SkylineMerger`] would have produced from the
+/// same candidates.
 ///
 /// # Bounded staleness
 ///
@@ -322,8 +415,8 @@ impl Ord for PendingCandidate {
 /// returned sources through its partial/degraded answer semantics.
 #[derive(Debug, Clone)]
 pub struct ProgressiveMerger {
-    orders: Vec<CompiledOrder>,
-    numeric_dims: usize,
+    /// Every offered row's values; a buffered candidate refers to its row by slot.
+    rows: CandidateRows,
     /// Per-source score frontier; `None` once the source has finished (treated as +∞).
     frontiers: Vec<Option<f64>>,
     /// When each source last advanced its frontier (its construction time before the first
@@ -333,11 +426,12 @@ pub struct ProgressiveMerger {
     /// means sources are never timed out.
     laggard_timeout: Option<Duration>,
     pending: BinaryHeap<Reverse<PendingCandidate>>,
-    /// Row-major values of the published survivors (the only dominators later candidates
-    /// ever need to be tested against).
-    published_numerics: Vec<f64>,
-    published_nominals: Vec<ValueId>,
-    published: usize,
+    /// The published survivors — the only dominators later candidates are ever tested
+    /// against — packed per source, and as `(source, slot)` for the scalar kernel.
+    lanes: Vec<PackedLanes>,
+    published: Vec<(usize, usize)>,
+    /// Scratch for the resolved candidate's `(value id, layered rank)` pairs.
+    probe: Vec<u16>,
 }
 
 impl ProgressiveMerger {
@@ -345,16 +439,19 @@ impl ProgressiveMerger {
     /// compiled order per nominal dimension (compile them once per query, as for
     /// [`SkylineMerger`]).
     pub fn new(orders: Vec<CompiledOrder>, numeric_dims: usize, sources: usize) -> Self {
+        let mut lanes = vec![PackedLanes::default(); sources];
+        for source in &mut lanes {
+            source.reset(numeric_dims, orders.len());
+        }
         Self {
-            orders,
-            numeric_dims,
+            rows: CandidateRows::new(orders, numeric_dims),
             frontiers: vec![Some(f64::NEG_INFINITY); sources],
             last_progress: vec![Instant::now(); sources],
             laggard_timeout: None,
             pending: BinaryHeap::new(),
-            published_numerics: Vec::new(),
-            published_nominals: Vec::new(),
-            published: 0,
+            lanes,
+            published: Vec::new(),
+            probe: Vec::new(),
         }
     }
 
@@ -422,7 +519,7 @@ impl ProgressiveMerger {
 
     /// Number of rows published (confirmed) so far.
     pub fn published(&self) -> usize {
-        self.published
+        self.published.len()
     }
 
     /// True once every source has finished and every buffered candidate was resolved.
@@ -458,32 +555,14 @@ impl ProgressiveMerger {
                  non-decreasing in score"
             )));
         }
-        if numeric.len() != self.numeric_dims || nominal.len() != self.orders.len() {
-            return Err(SkylineError::InvalidArgument(format!(
-                "candidate has {} numeric / {} nominal values but the merger expects {} / {}",
-                numeric.len(),
-                nominal.len(),
-                self.numeric_dims,
-                self.orders.len()
-            )));
-        }
-        for (j, (&v, order)) in nominal.iter().zip(&self.orders).enumerate() {
-            if (v as usize) >= order.cardinality() {
-                return Err(SkylineError::InvalidArgument(format!(
-                    "nominal value {v} on dimension {j} is outside the compiled order's \
-                     cardinality {}",
-                    order.cardinality()
-                )));
-            }
-        }
+        let slot = self.rows.push(numeric, nominal)?;
         *frontier = Some(score);
         self.last_progress[source] = Instant::now();
         self.pending.push(Reverse(PendingCandidate {
             score,
             source,
             id,
-            numeric: numeric.to_vec(),
-            nominal: nominal.to_vec(),
+            slot,
         }));
         Ok(())
     }
@@ -507,6 +586,7 @@ impl ProgressiveMerger {
             .flatten()
             .copied()
             .fold(f64::INFINITY, f64::min);
+        let packed = kernel_mode() == KernelMode::Packed;
         while let Some(Reverse(top)) = self.pending.peek() {
             // Resolvable once no unfinished stream can still emit a smaller score. NaN
             // scores sort last under total_cmp and resolve only when everything finished.
@@ -514,43 +594,22 @@ impl ProgressiveMerger {
                 break;
             }
             let Reverse(c) = self.pending.pop().expect("peeked above");
-            if !self.dominated_by_published(&c.numeric, &c.nominal) {
-                self.published_numerics.extend_from_slice(&c.numeric);
-                self.published_nominals.extend_from_slice(&c.nominal);
-                self.published += 1;
+            let orders = &self.rows.orders;
+            let (pn, pm) = self.rows.row(c.slot);
+            stage_probe(orders, pm, &mut self.probe);
+            let dominated = if packed {
+                dominated_by_another_source(&self.lanes, c.source, orders, pn, &self.probe)
+            } else {
+                self.published.iter().any(|&(source, slot)| {
+                    source != c.source && dominates(orders, self.rows.row(slot), (pn, pm))
+                })
+            };
+            if !dominated {
+                self.lanes[c.source].push(pn, &self.probe);
+                self.published.push((c.source, c.slot));
                 out.push((c.source, c.id));
             }
         }
-    }
-
-    /// True when some already-published survivor dominates the candidate. Mirrors
-    /// [`SkylineMerger`]'s dominance exactly (NaN neither blocks nor establishes dominance).
-    fn dominated_by_published(&self, numeric: &[f64], nominal: &[ValueId]) -> bool {
-        let nd = self.numeric_dims;
-        let md = self.orders.len();
-        'survivors: for s in 0..self.published {
-            let sn = &self.published_numerics[s * nd..(s + 1) * nd];
-            let sm = &self.published_nominals[s * md..(s + 1) * md];
-            let mut strict = false;
-            for (qv, pv) in sn.iter().zip(numeric) {
-                if qv > pv {
-                    continue 'survivors;
-                }
-                strict |= qv < pv;
-            }
-            for (order, (&qv, &pv)) in self.orders.iter().zip(sm.iter().zip(nominal)) {
-                if qv != pv {
-                    if !order.strictly_preferred(qv, pv) {
-                        continue 'survivors;
-                    }
-                    strict = true;
-                }
-            }
-            if strict {
-                return true;
-            }
-        }
-        false
     }
 }
 
@@ -926,7 +985,63 @@ mod tests {
         let mut merger = SkylineMerger::new(orders, 2);
         // (NaN, 1) vs (2, 1): no strict edge either way — both survive.
         merger.push(0, 0, &[f64::NAN, 1.0], &[]).unwrap();
-        merger.push(0, 1, &[2.0, 1.0], &[]).unwrap();
-        assert_eq!(merger.merge(), vec![(0, 0), (0, 1)]);
+        merger.push(1, 1, &[2.0, 1.0], &[]).unwrap();
+        assert_eq!(merger.merge(), vec![(0, 0), (1, 1)]);
+    }
+
+    #[test]
+    fn rows_are_tested_against_the_other_sources_only() {
+        // (1) ≺ (2) ≺ (3). Handing (1) and (2) in as one source breaks the "each source is
+        // its own skyline" contract: (2) is never tested against its source-mate and
+        // survives, while (3), from another source, is eliminated as usual.
+        let push_all = |merger: &mut SkylineMerger| {
+            merger.push(0, 1, &[1.0], &[]).unwrap();
+            merger.push(0, 2, &[2.0], &[]).unwrap();
+            merger.push(4, 3, &[3.0], &[]).unwrap();
+        };
+        for mode in [KernelMode::Packed, KernelMode::Scalar] {
+            let mut merger = SkylineMerger::new(Vec::new(), 1);
+            push_all(&mut merger);
+            let merged = crate::kernel::with_kernel_mode(mode, || merger.merge());
+            assert_eq!(merged, vec![(0, 1), (0, 2)], "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn packed_and_scalar_elimination_agree_across_lane_blocks() {
+        // Three sources of 150 mutually non-dominating rows each (one anti-diagonal per
+        // source, half a unit apart, so a row is dominated by its neighbours on the lower
+        // diagonals unless the nominal order 0 ≺ 1 objects): several lane blocks per source.
+        let orders = vec![CompiledOrder::compile(
+            &crate::order::PartialOrder::from_pairs(2, [(0, 1)]).unwrap(),
+        )];
+        let mut rows = CandidateRows::new(orders, 2);
+        let mut sources = Vec::new();
+        for s in 0..3usize {
+            for i in 0..150usize {
+                let x = ((i * 7 + s * 3) % 150) as f64;
+                rows.push(
+                    &[x + [0.0, 0.5, -0.5][s], 150.0 - x],
+                    &[((i + s) % 2) as ValueId],
+                )
+                .unwrap();
+                sources.push(s);
+            }
+        }
+        let run = |mode| {
+            crate::kernel::with_kernel_mode(mode, || {
+                eliminate(
+                    &rows.orders,
+                    2,
+                    sources.len(),
+                    |c| sources[c],
+                    |c| rows.row(c),
+                )
+            })
+        };
+        let packed = run(KernelMode::Packed);
+        assert_eq!(packed, run(KernelMode::Scalar));
+        let survivors = packed.iter().filter(|&&keep| keep).count();
+        assert!(0 < survivors && survivors < packed.len(), "{survivors}");
     }
 }

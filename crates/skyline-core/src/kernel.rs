@@ -517,12 +517,17 @@ impl PointBlock {
 /// orders, which every implicit preference induces — see [`CompiledOrder::is_ranked`]) the
 /// implication is an equivalence, so the kernel's window walk replaces the bit probe by two
 /// integer compares on data streaming through the scan.
+///
+/// The closure is also kept **transposed and folded** for the packed lanes' zone maps: one
+/// word per value `v` holding `{u : u = v ∨ u ≺ v}` (bit `u mod 64` per member), the only
+/// values a row dominating a `v`-valued row can carry on this dimension.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledOrder {
     cardinality: usize,
     words_per_row: usize,
     strict: Vec<u64>,
     layers: Vec<u16>,
+    not_worse: Vec<u64>,
     ranked: bool,
 }
 
@@ -532,10 +537,12 @@ impl CompiledOrder {
         let cardinality = order.cardinality();
         let words_per_row = cardinality.div_ceil(64).max(1);
         let mut strict = vec![0u64; cardinality * words_per_row];
+        let mut not_worse: Vec<u64> = (0..cardinality).map(|v| 1 << (v & 63)).collect();
         for u in 0..cardinality {
             for v in 0..cardinality {
                 if order.strictly_preferred(u as ValueId, v as ValueId) {
                     strict[u * words_per_row + (v >> 6)] |= 1 << (v & 63);
+                    not_worse[v] |= 1 << (u & 63);
                 }
             }
         }
@@ -575,6 +582,7 @@ impl CompiledOrder {
             words_per_row,
             strict,
             layers,
+            not_worse,
             ranked,
         }
     }
@@ -606,9 +614,18 @@ impl CompiledOrder {
         self.layers[v as usize]
     }
 
+    /// The values not worse than `v` — `{u : u = v ∨ u ≺ v}`, the transposed closure row —
+    /// folded into one word: bit `u mod 64` per member. Exact up to cardinality 64; above it
+    /// distinct values may share a bit, which only ever adds members (the zone-map test in
+    /// [`crate::lanes`] needs a superset, never the exact set).
+    #[inline]
+    pub(crate) fn not_worse_set(&self, v: ValueId) -> u64 {
+        self.not_worse[v as usize]
+    }
+
     /// Approximate heap footprint in bytes.
     pub fn approximate_bytes(&self) -> usize {
-        self.strict.len() * std::mem::size_of::<u64>()
+        (self.strict.len() + self.not_worse.len()) * std::mem::size_of::<u64>()
             + self.layers.len() * std::mem::size_of::<u16>()
     }
 }
@@ -1179,10 +1196,9 @@ impl Dominance for CompiledRelation {
                     return Some(i);
                 }
             }
-            let hit =
-                window
-                    .lanes
-                    .first_dominator(&self.orders, pn, &window.probe, window.lanes.len());
+            let hit = window
+                .lanes
+                .first_dominator(&self.orders, pn, &window.probe);
             if let Some(i) = hit {
                 window.peek.observe(i + 1);
             }
@@ -1264,11 +1280,11 @@ impl Dominance for CompiledRelation {
             let pn = self.block.numeric_row(p);
             // Window members are mutually undominated, so when one dominates `p`, none can
             // be dominated by `p` (transitivity) — probing before evicting loses nothing.
-            if let Some(l) = lanes.first_dominator(&self.orders, pn, &probe, lanes.len()) {
+            if let Some(l) = lanes.first_dominator(&self.orders, pn, &probe) {
                 peek.observe(l + 1);
                 continue;
             }
-            lanes.clear_dominated_by(&self.orders, pn, &probe, lanes.len());
+            lanes.clear_dominated_by(&self.orders, pn, &probe);
             lanes.push(pn, &probe);
             members.push(p);
         }

@@ -15,14 +15,40 @@
 //!   dominator) and a `strict` mask is accumulated; `not_worse & strict` is the set of lanes
 //!   dominating the probe, and `trailing_zeros` recovers the first one in push order;
 //! * the same algebra run with the operands swapped yields the set of lanes the probe
-//!   dominates — BNL eviction and cross-fragment merge elimination clear those validity
-//!   bits without touching the stored values (lanes are never reused).
+//!   dominates — BNL eviction clears those validity bits without touching the stored values
+//!   (lanes are never reused).
 //!
 //! Nominal dimensions store `(value id, layered rank)` lanes: ranked (weak) orders compare
 //! ranks with pure integer masks, general partial orders probe the compiled closure per
 //! lane (the closure table is a few hundred bytes, L1-resident). NaN semantics mirror the
 //! scalar kernel exactly: a NaN neither blocks nor establishes dominance, because every
 //! mask is built from the same `!(a > b)` / `a < b` comparisons the scalar path uses.
+//!
+//! # Zone maps
+//!
+//! `p ≺ q` needs `p` not worse than `q` on **every** dimension, so one dimension on which no
+//! lane of a block can be not-worse than the probe rules the whole block out before a single
+//! lane is compared. Each block therefore carries a summary, maintained by
+//! [`PackedLanes::push`] and consulted inside [`PackedLanes::first_dominator`]'s block loop:
+//!
+//! * per nominal dimension the **set of value ids present**, folded into one `u64` (bit
+//!   `v mod 64`). The block is skipped when that set misses
+//!   [`CompiledOrder::not_worse_set`] of the probe's value — the equally folded set
+//!   `{u : u = v ∨ u ≺ v}`. Folding only ever merges bits, so an empty folded intersection
+//!   implies an empty true one: exact up to cardinality 64, conservative above. Tested first,
+//!   before any lane is read: on value-clustered blocks this is the test that fires;
+//! * per numeric dimension the **minimum** lane value, a NaN lane counting as `−∞` (a NaN is
+//!   never worse than anything). The block is left when `min > probe`: then `lane > probe`
+//!   on all 64 lanes. A NaN probe never skips, because `min > NaN` is false — exactly the
+//!   kernel's `!(a > b)`. Tested per dimension, right before that dimension's mask pass, so
+//!   a score-sorted window scan — whose blocks mostly die on their first numeric pass and
+//!   are never value-clustered — pays one compare per pass it would have run anyway.
+//!
+//! The summaries cover every lane ever pushed into the block, evicted or not — a superset of
+//! the live lanes, so eviction can only make a skip rarer, never wrong. Padding lanes are in
+//! no summary and have no validity bit. A skip therefore never hides a dominator; how often
+//! it fires depends on how value-homogeneous the caller makes its blocks (the cross-source
+//! merge sorts its candidates for exactly that).
 
 use crate::kernel::CompiledOrder;
 
@@ -34,9 +60,7 @@ pub(crate) const LANE_COUNT: usize = 64;
 ///
 /// Pushing appends to the next free lane (allocating a zero-filled block when the previous
 /// one is full); eviction clears validity bits and never compacts, so a lane index is a
-/// stable identity for the lifetime of the scan. All queries take a `limit`: only lanes
-/// strictly below it participate, which is what the in-order merge elimination needs to
-/// restrict a candidate's view to earlier candidates.
+/// stable identity for the lifetime of the scan.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PackedLanes {
     numeric_dims: usize,
@@ -49,6 +73,12 @@ pub(crate) struct PackedLanes {
     ranks: Vec<u16>,
     /// One validity mask per block; bit `l` set when lane `l` holds a live row.
     valid: Vec<u64>,
+    /// Numeric zone map: cell `b * numeric_dims + j` is block `b`'s minimum on dimension `j`
+    /// (`−∞` once a NaN was pushed).
+    zone_min: Vec<f64>,
+    /// Nominal zone map: cell `b * nominal_dims + j` is the set of value ids block `b` holds
+    /// on dimension `j`, folded to bit `v mod 64`.
+    zone_vals: Vec<u64>,
     /// Lanes allocated so far (push count; evicted lanes stay allocated but invalid).
     len: usize,
 }
@@ -62,10 +92,13 @@ impl PackedLanes {
         self.vals.clear();
         self.ranks.clear();
         self.valid.clear();
+        self.zone_min.clear();
+        self.zone_vals.clear();
         self.len = 0;
     }
 
     /// Lanes allocated so far (including evicted ones).
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.len
     }
@@ -98,49 +131,62 @@ impl PackedLanes {
             self.ranks
                 .resize(self.ranks.len() + self.nominal_dims * LANE_COUNT, 0);
             self.valid.push(0);
+            self.zone_min
+                .resize(self.zone_min.len() + self.numeric_dims, f64::INFINITY);
+            self.zone_vals
+                .resize(self.zone_vals.len() + self.nominal_dims, 0);
         }
         let b = self.len / LANE_COUNT;
         for (j, &v) in nums_row.iter().enumerate() {
             self.nums[(b * self.numeric_dims + j) * LANE_COUNT + lane] = v;
+            let zone = &mut self.zone_min[b * self.numeric_dims + j];
+            *zone = if v.is_nan() {
+                f64::NEG_INFINITY
+            } else {
+                zone.min(v)
+            };
         }
         for j in 0..self.nominal_dims {
             self.vals[(b * self.nominal_dims + j) * LANE_COUNT + lane] = noms_pairs[2 * j];
             self.ranks[(b * self.nominal_dims + j) * LANE_COUNT + lane] = noms_pairs[2 * j + 1];
+            self.zone_vals[b * self.nominal_dims + j] |= 1 << (noms_pairs[2 * j] & 63);
         }
         self.valid[b] |= 1 << lane;
         self.len += 1;
     }
 
-    /// The validity mask of block `b` restricted to lanes strictly below `limit`.
+    /// The nominal zone test (see the module header): true when, on some nominal dimension,
+    /// block `b` holds none of the values a row dominating the probe could carry there.
     #[inline]
-    fn limited_valid(&self, b: usize, limit: usize) -> u64 {
-        let base = b * LANE_COUNT;
-        let mut mask = self.valid[b];
-        if limit < base + LANE_COUNT {
-            // `limit > base` is guaranteed by the callers' block-range loop.
-            mask &= (1u64 << (limit - base)) - 1;
+    fn nominal_zone_excludes(&self, b: usize, orders: &[CompiledOrder], probe: &[u16]) -> bool {
+        let sets = &self.zone_vals[b * self.nominal_dims..][..self.nominal_dims];
+        for (j, order) in orders.iter().enumerate() {
+            if sets[j] & order.not_worse_set(probe[2 * j]) == 0 {
+                return true;
+            }
         }
-        mask
+        false
     }
 
-    /// Index (in push order) of the first valid lane **below `limit`** whose row dominates
-    /// the probe (`pn` numeric values, `probe` nominal `(id, rank)` pairs), or `None`.
+    /// Index (in push order) of the first valid lane whose row dominates the probe (`pn`
+    /// numeric values, `probe` nominal `(id, rank)` pairs), or `None`.
     pub fn first_dominator(
         &self,
         orders: &[CompiledOrder],
         pn: &[f64],
         probe: &[u16],
-        limit: usize,
     ) -> Option<usize> {
-        debug_assert!(limit <= self.len);
-        let blocks = limit.div_ceil(LANE_COUNT);
-        'blocks: for b in 0..blocks {
-            let mut nw = self.limited_valid(b, limit);
-            if nw == 0 {
+        'blocks: for (b, &valid) in self.valid.iter().enumerate() {
+            let mut nw = valid;
+            if nw == 0 || self.nominal_zone_excludes(b, orders, probe) {
                 continue;
             }
             let mut st = 0u64;
+            let mins = &self.zone_min[b * self.numeric_dims..][..self.numeric_dims];
             for (j, &pv) in pn.iter().enumerate() {
+                if mins[j] > pv {
+                    continue 'blocks;
+                }
                 let lane = self.numeric_lane(b, j);
                 let (not_worse, strict) = numeric_masks(lane, pv);
                 nw &= not_worse;
@@ -150,8 +196,8 @@ impl PackedLanes {
                 }
             }
             for (j, order) in orders.iter().enumerate() {
-                let vals = self.value_lane(b, j);
                 let (pvv, pvr) = (probe[2 * j], probe[2 * j + 1]);
+                let vals = self.value_lane(b, j);
                 let (not_worse, strict) = if order.is_ranked() {
                     ranked_masks(vals, self.rank_lane(b, j), pvv, pvr)
                 } else {
@@ -171,21 +217,12 @@ impl PackedLanes {
         None
     }
 
-    /// Evicts every valid lane **below `limit`** whose row is dominated *by* the probe:
-    /// the reverse direction of [`PackedLanes::first_dominator`], used by BNL window
-    /// eviction and the merge elimination. Stored values stay in place; only validity bits
-    /// are cleared.
-    pub fn clear_dominated_by(
-        &mut self,
-        orders: &[CompiledOrder],
-        pn: &[f64],
-        probe: &[u16],
-        limit: usize,
-    ) {
-        debug_assert!(limit <= self.len);
-        let blocks = limit.div_ceil(LANE_COUNT);
-        'blocks: for b in 0..blocks {
-            let mut nw = self.limited_valid(b, limit);
+    /// Evicts every valid lane whose row is dominated *by* the probe: the reverse direction
+    /// of [`PackedLanes::first_dominator`], used by BNL window eviction. Stored values stay
+    /// in place; only validity bits are cleared.
+    pub fn clear_dominated_by(&mut self, orders: &[CompiledOrder], pn: &[f64], probe: &[u16]) {
+        'blocks: for b in 0..self.valid.len() {
+            let mut nw = self.valid[b];
             if nw == 0 {
                 continue;
             }
@@ -366,34 +403,26 @@ mod tests {
     }
 
     #[test]
-    fn first_dominator_finds_the_earliest_lane_and_respects_limits() {
+    fn first_dominator_finds_the_earliest_live_lane() {
         let mut lanes = PackedLanes::default();
         lanes.reset(2, 0);
         // Lanes 0..70 all have value (5, 5); the probe (6, 6) is dominated by each.
         for _ in 0..70 {
             lanes.push(&[5.0, 5.0], &[]);
         }
-        assert_eq!(lanes.first_dominator(&[], &[6.0, 6.0], &[], 70), Some(0));
+        assert_eq!(lanes.first_dominator(&[], &[6.0, 6.0], &[]), Some(0));
         // Evict the whole first block: the first dominator moves to lane 64.
         for l in 0..64 {
             lanes.clear_valid(l);
         }
-        assert_eq!(lanes.first_dominator(&[], &[6.0, 6.0], &[], 70), Some(64));
-        assert_eq!(
-            lanes.first_dominator(&[], &[6.0, 6.0], &[], 64),
-            None,
-            "limit excludes lanes at and above it"
-        );
+        assert_eq!(lanes.first_dominator(&[], &[6.0, 6.0], &[]), Some(64));
         // Equal rows never dominate (no strict dimension).
-        assert_eq!(lanes.first_dominator(&[], &[5.0, 5.0], &[], 70), None);
+        assert_eq!(lanes.first_dominator(&[], &[5.0, 5.0], &[]), None);
         // A NaN probe cell is indifferent (neither blocks nor establishes dominance), so
         // the lanes still dominate via the second dimension — and a NaN can never be the
         // strict edge itself.
-        assert_eq!(
-            lanes.first_dominator(&[], &[f64::NAN, 6.0], &[], 70),
-            Some(64)
-        );
-        assert_eq!(lanes.first_dominator(&[], &[f64::NAN, 5.0], &[], 70), None);
+        assert_eq!(lanes.first_dominator(&[], &[f64::NAN, 6.0], &[]), Some(64));
+        assert_eq!(lanes.first_dominator(&[], &[f64::NAN, 5.0], &[]), None);
     }
 
     #[test]
@@ -408,9 +437,121 @@ mod tests {
             lanes.push(&[num], &pairs_for(&orders, &[val]));
         }
         let probe = pairs_for(&orders, &[0]);
-        lanes.clear_dominated_by(&orders, &[2.0], &probe, lanes.len());
+        lanes.clear_dominated_by(&orders, &[2.0], &probe);
         let survivors: Vec<usize> = (0..lanes.len()).filter(|&l| lanes.is_valid(l)).collect();
         assert_eq!(survivors, vec![0, 1], "lanes 2, 3 and 4 are dominated");
+    }
+
+    /// Lane-dominates-probe on raw, NaN-free `(numeric, value)` rows.
+    fn scalar_dominates(order: &CompiledOrder, q: (f64, u16), p: (f64, u16)) -> bool {
+        let preferred = order.strictly_preferred(q.1, p.1);
+        q.0 <= p.0 && (q.1 == p.1 || preferred) && (q.0 < p.0 || preferred)
+    }
+
+    #[test]
+    fn zone_skip_fires_on_incompatible_blocks_and_never_hides_a_dominator() {
+        // 0 ≺ 1 ≺ {2, 3, 4}: a probe valued 2 can only be dominated by lanes valued 0, 1 or 2.
+        let orders = vec![ranked_order(5, &[0, 1])];
+        let mut lanes = PackedLanes::default();
+        lanes.reset(1, 1);
+        // Block 0: 64 lanes valued 3/4 — nominally incompatible with a probe valued 2.
+        // Block 1: 63 such lanes and, at lane 100, the one compatible dominator.
+        // Block 2: compatible values, but every numeric above the probe's.
+        for l in 0..192 {
+            let row = match l {
+                100 => (1.0, 1),
+                0..=127 => (1.0, 3 + (l % 2) as u16),
+                _ => (9.0, 0),
+            };
+            lanes.push(&[row.0], &pairs_for(&orders, &[row.1]));
+        }
+        let probe = pairs_for(&orders, &[2]);
+        assert!(lanes.nominal_zone_excludes(0, &orders, &probe));
+        assert!(!lanes.nominal_zone_excludes(1, &orders, &probe));
+        assert!(!lanes.nominal_zone_excludes(2, &orders, &probe));
+        assert!(
+            lanes.zone_min[2] > 5.0,
+            "block 2 is ruled out by its minimum"
+        );
+        assert_eq!(lanes.first_dominator(&orders, &[5.0], &probe), Some(100));
+        // Evicting the dominator leaves the summaries a superset of the live lanes: the
+        // block is still opened, nothing is found, nothing evicted is reported.
+        lanes.clear_valid(100);
+        assert!(!lanes.nominal_zone_excludes(1, &orders, &probe));
+        assert_eq!(lanes.first_dominator(&orders, &[5.0], &probe), None);
+        // A probe valued 0 is dominated by nothing here, equal-valued block 2 included.
+        let best = pairs_for(&orders, &[0]);
+        assert!(lanes.nominal_zone_excludes(0, &orders, &best));
+        assert_eq!(lanes.first_dominator(&orders, &[9.0], &best), None);
+    }
+
+    #[test]
+    fn nan_lanes_and_nan_probes_are_never_skipped() {
+        let orders = vec![ranked_order(3, &[0, 1])];
+        let mut lanes = PackedLanes::default();
+        lanes.reset(2, 1);
+        // Every lane's first numeric is far above the probe's, except lane 40's NaN — which
+        // is "not worse" — and lane 40 is strictly better on the rest.
+        for l in 0..64 {
+            let first = if l == 40 { f64::NAN } else { 100.0 };
+            lanes.push(&[first, 1.0], &pairs_for(&orders, &[0]));
+        }
+        let probe = pairs_for(&orders, &[1]);
+        assert_eq!(lanes.zone_min[0], f64::NEG_INFINITY);
+        assert_eq!(
+            lanes.first_dominator(&orders, &[5.0, 2.0], &probe),
+            Some(40)
+        );
+        // Without the NaN lane the same block is ruled out by its minimum alone …
+        let mut plain = PackedLanes::default();
+        plain.reset(2, 1);
+        for _ in 0..64 {
+            plain.push(&[100.0, 1.0], &pairs_for(&orders, &[0]));
+        }
+        assert_eq!(plain.zone_min[0], 100.0);
+        assert_eq!(plain.first_dominator(&orders, &[5.0, 2.0], &probe), None);
+        // … unless the probe's cell is the NaN: `min > NaN` is false, the block is opened,
+        // and every lane dominates through the other dimensions.
+        assert_eq!(
+            plain.first_dominator(&orders, &[f64::NAN, 2.0], &probe),
+            Some(0)
+        );
+    }
+
+    #[test]
+    fn folded_value_sets_stay_sound_above_cardinality_64() {
+        // 70 values: 69 ≺ 3 and 5 ≺ 68, everything else incomparable. Values 5 and 69 share
+        // zone bit 5, values 4 and 68 bit 4, so some blocks are opened needlessly — but every
+        // answer must still match the scalar oracle.
+        let order =
+            CompiledOrder::compile(&PartialOrder::from_pairs(70, [(69, 3), (5, 68)]).unwrap());
+        let orders = std::slice::from_ref(&order);
+        let lane_rows: Vec<(f64, u16)> = (0..256)
+            .map(|i| ((i % 7) as f64, ((i / 64) * 17 + i % 6 + 60) as u16 % 70))
+            .collect();
+        let mut lanes = PackedLanes::default();
+        lanes.reset(1, 1);
+        for &(num, val) in &lane_rows {
+            lanes.push(&[num], &pairs_for(orders, &[val]));
+        }
+        let mut skipped = 0;
+        for pn in 0..7 {
+            for pv in 0..70u16 {
+                let p = (pn as f64, pv);
+                let probe = pairs_for(orders, &[pv]);
+                skipped += (0..4)
+                    .filter(|&b| lanes.nominal_zone_excludes(b, orders, &probe))
+                    .count();
+                assert_eq!(
+                    lanes.first_dominator(orders, &[p.0], &probe),
+                    lane_rows
+                        .iter()
+                        .position(|&q| scalar_dominates(&order, q, p)),
+                    "probe ({pn}, {pv})"
+                );
+            }
+        }
+        assert!(skipped > 0, "the folded sets still rule blocks out");
     }
 
     #[test]
@@ -428,24 +569,20 @@ mod tests {
         for &(num, val) in &lane_rows {
             lanes.push(&[num], &pairs_for(orders, &[val]));
         }
-        let dominates = |(qn, qv): (f64, u16), (pn, pv): (f64, u16)| {
-            let num_ok = qn <= pn;
-            let nom_ok = qv == pv || order.strictly_preferred(qv, pv);
-            num_ok && nom_ok && (qn < pn || order.strictly_preferred(qv, pv))
-        };
+        let dominates = |q, p| scalar_dominates(&order, q, p);
         for pn in 0..3 {
             for pv in 0..5u16 {
                 let p = (pn as f64, pv);
                 let probe = pairs_for(orders, &[pv]);
                 let expected = lane_rows.iter().position(|&q| dominates(q, p));
                 assert_eq!(
-                    lanes.first_dominator(orders, &[p.0], &probe, lanes.len()),
+                    lanes.first_dominator(orders, &[p.0], &probe),
                     expected,
                     "probe ({pn}, {pv})"
                 );
                 // Reverse direction: eviction must clear exactly the dominated lanes.
                 let mut scratch = lanes.clone();
-                scratch.clear_dominated_by(orders, &[p.0], &probe, scratch.len());
+                scratch.clear_dominated_by(orders, &[p.0], &probe);
                 for (l, &q) in lane_rows.iter().enumerate() {
                     assert_eq!(
                         scratch.is_valid(l),

@@ -10,6 +10,14 @@
 //! [`skyline_core::SkylineMerger`]). Per-shard skylines are tiny compared to their shards,
 //! so the merge is cheap and the scatter parallelizes the expensive part.
 //!
+//! The merge operators test a row against the **other** shards' rows only, so what a shard
+//! hands to the gather must be the exact skyline of that shard — mutually non-dominating
+//! rows. Every leg satisfies it: an engine answer and the rows of an [`EngineStream`] are
+//! exact local skylines, and a shard that panicked or missed its deadline is dropped before
+//! the gather, never merged partially. A leg that handed in rows it had not reduced to a
+//! skyline would leave those dominated only by a shard-mate in the answer. With a single
+//! answering shard there is nothing to test, and the batch gather builds no merger at all.
+//!
 //! The pieces:
 //!
 //! * [`ShardPartition`] — how rows map to shards: hash on a nominal dimension or range on a
@@ -1325,34 +1333,53 @@ impl ShardedService {
             )?;
         }
 
-        // Gather: cross-shard dominance merge under the query's effective orders.
-        let orders: Vec<CompiledOrder> = self
-            .template
-            .effective_orders(&self.schema, pref)?
-            .iter()
-            .map(CompiledOrder::compile)
-            .collect();
-        let mut merger = SkylineMerger::new(orders, self.schema.numeric_count());
-        let mut numeric = vec![0.0f64; self.schema.numeric_count()];
-        let mut nominal = vec![ValueId::default(); self.schema.nominal_count()];
-        for (s, outcome) in &outcomes {
-            let data = guards[*s].dataset();
-            for &p in &outcome.skyline {
-                for (j, v) in numeric.iter_mut().enumerate() {
-                    *v = data.numeric(p, j);
+        // Gather. A single answering shard's skyline is already the global one (the merger
+        // would test nothing against it); otherwise the cross-shard dominance merge under
+        // the query's effective orders, each engine answer being its shard's exact skyline
+        // as the merger requires.
+        let skyline: Vec<GlobalRowId> = if let [(shard, outcome)] = outcomes.as_slice() {
+            outcome
+                .skyline
+                .iter()
+                .map(|&row| GlobalRowId { shard: *shard, row })
+                .collect()
+        } else {
+            let orders: Vec<CompiledOrder> = self
+                .template
+                .effective_orders(&self.schema, pref)?
+                .iter()
+                .map(CompiledOrder::compile)
+                .collect();
+            let mut merger = SkylineMerger::new(orders, self.schema.numeric_count());
+            let mut numeric = vec![0.0f64; self.schema.numeric_count()];
+            let mut nominal = vec![ValueId::default(); self.schema.nominal_count()];
+            for (s, outcome) in &outcomes {
+                if let Some(block) = guards[*s].point_block() {
+                    for &p in &outcome.skyline {
+                        merger.push(*s, p, block.numeric_row(p), block.nominal_row(p))?;
+                    }
+                    continue;
                 }
-                for (j, v) in nominal.iter_mut().enumerate() {
-                    *v = data.nominal(p, j);
+                // Pure IPO-tree engines keep no row-major block: gather cell by cell.
+                let data = guards[*s].dataset();
+                for &p in &outcome.skyline {
+                    for (j, v) in numeric.iter_mut().enumerate() {
+                        *v = data.numeric(p, j);
+                    }
+                    for (j, v) in nominal.iter_mut().enumerate() {
+                        *v = data.nominal(p, j);
+                    }
+                    merger.push(*s, p, &numeric, &nominal)?;
                 }
-                merger.push(*s, p, &numeric, &nominal)?;
             }
-        }
-        let value = Arc::new(ShardedOutcome {
-            skyline: merger
+            merger
                 .merge()
                 .into_iter()
                 .map(|(shard, row)| GlobalRowId { shard, row })
-                .collect(),
+                .collect()
+        };
+        let value = Arc::new(ShardedOutcome {
+            skyline,
             methods: outcomes.iter().map(|(_, o)| o.method).collect(),
         });
         if degraded.is_empty() {

@@ -1,0 +1,291 @@
+//! One equivalence suite for the three cross-source merge operators.
+//!
+//! For random datasets split into 1–5 sources, every operator fed the sources' **local
+//! skylines** (the contract they share) must return exactly the brute-force skyline of the
+//! union under the reference [`DominanceContext`]:
+//!
+//! `SkylineMerger::merge` ≡ `merge_skylines` ≡ drained `ProgressiveMerger` ≡ `bnl::skyline`
+//!
+//! under both [`KernelMode`]s, with the batch forms preserving push order and the progressive
+//! form never publishing a row it would have to retract. The instances cover what the
+//! source-aware, zone-mapped elimination has to get right: empty sources, push order
+//! interleaved across sources, value-identical rows in different sources, a NaN numeric
+//! column, a nominal dimension of cardinality 70 whose values collide in the lanes' folded
+//! 64-bit value sets, general (non-ranked) partial orders, and per-source skylines that
+//! straddle the 64-row lane blocks.
+
+use proptest::prelude::*;
+use skyline::prelude::*;
+use skyline_core::algo::bnl;
+use skyline_core::{
+    merge_skylines, with_kernel_mode, CompiledOrder, KernelMode, PartialOrder, ProgressiveMerger,
+    SkylineMerger,
+};
+use std::sync::Arc;
+
+/// Cardinality of the wide nominal dimension, and the values rows actually take on it:
+/// `v` and `v + 64` share a bit in the lanes' folded value sets.
+const WIDE_CARD: usize = 70;
+const WIDE_VALUES: [ValueId; 12] = [0, 1, 2, 3, 4, 5, 64, 65, 66, 67, 68, 69];
+const NARROW_CARD: usize = 4;
+
+#[derive(Debug, Clone)]
+struct Instance {
+    /// Three numeric columns; in half the instances the last is NaN throughout. NaN fills a
+    /// whole column or none of it: mixed, "a NaN is indifferent" stops being transitive, and
+    /// no two skyline algorithms — the reference BNL included — need agree.
+    numeric: Vec<Vec<f64>>,
+    /// Two nominal columns: cardinality 4 and cardinality 70.
+    nominal: Vec<Vec<ValueId>>,
+    /// Per nominal dimension: acyclic `a ≺ b` edges of a general partial order.
+    edges: Vec<Vec<(ValueId, ValueId)>>,
+    /// Source of every row; sources without rows stay empty.
+    source_of: Vec<usize>,
+    sources: usize,
+    /// A permutation of the rows: the cross-source push / turn order.
+    order: Vec<usize>,
+}
+
+fn instance_strategy() -> impl Strategy<Value = Instance> {
+    let rows = prop_oneof![1usize..40, 150usize..260];
+    (rows, 1usize..=5, 0usize..4).prop_flat_map(|(n, sources, dupes)| {
+        let numeric = proptest::collection::vec(
+            proptest::collection::vec(0i32..6, n)
+                .prop_map(|v| v.into_iter().map(f64::from).collect::<Vec<f64>>()),
+            3,
+        );
+        let nominal = (
+            proptest::collection::vec(0..NARROW_CARD as ValueId, n),
+            proptest::collection::vec(0..WIDE_VALUES.len(), n)
+                .prop_map(|v| v.into_iter().map(|i| WIDE_VALUES[i]).collect::<Vec<_>>()),
+        );
+        // Only "earlier ≺ later" edges, so `from_pairs` always gets a DAG; sparse picks leave
+        // incomparable islands (unranked orders), dense ones close into weak orders.
+        let pairs = |values: Vec<ValueId>| -> Vec<(ValueId, ValueId)> {
+            (0..values.len())
+                .flat_map(|i| (i + 1..values.len()).map(move |j| (i, j)))
+                .map(|(i, j)| (values[i], values[j]))
+                .collect()
+        };
+        let edges = (
+            proptest::sample::subsequence(pairs((0..NARROW_CARD as ValueId).collect()), 0..=4),
+            proptest::sample::subsequence(pairs(WIDE_VALUES.to_vec()), 0..=8),
+        );
+        let source_of = proptest::collection::vec(0..sources, n);
+        (numeric, nominal, edges, source_of, any::<bool>()).prop_flat_map(
+            move |(mut numeric, (narrow, wide), (narrow_edges, wide_edges), mut source_of, nan)| {
+                let mut nominal = vec![narrow, wide];
+                // Value-identical rows in a *different* source (when there is one): they
+                // never dominate each other, so both must survive every merge.
+                for i in 0..dupes.min(n) {
+                    for column in &mut numeric {
+                        column.push(column[i]);
+                    }
+                    for column in &mut nominal {
+                        column.push(column[i]);
+                    }
+                    source_of.push((source_of[i] + 1) % sources);
+                }
+                if nan {
+                    numeric[2].fill(f64::NAN);
+                }
+                let total = source_of.len();
+                let instance = Instance {
+                    numeric,
+                    nominal,
+                    edges: vec![narrow_edges, wide_edges],
+                    source_of,
+                    sources,
+                    order: Vec::new(),
+                };
+                Just((0..total).collect::<Vec<usize>>())
+                    .prop_shuffle()
+                    .prop_map(move |order| Instance {
+                        order,
+                        ..instance.clone()
+                    })
+            },
+        )
+    })
+}
+
+fn build_dataset(instance: &Instance) -> Arc<Dataset> {
+    let schema = Schema::new(vec![
+        Dimension::numeric("x"),
+        Dimension::numeric("y"),
+        Dimension::numeric("z"),
+        Dimension::nominal("g", NominalDomain::anonymous(NARROW_CARD)),
+        Dimension::nominal("h", NominalDomain::anonymous(WIDE_CARD)),
+    ])
+    .unwrap();
+    Arc::new(
+        Dataset::from_columns(schema, instance.numeric.clone(), instance.nominal.clone()).unwrap(),
+    )
+}
+
+/// A strictly monotone score for a general partial-order relation: the non-NaN numerics plus
+/// each nominal value's layered rank (`u ≺ v` implies `layer(u) < layer(v)`).
+fn score(block: &PointBlock, orders: &[CompiledOrder], p: PointId) -> f64 {
+    let numeric: f64 = block.numeric_row(p).iter().filter(|v| !v.is_nan()).sum();
+    let nominal: u32 = orders
+        .iter()
+        .zip(block.nominal_row(p))
+        .map(|(order, &v)| u32::from(order.layer(v)))
+        .sum();
+    numeric + f64::from(nominal)
+}
+
+/// Runs all three operators under the kernel mode in effect and checks each against
+/// `expected`, the sorted skyline of the union.
+fn assert_operators_agree(
+    instance: &Instance,
+    kernel: &CompiledRelation,
+    locals: &[Vec<PointId>],
+    expected: &[PointId],
+    mode: KernelMode,
+) {
+    let block = kernel.block();
+    let numeric_dims = block.numeric_dims();
+    let is_global = |p: PointId| expected.binary_search(&p).is_ok();
+
+    // merge_skylines: survivors in concatenated fragment order.
+    let views: Vec<&[PointId]> = locals.iter().map(Vec::as_slice).collect();
+    let concatenated: Vec<PointId> = locals.concat();
+    let want: Vec<PointId> = concatenated
+        .iter()
+        .copied()
+        .filter(|&p| is_global(p))
+        .collect();
+    assert_eq!(
+        merge_skylines(kernel, &views),
+        want,
+        "merge_skylines ({mode:?})"
+    );
+
+    // SkylineMerger: candidates pushed interleaved across sources, survivors in push order.
+    let is_local = |p: PointId| locals[instance.source_of[p as usize]].contains(&p);
+    let pushed: Vec<(usize, PointId)> = instance
+        .order
+        .iter()
+        .map(|&row| row as PointId)
+        .filter(|&p| is_local(p))
+        .map(|p| (instance.source_of[p as usize], p))
+        .collect();
+    let mut merger = SkylineMerger::new(kernel.orders().to_vec(), numeric_dims);
+    for &(source, p) in &pushed {
+        merger
+            .push(source, p, block.numeric_row(p), block.nominal_row(p))
+            .unwrap();
+    }
+    assert_eq!(merger.len(), concatenated.len());
+    let want: Vec<(usize, PointId)> = pushed
+        .iter()
+        .copied()
+        .filter(|&(_, p)| is_global(p))
+        .collect();
+    assert_eq!(merger.merge(), want, "SkylineMerger ({mode:?})");
+    assert!(merger.is_empty());
+
+    // ProgressiveMerger: every source streams its local skyline in ascending score order;
+    // the shuffled rows hand out the turns, so the streams advance interleaved and unevenly.
+    let score_of = |p: PointId| score(block, kernel.orders(), p);
+    let streams: Vec<Vec<PointId>> = locals
+        .iter()
+        .map(|local| {
+            let mut stream = local.clone();
+            stream.sort_by(|&a, &b| score_of(a).total_cmp(&score_of(b)).then(a.cmp(&b)));
+            stream
+        })
+        .collect();
+    let mut merger =
+        ProgressiveMerger::new(kernel.orders().to_vec(), numeric_dims, instance.sources);
+    let mut next = vec![0usize; instance.sources];
+    let mut published: Vec<(usize, PointId)> = Vec::new();
+    let mut check_published = |merger: &mut ProgressiveMerger, when: &str| {
+        let before = published.len();
+        merger.drain_ready(&mut published);
+        assert_eq!(merger.published(), published.len());
+        for &(source, p) in &published[before..] {
+            // Never retract: whatever is handed out is in the final answer.
+            assert!(
+                is_global(p),
+                "row {p} of source {source} published {when} ({mode:?})"
+            );
+        }
+        for w in published[before.saturating_sub(1)..].windows(2) {
+            assert!(
+                score_of(w[0].1) <= score_of(w[1].1),
+                "score order ({mode:?})"
+            );
+        }
+    };
+    for (s, stream) in streams.iter().enumerate() {
+        if stream.is_empty() {
+            merger.finish(s);
+        }
+    }
+    for &row in &instance.order {
+        let s = instance.source_of[row];
+        let Some(&p) = streams[s].get(next[s]) else {
+            continue;
+        };
+        next[s] += 1;
+        merger
+            .offer(
+                s,
+                p,
+                score_of(p),
+                block.numeric_row(p),
+                block.nominal_row(p),
+            )
+            .unwrap();
+        if next[s] == streams[s].len() {
+            merger.finish(s);
+        }
+        check_published(&mut merger, "mid-stream");
+    }
+    check_published(&mut merger, "at the end");
+    assert!(merger.is_complete(), "every stream was offered in full");
+    let mut drained: Vec<PointId> = published.iter().map(|&(_, p)| p).collect();
+    drained.sort_unstable();
+    assert_eq!(drained, expected, "ProgressiveMerger ({mode:?})");
+    for &(source, p) in &published {
+        assert_eq!(source, instance.source_of[p as usize]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
+
+    #[test]
+    fn every_merge_operator_returns_the_skyline_of_the_union(instance in instance_strategy()) {
+        let data = build_dataset(&instance);
+        let orders: Vec<PartialOrder> = [NARROW_CARD, WIDE_CARD]
+            .iter()
+            .zip(&instance.edges)
+            .map(|(&card, edges)| PartialOrder::from_pairs(card, edges.iter().copied()).unwrap())
+            .collect();
+        let template = Template::from_partial_orders(data.schema(), orders).unwrap();
+        let ctx = DominanceContext::for_template(&data, &template).unwrap();
+        let kernel =
+            CompiledRelation::for_template(Arc::new(PointBlock::new(&data)), &template).unwrap();
+
+        let expected = bnl::skyline(&ctx);
+        // The operators' shared contract: each source hands in the skyline of its own rows.
+        let locals: Vec<Vec<PointId>> = (0..instance.sources)
+            .map(|s| {
+                let rows: Vec<PointId> = data
+                    .point_ids()
+                    .filter(|&p| instance.source_of[p as usize] == s)
+                    .collect();
+                bnl::skyline_of(&ctx, &rows)
+            })
+            .collect();
+
+        for mode in [KernelMode::Packed, KernelMode::Scalar] {
+            with_kernel_mode(mode, || {
+                assert_operators_agree(&instance, &kernel, &locals, &expected, mode)
+            });
+        }
+    }
+}
