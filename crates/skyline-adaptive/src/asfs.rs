@@ -2,6 +2,30 @@
 //! (Algorithm 4) with a progressive result iterator, and incremental maintenance
 //! (Section 4.3) — row insertions and logical deletions keep the sorted list and the value
 //! index up to date in place, with periodic compaction back to the parallel build path.
+//!
+//! # What a query touches: AFFECT = rows carrying a *newly listed* value
+//!
+//! Let the template list `t_j` values on nominal dimension `j` and the query refine it (the
+//! template's list is a prefix of the query's, [`Template::check_refinement`]). A value is
+//! *newly listed* on `j` when it sits at a position `> t_j` of the query's list; a member of
+//! `SKY(R)` is **affected** when it carries a newly listed value on some dimension, and AFFECT
+//! is the set of affected members ([`SkylineValueIndex::affected_by`],
+//! [`QueryStats::affected`]). This is narrower than the paper's Figure (d) ratio
+//! [`skyline_core::stats::affected_points`], which counts every *listed* value — including
+//! the template's own prefix, whose rows keep their score and every relation among them.
+//!
+//! **Lemma.** (a) A pair of `P(R̃′)` whose better side sits at a position `≤ t_j` is already
+//! in `P(R̃)` — its worse side is listed later, or unlisted, there too — so every pair of
+//! `P(R̃′) \ P(R̃)` has a newly listed better side. (b) If `p ∈ SKY(R)` and `q ≻_{R′} p` then
+//! `q` is affected: otherwise every nominal relation `q.j ⪯′ p.j` already holds under `R`,
+//! the numeric cells are the same, hence `q ≻_R p`, contradicting `p ∈ SKY(R)`. (c) The score
+//! ranks a listed value by its position and an unlisted one by `c_j`; neither changes for a
+//! row with no newly listed value, so only affected entries move in the sorted list.
+//!
+//! Hence Algorithm 4 re-ranks AFFECT only and tests **every** candidate — affected or not —
+//! against the *accepted affected* rows only: a rejected dominator is itself dominated by an
+//! accepted affected row (the transitivity argument SFS already relies on). AFFECT = ∅ — for
+//! one, a query equal to the template — answers `SKY(R)` with zero dominance tests.
 
 use crate::index::{LiveRowIndex, SkylineValueIndex};
 use crate::sorted_list::ScoredEntry;
@@ -32,13 +56,13 @@ const AUTO_COMPACT_INTERVAL: usize = 4096;
 /// How the elimination pass of Algorithm 4 is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanMode {
-    /// Only re-ranked (affected) points are tested against everything; unaffected points are
-    /// tested only against accepted affected points. This matches the paper's observation that
-    /// "there is no need to follow the SFS from scratch" and is the default.
+    /// Every candidate is tested against the accepted *affected* rows only (the module-level
+    /// lemma): the paper's "there is no need to follow the SFS from scratch". The default.
     #[default]
     AffectedOnly,
-    /// Re-sort and run the plain SFS elimination over the whole template skyline. Kept as the
-    /// ablation baseline for the re-insertion optimization.
+    /// Plain SFS elimination over the re-ranked template skyline — the same scan with every
+    /// candidate flagged affected, so each one is tested against everything accepted before
+    /// it. Kept as the reference the tests and the scan-mode ablation compare against.
     FullRescan,
 }
 
@@ -58,7 +82,9 @@ pub struct PreprocessStats {
 /// Statistics recorded by one query evaluation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Number of affected (re-ranked) points — the paper's `l`.
+    /// Number of re-ranked points: members of `SKY(R)` carrying a value the query lists
+    /// *beyond the template's prefix* (the module-level AFFECT). Not the paper's Figure (d)
+    /// count, [`skyline_core::stats::affected_points`], which includes the prefix.
     pub affected: usize,
     /// Pairwise dominance tests performed during the elimination pass.
     pub dominance_tests: u64,
@@ -238,8 +264,7 @@ impl AdaptiveSfs {
     }
 
     /// Builds the structure from an already-computed template skyline (used by the hybrid
-    /// engine, which shares one skyline computation between the IPO tree and Adaptive SFS, and
-    /// by the maintained variant).
+    /// engine, which shares one skyline computation between the IPO tree and Adaptive SFS).
     pub fn from_precomputed_skyline(
         data: impl Into<Arc<Dataset>>,
         template: Template,
@@ -472,6 +497,8 @@ impl AdaptiveSfs {
     /// elimination scan polls the deadline at block granularity and aborts with
     /// [`SkylineError::DeadlineExceeded`] instead of finishing an answer nobody is waiting
     /// for. The scratch buffers stay reusable after an abort.
+    ///
+    /// The batch answer is the drained [`ProgressiveScan`], run on the scratch's buffers.
     pub fn query_deadline_scratch(
         &self,
         pref: &Preference,
@@ -479,23 +506,22 @@ impl AdaptiveSfs {
         deadline: &Deadline,
         scratch: &mut QueryScratch,
     ) -> Result<(Vec<PointId>, QueryStats)> {
-        let dom = CompiledRelation::for_query(
-            self.block.clone(),
-            self.data.schema(),
-            &self.template,
-            pref,
-        )?;
-        let (mut result, stats) = evaluate_query(
-            &dom,
-            &self.data,
-            &self.template,
-            &self.entries,
-            &self.index,
-            pref,
-            mode,
-            deadline,
-            scratch,
-        )?;
+        let mut scan = self.scan(pref, mode, scratch)?;
+        let mut result = Vec::new();
+        let drained: Result<()> = (|| {
+            while let Some(p) = scan.advance(deadline)? {
+                result.push(p);
+            }
+            Ok(())
+        })();
+        let stats = QueryStats {
+            affected: scratch.reinserted.len(),
+            dominance_tests: scan.dominance_tests,
+            result_size: result.len(),
+        };
+        scratch.merged = scan.merged;
+        scratch.window = scan.window;
+        drained?;
         result.sort_unstable();
         Ok((result, stats))
     }
@@ -504,32 +530,89 @@ impl AdaptiveSfs {
     /// query-score order. Every yielded point is already guaranteed to be in `SKY(R̃′)`, so a
     /// caller can stop early (e.g. "give me the first 10 results") without any wasted work.
     pub fn query_progressive(&self, pref: &Preference) -> Result<ProgressiveScan> {
-        let dom = CompiledRelation::for_query(
-            self.block.clone(),
-            self.data.schema(),
-            &self.template,
-            pref,
-        )?;
-        let mut scratch = QueryScratch::default();
-        merged_order(
-            &self.data,
-            &self.template,
-            &self.entries,
-            &self.index,
-            pref,
-            &mut scratch,
-        )?;
-        let mut window_all = DenseWindow::default();
-        let mut window_affected = DenseWindow::default();
-        dom.reset_window(&mut window_all);
-        dom.reset_window(&mut window_affected);
+        self.scan(pref, ScanMode::default(), &mut QueryScratch::default())
+    }
+
+    /// Sets up Algorithm 4 for `pref`: validates it, re-ranks AFFECT into the merged candidate
+    /// order and hands the scan the scratch's candidate and window buffers. The query relation
+    /// is compiled only when some candidate is flagged affected — otherwise no window is ever
+    /// pushed to and every member of `SKY(R)` is accepted untested.
+    fn scan(
+        &self,
+        pref: &Preference,
+        mode: ScanMode,
+        scratch: &mut QueryScratch,
+    ) -> Result<ProgressiveScan> {
+        self.merged_order(pref, scratch)?;
+        let full = mode == ScanMode::FullRescan;
+        let dom = if full || !scratch.reinserted.is_empty() {
+            let schema = self.data.schema();
+            let dom =
+                CompiledRelation::for_query(self.block.clone(), schema, &self.template, pref)?;
+            dom.reset_window(&mut scratch.window);
+            Some(dom)
+        } else {
+            None
+        };
+        if full {
+            for (_, affected) in &mut scratch.merged {
+                *affected = true;
+            }
+        }
         Ok(ProgressiveScan {
             dom,
             merged: std::mem::take(&mut scratch.merged),
             pos: 0,
-            window_all,
-            window_affected,
+            window: std::mem::take(&mut scratch.window),
+            dominance_tests: 0,
         })
+    }
+
+    /// Builds the query-score-ordered candidate list into `scratch.merged` as
+    /// `(point, is_affected)` pairs, leaving the re-scored AFFECT entries in
+    /// `scratch.reinserted`. Cost is proportional to `|AFFECT|` plus one pass over the list.
+    fn merged_order(&self, pref: &Preference, scratch: &mut QueryScratch) -> Result<()> {
+        let (data, schema) = (&*self.data, self.data.schema());
+        // Refinement is checked before the index applies the template's prefix lengths.
+        pref.validate(schema)?;
+        self.template.check_refinement(schema, pref)?;
+        let template_pref = self
+            .template
+            .implicit()
+            .expect("construction rejects templates without an implicit form");
+        let query_score = ScoreFn::for_preference(schema, pref)?;
+
+        // Affected points are deleted from the sorted list and re-inserted with their new
+        // score; everything else keeps its template-score position (lemma (c)). The flag
+        // vector de-duplicates rows affected on several dimensions.
+        scratch.affected.resize(data.len(), false);
+        scratch.reinserted.clear();
+        for p in self.index.affected_by(template_pref, pref) {
+            if !std::mem::replace(&mut scratch.affected[p as usize], true) {
+                let entry = ScoredEntry::new(p, query_score.score(data, p));
+                scratch.reinserted.push(entry);
+            }
+        }
+        scratch.reinserted.sort_unstable();
+
+        let merged = &mut scratch.merged;
+        merged.clear();
+        merged.reserve(self.entries.len());
+        let mut moved = scratch.reinserted.iter().peekable();
+        for kept in &self.entries {
+            if scratch.affected[kept.point as usize] {
+                continue;
+            }
+            while let Some(m) = moved.next_if(|m| *m < kept) {
+                merged.push((m.point, true));
+            }
+            merged.push((kept.point, false));
+        }
+        merged.extend(moved.map(|m| (m.point, true)));
+        for m in &scratch.reinserted {
+            scratch.affected[m.point as usize] = false;
+        }
+        Ok(())
     }
 }
 
@@ -799,25 +882,21 @@ fn chunked_scan_presorted(
     merge_skylines(compiled, &fragments)
 }
 
-/// Reusable buffers for Adaptive SFS query evaluation, generic over the dominance
-/// implementation's window representation.
+/// Reusable buffers for Adaptive SFS query evaluation.
 ///
-/// One query needs a re-scored entry list, the merged candidate order and the elimination
-/// windows; allocating them per query is wasteful when a worker thread serves thousands of
-/// queries back to back. A scratch starts empty ([`Default`]) and grows to the high-water
-/// mark of the queries it served. [`QueryScratch`] is the kernel-windowed alias every public
-/// query path uses.
+/// One query needs a point-id flag vector, a re-scored entry list, the merged candidate order
+/// and the elimination window; allocating them per query is wasteful when a worker thread
+/// serves thousands of queries back to back. A scratch starts empty ([`Default`]) and grows
+/// to the high-water mark of the queries it served.
 #[derive(Debug, Default)]
-pub struct EvalScratch<W: Default> {
-    affected: HashSet<PointId>,
+pub struct QueryScratch {
+    /// `affected[p]` while a query's AFFECT is being collected and merged; all-false between
+    /// queries (cleared by walking AFFECT, not the vector).
+    affected: Vec<bool>,
     reinserted: Vec<ScoredEntry>,
     merged: Vec<(PointId, bool)>,
-    window_all: W,
-    window_affected: W,
+    window: DenseWindow,
 }
-
-/// Scratch buffers for the compiled-kernel query path (see [`EvalScratch`]).
-pub type QueryScratch = EvalScratch<DenseWindow>;
 
 impl QueryScratch {
     /// Creates an empty scratch (equivalent to [`QueryScratch::default`]).
@@ -826,132 +905,8 @@ impl QueryScratch {
     }
 }
 
-/// Builds the query-score-ordered candidate list into `scratch.merged` as
-/// `(point, is_affected)` pairs.
-fn merged_order<W: Default>(
-    data: &Dataset,
-    template: &Template,
-    entries: &[ScoredEntry],
-    index: &SkylineValueIndex,
-    pref: &Preference,
-    scratch: &mut EvalScratch<W>,
-) -> Result<()> {
-    pref.validate(data.schema())?;
-    template.check_refinement(data.schema(), pref)?;
-    let query_score = ScoreFn::for_preference(data.schema(), pref)?;
-    scratch.affected.clear();
-    scratch.affected.extend(index.affected_by(pref));
-
-    // Affected points are deleted from the sorted list and re-inserted with their new score;
-    // everything else keeps its template-score position (listed-value ranks only ever move
-    // points towards the front, unlisted ranks are unchanged).
-    scratch.reinserted.clear();
-    scratch.reinserted.extend(
-        scratch
-            .affected
-            .iter()
-            .map(|&p| ScoredEntry::new(p, query_score.score(data, p))),
-    );
-    scratch.reinserted.sort();
-
-    scratch.merged.clear();
-    scratch.merged.reserve(entries.len());
-    let merged = &mut scratch.merged;
-    let mut kept = entries
-        .iter()
-        .filter(|e| !scratch.affected.contains(&e.point))
-        .peekable();
-    let mut moved = scratch.reinserted.iter().peekable();
-    loop {
-        match (kept.peek(), moved.peek()) {
-            (Some(&&k), Some(&&m)) => {
-                if k <= m {
-                    merged.push((k.point, false));
-                    kept.next();
-                } else {
-                    merged.push((m.point, true));
-                    moved.next();
-                }
-            }
-            (Some(&&k), None) => {
-                merged.push((k.point, false));
-                kept.next();
-            }
-            (None, Some(&&m)) => {
-                merged.push((m.point, true));
-                moved.next();
-            }
-            (None, None) => break,
-        }
-    }
-    Ok(())
-}
-
-/// The core of Algorithm 4, shared by [`AdaptiveSfs`] and the maintained variant.
-///
-/// Generic over [`Dominance`]: the static structure passes the compiled kernel (its dataset
-/// is immutable, so the point block is built once) with dense elimination windows, while the
-/// maintained variant passes a fresh [`skyline_core::DominanceContext`] over its mutable
-/// dataset with plain id windows.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_query<D: Dominance>(
-    dom: &D,
-    data: &Dataset,
-    template: &Template,
-    entries: &[ScoredEntry],
-    index: &SkylineValueIndex,
-    pref: &Preference,
-    mode: ScanMode,
-    deadline: &Deadline,
-    scratch: &mut EvalScratch<D::Window>,
-) -> Result<(Vec<PointId>, QueryStats)> {
-    merged_order(data, template, entries, index, pref, scratch)?;
-    let mut stats = QueryStats {
-        affected: scratch.merged.iter().filter(|(_, a)| *a).count(),
-        ..QueryStats::default()
-    };
-
-    let mut accepted: Vec<PointId> = Vec::new();
-    let mut all_len = 0u64;
-    let mut affected_len = 0u64;
-    dom.reset_window(&mut scratch.window_all);
-    dom.reset_window(&mut scratch.window_affected);
-    let bounded = deadline.is_bounded();
-    for (i, &(p, is_affected)) in scratch.merged.iter().enumerate() {
-        // Cooperative cancellation at block granularity: one wall-clock poll per packed
-        // window block of candidates, so an expired budget stops mid-scan.
-        if bounded && i % DEADLINE_CHECK_INTERVAL == 0 {
-            deadline.check()?;
-        }
-        let (window, window_len) = match mode {
-            ScanMode::AffectedOnly if !is_affected => (&mut scratch.window_affected, affected_len),
-            _ => (&mut scratch.window_all, all_len),
-        };
-        let dominated = match dom.window_first_dominator(window, p) {
-            Some(i) => {
-                stats.dominance_tests += i as u64 + 1;
-                true
-            }
-            None => {
-                stats.dominance_tests += window_len;
-                false
-            }
-        };
-        if !dominated {
-            accepted.push(p);
-            dom.push_window(&mut scratch.window_all, p);
-            all_len += 1;
-            if is_affected {
-                dom.push_window(&mut scratch.window_affected, p);
-                affected_len += 1;
-            }
-        }
-    }
-    stats.result_size = accepted.len();
-    Ok((accepted, stats))
-}
-
-/// Iterator returned by [`AdaptiveSfs::query_progressive`].
+/// Iterator returned by [`AdaptiveSfs::query_progressive`]: the one candidate loop of
+/// Algorithm 4, which the batch query paths drain.
 ///
 /// Yields the members of `SKY(R̃′)` in ascending query-score order; each item is final as soon
 /// as it is produced (the progressiveness property of Section 4.3). Owns its compiled
@@ -959,11 +914,16 @@ pub(crate) fn evaluate_query<D: Dominance>(
 /// carries no borrow of the [`AdaptiveSfs`] it came from.
 #[derive(Debug)]
 pub struct ProgressiveScan {
-    dom: CompiledRelation,
+    /// `None` when no candidate is flagged affected: nothing can dominate a member of
+    /// `SKY(R)` (lemma (b)), so no relation is compiled and every candidate is accepted.
+    dom: Option<CompiledRelation>,
     merged: Vec<(PointId, bool)>,
     pos: usize,
-    window_all: DenseWindow,
-    window_affected: DenseWindow,
+    /// The accepted candidates flagged affected — the only possible dominators.
+    window: DenseWindow,
+    /// Per rejected candidate the index of its first dominator + 1, per accepted one the
+    /// length of the window it was probed against.
+    dominance_tests: u64,
 }
 
 impl ProgressiveScan {
@@ -983,30 +943,35 @@ impl ProgressiveScan {
     /// usable after an abort — a later call with a fresh deadline resumes where it stopped —
     /// which is what lets a streaming follower pick up a timed-out leader's scan.
     pub fn next_deadline(&mut self, deadline: &Deadline) -> Result<Option<PointId>> {
-        let bounded = deadline.is_bounded();
         // One check per pull (each call is an external consumer touchpoint), plus the usual
         // block-granularity polling for long dominated runs between yields.
-        if bounded {
-            deadline.check()?;
-        }
+        deadline.check()?;
+        self.advance(deadline)
+    }
+
+    /// Walks the merged order to the next accepted candidate. Cooperative cancellation at
+    /// block granularity: one wall-clock poll per packed window block of candidates, so an
+    /// expired budget stops mid-scan with the position preserved.
+    fn advance(&mut self, deadline: &Deadline) -> Result<Option<PointId>> {
+        let bounded = deadline.is_bounded();
         while self.pos < self.merged.len() {
             if bounded && self.pos.is_multiple_of(DEADLINE_CHECK_INTERVAL) {
                 deadline.check()?;
             }
             let (p, is_affected) = self.merged[self.pos];
             self.pos += 1;
-            let window = if is_affected {
-                &mut self.window_all
-            } else {
-                &mut self.window_affected
-            };
-            let dominated = self.dom.window_first_dominator(window, p).is_some();
-            if !dominated {
-                self.dom.push_window(&mut self.window_all, p);
-                if is_affected {
-                    self.dom.push_window(&mut self.window_affected, p);
-                }
+            let Some(dom) = &self.dom else {
                 return Ok(Some(p));
+            };
+            match dom.window_first_dominator(&mut self.window, p) {
+                Some(i) => self.dominance_tests += i as u64 + 1,
+                None => {
+                    self.dominance_tests += self.window.len() as u64;
+                    if is_affected {
+                        dom.push_window(&mut self.window, p);
+                    }
+                    return Ok(Some(p));
+                }
             }
         }
         Ok(None)
@@ -1104,6 +1069,50 @@ mod tests {
         assert_eq!(stats.affected, 2);
         assert_eq!(stats.result_size, result.len());
         assert_eq!(result, vec![0, 2, 4, 5]);
+    }
+
+    #[test]
+    fn a_query_equal_to_the_template_costs_a_copy() {
+        let data = vacation_data();
+        let schema = data.schema().clone();
+        let pref = Preference::parse(&schema, [("hotel-group", "H < *")]).unwrap();
+        let template = Template::from_preference(&schema, pref.clone()).unwrap();
+        let asfs = AdaptiveSfs::build(data, &template).unwrap();
+        let (result, stats) = asfs
+            .query_with_stats(&pref, ScanMode::AffectedOnly)
+            .unwrap();
+        assert_eq!(result, asfs.template_skyline());
+        assert_eq!((stats.affected, stats.dominance_tests), (0, 0));
+        let streamed: Vec<PointId> = asfs.query_progressive(&pref).unwrap().collect();
+        let in_list_order: Vec<PointId> = asfs.sorted_entries().iter().map(|e| e.point).collect();
+        assert_eq!(streamed, in_list_order);
+        // The reference path answers the same through the full elimination scan.
+        let (full, full_stats) = asfs.query_with_stats(&pref, ScanMode::FullRescan).unwrap();
+        assert_eq!(full, result);
+        assert_eq!(full_stats.affected, 0);
+        assert!(full_stats.dominance_tests > 0);
+    }
+
+    #[test]
+    fn an_aborted_batch_query_leaves_the_scratch_reusable() {
+        let data = vacation_data();
+        let schema = data.schema().clone();
+        let template = Template::empty(&schema);
+        let asfs = AdaptiveSfs::build(data, &template).unwrap();
+        let pref = Preference::parse(&schema, [("hotel-group", "T < M < *")]).unwrap();
+        let mut scratch = QueryScratch::new();
+        let expected = asfs.query_with_scratch(&pref, &mut scratch).unwrap();
+        let expired = Deadline::within(std::time::Duration::ZERO);
+        assert_eq!(
+            asfs.query_deadline_scratch(&pref, ScanMode::default(), &expired, &mut scratch)
+                .unwrap_err(),
+            SkylineError::DeadlineExceeded
+        );
+        assert!(scratch.merged.capacity() > 0, "buffers are handed back");
+        assert_eq!(
+            asfs.query_with_scratch(&pref, &mut scratch).unwrap(),
+            expected
+        );
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //!
 //! Algorithm 4 (step 2) needs "an index for each nominal dimension" so that the data points of
 //! `SKY(R̃)` carrying a particular value can be found without scanning the whole sorted list.
-//! [`SkylineValueIndex`] is that index: `(nominal dimension, value id) → point ids`.
+//! [`SkylineValueIndex`] is that index: `(nominal dimension, value id) → point ids`. A query
+//! walks only the values it lists *beyond the template's prefix*
+//! ([`SkylineValueIndex::affected_by`]): by the lemma in [`crate::asfs`], rows without such a
+//! value neither move in the sorted list nor gain a dominator.
 //!
 //! [`LiveRowIndex`] is the same shape over **all live rows** (not just the skyline). The
 //! incremental-maintenance delete path uses it to restrict the resurface scan to the deleted
@@ -44,20 +47,27 @@ impl SkylineValueIndex {
         &self.lists[nominal_index][v as usize]
     }
 
-    /// All skyline points affected by `pref`: those carrying at least one value listed on any
-    /// dimension. Returned sorted and duplicate-free.
-    pub fn affected_by(&self, pref: &Preference) -> Vec<PointId> {
-        let mut out: Vec<PointId> = Vec::new();
-        for (j, lists) in self.lists.iter().enumerate() {
-            for &v in pref.dim(j).choices() {
-                if let Some(points) = lists.get(v as usize) {
-                    out.extend_from_slice(points);
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+    /// The skyline points affected by `pref` over a template listing `template`: those
+    /// carrying a value `pref` lists *beyond the template's prefix* on some dimension (the
+    /// AFFECT of the [`crate::asfs`] lemma — rows with only prefix values keep their score and
+    /// every relation among them). A point is yielded once per dimension it qualifies on.
+    ///
+    /// `pref` must refine `template` (`Template::check_refinement`), which makes the first
+    /// `template.dim(j).order()` entries of its list the template's own; an all-empty template
+    /// skips nothing. [`skyline_core::stats::affected_points`] — the paper's Figure (d) ratio —
+    /// counts every listed value instead.
+    pub fn affected_by<'a>(
+        &'a self,
+        template: &'a Preference,
+        pref: &'a Preference,
+    ) -> impl Iterator<Item = PointId> + 'a {
+        self.lists.iter().enumerate().flat_map(move |(j, lists)| {
+            let newly_listed = pref.dim(j).choices().iter().skip(template.dim(j).order());
+            newly_listed
+                .filter_map(move |&v| lists.get(v as usize))
+                .flatten()
+                .copied()
+        })
     }
 
     /// Adds one point to the index (used by incremental maintenance).
@@ -232,17 +242,90 @@ mod tests {
         assert!(index.approximate_bytes() > 0);
     }
 
+    fn affected(
+        index: &SkylineValueIndex,
+        template: &Preference,
+        pref: &Preference,
+    ) -> Vec<PointId> {
+        let mut out: Vec<PointId> = index.affected_by(template, pref).collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
     #[test]
     fn affected_by_unions_dimensions() {
         let data = data();
         let index = SkylineValueIndex::build(&data, &[0, 1, 2, 3]);
+        let none = Preference::none(2);
         let pref = Preference::from_dims(vec![
             ImplicitPreference::new([2]).unwrap(),
             ImplicitPreference::new([1]).unwrap(),
         ]);
-        assert_eq!(index.affected_by(&pref), vec![1, 2, 3]);
-        let none = Preference::none(2);
-        assert!(index.affected_by(&none).is_empty());
+        assert_eq!(affected(&index, &none, &pref), vec![1, 2, 3]);
+        assert!(affected(&index, &none, &none).is_empty());
+        // Point 1 carries g=b and h=q: yielded once per qualifying dimension.
+        let both = Preference::from_dims(vec![
+            ImplicitPreference::new([1]).unwrap(),
+            ImplicitPreference::new([1]).unwrap(),
+        ]);
+        let raw: Vec<PointId> = index.affected_by(&none, &both).collect();
+        assert_eq!(raw, vec![1, 1, 3]);
+    }
+
+    #[test]
+    fn affected_by_skips_the_template_prefix_per_dimension() {
+        let data = data();
+        let index = SkylineValueIndex::build(&data, &[0, 1, 2, 3]);
+        // Template: a ≺ * on g (prefix length 1), nothing on h (prefix length 0).
+        let template = Preference::from_dims(vec![
+            ImplicitPreference::new([0]).unwrap(),
+            ImplicitPreference::none(),
+        ]);
+        // Query ≡ template: nothing is newly listed.
+        assert!(affected(&index, &template, &template).is_empty());
+        // g: a is the template's own, c is new (point 2); h: p is new (points 0 and 2).
+        let pref = Preference::from_dims(vec![
+            ImplicitPreference::new([0, 2]).unwrap(),
+            ImplicitPreference::new([0]).unwrap(),
+        ]);
+        assert_eq!(affected(&index, &template, &pref), vec![0, 2]);
+        // Only g refined: rows with g=a (points 0, 3) stay unaffected.
+        let pref = Preference::from_dims(vec![
+            ImplicitPreference::new([0, 1]).unwrap(),
+            ImplicitPreference::none(),
+        ]);
+        assert_eq!(affected(&index, &template, &pref), vec![1]);
+    }
+
+    #[test]
+    fn a_non_refining_query_never_reaches_the_index() {
+        use skyline_core::{SkylineError, Template};
+        // Template a ≺ *; the query lists b first, so its position 0 is *not* the template's
+        // prefix — it must be rejected before any prefix length is applied to it.
+        let data = data();
+        let schema = data.schema().clone();
+        let template = Template::from_preference(
+            &schema,
+            Preference::from_dims(vec![
+                ImplicitPreference::new([0]).unwrap(),
+                ImplicitPreference::none(),
+            ]),
+        )
+        .unwrap();
+        let asfs = crate::AdaptiveSfs::build(data, &template).unwrap();
+        let bad = Preference::from_dims(vec![
+            ImplicitPreference::new([1, 0]).unwrap(),
+            ImplicitPreference::none(),
+        ]);
+        assert!(matches!(
+            asfs.query(&bad),
+            Err(SkylineError::NotARefinement { .. })
+        ));
+        assert!(matches!(
+            asfs.query_progressive(&bad),
+            Err(SkylineError::NotARefinement { .. })
+        ));
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //!
 //! Preprocessing (Algorithm 3) computes the template skyline `SKY(R̃)` once and keeps it sorted
 //! by a monotone preference score. At query time (Algorithm 4) only the points that carry a
-//! value listed in the query preference change rank; they are re-inserted at their new
-//! positions and a single elimination pass — which only ever tests points against the
-//! re-ranked ones — produces `SKY(R̃′)`. Results stream out progressively in score order, and
-//! the sorted list supports incremental maintenance when the underlying data changes.
+//! value the query lists *beyond the template's own prefix* change rank (AFFECT, see the
+//! lemma in [`asfs`]); they are re-inserted at their new positions and a single elimination
+//! pass — which only ever tests points against the accepted re-ranked ones — produces
+//! `SKY(R̃′)`. Results stream out progressively in score order, and the sorted list supports
+//! incremental maintenance when the underlying data changes.
 //!
 //! * [`asfs::AdaptiveSfs`] — the query structure (the paper's **SFS-A**), including the
 //!   incremental-maintenance mode of Section 4.3: [`AdaptiveSfs::insert_row`] and
@@ -17,7 +18,7 @@
 //!   parallel build path.
 //! * [`sorted_list`] — the scored entries behind the sorted list.
 //! * [`index::SkylineValueIndex`] — per-dimension value → skyline-point lookup used to find
-//!   the affected points without scanning the whole list.
+//!   the affected points (newly listed values only) without scanning the whole list.
 //! * [`index::LiveRowIndex`] — value → live-row lookup over the whole dataset, which lets the
 //!   delete path restrict its resurface scan to the deleted member's dominance region.
 
@@ -30,8 +31,8 @@ pub mod snapshot;
 pub mod sorted_list;
 
 pub use asfs::{
-    AdaptiveSfs, EvalScratch, MaintenanceStats, PreprocessStats, ProgressiveScan, QueryScratch,
-    QueryStats, ScanMode,
+    AdaptiveSfs, MaintenanceStats, PreprocessStats, ProgressiveScan, QueryScratch, QueryStats,
+    ScanMode,
 };
 pub use index::{LiveRowIndex, SkylineValueIndex};
 pub use sorted_list::ScoredEntry;

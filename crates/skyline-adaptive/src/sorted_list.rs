@@ -57,6 +57,31 @@ mod tests {
     }
 
     #[test]
+    fn sort_by_score_agrees_with_the_entry_order_on_a_mixed_nan_column() {
+        use skyline_core::score::ScoreFn;
+        use skyline_core::{Dataset, Dimension, Schema};
+        // The build and SFS-D paths order candidates with `ScoreFn::sort_by_score`, the sorted
+        // list with `ScoredEntry`'s `Ord`: the two must be one order, NaN scores included.
+        let schema = Schema::new(vec![Dimension::numeric("x")]).unwrap();
+        let xs: Vec<f64> = (0..48)
+            .map(|i| match i % 4 {
+                0 => f64::NAN,
+                _ => ((i * 5) % 7) as f64,
+            })
+            .collect();
+        let data = Dataset::from_columns(schema, vec![xs], vec![]).unwrap();
+        let f = ScoreFn::default_ranking(data.schema());
+        let ids: Vec<PointId> = data.point_ids().collect();
+        let mut entries: Vec<ScoredEntry> = ids
+            .iter()
+            .map(|&p| ScoredEntry::new(p, f.score(&data, p)))
+            .collect();
+        entries.sort();
+        let by_entries: Vec<PointId> = entries.iter().map(|e| e.point).collect();
+        assert_eq!(f.sort_by_score(&data, &ids), by_entries);
+    }
+
+    #[test]
     fn nan_scores_keep_the_order_total() {
         // total_cmp gives NaN a fixed position instead of panicking, so binary-search
         // insertion during maintenance cannot fail on degenerate scores.

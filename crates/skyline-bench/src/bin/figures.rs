@@ -230,7 +230,7 @@ fn run_fig7(options: &Options) -> (String, Vec<CellResult>) {
         "effect of preference order",
     );
     let base = base_config(options.paper_scale);
-    let cells = (1..=4usize)
+    let cells: Vec<CellResult> = (1..=4usize)
         .map(|order| {
             let config = ExperimentConfig {
                 pref_order: order,
@@ -239,6 +239,26 @@ fn run_fig7(options: &Options) -> (String, Vec<CellResult>) {
             run_synthetic_cell(&config, options.queries, order.to_string())
         })
         .collect();
+    // Under the most-frequent-value template an order-1 query *is* the template: SFS-A
+    // answers it with a copy of the stored skyline, so it must be the cheapest point.
+    let sfs_a: Vec<f64> = cells
+        .iter()
+        .map(|cell| cell.method("SFS-A").map_or(0.0, |m| m.avg_query_seconds))
+        .collect();
+    let cheapest = sfs_a[1..].iter().all(|&higher| sfs_a[0] < higher);
+    let millis: Vec<String> = sfs_a.iter().map(|s| format!("{:.4}", s * 1e3)).collect();
+    println!(
+        "  check: SFS-A query ms by order {} — order 1 (query = template) is {}",
+        millis.join(" / "),
+        if cheapest {
+            "the cheapest, ok"
+        } else {
+            "NOT the cheapest"
+        },
+    );
+    if !cheapest {
+        std::process::exit(1);
+    }
     ("order".to_string(), cells)
 }
 

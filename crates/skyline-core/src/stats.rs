@@ -4,8 +4,8 @@
 //!
 //! * `|SKY(R)| / |D|` — how much of the data set survives the template skyline;
 //! * `|AFFECT(R)| / |SKY(R)|` — the fraction of template skyline points that carry at least
-//!   one value listed in the query preference (these are the points Adaptive SFS has to
-//!   re-rank);
+//!   one value listed in the query preference (an upper bound on the points Adaptive SFS has
+//!   to re-rank: see [`affected_points`]);
 //! * `|SKY(R̃′)| / |SKY(R)|` — how much the query preference shrinks the skyline.
 
 use crate::dataset::Dataset;
@@ -51,7 +51,12 @@ fn percentage(numerator: usize, denominator: usize) -> f64 {
 }
 
 /// The points of `skyline` that contain at least one nominal value listed in `pref`
-/// (the paper's `AFFECT(R)` set).
+/// (the paper's `AFFECT(R)` set, the Figure (d) ratio).
+///
+/// This counts **every** listed value, the template's own prefix included. The set Adaptive
+/// SFS actually re-ranks is narrower — only values listed *beyond* the template's prefix move
+/// a row or give it a new dominator (`skyline_adaptive::SkylineValueIndex::affected_by`,
+/// reported as `QueryStats::affected`); under an empty template the two coincide.
 pub fn affected_points(data: &Dataset, skyline: &[PointId], pref: &Preference) -> Vec<PointId> {
     skyline
         .iter()

@@ -1,9 +1,10 @@
 //! Worker-pool batch executor on `std::thread` + channels (no external dependencies).
 //!
-//! A batch is pushed through one shared task channel that `workers` scoped threads drain;
-//! results flow back over a second channel tagged with their input index, so the output vector
-//! preserves input order regardless of which worker finished first. Scoped threads let workers
-//! borrow the batch and the service directly — no `'static` bounds, no cloning per task.
+//! A batch is pushed through one shared task channel that `workers` threads drain — the
+//! calling thread and `workers − 1` scoped threads beside it; results flow back over a second
+//! channel tagged with their input index, so the output vector preserves input order
+//! regardless of which worker finished first. Scoped threads let workers borrow the batch and
+//! the service directly — no `'static` bounds, no cloning per task.
 
 use std::sync::{mpsc, Mutex};
 use std::thread;
@@ -14,9 +15,11 @@ use std::thread;
 ///
 /// `workers` is clamped to `1..=items.len()`; with one worker (or one item) the pool is
 /// skipped entirely and the batch runs inline on the caller's thread (still with exactly one
-/// scratch). The per-worker scratch is how the service avoids per-query allocations: a worker
-/// drains hundreds of queries with a single set of candidate/kernel buffers instead of
-/// allocating fresh ones per task.
+/// scratch). Otherwise the caller is one of the workers — it works its share instead of
+/// sleeping on the result channel, so a 2-shard scatter spawns one thread, not two. The
+/// per-worker scratch is how the service avoids per-query allocations: a worker drains
+/// hundreds of queries with a single set of candidate/kernel buffers instead of allocating
+/// fresh ones per task.
 pub(crate) fn run_indexed_scratch<T, R, S, I, F>(
     items: &[T],
     workers: usize,
@@ -43,48 +46,43 @@ where
     }
 
     let (task_tx, task_rx) = mpsc::channel::<usize>();
+    for i in 0..items.len() {
+        task_tx.send(i).expect("the receiver is alive");
+    }
+    // Fully dispatched up front: an empty channel now reads as "batch done".
+    drop(task_tx);
     // mpsc receivers are single-consumer; the mutex turns the pool into work stealing — an
     // idle worker grabs the next index as soon as it finishes, so skewed per-item costs
     // (cache hit vs. full engine query) still balance.
     let task_rx = Mutex::new(task_rx);
     let (result_tx, result_rx) = mpsc::channel::<(usize, R)>();
+    let work = |result_tx: mpsc::Sender<(usize, R)>| {
+        let mut scratch = init();
+        loop {
+            // Recovered rather than propagated: `recv` holds no shared mutable state a panic
+            // could tear, and one worker dying (a panicking task closure caught further up)
+            // must not strand the rest of the batch.
+            let next = task_rx
+                .lock()
+                .unwrap_or_else(|poisoned| {
+                    task_rx.clear_poison();
+                    poisoned.into_inner()
+                })
+                .recv();
+            let Ok(i) = next else { break };
+            if result_tx.send((i, f(i, &items[i], &mut scratch))).is_err() {
+                break; // Receiver gone: the batch was abandoned.
+            }
+        }
+    };
 
     let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 1..workers {
             let result_tx = result_tx.clone();
-            let task_rx = &task_rx;
-            let f = &f;
-            let init = &init;
-            scope.spawn(move || {
-                let mut scratch = init();
-                loop {
-                    // Recovered rather than propagated: `recv` holds no shared mutable state
-                    // a panic could tear, and one worker dying (a panicking task closure
-                    // caught further up) must not strand the rest of the batch.
-                    let next = task_rx
-                        .lock()
-                        .unwrap_or_else(|poisoned| {
-                            task_rx.clear_poison();
-                            poisoned.into_inner()
-                        })
-                        .recv();
-                    match next {
-                        Ok(i) => {
-                            if result_tx.send((i, f(i, &items[i], &mut scratch))).is_err() {
-                                break; // Receiver gone: the batch was abandoned.
-                            }
-                        }
-                        Err(_) => break, // Sender dropped: batch fully dispatched.
-                    }
-                }
-            });
+            scope.spawn(|| work(result_tx));
         }
-        for i in 0..items.len() {
-            task_tx.send(i).expect("workers outlive dispatch");
-        }
-        drop(task_tx);
-        drop(result_tx);
+        work(result_tx);
         for (i, r) in result_rx {
             results[i] = Some(r);
         }
@@ -170,6 +168,37 @@ mod tests {
         assert!(
             out.iter().any(|&n| n > 1),
             "some worker must reuse its scratch across tasks"
+        );
+    }
+
+    #[test]
+    fn the_caller_works_a_share_and_one_thread_fewer_is_spawned() {
+        use std::collections::HashSet;
+        use std::sync::Barrier;
+        // The first two tasks meet at a barrier, so two distinct threads must each be inside
+        // a task at once — with `workers = 2` that is the caller and the one spawned thread.
+        let rendezvous = Barrier::new(2);
+        let threads = Mutex::new(HashSet::new());
+        let items: Vec<usize> = (0..16).collect();
+        let out = run_indexed_scratch(
+            &items,
+            2,
+            || (),
+            |i, &x, ()| {
+                threads.lock().unwrap().insert(thread::current().id());
+                if i < 2 {
+                    rendezvous.wait();
+                }
+                std::thread::sleep(std::time::Duration::from_micros(50));
+                x + 1
+            },
+        );
+        assert_eq!(out, (1..=16).collect::<Vec<_>>());
+        let threads = threads.into_inner().unwrap();
+        assert_eq!(threads.len(), 2, "workers = 2 runs on exactly two threads");
+        assert!(
+            threads.contains(&thread::current().id()),
+            "the calling thread is one of the workers"
         );
     }
 

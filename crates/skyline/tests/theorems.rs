@@ -3,11 +3,16 @@
 //! * the dominance relation is a strict partial order;
 //! * Property 1 (order containment is dimension-wise);
 //! * Theorem 1 (monotonicity of skylines under refinement);
-//! * Theorem 2 (the merging property that powers IPO-tree query evaluation).
+//! * Theorem 2 (the merging property that powers IPO-tree query evaluation);
+//! * the AFFECT lemma Adaptive SFS's query path is built on (`skyline_adaptive::asfs`): only
+//!   rows carrying a value listed *beyond the template's prefix* move or gain a dominator.
 
 use proptest::prelude::*;
+use skyline::adaptive::ScanMode;
 use skyline::prelude::*;
 use skyline_core::algo::bnl;
+use skyline_core::score::ScoreFn;
+use skyline_core::{with_kernel_mode, KernelMode};
 
 const CARD: usize = 4;
 
@@ -52,8 +57,174 @@ fn to_preference(choices: &[Vec<ValueId>]) -> Preference {
     )
 }
 
+/// One template/query shape of the lemma: a value order per dimension, of which the template
+/// lists the first `template_len[j]` and the query the first `query_len[j] ≥ template_len[j]`.
+fn refinement_strategy() -> impl Strategy<Value = (Vec<Vec<ValueId>>, Vec<usize>, Vec<usize>)> {
+    let orders = proptest::collection::vec(
+        proptest::sample::subsequence((0..CARD as ValueId).collect::<Vec<_>>(), CARD)
+            .prop_shuffle(),
+        2,
+    );
+    let template_len = proptest::collection::vec(0usize..=2, 2);
+    (orders, template_len).prop_flat_map(|(orders, template_len)| {
+        let query_len: Vec<_> = template_len.iter().map(|&t| t..=CARD).collect();
+        (Just(orders), Just(template_len), query_len)
+    })
+}
+
+fn prefix_preference(orders: &[Vec<ValueId>], lens: &[usize]) -> Preference {
+    let prefixes: Vec<Vec<ValueId>> = orders
+        .iter()
+        .zip(lens)
+        .map(|(order, &len)| order[..len].to_vec())
+        .collect();
+    to_preference(&prefixes)
+}
+
+/// A mutation of the maintained structure: a fresh row, or the deletion of the `k`-th live row.
+#[derive(Debug, Clone)]
+enum Mutation {
+    Insert([f64; 2], [ValueId; 2]),
+    Delete(usize),
+}
+
+fn mutation_strategy() -> impl Strategy<Value = Vec<Mutation>> {
+    let value = || 0..CARD as ValueId;
+    proptest::collection::vec(
+        prop_oneof![
+            (0i32..5, 0i32..5, value(), value())
+                .prop_map(|(x, y, g, h)| Mutation::Insert([x.into(), y.into()], [g, h])),
+            (0usize..64).prop_map(Mutation::Delete),
+        ],
+        0..6,
+    )
+}
+
+/// `AdaptiveSfs::query` ≡ `FullRescan` ≡ drained `query_progressive` ≡ BNL over the live rows
+/// under the reference dominance context; returns the default path's statistics.
+fn assert_adaptive_paths_agree(
+    asfs: &AdaptiveSfs,
+    query: &Preference,
+) -> skyline::adaptive::QueryStats {
+    let ctx = DominanceContext::for_query(asfs.dataset(), asfs.template(), query).unwrap();
+    let live: Vec<PointId> = asfs.point_block().live_ids().collect();
+    let expected = bnl::skyline_of(&ctx, &live);
+    let (answer, stats) = asfs
+        .query_with_stats(query, ScanMode::AffectedOnly)
+        .unwrap();
+    prop_assert_eq!(&answer, &expected, "affected-only scan");
+    let (full, full_stats) = asfs.query_with_stats(query, ScanMode::FullRescan).unwrap();
+    prop_assert_eq!(&full, &expected, "full rescan");
+    prop_assert_eq!(stats.affected, full_stats.affected);
+    prop_assert!(stats.dominance_tests <= full_stats.dominance_tests);
+    let mut streamed: Vec<PointId> = asfs.query_progressive(query).unwrap().collect();
+    streamed.sort_unstable();
+    prop_assert_eq!(&streamed, &expected, "drained progressive scan");
+    stats
+}
+
+/// The lemma and the query paths resting on it, for one template/query pair.
+fn assert_affect_lemma(
+    data: &Dataset,
+    template_pref: &Preference,
+    query: &Preference,
+    mutations: &[Mutation],
+) {
+    let schema = data.schema();
+    let template = Template::from_preference(schema, template_pref.clone()).unwrap();
+    prop_assert!(template.check_refinement(schema, query).is_ok());
+    let newly_listed = |p: PointId| {
+        (0..schema.nominal_count()).any(|j| {
+            query.dim(j).choices()[template_pref.dim(j).order()..].contains(&data.nominal(p, j))
+        })
+    };
+
+    // (i) Whatever dominates a member of SKY(R) under the refinement carries a newly listed
+    // value.
+    let template_ctx = DominanceContext::for_template(data, &template).unwrap();
+    let query_ctx = DominanceContext::for_query(data, &template, query).unwrap();
+    let template_skyline = bnl::skyline(&template_ctx);
+    for &p in &template_skyline {
+        for q in data.point_ids() {
+            if query_ctx.dominates(q, p) {
+                prop_assert!(
+                    newly_listed(q),
+                    "unaffected {q} dominates skyline member {p}"
+                );
+            }
+        }
+    }
+
+    // (ii) Rows without a newly listed value score the same under template and query.
+    let template_score = ScoreFn::for_preference(schema, template_pref).unwrap();
+    let query_score = ScoreFn::for_preference(schema, query).unwrap();
+    for p in data.point_ids().filter(|&p| !newly_listed(p)) {
+        prop_assert_eq!(template_score.score(data, p), query_score.score(data, p));
+    }
+
+    for mode in [KernelMode::Packed, KernelMode::Scalar] {
+        with_kernel_mode(mode, || {
+            // (iii) Every query path agrees with the oracle, also through mutations.
+            let mut asfs = AdaptiveSfs::build(data.clone(), &template).unwrap();
+            let stats = assert_adaptive_paths_agree(&asfs, query);
+            let affected = template_skyline
+                .iter()
+                .filter(|&&p| newly_listed(p))
+                .count();
+            prop_assert_eq!(
+                stats.affected,
+                affected,
+                "AFFECT = members with a newly listed value"
+            );
+
+            // (iv) A query equal to the template is a copy of the stored skyline.
+            let (same, stats) = asfs
+                .query_with_stats(template_pref, ScanMode::AffectedOnly)
+                .unwrap();
+            prop_assert_eq!(&same, &asfs.template_skyline());
+            prop_assert_eq!((stats.affected, stats.dominance_tests), (0, 0));
+
+            for mutation in mutations {
+                match *mutation {
+                    Mutation::Insert(numeric, nominal) => {
+                        asfs.insert_row(&numeric, &nominal).unwrap();
+                    }
+                    Mutation::Delete(k) => {
+                        let live: Vec<PointId> = asfs.point_block().live_ids().collect();
+                        if !live.is_empty() {
+                            asfs.delete_row(live[k % live.len()]).unwrap();
+                        }
+                    }
+                }
+                assert_adaptive_paths_agree(&asfs, query);
+            }
+        });
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+
+    #[test]
+    fn affect_lemma_newly_listed_values_are_all_a_query_touches(
+        (numeric, nominal) in dataset_strategy(),
+        (orders, template_len, query_len) in refinement_strategy(),
+        mutations in mutation_strategy(),
+    ) {
+        let data = build(numeric, nominal);
+        // Uneven prefix lengths in {0, 1, 2} per dimension, a random refinement of them …
+        let template = prefix_preference(&orders, &template_len);
+        let query = prefix_preference(&orders, &query_len);
+        assert_affect_lemma(&data, &template, &query, &mutations);
+        // … the template itself, a query listing every value of the first dimension …
+        assert_affect_lemma(&data, &template, &template, &mutations);
+        let every_value = prefix_preference(&orders, &[CARD, query_len[1]]);
+        assert_affect_lemma(&data, &template, &every_value, &mutations);
+        // … and an order-1 query over the empty template.
+        let none = Preference::none(2);
+        let order1 = prefix_preference(&orders, &[1, 1]);
+        assert_affect_lemma(&data, &none, &order1, &mutations);
+    }
 
     #[test]
     fn dominance_is_a_strict_partial_order(
