@@ -1,17 +1,18 @@
 //! Multi-user serving throughput: a Zipf-skewed preference stream (many users, few popular
-//! profiles) answered three ways on the same shared engine —
+//! profiles) answered three ways on the same shared engine (the service arms wrap it as a
+//! one-shard `ShardedService`) —
 //!
 //! * `serial_engine` — every query runs `SkylineEngine::query` from scratch, one thread;
 //! * `service_no_cache` — the worker-pool batch executor, result cache disabled (isolates
 //!   the thread-scaling contribution; on a single-core host this tracks serial);
 //! * `service_cached` — the full service: worker pool + canonical-preference LRU cache.
 //!
-//! A fresh service is built inside every iteration so each sample pays the same cold-cache
-//! miss load; the printed summary reports the steady cache hit rate of the workload.
+//! A fresh service is built (`from_engines`, no preprocessing) inside every iteration so each
+//! sample pays the same cold-cache miss load; the printed summary reports the steady cache hit rate of the workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use skyline::prelude::*;
-use skyline_service::{ServiceConfig, SkylineService};
+use skyline_service::{ShardedConfig, ShardedService};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -46,6 +47,11 @@ fn setup() -> (SharedEngine, Vec<Preference>) {
     (engine, queries)
 }
 
+/// A fresh cold-cache one-shard service over the prebuilt engine.
+fn cold_service(engine: &SharedEngine, config: ShardedConfig) -> ShardedService {
+    ShardedService::from_engines(vec![engine.clone()], config).expect("one coherent engine")
+}
+
 fn bench_throughput(c: &mut Criterion) {
     let (engine, queries) = setup();
     let mut group = c.benchmark_group("throughput_zipf_multi_user");
@@ -62,11 +68,11 @@ fn bench_throughput(c: &mut Criterion) {
 
     group.bench_function("service_no_cache", |b| {
         b.iter(|| {
-            let service = SkylineService::with_config(
-                engine.clone(),
-                ServiceConfig {
+            let service = cold_service(
+                &engine,
+                ShardedConfig {
                     cache_capacity: 0,
-                    ..ServiceConfig::default()
+                    ..ShardedConfig::default()
                 },
             );
             black_box(service.serve_batch(&queries));
@@ -75,14 +81,14 @@ fn bench_throughput(c: &mut Criterion) {
 
     group.bench_function("service_cached", |b| {
         b.iter(|| {
-            let service = SkylineService::with_config(engine.clone(), ServiceConfig::default());
+            let service = cold_service(&engine, ShardedConfig::default());
             black_box(service.serve_batch(&queries));
         })
     });
     group.finish();
 
     // One extra measured pass to report the acceptance numbers alongside the timings.
-    let service = SkylineService::with_config(engine.clone(), ServiceConfig::default());
+    let service = cold_service(&engine, ShardedConfig::default());
     let started = std::time::Instant::now();
     {
         let engine = engine.read();

@@ -1,6 +1,7 @@
-//! Dynamic-dataset maintenance: incremental insert+query vs full rebuild+query, the
-//! end-to-end service serving a mixed read/write stream, and the payoff of the generational
-//! lifecycle (background compaction + IPO re-materialization).
+//! Dynamic-dataset maintenance: incremental insert+query vs full rebuild+query, and the
+//! payoff of the generational lifecycle (background compaction + IPO re-materialization).
+//! (The end-to-end service draining a 10%-write mixed stream is `bench_shards`'
+//! `sharded_scatter_gather/mixed_stream/shards_1`.)
 //!
 //! Benchmarks on the n=2000 hybrid workload (anti-correlated numerics, Zipf(θ=1)
 //! nominals — the same shape as `bench_throughput`):
@@ -11,8 +12,6 @@
 //!   dataset; everything after is in place.
 //! * `rebuild_insert_query` — the frozen-dataset alternative: append the same batch to a
 //!   dataset copy, rebuild the whole engine from scratch, answer the same queries.
-//! * `service_mixed_stream` — `SkylineService` over a `SharedEngine` draining a 10%-write
-//!   mixed stream with the epoch-tagged result cache on.
 //! * `fallback_query_mutated_hybrid` vs `tree_query_rebuilt_hybrid` — what a generation
 //!   rebuild buys at query time: the same tree-materialized queries answered by a mutated
 //!   hybrid (stale tree → Adaptive-SFS fallback on every query) and by the same engine after
@@ -20,14 +19,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use skyline::prelude::*;
-use skyline_service::{ServiceConfig, SkylineService};
 use std::hint::black_box;
 use std::sync::Arc;
 
 const TUPLES: usize = 2_000;
 const BATCH: usize = 32;
 const QUERIES: usize = 20;
-const STREAM: usize = 300;
 
 struct Setup {
     data: Arc<Dataset>,
@@ -35,7 +32,6 @@ struct Setup {
     engine: SkylineEngine,
     inserts: Vec<(Vec<f64>, Vec<ValueId>)>,
     queries: Vec<Preference>,
-    mixed: Vec<WorkloadOp>,
     /// A hybrid whose tree is stale (mutations applied): every query fallback-served.
     mutated: SkylineEngine,
     /// The same engine after one generation rebuild: compacted, tree-served again.
@@ -79,16 +75,6 @@ fn setup() -> Setup {
         .take(BATCH)
         .collect();
     assert_eq!(inserts.len(), BATCH);
-    let mixed = generator.mixed_workload(
-        data.schema(),
-        &template,
-        config.pref_order,
-        48,
-        STREAM,
-        config.theta,
-        0.1,
-        data.len(),
-    );
 
     // The compaction-vs-fallback pair: mutate a hybrid (stale tree, tombstones), then swap
     // in a rebuilt generation. Both engines hold the same live rows.
@@ -145,7 +131,6 @@ fn setup() -> Setup {
         engine,
         inserts,
         queries,
-        mixed,
         mutated,
         rebuilt,
         tree_queries,
@@ -205,28 +190,6 @@ fn bench_updates(c: &mut Criterion) {
     });
     group.bench_function("tree_query_rebuilt_hybrid", |b| {
         b.iter(|| black_box(run_tree_queries(&s.rebuilt, &s.tree_queries)))
-    });
-    group.bench_function("service_mixed_stream", |b| {
-        b.iter(|| {
-            let service = SkylineService::with_config(
-                SharedEngine::new(s.engine.clone()),
-                ServiceConfig::default(),
-            );
-            for op in &s.mixed {
-                match op {
-                    WorkloadOp::Query(pref) => {
-                        black_box(service.serve(pref).expect("serve"));
-                    }
-                    WorkloadOp::Insert { numeric, nominal } => {
-                        service.insert_row(numeric, nominal).expect("insert");
-                    }
-                    WorkloadOp::Delete { row } => {
-                        service.delete_row(*row).expect("delete");
-                    }
-                }
-            }
-            black_box(service.stats().served())
-        })
     });
     group.finish();
 

@@ -1,10 +1,11 @@
-//! Serving queries concurrently: one shared engine, a Zipf-skewed crowd of users, a result
-//! cache — and the throughput ratio against serving the same workload serially.
+//! Serving queries concurrently: one shared engine behind a one-shard service, a Zipf-skewed
+//! crowd of users, a result cache — and the throughput ratio against serving the same
+//! workload serially.
 //!
 //! Run with: `cargo run -p skyline-service --release --example concurrent_users`
 
 use skyline::prelude::*;
-use skyline_service::{ServiceConfig, SkylineService};
+use skyline_service::{ShardedConfig, ShardedService};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -54,8 +55,9 @@ fn main() -> Result<()> {
         queries.len() as f64 / serial.as_secs_f64()
     );
 
-    // Concurrent service: worker pool + canonical-preference result cache.
-    let service = SkylineService::with_config(engine, ServiceConfig::default());
+    // Concurrent service over the same engine (one shard): worker pool +
+    // canonical-preference result cache.
+    let service = ShardedService::from_engines(vec![engine], ShardedConfig::default())?;
     let started = Instant::now();
     let answers = service.serve_batch(&queries);
     let batched = started.elapsed();

@@ -4,14 +4,14 @@
 //! the Adaptive-SFS engine absorbs each update incrementally instead of rebuilding.
 //!
 //! The second half shows the **generational lifecycle**: a mutated hybrid engine falls back
-//! to Adaptive SFS for every query (its truncated IPO tree is stale), until the background
-//! maintenance worker compacts the dataset — physically reclaiming tombstoned rows — and
+//! to Adaptive SFS for every query (its truncated IPO tree is stale), until the service's
+//! build pool compacts the dataset — physically reclaiming tombstoned rows — and
 //! re-materializes the tree, after which popular queries are tree-served again.
 //!
 //! Run with: `cargo run -p skyline-service --release --example dynamic_updates`
 
 use skyline::prelude::*;
-use skyline_service::{ServiceConfig, SkylineService};
+use skyline_service::{GlobalRowId, ShardedConfig, ShardedService};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -31,8 +31,10 @@ fn main() -> Result<()> {
         config.nominal_dims
     );
 
+    // One engine behind the service: a single shard, whose row ids are the engine's own.
     let engine = SkylineEngine::build(data, template.clone(), EngineConfig::AdaptiveSfs)?;
-    let service = SkylineService::with_config(engine, ServiceConfig::default());
+    let service = ShardedService::from_engines(vec![engine.into()], ShardedConfig::default())?;
+    let row = |row: PointId| GlobalRowId { shard: 0, row };
 
     // A mixed read/write stream: Zipf-skewed queries with inserts and deletes interleaved.
     let mut generator = config.query_generator();
@@ -44,7 +46,7 @@ fn main() -> Result<()> {
         1_000, // operations
         config.theta,
         0.10, // ~10% writes
-        service.engine().read().dataset().len(),
+        service.shard(0).read().dataset().len(),
     );
     let (mut queries, mut inserts, mut deletes) = (0u64, 0u64, 0u64);
     let started = Instant::now();
@@ -58,8 +60,8 @@ fn main() -> Result<()> {
                 service.insert_row(numeric, nominal)?;
                 inserts += 1;
             }
-            WorkloadOp::Delete { row } => {
-                service.delete_row(*row)?;
+            WorkloadOp::Delete { row: p } => {
+                service.delete_row(row(*p))?;
                 deletes += 1;
             }
         }
@@ -79,14 +81,14 @@ fn main() -> Result<()> {
     );
     println!(
         "engine: epoch {}, {} live rows",
-        service.epoch().get(),
-        service.engine().read().live_rows()
+        service.epochs()[0].get(),
+        service.live_rows()
     );
 
     // Why incremental maintenance matters: absorb 64 inserts one at a time vs. one full
     // rebuild at the same size. (An all-write stream from an empty dataset is roughly half
     // inserts and half deletes, so over-generate and keep the first 64 inserts.)
-    let engine = service.engine();
+    let engine = service.shard(0);
     let mut generator = QueryGenerator::new(7);
     let fresh_rows: Vec<WorkloadOp> = generator
         .mixed_workload(
@@ -142,20 +144,20 @@ fn main() -> Result<()> {
         EngineConfig::Hybrid { top_k: 20 },
     )?);
     // Production settings would use something like `dead_row_ratio: 0.25` and
-    // `max_mutations_since_rebuild: 4096` (the defaults) and let the worker fire on its own;
-    // this demo keeps the thresholds out of reach and triggers the cycle explicitly so the
-    // before/after states are deterministic to read.
-    let service = SkylineService::with_config(
-        hybrid.clone(),
-        ServiceConfig {
+    // `max_mutations_since_rebuild: 4096` (the defaults) and let the build pool fire on its
+    // own; this demo keeps the thresholds out of reach and triggers the cycle explicitly so
+    // the before/after states are deterministic to read.
+    let service = ShardedService::from_engines(
+        vec![hybrid.clone()],
+        ShardedConfig {
             maintenance: Some(MaintenancePolicy {
                 dead_row_ratio: 1.0,
                 max_mutations_since_rebuild: u64::MAX,
                 poll_interval: Duration::from_millis(20),
             }),
-            ..ServiceConfig::default()
+            ..ShardedConfig::default()
         },
-    );
+    )?;
     // A popular preference the truncated tree fully materializes (tree-served when fresh).
     let mut generator = config.query_generator();
     let popular = generator
@@ -164,19 +166,19 @@ fn main() -> Result<()> {
         .find(|p| hybrid.read().serves_from_tree(p))
         .expect("some generated preference is fully materialized");
     assert_eq!(
-        service.serve(&popular)?.outcome.method,
-        MethodUsed::IpoTree,
+        service.serve(&popular)?.outcome.methods,
+        [MethodUsed::IpoTree],
         "fresh hybrid: tree-served"
     );
 
     // Mutations stale the tree: every query now routes to the Adaptive-SFS fallback, and
     // tombstones pile up in the block.
     for p in 0..100u32 {
-        service.delete_row(p)?;
+        service.delete_row(row(p))?;
     }
     assert_eq!(
-        service.serve(&popular)?.outcome.method,
-        MethodUsed::AdaptiveSfs,
+        service.serve(&popular)?.outcome.methods,
+        [MethodUsed::AdaptiveSfs],
         "mutated hybrid: fallback-served"
     );
     println!(
@@ -184,9 +186,9 @@ fn main() -> Result<()> {
         hybrid.read().dead_rows()
     );
 
-    // Run one rebuild cycle on the worker thread: snapshot → compact + re-materialize with
-    // no lock held (readers keep serving) → atomic swap.
-    assert!(service.force_rebuild()?);
+    // Run one rebuild cycle right now: snapshot → compact + re-materialize with no lock
+    // held (readers keep serving) → atomic swap.
+    assert!(service.force_rebuild_shard(0)?);
     // The answer cached just before the swap survives it: the service translates its row ids
     // through the published remap instead of recomputing.
     let served = service.serve(&popular)?;
@@ -201,7 +203,7 @@ fn main() -> Result<()> {
     );
     let stats = service.stats();
     println!(
-        "after {} background rebuild(s): {} rows physically reclaimed, {} dead rows left, \
+        "after {} generation rebuild(s): {} rows physically reclaimed, {} dead rows left, \
          fresh evaluations tree-served again",
         stats.rebuilds,
         stats.reclaimed_rows,

@@ -5,9 +5,8 @@
 //! service memoizes full query answers. Keys are [`skyline_core::CanonicalPreference`]s: two
 //! textually different but semantically equal preferences hit the same entry.
 //!
-//! Every entry carries the epoch tag it was computed at — a single [`DatasetEpoch`] for a
-//! one-engine service, a per-shard epoch vector for a sharded one (the cache is generic over
-//! the tag). A lookup passes the *current* tag; an entry from another tag is stale, counts
+//! Every entry carries the epoch tag it was computed at — the service uses its per-shard
+//! epoch vector (the cache is generic over the tag). A lookup passes the *current* tag; an entry from another tag is stale, counts
 //! as a miss and is dropped on the spot. A dataset mutation therefore invalidates every
 //! cached result **atomically** (the epoch moved, so no stale entry can ever be returned)
 //! without flushing anything — stale entries expire lazily, one by one, exactly when they
@@ -16,9 +15,9 @@
 //! Staleness has one reprieve: when only generation swaps (id renumberings, not real
 //! mutations) separate an entry from the lookup, [`ResultCache::get_or_salvage`] lets the
 //! caller rewrite the entry into the current id space instead of dropping it —
-//! [`ResultCache::get_or_translate`] composes the engine's bounded [`GenerationRemap`]
-//! chain, so even several back-to-back rebuilds keep the cache warm. Entries that fell off
-//! the bounded chain are unrecoverable and counted in [`ResultCache::remap_misses`].
+//! [`translate_through_chain`] composes an engine's bounded [`GenerationRemap`] chain, so
+//! even several back-to-back rebuilds keep the cache warm. Entries that fell off the bounded
+//! chain are unrecoverable and counted in [`ResultCache::remap_misses`].
 //!
 //! The cache is split into independently locked shards so concurrent workers rarely contend;
 //! a key's shard is chosen from its stable fingerprint. Each shard runs the classic
@@ -26,7 +25,7 @@
 //! pops queue entries until one's stamp matches the live entry — amortized O(1), no linked
 //! lists, no unsafe.
 
-use skyline::{GenerationRemap, QueryOutcome};
+use skyline::GenerationRemap;
 use skyline_core::{CanonicalPreference, DatasetEpoch, PointId};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,10 +45,10 @@ fn lock_shard<E, V>(shard: &Mutex<Shard<E, V>>) -> MutexGuard<'_, Shard<E, V>> {
 
 /// A sharded, thread-safe LRU cache from canonical preferences to epoch-tagged values.
 ///
-/// Generic over the epoch tag `E` (a [`DatasetEpoch`] for one engine, an `Arc<[DatasetEpoch]>`
-/// shard-epoch vector for a sharded service) and the cached value `V`.
+/// Generic over the epoch tag `E` (the service's `Arc<[DatasetEpoch]>` shard-epoch vector) and
+/// the cached value `V`.
 #[derive(Debug)]
-pub struct ResultCache<E = DatasetEpoch, V = QueryOutcome> {
+pub struct ResultCache<E, V> {
     shards: Vec<Mutex<Shard<E, V>>>,
     capacity_per_shard: usize,
     /// Entries dropped because their epoch no longer matched the engine's (lazy expiry).
@@ -265,43 +264,6 @@ impl<E: PartialEq + Clone, V> ResultCache<E, V> {
     }
 }
 
-impl ResultCache<DatasetEpoch, QueryOutcome> {
-    /// [`ResultCache::get_or_salvage`] specialized to a single engine's remap chain: when
-    /// one or more **consecutive** generation swaps are the only thing separating an entry
-    /// from the lookup, the entry's skyline is rewritten through the composed remaps and
-    /// re-tagged at the new epoch, so even back-to-back rebuilds do not cold-start the
-    /// cache. Returns the outcome plus whether a translation happened.
-    ///
-    /// `chain` is the engine's published remap history, oldest first (see
-    /// `SkylineEngine::remap_chain`). Entries whose epoch matches no chain link — real
-    /// mutations happened — expire as usual; entries older than the retained chain are
-    /// counted in [`ResultCache::remap_misses`] as unrecoverable drops.
-    pub fn get_or_translate(
-        &self,
-        key: &CanonicalPreference,
-        epoch: DatasetEpoch,
-        chain: &[GenerationRemap],
-    ) -> Option<(Arc<QueryOutcome>, bool)> {
-        self.get_or_salvage(
-            key,
-            &epoch,
-            |&entry_epoch, value| match translate_through_chain(
-                &value.skyline,
-                entry_epoch,
-                epoch,
-                chain,
-            ) {
-                Ok(skyline) => Salvage::Translated(QueryOutcome {
-                    skyline,
-                    method: value.method,
-                }),
-                Err(TranslateFailure::Stale) => Salvage::Stale,
-                Err(TranslateFailure::ChainTruncated) => Salvage::RemapMiss,
-            },
-        )
-    }
-}
-
 /// Why a remap-chain translation could not bridge an entry to the lookup epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TranslateFailure {
@@ -377,6 +339,36 @@ mod tests {
         CanonicalPreference::new(schema, &pref).unwrap()
     }
 
+    /// The single-engine instantiation the unit tests run on.
+    type Cache = ResultCache<DatasetEpoch, QueryOutcome>;
+
+    /// Remap-aware lookup against one engine's chain: the pair production composes
+    /// ([`ResultCache::get_or_salvage`] + [`translate_through_chain`]).
+    fn lookup_through_chain(
+        cache: &Cache,
+        key: &CanonicalPreference,
+        epoch: DatasetEpoch,
+        chain: &[GenerationRemap],
+    ) -> Option<(Arc<QueryOutcome>, bool)> {
+        cache.get_or_salvage(
+            key,
+            &epoch,
+            |&entry_epoch, value| match translate_through_chain(
+                &value.skyline,
+                entry_epoch,
+                epoch,
+                chain,
+            ) {
+                Ok(skyline) => Salvage::Translated(QueryOutcome {
+                    skyline,
+                    method: value.method,
+                }),
+                Err(TranslateFailure::Stale) => Salvage::Stale,
+                Err(TranslateFailure::ChainTruncated) => Salvage::RemapMiss,
+            },
+        )
+    }
+
     fn outcome(id: u32) -> Arc<QueryOutcome> {
         Arc::new(QueryOutcome {
             skyline: vec![id],
@@ -387,7 +379,7 @@ mod tests {
     #[test]
     fn get_after_insert_round_trips() {
         let schema = schema(8);
-        let cache: ResultCache = ResultCache::new(16, 4);
+        let cache = Cache::new(16, 4);
         assert!(cache.is_empty());
         let k = key(&schema, &[3]);
         assert!(cache.get(&k, E0).is_none());
@@ -402,7 +394,7 @@ mod tests {
     fn lru_evicts_the_coldest_entry() {
         let schema = schema(16);
         // Single shard so recency order is deterministic.
-        let cache: ResultCache = ResultCache::new(3, 1);
+        let cache = Cache::new(3, 1);
         let keys: Vec<CanonicalPreference> = (0u16..4).map(|v| key(&schema, &[v])).collect();
         for (i, k) in keys.iter().take(3).enumerate() {
             cache.insert(k.clone(), E0, outcome(i as u32));
@@ -423,7 +415,7 @@ mod tests {
     #[test]
     fn reinserting_a_key_refreshes_instead_of_growing() {
         let schema = schema(8);
-        let cache: ResultCache = ResultCache::new(2, 1);
+        let cache = Cache::new(2, 1);
         let k = key(&schema, &[1]);
         cache.insert(k.clone(), E0, outcome(1));
         cache.insert(k.clone(), E0, outcome(2));
@@ -434,7 +426,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_caching() {
         let schema = schema(8);
-        let cache: ResultCache = ResultCache::new(0, 8);
+        let cache = Cache::new(0, 8);
         let k = key(&schema, &[1]);
         cache.insert(k.clone(), E0, outcome(1));
         assert!(cache.get(&k, E0).is_none());
@@ -445,7 +437,7 @@ mod tests {
     #[test]
     fn hit_heavy_workloads_do_not_grow_the_queue_without_bound() {
         let schema = schema(8);
-        let cache: ResultCache = ResultCache::new(4, 1);
+        let cache = Cache::new(4, 1);
         let k = key(&schema, &[2]);
         cache.insert(k.clone(), E0, outcome(1));
         for _ in 0..10_000 {
@@ -462,7 +454,7 @@ mod tests {
     #[test]
     fn epoch_mismatch_expires_lazily_and_is_counted() {
         let schema = schema(8);
-        let cache: ResultCache = ResultCache::new(8, 2);
+        let cache = Cache::new(8, 2);
         let (k1, k2) = (key(&schema, &[1]), key(&schema, &[2]));
         cache.insert(k1.clone(), E0, outcome(1));
         cache.insert(k2.clone(), E0, outcome(2));
@@ -500,7 +492,7 @@ mod tests {
         use skyline_core::{Dataset, PointBlock};
 
         let schema = schema(8);
-        let cache: ResultCache = ResultCache::new(8, 2);
+        let cache = Cache::new(8, 2);
         let k = key(&schema, &[1]);
 
         // A block whose rows 0 and 2 are dead; the swap compacts it.
@@ -531,9 +523,8 @@ mod tests {
             }),
         );
         // Looked up at the post-swap epoch with the remap: translated, not dropped.
-        let (outcome, translated) = cache
-            .get_or_translate(&k, swap.to, std::slice::from_ref(&swap))
-            .unwrap();
+        let (outcome, translated) =
+            lookup_through_chain(&cache, &k, swap.to, std::slice::from_ref(&swap)).unwrap();
         assert!(translated);
         assert_eq!(
             outcome.skyline,
@@ -543,16 +534,14 @@ mod tests {
         assert_eq!(outcome.method, MethodUsed::AdaptiveSfs);
         assert_eq!(cache.stale_evictions(), 0);
         // The entry is now re-tagged: a plain lookup at the new epoch hits without a remap.
-        let (again, translated) = cache.get_or_translate(&k, swap.to, &[]).unwrap();
+        let (again, translated) = lookup_through_chain(&cache, &k, swap.to, &[]).unwrap();
         assert!(!translated);
         assert_eq!(again.skyline, vec![0, 1, 2]);
 
         // An entry from an *older* epoch is unrecoverable once its swaps left the chain.
         let k2 = key(&schema, &[2]);
         cache.insert(k2.clone(), E0, outcome.clone());
-        assert!(cache
-            .get_or_translate(&k2, swap.to, std::slice::from_ref(&swap))
-            .is_none());
+        assert!(lookup_through_chain(&cache, &k2, swap.to, std::slice::from_ref(&swap)).is_none());
         assert_eq!(cache.stale_evictions(), 1);
         assert_eq!(cache.remap_misses(), 1, "pre-chain entry is a remap miss");
     }
@@ -564,7 +553,7 @@ mod tests {
         use skyline_core::{Dataset, PointBlock};
 
         let schema = schema(8);
-        let cache: ResultCache = ResultCache::new(8, 2);
+        let cache = Cache::new(8, 2);
         let k = key(&schema, &[1]);
 
         let data = Dataset::from_columns(
@@ -607,9 +596,8 @@ mod tests {
         // With only the latest remap the walk cannot start at `e1`: the entry would be
         // dropped (the old bug). Through the full chain it composes:
         // {1,3,4} → swap1 → {0,1,2} → swap2 (identity) → {0,1,2}.
-        let (outcome, translated) = cache
-            .get_or_translate(&k, swap2.to, &[swap1.clone(), swap2.clone()])
-            .unwrap();
+        let (outcome, translated) =
+            lookup_through_chain(&cache, &k, swap2.to, &[swap1.clone(), swap2.clone()]).unwrap();
         assert!(translated);
         assert_eq!(outcome.skyline, vec![0, 1, 2]);
         assert_eq!(cache.stale_evictions(), 0);
@@ -685,7 +673,7 @@ mod tests {
     #[test]
     fn equivalent_preferences_share_an_entry() {
         let schema = schema(2);
-        let cache: ResultCache = ResultCache::new(8, 2);
+        let cache = Cache::new(8, 2);
         // On a 2-value domain, [0, 1] and [0] are the same partial order.
         cache.insert(key(&schema, &[0, 1]), E0, outcome(9));
         assert_eq!(cache.get(&key(&schema, &[0]), E0).unwrap().skyline, vec![9]);

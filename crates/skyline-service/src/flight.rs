@@ -13,16 +13,11 @@
 //! fails (query error) still releases and wakes its followers, who then compute individually
 //! — single-flight is an optimization of the success path, never a correctness gate.
 //!
-//! ## Streaming coalescing
-//!
-//! The registry is additionally generic over a **payload** `P` a streaming leader can attach
-//! to its latch via [`FlightGuard::publish`] *before* it finishes. A concurrent
-//! [`SingleFlight::join_streaming`] call that finds the payload returns
-//! [`StreamFlightRole::Tap`] with a clone immediately — without waiting for the leader — so
-//! a streaming follower can tap the leader's live emitter instead of blocking for the full
-//! answer. Batch callers use the `()` default and are unaffected.
+//! Only the batch path joins flights. A stream is paced by its caller, so a streaming leader
+//! would hold its latch for as long as its consumer cares to idle; streams therefore never
+//! take one (see `ShardedService::serve_streaming`).
 
-use skyline_core::{CanonicalPreference, DatasetEpoch, Deadline, Result};
+use skyline_core::{CanonicalPreference, Deadline, Result};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -32,31 +27,10 @@ use std::time::Duration;
 /// (a pure-timeout deadline wakes exactly at expiry instead).
 const FOLLOWER_POLL: Duration = Duration::from_millis(10);
 
-/// Both flags live under one mutex so a publisher's `notify_all` can never race a waiter
-/// that checked the payload, found it empty, and is about to park: the publish happens-before
-/// the wait or after the waiter re-acquires the lock and re-checks.
-#[derive(Debug)]
-struct LatchState<P> {
-    done: bool,
-    payload: Option<P>,
-}
-
-#[derive(Debug)]
-struct Latch<P> {
-    state: Mutex<LatchState<P>>,
+#[derive(Debug, Default)]
+struct Latch {
+    done: Mutex<bool>,
     cv: Condvar,
-}
-
-impl<P> Default for Latch<P> {
-    fn default() -> Self {
-        Self {
-            state: Mutex::new(LatchState {
-                done: false,
-                payload: None,
-            }),
-            cv: Condvar::new(),
-        }
-    }
 }
 
 /// Every critical section in this module is a single map or flag update — no invariant can
@@ -71,15 +45,14 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 type Key<E> = (CanonicalPreference, E);
 
-/// The in-flight registry (one per service). Generic over the epoch tag `E` — a
-/// [`DatasetEpoch`] for a single-engine service, a per-shard epoch vector for a sharded one —
-/// and over the streaming payload `P` (see the module docs; `()` for batch-only use).
+/// The in-flight registry (one per service). Generic over the epoch tag `E` — the service
+/// tags flights with its per-shard epoch vector.
 #[derive(Debug)]
-pub struct SingleFlight<E = DatasetEpoch, P = ()> {
-    inflight: Mutex<HashMap<Key<E>, Arc<Latch<P>>>>,
+pub struct SingleFlight<E> {
+    inflight: Mutex<HashMap<Key<E>, Arc<Latch>>>,
 }
 
-impl<E, P> Default for SingleFlight<E, P> {
+impl<E> Default for SingleFlight<E> {
     fn default() -> Self {
         Self {
             inflight: Mutex::new(HashMap::new()),
@@ -89,39 +62,24 @@ impl<E, P> Default for SingleFlight<E, P> {
 
 /// What `join` decided for the calling thread.
 #[derive(Debug)]
-pub enum FlightRole<'a, E: Hash + Eq = DatasetEpoch, P = ()> {
+pub enum FlightRole<'a, E: Hash + Eq> {
     /// This thread computes; dropping the guard (success, error or panic) releases the latch
     /// and wakes every follower.
-    Leader(FlightGuard<'a, E, P>),
+    Leader(FlightGuard<'a, E>),
     /// Another thread was already computing this key at this epoch; it has since finished.
     /// Re-check the cache — and on a second miss (the leader failed), compute directly.
     Followed,
 }
 
-/// What [`SingleFlight::join_streaming`] decided for the calling thread.
-#[derive(Debug)]
-pub enum StreamFlightRole<'a, E: Hash + Eq = DatasetEpoch, P = ()> {
-    /// This thread computes (and should [`FlightGuard::publish`] its stream core so
-    /// concurrent streaming joiners can tap it).
-    Leader(FlightGuard<'a, E, P>),
-    /// A leader is (or was) computing this key at this epoch and published its payload:
-    /// tap it instead of recomputing.
-    Tap(P),
-    /// A leader was computing this key but finished without publishing a payload (a batch
-    /// leader, or a streaming leader that failed before publishing). Re-check the cache,
-    /// then compute directly on a second miss.
-    Followed,
-}
-
 /// Leader's release-on-drop guard.
 #[derive(Debug)]
-pub struct FlightGuard<'a, E: Hash + Eq, P = ()> {
-    flight: &'a SingleFlight<E, P>,
+pub struct FlightGuard<'a, E: Hash + Eq> {
+    flight: &'a SingleFlight<E>,
     key: Key<E>,
-    latch: Arc<Latch<P>>,
+    latch: Arc<Latch>,
 }
 
-impl<E: Hash + Eq + Clone, P> SingleFlight<E, P> {
+impl<E: Hash + Eq + Clone> SingleFlight<E> {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
@@ -130,7 +88,7 @@ impl<E: Hash + Eq + Clone, P> SingleFlight<E, P> {
     /// Joins the flight for `(key, epoch)`: returns [`FlightRole::Leader`] when this thread
     /// should compute, or — after having **blocked until the current leader finished** —
     /// [`FlightRole::Followed`].
-    pub fn join(&self, key: &CanonicalPreference, epoch: E) -> FlightRole<'_, E, P> {
+    pub fn join(&self, key: &CanonicalPreference, epoch: E) -> FlightRole<'_, E> {
         self.join_deadline(key, epoch, &Deadline::none())
             .expect("an unbounded deadline never expires")
     }
@@ -146,56 +104,24 @@ impl<E: Hash + Eq + Clone, P> SingleFlight<E, P> {
         key: &CanonicalPreference,
         epoch: E,
         deadline: &Deadline,
-    ) -> Result<FlightRole<'_, E, P>> {
+    ) -> Result<FlightRole<'_, E>> {
         let latch = match self.claim(key, epoch) {
             Ok(guard) => return Ok(FlightRole::Leader(guard)),
             Err(latch) => latch,
         };
-        let mut state = lock_recover(&latch.state);
-        while !state.done {
-            state = Self::wait(&latch, state, deadline)?;
+        let mut done = lock_recover(&latch.done);
+        while !*done {
+            done = Self::wait(&latch, done, deadline)?;
         }
         Ok(FlightRole::Followed)
     }
 
-    /// The streaming variant of [`SingleFlight::join_deadline`]: if the current leader has
-    /// [`FlightGuard::publish`]ed a payload (its live stream core), returns
-    /// [`StreamFlightRole::Tap`] with a clone **immediately**, without waiting for the
-    /// leader to finish. A latch whose leader already finished still serves its payload —
-    /// late streaming joiners replay the finished stream for free.
-    pub fn join_streaming(
-        &self,
-        key: &CanonicalPreference,
-        epoch: E,
-        deadline: &Deadline,
-    ) -> Result<StreamFlightRole<'_, E, P>>
-    where
-        P: Clone,
-    {
-        let latch = match self.claim(key, epoch) {
-            Ok(guard) => return Ok(StreamFlightRole::Leader(guard)),
-            Err(latch) => latch,
-        };
-        let mut state = lock_recover(&latch.state);
-        loop {
-            // Payload before done: a finished latch that carries a payload is still a Tap.
-            if let Some(payload) = state.payload.as_ref() {
-                return Ok(StreamFlightRole::Tap(payload.clone()));
-            }
-            if state.done {
-                return Ok(StreamFlightRole::Followed);
-            }
-            state = Self::wait(&latch, state, deadline)?;
-        }
-    }
-
     /// Registers this thread as leader for `(key, epoch)` or returns the existing latch.
-    #[allow(clippy::type_complexity)]
     fn claim(
         &self,
         key: &CanonicalPreference,
         epoch: E,
-    ) -> std::result::Result<FlightGuard<'_, E, P>, Arc<Latch<P>>> {
+    ) -> std::result::Result<FlightGuard<'_, E>, Arc<Latch>> {
         let full_key = (key.clone(), epoch);
         let mut inflight = lock_recover(&self.inflight);
         match inflight.get(&full_key) {
@@ -214,10 +140,10 @@ impl<E: Hash + Eq + Clone, P> SingleFlight<E, P> {
 
     /// One bounded (or unbounded) wait on the latch's condvar under `deadline`.
     fn wait<'l>(
-        latch: &'l Latch<P>,
-        state: MutexGuard<'l, LatchState<P>>,
+        latch: &'l Latch,
+        done: MutexGuard<'l, bool>,
         deadline: &Deadline,
-    ) -> Result<MutexGuard<'l, LatchState<P>>> {
+    ) -> Result<MutexGuard<'l, bool>> {
         if deadline.is_bounded() {
             deadline.check()?;
             // Wake at expiry; a cancel-only deadline has no instant to wake at, so poll
@@ -227,15 +153,15 @@ impl<E: Hash + Eq + Clone, P> SingleFlight<E, P> {
                 .map_or(FOLLOWER_POLL, |rem| rem.min(FOLLOWER_POLL));
             Ok(latch
                 .cv
-                .wait_timeout(state, wait)
+                .wait_timeout(done, wait)
                 .unwrap_or_else(|poisoned| {
-                    latch.state.clear_poison();
+                    latch.done.clear_poison();
                     poisoned.into_inner()
                 })
                 .0)
         } else {
-            Ok(latch.cv.wait(state).unwrap_or_else(|poisoned| {
-                latch.state.clear_poison();
+            Ok(latch.cv.wait(done).unwrap_or_else(|poisoned| {
+                latch.done.clear_poison();
                 poisoned.into_inner()
             }))
         }
@@ -247,24 +173,12 @@ impl<E: Hash + Eq + Clone, P> SingleFlight<E, P> {
     }
 }
 
-impl<E: Hash + Eq, P> FlightGuard<'_, E, P> {
-    /// Attaches the leader's payload (its live stream core) to the latch and wakes every
-    /// waiter: concurrent [`SingleFlight::join_streaming`] calls for the same key now tap
-    /// it instead of blocking. Idempotent — the latest publish wins.
-    pub fn publish(&self, payload: P) {
-        let mut state = lock_recover(&self.latch.state);
-        state.payload = Some(payload);
-        self.latch.cv.notify_all();
-    }
-}
-
-impl<E: Hash + Eq, P> Drop for FlightGuard<'_, E, P> {
+impl<E: Hash + Eq> Drop for FlightGuard<'_, E> {
     fn drop(&mut self) {
         let mut inflight = lock_recover(&self.flight.inflight);
         inflight.remove(&self.key);
         drop(inflight);
-        let mut state = lock_recover(&self.latch.state);
-        state.done = true;
+        *lock_recover(&self.latch.done) = true;
         self.latch.cv.notify_all();
     }
 }
@@ -272,7 +186,7 @@ impl<E: Hash + Eq, P> Drop for FlightGuard<'_, E, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skyline_core::{Dimension, NominalDomain, Preference, Schema};
+    use skyline_core::{DatasetEpoch, Dimension, NominalDomain, Preference, Schema};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
 
@@ -376,111 +290,5 @@ mod tests {
         let later = block.epoch();
         let c = flight.join(&key(1), later);
         assert!(matches!(c, FlightRole::Leader(_)));
-    }
-
-    #[test]
-    fn streaming_joiners_tap_a_published_payload() {
-        let flight = SingleFlight::<DatasetEpoch, Arc<u64>>::new();
-        let k = key(3);
-        let none = Deadline::none();
-        let leader = match flight
-            .join_streaming(&k, DatasetEpoch::INITIAL, &none)
-            .unwrap()
-        {
-            StreamFlightRole::Leader(guard) => guard,
-            other => panic!("first joiner must lead, got {other:?}"),
-        };
-        // Before publish: a bounded streaming joiner waits and times out like a batch one.
-        let err = flight
-            .join_streaming(
-                &k,
-                DatasetEpoch::INITIAL,
-                &Deadline::within(Duration::from_millis(5)),
-            )
-            .unwrap_err();
-        assert_eq!(err, skyline_core::SkylineError::DeadlineExceeded);
-
-        leader.publish(Arc::new(42));
-        // After publish: taps return immediately, even under a tight deadline.
-        match flight
-            .join_streaming(
-                &k,
-                DatasetEpoch::INITIAL,
-                &Deadline::within(Duration::from_secs(5)),
-            )
-            .unwrap()
-        {
-            StreamFlightRole::Tap(payload) => assert_eq!(*payload, 42),
-            other => panic!("expected a tap, got {other:?}"),
-        }
-
-        // Re-publishing replaces the payload: the latest one wins for later joiners.
-        leader.publish(Arc::new(43));
-        match flight
-            .join_streaming(&k, DatasetEpoch::INITIAL, &none)
-            .unwrap()
-        {
-            StreamFlightRole::Tap(payload) => assert_eq!(*payload, 43),
-            other => panic!("expected a tap, got {other:?}"),
-        }
-        drop(leader);
-        assert_eq!(flight.in_flight(), 0);
-
-        // Concurrent waiter parked before any publish is woken into a tap by the first one.
-        let k2 = key(7);
-        let fresh = match flight
-            .join_streaming(&k2, DatasetEpoch::INITIAL, &none)
-            .unwrap()
-        {
-            StreamFlightRole::Leader(guard) => guard,
-            other => panic!("first joiner must lead, got {other:?}"),
-        };
-        let barrier = Barrier::new(2);
-        std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| {
-                barrier.wait();
-                flight
-                    .join_streaming(&k2, DatasetEpoch::INITIAL, &none)
-                    .unwrap()
-            });
-            barrier.wait();
-            std::thread::sleep(Duration::from_millis(20));
-            fresh.publish(Arc::new(7));
-            match waiter.join().unwrap() {
-                StreamFlightRole::Tap(payload) => assert_eq!(*payload, 7),
-                other => panic!("expected a tap, got {other:?}"),
-            }
-        });
-        drop(fresh);
-        assert_eq!(flight.in_flight(), 0);
-
-        // A finished latch is gone from the registry: the next streaming joiner leads anew.
-        assert!(matches!(
-            flight
-                .join_streaming(&k, DatasetEpoch::INITIAL, &none)
-                .unwrap(),
-            StreamFlightRole::Leader(_)
-        ));
-    }
-
-    #[test]
-    fn batch_leader_without_payload_yields_followed_to_streamers() {
-        let flight = SingleFlight::<DatasetEpoch, Arc<u64>>::new();
-        let k = key(4);
-        let leader = flight.join(&k, DatasetEpoch::INITIAL);
-        assert!(matches!(leader, FlightRole::Leader(_)));
-        let barrier = Barrier::new(2);
-        std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| {
-                barrier.wait();
-                flight
-                    .join_streaming(&k, DatasetEpoch::INITIAL, &Deadline::none())
-                    .unwrap()
-            });
-            barrier.wait();
-            std::thread::sleep(Duration::from_millis(20));
-            drop(leader);
-            assert!(matches!(waiter.join().unwrap(), StreamFlightRole::Followed));
-        });
     }
 }

@@ -7,9 +7,11 @@
 //!
 //! Three pieces:
 //!
-//! * [`SkylineService`] — wraps an `Arc<SkylineEngine>` (the engine is `Send + Sync`, so one
-//!   preprocessing pass serves every thread) and answers queries via
-//!   [`SkylineService::serve`] / [`SkylineService::serve_batch`];
+//! * [`ShardedService`] — *the* service: N dataset shards, each a [`skyline::SharedEngine`]
+//!   (the engine is `Send + Sync`, so one preprocessing pass serves every thread), answered
+//!   by scatter-gather via [`ShardedService::serve`] / [`ShardedService::serve_batch`] /
+//!   [`ShardedService::serve_streaming`]. One shard is the single-engine case — there is no
+//!   separate single-engine service (see the [`sharded`] module docs);
 //! * [`cache::ResultCache`] — a sharded LRU keyed on [`skyline_core::CanonicalPreference`],
 //!   so semantically equal preferences share one memoized answer;
 //! * a worker-pool batch executor on `std::thread` + channels, plus lock-free
@@ -17,8 +19,7 @@
 //!
 //! ```
 //! use skyline::prelude::*;
-//! use skyline_service::{ServiceConfig, SkylineService};
-//! use std::sync::Arc;
+//! use skyline_service::{GlobalRowId, ShardedConfig, ShardedServed, ShardedService};
 //!
 //! // Table 1 of the paper, served to a crowd.
 //! let schema = Schema::new(vec![
@@ -26,40 +27,44 @@
 //!     Dimension::numeric("class-neg"),
 //!     Dimension::nominal_with_labels("hotel-group", ["T", "H", "M"]),
 //! ]).unwrap();
-//! let mut builder = DatasetBuilder::new(schema);
+//! let mut builder = DatasetBuilder::new(schema.clone());
 //! for (price, class, group) in [
 //!     (1600.0, 4.0, "T"), (2400.0, 1.0, "T"), (3000.0, 5.0, "H"),
 //!     (3600.0, 4.0, "H"), (2400.0, 2.0, "M"), (3000.0, 3.0, "M"),
 //! ] {
 //!     builder.push_row([RowValue::Num(price), RowValue::Num(-class), group.into()]).unwrap();
 //! }
-//! let data = Arc::new(builder.build().unwrap());
-//! let template = Template::empty(data.schema());
+//! let data = builder.build().unwrap();
+//! let template = Template::empty(&schema);
 //! let engine = SkylineEngine::build(data, template, EngineConfig::Hybrid { top_k: 10 }).unwrap();
-//! // One worker keeps the miss count exactly 1 for this example. With a pool, the per-key
-//! // single-flight latch collapses concurrent cold misses onto one engine run — but a worker
-//! // that misses just after the leader released can still recompute, so the count is "very
-//! // few", not "one".
-//! let service = SkylineService::with_config(
-//!     engine,
-//!     ServiceConfig { workers: 1, ..ServiceConfig::default() },
-//! );
+//! // One engine = one shard. One worker keeps the miss count exactly 1 for this example.
+//! // With a pool, the per-key single-flight latch collapses concurrent cold misses onto one
+//! // engine run — but a worker that misses just after the leader released can still
+//! // recompute, so the count is "very few", not "one".
+//! let service = ShardedService::from_engines(
+//!     vec![engine.into()],
+//!     ShardedConfig { workers: 1, ..ShardedConfig::default() },
+//! ).unwrap();
+//! // With one shard, a row's id inside shard 0 is the engine's own row id.
+//! let rows = |served: &ShardedServed| -> Vec<PointId> {
+//!     served.outcome.skyline.iter().map(|g| g.row).collect()
+//! };
 //!
-//! let schema = service.engine().read().dataset().schema().clone();
 //! let alice = Preference::parse(&schema, [("hotel-group", "T < M < *")]).unwrap();
 //! let batch: Vec<Preference> = std::iter::repeat(alice.clone()).take(100).collect();
 //! let answers = service.serve_batch(&batch);
-//! assert!(answers.iter().all(|a| a.as_ref().unwrap().outcome.skyline == vec![0, 2]));
+//! assert!(answers.iter().all(|a| rows(a.as_ref().unwrap()) == vec![0, 2]));
 //! // 100 equivalent queries, one engine evaluation.
 //! assert_eq!(service.stats().misses, 1);
 //! assert_eq!(service.stats().hits, 99);
 //!
-//! // Dynamic data: a mutation bumps the dataset epoch, which atomically invalidates every
-//! // cached result — the next serve recomputes instead of replaying the stale answer.
-//! service.insert_row(&[1000.0, -5.0], &[0]).unwrap(); // an even better Tulips package
+//! // Dynamic data: a mutation bumps the owning shard's epoch, which atomically invalidates
+//! // every cached result — the next serve recomputes instead of replaying the stale answer.
+//! let tulips = service.insert_row(&[1000.0, -5.0], &[0]).unwrap(); // an even better package
+//! assert_eq!(tulips, GlobalRowId { shard: 0, row: 6 });
 //! let fresh = service.serve(&alice).unwrap();
 //! assert!(!fresh.cache_hit);
-//! assert_eq!(fresh.outcome.skyline, vec![6]);
+//! assert_eq!(rows(&fresh), vec![6]);
 //! assert_eq!(service.stats().mutations, 1);
 //! ```
 
@@ -71,19 +76,15 @@ pub mod cache;
 mod executor;
 pub mod faults;
 pub mod flight;
-pub mod service;
 pub mod sharded;
 pub mod stats;
-pub mod streaming;
 
 pub use admission::{AdmissionPermit, AdmissionQueue};
 pub use cache::ResultCache;
 pub use faults::FaultInjector;
-pub use flight::{FlightGuard, FlightRole, SingleFlight, StreamFlightRole};
-pub use service::{Served, ServedStream, ServiceConfig, SkylineService};
+pub use flight::{FlightGuard, FlightRole, SingleFlight};
 pub use sharded::{
     DegradePolicy, GlobalRowId, PartialSkyline, RecoveryPolicy, ShardPartition, ShardedConfig,
     ShardedOutcome, ShardedServed, ShardedService, ShardedStream,
 };
 pub use stats::{ServiceMetrics, StatsSnapshot};
-pub use streaming::{NextRow, StreamCore};

@@ -1,5 +1,6 @@
-//! Sharded scatter-gather serving: N dataset shards, each its own generational
-//! [`SharedEngine`], answered as one logical service.
+//! The service: N dataset shards, each its own generational [`SharedEngine`], answered by
+//! scatter-gather as one logical service. There is no other serving path — **one shard is
+//! the single-engine case** (see below).
 //!
 //! The paper's algorithms are single-node by construction, but the serving layer does not
 //! have to be: the skyline union property — `SKY(D₁ ∪ … ∪ Dₘ) ⊆ SKY(D₁) ∪ … ∪ SKY(Dₘ)`,
@@ -29,6 +30,22 @@
 //!   through that shard's remap chain instead of dropped.
 //! * a shared [`BuildPool`]: one small set of build threads maintains every shard under a
 //!   global in-flight cap, instead of one maintenance thread per shard.
+//!
+//! # One shard: the single-engine service
+//!
+//! At one partition the union property degenerates to "the shard's skyline is the answer":
+//! the batch gather builds no merger and the scatter runs inline on the caller's thread, so
+//! a one-shard service costs what its engine costs. Build it with `shards: 1`, or wrap an
+//! engine that already exists with [`ShardedService::from_engines`]. Answers are
+//! [`ShardedServed`]s whose rows are `GlobalRowId { shard: 0, row }` (`row` is the engine's
+//! own id), the engine is [`ShardedService::shard`]`(0)`, a rebuild is
+//! [`ShardedService::force_rebuild_shard`]`(0)`. What a caller used to a bare engine will
+//! notice: a panic inside the only shard's query is caught and quarantines shard 0
+//! ([`SkylineError::ShardUnavailable`] under [`DegradePolicy::FailClosed`], healed by the
+//! [`RecoveryPolicy`] or [`ShardedService::recover_shard`]) instead of unwinding into the
+//! caller; [`ShardedService::insert_row`] returns the new row's [`GlobalRowId`] and
+//! [`ShardedService::delete_row`] takes one and returns whether the row was live; and
+//! concurrent identical streams each run their own scan.
 //!
 //! # Fault isolation
 //!
@@ -439,6 +456,30 @@ fn shard_snapshot_path(dir: &Path, s: usize) -> PathBuf {
     dir.join(format!("shard-{s:04}.snap"))
 }
 
+/// The schema and template every shard shares — shard 0's — or a message naming the first
+/// shard whose schema, template or engine configuration differs from shard 0's.
+fn shared_shape<'a>(
+    engines: impl IntoIterator<Item = &'a SkylineEngine>,
+) -> std::result::Result<(Schema, Template), String> {
+    let mut engines = engines.into_iter();
+    let first = engines.next().expect("at least one shard");
+    for (s, engine) in (1..).zip(engines) {
+        let differing = if engine.dataset().schema() != first.dataset().schema() {
+            "schema"
+        } else if engine.template() != first.template() {
+            "template"
+        } else if engine.config() != first.config() {
+            "engine configuration"
+        } else {
+            continue;
+        };
+        return Err(format!(
+            "shard {s} carries a different {differing} than shard 0"
+        ));
+    }
+    Ok((first.dataset().schema().clone(), first.template().clone()))
+}
+
 type EpochVector = Arc<[DatasetEpoch]>;
 
 /// A concurrent scatter-gather skyline service over N independently maintained dataset
@@ -532,31 +573,35 @@ impl ShardedService {
                     .map_err(|e| SkylineError::Snapshot(format!("shard {s} of {shard_count}: {e}")))
             })
             .collect::<Result<_>>()?;
-        let schema = engines[0].dataset().schema().clone();
-        let template = engines[0].template().clone();
-        for (s, engine) in engines.iter().enumerate().skip(1) {
-            if engine.dataset().schema() != &schema {
-                return Err(SkylineError::Snapshot(format!(
-                    "shard {s}'s snapshot carries a different schema than shard 0's"
-                )));
-            }
-            if engine.template() != &template {
-                return Err(SkylineError::Snapshot(format!(
-                    "shard {s}'s snapshot carries a different template than shard 0's"
-                )));
-            }
-            if engine.config() != engines[0].config() {
-                return Err(SkylineError::Snapshot(format!(
-                    "shard {s}'s snapshot carries a different engine configuration than \
-                     shard 0's"
-                )));
-            }
-        }
+        let (schema, template) = shared_shape(&engines).map_err(SkylineError::Snapshot)?;
         config.partition.validate(&schema, shard_count)?;
         let metrics = ServiceMetrics::new();
         metrics.record_snapshot_load(shard_count as u64, started.elapsed());
         let shards = engines.into_iter().map(SharedEngine::new).collect();
         Self::assemble(shards, schema, template, config, metrics)
+    }
+
+    /// Wires the serving machinery around engines that already exist — shard `i` is
+    /// `engines[i]`. The shard count is `engines.len()` (`config.shards` is not consulted),
+    /// and one engine is the single-engine service. Clones of a [`SharedEngine`] stay live
+    /// handles to the shard: a fresh cold-cache service over one prebuilt engine costs no
+    /// preprocessing.
+    ///
+    /// Every engine must carry the same schema, template and engine configuration (the
+    /// checks [`ShardedService::from_snapshots`] runs), and — as there — `config.partition`
+    /// must be the one the engines' rows were placed under: later inserts are routed by it.
+    pub fn from_engines(engines: Vec<SharedEngine>, config: ShardedConfig) -> Result<Self> {
+        if engines.is_empty() {
+            return Err(SkylineError::InvalidArgument(
+                "a service needs at least one engine".into(),
+            ));
+        }
+        let (schema, template) = {
+            let guards: Vec<_> = engines.iter().map(|e| e.read()).collect();
+            shared_shape(guards.iter().map(|g| &**g)).map_err(SkylineError::InvalidArgument)?
+        };
+        config.partition.validate(&schema, engines.len())?;
+        Self::assemble(engines, schema, template, config, ServiceMetrics::new())
     }
 
     /// Writes every shard's current generation to `dir` (created if missing) as
@@ -992,8 +1037,11 @@ impl ShardedService {
     /// remaining shards keep streaming (a degraded stream's final answer is never cached).
     /// A finished complete stream caches its merged answer, so the batch and streaming paths
     /// warm each other. Unlike the batch path, concurrent identical streaming misses do
-    /// **not** coalesce — each request drives its own scatter (streams are pull-paced by
-    /// their caller, so one slow consumer must not throttle the others).
+    /// **not** coalesce — each request drives its own scatter. A stream is pull-paced by its
+    /// caller: a streaming leader would hold the single-flight latch for as long as its
+    /// consumer idles, an identical batch `serve` would park on that latch *holding the shard
+    /// read locks*, the next writer would queue behind that reader and every later reader
+    /// behind the writer — one slow consumer wedging the whole service.
     pub fn serve_streaming(&self, pref: &Preference) -> Result<ShardedStream<'_>> {
         self.serve_streaming_deadline(pref, Deadline::none())
     }
@@ -1251,8 +1299,7 @@ impl ShardedService {
     }
 
     /// Remap-aware cache lookup: entries whose epoch vector differs only by generation swaps
-    /// are translated per shard through that shard's remap chain (see
-    /// [`ResultCache::get_or_translate`] for the single-engine analogue).
+    /// are translated per shard through that shard's remap chain.
     fn lookup(
         &self,
         key: &CanonicalPreference,
@@ -2596,5 +2643,254 @@ mod tests {
         let closed = build(Some(Duration::ZERO), DegradePolicy::FailClosed);
         let result = closed.serve_streaming(&pref).unwrap().collect_rows();
         assert!(matches!(result, Err(SkylineError::ShardUnavailable { .. })));
+    }
+
+    // ---- One shard: the single-engine service ----
+
+    /// A one-shard service around `engine`, default configuration otherwise.
+    fn one_shard(engine: impl Into<SharedEngine>) -> ShardedService {
+        ShardedService::from_engines(vec![engine.into()], ShardedConfig::default()).unwrap()
+    }
+
+    /// One row per entry of `nominal` (x = 1, 2, …) over one numeric and one cardinality-2
+    /// nominal dimension.
+    fn tiny(nominal: Vec<ValueId>) -> (Schema, Arc<Dataset>) {
+        let schema = Schema::new(vec![
+            Dimension::numeric("x"),
+            Dimension::nominal("g", NominalDomain::anonymous(2)),
+        ])
+        .unwrap();
+        let numeric = (1..=nominal.len()).map(|x| x as f64).collect();
+        let data = Dataset::from_columns(schema.clone(), vec![numeric], vec![nominal]).unwrap();
+        (schema, Arc::new(data))
+    }
+
+    fn listing(values: &[ValueId]) -> Preference {
+        Preference::from_dims(vec![skyline_core::ImplicitPreference::new(
+            values.iter().copied(),
+        )
+        .unwrap()])
+    }
+
+    #[test]
+    fn from_engines_derives_the_shard_count_and_checks_coherence() {
+        let (data, template) = experiment(120, 5);
+        let build = |config| {
+            SharedEngine::new(SkylineEngine::build(data.clone(), template.clone(), config).unwrap())
+        };
+        // `config.shards` (default 4) is not consulted: two engines are two shards.
+        let engine = build(EngineConfig::AdaptiveSfs);
+        let service = ShardedService::from_engines(
+            vec![engine.clone(), build(EngineConfig::AdaptiveSfs)],
+            ShardedConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(service.shard_count(), 2);
+        assert_eq!(service.live_rows(), 2 * data.len());
+        assert!(service.workers() >= 1, "workers: 0 means one per core");
+        // The service holds the caller's handle, not a copy: mutations are mutually visible.
+        engine.write().delete_row(0).unwrap();
+        assert_eq!(service.live_rows(), 2 * data.len() - 1);
+
+        for bad in [
+            vec![],
+            vec![engine.clone(), build(EngineConfig::SfsD)],
+            vec![
+                engine.clone(),
+                SharedEngine::new(
+                    SkylineEngine::build(
+                        data.clone(),
+                        Template::empty(data.schema()),
+                        EngineConfig::AdaptiveSfs,
+                    )
+                    .unwrap(),
+                ),
+            ],
+        ] {
+            assert!(matches!(
+                ShardedService::from_engines(bad, ShardedConfig::default()),
+                Err(SkylineError::InvalidArgument(_))
+            ));
+        }
+        // The partition is validated against the derived count.
+        assert!(ShardedService::from_engines(
+            vec![engine],
+            ShardedConfig {
+                partition: ShardPartition::RangeNumeric {
+                    dim: 0,
+                    bounds: vec![0.5],
+                },
+                ..ShardedConfig::default()
+            },
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn errors_pass_through_and_are_counted() {
+        let (data, template) = experiment(100, 5);
+        let service =
+            one_shard(SkylineEngine::build(data, template, EngineConfig::AdaptiveSfs).unwrap());
+        // Wrong arity: one nominal dimension instead of two.
+        assert!(service.serve(&Preference::none(1)).is_err());
+        let stats = service.stats();
+        assert_eq!(stats.errors, 1);
+        assert_eq!(stats.served(), 0);
+        assert_eq!(service.cache_len(), 0);
+    }
+
+    #[test]
+    fn mutations_bump_the_epoch_and_are_counted() {
+        let (data, template) = experiment(100, 5);
+        let service =
+            one_shard(SkylineEngine::build(data, template, EngineConfig::AdaptiveSfs).unwrap());
+        assert_eq!(service.epochs(), vec![DatasetEpoch::INITIAL]);
+        let id = service.insert_row(&[0.5, 0.5], &[0, 0]).unwrap();
+        assert_eq!(id, GlobalRowId { shard: 0, row: 100 });
+        let e1 = service.epochs()[0];
+        assert!(e1 > DatasetEpoch::INITIAL);
+        assert!(service
+            .delete_row(GlobalRowId { shard: 0, row: 0 })
+            .unwrap());
+        let e2 = service.epochs()[0];
+        assert!(e2 > e1);
+        // Deleting the same row again is a no-op: same epoch, no mutation counted.
+        assert!(!service
+            .delete_row(GlobalRowId { shard: 0, row: 0 })
+            .unwrap());
+        assert_eq!(service.epochs()[0], e2);
+        // Deleting a row (or on a shard) that never existed is an error.
+        for missing in [
+            GlobalRowId {
+                shard: 0,
+                row: 999_999,
+            },
+            GlobalRowId { shard: 1, row: 0 },
+        ] {
+            assert!(service.delete_row(missing).is_err());
+        }
+        let stats = service.stats();
+        assert_eq!(stats.mutations, 2);
+        assert_eq!(stats.errors, 2);
+        assert_eq!(service.epochs()[0], service.shard(0).read().epoch());
+    }
+
+    #[test]
+    fn non_refining_queries_error_even_after_an_equivalent_entry_was_cached() {
+        // Template with the *full-domain* implicit list [0, 1] on a cardinality-2 dimension:
+        // the refining query [0, 1] and the non-refining query [0] induce the same partial
+        // order, hence share a canonical cache key — but only the first may be answered.
+        let (schema, data) = tiny(vec![0, 1]);
+        let template = Template::from_preference(&schema, listing(&[0, 1])).unwrap();
+        let service =
+            one_shard(SkylineEngine::build(data, template, EngineConfig::AdaptiveSfs).unwrap());
+
+        let (refining, non_refining) = (listing(&[0, 1]), listing(&[0]));
+        // Same canonical key, different refinement status.
+        assert_eq!(
+            refining.canonicalize(&schema).unwrap(),
+            non_refining.canonicalize(&schema).unwrap()
+        );
+        assert!(service.shard(0).read().query(&non_refining).is_err());
+
+        assert!(service.serve(&refining).is_ok());
+        assert!(
+            matches!(
+                service.serve(&non_refining),
+                Err(SkylineError::NotARefinement { .. })
+            ),
+            "cache state must not change which inputs are rejected"
+        );
+        assert_eq!(service.stats().errors, 1);
+    }
+
+    #[test]
+    fn unmaterialized_queries_error_even_after_an_equivalent_entry_was_cached() {
+        // IpoTreeTopK(1) over a cardinality-2 dimension materializes only the most frequent
+        // value 0. `[0]` (servable) and `[0, 1]` (lists unmaterialized value 1) share a
+        // canonical key, so the rejection must run before the cache lookup.
+        let (schema, data) = tiny(vec![0, 0, 1]);
+        let (servable, unmaterialized) = (listing(&[0]), listing(&[0, 1]));
+        assert_eq!(
+            servable.canonicalize(&schema).unwrap(),
+            unmaterialized.canonicalize(&schema).unwrap()
+        );
+        let build = |config| {
+            one_shard(SkylineEngine::build(data.clone(), Template::empty(&schema), config).unwrap())
+        };
+
+        let service = build(EngineConfig::IpoTreeTopK(1));
+        assert!(service.shard(0).read().query(&unmaterialized).is_err());
+        assert!(service.serve(&servable).is_ok());
+        assert!(
+            matches!(
+                service.serve(&unmaterialized),
+                Err(SkylineError::NotMaterialized { .. })
+            ),
+            "cache state must not change which inputs are rejected"
+        );
+        // The hybrid engine keeps answering the same shape of query via its fallback.
+        let hybrid = build(EngineConfig::Hybrid { top_k: 1 });
+        assert!(hybrid.serve(&servable).is_ok());
+        assert!(hybrid.serve(&unmaterialized).is_ok());
+    }
+
+    /// Entries cached *before* two back-to-back generation rebuilds must compose through the
+    /// engine's remap chain and keep serving as hits; entries older than the bounded chain
+    /// are counted remap misses, never silent drops.
+    #[test]
+    fn back_to_back_rebuilds_keep_pre_swap_entries_warm() {
+        let (data, template) = experiment(300, 5);
+        let service = one_shard(
+            SkylineEngine::build(
+                data.clone(),
+                template.clone(),
+                EngineConfig::Hybrid { top_k: 3 },
+            )
+            .unwrap(),
+        );
+        let mut generator = QueryGenerator::new(21);
+        let pref = generator.random_preference(data.schema(), &template, 2, None);
+
+        // A tombstone gives the first rebuild something to reclaim (non-trivial remap); the
+        // entry is cached *after* it, at the epoch the rebuild will snapshot from.
+        service
+            .delete_row(GlobalRowId { shard: 0, row: 0 })
+            .unwrap();
+        assert!(!service.serve(&pref).unwrap().cache_hit);
+
+        // Two back-to-back rebuilds: swap 1 compacts, swap 2 has nothing to reclaim but
+        // still opens a fresh epoch.
+        assert!(service.force_rebuild_shard(0).unwrap());
+        assert!(service.force_rebuild_shard(0).unwrap());
+        assert_eq!(service.stats().rebuilds, 2);
+
+        // The entry is now two swaps behind — it must translate, not drop.
+        let after = service.serve(&pref).unwrap();
+        assert!(after.cache_hit, "pre-swap entry must survive both swaps");
+        let fresh = service.shard(0).read().query(&pref).unwrap().skyline;
+        assert_eq!(
+            after.outcome.skyline,
+            fresh
+                .into_iter()
+                .map(|row| GlobalRowId { shard: 0, row })
+                .collect::<Vec<_>>(),
+            "translated ids must name the same rows in the new id space"
+        );
+        let stats = service.stats();
+        assert_eq!(stats.remapped_hits, 1);
+        assert_eq!(stats.remap_misses, 0);
+        assert_eq!(stats.stale_evictions, 0);
+
+        // Push the entry's swaps off the bounded chain: it becomes an unrecoverable
+        // (counted) remap miss instead of a silent drop.
+        let other = generator.random_preference(data.schema(), &template, 2, None);
+        assert!(!service.serve(&other).unwrap().cache_hit);
+        for _ in 0..=skyline::REMAP_CHAIN_LIMIT {
+            service.force_rebuild_shard(0).unwrap();
+        }
+        let recomputed = service.serve(&other).unwrap();
+        assert!(!recomputed.cache_hit, "entry fell off the remap chain");
+        assert_eq!(service.stats().remap_misses, 1);
     }
 }

@@ -24,7 +24,6 @@ pub struct ServiceMetrics {
     deadline_misses: AtomicU64,
     degraded: AtomicU64,
     streams_started: AtomicU64,
-    stream_coalesced: AtomicU64,
     snapshot_loads: AtomicU64,
     snapshot_load_ns: AtomicU64,
     preprocess_build_ns: AtomicU64,
@@ -45,7 +44,6 @@ impl Default for ServiceMetrics {
             deadline_misses: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
             streams_started: AtomicU64::new(0),
-            stream_coalesced: AtomicU64::new(0),
             snapshot_loads: AtomicU64::new(0),
             snapshot_load_ns: AtomicU64::new(0),
             preprocess_build_ns: AtomicU64::new(0),
@@ -113,15 +111,9 @@ impl ServiceMetrics {
         self.degraded.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one streaming serve handed out (leader, tap, and replay alike).
+    /// Records one streaming serve handed out (live scatter and cache replay alike).
     pub fn record_stream_started(&self) {
         self.streams_started.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a streaming serve that tapped another request's in-flight emitter instead of
-    /// running the engine itself (the streaming analogue of [`ServiceMetrics::record_coalesced`]).
-    pub fn record_stream_coalesced(&self) {
-        self.stream_coalesced.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records engine cold starts served from persistent snapshots: `engines` structures
@@ -181,7 +173,6 @@ impl ServiceMetrics {
             deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
             streams_started: self.streams_started.load(Ordering::Relaxed),
-            stream_coalesced: self.stream_coalesced.load(Ordering::Relaxed),
             queue_depth: 0,
             rebuilds: 0,
             reclaimed_rows: 0,
@@ -230,12 +221,12 @@ pub struct StatsSnapshot {
     /// Dataset mutations served (inserts and live deletes; each bumped the epoch).
     pub mutations: u64,
     /// Cached results dropped because a mutation made their epoch stale (lazy expiry; filled
-    /// in from the result cache by `SkylineService::stats`).
+    /// in from the result cache by `ShardedService::stats`).
     pub stale_evictions: u64,
     /// The subset of `stale_evictions` that were *unrecoverable remap misses*: entries only
     /// generation swaps behind the lookup whose translations had already fallen off the
     /// engine's bounded remap chain (filled in from the result cache by
-    /// `SkylineService::stats`).
+    /// `ShardedService::stats`).
     pub remap_misses: u64,
     /// Cache hits served by translating a pre-swap entry's row ids through the generation
     /// remap (a subset of `hits`): how much of the cache a compaction swap *kept* warm.
@@ -251,20 +242,16 @@ pub struct StatsSnapshot {
     /// Degraded (partial) responses served from healthy shards while others were quarantined
     /// or past deadline — only non-zero under a tolerant degrade policy.
     pub degraded: u64,
-    /// Streaming serves handed out (leaders, taps of an in-flight emitter, and cache
-    /// replays alike).
+    /// Streaming serves handed out (live scatters and cache replays alike).
     pub streams_started: u64,
-    /// The subset of `streams_started` that tapped another request's in-flight emitter —
-    /// replaying its confirmed prefix live — instead of running the engine themselves.
-    pub stream_coalesced: u64,
     /// Requests inside the admission queue right now (a gauge, not a counter; filled in from
     /// the admission queue by the owning service's `stats`).
     pub queue_depth: u64,
-    /// Generation rebuilds installed on the engine — background compaction + IPO
-    /// re-materialization swaps (filled in from the engine by `SkylineService::stats`).
+    /// Generation rebuilds installed across every shard's engine — background compaction +
+    /// IPO re-materialization swaps (filled in from the engines by `ShardedService::stats`).
     pub rebuilds: u64,
-    /// Tombstoned rows physically reclaimed by those rebuilds (filled in from the engine by
-    /// `SkylineService::stats`).
+    /// Tombstoned rows physically reclaimed by those rebuilds (filled in from the engines by
+    /// `ShardedService::stats`).
     pub reclaimed_rows: u64,
     /// Engines cold-started from a persistent snapshot instead of a preprocessing build
     /// (one per shard for a sharded bootstrap).
@@ -327,7 +314,6 @@ mod tests {
         assert_eq!(s.p50, Duration::ZERO);
         assert_eq!(s.p99, Duration::ZERO);
         assert_eq!(s.streams_started, 0);
-        assert_eq!(s.stream_coalesced, 0);
         assert_eq!(s.ttfr_p50, Duration::ZERO);
         assert_eq!(s.ttfr_p99, Duration::ZERO);
     }
@@ -337,13 +323,11 @@ mod tests {
         let m = ServiceMetrics::new();
         m.record_stream_started();
         m.record_stream_started();
-        m.record_stream_coalesced();
         m.record_ttfr(Duration::from_micros(2));
         m.record_ttfr(Duration::from_micros(2));
         m.record(false, Duration::from_millis(10));
         let s = m.snapshot();
         assert_eq!(s.streams_started, 2);
-        assert_eq!(s.stream_coalesced, 1);
         assert!(s.ttfr_p50 >= Duration::from_micros(2));
         assert!(s.ttfr_p99 <= Duration::from_micros(8));
         // Whole-answer latency stays an order of magnitude above first-row latency.

@@ -1,135 +1,176 @@
-//! Service-level lifecycle behavior: the background maintenance worker, the remap-aware
-//! result cache, the single-flight miss latch, and the surfaced lifecycle metrics.
+//! Service-level lifecycle behavior: the shared build pool, the remap-aware result cache,
+//! the single-flight miss latch, and the surfaced lifecycle metrics — at one shard (the
+//! single-engine case) and at two.
 
 use skyline::prelude::*;
-use skyline_service::{ServiceConfig, SkylineService};
-use std::sync::Arc;
+use skyline_service::{GlobalRowId, ShardedConfig, ShardedService};
 use std::time::{Duration, Instant};
 
-fn small_engine(config: EngineConfig) -> SharedEngine {
+mod common;
+use common::{live_oracle, rows};
+
+fn small_dataset() -> Dataset {
     let schema = Schema::new(vec![
         Dimension::numeric("x"),
         Dimension::nominal("g", NominalDomain::anonymous(3)),
     ])
     .unwrap();
-    let mut data = Dataset::empty(schema.clone());
+    let mut data = Dataset::empty(schema);
     for (x, g) in [(3.0, 0), (2.0, 1), (1.0, 2), (5.0, 0), (4.0, 1), (6.0, 2)] {
         data.push_row_ids(&[x], &[g]).unwrap();
     }
-    let template = Template::empty(&schema);
-    SharedEngine::new(SkylineEngine::build(Arc::new(data), template, config).unwrap())
+    data
+}
+
+/// The small dataset behind a `shards`-shard service, plus where each of its rows landed.
+fn small_service(engine: EngineConfig, shards: usize) -> (ShardedService, Vec<GlobalRowId>) {
+    let data = small_dataset();
+    let config = ShardedConfig {
+        shards,
+        ..ShardedConfig::default()
+    };
+    let placed = ShardedService::partition_rows(&config.partition, shards, &data);
+    let template = Template::empty(data.schema());
+    let service = ShardedService::build(&data, template, engine, config).unwrap();
+    (service, placed)
 }
 
 /// A generation swap translates cached entries through the published remap instead of
 /// cold-starting the cache: the very first serve after the swap is a (remapped) hit.
 #[test]
 fn generation_swaps_keep_the_cache_warm_via_the_remap() {
-    let engine = small_engine(EngineConfig::AdaptiveSfs);
-    let service = SkylineService::new(engine.clone());
-    let pref = Preference::from_dims(vec![ImplicitPreference::new([0]).unwrap()]);
+    for shards in [1, 2] {
+        let (service, placed) = small_service(EngineConfig::AdaptiveSfs, shards);
+        let pref = Preference::from_dims(vec![ImplicitPreference::new([0]).unwrap()]);
 
-    // Create a tombstone, then cache the answer at the pre-swap epoch.
-    service.delete_row(3).unwrap();
-    let before = service.serve(&pref).unwrap();
-    assert!(!before.cache_hit);
-    assert!(service.serve(&pref).unwrap().cache_hit);
+        // Create a tombstone, then cache the answer at the pre-swap epochs.
+        assert!(service.delete_row(placed[3]).unwrap());
+        let before = service.serve(&pref).unwrap();
+        assert!(!before.cache_hit);
+        assert!(service.serve(&pref).unwrap().cache_hit);
 
-    // The swap renumbers every row id …
-    assert!(service.force_rebuild().unwrap());
-    assert_eq!(service.stats().rebuilds, 1);
-    assert_eq!(service.stats().reclaimed_rows, 1);
+        // The swap renumbers every row id on every shard …
+        assert_eq!(service.force_rebuild_all().unwrap(), shards);
+        assert_eq!(service.stats().rebuilds, shards as u64);
+        assert_eq!(service.stats().reclaimed_rows, 1);
 
-    // … yet the cached entry survives, translated — no engine run, ids in the new space.
-    let after = service.serve(&pref).unwrap();
-    assert!(after.cache_hit, "the swap must not cold-start the cache");
-    assert_eq!(service.stats().remapped_hits, 1);
-    assert_eq!(service.stats().misses, 1, "still only the original miss");
-    assert_eq!(
-        after.outcome.skyline,
-        engine.read().query(&pref).unwrap().skyline,
-        "translated ids must match a fresh evaluation in the new id space"
-    );
-    assert_ne!(after.epoch, before.epoch);
+        // … yet the cached entry survives, translated — no engine run, ids in the new space.
+        let after = service.serve(&pref).unwrap();
+        assert!(after.cache_hit, "the swap must not cold-start the cache");
+        assert_eq!(service.stats().remapped_hits, 1);
+        assert_eq!(service.stats().misses, 1, "still only the original miss");
+        assert_eq!(
+            after.outcome.skyline,
+            live_oracle(&service, &pref),
+            "translated ids must match a fresh evaluation in the new id space"
+        );
+        if shards == 1 {
+            let engine = service.shard(0).read().query(&pref).unwrap().skyline;
+            assert_eq!(rows(&after), engine);
+        }
+        assert_ne!(after.epochs, before.epochs);
 
-    // A later *mutation* invalidates as usual — translation never bridges real changes.
-    service.insert_row(&[0.1], &[0]).unwrap();
-    assert!(!service.serve(&pref).unwrap().cache_hit);
+        // A later *mutation* invalidates as usual — translation never bridges real changes.
+        service.insert_row(&[0.1], &[0]).unwrap();
+        assert!(!service.serve(&pref).unwrap().cache_hit);
+    }
 }
 
-/// Concurrent cold misses for the same canonical key run the engine once: the single-flight
+/// Concurrent cold misses for the same canonical key run the scatter once: the single-flight
 /// latch makes the rest wait and hit the leader's freshly cached entry.
 #[test]
 fn concurrent_cold_misses_are_collapsed_to_one_engine_run() {
     const THREADS: usize = 8;
-    // A big enough engine that the leader's query visibly outlasts the followers' join.
     let config = ExperimentConfig {
         n: 2_000,
         ..ExperimentConfig::paper_default()
     };
-    let data = Arc::new(config.generate_dataset());
+    let data = config.generate_dataset();
     let template = config.template(&data);
-    let schema = data.schema().clone();
-    let engine = SkylineEngine::build(data, template.clone(), EngineConfig::AdaptiveSfs).unwrap();
-    let service = SkylineService::new(engine);
     let mut generator = config.query_generator();
-    let pref = generator.random_preference(&schema, &template, 3, None);
+    let pref = generator.random_preference(data.schema(), &template, 3, None);
+    for shards in [1, 2] {
+        let service = ShardedService::build(
+            &data,
+            template.clone(),
+            EngineConfig::AdaptiveSfs,
+            ShardedConfig {
+                shards,
+                ..ShardedConfig::default()
+            },
+        )
+        .unwrap();
+        // The leader's scatter visibly outlasts the followers' join: whoever misses first
+        // holds the flight for 100 ms, everyone else released by the barrier piles onto it.
+        service
+            .fault_injector()
+            .delay_shard_query(0, Duration::from_millis(100));
 
-    let barrier = std::sync::Barrier::new(THREADS);
-    std::thread::scope(|scope| {
-        for _ in 0..THREADS {
-            scope.spawn(|| {
-                barrier.wait();
-                let served = service.serve(&pref).unwrap();
-                assert_eq!(served.epoch, DatasetEpoch::INITIAL);
-            });
-        }
-    });
-    let stats = service.stats();
-    assert_eq!(stats.served(), THREADS as u64);
-    assert_eq!(stats.misses, 1, "one engine run for the whole wave");
-    assert_eq!(stats.hits, THREADS as u64 - 1);
-    assert!(
-        stats.coalesced >= 1,
-        "at least one thread must have waited on the flight"
-    );
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    barrier.wait();
+                    let served = service.serve(&pref).unwrap();
+                    assert_eq!(*served.epochs, vec![DatasetEpoch::INITIAL; shards]);
+                });
+            }
+        });
+        let stats = service.stats();
+        assert_eq!(stats.served(), THREADS as u64);
+        assert_eq!(stats.misses, 1, "one scatter for the whole wave");
+        assert_eq!(stats.hits, THREADS as u64 - 1);
+        assert!(
+            stats.coalesced >= 1,
+            "at least one thread must have waited on the flight"
+        );
+    }
 }
 
-/// End to end: a mutated hybrid service falls back to Adaptive SFS, the background worker
-/// rebuilds under its policy, and tree-served queries come back — observable through the
-/// service metrics and the served outcome's provenance.
+/// End to end: a mutated hybrid service falls back to Adaptive SFS, the build pool rebuilds
+/// under its policy, and tree-served queries come back — observable through the service
+/// metrics and the served outcome's provenance. One shard, so both mutations count against
+/// the same engine's policy.
 #[test]
 fn background_worker_restores_tree_served_queries() {
-    let engine = small_engine(EngineConfig::Hybrid { top_k: 3 });
-    let service = SkylineService::with_config(
-        engine.clone(),
-        ServiceConfig {
+    let data = small_dataset();
+    let template = Template::empty(data.schema());
+    let engine = SharedEngine::new(
+        SkylineEngine::build(data, template, EngineConfig::Hybrid { top_k: 3 }).unwrap(),
+    );
+    let service = ShardedService::from_engines(
+        vec![engine.clone()],
+        ShardedConfig {
             maintenance: Some(MaintenancePolicy {
                 dead_row_ratio: 1.0, // only the mutation trigger may fire
                 max_mutations_since_rebuild: 2,
                 poll_interval: Duration::from_millis(5),
             }),
-            ..ServiceConfig::default()
+            ..ShardedConfig::default()
         },
-    );
+    )
+    .unwrap();
     let pref = Preference::from_dims(vec![ImplicitPreference::new([0]).unwrap()]);
     assert_eq!(
-        service.serve(&pref).unwrap().outcome.method,
-        MethodUsed::IpoTree
+        service.serve(&pref).unwrap().outcome.methods,
+        vec![MethodUsed::IpoTree]
     );
 
-    // Two mutations cross the policy threshold; the service nudges the worker itself.
+    // Two mutations cross the policy threshold; the service nudges the pool itself.
     service.insert_row(&[0.5], &[0]).unwrap();
-    service.delete_row(4).unwrap();
+    service
+        .delete_row(GlobalRowId { shard: 0, row: 4 })
+        .unwrap();
 
     let deadline = Instant::now() + Duration::from_secs(10);
     while service.stats().rebuilds == 0 {
-        assert!(Instant::now() < deadline, "worker never rebuilt");
+        assert!(Instant::now() < deadline, "pool never rebuilt");
         std::thread::sleep(Duration::from_millis(2));
     }
     let served = service.serve(&pref).unwrap();
     assert_eq!(
-        served.outcome.method,
-        MethodUsed::IpoTree,
+        served.outcome.methods,
+        vec![MethodUsed::IpoTree],
         "the re-materialized tree serves again"
     );
     assert!(engine.read().serves_from_tree(&pref));
@@ -141,46 +182,40 @@ fn background_worker_restores_tree_served_queries() {
         let block = engine.point_block().unwrap();
         assert_eq!(block.len(), block.live_count());
     }
-    // Dropping the service joins the worker thread (no panic, no leak).
+    // Dropping the service joins the build thread (no panic, no leak).
     drop(service);
 }
 
-/// `force_rebuild` works with and without a worker, and the answers stay correct across the
-/// swap for every caller.
+/// Forced rebuilds keep every answer's rows (by value — the swap renumbers ids) and the
+/// post-swap answers are the brute-force skyline in the new id space.
 #[test]
 fn forced_rebuilds_preserve_answers() {
-    let engine = small_engine(EngineConfig::Hybrid { top_k: 3 });
-    let service = SkylineService::new(engine.clone());
-    let schema = engine.read().dataset().schema().clone();
-    let prefs: Vec<Preference> = (0..3u16)
-        .map(|v| Preference::from_dims(vec![ImplicitPreference::new([v]).unwrap()]))
-        .collect();
-
-    service.delete_row(0).unwrap();
-    let before: Vec<Vec<(i64, ValueId)>> = prefs
-        .iter()
-        .map(|p| fingerprints(&engine, &service.serve(p).unwrap().outcome.skyline))
-        .collect();
-    assert!(service.force_rebuild().unwrap());
-    let after: Vec<Vec<(i64, ValueId)>> = prefs
-        .iter()
-        .map(|p| fingerprints(&engine, &service.serve(p).unwrap().outcome.skyline))
-        .collect();
-    assert_eq!(before, after, "the swap must not change any answer's rows");
-    let _ = schema;
-
-    fn fingerprints(engine: &SharedEngine, skyline: &[PointId]) -> Vec<(i64, ValueId)> {
-        let engine = engine.read();
-        let mut v: Vec<(i64, ValueId)> = skyline
-            .iter()
-            .map(|&p| {
-                (
-                    engine.dataset().numeric(p, 0) as i64,
-                    engine.dataset().nominal(p, 0),
-                )
-            })
+    for shards in [1, 2] {
+        let (service, placed) = small_service(EngineConfig::Hybrid { top_k: 3 }, shards);
+        let prefs: Vec<Preference> = (0..3u16)
+            .map(|v| Preference::from_dims(vec![ImplicitPreference::new([v]).unwrap()]))
             .collect();
-        v.sort_unstable();
-        v
+        let fingerprints = |pref: &Preference| {
+            let served = service.serve(pref).unwrap();
+            assert_eq!(served.outcome.skyline, live_oracle(&service, pref));
+            let mut v: Vec<(i64, ValueId)> = served
+                .outcome
+                .skyline
+                .iter()
+                .map(|g| {
+                    let engine = service.shard(g.shard).read();
+                    let data = engine.dataset();
+                    (data.numeric(g.row, 0) as i64, data.nominal(g.row, 0))
+                })
+                .collect();
+            v.sort_unstable();
+            v
+        };
+
+        service.delete_row(placed[0]).unwrap();
+        let before: Vec<_> = prefs.iter().map(fingerprints).collect();
+        assert_eq!(service.force_rebuild_all().unwrap(), shards);
+        let after: Vec<_> = prefs.iter().map(fingerprints).collect();
+        assert_eq!(before, after, "the swap must not change any answer's rows");
     }
 }

@@ -1,11 +1,14 @@
 //! Cache-correctness property: over random datasets and random preference streams (with
 //! repetition, so hits actually occur), serving with the cache enabled is indistinguishable
-//! from serving without it — and both equal the bare engine.
+//! from serving without it — at one shard and at two, and both equal the brute-force skyline
+//! (and, at one shard, the bare engine).
 
 use proptest::prelude::*;
 use skyline::prelude::*;
-use skyline_service::{ServiceConfig, SkylineService};
-use std::sync::Arc;
+use skyline_service::{ShardedConfig, ShardedService};
+
+mod common;
+use common::{live_oracle, rows};
 
 #[derive(Debug, Clone)]
 struct StreamInstance {
@@ -57,7 +60,15 @@ fn instance_strategy() -> impl Strategy<Value = StreamInstance> {
     })
 }
 
-fn build_engine(instance: &StreamInstance) -> SharedEngine {
+/// The instance's dataset behind a `shards`-shard service. Hybrid with a small top_k: the
+/// stream exercises both the tree and the fallback (which also absorbs per-shard top-k sets
+/// that differ at two shards).
+fn build_service(
+    instance: &StreamInstance,
+    shards: usize,
+    cache_capacity: usize,
+    workers: usize,
+) -> ShardedService {
     let schema = Schema::new(vec![
         Dimension::numeric("x"),
         Dimension::numeric("y"),
@@ -65,14 +76,38 @@ fn build_engine(instance: &StreamInstance) -> SharedEngine {
         Dimension::nominal("h", NominalDomain::anonymous(instance.cardinalities[1])),
     ])
     .unwrap();
-    let data = Arc::new(
-        Dataset::from_columns(schema, instance.numeric.clone(), instance.nominal.clone()).unwrap(),
-    );
+    let data =
+        Dataset::from_columns(schema, instance.numeric.clone(), instance.nominal.clone()).unwrap();
     let template = Template::empty(data.schema());
-    // Hybrid with a small top_k: the stream exercises both the tree and the fallback.
-    SharedEngine::new(
-        SkylineEngine::build(data, template, EngineConfig::Hybrid { top_k: 2 }).unwrap(),
+    ShardedService::build(
+        &data,
+        template,
+        EngineConfig::Hybrid { top_k: 2 },
+        ShardedConfig {
+            shards,
+            cache_capacity,
+            cache_shards: 2,
+            workers,
+            ..ShardedConfig::default()
+        },
     )
+    .unwrap()
+}
+
+/// The instance's preference stream (pool entries repeat, so hits occur).
+fn stream_of(instance: &StreamInstance) -> Vec<Preference> {
+    let pool: Vec<Preference> = instance
+        .pool_choices
+        .iter()
+        .map(|dims| {
+            Preference::from_dims(
+                dims.iter()
+                    .map(|c| ImplicitPreference::new(c.clone()).unwrap())
+                    .collect(),
+            )
+        })
+        .collect();
+    instance.stream.iter().map(|&i| pool[i].clone()).collect()
 }
 
 proptest! {
@@ -80,73 +115,51 @@ proptest! {
 
     #[test]
     fn serving_with_cache_equals_serving_without(instance in instance_strategy()) {
-        let engine = build_engine(&instance);
-        let pool: Vec<Preference> = instance
-            .pool_choices
-            .iter()
-            .map(|dims| {
-                Preference::from_dims(
-                    dims.iter()
-                        .map(|c| ImplicitPreference::new(c.clone()).unwrap())
-                        .collect(),
-                )
-            })
-            .collect();
-        let stream: Vec<Preference> =
-            instance.stream.iter().map(|&i| pool[i].clone()).collect();
-
-        let cached = SkylineService::with_config(
-            engine.clone(),
-            ServiceConfig {
-                cache_capacity: instance.cache_capacity,
-                cache_shards: 2,
-                workers: 1, ..ServiceConfig::default() },
-        );
-        let uncached = SkylineService::with_config(
-            engine.clone(),
-            ServiceConfig { cache_capacity: 0, cache_shards: 1, workers: 1, ..ServiceConfig::default() },
-        );
-        for (i, pref) in stream.iter().enumerate() {
-            let expected = engine.read().query(pref).unwrap().skyline;
-            let with_cache = cached.serve(pref).unwrap();
-            let without_cache = uncached.serve(pref).unwrap();
-            prop_assert_eq!(&with_cache.outcome.skyline, &expected, "cached, step {}", i);
-            prop_assert_eq!(&without_cache.outcome.skyline, &expected, "uncached, step {}", i);
+        let stream = stream_of(&instance);
+        for shards in [1, 2] {
+            let cached = build_service(&instance, shards, instance.cache_capacity, 1);
+            let uncached = build_service(&instance, shards, 0, 1);
+            for (i, pref) in stream.iter().enumerate() {
+                let expected = live_oracle(&cached, pref);
+                let with_cache = cached.serve(pref).unwrap();
+                let without_cache = uncached.serve(pref).unwrap();
+                prop_assert_eq!(
+                    &with_cache.outcome.skyline, &expected, "cached, {} shards, step {}", shards, i
+                );
+                prop_assert_eq!(
+                    &without_cache.outcome.skyline, &expected,
+                    "uncached, {} shards, step {}", shards, i
+                );
+                if shards == 1 {
+                    let engine = cached.shard(0).read().query(pref).unwrap().skyline;
+                    prop_assert_eq!(rows(&with_cache), engine, "bare engine, step {}", i);
+                }
+            }
+            // The cached service never invents or loses queries.
+            prop_assert_eq!(cached.stats().served(), stream.len() as u64);
+            prop_assert_eq!(uncached.stats().hits, 0);
         }
-        // The cached service never invents or loses queries.
-        prop_assert_eq!(cached.stats().served(), stream.len() as u64);
-        prop_assert_eq!(uncached.stats().hits, 0);
     }
 
     /// The batched worker-pool path agrees with the serial path on the same stream.
     #[test]
     fn batched_serving_equals_serial_serving(instance in instance_strategy()) {
-        let engine = build_engine(&instance);
-        let pool: Vec<Preference> = instance
-            .pool_choices
-            .iter()
-            .map(|dims| {
-                Preference::from_dims(
-                    dims.iter()
-                        .map(|c| ImplicitPreference::new(c.clone()).unwrap())
-                        .collect(),
-                )
-            })
-            .collect();
-        let stream: Vec<Preference> =
-            instance.stream.iter().map(|&i| pool[i].clone()).collect();
-        let service = SkylineService::with_config(
-            engine.clone(),
-            ServiceConfig {
-                cache_capacity: instance.cache_capacity,
-                cache_shards: 2,
-                workers: 4, ..ServiceConfig::default() },
-        );
-        let batched = service.serve_batch(&stream);
-        prop_assert_eq!(batched.len(), stream.len());
-        for (i, (pref, result)) in stream.iter().zip(batched).enumerate() {
-            let expected = engine.read().query(pref).unwrap().skyline;
-            prop_assert_eq!(&result.unwrap().outcome.skyline, &expected, "step {}", i);
+        let stream = stream_of(&instance);
+        for shards in [1, 2] {
+            let service = build_service(&instance, shards, instance.cache_capacity, 4);
+            let batched = service.serve_batch(&stream);
+            prop_assert_eq!(batched.len(), stream.len());
+            for (i, (pref, result)) in stream.iter().zip(batched).enumerate() {
+                let batched = result.unwrap();
+                prop_assert_eq!(
+                    &batched.outcome.skyline, &live_oracle(&service, pref),
+                    "{} shards, step {}", shards, i
+                );
+                if shards == 1 {
+                    let serial = service.shard(0).read().query(pref).unwrap().skyline;
+                    prop_assert_eq!(rows(&batched), serial, "bare engine, step {}", i);
+                }
+            }
         }
     }
 }

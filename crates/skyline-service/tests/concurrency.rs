@@ -1,12 +1,18 @@
-//! Concurrency suite: N threads × M queries against one shared engine must produce exactly
-//! the answers serial `SkylineEngine::query` produces, with and without the result cache.
+//! Concurrency suite: N threads × M queries against the one service must produce exactly
+//! the answers a serial reference produces, with and without the result cache — at one shard
+//! (every engine configuration, against serial `SkylineEngine::query`) and through a real
+//! two-shard scatter-gather (against the brute-force skyline).
 
 use skyline::prelude::*;
-use skyline_service::{ServiceConfig, SkylineService};
+use skyline_service::{ShardedConfig, ShardedServed, ShardedService};
+use std::fmt::Debug;
 use std::sync::Arc;
 use std::thread;
 
-fn build_engine(seed: u64, config: EngineConfig) -> SharedEngine {
+mod common;
+use common::{live_oracle, rows};
+
+fn experiment(seed: u64) -> (Arc<Dataset>, Template) {
     let experiment = ExperimentConfig {
         n: 800,
         numeric_dims: 2,
@@ -19,20 +25,21 @@ fn build_engine(seed: u64, config: EngineConfig) -> SharedEngine {
     };
     let data = Arc::new(experiment.generate_dataset());
     let template = experiment.template(&data);
+    (data, template)
+}
+
+fn build_engine(seed: u64, config: EngineConfig) -> SharedEngine {
+    let (data, template) = experiment(seed);
     SharedEngine::new(SkylineEngine::build(data, template, config).unwrap())
 }
 
-fn workload(engine: &SharedEngine, seed: u64, count: usize) -> Vec<Preference> {
-    let engine = engine.read();
-    let mut generator = QueryGenerator::new(seed);
-    generator.zipf_workload(
-        engine.dataset().schema(),
-        engine.template(),
-        3,
-        24,
-        count,
-        1.0,
-    )
+fn build_service(seed: u64, engine: EngineConfig, config: ShardedConfig) -> ShardedService {
+    let (data, template) = experiment(seed);
+    ShardedService::build(&data, template, engine, config).unwrap()
+}
+
+fn workload(schema: &Schema, template: &Template, seed: u64, count: usize) -> Vec<Preference> {
+    QueryGenerator::new(seed).zipf_workload(schema, template, 3, 24, count, 1.0)
 }
 
 #[test]
@@ -40,11 +47,15 @@ fn engine_is_shareable_across_threads() {
     // Compile-time: the refactor to Arc<Dataset> must keep the engine Send + Sync.
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SkylineEngine>();
-    assert_send_sync::<SkylineService>();
+    assert_send_sync::<ShardedService>();
+    assert_send_sync::<ShardedServed>();
 
     // Runtime: raw engine queries from 8 threads agree with the serial answers.
     let engine = build_engine(3, EngineConfig::Hybrid { top_k: 4 });
-    let queries = workload(&engine, 17, 64);
+    let queries = {
+        let engine = engine.read();
+        workload(engine.dataset().schema(), engine.template(), 17, 64)
+    };
     let serial: Vec<Vec<PointId>> = queries
         .iter()
         .map(|q| engine.read().query(q).unwrap().skyline)
@@ -68,8 +79,46 @@ fn engine_is_shareable_across_threads() {
     });
 }
 
+/// One `serve_batch` over the worker pool, then four user threads hammering `serve`
+/// concurrently: every answer, projected by `view`, must equal the serial `expected` one.
+fn hammer<T: PartialEq + Debug + Sync>(
+    service: &ShardedService,
+    queries: &[Preference],
+    expected: &[T],
+    view: impl Fn(&ShardedServed) -> T + Sync,
+    what: &str,
+) {
+    for (i, result) in service.serve_batch(queries).into_iter().enumerate() {
+        assert_eq!(
+            view(&result.unwrap()),
+            expected[i],
+            "{what}, batched query {i}"
+        );
+    }
+    thread::scope(|scope| {
+        for t in 0..4 {
+            let view = &view;
+            scope.spawn(move || {
+                for (i, q) in queries.iter().enumerate() {
+                    let served = service.serve(q).unwrap();
+                    assert_eq!(view(&served), expected[i], "{what}, thread {t}, query {i}");
+                }
+            });
+        }
+    });
+    let stats = service.stats();
+    assert_eq!(stats.served(), (queries.len() * 5) as u64);
+    assert!(
+        stats.hit_rate() > 0.5,
+        "Zipf workload should mostly hit the cache, got {}",
+        stats.hit_rate()
+    );
+}
+
 #[test]
 fn threaded_service_matches_serial_engine_for_every_config() {
+    // One shard over the engine itself: frozen tree configurations included, ids compared
+    // one to one with the bare engine's.
     let configs = [
         EngineConfig::SfsD,
         EngineConfig::AdaptiveSfs,
@@ -79,96 +128,101 @@ fn threaded_service_matches_serial_engine_for_every_config() {
     ];
     for config in configs {
         let engine = build_engine(11, config);
-        let queries = workload(&engine, 29, 120);
+        let service = ShardedService::from_engines(
+            vec![engine.clone()],
+            ShardedConfig {
+                workers: 6,
+                ..ShardedConfig::default()
+            },
+        )
+        .unwrap();
+        let queries = workload(service.schema(), service.template(), 29, 120);
         let serial: Vec<Vec<PointId>> = queries
             .iter()
             .map(|q| engine.read().query(q).unwrap().skyline)
             .collect();
+        hammer(
+            &service,
+            &queries,
+            &serial,
+            rows,
+            &format!("config {config:?}"),
+        );
+    }
+}
 
-        let service = Arc::new(SkylineService::with_config(
-            engine,
-            ServiceConfig {
+#[test]
+fn threaded_scatter_gather_matches_the_live_oracle() {
+    // Two shards: the scatter spawns a real worker per request, under the batch pool and
+    // the user threads, and single-flight collapses the identical cold misses.
+    for config in [
+        EngineConfig::SfsD,
+        EngineConfig::AdaptiveSfs,
+        EngineConfig::Hybrid { top_k: 3 },
+    ] {
+        let service = build_service(
+            11,
+            config,
+            ShardedConfig {
+                shards: 2,
                 workers: 6,
-                ..ServiceConfig::default()
+                ..ShardedConfig::default()
             },
-        ));
-        // serve_batch: the pool spreads the batch over its workers.
-        for (i, result) in service.serve_batch(&queries).into_iter().enumerate() {
-            assert_eq!(
-                result.unwrap().outcome.skyline,
-                serial[i],
-                "config {config:?}, batched query {i}"
-            );
-        }
-        // And explicit user threads hammering `serve` concurrently.
-        thread::scope(|scope| {
-            for t in 0..4 {
-                let service = service.clone();
-                let queries = &queries;
-                let serial = &serial;
-                scope.spawn(move || {
-                    for (i, q) in queries.iter().enumerate() {
-                        let served = service.serve(q).unwrap();
-                        assert_eq!(
-                            served.outcome.skyline, serial[i],
-                            "config {config:?}, thread {t}, query {i}"
-                        );
-                    }
-                });
-            }
-        });
-        let stats = service.stats();
-        assert_eq!(stats.served(), (queries.len() * 5) as u64);
-        assert!(
-            stats.hit_rate() > 0.5,
-            "Zipf workload should mostly hit the cache, got {}",
-            stats.hit_rate()
+        );
+        let queries = workload(service.schema(), service.template(), 29, 120);
+        let oracle: Vec<_> = queries.iter().map(|q| live_oracle(&service, q)).collect();
+        hammer(
+            &service,
+            &queries,
+            &oracle,
+            |served| served.outcome.skyline.clone(),
+            &format!("2 shards, config {config:?}"),
         );
     }
 }
 
 #[test]
 fn cache_disabled_service_still_agrees() {
-    let engine = build_engine(23, EngineConfig::AdaptiveSfs);
-    let queries = workload(&engine, 31, 60);
-    let service = SkylineService::with_config(
-        engine.clone(),
-        ServiceConfig {
-            cache_capacity: 0,
-            workers: 4,
-            ..ServiceConfig::default()
-        },
-    );
-    for (q, r) in queries.iter().zip(service.serve_batch(&queries)) {
-        let served = r.unwrap();
-        assert!(!served.cache_hit);
-        assert_eq!(
-            served.outcome.skyline,
-            engine.read().query(q).unwrap().skyline
+    for shards in [1, 2] {
+        let service = build_service(
+            23,
+            EngineConfig::AdaptiveSfs,
+            ShardedConfig {
+                shards,
+                cache_capacity: 0,
+                workers: 4,
+                ..ShardedConfig::default()
+            },
         );
+        let queries = workload(service.schema(), service.template(), 31, 60);
+        for (q, r) in queries.iter().zip(service.serve_batch(&queries)) {
+            let served = r.unwrap();
+            assert!(!served.cache_hit);
+            assert_eq!(served.outcome.skyline, live_oracle(&service, q));
+        }
+        assert_eq!(service.stats().hits, 0);
+        assert_eq!(service.cache_len(), 0);
     }
-    assert_eq!(service.stats().hits, 0);
-    assert_eq!(service.cache_len(), 0);
 }
 
 #[test]
 fn tiny_cache_evicts_but_never_corrupts() {
-    let engine = build_engine(41, EngineConfig::Hybrid { top_k: 2 });
-    let queries = workload(&engine, 43, 200);
-    let service = SkylineService::with_config(
-        engine.clone(),
-        ServiceConfig {
-            cache_capacity: 4,
-            cache_shards: 2,
-            workers: 6,
-            ..ServiceConfig::default()
-        },
-    );
-    for (q, r) in queries.iter().zip(service.serve_batch(&queries)) {
-        assert_eq!(
-            r.unwrap().outcome.skyline,
-            engine.read().query(q).unwrap().skyline
+    for shards in [1, 2] {
+        let service = build_service(
+            41,
+            EngineConfig::Hybrid { top_k: 2 },
+            ShardedConfig {
+                shards,
+                cache_capacity: 4,
+                cache_shards: 2,
+                workers: 6,
+                ..ShardedConfig::default()
+            },
         );
+        let queries = workload(service.schema(), service.template(), 43, 200);
+        for (q, r) in queries.iter().zip(service.serve_batch(&queries)) {
+            assert_eq!(r.unwrap().outcome.skyline, live_oracle(&service, q));
+        }
+        assert!(service.cache_len() <= 4);
     }
-    assert!(service.cache_len() <= 4);
 }

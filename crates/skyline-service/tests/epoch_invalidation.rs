@@ -1,15 +1,19 @@
-//! Regression suite for the dynamic-dataset service: a mutated engine must never serve a
+//! Regression suite for the dynamic-dataset service: a mutated shard must never serve a
 //! stale cached skyline. On the pre-epoch cache (entries not tagged with a [`DatasetEpoch`])
 //! these tests fail — the second serve after a mutation replays the memoized pre-mutation
 //! answer; with epoch-tagged entries the mutation atomically invalidates the cached state and
-//! every answer matches a from-scratch computation over the live rows.
+//! every answer matches a from-scratch computation over the live rows — at one shard (the
+//! single-engine case) and at two.
 
 use proptest::prelude::*;
 use skyline::prelude::*;
-use skyline_core::algo::bnl;
-use skyline_service::{ServiceConfig, SkylineService};
+use skyline_service::{GlobalRowId, ShardedConfig, ShardedService};
 
-fn vacation_service() -> SkylineService {
+mod common;
+use common::{live_oracle, rows};
+
+/// Table 1 of the paper behind a one-shard service: row ids are the engine's own.
+fn vacation_service() -> ShardedService {
     let schema = Schema::new(vec![
         Dimension::numeric("price"),
         Dimension::numeric("class-neg"),
@@ -31,51 +35,40 @@ fn vacation_service() -> SkylineService {
     let data = b.build().unwrap();
     let template = Template::empty(data.schema());
     let engine = SkylineEngine::build(data, template, EngineConfig::Hybrid { top_k: 3 }).unwrap();
-    SkylineService::with_config(
-        engine,
-        ServiceConfig {
+    ShardedService::from_engines(
+        vec![engine.into()],
+        ShardedConfig {
             workers: 1,
-            ..ServiceConfig::default()
+            ..ShardedConfig::default()
         },
     )
-}
-
-/// Brute-force skyline over the service engine's live rows.
-fn live_oracle(service: &SkylineService, pref: &Preference) -> Vec<PointId> {
-    let engine = service.engine().read();
-    let ctx = DominanceContext::for_query(engine.dataset(), engine.template(), pref).unwrap();
-    let live: Vec<PointId> = engine
-        .dataset()
-        .point_ids()
-        .filter(|&p| engine.is_row_live(p))
-        .collect();
-    bnl::skyline_of(&ctx, &live)
+    .unwrap()
 }
 
 #[test]
 fn a_cached_result_is_never_served_across_an_insert() {
     let service = vacation_service();
-    let schema = service.engine().read().dataset().schema().clone();
-    let alice = Preference::parse(&schema, [("hotel-group", "T < M < *")]).unwrap();
+    let alice = Preference::parse(service.schema(), [("hotel-group", "T < M < *")]).unwrap();
 
     let first = service.serve(&alice).unwrap();
     assert!(!first.cache_hit);
-    assert_eq!(first.outcome.skyline, vec![0, 2]);
+    assert_eq!(rows(&first), vec![0, 2]);
     let hit = service.serve(&alice).unwrap();
     assert!(hit.cache_hit, "warm cache must hit before the mutation");
-    assert_eq!(hit.epoch, first.epoch);
+    assert_eq!(hit.epochs, first.epochs);
 
     // Insert a Tulips package that dominates the whole cached answer.
-    let epoch = service.insert_row(&[1000.0, -5.0], &[0]).unwrap();
-    assert!(epoch > first.epoch);
+    let tulips = service.insert_row(&[1000.0, -5.0], &[0]).unwrap();
+    assert_eq!(tulips, GlobalRowId { shard: 0, row: 6 });
+    assert!(service.epochs()[0] > first.epochs[0]);
 
     let fresh = service.serve(&alice).unwrap();
     assert!(
         !fresh.cache_hit,
         "a cached result must never be served across an epoch bump"
     );
-    assert_eq!(fresh.epoch, epoch);
-    assert_eq!(fresh.outcome.skyline, vec![6]);
+    assert_eq!(*fresh.epochs, service.epochs());
+    assert_eq!(rows(&fresh), vec![6]);
     assert_eq!(fresh.outcome.skyline, live_oracle(&service, &alice));
 
     let stats = service.stats();
@@ -91,22 +84,22 @@ fn a_cached_result_is_never_served_across_an_insert() {
 #[test]
 fn a_cached_result_is_never_served_across_a_delete() {
     let service = vacation_service();
-    let schema = service.engine().read().dataset().schema().clone();
-    let pref = Preference::parse(&schema, [("hotel-group", "M < *")]).unwrap();
+    let pref = Preference::parse(service.schema(), [("hotel-group", "M < *")]).unwrap();
+    let e = GlobalRowId { shard: 0, row: 4 };
 
     let first = service.serve(&pref).unwrap();
     assert!(service.serve(&pref).unwrap().cache_hit);
-    assert!(first.outcome.skyline.contains(&4));
+    assert!(rows(&first).contains(&4));
 
     // Delete skyline member e (the cheap Mozilla package): b resurfaces options.
-    service.delete_row(4).unwrap();
+    assert!(service.delete_row(e).unwrap());
     let fresh = service.serve(&pref).unwrap();
     assert!(!fresh.cache_hit);
-    assert!(!fresh.outcome.skyline.contains(&4));
+    assert!(!rows(&fresh).contains(&4));
     assert_eq!(fresh.outcome.skyline, live_oracle(&service, &pref));
 
     // A no-op delete keeps the epoch, so the fresh answer still hits.
-    service.delete_row(4).unwrap();
+    assert!(!service.delete_row(e).unwrap());
     assert!(service.serve(&pref).unwrap().cache_hit);
     assert_eq!(service.stats().mutations, 1);
 }
@@ -145,8 +138,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
 
-    /// Any interleaving of serves, inserts and deletes: every served answer equals the
-    /// brute-force skyline of the rows live at that moment, cache or no cache.
+    /// Any interleaving of serves, inserts and deletes, at one shard and at two: every served
+    /// answer equals the brute-force skyline of the rows live at that moment, cache or no
+    /// cache.
     #[test]
     fn served_answers_always_match_the_live_oracle(
         ops in proptest::collection::vec(op_strategy(), 1..30),
@@ -161,39 +155,50 @@ proptest! {
         for (x, y, g) in [(1.0, 4.0, 0), (2.0, 3.0, 1), (3.0, 2.0, 2), (4.0, 1.0, 0)] {
             data.push_row_ids(&[x, y], &[g]).unwrap();
         }
-        let template = Template::empty(&schema);
-        let engine =
-            SkylineEngine::build(data, template, EngineConfig::AdaptiveSfs).unwrap();
-        let service = SkylineService::with_config(
-            engine,
-            ServiceConfig { workers: 1, cache_capacity: 8, cache_shards: 1, ..ServiceConfig::default() },
-        );
+        for shards in [1, 2] {
+            let config = ShardedConfig {
+                shards,
+                workers: 1,
+                cache_capacity: 8,
+                cache_shards: 1,
+                ..ShardedConfig::default()
+            };
+            // Every row ever placed, in insertion order (deleted ones stay listed: deleting
+            // them again is the no-op case).
+            let mut placed = ShardedService::partition_rows(&config.partition, shards, &data);
+            let service = ShardedService::build(
+                &data,
+                Template::empty(&schema),
+                EngineConfig::AdaptiveSfs,
+                config,
+            )
+            .unwrap();
 
-        for op in ops {
-            match op {
-                Op::Serve { choices } => {
-                    let pref = Preference::from_dims(vec![
-                        ImplicitPreference::new(choices).unwrap(),
-                    ]);
-                    let served = service.serve(&pref).unwrap();
-                    prop_assert_eq!(
-                        &served.outcome.skyline,
-                        &live_oracle(&service, &pref),
-                        "epoch {:?}",
-                        served.epoch
-                    );
-                    prop_assert_eq!(served.epoch, service.epoch());
-                }
-                Op::Insert { numeric, nominal } => {
-                    service.insert_row(&numeric, &nominal).unwrap();
-                }
-                Op::Delete { index } => {
-                    let len = service.engine().read().dataset().len();
-                    service.delete_row((index % len) as PointId).unwrap();
+            for op in &ops {
+                match op {
+                    Op::Serve { choices } => {
+                        let pref = Preference::from_dims(vec![
+                            ImplicitPreference::new(choices.clone()).unwrap(),
+                        ]);
+                        let served = service.serve(&pref).unwrap();
+                        prop_assert_eq!(
+                            &served.outcome.skyline,
+                            &live_oracle(&service, &pref),
+                            "{} shards, epochs {:?}",
+                            shards,
+                            served.epochs
+                        );
+                        prop_assert_eq!(&*served.epochs, &service.epochs()[..]);
+                    }
+                    Op::Insert { numeric, nominal } => {
+                        placed.push(service.insert_row(numeric, nominal).unwrap());
+                    }
+                    Op::Delete { index } => {
+                        service.delete_row(placed[index % placed.len()]).unwrap();
+                    }
                 }
             }
+            prop_assert_eq!(service.stats().errors, 0);
         }
-        let stats = service.stats();
-        prop_assert_eq!(stats.errors, 0);
     }
 }

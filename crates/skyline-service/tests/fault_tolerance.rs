@@ -418,3 +418,57 @@ fn background_build_panic_quarantines_then_recovers() {
     let healed = service.serve(&pref).unwrap();
     assert!(!healed.is_degraded());
 }
+
+/// One shard is the single-engine service, and its fault isolation is the same machinery: a
+/// panic inside the only shard's query is caught — it quarantines shard 0 instead of
+/// unwinding into the caller — cached answers keep serving through the quarantine, and an
+/// explicit recovery heals it. Under a tolerant policy the degraded answer is empty.
+#[test]
+fn a_one_shard_service_contains_its_only_shards_panic() {
+    let data = initial_dataset(&vec![
+        (vec![1.0, 2.0], vec![0]),
+        (vec![2.0, 1.0], vec![1]),
+        (vec![0.5, 3.0], vec![2]),
+    ]);
+    let cached_pref = Preference::from_dims(vec![ImplicitPreference::new([0]).unwrap()]);
+    let pref = Preference::from_dims(vec![ImplicitPreference::new([1]).unwrap()]);
+    let unavailable = SkylineError::ShardUnavailable { shard: 0 };
+
+    let service = build_service(&data, 1, false);
+    let full = service.serve(&cached_pref).unwrap();
+    service
+        .fault_injector()
+        .arm_from_spec("panic-on-shard-query=0:1");
+    assert_eq!(service.serve(&pref).unwrap_err(), unavailable);
+    assert_eq!(service.quarantined_shards(), vec![0]);
+    // The failpoint is spent: it is the quarantine, not another panic, that keeps failing
+    // fresh misses closed — while the cached (complete) answer keeps serving.
+    assert_eq!(service.serve(&pref).unwrap_err(), unavailable);
+    let hit = service.serve(&cached_pref).unwrap();
+    assert!(hit.cache_hit && !hit.is_degraded());
+    assert_eq!(hit.outcome.skyline, full.outcome.skyline);
+
+    assert!(service.recover_shard(0).unwrap());
+    assert!(service.quarantined_shards().is_empty());
+    let healed = service.serve(&pref).unwrap();
+    assert!(!healed.cache_hit && !healed.is_degraded());
+    assert_eq!(
+        served_values(&service, &healed),
+        merge_of_shards(&service, &[0], &pref),
+        "the next miss is complete"
+    );
+
+    // Tolerate { max_degraded: 1 }: nothing is left to answer from, and nothing is cached.
+    let tolerant = build_service(&data, 1, true);
+    tolerant
+        .fault_injector()
+        .arm_from_spec("panic-on-shard-query=0:1");
+    for _ in 0..2 {
+        let degraded = tolerant.serve(&pref).unwrap();
+        assert!(degraded.outcome.skyline.is_empty());
+        assert_eq!(degraded.degraded_shards, vec![0]);
+        assert!(!degraded.cache_hit);
+    }
+    assert_eq!(tolerant.cache_len(), 0, "degraded answers are never cached");
+    assert_eq!(tolerant.stats().degraded, 2);
+}

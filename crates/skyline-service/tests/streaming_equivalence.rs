@@ -13,13 +13,20 @@
 //! * **snapshot isolation** — a mutation racing the stream does not change its answer: the
 //!   stream serves the generation it started on.
 //!
+//! A fifth, deterministic scenario pins the reason streams never join a single-flight latch:
+//! a stream whose consumer stops pulling must not block batch serves or writers.
+//!
 //! The suite is kernel-agnostic; CI runs it under both `SKYLINE_KERNEL` modes.
 
 use proptest::prelude::*;
 use skyline::prelude::*;
 use skyline_core::score::ScoreFn;
-use skyline_service::{ServiceConfig, ShardedConfig, ShardedService, SkylineService};
-use std::sync::Arc;
+use skyline_service::{GlobalRowId, ShardedConfig, ShardedService};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+
+mod common;
+use common::{live_oracle, rows};
 
 const CARD: usize = 3;
 
@@ -68,7 +75,8 @@ fn value_key(data: &Dataset, p: PointId) -> ValueKey {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
 
-    /// Progressive serving — single-engine and sharded — matches batch answers everywhere.
+    /// Progressive serving — one shard over the engine itself, and 1–6 built shards —
+    /// matches batch answers everywhere.
     #[test]
     fn streaming_matches_batch_for_every_config_and_shard_count(
         initial in rows_strategy(),
@@ -96,37 +104,43 @@ proptest! {
                 expected_ids.iter().map(|&p| value_key(&data, p)).collect();
             expected_values.sort();
 
-            // --- Single-engine service stream ---
-            let engine = SharedEngine::new(
-                SkylineEngine::build(data.clone(), template.clone(), config).unwrap(),
-            );
-            let service = SkylineService::with_config(
-                engine,
-                ServiceConfig { workers: 1, ..ServiceConfig::default() },
-            );
+            // --- One shard over an existing engine: ids are the engine's own ---
+            let engine = SkylineEngine::build(data.clone(), template.clone(), config).unwrap();
+            let service = ShardedService::from_engines(
+                vec![engine.into()],
+                ShardedConfig { workers: 1, ..ShardedConfig::default() },
+            )
+            .unwrap();
             let mut stream = service.serve_streaming(&pref).unwrap();
-            let pinned = stream.epoch();
-            let mut rows: Vec<PointId> = Vec::new();
+            let pinned = stream.epochs().clone();
+            let mut ids: Vec<PointId> = Vec::new();
             let mut mutated = false;
-            while let Some(p) = stream.next_row().unwrap() {
-                prop_assert!(!rows.contains(&p), "row {} emitted twice ({:?})", p, config);
-                rows.push(p);
+            while let Some(g) = stream.next_row().unwrap() {
+                prop_assert_eq!(g.shard, 0);
+                prop_assert!(!ids.contains(&g.row), "row {} emitted twice ({:?})", g.row, config);
+                ids.push(g.row);
                 if mutate_mid_stream && !mutated {
                     mutated = true;
                     // A dominating row lands mid-stream; the pinned snapshot must not see it.
                     service.insert_row(&[-1.0, -1.0], &[0]).unwrap();
-                    prop_assert!(service.epoch() != pinned);
+                    prop_assert!(service.epochs() != *pinned);
                 }
             }
-            let scores: Vec<f64> = rows.iter().map(|&p| score.score(&data, p)).collect();
+            let scores: Vec<f64> = ids.iter().map(|&p| score.score(&data, p)).collect();
             prop_assert!(
                 scores.windows(2).all(|w| w[0] <= w[1]),
                 "score order violated ({:?}): {:?}",
                 config,
                 scores
             );
-            rows.sort_unstable();
-            prop_assert_eq!(&rows, &expected_ids, "single-engine set mismatch ({:?})", config);
+            ids.sort_unstable();
+            prop_assert_eq!(&ids, &expected_ids, "one-shard set mismatch ({:?})", config);
+            if !mutated {
+                // The finished stream warmed the cache: the batch path replays its answer.
+                let served = service.serve(&pref).unwrap();
+                prop_assert!(served.cache_hit, "finished stream must warm the cache ({:?})", config);
+                prop_assert_eq!(rows(&served), expected_ids.clone());
+            }
 
             // --- Sharded service stream ---
             let sharded = ShardedService::build(
@@ -137,7 +151,7 @@ proptest! {
             )
             .unwrap();
             let mut stream = sharded.serve_streaming(&pref).unwrap();
-            let mut global: Vec<skyline_service::GlobalRowId> = Vec::new();
+            let mut global: Vec<GlobalRowId> = Vec::new();
             let mut mutated = false;
             while let Some(g) = stream.next_row().unwrap() {
                 prop_assert!(!global.contains(&g), "row {:?} emitted twice ({:?})", g, config);
@@ -173,5 +187,87 @@ proptest! {
                 shards
             );
         }
+    }
+}
+
+/// Runs `step` on its own thread and returns its result — or fails, instead of hanging, when
+/// it has not finished in time.
+fn completes<T: Send + 'static>(what: &str, step: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(step());
+    });
+    rx.recv_timeout(Duration::from_secs(10))
+        .unwrap_or_else(|_| panic!("{what} did not complete while the stream was open"))
+}
+
+/// The wedge: were a stream to hold the single-flight latch for its caller-paced life, a
+/// batch serve of the same preference would park on it holding the shard read locks, the
+/// next writer would queue behind that reader and every later reader behind the writer.
+/// Streams take no latch, so all three complete while the consumer idles.
+#[test]
+fn an_idle_stream_blocks_neither_batch_serves_nor_writers() {
+    let config = ExperimentConfig {
+        n: 600,
+        numeric_dims: 2,
+        nominal_dims: 2,
+        cardinality: 6,
+        theta: 1.0,
+        pref_order: 2,
+        distribution: Distribution::AntiCorrelated,
+        seed: 19,
+    };
+    let data = config.generate_dataset();
+    let template = config.template(&data);
+    let mut generator = QueryGenerator::new(23);
+    let pref = generator.random_preference(data.schema(), &template, 2, None);
+    let other = generator.random_preference(data.schema(), &template, 1, None);
+    for shards in [1, 2] {
+        let service = Arc::new(
+            ShardedService::build(
+                &data,
+                template.clone(),
+                EngineConfig::AdaptiveSfs,
+                ShardedConfig {
+                    shards,
+                    workers: 2,
+                    ..ShardedConfig::default()
+                },
+            )
+            .unwrap(),
+        );
+
+        // Open the stream, pull one row, stop pulling.
+        let mut stream = service.serve_streaming(&pref).unwrap();
+        let first = stream.next_row().unwrap().expect("non-empty skyline");
+
+        let same = completes("a batch serve of the streamed preference", {
+            let (service, pref) = (service.clone(), pref.clone());
+            move || service.serve(&pref).unwrap()
+        });
+        assert_eq!(
+            &same.epochs,
+            stream.epochs(),
+            "served at the stream's epochs"
+        );
+        let inserted = completes("a write", {
+            let service = service.clone();
+            move || service.insert_row(&[0.0, 0.0], &[0, 0]).unwrap()
+        });
+        completes("a batch serve of an unrelated preference", {
+            let (service, other) = (service.clone(), other.clone());
+            move || service.serve(&other).unwrap()
+        });
+
+        // The stream then drains to exactly its pinned-epoch answer …
+        let mut streamed = vec![first];
+        streamed.extend(stream.collect_rows().unwrap());
+        streamed.sort_unstable();
+        assert_eq!(streamed, same.outcome.skyline, "{shards} shards");
+        // … while a serve issued after the insert sees the live rows.
+        let after = service.serve(&pref).unwrap();
+        assert!(!after.cache_hit);
+        assert!(after.outcome.skyline.contains(&inserted));
+        assert_eq!(after.outcome.skyline, live_oracle(&service, &pref));
     }
 }

@@ -313,7 +313,7 @@ impl PendingGeneration {
 ///
 /// [`SkylineEngine::insert_row`] and [`SkylineEngine::delete_row`] mutate the bound dataset in
 /// place (`&mut self`) and return the new [`DatasetEpoch`]; every answered query is implicitly
-/// relative to the epoch it ran at, and [`SkylineEngine::query_at`] rejects a stale
+/// relative to the epoch it ran at, and [`SkylineEngine::query_at_deadline`] rejects a stale
 /// expectation with [`SkylineError::EpochMismatch`]. Configurations that answer purely from
 /// materialized IPO structures ([`EngineConfig::IpoTree`], [`EngineConfig::IpoTreeTopK`],
 /// [`EngineConfig::BitmapIpoTree`]) are frozen and reject mutations — rebuild them instead.
@@ -336,8 +336,8 @@ impl PendingGeneration {
 ///    the new generation, swaps it in atomically, and publishes a [`GenerationRemap`] so
 ///    callers can translate stale row ids.
 ///
-/// [`SharedEngine::rebuild_now`] packages the three steps for synchronous use; the
-/// [`crate::maintenance::MaintenanceWorker`] drives them from a background thread under a
+/// [`SharedEngine::rebuild_now`] packages the three steps for synchronous use; a
+/// [`crate::maintenance::BuildPool`] drives them from background threads under a
 /// [`crate::maintenance::MaintenancePolicy`].
 #[derive(Debug, Clone)]
 pub struct SkylineEngine {
@@ -424,7 +424,7 @@ impl SharedEngine {
     /// [`GenerationRemap`].
     ///
     /// This is the same three-step cycle the background
-    /// [`crate::maintenance::MaintenanceWorker`] drives; call it directly for deterministic
+    /// [`crate::maintenance::BuildPool`] drives; call it directly for deterministic
     /// rebuilds in tests or batch jobs. Fails on frozen configurations and when another
     /// rebuild is already in flight.
     pub fn rebuild_now(&self) -> Result<GenerationRemap> {
@@ -446,7 +446,7 @@ impl From<SkylineEngine> for SharedEngine {
     }
 }
 
-/// Reusable per-thread buffers for [`SkylineEngine::query_with_scratch`].
+/// Reusable per-thread buffers for [`SkylineEngine::query_at_deadline`].
 ///
 /// A worker thread serving many queries hands the same scratch to every call so the
 /// per-query candidate and elimination buffers are reused instead of reallocated (the
@@ -633,15 +633,6 @@ impl SkylineEngine {
             }
             EngineConfig::SfsD | EngineConfig::AdaptiveSfs | EngineConfig::Hybrid { .. } => Ok(()),
         }
-    }
-
-    /// Like [`SkylineEngine::check_servable`], additionally failing with
-    /// [`SkylineError::EpochMismatch`] when the engine has moved past `epoch` — the check a
-    /// caller holding epoch-tagged derived state (a result cache, a materialized view) runs
-    /// before trusting that state.
-    pub fn check_servable_at(&self, pref: &Preference, epoch: DatasetEpoch) -> Result<()> {
-        self.ensure_epoch(epoch)?;
-        self.check_servable(pref)
     }
 
     /// True when this configuration supports [`SkylineEngine::insert_row`] /
@@ -913,29 +904,27 @@ impl SkylineEngine {
         }
     }
 
-    /// Answers an implicit-preference query.
+    /// Answers an implicit-preference query at the engine's current epoch, without a deadline
+    /// — sugar over [`SkylineEngine::query_at_deadline`] with a throwaway scratch.
     pub fn query(&self, pref: &Preference) -> Result<QueryOutcome> {
-        let mut scratch = EngineScratch::default();
-        self.query_with_scratch(pref, &mut scratch)
+        self.query_at_deadline(
+            pref,
+            self.epoch(),
+            &Deadline::none(),
+            &mut EngineScratch::default(),
+        )
     }
 
-    /// Like [`SkylineEngine::query_with_scratch`], validating that the engine is still at
-    /// `epoch` first — the answer is guaranteed to be computed against exactly that dataset
-    /// version or the call fails with [`SkylineError::EpochMismatch`].
-    pub fn query_at(
-        &self,
-        pref: &Preference,
-        epoch: DatasetEpoch,
-        scratch: &mut EngineScratch,
-    ) -> Result<QueryOutcome> {
-        self.ensure_epoch(epoch)?;
-        self.query_with_scratch(pref, scratch)
-    }
-
-    /// Like [`SkylineEngine::query_at`] under a request [`Deadline`]: the elimination scans
-    /// poll the deadline at block granularity and the call fails with
-    /// [`SkylineError::DeadlineExceeded`] once the budget is spent — releasing the worker
-    /// instead of finishing an answer nobody is waiting for.
+    /// The batch primitive: validates that the engine is still at `epoch` — the answer is
+    /// computed against exactly that dataset version or the call fails with
+    /// [`SkylineError::EpochMismatch`] — then answers `pref` under a request [`Deadline`],
+    /// reusing the caller-owned `scratch` buffers (threads that answer many queries keep one
+    /// [`EngineScratch`] each so the per-query merge and elimination buffers are recycled).
+    ///
+    /// The Adaptive-SFS and SFS-D elimination scans poll the deadline at block granularity
+    /// and fail with [`SkylineError::DeadlineExceeded`] once the budget is spent — releasing
+    /// the worker instead of finishing an answer nobody is waiting for; the IPO tree paths
+    /// (set operations, orders of magnitude cheaper than a scan) check it once up front.
     pub fn query_at_deadline(
         &self,
         pref: &Preference,
@@ -944,32 +933,6 @@ impl SkylineEngine {
         scratch: &mut EngineScratch,
     ) -> Result<QueryOutcome> {
         self.ensure_epoch(epoch)?;
-        self.query_with_deadline(pref, deadline, scratch)
-    }
-
-    /// Like [`SkylineEngine::query`], reusing caller-owned scratch buffers across queries.
-    ///
-    /// Threads that answer many queries (the `skyline-service` worker pool) keep one
-    /// [`EngineScratch`] each so the per-query merge and elimination buffers are recycled
-    /// instead of reallocated.
-    pub fn query_with_scratch(
-        &self,
-        pref: &Preference,
-        scratch: &mut EngineScratch,
-    ) -> Result<QueryOutcome> {
-        self.query_with_deadline(pref, &Deadline::none(), scratch)
-    }
-
-    /// Like [`SkylineEngine::query_with_scratch`] under a request [`Deadline`]. The
-    /// Adaptive-SFS and SFS-D elimination scans poll the deadline at block granularity; the
-    /// IPO tree paths (set operations, orders of magnitude cheaper than a scan) check it once
-    /// up front.
-    pub fn query_with_deadline(
-        &self,
-        pref: &Preference,
-        deadline: &Deadline,
-        scratch: &mut EngineScratch,
-    ) -> Result<QueryOutcome> {
         deadline.check()?;
         match self.config {
             EngineConfig::SfsD => self.query_sfs_d(pref, deadline),
@@ -1057,8 +1020,10 @@ impl SkylineEngine {
         })
     }
 
-    /// Progressive evaluation: returns an [`EngineStream`] that yields confirmed skyline
-    /// members one at a time, in ascending query-score order, for **every** configuration.
+    /// The stream primitive — progressive evaluation: validates that the engine is still at
+    /// `epoch` (see [`SkylineEngine::query_at_deadline`]), then returns an [`EngineStream`]
+    /// that yields confirmed skyline members one at a time, in ascending query-score order,
+    /// for **every** configuration.
     ///
     /// * [`EngineConfig::AdaptiveSfs`] (and the hybrid's fallback side) drive the
     ///   Adaptive-SFS progressive scan — the first member is typically available after a
@@ -1074,9 +1039,14 @@ impl SkylineEngine {
     /// generation swaps, or dropping the engine guard that created it. `deadline` is polled
     /// at block granularity inside [`EngineStream::next_row`]; an expired deadline aborts the
     /// *pull*, not the stream — pulling again after replacing the deadline resumes.
-    pub fn query_streaming(&self, pref: &Preference, deadline: Deadline) -> Result<EngineStream> {
+    pub fn query_streaming_at(
+        &self,
+        pref: &Preference,
+        epoch: DatasetEpoch,
+        deadline: Deadline,
+    ) -> Result<EngineStream> {
+        self.ensure_epoch(epoch)?;
         deadline.check()?;
-        let epoch = self.epoch();
         let data = self.dataset_arc().clone();
         let score = ScoreFn::for_preference(data.schema(), pref)?;
         let (inner, method) = match self.config {
@@ -1158,18 +1128,6 @@ impl SkylineEngine {
             data,
         })
     }
-
-    /// Like [`SkylineEngine::query_streaming`], validating that the engine is still at
-    /// `epoch` first (see [`SkylineEngine::query_at`]).
-    pub fn query_streaming_at(
-        &self,
-        pref: &Preference,
-        epoch: DatasetEpoch,
-        deadline: Deadline,
-    ) -> Result<EngineStream> {
-        self.ensure_epoch(epoch)?;
-        self.query_streaming(pref, deadline)
-    }
 }
 
 /// The per-configuration state behind an [`EngineStream`].
@@ -1193,7 +1151,7 @@ struct SortedScan {
 }
 
 /// A progressive skyline result: confirmed members, one per [`EngineStream::next_row`] call,
-/// in ascending query-score order. Created by [`SkylineEngine::query_streaming`].
+/// in ascending query-score order. Created by [`SkylineEngine::query_streaming_at`].
 ///
 /// Every yielded point is **final** — the stream never retracts — and the set of all yielded
 /// points equals the batch [`SkylineEngine::query`] answer for the same preference at the
@@ -1452,19 +1410,19 @@ mod tests {
         let mut engine = SkylineEngine::build(data, template, EngineConfig::AdaptiveSfs).unwrap();
         let pref = Preference::parse(&schema, [("hotel-group", "M < *")]).unwrap();
         let mut scratch = EngineScratch::default();
+        let none = Deadline::none();
         let epoch = engine.epoch();
-        assert!(engine.query_at(&pref, epoch, &mut scratch).is_ok());
-        assert!(engine.check_servable_at(&pref, epoch).is_ok());
+        assert!(engine
+            .query_at_deadline(&pref, epoch, &none, &mut scratch)
+            .is_ok());
         engine.insert_row(&[1.0, 1.0], &[0, 0]).unwrap();
         assert!(matches!(
-            engine.query_at(&pref, epoch, &mut scratch),
+            engine.query_at_deadline(&pref, epoch, &none, &mut scratch),
             Err(SkylineError::EpochMismatch { .. })
         ));
-        assert!(matches!(
-            engine.check_servable_at(&pref, epoch),
-            Err(SkylineError::EpochMismatch { .. })
-        ));
-        assert!(engine.query_at(&pref, engine.epoch(), &mut scratch).is_ok());
+        assert!(engine
+            .query_at_deadline(&pref, engine.epoch(), &none, &mut scratch)
+            .is_ok());
     }
 
     #[test]
@@ -1543,7 +1501,9 @@ mod tests {
             for spec in &specs {
                 let pref = Preference::parse(&schema, spec.clone()).unwrap();
                 let batch = engine.query(&pref).unwrap();
-                let mut stream = engine.query_streaming(&pref, Deadline::none()).unwrap();
+                let mut stream = engine
+                    .query_streaming_at(&pref, engine.epoch(), Deadline::none())
+                    .unwrap();
                 assert_eq!(stream.epoch(), engine.epoch());
                 let mut streamed = Vec::new();
                 let mut last_score = f64::NEG_INFINITY;
@@ -1575,7 +1535,7 @@ mod tests {
         let pref = Preference::parse(&schema, [("airline", "W < *")]).unwrap();
         let batch = engine.query(&pref).unwrap();
         let outcome = engine
-            .query_streaming(&pref, Deadline::none())
+            .query_streaming_at(&pref, engine.epoch(), Deadline::none())
             .unwrap()
             .collect_outcome()
             .unwrap();
@@ -1594,12 +1554,16 @@ mod tests {
         // An expired deadline rejects stream construction outright.
         let expired = Deadline::within(std::time::Duration::ZERO);
         assert_eq!(
-            engine.query_streaming(&pref, expired).unwrap_err(),
+            engine
+                .query_streaming_at(&pref, engine.epoch(), expired)
+                .unwrap_err(),
             SkylineError::DeadlineExceeded
         );
 
         // Expiry mid-stream aborts the pull; replacing the deadline resumes the same stream.
-        let mut stream = engine.query_streaming(&pref, Deadline::none()).unwrap();
+        let mut stream = engine
+            .query_streaming_at(&pref, engine.epoch(), Deadline::none())
+            .unwrap();
         let first = stream.next_row().unwrap().unwrap();
         stream.set_deadline(Deadline::within(std::time::Duration::ZERO));
         assert_eq!(
@@ -1624,7 +1588,9 @@ mod tests {
             let mut engine = SkylineEngine::build(data.clone(), template.clone(), config).unwrap();
             let pref = Preference::parse(&schema, [("hotel-group", "M < *")]).unwrap();
             let before = engine.query(&pref).unwrap().skyline;
-            let mut stream = engine.query_streaming(&pref, Deadline::none()).unwrap();
+            let mut stream = engine
+                .query_streaming_at(&pref, engine.epoch(), Deadline::none())
+                .unwrap();
             // A dominating insert lands mid-stream; the stream must keep answering from its
             // snapshot while fresh queries see the new row.
             engine.insert_row(&[1.0, -9.0], &[2, 0]).unwrap();

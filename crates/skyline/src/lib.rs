@@ -54,10 +54,7 @@ pub use engine::{
     EngineConfig, EngineScratch, EngineStream, Generation, GenerationRemap, GenerationSnapshot,
     MethodUsed, PendingGeneration, QueryOutcome, SharedEngine, SkylineEngine, REMAP_CHAIN_LIMIT,
 };
-pub use maintenance::{
-    BuildHandle, BuildHook, BuildPool, BuildPoolConfig, MaintenanceHandle, MaintenancePolicy,
-    MaintenanceWorker,
-};
+pub use maintenance::{BuildHandle, BuildHook, BuildPool, BuildPoolConfig, MaintenancePolicy};
 
 pub use skyline_adaptive as adaptive;
 pub use skyline_core as model;
@@ -70,7 +67,7 @@ pub mod prelude {
         EngineConfig, EngineScratch, EngineStream, Generation, GenerationRemap, MethodUsed,
         QueryOutcome, SharedEngine, SkylineEngine,
     };
-    pub use crate::maintenance::{MaintenanceHandle, MaintenancePolicy, MaintenanceWorker};
+    pub use crate::maintenance::MaintenancePolicy;
     pub use skyline_adaptive::{AdaptiveSfs, MaintenanceStats};
     pub use skyline_core::{
         CompiledRelation, Dataset, DatasetBuilder, DatasetEpoch, Dimension, DimensionKind,

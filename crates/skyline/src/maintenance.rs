@@ -18,8 +18,8 @@
 //! [`BuildPool`] instead shares a small fixed set of build threads across every registered
 //! engine: each engine gets its own nudge queue slot, and a **global in-flight cap**
 //! ([`BuildPoolConfig::max_in_flight`]) bounds how many generation builds run concurrently no
-//! matter how many shards turned due together. [`MaintenanceWorker::spawn`] is the
-//! single-engine special case — a one-thread, cap-1 pool behind the same handle API.
+//! matter how many shards turned due together. A single engine is the one-thread, cap-1 pool
+//! with one registered engine — [`BuildPoolConfig::default`].
 
 use crate::engine::SharedEngine;
 use skyline_core::Result;
@@ -472,56 +472,6 @@ fn worker_loop(inner: &PoolInner) {
     }
 }
 
-/// Handle to a running [`MaintenanceWorker`]; dropping it shuts the worker down (joining the
-/// thread).
-#[derive(Debug)]
-pub struct MaintenanceHandle {
-    handle: BuildHandle,
-    /// Dropped last: joins the worker thread.
-    _pool: BuildPool,
-}
-
-impl MaintenanceHandle {
-    /// Nudges the worker to evaluate its policy now instead of waiting for the next poll
-    /// tick. Non-blocking and cheap — call it after every mutation.
-    pub fn notify(&self) {
-        self.handle.notify();
-    }
-
-    /// Runs one rebuild cycle right now, regardless of the policy, and waits for it to
-    /// finish. Returns `Ok(true)` when a new generation was installed, `Ok(false)` when
-    /// skipped (e.g. a rebuild was already in flight), and the build error otherwise.
-    pub fn force_rebuild(&self) -> Result<bool> {
-        self.handle.force_rebuild()
-    }
-}
-
-/// The single-engine background maintenance worker: a one-thread, cap-1 [`BuildPool`] with
-/// exactly one registered engine (see the module docs).
-pub struct MaintenanceWorker;
-
-impl MaintenanceWorker {
-    /// Spawns a dedicated worker thread watching `engine` under `policy` and returns its
-    /// handle.
-    ///
-    /// The worker wakes on every [`MaintenanceHandle::notify`] and at least every
-    /// [`MaintenancePolicy::poll_interval`]; when [`MaintenancePolicy::due`] holds it runs one
-    /// rebuild cycle. Build errors leave the old generation serving and are retried on the
-    /// next due evaluation.
-    pub fn spawn(engine: SharedEngine, policy: MaintenancePolicy) -> MaintenanceHandle {
-        let pool = BuildPool::new(BuildPoolConfig {
-            threads: 1,
-            max_in_flight: 1,
-            poll_interval: policy.poll_interval,
-        });
-        let handle = pool.register(engine, policy);
-        MaintenanceHandle {
-            handle,
-            _pool: pool,
-        }
-    }
-}
-
 /// One rebuild cycle; `Ok(false)` when skipped because a rebuild was already in flight.
 fn run_cycle(engine: &SharedEngine) -> Result<bool> {
     if engine.read().rebuild_in_flight() {
@@ -600,12 +550,21 @@ mod tests {
         assert!(policy.due(&engine.read()));
     }
 
+    /// The single-engine case: a one-thread, cap-1 pool polling every `poll_interval`.
+    fn one_thread_pool(poll_interval: Duration) -> BuildPool {
+        BuildPool::new(BuildPoolConfig {
+            poll_interval,
+            ..BuildPoolConfig::default()
+        })
+    }
+
     #[test]
     fn worker_compacts_when_forced_and_shuts_down_on_drop() {
         let engine = shared(EngineConfig::Hybrid { top_k: 2 });
         engine.write().delete_row(0).unwrap();
         engine.write().delete_row(3).unwrap();
-        let handle = MaintenanceWorker::spawn(
+        let pool = one_thread_pool(Duration::from_millis(10));
+        let handle = pool.register(
             engine.clone(),
             MaintenancePolicy {
                 // Thresholds the test never crosses: only the forced cycle may rebuild.
@@ -623,14 +582,16 @@ mod tests {
             assert_eq!(engine.maintenance_stats().rebuilds, 1);
             assert_eq!(engine.maintenance_stats().reclaimed_rows, 2);
         }
-        drop(handle); // joins the thread
+        drop(handle);
+        drop(pool); // joins the thread
         assert!(!engine.read().rebuild_in_flight());
     }
 
     #[test]
     fn worker_rebuilds_in_the_background_when_due() {
         let engine = shared(EngineConfig::AdaptiveSfs);
-        let handle = MaintenanceWorker::spawn(
+        let pool = one_thread_pool(Duration::from_millis(5));
+        let handle = pool.register(
             engine.clone(),
             MaintenancePolicy {
                 dead_row_ratio: 0.2,

@@ -12,6 +12,7 @@
 use proptest::prelude::*;
 use skyline::prelude::*;
 use skyline_core::algo::bnl;
+use skyline_core::Deadline;
 use std::sync::Arc;
 
 const CARD: usize = 3;
@@ -412,8 +413,8 @@ fn replayed_mutations_are_counted_once_in_maintenance_stats() {
 ///
 /// The writer inserts dominated rows (never skyline members) and deletes them again, with
 /// rebuilds interleaved, so the skyline's *values* are invariant throughout while row ids
-/// renumber under the readers. Every read validates its own epoch via `query_at` under one
-/// read guard and checks the returned rows' values against the invariant.
+/// renumber under the readers. Every read validates its own epoch via `query_at_deadline`
+/// under one read guard and checks the returned rows' values against the invariant.
 #[test]
 fn queries_during_swaps_are_never_torn_or_stale() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -449,7 +450,9 @@ fn queries_during_swaps_are_never_torn_or_stale() {
                     let engine = shared_ref.read();
                     let epoch = engine.epoch();
                     // Never EpochMismatch: epoch and query run under one guard.
-                    let outcome = engine.query_at(pref_ref, epoch, &mut scratch).unwrap();
+                    let outcome = engine
+                        .query_at_deadline(pref_ref, epoch, &Deadline::none(), &mut scratch)
+                        .unwrap();
                     let mut values: Vec<(i64, ValueId)> = outcome
                         .skyline
                         .iter()

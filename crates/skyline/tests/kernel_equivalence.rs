@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use skyline::prelude::*;
 use skyline_core::algo::{bnl, sfs};
 use skyline_core::score::ScoreFn;
-use skyline_core::{merge_skylines, with_kernel_mode, KernelMode, PartialOrder};
+use skyline_core::{merge_skylines, with_kernel_mode, Deadline, KernelMode, PartialOrder};
 
 /// A compact description of a random test instance.
 #[derive(Debug, Clone)]
@@ -201,16 +201,16 @@ proptest! {
             );
             // Scratch reuse must not change answers: ask twice through one scratch.
             let mut scratch = EngineScratch::new();
-            prop_assert_eq!(
-                &engine.query_with_scratch(&query, &mut scratch).unwrap().skyline,
-                &expected,
-                "scratch first pass, config {:?}", config
-            );
-            prop_assert_eq!(
-                &engine.query_with_scratch(&query, &mut scratch).unwrap().skyline,
-                &expected,
-                "scratch second pass, config {:?}", config
-            );
+            for pass in ["first", "second"] {
+                prop_assert_eq!(
+                    &engine
+                        .query_at_deadline(&query, engine.epoch(), &Deadline::none(), &mut scratch)
+                        .unwrap()
+                        .skyline,
+                    &expected,
+                    "scratch {} pass, config {:?}", pass, config
+                );
+            }
         }
     }
 }

@@ -7,6 +7,7 @@
 use proptest::prelude::*;
 use skyline::prelude::*;
 use skyline_core::algo::bnl;
+use skyline_core::Deadline;
 use std::sync::Arc;
 
 const CARD: usize = 3;
@@ -154,12 +155,15 @@ proptest! {
                     .collect();
                 prop_assert_eq!(asfs.template_skyline(), bnl::skyline_of(&ctx, &live));
             }
-            // query_at: the current epoch is accepted, a stale one is rejected.
+            // query_at_deadline: the current epoch is accepted, a stale one is rejected.
             let mut scratch = EngineScratch::default();
-            prop_assert!(engine.query_at(&pref, engine.epoch(), &mut scratch).is_ok());
+            let none = Deadline::none();
+            prop_assert!(engine
+                .query_at_deadline(&pref, engine.epoch(), &none, &mut scratch)
+                .is_ok());
             engine.insert_row(&[0.0, 0.0], &[0]).unwrap();
             prop_assert!(matches!(
-                engine.query_at(&pref, epoch, &mut scratch),
+                engine.query_at_deadline(&pref, epoch, &none, &mut scratch),
                 Err(SkylineError::EpochMismatch { .. })
             ));
         }
