@@ -1,6 +1,5 @@
 //! Ablation benchmarks for the design choices called out in DESIGN.md:
 //!
-//! * IPO-tree construction via mined MDCs vs. direct per-node recomputation;
 //! * set-based vs. bitmap node representation for query evaluation;
 //! * Adaptive SFS with the affected-only elimination pass vs. a full SFS rescan. The summary
 //!   hard-asserts, on every run, that the affected-only pass performs **at most half** the
@@ -15,7 +14,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use skyline::datagen::ExperimentConfig;
 use skyline_adaptive::{AdaptiveSfs, ScanMode};
-use skyline_ipo::{BitmapIpoTree, BuildStrategy, IpoTreeBuilder};
+use skyline_ipo::{BitmapIpoTree, IpoTreeBuilder};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -33,41 +32,6 @@ fn bench_ablations(c: &mut Criterion) {
     let mut generator = config.query_generator();
     let queries =
         generator.random_preferences(data.schema(), &template, config.pref_order, QUERIES, None);
-
-    // --- Build strategy ablation. ------------------------------------------------------------
-    let mut build_group = c.benchmark_group("ablation_ipo_build_strategy");
-    build_group.sample_size(10);
-    build_group.bench_function("mdc", |b| {
-        b.iter(|| {
-            black_box(
-                IpoTreeBuilder::new()
-                    .strategy(BuildStrategy::Mdc)
-                    .build(&data, &template)
-                    .unwrap(),
-            )
-        })
-    });
-    build_group.bench_function("direct", |b| {
-        b.iter(|| {
-            black_box(
-                IpoTreeBuilder::new()
-                    .strategy(BuildStrategy::Direct)
-                    .build(&data, &template)
-                    .unwrap(),
-            )
-        })
-    });
-    build_group.bench_function("mdc_parallel", |b| {
-        b.iter(|| {
-            black_box(
-                IpoTreeBuilder::new()
-                    .parallel(true)
-                    .build(&data, &template)
-                    .unwrap(),
-            )
-        })
-    });
-    build_group.finish();
 
     // --- Node representation ablation. ---------------------------------------------------------
     let tree = IpoTreeBuilder::new().build(&data, &template).unwrap();

@@ -66,10 +66,7 @@ fn setup() -> Workload {
         )
         .expect("hybrid engine builds"),
     );
-    let block = engine
-        .point_block()
-        .expect("hybrid engines carry a point block")
-        .clone();
+    let block = engine.point_block().clone();
     let mut generator = config.query_generator();
     let queries = generator.zipf_workload(
         data.schema(),

@@ -95,7 +95,8 @@ fn setup() -> Setup {
             rebuilt
                 .ipo_tree()
                 .expect("hybrid engines carry a tree")
-                .materialized_values(j)
+                .materialization()
+                .values(j)
                 .to_vec()
         })
         .collect();

@@ -306,7 +306,10 @@ fn run_hybrid(options: &Options) {
             "Hybrid (IPO-10 + SFS-A)",
             EngineConfig::Hybrid { top_k: 10 },
         ),
-        ("IPO Tree (full)", EngineConfig::IpoTree),
+        (
+            "IPO Tree (full)",
+            EngineConfig::Hybrid { top_k: usize::MAX },
+        ),
         ("SFS-A", EngineConfig::AdaptiveSfs),
     ] {
         let build_start = Instant::now();

@@ -8,11 +8,20 @@
 //! [`BitmapIpoTree`] mirrors the topology of a set-based [`IpoTree`], but each node keeps a
 //! bitmap over the *positions* of the template skyline, and the whole of Algorithm 1/2 runs on
 //! bitmaps; the answer is materialized into point ids only at the very end.
+//!
+//! Node sets are small dense subsets of one fixed universe `SKY(R)`, the shape where bitmaps
+//! beat id lists (two orders of magnitude per query at `n = 100k`, about half the memory, under
+//! a millisecond to derive). The set-based [`IpoTree`] is what the builder produces, what the
+//! snapshot codec reads and writes ([`BitmapIpoTree::to_ipo_tree`] /
+//! [`BitmapIpoTree::from_tree`] convert losslessly, truncation policy included) and what the
+//! engine serves from today; this form is measured beside it (equivalence suites, the
+//! representation ablation, the benchmark's `ipo.bitmap_query_us`) and becomes the served one
+//! once the benchmark can resolve the change — see `ROADMAP.md`, item 4(a).
 
 use crate::inverted::InvertedIndex;
 use crate::query::QueryStats;
-use crate::tree::IpoTree;
-use skyline_core::{BitSet, Dataset, PointId, Preference, Result, SkylineError, Template, ValueId};
+use crate::tree::{IpoTree, Materialization};
+use skyline_core::{BitSet, Dataset, PointId, Preference, Result, Template, ValueId};
 
 /// One node of the bitmap tree: the same label/children layout as the set-based node, with the
 /// disqualified set stored as a bitmap over skyline positions.
@@ -27,7 +36,7 @@ struct BitmapNode {
 pub struct BitmapIpoTree {
     template: Template,
     skyline: Vec<PointId>,
-    materialized: Vec<Vec<ValueId>>,
+    materialization: Materialization,
     nodes: Vec<BitmapNode>,
     inverted: InvertedIndex,
 }
@@ -36,7 +45,17 @@ impl BitmapIpoTree {
     /// Converts a set-based tree into its bitmap representation.
     pub fn from_tree(tree: &IpoTree, data: &Dataset) -> Self {
         let skyline = tree.skyline().to_vec();
-        let position_of = |p: PointId| skyline.binary_search(&p).expect("disqualified ⊆ skyline");
+        // Point id → skyline position as a flat table: a snapshot load converts ~10⁵ set
+        // entries, and a binary search per entry was most of the conversion.
+        let mut positions = vec![0u32; skyline.last().map_or(0, |&p| p as usize + 1)];
+        for (position, &p) in skyline.iter().enumerate() {
+            positions[p as usize] = position as u32;
+        }
+        let position_of = |p: PointId| {
+            let position = positions[p as usize] as usize;
+            debug_assert_eq!(skyline[position], p, "disqualified ⊆ skyline");
+            position
+        };
         let nodes = tree
             .iter_nodes()
             .map(|(_, node)| BitmapNode {
@@ -51,9 +70,7 @@ impl BitmapIpoTree {
         Self {
             template: tree.template().clone(),
             skyline,
-            materialized: (0..tree.nominal_count())
-                .map(|j| tree.materialized_values(j).to_vec())
-                .collect(),
+            materialization: tree.materialization().clone(),
             nodes,
             inverted,
         }
@@ -69,9 +86,15 @@ impl BitmapIpoTree {
         &self.template
     }
 
+    /// Which values the tree materializes and under which truncation policy (the same value
+    /// the [`IpoTree`] it was converted from holds).
+    pub fn materialization(&self) -> &Materialization {
+        &self.materialization
+    }
+
     /// Number of nominal dimensions.
     pub fn nominal_count(&self) -> usize {
-        self.materialized.len()
+        self.materialization.nominal_count()
     }
 
     /// Number of nodes.
@@ -82,41 +105,6 @@ impl BitmapIpoTree {
     /// The inverted lists used by the merge step.
     pub fn inverted(&self) -> &InvertedIndex {
         &self.inverted
-    }
-
-    /// True when value `v` of dimension `j` is materialized.
-    pub fn is_materialized(&self, nominal_index: usize, v: ValueId) -> bool {
-        self.materialized[nominal_index].contains(&v)
-    }
-
-    /// The first `(nominal dimension, value)` listed by `pref` that is **not** materialized,
-    /// or `None` when this tree can answer the preference (same predicate as
-    /// [`IpoTree::first_unmaterialized`]).
-    pub fn first_unmaterialized(&self, pref: &Preference) -> Option<(usize, ValueId)> {
-        (0..self.nominal_count().min(pref.nominal_count())).find_map(|j| {
-            pref.dim(j)
-                .choices()
-                .iter()
-                .find(|&&v| !self.is_materialized(j, v))
-                .map(|&v| (j, v))
-        })
-    }
-
-    /// Errors with [`SkylineError::NotMaterialized`] when the tree cannot answer `pref`;
-    /// mirrors [`IpoTree::require_materialized`] so the two representations reject
-    /// identically.
-    pub fn require_materialized(
-        &self,
-        schema: &skyline_core::Schema,
-        pref: &Preference,
-    ) -> Result<()> {
-        let Some((j, v)) = self.first_unmaterialized(pref) else {
-            return Ok(());
-        };
-        Err(SkylineError::NotMaterialized {
-            dimension: schema.nominal_dimension_name(j),
-            value: v as u32,
-        })
     }
 
     fn child_of(&self, node: u32, label: Option<ValueId>) -> Option<u32> {
@@ -141,7 +129,7 @@ impl BitmapIpoTree {
         let schema = data.schema();
         pref.validate(schema)?;
         self.template.check_refinement(schema, pref)?;
-        self.require_materialized(schema, pref)?;
+        self.materialization.require_materialized(schema, pref)?;
         let mut stats = QueryStats::default();
         let all = BitSet::full(self.skyline.len());
         let bits = self.query_rec(pref, 0, 0, all, &mut stats);
@@ -209,7 +197,9 @@ impl BitmapIpoTree {
     /// dimension is its depth minus one, its label the edge it hangs from).
     ///
     /// The snapshot writer uses this so both tree representations share one on-disk
-    /// encoding; the loader converts back with [`BitmapIpoTree::from_tree`].
+    /// encoding — byte for byte what [`encode_tree`](crate::encode_tree) writes for the tree
+    /// this one was converted from; the loader converts back with
+    /// [`BitmapIpoTree::from_tree`].
     pub fn to_ipo_tree(&self) -> IpoTree {
         use crate::tree::IpoNode;
         let mut nodes: Vec<IpoNode> = self
@@ -233,9 +223,8 @@ impl BitmapIpoTree {
         IpoTree {
             template: self.template.clone(),
             skyline: self.skyline.clone(),
-            materialized: self.materialized.clone(),
+            materialization: self.materialization.clone(),
             nodes,
-            top_k: None,
         }
     }
 
@@ -259,6 +248,7 @@ mod tests {
     use skyline_core::algo::bnl;
     use skyline_core::{
         DatasetBuilder, Dimension, DominanceContext, ImplicitPreference, RowValue, Schema,
+        SkylineError,
     };
 
     fn table3_data() -> Dataset {

@@ -7,35 +7,22 @@
 //! 2. decides which values to materialize per nominal dimension — all of them (full **IPO
 //!    Tree**) or the `K` most frequent (**IPO Tree-K**, the paper's *IPO Tree-10*);
 //! 3. enumerates one node per combination of at most one first-order choice per dimension and
-//!    computes its disqualified set `A`, either from precomputed minimal disqualifying
-//!    conditions (the paper's approach) or by direct recomputation against the base skyline.
+//!    computes its disqualified set `A` from precomputed minimal disqualifying conditions (the
+//!    paper's approach). [`direct_disqualified`] recomputes one node's set straight from the
+//!    definition; the equivalence suites check every labelled node against it.
 //!
-//! The per-node computations are independent, so step 3 can optionally run on multiple threads
-//! (scoped threads); the paper's preprocessing-time figures correspond to the single-threaded
-//! path.
+//! Construction is single-threaded, which is what the paper's preprocessing-time figures
+//! measure.
 
-use crate::tree::{IpoNode, IpoTree};
+use crate::tree::{IpoNode, IpoTree, Materialization};
 use skyline_core::algo::{bnl, sfs};
-use skyline_core::mdc::{compute_mdcs_with_dominators, MdcIndex};
+use skyline_core::mdc::compute_mdcs_with_dominators;
 use skyline_core::score::ScoreFn;
 use skyline_core::{
     Dataset, DominanceContext, ImplicitPreference, PartialOrder, PointId, Preference, Result,
     SkylineError, Template, ValueId,
 };
 use std::time::Instant;
-
-/// How the per-node disqualified sets are computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BuildStrategy {
-    /// Mine minimal disqualifying conditions once, then evaluate each node by subset tests
-    /// (the implementation Section 3.1 describes). Usually the faster option.
-    #[default]
-    Mdc,
-    /// Recompute, for every node, which template-skyline points become dominated under the
-    /// node's first-order combination. No MDC index, more dominance tests; kept as an ablation
-    /// baseline for the design choice.
-    Direct,
-}
 
 /// Statistics recorded while building a tree (reported by the benchmark harness).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -46,7 +33,7 @@ pub struct BuildStats {
     pub template_skyline_size: usize,
     /// Number of tree nodes created.
     pub node_count: usize,
-    /// Number of minimal disqualifying conditions mined (0 for the direct strategy).
+    /// Number of minimal disqualifying conditions mined.
     pub mdc_conditions: usize,
     /// Wall-clock seconds spent in construction.
     pub build_seconds: f64,
@@ -55,23 +42,14 @@ pub struct BuildStats {
 /// Configurable IPO-tree builder.
 #[derive(Debug, Clone, Default)]
 pub struct IpoTreeBuilder {
-    strategy: BuildStrategy,
     top_k: Option<usize>,
     explicit: Option<Vec<Vec<ValueId>>>,
-    parallel: bool,
 }
 
 impl IpoTreeBuilder {
-    /// A builder with the default configuration: MDC strategy, all values materialized,
-    /// single-threaded.
+    /// A builder with the default configuration: all values materialized.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Selects the node-evaluation strategy.
-    pub fn strategy(mut self, strategy: BuildStrategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Materializes only the `k` most frequent values of every nominal dimension
@@ -81,30 +59,17 @@ impl IpoTreeBuilder {
         self
     }
 
-    /// Materializes every value of every nominal dimension (the default).
-    pub fn all_values(mut self) -> Self {
-        self.top_k = None;
-        self.explicit = None;
-        self
-    }
-
     /// Materializes exactly the given value sets (one per nominal dimension), overriding the
     /// frequency-based selection — the *recorded* truncation policy
     /// ([`IpoTreeBuilder::top_k_values`]) is unchanged, so a later rebuild still knows it is
     /// a top-`k` tree.
     ///
-    /// This is the hook [`IpoTree::rebuilt_for`] uses for its hysteresis: a rebuilt
+    /// This is the hook [`Materialization::rebuilt_for`] uses for its hysteresis: a rebuilt
     /// truncated tree materializes the union of the fresh top-`k` with previously
     /// materialized values that have not yet fallen well out of the top `k`, so preferences
     /// served from the tree do not flap to the fallback path on every small frequency shift.
     pub fn materialize_values(mut self, sets: Vec<Vec<ValueId>>) -> Self {
         self.explicit = Some(sets);
-        self
-    }
-
-    /// Enables multi-threaded node evaluation.
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -185,15 +150,8 @@ impl IpoTreeBuilder {
                 .collect(),
         };
 
-        // 4. Precompute MDCs if requested.
-        let mdc_index: Option<MdcIndex> = match self.strategy {
-            BuildStrategy::Mdc => Some(compute_mdcs_with_dominators(
-                &base_ctx,
-                &skyline,
-                &base_skyline,
-            )),
-            BuildStrategy::Direct => None,
-        };
+        // 4. Mine the minimal disqualifying conditions every node set is evaluated from.
+        let mdc_index = compute_mdcs_with_dominators(&base_ctx, &skyline, &base_skyline);
 
         // 5. Enumerate nodes breadth-first and compute disqualified sets.
         let mut nodes = vec![IpoNode {
@@ -206,42 +164,33 @@ impl IpoTreeBuilder {
         let mut frontier: Vec<(u32, Vec<Option<ValueId>>)> = vec![(0, Vec::new())];
         for (dim, dim_values) in materialized.iter().enumerate().take(schema.nominal_count()) {
             let mut next_frontier = Vec::with_capacity(frontier.len() * (dim_values.len() + 1));
-            // Create children (φ first, then the materialized values) for every frontier node.
-            let mut pending: Vec<(u32, Vec<Option<ValueId>>)> = Vec::new();
+            // Create children (φ first, then the materialized values) for every frontier node;
+            // a labelled child's disqualified set is evaluated from the mined conditions.
             for (parent, path) in &frontier {
                 let mut labels: Vec<Option<ValueId>> = Vec::with_capacity(dim_values.len() + 1);
                 labels.push(None);
                 labels.extend(dim_values.iter().copied().map(Some));
                 for label in labels {
                     let id = nodes.len() as u32;
+                    let mut child_path = path.clone();
+                    child_path.push(label);
+                    let disqualified = match label {
+                        Some(_) => {
+                            let bits = mdc_index.disqualified_by_first_order(&child_path);
+                            bits.iter().map(|i| mdc_index.skyline()[i]).collect()
+                        }
+                        None => Vec::new(),
+                    };
                     nodes.push(IpoNode {
                         dim,
                         label,
-                        disqualified: Vec::new(),
+                        disqualified,
                         children: Vec::new(),
                     });
-                    let mut child_path = path.clone();
-                    child_path.push(label);
                     nodes[*parent as usize].children.push((label, id));
-                    pending.push((id, child_path.clone()));
                     next_frontier.push((id, child_path));
                 }
                 nodes[*parent as usize].children.sort_by_key(|(l, _)| *l);
-            }
-            // Compute the disqualified sets of the freshly created labelled nodes.
-            let labelled: Vec<(u32, Vec<Option<ValueId>>)> = pending
-                .into_iter()
-                .filter(|(id, _)| nodes[*id as usize].label.is_some())
-                .collect();
-            let sets = self.compute_disqualified_sets(
-                data,
-                &skyline,
-                &base_skyline,
-                mdc_index.as_ref(),
-                &labelled,
-            );
-            for ((id, _), set) in labelled.into_iter().zip(sets) {
-                nodes[id as usize].disqualified = set;
             }
             frontier = next_frontier;
         }
@@ -250,15 +199,17 @@ impl IpoTreeBuilder {
             base_skyline_size: base_skyline.len(),
             template_skyline_size: skyline.len(),
             node_count: nodes.len(),
-            mdc_conditions: mdc_index.as_ref().map_or(0, MdcIndex::condition_count),
+            mdc_conditions: mdc_index.condition_count(),
             build_seconds: started.elapsed().as_secs_f64(),
         };
         let tree = IpoTree {
             template: template.clone(),
             skyline,
-            materialized,
+            materialization: Materialization {
+                values: materialized,
+                top_k: self.top_k,
+            },
             nodes,
-            top_k: self.top_k,
         };
         Ok((tree, stats))
     }
@@ -267,56 +218,16 @@ impl IpoTreeBuilder {
     pub fn build(&self, data: &Dataset, template: &Template) -> Result<IpoTree> {
         self.build_with_stats(data, template).map(|(tree, _)| tree)
     }
-
-    /// Computes the disqualified set of every `(node, path)` pair, optionally in parallel.
-    fn compute_disqualified_sets(
-        &self,
-        data: &Dataset,
-        skyline: &[PointId],
-        base_skyline: &[PointId],
-        mdc_index: Option<&MdcIndex>,
-        work: &[(u32, Vec<Option<ValueId>>)],
-    ) -> Vec<Vec<PointId>> {
-        let eval = |path: &[Option<ValueId>]| -> Vec<PointId> {
-            match (self.strategy, mdc_index) {
-                (BuildStrategy::Mdc, Some(index)) => {
-                    let bits = index.disqualified_by_first_order(path);
-                    bits.iter().map(|i| index.skyline()[i]).collect()
-                }
-                _ => direct_disqualified(data, skyline, base_skyline, path),
-            }
-        };
-
-        if !self.parallel || work.len() < 8 {
-            return work.iter().map(|(_, path)| eval(path)).collect();
-        }
-
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(work.len());
-        let chunk_size = work.len().div_ceil(threads);
-        let eval = &eval;
-        let mut results: Vec<Vec<Vec<PointId>>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = work
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope
-                        .spawn(move || chunk.iter().map(|(_, path)| eval(path)).collect::<Vec<_>>())
-                })
-                .collect();
-            for handle in handles {
-                results.push(handle.join().expect("worker thread panicked"));
-            }
-        });
-        results.into_iter().flatten().collect()
-    }
 }
 
 /// Direct recomputation of a node's disqualified set: a template-skyline point is disqualified
 /// when some base-skyline point dominates it under the node's first-order combination.
-fn direct_disqualified(
+///
+/// The reference the builder's MDC evaluation is tested against (it costs one dominance pass
+/// per node, ~60× the MDC path at `n = 100k`, so nothing builds with it): `skyline` is the
+/// template skyline `SKY(R)`, `base_skyline` the dominator pool `SKY(∅)`, and `path[j]` the
+/// node's first-order choice on nominal dimension `j` (`None` = φ).
+pub fn direct_disqualified(
     data: &Dataset,
     skyline: &[PointId],
     base_skyline: &[PointId],
@@ -425,35 +336,23 @@ mod tests {
 
     #[test]
     fn direct_and_mdc_strategies_agree() {
+        // Every labelled node's MDC-evaluated set equals the direct recomputation from the
+        // definition (with an empty template the root skyline is also the dominator pool).
         let data = table3_data();
         let template = Template::empty(data.schema());
-        let mdc_tree = IpoTreeBuilder::new()
-            .strategy(BuildStrategy::Mdc)
-            .build(&data, &template)
-            .unwrap();
-        let direct_tree = IpoTreeBuilder::new()
-            .strategy(BuildStrategy::Direct)
-            .build(&data, &template)
-            .unwrap();
-        assert_eq!(mdc_tree.node_count(), direct_tree.node_count());
-        for ((_, a), (_, b)) in mdc_tree.iter_nodes().zip(direct_tree.iter_nodes()) {
-            assert_eq!(a.disqualified(), b.disqualified());
-            assert_eq!(a.label(), b.label());
-        }
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential() {
-        let data = table3_data();
-        let template = Template::empty(data.schema());
-        let seq = IpoTreeBuilder::new().build(&data, &template).unwrap();
-        let par = IpoTreeBuilder::new()
-            .parallel(true)
-            .build(&data, &template)
-            .unwrap();
-        assert_eq!(seq.node_count(), par.node_count());
-        for ((_, a), (_, b)) in seq.iter_nodes().zip(par.iter_nodes()) {
-            assert_eq!(a.disqualified(), b.disqualified());
+        let tree = IpoTreeBuilder::new().build(&data, &template).unwrap();
+        let values = [None, Some(0), Some(1), Some(2)];
+        for hotel in values {
+            for airline in values {
+                for path in [vec![hotel], vec![hotel, airline]] {
+                    let node = tree.node(tree.node_for_choices(&path).unwrap());
+                    if node.label().is_some() {
+                        let direct =
+                            direct_disqualified(&data, tree.skyline(), tree.skyline(), &path);
+                        assert_eq!(node.disqualified(), direct.as_slice(), "path {path:?}");
+                    }
+                }
+            }
         }
     }
 
@@ -472,13 +371,6 @@ mod tests {
         // 1 root + 2 children (φ + 1 value) + 2·2 grandchildren = 7 nodes.
         assert_eq!(stats.node_count, 7);
         assert!(tree.node_for_choices(&[Some(2), None]).is_none());
-        // Back to the full tree with `all_values`.
-        let full = IpoTreeBuilder::new()
-            .top_k_values(1)
-            .all_values()
-            .build(&data, &template)
-            .unwrap();
-        assert_eq!(full.node_count(), 21);
     }
 
     #[test]
@@ -495,7 +387,10 @@ mod tests {
                                                             // previously materialized T is still rank 2 (within 2k), so hysteresis keeps it.
         let mut grown = data.clone();
         grown.push_row_ids(&[100.0, -9.0], &[2, 2]).unwrap();
-        let rebuilt = truncated.rebuilt_for(&grown, &template).unwrap();
+        let rebuilt = truncated
+            .materialization()
+            .rebuilt_for(&grown, &template)
+            .unwrap();
         assert_eq!(rebuilt.top_k(), Some(1), "the recorded policy is preserved");
         assert_eq!(
             rebuilt.materialized_values(0),
@@ -515,7 +410,10 @@ mod tests {
         // A full tree rebuilds full.
         let full = IpoTreeBuilder::new().build(&data, &template).unwrap();
         assert_eq!(full.top_k(), None);
-        let rebuilt_full = full.rebuilt_for(&grown, &template).unwrap();
+        let rebuilt_full = full
+            .materialization()
+            .rebuilt_for(&grown, &template)
+            .unwrap();
         assert!(rebuilt_full.node_count() > truncated.node_count());
     }
 
@@ -530,14 +428,23 @@ mod tests {
             .top_k_values(1)
             .build(&data, &template)
             .unwrap();
-        assert!(tree.is_materialized(0, 0)); // hotel-group T is the top value
+        assert!(tree.materialization().is_materialized(0, 0)); // hotel-group T is the top value
 
         // Churn: M gains rows until T sits at rank 2 — retained by hysteresis.
         let mut churned = data.clone();
         churned.push_row_ids(&[100.0, -9.0], &[2, 2]).unwrap();
-        let rebuilt = tree.rebuilt_for(&churned, &template).unwrap();
-        assert!(rebuilt.is_materialized(0, 2), "fresh top value");
-        assert!(rebuilt.is_materialized(0, 0), "displaced value retained");
+        let rebuilt = tree
+            .materialization()
+            .rebuilt_for(&churned, &template)
+            .unwrap();
+        assert!(
+            rebuilt.materialization().is_materialized(0, 2),
+            "fresh top value"
+        );
+        assert!(
+            rebuilt.materialization().is_materialized(0, 0),
+            "displaced value retained"
+        );
         let pref = Preference::from_dims(vec![
             ImplicitPreference::first_order(0),
             ImplicitPreference::none(),
@@ -549,10 +456,13 @@ mod tests {
         for _ in 0..2 {
             churned.push_row_ids(&[100.0, -9.0], &[1, 2]).unwrap();
         }
-        let demoted = rebuilt.rebuilt_for(&churned, &template).unwrap();
-        assert!(demoted.is_materialized(0, 2));
+        let demoted = rebuilt
+            .materialization()
+            .rebuilt_for(&churned, &template)
+            .unwrap();
+        assert!(demoted.materialization().is_materialized(0, 2));
         assert!(
-            !demoted.is_materialized(0, 0),
+            !demoted.materialization().is_materialized(0, 0),
             "a value well out of the top k is released"
         );
         assert!(!demoted.materializes(&pref));

@@ -53,7 +53,7 @@ impl IpoTree {
         let schema = data.schema();
         pref.validate(schema)?;
         self.template.check_refinement(schema, pref)?;
-        self.require_materialized(schema, pref)?;
+        self.materialization.require_materialized(schema, pref)?;
         let mut stats = QueryStats::default();
         let result = self.query_rec(data, pref, 0, 0, self.skyline.clone(), &mut stats);
         Ok((result, stats))

@@ -24,7 +24,7 @@
 //!   the inverted-index build require).
 
 use crate::setops;
-use crate::tree::{IpoNode, IpoTree};
+use crate::tree::{IpoNode, IpoTree, Materialization};
 use skyline_core::snapshot::{ByteReader, ByteWriter, SnapshotError};
 use skyline_core::{Template, ValueId};
 
@@ -240,9 +240,11 @@ pub fn decode_tree(
     Ok(IpoTree {
         template,
         skyline,
-        materialized,
+        materialization: Materialization {
+            values: materialized,
+            top_k,
+        },
         nodes,
-        top_k,
     })
 }
 
@@ -343,8 +345,8 @@ mod tests {
                 tree.query(&data, &pref).ok()
             );
             assert_eq!(
-                decoded.first_unmaterialized(&pref),
-                tree.first_unmaterialized(&pref)
+                decoded.materialization().first_unmaterialized(&pref),
+                tree.materialization().first_unmaterialized(&pref)
             );
         }
     }
@@ -353,18 +355,47 @@ mod tests {
     fn bitmap_tree_round_trips_through_the_set_encoding() {
         let data = table3_data();
         let template = Template::empty(data.schema());
-        let set_tree = IpoTreeBuilder::new().build(&data, &template).unwrap();
-        let bitmap = BitmapIpoTree::from_tree(&set_tree, &data);
-        let bytes = encode_tree(&bitmap.to_ipo_tree());
-        let decoded = decode_tree(template, data.len(), &bytes).unwrap();
-        let rebuilt = BitmapIpoTree::from_tree(&decoded, &data);
-        assert_eq!(rebuilt.node_count(), bitmap.node_count());
-        assert_eq!(rebuilt.skyline(), bitmap.skyline());
-        for pref in all_small_preferences() {
+        let full = IpoTreeBuilder::new().build(&data, &template).unwrap();
+        let top_1 = IpoTreeBuilder::new()
+            .top_k_values(1)
+            .build(&data, &template)
+            .unwrap();
+        // One more (M, W) row: hysteresis keeps the displaced T next to the new top value M,
+        // so a dimension materializes more than `k` values.
+        let mut grown_data = data.clone();
+        grown_data.push_row_ids(&[100.0, -9.0], &[2, 2]).unwrap();
+        let grown = top_1
+            .materialization()
+            .rebuilt_for(&grown_data, &template)
+            .unwrap();
+        assert_eq!(grown.materialized_values(0), &[2, 0]);
+        for (set_tree, data) in [(full, &data), (top_1, &data), (grown, &grown_data)] {
+            let bitmap = BitmapIpoTree::from_tree(&set_tree, data);
+            // The bitmap form writes byte for byte what the set form writes — the truncation
+            // policy and the materialization order included.
+            let bytes = encode_tree(&bitmap.to_ipo_tree());
             assert_eq!(
-                rebuilt.query(&data, &pref).unwrap(),
-                bitmap.query(&data, &pref).unwrap()
+                bytes,
+                encode_tree(&set_tree),
+                "top_k {:?}",
+                set_tree.top_k()
             );
+            let decoded = decode_tree(template.clone(), data.len(), &bytes).unwrap();
+            assert_eq!(decoded.materialization(), set_tree.materialization());
+            let rebuilt = BitmapIpoTree::from_tree(&decoded, data);
+            assert_eq!(rebuilt.materialization(), bitmap.materialization());
+            assert_eq!(rebuilt.node_count(), bitmap.node_count());
+            assert_eq!(rebuilt.skyline(), bitmap.skyline());
+            for pref in all_small_preferences() {
+                assert_eq!(
+                    rebuilt.query(data, &pref).ok(),
+                    bitmap.query(data, &pref).ok()
+                );
+                assert_eq!(
+                    bitmap.query(data, &pref).ok(),
+                    set_tree.query(data, &pref).ok()
+                );
+            }
         }
     }
 

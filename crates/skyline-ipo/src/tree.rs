@@ -55,43 +55,34 @@ impl IpoNode {
     }
 }
 
-/// The materialized IPO-tree: template skyline, per-dimension materialized values and the node
-/// arena. Built with [`crate::build::IpoTreeBuilder`], queried with the methods in
-/// [`crate::query`].
-#[derive(Debug, Clone)]
-pub struct IpoTree {
-    pub(crate) template: Template,
-    /// `SKY(R)`, sorted ascending.
-    pub(crate) skyline: Vec<PointId>,
+/// The materialization policy of a tree: which values of each nominal dimension have nodes,
+/// and the truncation the tree was built with.
+///
+/// Both tree forms hold one (the set-based [`IpoTree`] and the
+/// [`BitmapIpoTree`](crate::BitmapIpoTree) derived from it), and a rebuild snapshot clones it — a few value
+/// ids per dimension — so every "can the tree answer this?" decision runs through the same
+/// predicates: the tree's own query rejection, the engine's Adaptive-SFS fallback test, and
+/// the choice of values a rebuild re-materializes can never disagree.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Materialization {
     /// Per nominal dimension, the value ids that have materialized children (in the order the
     /// children were created — most frequent first when the tree is truncated).
-    pub(crate) materialized: Vec<Vec<ValueId>>,
-    /// Node arena; index 0 is the root.
-    pub(crate) nodes: Vec<IpoNode>,
+    pub(crate) values: Vec<Vec<ValueId>>,
     /// The truncation the tree was built with (`None` = every value materialized), recorded
-    /// so [`IpoTree::rebuilt_for`] can re-materialize an equivalent tree over changed data.
+    /// so [`Materialization::rebuilt_for`] can re-materialize an equivalent tree over changed
+    /// data.
     pub(crate) top_k: Option<usize>,
 }
 
-impl IpoTree {
-    /// The template the tree was built for.
-    pub fn template(&self) -> &Template {
-        &self.template
-    }
-
-    /// The template skyline `SKY(R)` (sorted point ids).
-    pub fn skyline(&self) -> &[PointId] {
-        &self.skyline
-    }
-
-    /// Number of nominal dimensions covered (the tree depth minus one).
+impl Materialization {
+    /// Number of nominal dimensions covered.
     pub fn nominal_count(&self) -> usize {
-        self.materialized.len()
+        self.values.len()
     }
 
     /// The value ids materialized for nominal dimension `j`.
-    pub fn materialized_values(&self, nominal_index: usize) -> &[ValueId] {
-        &self.materialized[nominal_index]
+    pub fn values(&self, nominal_index: usize) -> &[ValueId] {
+        &self.values[nominal_index]
     }
 
     /// The per-dimension truncation the tree was built with (`None` = full materialization,
@@ -100,12 +91,60 @@ impl IpoTree {
         self.top_k
     }
 
+    /// True when value `v` of dimension `j` has materialized nodes.
+    pub fn is_materialized(&self, nominal_index: usize, v: ValueId) -> bool {
+        self.values[nominal_index].contains(&v)
+    }
+
+    /// The first `(nominal dimension, value)` listed by `pref` that is **not** materialized,
+    /// or `None` when the tree can answer the preference.
+    ///
+    /// This is the single source of truth for "is this preference materialized?": query
+    /// rejection ([`SkylineError::NotMaterialized`](skyline_core::SkylineError::NotMaterialized))
+    /// and the hybrid engine's Adaptive-SFS fallback both consult it, so the two can never
+    /// diverge. The preference's arity must match the tree (extra dimensions are ignored;
+    /// missing ones count as "no preference").
+    pub fn first_unmaterialized(&self, pref: &Preference) -> Option<(usize, ValueId)> {
+        (0..self.nominal_count().min(pref.nominal_count())).find_map(|j| {
+            pref.dim(j)
+                .choices()
+                .iter()
+                .find(|&&v| !self.is_materialized(j, v))
+                .map(|&v| (j, v))
+        })
+    }
+
+    /// True when every value listed by `pref` is materialized, i.e. the tree can answer the
+    /// query without falling back to another method (Section 5.3).
+    pub fn materializes(&self, pref: &Preference) -> bool {
+        self.first_unmaterialized(pref).is_none()
+    }
+
+    /// Errors with [`SkylineError::NotMaterialized`](skyline_core::SkylineError::NotMaterialized)
+    /// — naming the offending dimension and value — when the tree cannot answer `pref`.
+    ///
+    /// The one place the rejection error is constructed; both trees' query evaluation calls
+    /// it.
+    pub fn require_materialized(
+        &self,
+        schema: &skyline_core::Schema,
+        pref: &Preference,
+    ) -> skyline_core::Result<()> {
+        let Some((j, v)) = self.first_unmaterialized(pref) else {
+            return Ok(());
+        };
+        Err(skyline_core::SkylineError::NotMaterialized {
+            dimension: schema.nominal_dimension_name(j),
+            value: v as u32,
+        })
+    }
+
     /// Re-materializes an equivalent tree — same truncation policy — over (typically
     /// compacted or otherwise mutated) `data` under `template`.
     ///
-    /// This is the rebuild entry point the background maintenance worker uses to bring a
-    /// mutated hybrid engine's tree back in sync with its dataset: the worker does not need
-    /// to remember how the original tree was configured, the tree itself does.
+    /// This is the rebuild entry point a generation rebuild uses to bring a mutated hybrid
+    /// engine's tree back in sync with its dataset: the rebuild does not need to remember
+    /// how the original tree was configured, the policy does.
     ///
     /// # Materialization hysteresis
     ///
@@ -115,9 +154,9 @@ impl IpoTree {
     /// the engine's fallback path afterwards. Instead the rebuilt tree materializes, per
     /// dimension, the union of the fresh top-`k` with every *previously materialized* value
     /// that is still within the top `2k` by frequency — a value must fall well out of the
-    /// top `k` before it is demoted. The recorded policy ([`IpoTree::top_k`]) is preserved,
-    /// so hysteresis does not compound across rebuilds: values a past rebuild retained are
-    /// re-examined against the same `2k` window every time.
+    /// top `k` before it is demoted. The recorded policy ([`Materialization::top_k`]) is
+    /// preserved, so hysteresis does not compound across rebuilds: values a past rebuild
+    /// retained are re-examined against the same `2k` window every time.
     pub fn rebuilt_for(
         &self,
         data: &skyline_core::Dataset,
@@ -135,64 +174,67 @@ impl IpoTree {
     /// Per-dimension value sets for a top-`k` rebuild over `data`: the fresh top-`k` plus
     /// previously materialized values still within the top `2k`, most frequent first.
     fn hysteresis_values(&self, data: &skyline_core::Dataset, k: usize) -> Vec<Vec<ValueId>> {
+        let window = k.saturating_mul(2);
         (0..self.nominal_count())
             .map(|j| {
                 data.values_by_frequency(j)
                     .into_iter()
                     .enumerate()
-                    .filter(|&(rank, v)| rank < k || (rank < 2 * k && self.is_materialized(j, v)))
+                    .filter(|&(rank, v)| rank < k || (rank < window && self.is_materialized(j, v)))
                     .map(|(_, v)| v)
                     .collect()
             })
             .collect()
     }
+}
 
-    /// True when value `v` of dimension `j` has materialized nodes.
-    pub fn is_materialized(&self, nominal_index: usize, v: ValueId) -> bool {
-        self.materialized[nominal_index].contains(&v)
+/// The materialized IPO-tree in its set-based form: template skyline, materialization policy
+/// and the node arena. Built with [`crate::build::IpoTreeBuilder`], queried with the methods
+/// in [`crate::query`] (Algorithms 1 and 2 on sorted id lists).
+#[derive(Debug, Clone)]
+pub struct IpoTree {
+    pub(crate) template: Template,
+    /// `SKY(R)`, sorted ascending.
+    pub(crate) skyline: Vec<PointId>,
+    pub(crate) materialization: Materialization,
+    /// Node arena; index 0 is the root.
+    pub(crate) nodes: Vec<IpoNode>,
+}
+
+impl IpoTree {
+    /// The template the tree was built for.
+    pub fn template(&self) -> &Template {
+        &self.template
     }
 
-    /// The first `(nominal dimension, value)` listed by `pref` that this tree has **not**
-    /// materialized, or `None` when the tree can answer the preference.
-    ///
-    /// This is the single source of truth for "is this preference materialized?": query
-    /// rejection ([`SkylineError::NotMaterialized`](skyline_core::SkylineError::NotMaterialized))
-    /// and the hybrid engine's Adaptive-SFS fallback both consult it, so the two can never
-    /// diverge. The preference's arity must match the tree (extra dimensions are ignored;
-    /// missing ones count as "no preference").
-    pub fn first_unmaterialized(&self, pref: &Preference) -> Option<(usize, ValueId)> {
-        (0..self.nominal_count().min(pref.nominal_count())).find_map(|j| {
-            pref.dim(j)
-                .choices()
-                .iter()
-                .find(|&&v| !self.is_materialized(j, v))
-                .map(|&v| (j, v))
-        })
+    /// The template skyline `SKY(R)` (sorted point ids).
+    pub fn skyline(&self) -> &[PointId] {
+        &self.skyline
     }
 
-    /// True when every value listed by `pref` is materialized in this tree, i.e. the tree can
-    /// answer the query without falling back to another method (Section 5.3).
+    /// Which values the tree materializes and under which truncation policy.
+    pub fn materialization(&self) -> &Materialization {
+        &self.materialization
+    }
+
+    /// Number of nominal dimensions covered (the tree depth minus one).
+    pub fn nominal_count(&self) -> usize {
+        self.materialization.nominal_count()
+    }
+
+    /// The value ids materialized for nominal dimension `j`.
+    pub fn materialized_values(&self, nominal_index: usize) -> &[ValueId] {
+        self.materialization.values(nominal_index)
+    }
+
+    /// The per-dimension truncation the tree was built with; see [`Materialization::top_k`].
+    pub fn top_k(&self) -> Option<usize> {
+        self.materialization.top_k
+    }
+
+    /// True when the tree can answer `pref`; see [`Materialization::materializes`].
     pub fn materializes(&self, pref: &Preference) -> bool {
-        self.first_unmaterialized(pref).is_none()
-    }
-
-    /// Errors with [`SkylineError::NotMaterialized`](skyline_core::SkylineError::NotMaterialized)
-    /// — naming the offending dimension and value — when the tree cannot answer `pref`.
-    ///
-    /// The one place the rejection error is constructed; query evaluation and the serving
-    /// layer both call it.
-    pub fn require_materialized(
-        &self,
-        schema: &skyline_core::Schema,
-        pref: &Preference,
-    ) -> skyline_core::Result<()> {
-        let Some((j, v)) = self.first_unmaterialized(pref) else {
-            return Ok(());
-        };
-        Err(skyline_core::SkylineError::NotMaterialized {
-            dimension: schema.nominal_dimension_name(j),
-            value: v as u32,
-        })
+        self.materialization.materializes(pref)
     }
 
     /// Total number of nodes (the paper's `O(c^{m'})` size measure).
@@ -306,9 +348,11 @@ mod tests {
         IpoTree {
             template,
             skyline: vec![10, 20, 30],
-            materialized: vec![vec![0, 1], vec![0, 1]],
+            materialization: Materialization {
+                values: vec![vec![0, 1], vec![0, 1]],
+                top_k: None,
+            },
             nodes,
-            top_k: None,
         }
     }
 
@@ -318,8 +362,8 @@ mod tests {
         assert_eq!(tree.node_count(), 13);
         assert_eq!(tree.nominal_count(), 2);
         assert_eq!(tree.skyline(), &[10, 20, 30]);
-        assert!(tree.is_materialized(0, 1));
-        assert!(!tree.is_materialized(0, 5));
+        assert!(tree.materialization().is_materialized(0, 1));
+        assert!(!tree.materialization().is_materialized(0, 5));
         assert_eq!(tree.materialized_values(1), &[0, 1]);
         assert!(tree.root().dimension().is_none());
         assert_eq!(tree.root().child_count(), 3);
@@ -337,28 +381,35 @@ mod tests {
         use skyline_core::{ImplicitPreference, Preference};
         let mut tree = tiny_tree();
         // Truncate: dimension 0 only materializes value 0, dimension 1 both values.
-        tree.materialized = vec![vec![0], vec![0, 1]];
+        tree.materialization.values = vec![vec![0], vec![0, 1]];
 
         let ok = Preference::from_dims(vec![
             ImplicitPreference::new([0]).unwrap(),
             ImplicitPreference::new([1, 0]).unwrap(),
         ]);
         assert!(tree.materializes(&ok));
-        assert_eq!(tree.first_unmaterialized(&ok), None);
+        assert_eq!(tree.materialization().first_unmaterialized(&ok), None);
 
         let gap_dim0 = Preference::from_dims(vec![
             ImplicitPreference::new([0, 1]).unwrap(),
             ImplicitPreference::none(),
         ]);
         assert!(!tree.materializes(&gap_dim0));
-        assert_eq!(tree.first_unmaterialized(&gap_dim0), Some((0, 1)));
+        assert_eq!(
+            tree.materialization().first_unmaterialized(&gap_dim0),
+            Some((0, 1))
+        );
 
         // The first gap in dimension order is reported, not a later one.
         let gaps_everywhere = Preference::from_dims(vec![
             ImplicitPreference::new([1]).unwrap(),
             ImplicitPreference::new([1]).unwrap(),
         ]);
-        assert_eq!(tree.first_unmaterialized(&gaps_everywhere), Some((0, 1)));
+        assert_eq!(
+            tree.materialization()
+                .first_unmaterialized(&gaps_everywhere),
+            Some((0, 1))
+        );
 
         // An empty preference is always answerable.
         assert!(tree.materializes(&Preference::none(2)));

@@ -911,9 +911,9 @@ impl ShardedService {
 
     /// Answers one query by scatter-gather, consulting the merged-result cache first.
     ///
-    /// A preference any shard's engine would reject (refinement violation, unmaterialized
-    /// value on a frozen tree) is rejected for the whole service, so sharding never changes
-    /// which inputs are servable — a shard count of 1 behaves exactly like the engine alone.
+    /// A preference any shard's engine would reject (schema or refinement violation) is
+    /// rejected for the whole service, so sharding never changes which inputs are servable —
+    /// a shard count of 1 behaves exactly like the engine alone.
     pub fn serve(&self, pref: &Preference) -> Result<ShardedServed> {
         self.serve_deadline(pref, &Deadline::none())
     }
@@ -1398,25 +1398,10 @@ impl ShardedService {
                 .map(CompiledOrder::compile)
                 .collect();
             let mut merger = SkylineMerger::new(orders, self.schema.numeric_count());
-            let mut numeric = vec![0.0f64; self.schema.numeric_count()];
-            let mut nominal = vec![ValueId::default(); self.schema.nominal_count()];
             for (s, outcome) in &outcomes {
-                if let Some(block) = guards[*s].point_block() {
-                    for &p in &outcome.skyline {
-                        merger.push(*s, p, block.numeric_row(p), block.nominal_row(p))?;
-                    }
-                    continue;
-                }
-                // Pure IPO-tree engines keep no row-major block: gather cell by cell.
-                let data = guards[*s].dataset();
+                let block = guards[*s].point_block();
                 for &p in &outcome.skyline {
-                    for (j, v) in numeric.iter_mut().enumerate() {
-                        *v = data.numeric(p, j);
-                    }
-                    for (j, v) in nominal.iter_mut().enumerate() {
-                        *v = data.nominal(p, j);
-                    }
-                    merger.push(*s, p, &numeric, &nominal)?;
+                    merger.push(*s, p, block.numeric_row(p), block.nominal_row(p))?;
                 }
             }
             merger
@@ -2805,34 +2790,30 @@ mod tests {
     }
 
     #[test]
-    fn unmaterialized_queries_error_even_after_an_equivalent_entry_was_cached() {
-        // IpoTreeTopK(1) over a cardinality-2 dimension materializes only the most frequent
-        // value 0. `[0]` (servable) and `[0, 1]` (lists unmaterialized value 1) share a
-        // canonical key, so the rejection must run before the cache lookup.
+    fn unmaterialized_queries_are_answered_even_after_an_equivalent_entry_was_cached() {
+        // Hybrid { top_k: 1 } over a cardinality-2 dimension materializes only the most
+        // frequent value 0. `[0]` (tree-served) and `[0, 1]` (lists unmaterialized value 1,
+        // answered by the fallback) share a canonical key: whichever of the two filled the
+        // cache, both are accepted and get the same answer.
         let (schema, data) = tiny(vec![0, 0, 1]);
-        let (servable, unmaterialized) = (listing(&[0]), listing(&[0, 1]));
+        let (popular, unmaterialized) = (listing(&[0]), listing(&[0, 1]));
         assert_eq!(
-            servable.canonicalize(&schema).unwrap(),
+            popular.canonicalize(&schema).unwrap(),
             unmaterialized.canonicalize(&schema).unwrap()
         );
-        let build = |config| {
-            one_shard(SkylineEngine::build(data.clone(), Template::empty(&schema), config).unwrap())
-        };
-
-        let service = build(EngineConfig::IpoTreeTopK(1));
-        assert!(service.shard(0).read().query(&unmaterialized).is_err());
-        assert!(service.serve(&servable).is_ok());
-        assert!(
-            matches!(
-                service.serve(&unmaterialized),
-                Err(SkylineError::NotMaterialized { .. })
-            ),
-            "cache state must not change which inputs are rejected"
-        );
-        // The hybrid engine keeps answering the same shape of query via its fallback.
-        let hybrid = build(EngineConfig::Hybrid { top_k: 1 });
-        assert!(hybrid.serve(&servable).is_ok());
-        assert!(hybrid.serve(&unmaterialized).is_ok());
+        let engine = SkylineEngine::build(
+            data,
+            Template::empty(&schema),
+            EngineConfig::Hybrid { top_k: 1 },
+        )
+        .unwrap();
+        assert!(engine.serves_from_tree(&popular));
+        assert!(!engine.serves_from_tree(&unmaterialized));
+        let service = one_shard(engine);
+        let first = service.serve(&popular).unwrap();
+        let second = service.serve(&unmaterialized).unwrap();
+        assert!(second.cache_hit);
+        assert_eq!(first.outcome.skyline, second.outcome.skyline);
     }
 
     /// Entries cached *before* two back-to-back generation rebuilds must compose through the

@@ -179,7 +179,7 @@ fn background_worker_restores_tree_served_queries() {
     assert!(stats.reclaimed_rows >= 1);
     {
         let engine = engine.read();
-        let block = engine.point_block().unwrap();
+        let block = engine.point_block();
         assert_eq!(block.len(), block.live_count());
     }
     // Dropping the service joins the build thread (no panic, no leak).

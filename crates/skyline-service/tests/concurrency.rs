@@ -117,13 +117,11 @@ fn hammer<T: PartialEq + Debug + Sync>(
 
 #[test]
 fn threaded_service_matches_serial_engine_for_every_config() {
-    // One shard over the engine itself: frozen tree configurations included, ids compared
-    // one to one with the bare engine's.
+    // One shard over the engine itself: ids compared one to one with the bare engine's.
     let configs = [
         EngineConfig::SfsD,
         EngineConfig::AdaptiveSfs,
-        EngineConfig::IpoTree,
-        EngineConfig::BitmapIpoTree,
+        EngineConfig::Hybrid { top_k: usize::MAX },
         EngineConfig::Hybrid { top_k: 3 },
     ];
     for config in configs {
@@ -158,6 +156,7 @@ fn threaded_scatter_gather_matches_the_live_oracle() {
     for config in [
         EngineConfig::SfsD,
         EngineConfig::AdaptiveSfs,
+        EngineConfig::Hybrid { top_k: usize::MAX },
         EngineConfig::Hybrid { top_k: 3 },
     ] {
         let service = build_service(

@@ -19,13 +19,13 @@ use std::sync::Arc;
 
 const CARD: usize = 3;
 
-/// Every mutable engine configuration the snapshot format must carry.
-const CONFIGS: [EngineConfig; 6] = [
+/// Every engine configuration the snapshot format must carry: the full tree, a truncated
+/// one (some preferences tree-served, the rest answered by the fallback), and the two
+/// tree-less configurations.
+const CONFIGS: [EngineConfig; 4] = [
     EngineConfig::SfsD,
     EngineConfig::AdaptiveSfs,
-    EngineConfig::IpoTree,
-    EngineConfig::IpoTreeTopK(2),
-    EngineConfig::BitmapIpoTree,
+    EngineConfig::Hybrid { top_k: usize::MAX },
     EngineConfig::Hybrid { top_k: 2 },
 ];
 
@@ -72,8 +72,8 @@ fn value_key(data: &Dataset, p: PointId) -> ValueKey {
 }
 
 /// The observable outcome of serving `pref`: the sorted value multiset, or the error the
-/// service rejected the query with (e.g. `IpoTreeTopK` refusing a non-materialized value —
-/// a snapshot-loaded service must reproduce the rejection too).
+/// service rejected the query with (a snapshot-loaded service must reproduce a rejection
+/// too).
 fn sharded_values(
     service: &ShardedService,
     pref: &Preference,

@@ -32,7 +32,12 @@ fn main() -> Result<()> {
     let template = Template::empty(data.schema());
     // One shared copy of the data feeds both engines.
     let data = std::sync::Arc::new(data);
-    let engine_ipo = SkylineEngine::build(data.clone(), template.clone(), EngineConfig::IpoTree)?;
+    // `top_k` is clamped to the cardinality: `usize::MAX` is the paper's full IPO tree.
+    let engine_ipo = SkylineEngine::build(
+        data.clone(),
+        template.clone(),
+        EngineConfig::Hybrid { top_k: usize::MAX },
+    )?;
     let asfs = AdaptiveSfs::build(data.clone(), &template)?;
     let template_skyline = asfs.template_skyline();
     println!(

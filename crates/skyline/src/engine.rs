@@ -13,26 +13,30 @@ use skyline_core::{
     Dataset, Deadline, Dominance, PointId, Preference, Result, SkylineError, Template, ValueId,
     DEADLINE_CHECK_INTERVAL,
 };
-use skyline_ipo::{BitmapIpoTree, IpoTree, IpoTreeBuilder};
+use skyline_ipo::{IpoTree, IpoTreeBuilder, Materialization};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Which algorithm an engine instance materializes and uses to answer queries.
+///
+/// All three configurations hold a point block, accept [`SkylineEngine::insert_row`] /
+/// [`SkylineEngine::delete_row`], and take part in the generational rebuild lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineConfig {
-    /// No preprocessing; every query runs sort-first-skyline over the whole dataset
+    /// Materializes nothing; every query runs sort-first-skyline over the whole dataset
     /// (the paper's **SFS-D** baseline).
     SfsD,
-    /// Adaptive SFS over the presorted template skyline (**SFS-A**).
+    /// Materializes the presorted template skyline; every query is answered by Adaptive SFS
+    /// (**SFS-A**).
     AdaptiveSfs,
-    /// Full IPO tree (every nominal value materialized), set-based evaluation.
-    IpoTree,
-    /// IPO tree restricted to the `k` most frequent values per nominal dimension
-    /// (**IPO Tree-10** uses `k = 10`). Queries touching other values are rejected.
-    IpoTreeTopK(usize),
-    /// Bitmap IPO tree (full materialization, bitwise evaluation).
-    BitmapIpoTree,
-    /// The recommendation of §5.3: an IPO tree over the `top_k` most frequent values for the
-    /// popular queries, with Adaptive SFS as the fallback for everything else.
+    /// The recommendation of §5.3 — the tree engine: materializes an IPO tree over the
+    /// `top_k` most frequent values per nominal dimension *and* the Adaptive-SFS sorted list.
+    /// Preferences that list only materialized values are answered by the tree; everything
+    /// else (and every query while a mutation has outdated the tree, until the next
+    /// generation rebuild) by Adaptive SFS.
+    ///
+    /// `top_k` is clamped to each dimension's cardinality, so `top_k: usize::MAX` is the
+    /// paper's full **IPO Tree** (every preference tree-served) and `top_k: 10` its
+    /// **IPO Tree-10**.
     Hybrid {
         /// Number of most-frequent values materialized per nominal dimension.
         top_k: usize,
@@ -46,7 +50,7 @@ pub enum MethodUsed {
     SfsD,
     /// Answered by Adaptive SFS.
     AdaptiveSfs,
-    /// Answered by the (set-based or bitmap) IPO tree.
+    /// Answered by the IPO tree (Algorithm 1/2 over the materialized node sets).
     IpoTree,
 }
 
@@ -78,19 +82,61 @@ pub struct Generation {
     pub(crate) data: Option<Arc<Dataset>>,
     /// Row-major interleaved copy of the dataset for the compiled dominance kernel. `Some`
     /// only for [`EngineConfig::SfsD`]: Adaptive-SFS configurations expose their structure's
-    /// block, and pure IPO-tree configurations never run a dominance scan.
+    /// block.
     pub(crate) block: Option<Arc<PointBlock>>,
-    /// Shared so a rebuild snapshot can carry the tree's materialization policy without
-    /// deep-copying the node arena under the engine's write lock.
-    pub(crate) ipo: Option<Arc<IpoTree>>,
-    pub(crate) bitmap: Option<BitmapIpoTree>,
+    /// The IPO tree [`EngineConfig::Hybrid`] serves popular preferences from (shared, so
+    /// cloning a generation never copies the node arena).
+    pub(crate) tree: Option<Arc<IpoTree>>,
     pub(crate) asfs: Option<AdaptiveSfs>,
-    /// Epoch the materialized IPO structures were built at; when the dataset has moved past
-    /// it, the hybrid configuration stops consulting its (stale) tree.
+    /// Epoch the IPO tree was materialized at; when the dataset has moved past it, the
+    /// hybrid configuration stops consulting its (stale) tree.
     pub(crate) tree_epoch: DatasetEpoch,
 }
 
 impl Generation {
+    /// A scanning ([`EngineConfig::SfsD`]) generation, numbered 0: the dataset and its block,
+    /// no derived structure.
+    pub(crate) fn scanning(data: Arc<Dataset>, block: Arc<PointBlock>) -> Self {
+        Self {
+            id: 0,
+            tree_epoch: block.epoch(),
+            data: Some(data),
+            block: Some(block),
+            tree: None,
+            asfs: None,
+        }
+    }
+
+    /// A generation, numbered 0, served by an Adaptive-SFS structure (which owns the dataset
+    /// and the block) plus, for the hybrid, a tree materialized at the block's current epoch.
+    pub(crate) fn adaptive(asfs: AdaptiveSfs, tree: Option<IpoTree>) -> Self {
+        Self {
+            id: 0,
+            tree_epoch: asfs.point_block().epoch(),
+            data: None,
+            block: None,
+            tree: tree.map(Arc::new),
+            asfs: Some(asfs),
+        }
+    }
+
+    /// The hybrid generation over a freshly built `tree`: the Adaptive-SFS list is seeded with
+    /// the tree's own `SKY(R)` (no second skyline computation).
+    fn hybrid(
+        tree: IpoTree,
+        data: Arc<Dataset>,
+        block: Arc<PointBlock>,
+        template: &Template,
+    ) -> Result<Self> {
+        let asfs = AdaptiveSfs::from_precomputed_with_block(
+            data,
+            block,
+            template.clone(),
+            tree.skyline().to_vec(),
+        )?;
+        Ok(Self::adaptive(asfs, Some(tree)))
+    }
+
     /// The generation's monotonic sequence number.
     pub fn id(&self) -> u64 {
         self.id
@@ -98,21 +144,19 @@ impl Generation {
 
     /// The generation's mutation epoch (from its point block).
     pub fn epoch(&self) -> DatasetEpoch {
-        self.point_block()
-            .map(|b| b.epoch())
-            .unwrap_or(DatasetEpoch::INITIAL)
+        self.point_block().epoch()
     }
 
-    /// Epoch the generation's IPO structures were materialized at.
+    /// Epoch the generation's IPO tree was materialized at.
     pub fn tree_epoch(&self) -> DatasetEpoch {
         self.tree_epoch
     }
 
-    /// The shared point layout, when the configuration runs dominance scans.
-    pub fn point_block(&self) -> Option<&Arc<PointBlock>> {
+    /// The shared point layout the generation's dominance scans evaluate over.
+    pub fn point_block(&self) -> &Arc<PointBlock> {
         match &self.asfs {
-            Some(asfs) => Some(asfs.point_block()),
-            None => self.block.as_ref(),
+            Some(asfs) => asfs.point_block(),
+            None => self.block.as_ref().expect("set at construction"),
         }
     }
 
@@ -128,7 +172,7 @@ impl Generation {
         if let Some(asfs) = &mut self.asfs {
             asfs.insert_row(numeric, nominal)
         } else {
-            let data = self.data.as_mut().expect("mutable configs hold data");
+            let data = self.data.as_mut().expect("set at construction");
             Arc::make_mut(data).push_row_ids(numeric, nominal)?;
             let block = self.block.as_mut().expect("SfsD builds its block");
             Arc::make_mut(block).append_row(numeric, nominal)
@@ -196,8 +240,8 @@ pub struct GenerationSnapshot {
     config: EngineConfig,
     data: Arc<Dataset>,
     block: Arc<PointBlock>,
-    /// The current tree (for its materialization policy), when the configuration has one.
-    tree: Option<Arc<IpoTree>>,
+    /// The current tree's materialization policy, when the configuration has a tree.
+    tree: Option<Materialization>,
     epoch: DatasetEpoch,
     generation_id: u64,
 }
@@ -226,51 +270,18 @@ impl GenerationSnapshot {
         let (block, remap) = self.block.compacted();
         let data = Arc::new(self.data.retained(remap.kept_old_ids()));
         let block = Arc::new(block);
-        let tree_epoch = block.epoch();
         let generation = match self.config {
-            EngineConfig::SfsD => Generation {
-                id: self.generation_id,
-                data: Some(data),
-                block: Some(block),
-                ipo: None,
-                bitmap: None,
-                asfs: None,
-                tree_epoch,
-            },
-            EngineConfig::AdaptiveSfs => Generation {
-                id: self.generation_id,
-                data: None,
-                block: None,
-                ipo: None,
-                bitmap: None,
-                asfs: Some(AdaptiveSfs::rebased(data, block, &self.template)?),
-                tree_epoch,
-            },
-            EngineConfig::Hybrid { .. } => {
-                let old_tree = self.tree.as_ref().expect("hybrid engines carry a tree");
-                let tree = old_tree.rebuilt_for(&data, &self.template)?;
-                let asfs = AdaptiveSfs::from_precomputed_with_block(
-                    data,
-                    block,
-                    self.template.clone(),
-                    tree.skyline().to_vec(),
-                )?;
-                Generation {
-                    id: self.generation_id,
-                    data: None,
-                    block: None,
-                    ipo: Some(Arc::new(tree)),
-                    bitmap: None,
-                    asfs: Some(asfs),
-                    tree_epoch,
-                }
+            EngineConfig::SfsD => Generation::scanning(data, block),
+            EngineConfig::AdaptiveSfs => {
+                Generation::adaptive(AdaptiveSfs::rebased(data, block, &self.template)?, None)
             }
-            EngineConfig::IpoTree | EngineConfig::IpoTreeTopK(_) | EngineConfig::BitmapIpoTree => {
-                return Err(SkylineError::InvalidArgument(
-                    "frozen configurations have no generational lifecycle".into(),
-                ))
+            EngineConfig::Hybrid { .. } => {
+                let policy = self.tree.as_ref().expect("hybrid engines carry a tree");
+                let tree = policy.rebuilt_for(&data, &self.template)?;
+                Generation::hybrid(tree, data, block, &self.template)?
             }
         };
+        // The id is assigned by `install_generation`, relative to whatever is serving then.
         Ok(PendingGeneration {
             generation,
             remap,
@@ -314,10 +325,8 @@ impl PendingGeneration {
 /// [`SkylineEngine::insert_row`] and [`SkylineEngine::delete_row`] mutate the bound dataset in
 /// place (`&mut self`) and return the new [`DatasetEpoch`]; every answered query is implicitly
 /// relative to the epoch it ran at, and [`SkylineEngine::query_at_deadline`] rejects a stale
-/// expectation with [`SkylineError::EpochMismatch`]. Configurations that answer purely from
-/// materialized IPO structures ([`EngineConfig::IpoTree`], [`EngineConfig::IpoTreeTopK`],
-/// [`EngineConfig::BitmapIpoTree`]) are frozen and reject mutations — rebuild them instead.
-/// The hybrid configuration stays fully servable: after a mutation its truncated tree is
+/// expectation with [`SkylineError::EpochMismatch`]. Every configuration accepts
+/// mutations. The hybrid configuration stays fully servable: after a mutation its tree is
 /// stale, so every query routes to the incrementally maintained Adaptive-SFS side until a
 /// generation rebuild re-materializes the tree. To share one mutable engine between threads,
 /// wrap it in a [`SharedEngine`].
@@ -425,8 +434,7 @@ impl SharedEngine {
     ///
     /// This is the same three-step cycle the background
     /// [`crate::maintenance::BuildPool`] drives; call it directly for deterministic
-    /// rebuilds in tests or batch jobs. Fails on frozen configurations and when another
-    /// rebuild is already in flight.
+    /// rebuilds in tests or batch jobs. Fails when another rebuild is already in flight.
     pub fn rebuild_now(&self) -> Result<GenerationRemap> {
         let snapshot = self.write().begin_rebuild()?;
         let pending = match snapshot.build_next() {
@@ -474,65 +482,29 @@ impl SkylineEngine {
         config: EngineConfig,
     ) -> Result<Self> {
         let data = data.into();
-        let mut ipo = None;
-        let mut bitmap = None;
-        let mut asfs = None;
         // The point block is built exactly once per engine; configurations that carry an
         // Adaptive SFS structure let it own the block (the engine exposes it by delegation),
         // so mutations have a single owner and never transpose the dataset twice.
-        let mut block: Option<Arc<PointBlock>> = None;
-        let mut owned_data = None;
-        match config {
+        let generation = match config {
             EngineConfig::SfsD => {
-                block = Some(Arc::new(PointBlock::new(&data)));
-                owned_data = Some(data);
+                let block = Arc::new(PointBlock::new(&data));
+                Generation::scanning(data, block)
             }
             EngineConfig::AdaptiveSfs => {
-                asfs = Some(AdaptiveSfs::build(data, &template)?);
-            }
-            EngineConfig::IpoTree => {
-                ipo = Some(IpoTreeBuilder::new().build(&data, &template)?);
-                owned_data = Some(data);
-            }
-            EngineConfig::IpoTreeTopK(k) => {
-                ipo = Some(
-                    IpoTreeBuilder::new()
-                        .top_k_values(k)
-                        .build(&data, &template)?,
-                );
-                owned_data = Some(data);
-            }
-            EngineConfig::BitmapIpoTree => {
-                let tree = IpoTreeBuilder::new().build(&data, &template)?;
-                bitmap = Some(BitmapIpoTree::from_tree(&tree, &data));
-                owned_data = Some(data);
+                Generation::adaptive(AdaptiveSfs::build(data, &template)?, None)
             }
             EngineConfig::Hybrid { top_k } => {
                 let tree = IpoTreeBuilder::new()
                     .top_k_values(top_k)
                     .build(&data, &template)?;
-                let shared = Arc::new(PointBlock::new(&data));
-                asfs = Some(AdaptiveSfs::from_precomputed_with_block(
-                    data,
-                    shared,
-                    template.clone(),
-                    tree.skyline().to_vec(),
-                )?);
-                ipo = Some(tree);
+                let block = Arc::new(PointBlock::new(&data));
+                Generation::hybrid(tree, data, block, &template)?
             }
-        }
+        };
         Ok(Self {
             template,
             config,
-            generation: Generation {
-                id: 0,
-                data: owned_data,
-                block,
-                ipo: ipo.map(Arc::new),
-                bitmap,
-                asfs,
-                tree_epoch: DatasetEpoch::INITIAL,
-            },
+            generation,
             replay_log: None,
             mutations_since_rebuild: 0,
             carried_stats: MaintenanceStats::default(),
@@ -557,10 +529,7 @@ impl SkylineEngine {
     }
 
     /// The shared row-major point layout the compiled dominance kernel evaluates over.
-    ///
-    /// `None` for pure IPO-tree configurations, which answer queries from materialized sets
-    /// and never run a dominance scan.
-    pub fn point_block(&self) -> Option<&Arc<PointBlock>> {
+    pub fn point_block(&self) -> &Arc<PointBlock> {
         self.generation.point_block()
     }
 
@@ -572,16 +541,12 @@ impl SkylineEngine {
 
     /// Number of live (non-deleted) rows the engine serves.
     pub fn live_rows(&self) -> usize {
-        self.point_block()
-            .map(|b| b.live_count())
-            .unwrap_or_else(|| self.dataset().len())
+        self.point_block().live_count()
     }
 
     /// True when row `p` exists and has not been logically deleted.
     pub fn is_row_live(&self, p: PointId) -> bool {
-        self.point_block()
-            .map(|b| b.is_live(p))
-            .unwrap_or_else(|| (p as usize) < self.dataset().len())
+        self.point_block().is_live(p)
     }
 
     /// The template shared by all queries.
@@ -594,9 +559,10 @@ impl SkylineEngine {
         self.config
     }
 
-    /// The materialized IPO tree, when the configuration has one.
+    /// The materialized IPO tree, when the configuration has one. It may be stale —
+    /// [`SkylineEngine::serves_from_tree`] says whether it currently answers a preference.
     pub fn ipo_tree(&self) -> Option<&IpoTree> {
-        self.generation.ipo.as_deref()
+        self.generation.tree.as_deref()
     }
 
     /// The Adaptive SFS structure, when the configuration has one.
@@ -605,43 +571,22 @@ impl SkylineEngine {
     }
 
     /// Mutable access to the Adaptive SFS structure (e.g. to trigger an explicit
-    /// [`AdaptiveSfs::compact`]); requires a mutable configuration.
+    /// [`AdaptiveSfs::compact`]).
     pub fn adaptive_mut(&mut self) -> Option<&mut AdaptiveSfs> {
         self.generation.asfs.as_mut()
     }
 
     /// Errors exactly when [`SkylineEngine::query`] would reject `pref` without computing a
-    /// skyline: schema validation, template refinement, and — for configurations whose query
-    /// path rejects unmaterialized values — the materialization predicate.
+    /// skyline: schema validation and template refinement.
     ///
     /// This is the engine-level servability policy in one place; the `skyline-service` result
     /// cache consults it before a lookup so that cache state can never change which inputs
-    /// are accepted. The hybrid configuration needs no materialization check: it answers
-    /// unmaterialized preferences via its Adaptive-SFS fallback.
+    /// are accepted. There is no materialization check: a preference the hybrid's tree does
+    /// not materialize is answered by its Adaptive-SFS fallback.
     pub fn check_servable(&self, pref: &Preference) -> Result<()> {
         let schema = self.dataset().schema();
         pref.validate(schema)?;
-        self.template.check_refinement(schema, pref)?;
-        match self.config {
-            EngineConfig::IpoTree | EngineConfig::IpoTreeTopK(_) => {
-                let tree = self.generation.ipo.as_ref().expect("built in build()");
-                tree.require_materialized(schema, pref)
-            }
-            EngineConfig::BitmapIpoTree => {
-                let tree = self.generation.bitmap.as_ref().expect("built in build()");
-                tree.require_materialized(schema, pref)
-            }
-            EngineConfig::SfsD | EngineConfig::AdaptiveSfs | EngineConfig::Hybrid { .. } => Ok(()),
-        }
-    }
-
-    /// True when this configuration supports [`SkylineEngine::insert_row`] /
-    /// [`SkylineEngine::delete_row`]. Pure IPO-tree configurations are frozen.
-    pub fn supports_mutation(&self) -> bool {
-        matches!(
-            self.config,
-            EngineConfig::SfsD | EngineConfig::AdaptiveSfs | EngineConfig::Hybrid { .. }
-        )
+        self.template.check_refinement(schema, pref)
     }
 
     /// Inserts a row (numeric values in numeric-index order, nominal value ids in
@@ -649,12 +594,11 @@ impl SkylineEngine {
     ///
     /// Adaptive-SFS-backed configurations update their skyline structures incrementally (one
     /// dominance check against the current skyline plus `O(log n)` list updates); SFS-D only
-    /// appends to its data and point block, since it scans per query anyway. Pure IPO-tree
-    /// configurations reject mutations. If other `Arc` handles to the dataset are still held
-    /// outside the engine, the first mutation copies the data once so those handles keep an
-    /// immutable snapshot; afterwards the engine owns its copy and mutates in place.
+    /// appends to its data and point block, since it scans per query anyway. If other `Arc`
+    /// handles to the dataset are still held outside the engine, the first mutation copies
+    /// the data once so those handles keep an immutable snapshot; afterwards the engine owns
+    /// its copy and mutates in place.
     pub fn insert_row(&mut self, numeric: &[f64], nominal: &[ValueId]) -> Result<DatasetEpoch> {
-        self.require_mutable()?;
         self.generation.apply_insert(numeric, nominal)?;
         if self.generation.asfs.is_none() {
             self.sfsd_stats.inserts += 1;
@@ -675,7 +619,6 @@ impl SkylineEngine {
     /// rows that never existed are an error. See [`SkylineEngine::insert_row`] for the
     /// configuration and sharing rules.
     pub fn delete_row(&mut self, p: PointId) -> Result<DatasetEpoch> {
-        self.require_mutable()?;
         let was_live = self.generation.apply_delete(p)?;
         if was_live {
             if self.generation.asfs.is_none() {
@@ -694,9 +637,9 @@ impl SkylineEngine {
         self.mutations_since_rebuild
     }
 
-    /// Tombstoned rows still physically occupying the engine's block (0 for frozen configs).
+    /// Tombstoned rows still physically occupying the engine's block.
     pub fn dead_rows(&self) -> usize {
-        self.point_block().map(|b| b.dead_count()).unwrap_or(0)
+        self.point_block().dead_count()
     }
 
     /// The translation published by the most recent generation swap, when one has happened.
@@ -730,22 +673,26 @@ impl SkylineEngine {
         self.carried_stats.merged(live)
     }
 
-    /// True when `pref` would currently be answered from a materialized IPO tree: always for
-    /// the frozen tree configurations (when they accept it at all), and for the hybrid exactly
-    /// when its tree is current (no mutation since materialization) and materializes every
-    /// listed value. This is the introspection hook tests and monitors use to observe a
+    /// True when `pref` would currently be answered from the materialized IPO tree: the
+    /// engine has one, it is current (no mutation since materialization), and it materializes
+    /// every listed value. This is the introspection hook tests and monitors use to observe a
     /// mutated hybrid recovering tree-served queries after a generation rebuild.
     pub fn serves_from_tree(&self, pref: &Preference) -> bool {
-        match self.config {
-            EngineConfig::IpoTree | EngineConfig::IpoTreeTopK(_) | EngineConfig::BitmapIpoTree => {
-                true
-            }
-            EngineConfig::Hybrid { .. } => {
-                let tree = self.generation.ipo.as_ref().expect("built in build()");
-                self.epoch() == self.generation.tree_epoch && tree.materializes(pref)
-            }
-            EngineConfig::SfsD | EngineConfig::AdaptiveSfs => false,
-        }
+        self.serving_tree(pref).is_some()
+    }
+
+    /// The tree that answers `pref` right now, if any — the one routing decision behind
+    /// [`SkylineEngine::serves_from_tree`], the batch path and the stream path. It consults
+    /// the same [`Materialization`] predicate the tree's own query rejection uses (Section
+    /// 5.3): popular (fully materialized) preferences go to the IPO tree, everything else to
+    /// Adaptive SFS. The tree was materialized at the generation's `tree_epoch`; once the
+    /// dataset moves past it, every query routes to the incrementally maintained fallback so
+    /// a stale tree can never answer — until a generation rebuild re-materializes the tree
+    /// and tree-served queries resume.
+    fn serving_tree(&self, pref: &Preference) -> Option<&IpoTree> {
+        let tree = self.generation.tree.as_deref()?;
+        (self.epoch() == self.generation.tree_epoch && tree.materialization().materializes(pref))
+            .then_some(tree)
     }
 
     /// Starts a generation rebuild: captures a cheap [`GenerationSnapshot`] and arms the
@@ -753,11 +700,10 @@ impl SkylineEngine {
     /// the next generation before [`SkylineEngine::install_generation`] swaps it in.
     ///
     /// Call under the write lock (the snapshot is a handful of `Arc` clones — microseconds),
-    /// then run [`GenerationSnapshot::build_next`] with **no lock held**. Fails on frozen
-    /// configurations and when a rebuild is already in flight; a build that is abandoned
-    /// without installing must call [`SkylineEngine::abort_rebuild`] to disarm the log.
+    /// then run [`GenerationSnapshot::build_next`] with **no lock held**. Fails when a
+    /// rebuild is already in flight; a build that is abandoned without installing must call
+    /// [`SkylineEngine::abort_rebuild`] to disarm the log.
     pub fn begin_rebuild(&mut self) -> Result<GenerationSnapshot> {
-        self.require_mutable()?;
         if self.replay_log.is_some() {
             return Err(SkylineError::InvalidArgument(
                 "a generation rebuild is already in flight".into(),
@@ -767,11 +713,8 @@ impl SkylineEngine {
             template: self.template.clone(),
             config: self.config,
             data: self.dataset_arc().clone(),
-            block: self
-                .point_block()
-                .expect("mutable configs build a block")
-                .clone(),
-            tree: self.generation.ipo.clone(),
+            block: self.point_block().clone(),
+            tree: self.ipo_tree().map(|tree| tree.materialization().clone()),
             epoch: self.epoch(),
             generation_id: self.generation.id,
         };
@@ -880,18 +823,6 @@ impl SkylineEngine {
         Ok(published)
     }
 
-    fn require_mutable(&self) -> Result<()> {
-        if self.supports_mutation() {
-            Ok(())
-        } else {
-            Err(SkylineError::InvalidArgument(format!(
-                "engine configuration {:?} answers from frozen materialized structures and \
-                 does not support mutation; rebuild the engine instead",
-                self.config
-            )))
-        }
-    }
-
     fn ensure_epoch(&self, expected: DatasetEpoch) -> Result<()> {
         let actual = self.epoch();
         if actual == expected {
@@ -923,8 +854,8 @@ impl SkylineEngine {
     ///
     /// The Adaptive-SFS and SFS-D elimination scans poll the deadline at block granularity
     /// and fail with [`SkylineError::DeadlineExceeded`] once the budget is spent — releasing
-    /// the worker instead of finishing an answer nobody is waiting for; the IPO tree paths
-    /// (set operations, orders of magnitude cheaper than a scan) check it once up front.
+    /// the worker instead of finishing an answer nobody is waiting for; the IPO tree path
+    /// (set operations, orders of magnitude cheaper than a scan) checks it once up front.
     pub fn query_at_deadline(
         &self,
         pref: &Preference,
@@ -934,67 +865,22 @@ impl SkylineEngine {
     ) -> Result<QueryOutcome> {
         self.ensure_epoch(epoch)?;
         deadline.check()?;
-        match self.config {
-            EngineConfig::SfsD => self.query_sfs_d(pref, deadline),
-            EngineConfig::AdaptiveSfs => {
-                let asfs = self.generation.asfs.as_ref().expect("built in build()");
-                Ok(QueryOutcome {
-                    skyline: asfs
-                        .query_deadline_scratch(
-                            pref,
-                            skyline_adaptive::ScanMode::default(),
-                            deadline,
-                            &mut scratch.asfs,
-                        )?
-                        .0,
-                    method: MethodUsed::AdaptiveSfs,
-                })
-            }
-            EngineConfig::IpoTree | EngineConfig::IpoTreeTopK(_) => {
-                let tree = self.generation.ipo.as_ref().expect("built in build()");
-                Ok(QueryOutcome {
-                    skyline: tree.query(self.dataset(), pref)?,
-                    method: MethodUsed::IpoTree,
-                })
-            }
-            EngineConfig::BitmapIpoTree => {
-                let tree = self.generation.bitmap.as_ref().expect("built in build()");
-                Ok(QueryOutcome {
-                    skyline: tree.query(self.dataset(), pref)?,
-                    method: MethodUsed::IpoTree,
-                })
-            }
-            EngineConfig::Hybrid { .. } => {
-                // Same predicate the truncated tree's query rejection uses (Section 5.3):
-                // popular (fully materialized) preferences go to the IPO tree, everything
-                // else to Adaptive SFS. The tree was materialized at the generation's
-                // `tree_epoch`; once the dataset moves past it, every query routes to the
-                // incrementally maintained fallback so a stale tree can never answer — until
-                // a generation rebuild re-materializes the tree and tree-served queries
-                // resume. `serves_from_tree` is the same predicate, exposed for
-                // introspection.
-                if self.serves_from_tree(pref) {
-                    let tree = self.generation.ipo.as_ref().expect("built in build()");
-                    Ok(QueryOutcome {
-                        skyline: tree.query(self.dataset(), pref)?,
-                        method: MethodUsed::IpoTree,
-                    })
-                } else {
-                    let asfs = self.generation.asfs.as_ref().expect("built in build()");
-                    Ok(QueryOutcome {
-                        skyline: asfs
-                            .query_deadline_scratch(
-                                pref,
-                                skyline_adaptive::ScanMode::default(),
-                                deadline,
-                                &mut scratch.asfs,
-                            )?
-                            .0,
-                        method: MethodUsed::AdaptiveSfs,
-                    })
-                }
-            }
+        if let Some(tree) = self.serving_tree(pref) {
+            return Ok(QueryOutcome {
+                skyline: tree.query(self.dataset(), pref)?,
+                method: MethodUsed::IpoTree,
+            });
         }
+        let Some(asfs) = &self.generation.asfs else {
+            return self.query_sfs_d(pref, deadline);
+        };
+        let mode = skyline_adaptive::ScanMode::default();
+        Ok(QueryOutcome {
+            skyline: asfs
+                .query_deadline_scratch(pref, mode, deadline, &mut scratch.asfs)?
+                .0,
+            method: MethodUsed::AdaptiveSfs,
+        })
     }
 
     /// The SFS-D baseline path: score-sort the live rows with the query ranking, then run
@@ -1002,11 +888,7 @@ impl SkylineEngine {
     /// plus orders compiled for this query). Tombstoned rows never enter the candidate list,
     /// so the compiled scan skips them without any rebuild.
     fn query_sfs_d(&self, pref: &Preference, deadline: &Deadline) -> Result<QueryOutcome> {
-        let block = self
-            .generation
-            .block
-            .as_ref()
-            .expect("SfsD engines build their point block in build()");
+        let block = self.point_block();
         let data = self.dataset();
         let dom = CompiledRelation::for_query(block.clone(), data.schema(), &self.template, pref)?;
         let score = ScoreFn::for_preference(data.schema(), pref)?;
@@ -1030,9 +912,10 @@ impl SkylineEngine {
     ///   handful of dominance tests, long before the scan finishes.
     /// * [`EngineConfig::SfsD`] streams its presorted elimination scan: each accepted point
     ///   is final the moment it is accepted (the monotone sort guarantees no retraction).
-    /// * IPO-tree-served configurations compute the full answer up front (set operations,
-    ///   orders of magnitude cheaper than a scan) and replay it in score order, so stream
-    ///   consumers see one uniform contract regardless of the serving method.
+    /// * Tree-served preferences ([`SkylineEngine::serves_from_tree`]) compute the full answer
+    ///   up front (set operations, orders of magnitude cheaper than a scan) and replay it
+    ///   in score order, so stream consumers see one uniform contract regardless of the
+    ///   serving method.
     ///
     /// The stream owns shared handles to the generation's dataset and block, so it stays
     /// valid — pinned to the snapshot it was created from — across later engine mutations,
@@ -1049,75 +932,35 @@ impl SkylineEngine {
         deadline.check()?;
         let data = self.dataset_arc().clone();
         let score = ScoreFn::for_preference(data.schema(), pref)?;
-        let (inner, method) = match self.config {
-            EngineConfig::SfsD => {
-                let block = self
-                    .generation
-                    .block
-                    .as_ref()
-                    .expect("SfsD engines build their point block in build()");
-                let dom = CompiledRelation::for_query(
-                    block.clone(),
-                    data.schema(),
-                    &self.template,
-                    pref,
-                )?;
-                let all: Vec<PointId> = block.live_ids().collect();
-                let sorted = score.sort_by_score(&data, &all);
-                let mut window = DenseWindow::default();
-                dom.reset_window(&mut window);
-                (
-                    StreamInner::Sorted(Box::new(SortedScan {
-                        dom,
-                        sorted,
-                        pos: 0,
-                        window,
-                    })),
-                    MethodUsed::SfsD,
-                )
-            }
-            EngineConfig::AdaptiveSfs => {
-                let asfs = self.generation.asfs.as_ref().expect("built in build()");
-                (
-                    StreamInner::Progressive(Box::new(asfs.query_progressive(pref)?)),
-                    MethodUsed::AdaptiveSfs,
-                )
-            }
-            EngineConfig::Hybrid { .. } => {
-                if self.serves_from_tree(pref) {
-                    let tree = self.generation.ipo.as_ref().expect("built in build()");
-                    let ids = tree.query(&data, pref)?;
-                    let ordered = score.sort_by_score(&data, &ids);
-                    (
-                        StreamInner::Materialized(ordered.into_iter()),
-                        MethodUsed::IpoTree,
-                    )
-                } else {
-                    let asfs = self.generation.asfs.as_ref().expect("built in build()");
-                    (
-                        StreamInner::Progressive(Box::new(asfs.query_progressive(pref)?)),
-                        MethodUsed::AdaptiveSfs,
-                    )
-                }
-            }
-            EngineConfig::IpoTree | EngineConfig::IpoTreeTopK(_) => {
-                let tree = self.generation.ipo.as_ref().expect("built in build()");
-                let ids = tree.query(&data, pref)?;
-                let ordered = score.sort_by_score(&data, &ids);
-                (
-                    StreamInner::Materialized(ordered.into_iter()),
-                    MethodUsed::IpoTree,
-                )
-            }
-            EngineConfig::BitmapIpoTree => {
-                let tree = self.generation.bitmap.as_ref().expect("built in build()");
-                let ids = tree.query(&data, pref)?;
-                let ordered = score.sort_by_score(&data, &ids);
-                (
-                    StreamInner::Materialized(ordered.into_iter()),
-                    MethodUsed::IpoTree,
-                )
-            }
+        let (inner, method) = if let Some(tree) = self.serving_tree(pref) {
+            let ids = tree.query(&data, pref)?;
+            let ordered = score.sort_by_score(&data, &ids);
+            (
+                StreamInner::Materialized(ordered.into_iter()),
+                MethodUsed::IpoTree,
+            )
+        } else if let Some(asfs) = &self.generation.asfs {
+            (
+                StreamInner::Progressive(Box::new(asfs.query_progressive(pref)?)),
+                MethodUsed::AdaptiveSfs,
+            )
+        } else {
+            let block = self.point_block();
+            let dom =
+                CompiledRelation::for_query(block.clone(), data.schema(), &self.template, pref)?;
+            let all: Vec<PointId> = block.live_ids().collect();
+            let sorted = score.sort_by_score(&data, &all);
+            let mut window = DenseWindow::default();
+            dom.reset_window(&mut window);
+            (
+                StreamInner::Sorted(Box::new(SortedScan {
+                    dom,
+                    sorted,
+                    pos: 0,
+                    window,
+                })),
+                MethodUsed::SfsD,
+            )
         };
         Ok(EngineStream {
             inner,
@@ -1293,9 +1136,8 @@ mod tests {
         let configs = [
             EngineConfig::SfsD,
             EngineConfig::AdaptiveSfs,
-            EngineConfig::IpoTree,
-            EngineConfig::BitmapIpoTree,
-            EngineConfig::Hybrid { top_k: 3 },
+            EngineConfig::Hybrid { top_k: usize::MAX },
+            EngineConfig::Hybrid { top_k: 1 },
         ];
         let specs: Vec<Vec<(&str, &str)>> = vec![
             vec![("hotel-group", "M < *")],
@@ -1338,23 +1180,14 @@ mod tests {
         let outcome = engine.query(&unpopular).unwrap();
         assert_eq!(outcome.method, MethodUsed::AdaptiveSfs);
         let ctx = DominanceContext::for_query(&data, &template, &unpopular).unwrap();
-        assert_eq!(outcome.skyline, bnl::skyline(&ctx));
-    }
-
-    #[test]
-    fn top_k_engine_rejects_unmaterialized_values() {
-        let data = table3_data();
-        let schema = data.schema().clone();
-        let template = Template::empty(&schema);
-        let engine =
-            SkylineEngine::build(data.clone(), template, EngineConfig::IpoTreeTopK(1)).unwrap();
-        let unpopular = Preference::parse(&schema, [("airline", "W < *")]).unwrap();
-        assert!(matches!(
-            engine.query(&unpopular),
-            Err(SkylineError::NotMaterialized { .. })
-        ));
-        assert!(engine.ipo_tree().is_some());
-        assert!(engine.adaptive().is_none());
+        let expected = bnl::skyline(&ctx);
+        assert_eq!(outcome.skyline, expected);
+        // The full tree (`top_k` clamped to the cardinality) has no unpopular values.
+        let full = SkylineEngine::build(data, template, EngineConfig::Hybrid { top_k: usize::MAX })
+            .unwrap();
+        let outcome = full.query(&unpopular).unwrap();
+        assert_eq!(outcome.method, MethodUsed::IpoTree);
+        assert_eq!(outcome.skyline, expected);
     }
 
     #[test]
@@ -1447,23 +1280,13 @@ mod tests {
     fn point_block_exists_exactly_for_dominance_scanning_configs() {
         let data = table3_data();
         let template = Template::empty(data.schema());
-        for (config, expects_block) in [
-            (EngineConfig::SfsD, true),
-            (EngineConfig::AdaptiveSfs, true),
-            (EngineConfig::Hybrid { top_k: 2 }, true),
-            (EngineConfig::IpoTree, false),
-            (EngineConfig::IpoTreeTopK(2), false),
-            (EngineConfig::BitmapIpoTree, false),
+        for config in [
+            EngineConfig::SfsD,
+            EngineConfig::AdaptiveSfs,
+            EngineConfig::Hybrid { top_k: 2 },
         ] {
             let engine = SkylineEngine::build(data.clone(), template.clone(), config).unwrap();
-            assert_eq!(
-                engine.point_block().is_some(),
-                expects_block,
-                "config {config:?}"
-            );
-            if let Some(block) = engine.point_block() {
-                assert_eq!(block.len(), data.len());
-            }
+            assert_eq!(engine.point_block().len(), data.len(), "config {config:?}");
         }
         // Hybrid engines share one block between the engine and the aSFS fallback.
         let hybrid = SkylineEngine::build(
@@ -1473,7 +1296,7 @@ mod tests {
         )
         .unwrap();
         assert!(Arc::ptr_eq(
-            hybrid.point_block().unwrap(),
+            hybrid.point_block(),
             hybrid.adaptive().unwrap().point_block()
         ));
     }
@@ -1486,9 +1309,8 @@ mod tests {
         let configs = [
             EngineConfig::SfsD,
             EngineConfig::AdaptiveSfs,
-            EngineConfig::IpoTree,
-            EngineConfig::BitmapIpoTree,
-            EngineConfig::Hybrid { top_k: 3 },
+            EngineConfig::Hybrid { top_k: usize::MAX },
+            EngineConfig::Hybrid { top_k: 1 },
         ];
         let specs: Vec<Vec<(&str, &str)>> = vec![
             vec![("hotel-group", "M < *")],

@@ -5,15 +5,16 @@
 //!
 //! It re-exports the full public API of the workspace and adds the [`engine::SkylineEngine`],
 //! a single entry point that can answer implicit-preference skyline queries with any of the
-//! paper's methods:
+//! paper's methods ([`EngineConfig`] has one arm each):
 //!
 //! * **SFS-D** — the baseline: sort-first-skyline over the whole dataset per query;
 //! * **SFS-A** — Adaptive SFS: presorted template skyline, per-query re-ranking of affected
 //!   points, progressive output;
-//! * **IPO Tree / IPO Tree-K** — partial materialization of first-order preference skylines
-//!   combined per query with the merging property;
-//! * **Hybrid** — the recommendation of Section 5.3: IPO tree for the popular values, Adaptive
-//!   SFS as the fallback for queries mentioning unmaterialized values.
+//! * **Hybrid** — the recommendation of Section 5.3 and the engine's one tree configuration:
+//!   an **IPO tree** (partial materialization of first-order preference skylines,
+//!   combined per query with the merging property) over the `top_k` most popular values —
+//!   `top_k: 10` is the paper's *IPO Tree-10*, `top_k: usize::MAX` its full *IPO Tree* — with
+//!   Adaptive SFS as the fallback for queries mentioning unmaterialized values.
 //!
 //! ```
 //! use skyline::prelude::*;
@@ -76,5 +77,5 @@ pub mod prelude {
         Template, ValueId,
     };
     pub use skyline_datagen::{Distribution, ExperimentConfig, QueryGenerator, WorkloadOp};
-    pub use skyline_ipo::{BitmapIpoTree, BuildStrategy, IpoTree, IpoTreeBuilder};
+    pub use skyline_ipo::{BitmapIpoTree, IpoTree, IpoTreeBuilder};
 }

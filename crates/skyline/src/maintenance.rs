@@ -67,16 +67,13 @@ impl Default for MaintenancePolicy {
 }
 
 impl MaintenancePolicy {
-    /// True when the engine's accumulated debt crosses either threshold. Frozen
-    /// configurations (no mutation path, hence no debt) are never due; neither is an engine
-    /// with a rebuild already in flight.
+    /// True when the engine's accumulated debt crosses either threshold. An engine with a
+    /// rebuild already in flight is never due.
     pub fn due(&self, engine: &crate::SkylineEngine) -> bool {
-        if !engine.supports_mutation() || engine.rebuild_in_flight() {
+        if engine.rebuild_in_flight() {
             return false;
         }
-        let Some(block) = engine.point_block() else {
-            return false;
-        };
+        let block = engine.point_block();
         let dead_due = block.dead_count() > 0 && block.dead_ratio() >= self.dead_row_ratio;
         let mutation_due = engine.mutations_since_rebuild() >= self.max_mutations_since_rebuild
             && engine.mutations_since_rebuild() > 0;
@@ -530,14 +527,11 @@ mod tests {
     }
 
     #[test]
-    fn policy_ignores_frozen_and_in_flight_engines() {
+    fn policy_ignores_in_flight_engines() {
         let policy = MaintenancePolicy {
             max_mutations_since_rebuild: 1,
             ..MaintenancePolicy::default()
         };
-        let frozen = shared(EngineConfig::IpoTree);
-        assert!(!policy.due(&frozen.read()));
-
         let engine = shared(EngineConfig::AdaptiveSfs);
         engine.write().delete_row(0).unwrap();
         assert!(policy.due(&engine.read()));
@@ -576,7 +570,7 @@ mod tests {
         assert!(handle.force_rebuild().unwrap());
         {
             let engine = engine.read();
-            let block = engine.point_block().unwrap();
+            let block = engine.point_block();
             assert_eq!(block.len(), block.live_count(), "only live rows remain");
             assert_eq!(engine.generation().id(), 1);
             assert_eq!(engine.maintenance_stats().rebuilds, 1);
@@ -615,7 +609,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         let engine_guard = engine.read();
-        let block = engine_guard.point_block().unwrap();
+        let block = engine_guard.point_block();
         assert_eq!(block.dead_count(), 0);
         assert_eq!(block.len(), 3);
     }
@@ -660,7 +654,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         for engine in &engines {
-            assert_eq!(engine.read().point_block().unwrap().dead_count(), 0);
+            assert_eq!(engine.read().point_block().dead_count(), 0);
         }
         assert_eq!(pool.in_flight(), 0);
     }
@@ -715,7 +709,7 @@ mod tests {
         );
         assert_eq!(pool.in_flight(), 0, "in-flight count restored on unwind");
         assert!(!engine.read().rebuild_in_flight());
-        assert_eq!(engine.read().point_block().unwrap().dead_count(), 0);
+        assert_eq!(engine.read().point_block().dead_count(), 0);
         // The pool keeps functioning for explicitly forced cycles too.
         engine.write().delete_row(2).unwrap();
         assert!(handle.force_rebuild().unwrap());

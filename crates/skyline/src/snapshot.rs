@@ -24,16 +24,16 @@ use skyline_adaptive::AdaptiveSfs;
 use skyline_core::kernel::{DatasetEpoch, PointBlock};
 use skyline_core::snapshot::{self as snap, ByteReader, ByteWriter, SnapshotBuilder, SnapshotView};
 use skyline_core::{PointId, Result, SkylineError};
-use skyline_ipo::{decode_tree, encode_tree, BitmapIpoTree};
+use skyline_ipo::{decode_tree, encode_tree};
 use std::path::Path;
 use std::sync::Arc;
 
-/// Wire tags for [`EngineConfig`] in the `SECTION_ENGINE_META` payload.
+/// Wire tags for [`EngineConfig`] in the `SECTION_ENGINE_META` payload. Tags 2, 3 and 4
+/// belonged to retired tree-only configurations (full set-based tree, top-`k` tree, full
+/// bitmap tree): they stay reserved — never reuse them — and [`SkylineEngine::from_snapshot`]
+/// refuses them by name, pointing at the `Hybrid { top_k }` that replaces each.
 const CONFIG_SFS_D: u8 = 0;
 const CONFIG_ADAPTIVE_SFS: u8 = 1;
-const CONFIG_IPO_TREE: u8 = 2;
-const CONFIG_IPO_TREE_TOP_K: u8 = 3;
-const CONFIG_BITMAP_IPO_TREE: u8 = 4;
 const CONFIG_HYBRID: u8 = 5;
 
 /// Reconstruction errors are corruption reports: a decoded payload that fails a structural
@@ -49,9 +49,7 @@ impl SkylineEngine {
     /// Serializes the engine's serving generation into a self-describing snapshot buffer.
     ///
     /// The write path reads `&self` only — run it off the maintenance build pool (see
-    /// `skyline-service`) while readers keep serving. Configurations that carry no point
-    /// block (the frozen IPO trees) transpose a transient one at write time so every
-    /// snapshot is loadable through the same column sections.
+    /// `skyline-service`) while readers keep serving.
     pub fn write_snapshot(&self) -> Result<Vec<u8>> {
         let generation = self.generation();
         let mut builder = SnapshotBuilder::new();
@@ -59,12 +57,6 @@ impl SkylineEngine {
         match self.config() {
             EngineConfig::SfsD => meta.put_u8(CONFIG_SFS_D),
             EngineConfig::AdaptiveSfs => meta.put_u8(CONFIG_ADAPTIVE_SFS),
-            EngineConfig::IpoTree => meta.put_u8(CONFIG_IPO_TREE),
-            EngineConfig::IpoTreeTopK(k) => {
-                meta.put_u8(CONFIG_IPO_TREE_TOP_K);
-                meta.put_vbyte(k as u64);
-            }
-            EngineConfig::BitmapIpoTree => meta.put_u8(CONFIG_BITMAP_IPO_TREE),
             EngineConfig::Hybrid { top_k } => {
                 meta.put_u8(CONFIG_HYBRID);
                 meta.put_vbyte(top_k as u64);
@@ -81,17 +73,9 @@ impl SkylineEngine {
             snap::SECTION_TEMPLATE,
             snap::encode_template(self.template()),
         );
-        match self.point_block() {
-            Some(block) => snap::write_block_sections(block, &mut builder),
-            None => {
-                let transient = PointBlock::new(self.dataset());
-                snap::write_block_sections(&transient, &mut builder);
-            }
-        }
-        if let Some(tree) = &self.generation.ipo {
+        snap::write_block_sections(self.point_block(), &mut builder);
+        if let Some(tree) = self.ipo_tree() {
             builder.section(snap::SECTION_IPO_TREE, encode_tree(tree));
-        } else if let Some(bitmap) = &self.generation.bitmap {
-            builder.section(snap::SECTION_IPO_TREE, encode_tree(&bitmap.to_ipo_tree()));
         }
         if let Some(asfs) = &self.generation.asfs {
             builder.section(
@@ -123,12 +107,20 @@ impl SkylineEngine {
         let config = match meta.get_u8()? {
             CONFIG_SFS_D => EngineConfig::SfsD,
             CONFIG_ADAPTIVE_SFS => EngineConfig::AdaptiveSfs,
-            CONFIG_IPO_TREE => EngineConfig::IpoTree,
-            CONFIG_IPO_TREE_TOP_K => EngineConfig::IpoTreeTopK(meta.get_vbyte()? as usize),
-            CONFIG_BITMAP_IPO_TREE => EngineConfig::BitmapIpoTree,
             CONFIG_HYBRID => EngineConfig::Hybrid {
                 top_k: meta.get_vbyte()? as usize,
             },
+            // The retired tags: 3 carried its `k`, 2 and 4 materialized every value.
+            retired @ 2..=4 => {
+                let top_k = match retired {
+                    3 => meta.get_vbyte()?.to_string(),
+                    _ => "usize::MAX".to_owned(),
+                };
+                return Err(SkylineError::Snapshot(format!(
+                    "engine configuration tag {retired} was retired with the tree-only \
+                     configurations; preprocess the data again as Hybrid {{ top_k: {top_k} }}"
+                )));
+            }
             other => {
                 return Err(SkylineError::Snapshot(format!(
                     "unknown engine configuration tag {other}"
@@ -151,22 +143,12 @@ impl SkylineEngine {
             snap::SECTION_BLOCK_MAX_VALUES,
             snap::SECTION_BLOCK_LIVENESS,
         ];
-        let has_tree = matches!(
-            config,
-            EngineConfig::IpoTree
-                | EngineConfig::IpoTreeTopK(_)
-                | EngineConfig::BitmapIpoTree
-                | EngineConfig::Hybrid { .. }
-        );
-        let has_asfs = matches!(
-            config,
-            EngineConfig::AdaptiveSfs | EngineConfig::Hybrid { .. }
-        );
-        if has_asfs {
-            expected.push(snap::SECTION_ASFS_ENTRIES);
-        }
-        if has_tree {
-            expected.push(snap::SECTION_IPO_TREE);
+        match config {
+            EngineConfig::SfsD => {}
+            EngineConfig::AdaptiveSfs => expected.push(snap::SECTION_ASFS_ENTRIES),
+            EngineConfig::Hybrid { .. } => {
+                expected.extend([snap::SECTION_ASFS_ENTRIES, snap::SECTION_IPO_TREE])
+            }
         }
         let mut present = view.section_ids();
         present.sort_unstable();
@@ -182,113 +164,42 @@ impl SkylineEngine {
         let block = snap::read_block(&view)?;
         let data = Arc::new(snap::dataset_from_block(&schema, &block)?);
         let block = Arc::new(block);
-        if tree_epoch > block.epoch() {
+        let block_epoch = block.epoch();
+        if tree_epoch > block_epoch {
             return Err(SkylineError::Snapshot(format!(
                 "tree epoch {} is ahead of the block epoch {}",
                 tree_epoch.get(),
-                block.epoch().get()
+                block_epoch.get()
             )));
         }
-        // Frozen configurations never mutate: their (transient) block must be pristine.
-        if matches!(
-            config,
-            EngineConfig::IpoTree | EngineConfig::IpoTreeTopK(_) | EngineConfig::BitmapIpoTree
-        ) && (block.epoch() != DatasetEpoch::INITIAL || block.dead_count() != 0)
-        {
-            return Err(SkylineError::Snapshot(
-                "frozen configuration with a mutated point block".into(),
-            ));
-        }
-
-        let decoded_tree = if has_tree {
-            let tree = decode_tree(
-                template.clone(),
-                data.len(),
-                view.section(snap::SECTION_IPO_TREE)?,
-            )?;
-            let expected_top_k = match config {
-                EngineConfig::IpoTreeTopK(k) => Some(k),
-                EngineConfig::Hybrid { top_k } => Some(top_k),
-                _ => None,
-            };
-            if tree.top_k() != expected_top_k {
-                return Err(SkylineError::Snapshot(format!(
-                    "tree truncation {:?} does not match configuration {config:?}",
-                    tree.top_k()
-                )));
-            }
-            Some(tree)
-        } else {
-            None
+        let decode_asfs = |data, block: Arc<PointBlock>| {
+            let entries = decode_entries(view.section(snap::SECTION_ASFS_ENTRIES)?, block.len())?;
+            AdaptiveSfs::from_sorted_entries(data, block, template.clone(), entries)
+                .map_err(as_snapshot_error)
         };
-        let decoded_entries = if has_asfs {
-            Some(decode_entries(
-                view.section(snap::SECTION_ASFS_ENTRIES)?,
-                block.len(),
-            )?)
-        } else {
-            None
-        };
-
         let generation = match config {
-            EngineConfig::SfsD => Generation {
-                id: generation_id,
-                data: Some(data),
-                block: Some(block),
-                ipo: None,
-                bitmap: None,
-                asfs: None,
-                tree_epoch,
-            },
-            EngineConfig::AdaptiveSfs => {
-                let asfs = AdaptiveSfs::from_sorted_entries(
-                    data,
-                    block,
+            EngineConfig::SfsD => Generation::scanning(data, block),
+            EngineConfig::AdaptiveSfs => Generation::adaptive(decode_asfs(data, block)?, None),
+            EngineConfig::Hybrid { top_k } => {
+                let tree = decode_tree(
                     template.clone(),
-                    decoded_entries.expect("decoded for asfs configs"),
-                )
-                .map_err(as_snapshot_error)?;
-                Generation {
-                    id: generation_id,
-                    data: None,
-                    block: None,
-                    ipo: None,
-                    bitmap: None,
-                    asfs: Some(asfs),
-                    tree_epoch,
+                    data.len(),
+                    view.section(snap::SECTION_IPO_TREE)?,
+                )?;
+                if tree.top_k() != Some(top_k) {
+                    return Err(SkylineError::Snapshot(format!(
+                        "tree truncation {:?} does not match configuration {config:?}",
+                        tree.top_k()
+                    )));
                 }
-            }
-            EngineConfig::IpoTree | EngineConfig::IpoTreeTopK(_) => Generation {
-                id: generation_id,
-                data: Some(data),
-                block: None,
-                ipo: Some(Arc::new(decoded_tree.expect("decoded for tree configs"))),
-                bitmap: None,
-                asfs: None,
-                tree_epoch,
-            },
-            EngineConfig::BitmapIpoTree => {
-                let tree = decoded_tree.expect("decoded for tree configs");
-                let bitmap = BitmapIpoTree::from_tree(&tree, &data);
-                Generation {
-                    id: generation_id,
-                    data: Some(data),
-                    block: None,
-                    ipo: None,
-                    bitmap: Some(bitmap),
-                    asfs: None,
-                    tree_epoch,
-                }
-            }
-            EngineConfig::Hybrid { .. } => {
-                let tree = decoded_tree.expect("decoded for tree configs");
-                let entries = decoded_entries.expect("decoded for asfs configs");
+                let asfs = decode_asfs(data, block)?;
                 // A current tree and the sorted list describe the same template skyline; a
                 // stale tree (dataset mutated since materialization, `tree_epoch` behind)
                 // legitimately drifts from the incrementally maintained list and is never
                 // consulted until a rebuild.
-                if tree_epoch == block.epoch() {
-                    let mut list_ids: Vec<PointId> = entries.iter().map(|e| e.point).collect();
+                if tree_epoch == block_epoch {
+                    let mut list_ids: Vec<PointId> =
+                        asfs.sorted_entries().iter().map(|e| e.point).collect();
                     list_ids.sort_unstable();
                     if list_ids != tree.skyline() {
                         return Err(SkylineError::Snapshot(
@@ -298,18 +209,13 @@ impl SkylineEngine {
                         ));
                     }
                 }
-                let asfs = AdaptiveSfs::from_sorted_entries(data, block, template.clone(), entries)
-                    .map_err(as_snapshot_error)?;
-                Generation {
-                    id: generation_id,
-                    data: None,
-                    block: None,
-                    ipo: Some(Arc::new(tree)),
-                    bitmap: None,
-                    asfs: Some(asfs),
-                    tree_epoch,
-                }
+                Generation::adaptive(asfs, Some(tree))
             }
+        };
+        let generation = Generation {
+            id: generation_id,
+            tree_epoch,
+            ..generation
         };
         Ok(SkylineEngine {
             template,
@@ -369,9 +275,7 @@ mod tests {
         vec![
             EngineConfig::SfsD,
             EngineConfig::AdaptiveSfs,
-            EngineConfig::IpoTree,
-            EngineConfig::IpoTreeTopK(2),
-            EngineConfig::BitmapIpoTree,
+            EngineConfig::Hybrid { top_k: usize::MAX },
             EngineConfig::Hybrid { top_k: 2 },
         ]
     }
@@ -404,10 +308,43 @@ mod tests {
             );
             for pref in some_prefs(&data) {
                 assert_eq!(
-                    loaded.query(&pref).ok(),
-                    engine.query(&pref).ok(),
+                    loaded.query(&pref).unwrap(),
+                    engine.query(&pref).unwrap(),
                     "config {config:?}"
                 );
+            }
+        }
+    }
+
+    /// The tags are a file format: the surviving ones keep their numbers (a renumbering
+    /// would orphan every snapshot already written) and the retired ones are refused by
+    /// name, never decoded as some other configuration.
+    #[test]
+    fn surviving_tags_are_stable_and_retired_tags_are_refused_by_name() {
+        assert_eq!(
+            (CONFIG_SFS_D, CONFIG_ADAPTIVE_SFS, CONFIG_HYBRID),
+            (0, 1, 5)
+        );
+        for (tag, replacement) in [
+            (2u8, "Hybrid { top_k: usize::MAX }"),
+            (3, "Hybrid { top_k: 7 }"),
+            (4, "Hybrid { top_k: usize::MAX }"),
+        ] {
+            let mut meta = ByteWriter::new();
+            meta.put_u8(tag);
+            if tag == 3 {
+                meta.put_vbyte(7);
+            }
+            meta.put_u64(0);
+            meta.put_u64(0);
+            let mut builder = SnapshotBuilder::new();
+            builder.section(snap::SECTION_ENGINE_META, meta.into_inner());
+            match SkylineEngine::from_snapshot(&builder.finish()) {
+                Err(SkylineError::Snapshot(message)) => assert!(
+                    message.contains("retired") && message.contains(replacement),
+                    "tag {tag}: {message}"
+                ),
+                other => panic!("tag {tag} was not refused as a snapshot error: {other:?}"),
             }
         }
     }

@@ -1,11 +1,40 @@
 //! Property-based cross-algorithm equivalence: on random datasets and random implicit
 //! preferences, every algorithm of the paper (BNL oracle, SFS-D, Adaptive SFS in both scan
-//! modes, set-based IPO tree, bitmap IPO tree, hybrid engine) must return exactly the same
-//! skyline.
+//! modes, set-based IPO tree, bitmap IPO tree, hybrid engine — full and truncated) must
+//! return exactly the same skyline.
 
 use proptest::prelude::*;
+use skyline::ipo::build::direct_disqualified;
 use skyline::prelude::*;
 use skyline_core::algo::bnl;
+use skyline_core::Deadline;
+
+/// Every labelled node of `tree` stores exactly the set the definition gives: the members of
+/// `SKY(R)` some `SKY(∅)` point dominates under the node's first-order choices.
+fn assert_node_sets_match_direct_recomputation(tree: &IpoTree, data: &Dataset) {
+    let empty = Template::empty(data.schema());
+    let base = bnl::skyline(&DominanceContext::for_template(data, &empty).unwrap());
+    let mut stack: Vec<(u32, Vec<Option<ValueId>>)> = vec![(0, Vec::new())];
+    while let Some((node, path)) = stack.pop() {
+        if path.len() == tree.nominal_count() {
+            continue;
+        }
+        let values = tree.materialized_values(path.len()).iter().copied();
+        for label in std::iter::once(None).chain(values.map(Some)) {
+            let child = tree.child_of(node, label).unwrap();
+            let mut child_path = path.clone();
+            child_path.push(label);
+            if label.is_some() {
+                assert_eq!(
+                    tree.node(child).disqualified(),
+                    direct_disqualified(data, tree.skyline(), &base, &child_path).as_slice(),
+                    "path {child_path:?}"
+                );
+            }
+            stack.push((child, child_path));
+        }
+    }
+}
 
 /// A compact description of a random test instance.
 #[derive(Debug, Clone)]
@@ -118,16 +147,26 @@ proptest! {
         streamed.sort_unstable();
         prop_assert_eq!(&streamed, &expected);
 
-        // IPO tree (set-based, both build strategies) and bitmap variant.
+        // IPO tree: the set-based Algorithm 1/2 reference (its MDC-built node sets checked
+        // against the direct recomputation) and the bitmap form.
         let tree = IpoTreeBuilder::new().build(&data, &template).unwrap();
         prop_assert_eq!(&tree.query(&data, &query).unwrap(), &expected);
-        let direct = IpoTreeBuilder::new()
-            .strategy(BuildStrategy::Direct)
-            .build(&data, &template)
-            .unwrap();
-        prop_assert_eq!(&direct.query(&data, &query).unwrap(), &expected);
+        assert_node_sets_match_direct_recomputation(&tree, &data);
         let bitmap = BitmapIpoTree::from_tree(&tree, &data);
         prop_assert_eq!(&bitmap.query(&data, &query).unwrap(), &expected);
+
+        // The full-tree engine serves every preference from its tree, batch and stream
+        // alike.
+        let full = SkylineEngine::build(data.clone(), template.clone(), EngineConfig::Hybrid { top_k: usize::MAX }).unwrap();
+        let batch = full.query(&query).unwrap();
+        prop_assert_eq!(batch.method, MethodUsed::IpoTree);
+        prop_assert_eq!(&batch.skyline, &expected);
+        let streamed = full
+            .query_streaming_at(&query, full.epoch(), Deadline::none())
+            .unwrap()
+            .collect_outcome()
+            .unwrap();
+        prop_assert_eq!(&streamed, &batch);
 
         // Hybrid engine (small top_k so the fallback path is exercised often).
         let hybrid = SkylineEngine::build(data.clone(), template.clone(), EngineConfig::Hybrid { top_k: 2 }).unwrap();
@@ -236,32 +275,29 @@ proptest! {
         let ctx = DominanceContext::for_query(&data, &template, &query).unwrap();
         let expected = bnl::skyline(&ctx);
 
-        // Every engine configuration. `IpoTreeTopK(cardinality)` materializes every value, so
-        // it must accept (and agree on) arbitrary queries.
+        // Every engine configuration. `top_k` is clamped to the cardinality, so both full
+        // trees materialize every value and serve arbitrary queries from the tree.
         let configs = [
             EngineConfig::SfsD,
             EngineConfig::AdaptiveSfs,
-            EngineConfig::IpoTree,
-            EngineConfig::IpoTreeTopK(instance.cardinality),
-            EngineConfig::BitmapIpoTree,
+            EngineConfig::Hybrid { top_k: usize::MAX },
+            EngineConfig::Hybrid { top_k: instance.cardinality },
             EngineConfig::Hybrid { top_k: 1 },
         ];
         for config in configs {
             let engine = SkylineEngine::build(data.clone(), template.clone(), config).unwrap();
             let outcome = engine.query(&query).unwrap();
             prop_assert_eq!(&outcome.skyline, &expected, "config {:?} diverged", config);
+            if matches!(config, EngineConfig::Hybrid { top_k } if top_k >= instance.cardinality) {
+                prop_assert_eq!(outcome.method, MethodUsed::IpoTree);
+            }
         }
 
-        // Both explicit build strategies and the parallel build path produce equivalent trees.
-        let mdc = IpoTreeBuilder::new().build(&data, &template).unwrap();
-        let direct = IpoTreeBuilder::new()
-            .strategy(BuildStrategy::Direct)
-            .build(&data, &template)
-            .unwrap();
-        let parallel = IpoTreeBuilder::new().parallel(true).build(&data, &template).unwrap();
-        prop_assert_eq!(&mdc.query(&data, &query).unwrap(), &expected);
-        prop_assert_eq!(&direct.query(&data, &query).unwrap(), &expected);
-        prop_assert_eq!(&parallel.query(&data, &query).unwrap(), &expected);
+        // The set-based reference tree: same answer, node sets equal to the direct
+        // recomputation.
+        let tree = IpoTreeBuilder::new().build(&data, &template).unwrap();
+        prop_assert_eq!(&tree.query(&data, &query).unwrap(), &expected);
+        assert_node_sets_match_direct_recomputation(&tree, &data);
     }
 
     /// On wide shapes, refining a query (appending one more value to some dimension) never
@@ -304,7 +340,7 @@ proptest! {
             prop_assert!(base_sky.contains(p), "refinement admitted new member {}", p);
         }
 
-        let engine = SkylineEngine::build(data.clone(), template.clone(), EngineConfig::IpoTree).unwrap();
+        let engine = SkylineEngine::build(data.clone(), template.clone(), EngineConfig::Hybrid { top_k: usize::MAX }).unwrap();
         prop_assert_eq!(&engine.query(&base).unwrap().skyline, &base_sky);
         prop_assert_eq!(&engine.query(&refined).unwrap().skyline, &refined_sky);
     }

@@ -70,8 +70,12 @@ fn hybrid_matches_the_dedicated_engines() {
         EngineConfig::Hybrid { top_k: 4 },
     )
     .unwrap();
-    let full_tree =
-        SkylineEngine::build(data.clone(), template.clone(), EngineConfig::IpoTree).unwrap();
+    let full_tree = SkylineEngine::build(
+        data.clone(),
+        template.clone(),
+        EngineConfig::Hybrid { top_k: usize::MAX },
+    )
+    .unwrap();
     let adaptive =
         SkylineEngine::build(data.clone(), template.clone(), EngineConfig::AdaptiveSfs).unwrap();
 
@@ -80,7 +84,9 @@ fn hybrid_matches_the_dedicated_engines() {
         let pref = generator.random_preference(data.schema(), &template, 3, None);
         let expected = adaptive.query(&pref).unwrap().skyline;
         assert_eq!(hybrid.query(&pref).unwrap().skyline, expected);
-        assert_eq!(full_tree.query(&pref).unwrap().skyline, expected);
+        let from_tree = full_tree.query(&pref).unwrap();
+        assert_eq!(from_tree.method, MethodUsed::IpoTree);
+        assert_eq!(from_tree.skyline, expected);
     }
 }
 

@@ -187,8 +187,7 @@ proptest! {
         let configs = [
             EngineConfig::SfsD,
             EngineConfig::AdaptiveSfs,
-            EngineConfig::IpoTree,
-            EngineConfig::BitmapIpoTree,
+            EngineConfig::Hybrid { top_k: usize::MAX },
             EngineConfig::Hybrid { top_k: 2 },
         ];
         for config in configs {

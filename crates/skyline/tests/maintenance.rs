@@ -1,8 +1,8 @@
 //! Property-based tests of incremental maintenance (Section 4.3), now at the engine level:
 //! after any interleaved sequence of row insertions, logical deletions and compactions, every
-//! mutable engine configuration answers queries exactly like a from-scratch computation over
-//! the live rows — and the dominance-region-restricted delete path is equivalent to the full
-//! rescan. Frozen (pure IPO-tree) configurations must reject mutations.
+//! engine configuration answers queries exactly like a from-scratch computation over the
+//! live rows — and the dominance-region-restricted delete path is equivalent to the full
+//! rescan.
 
 use proptest::prelude::*;
 use skyline::prelude::*;
@@ -99,11 +99,11 @@ proptest! {
         for config in [
             EngineConfig::SfsD,
             EngineConfig::AdaptiveSfs,
+            EngineConfig::Hybrid { top_k: usize::MAX },
             EngineConfig::Hybrid { top_k: 2 },
         ] {
             let mut engine =
                 SkylineEngine::build(data.clone(), template.clone(), config).unwrap();
-            prop_assert!(engine.supports_mutation());
             let mut epoch = engine.epoch();
             prop_assert_eq!(epoch, DatasetEpoch::INITIAL);
 
@@ -207,26 +207,6 @@ proptest! {
             restricted.maintenance_stats().resurface_candidates,
             full.maintenance_stats().resurface_candidates,
         );
-    }
-
-    /// Frozen configurations reject mutations and stay at the initial epoch.
-    #[test]
-    fn frozen_configs_reject_mutations(initial in rows_strategy()) {
-        let data = Arc::new(initial_dataset(&initial));
-        let template = Template::empty(data.schema());
-        for config in [
-            EngineConfig::IpoTree,
-            EngineConfig::IpoTreeTopK(2),
-            EngineConfig::BitmapIpoTree,
-        ] {
-            let mut engine =
-                SkylineEngine::build(data.clone(), template.clone(), config).unwrap();
-            prop_assert!(!engine.supports_mutation());
-            prop_assert!(engine.insert_row(&[0.0, 0.0], &[0]).is_err());
-            prop_assert!(engine.delete_row(0).is_err());
-            prop_assert_eq!(engine.epoch(), DatasetEpoch::INITIAL);
-            prop_assert_eq!(engine.live_rows(), engine.dataset().len());
-        }
     }
 }
 

@@ -71,8 +71,7 @@ fn table2_customer_preferences() {
     let configs = [
         EngineConfig::SfsD,
         EngineConfig::AdaptiveSfs,
-        EngineConfig::IpoTree,
-        EngineConfig::BitmapIpoTree,
+        EngineConfig::Hybrid { top_k: usize::MAX },
         EngineConfig::Hybrid { top_k: 2 },
     ];
     let customers = [
@@ -234,8 +233,12 @@ fn nursery_real_data_setup_matches_section_5_2() {
     // The paper's algorithms all agree on it with the default template.
     let template = Template::most_frequent_value(&data).unwrap();
     let asfs = AdaptiveSfs::build(data.clone(), &template).unwrap();
-    let engine =
-        SkylineEngine::build(data.clone(), template.clone(), EngineConfig::IpoTree).unwrap();
+    let engine = SkylineEngine::build(
+        data.clone(),
+        template.clone(),
+        EngineConfig::Hybrid { top_k: usize::MAX },
+    )
+    .unwrap();
     let pref = Preference::parse(
         data.schema(),
         [
@@ -244,6 +247,7 @@ fn nursery_real_data_setup_matches_section_5_2() {
         ],
     )
     .unwrap();
+    assert!(engine.serves_from_tree(&pref));
     let from_tree = engine.query(&pref).unwrap().skyline;
     let from_asfs = asfs.query(&pref).unwrap();
     assert_eq!(from_tree, from_asfs);
