@@ -20,6 +20,9 @@
 //!
 //! The batch forms preserve the input/push order of the surviving points, so feeding
 //! score-sorted candidates yields a score-sorted skyline (what the SFS machinery relies on).
+//! All three test dominance on the packed lanes alone — each source's rows in 64-row
+//! blocks, probed with `u64` mask algebra; the `merge_equivalence` suite checks them against
+//! BNL under the reference [`DominanceContext`](crate::DominanceContext).
 //!
 //! # The precondition: every source is its own skyline
 //!
@@ -40,7 +43,7 @@
 //! other, and would both survive.
 
 use crate::error::{Result, SkylineError};
-use crate::kernel::{kernel_mode, CompiledOrder, CompiledRelation, KernelMode};
+use crate::kernel::{CompiledOrder, CompiledRelation};
 use crate::lanes::PackedLanes;
 use crate::value::{PointId, ValueId};
 use std::cmp::{Ordering, Reverse};
@@ -49,30 +52,6 @@ use std::time::{Duration, Instant};
 
 /// One candidate's raw values: numeric and nominal, each in dimension-index order.
 type Row<'a> = (&'a [f64], &'a [ValueId]);
-
-/// `p ≺ q` on raw row values, mirroring [`CompiledRelation::dominates`]: numeric
-/// smaller-is-better with NaN neither blocking nor establishing dominance, nominal strict
-/// preference through the compiled closures, value-identical rows co-existing. The scalar
-/// dominance test of every merge operator under [`KernelMode::Scalar`], and the oracle the
-/// packed lanes are tested against.
-fn dominates(orders: &[CompiledOrder], (pn, pm): Row<'_>, (qn, qm): Row<'_>) -> bool {
-    let mut strict = false;
-    for (pv, qv) in pn.iter().zip(qn) {
-        if pv > qv {
-            return false;
-        }
-        strict |= pv < qv;
-    }
-    for (order, (&pv, &qv)) in orders.iter().zip(pm.iter().zip(qm)) {
-        if pv != qv {
-            if !order.strictly_preferred(pv, qv) {
-                return false;
-            }
-            strict = true;
-        }
-    }
-    strict
-}
 
 /// Stages a row's nominal values as the `(value id, layered rank)` pairs the lanes take.
 fn stage_probe(orders: &[CompiledOrder], nominal: &[ValueId], probe: &mut Vec<u16>) {
@@ -130,9 +109,6 @@ fn eliminate<'a>(
     if (1..n).all(|c| source(c) == source(0)) {
         return vec![true; n];
     }
-    if kernel_mode() == KernelMode::Scalar {
-        return scalar_eliminate(orders, n, source, row);
-    }
     // `(source, cluster key, candidate)`: one sort groups the sources and clusters each.
     let mut sorted: Vec<(usize, (u64, u64), usize)> = (0..n)
         .map(|c| (source(c), cluster_key(row(c)), c))
@@ -159,24 +135,6 @@ fn eliminate<'a>(
                 alive[c] = false;
             }
         }
-    }
-    alive
-}
-
-/// [`eliminate`] one row at a time on [`dominates`]: the [`KernelMode::Scalar`] path and the
-/// oracle of the packed one. Same contract, same kill-at-once rule.
-fn scalar_eliminate<'a>(
-    orders: &[CompiledOrder],
-    n: usize,
-    source: impl Fn(usize) -> usize,
-    row: impl Fn(usize) -> Row<'a>,
-) -> Vec<bool> {
-    let mut alive = vec![true; n];
-    for c in 0..n {
-        let (own, target) = (source(c), row(c));
-        let dominated =
-            (0..n).any(|k| alive[k] && source(k) != own && dominates(orders, row(k), target));
-        alive[c] = !dominated;
     }
     alive
 }
@@ -427,9 +385,10 @@ pub struct ProgressiveMerger {
     laggard_timeout: Option<Duration>,
     pending: BinaryHeap<Reverse<PendingCandidate>>,
     /// The published survivors — the only dominators later candidates are ever tested
-    /// against — packed per source, and as `(source, slot)` for the scalar kernel.
+    /// against — packed per source.
     lanes: Vec<PackedLanes>,
-    published: Vec<(usize, usize)>,
+    /// Number of rows published so far.
+    published: usize,
     /// Scratch for the resolved candidate's `(value id, layered rank)` pairs.
     probe: Vec<u16>,
 }
@@ -450,7 +409,7 @@ impl ProgressiveMerger {
             laggard_timeout: None,
             pending: BinaryHeap::new(),
             lanes,
-            published: Vec::new(),
+            published: 0,
             probe: Vec::new(),
         }
     }
@@ -519,7 +478,7 @@ impl ProgressiveMerger {
 
     /// Number of rows published (confirmed) so far.
     pub fn published(&self) -> usize {
-        self.published.len()
+        self.published
     }
 
     /// True once every source has finished and every buffered candidate was resolved.
@@ -586,7 +545,6 @@ impl ProgressiveMerger {
             .flatten()
             .copied()
             .fold(f64::INFINITY, f64::min);
-        let packed = kernel_mode() == KernelMode::Packed;
         while let Some(Reverse(top)) = self.pending.peek() {
             // Resolvable once no unfinished stream can still emit a smaller score. NaN
             // scores sort last under total_cmp and resolve only when everything finished.
@@ -597,16 +555,9 @@ impl ProgressiveMerger {
             let orders = &self.rows.orders;
             let (pn, pm) = self.rows.row(c.slot);
             stage_probe(orders, pm, &mut self.probe);
-            let dominated = if packed {
-                dominated_by_another_source(&self.lanes, c.source, orders, pn, &self.probe)
-            } else {
-                self.published.iter().any(|&(source, slot)| {
-                    source != c.source && dominates(orders, self.rows.row(slot), (pn, pm))
-                })
-            };
-            if !dominated {
+            if !dominated_by_another_source(&self.lanes, c.source, orders, pn, &self.probe) {
                 self.lanes[c.source].push(pn, &self.probe);
-                self.published.push((c.source, c.slot));
+                self.published += 1;
                 out.push((c.source, c.id));
             }
         }
@@ -994,21 +945,26 @@ mod tests {
         // (1) ≺ (2) ≺ (3). Handing (1) and (2) in as one source breaks the "each source is
         // its own skyline" contract: (2) is never tested against its source-mate and
         // survives, while (3), from another source, is eliminated as usual.
-        let push_all = |merger: &mut SkylineMerger| {
-            merger.push(0, 1, &[1.0], &[]).unwrap();
-            merger.push(0, 2, &[2.0], &[]).unwrap();
-            merger.push(4, 3, &[3.0], &[]).unwrap();
-        };
-        for mode in [KernelMode::Packed, KernelMode::Scalar] {
-            let mut merger = SkylineMerger::new(Vec::new(), 1);
-            push_all(&mut merger);
-            let merged = crate::kernel::with_kernel_mode(mode, || merger.merge());
-            assert_eq!(merged, vec![(0, 1), (0, 2)], "{mode:?}");
-        }
+        let mut merger = SkylineMerger::new(Vec::new(), 1);
+        merger.push(0, 1, &[1.0], &[]).unwrap();
+        merger.push(0, 2, &[2.0], &[]).unwrap();
+        merger.push(4, 3, &[3.0], &[]).unwrap();
+        assert_eq!(merger.merge(), vec![(0, 1), (0, 2)]);
+    }
+
+    /// Brute-force `p ≺ q` on raw rows (no NaN here): not worse on every dimension, and
+    /// the rows differ somewhere.
+    fn row_dominates(orders: &[CompiledOrder], (pn, pm): Row<'_>, (qn, qm): Row<'_>) -> bool {
+        pn.iter().zip(qn).all(|(p, q)| p <= q)
+            && orders
+                .iter()
+                .zip(pm.iter().zip(qm))
+                .all(|(order, (&p, &q))| p == q || order.strictly_preferred(p, q))
+            && (pn != qn || pm != qm)
     }
 
     #[test]
-    fn packed_and_scalar_elimination_agree_across_lane_blocks() {
+    fn elimination_matches_brute_force_across_lane_blocks() {
         // Three sources of 150 mutually non-dominating rows each (one anti-diagonal per
         // source, half a unit apart, so a row is dominated by its neighbours on the lower
         // diagonals unless the nominal order 0 ≺ 1 objects): several lane blocks per source.
@@ -1028,20 +984,15 @@ mod tests {
                 sources.push(s);
             }
         }
-        let run = |mode| {
-            crate::kernel::with_kernel_mode(mode, || {
-                eliminate(
-                    &rows.orders,
-                    2,
-                    sources.len(),
-                    |c| sources[c],
-                    |c| rows.row(c),
-                )
-            })
-        };
-        let packed = run(KernelMode::Packed);
-        assert_eq!(packed, run(KernelMode::Scalar));
-        let survivors = packed.iter().filter(|&&keep| keep).count();
-        assert!(0 < survivors && survivors < packed.len(), "{survivors}");
+        let n = sources.len();
+        let alive = eliminate(&rows.orders, 2, n, |c| sources[c], |c| rows.row(c));
+        // Each source is its own skyline, so the survivors are exactly the rows no row of
+        // the union dominates.
+        let oracle: Vec<bool> = (0..n)
+            .map(|c| !(0..n).any(|k| row_dominates(&rows.orders, rows.row(k), rows.row(c))))
+            .collect();
+        assert_eq!(alive, oracle);
+        let survivors = alive.iter().filter(|&&keep| keep).count();
+        assert!(0 < survivors && survivors < n, "{survivors}");
     }
 }

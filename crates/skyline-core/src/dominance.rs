@@ -16,8 +16,8 @@ pub trait Dominance {
     /// Accumulator for the accepted window of an elimination scan.
     ///
     /// Implementations choose their own representation: the reference context keeps plain
-    /// point ids, while the compiled kernel densifies accepted rows into contiguous buffers
-    /// ([`crate::kernel::DenseWindow`]) so the window walk is purely sequential memory.
+    /// point ids, while the compiled kernel copies accepted rows into 64-row lane blocks
+    /// ([`crate::kernel::DenseWindow`]) so one pass of mask algebra tests a whole block.
     /// A `Default` window is empty and must be [`reset`](Dominance::reset_window) against
     /// the relation before reuse.
     type Window: Default;
@@ -61,43 +61,36 @@ pub trait Dominance {
     /// kernel overrides it with the bit-parallel packed window, whose eviction step needs
     /// validity masks the generic [`Dominance::Window`] API does not expose. Algorithms call
     /// this through [`crate::algo::bnl::skyline_of`], so every caller gets whichever inner
-    /// loop the implementation (and the active [`crate::kernel::KernelMode`]) provides.
+    /// loop the implementation provides.
+    ///
+    /// The classic loop: each candidate is dropped at its first dominator, otherwise evicts
+    /// every window member it dominates and joins the window.
     fn bnl_skyline(&self, points: &[PointId]) -> Vec<PointId> {
-        generic_bnl_skyline(self, points)
-    }
-}
-
-/// The classic BNL window loop, shared by the trait default and the compiled kernel's
-/// scalar-mode fallback: each candidate is dropped at its first dominator, otherwise evicts
-/// every window member it dominates and joins the window.
-pub(crate) fn generic_bnl_skyline<D: Dominance + ?Sized>(
-    ctx: &D,
-    points: &[PointId],
-) -> Vec<PointId> {
-    let mut window: Vec<PointId> = Vec::new();
-    for &p in points {
-        let mut dominated = false;
-        let mut evict = Vec::new();
-        for (i, &w) in window.iter().enumerate() {
-            if ctx.dominates(w, p) {
-                dominated = true;
-                break;
+        let mut window: Vec<PointId> = Vec::new();
+        for &p in points {
+            let mut dominated = false;
+            let mut evict = Vec::new();
+            for (i, &w) in window.iter().enumerate() {
+                if self.dominates(w, p) {
+                    dominated = true;
+                    break;
+                }
+                if self.dominates(p, w) {
+                    evict.push(i);
+                }
             }
-            if ctx.dominates(p, w) {
-                evict.push(i);
+            if dominated {
+                continue;
             }
+            // Remove evicted window entries from the back so indexes stay valid.
+            for &i in evict.iter().rev() {
+                window.swap_remove(i);
+            }
+            window.push(p);
         }
-        if dominated {
-            continue;
-        }
-        // Remove evicted window entries from the back so indexes stay valid.
-        for &i in evict.iter().rev() {
-            window.swap_remove(i);
-        }
-        window.push(p);
+        window.sort_unstable();
+        window
     }
-    window.sort_unstable();
-    window
 }
 
 /// Outcome of comparing two points under a dominance relation.

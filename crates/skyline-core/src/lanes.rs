@@ -1,10 +1,10 @@
 //! Bit-parallel packed window lanes: the hardware floor of the dominance scan.
 //!
-//! The compiled kernel ([`crate::kernel::CompiledRelation`]) reduced a pairwise dominance
-//! test to contiguous loads and integer compares, but still walks the accepted window **one
-//! candidate row at a time**. This module restructures the window into 64-row **blocks with
-//! one lane per row**, so a single pass over a block answers the dominance question for all
-//! 64 rows at once as plain `u64` mask algebra:
+//! The compiled kernel's pairwise test ([`crate::kernel::CompiledRelation::dominates`]) is
+//! contiguous loads and integer compares, but answers for **one row at a time**. Every
+//! window the kernel scans — SFS, BNL, the cross-source merges — is instead laid out in
+//! 64-row **blocks with one lane per row**, so a single pass over a block answers the
+//! dominance question for all 64 rows at once as plain `u64` mask algebra:
 //!
 //! * values are stored **block-major, dimension-major**: lane `l` of dimension `j` in block
 //!   `b` lives at `(b * dims + j) * 64 + l`. A per-dimension mask kernel streams 64
@@ -21,8 +21,8 @@
 //! Nominal dimensions store `(value id, layered rank)` lanes: ranked (weak) orders compare
 //! ranks with pure integer masks, general partial orders probe the compiled closure per
 //! lane (the closure table is a few hundred bytes, L1-resident). NaN semantics mirror the
-//! scalar kernel exactly: a NaN neither blocks nor establishes dominance, because every
-//! mask is built from the same `!(a > b)` / `a < b` comparisons the scalar path uses.
+//! pairwise test exactly: a NaN neither blocks nor establishes dominance, because every
+//! mask is built from the same `!(a > b)` / `a < b` comparisons the pairwise test uses.
 //!
 //! # Zone maps
 //!
@@ -276,7 +276,7 @@ impl PackedLanes {
 /// Numeric movemask, lane-dominates-probe direction: bit `l` of `not_worse` when lane `l`'s
 /// value is not worse than (not greater than) `pv`, of `strict` when it is strictly better.
 // `!(qv > pv)` is deliberate, not `qv <= pv`: NaN must neither block nor establish
-// dominance, exactly mirroring the scalar kernel.
+// dominance, exactly mirroring the pairwise `CompiledRelation::dominates`.
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
 #[inline]
 fn numeric_masks(lane: &[f64], pv: f64) -> (u64, u64) {

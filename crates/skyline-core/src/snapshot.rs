@@ -44,7 +44,9 @@ use crate::order::{ImplicitPreference, PartialOrder, Preference, Template};
 use crate::schema::{Dimension, Schema};
 use crate::value::{PointId, ValueId};
 use std::fmt;
+use std::io::Write;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Magic bytes at offset 0 of every snapshot.
 pub const MAGIC: [u8; 8] = *b"SKYSNAP\0";
@@ -1018,19 +1020,46 @@ pub fn read_file(path: &Path) -> Result<Vec<u8>, SnapshotError> {
     std::fs::read(path).map_err(|e| SnapshotError::Io(format!("reading {}: {e}", path.display())))
 }
 
-/// Atomically replaces `path` with `bytes`: the payload lands in a sibling temp file
-/// first and is renamed over the target, so a crash mid-write can never leave a torn
-/// snapshot where a loader will find it.
+/// Atomically and durably replaces `path` with `bytes`.
+///
+/// The payload goes to a sibling temp file of its own (named by pid plus a process-wide
+/// counter, so two writers racing for one target never share a temp file), is `fsync`ed,
+/// and is renamed over the target; on Unix the parent directory is then `fsync`ed so the
+/// rename itself is on disk when this returns `Ok`. After a crash at any point `path` holds
+/// either the previous complete file or the new one, never a torn mix; an orphaned temp
+/// file may be left beside it, which no loader reads.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
+    tmp.push(format!(
+        ".{}-{}.tmp",
+        std::process::id(),
+        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+    ));
     let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, bytes)
-        .map_err(|e| SnapshotError::Io(format!("writing {}: {e}", tmp.display())))?;
+    let written = std::fs::File::create(&tmp).and_then(|mut file| {
+        file.write_all(bytes)?;
+        file.sync_all()
+    });
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(SnapshotError::Io(format!("writing {}: {e}", tmp.display())));
+    }
     std::fs::rename(&tmp, path).map_err(|e| {
         let _ = std::fs::remove_file(&tmp);
         SnapshotError::Io(format!("renaming into {}: {e}", path.display()))
-    })
+    })?;
+    #[cfg(unix)]
+    {
+        let dir = path
+            .parent()
+            .filter(|d| !d.as_os_str().is_empty())
+            .unwrap_or(Path::new("."));
+        std::fs::File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| SnapshotError::Io(format!("syncing {}: {e}", dir.display())))?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1250,6 +1279,36 @@ mod tests {
             read_file(&dir.join("absent.snap")),
             Err(SnapshotError::Io(_))
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Writers racing for one target each get their own temp file: every write succeeds,
+    /// the target ends up holding one writer's complete payload, and no temp file is left.
+    #[test]
+    fn concurrent_writers_of_one_target_never_interleave() {
+        let dir = std::env::temp_dir().join(format!("skysnap-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shard-0000.snap");
+        let payloads: Vec<Vec<u8>> = (0..4u8).map(|w| vec![w; 256 * 1024]).collect();
+        // Every round starts all writers together, so their writes overlap.
+        let start = std::sync::Barrier::new(payloads.len());
+        std::thread::scope(|scope| {
+            for payload in &payloads {
+                let (path, start) = (&path, &start);
+                scope.spawn(move || {
+                    for _ in 0..8 {
+                        start.wait();
+                        write_atomic(path, payload).unwrap();
+                    }
+                });
+            }
+        });
+        assert!(payloads.contains(&read_file(&path).unwrap()));
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec![std::ffi::OsString::from("shard-0000.snap")]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -562,10 +562,19 @@ impl ShardedService {
     ///
     /// Every shard must carry the same schema, template and engine configuration (they were
     /// written by one service); the shard *count* and partition come from `config` and must
-    /// match the directory's files. The load is recorded in
+    /// match the directory's files. A directory that also holds `shard-{count}.snap` was
+    /// written by a larger service and is refused: loading a prefix of it would drop rows and
+    /// route later inserts by the wrong shard count. The load is recorded in
     /// [`StatsSnapshot::snapshot_loads`] / [`StatsSnapshot::snapshot_load_ms`].
     pub fn from_snapshots(dir: &Path, config: ShardedConfig) -> Result<Self> {
         let shard_count = config.shards.max(1);
+        let extra = shard_snapshot_path(dir, shard_count);
+        if extra.exists() {
+            return Err(SkylineError::Snapshot(format!(
+                "{} exists, but the service is configured for {shard_count} shards",
+                extra.display()
+            )));
+        }
         let started = Instant::now();
         let engines: Vec<SkylineEngine> = (0..shard_count)
             .map(|s| {

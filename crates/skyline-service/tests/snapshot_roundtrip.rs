@@ -1,17 +1,11 @@
 //! Snapshot round-trip: a service rehydrated from its persistent binary snapshots is
 //! observationally identical to the one that wrote them — query for query, for every
-//! engine configuration, any shard count from 1 to 4, and under both dominance-kernel
-//! modes — and every way of damaging a snapshot (byte flips, truncations, version bumps)
-//! is a structured [`SkylineError::Snapshot`], never a panic and never silently wrong rows.
-//!
-//! Kernel-mode coverage matters because the snapshot stores *data*, not kernel state: the
-//! bytes written under the packed kernel must be identical to the bytes written under the
-//! scalar kernel, and a snapshot written under either mode must load and answer correctly
-//! under the other (the CI `kernel-paths` matrix runs this suite under both `SKYLINE_KERNEL`
-//! values, and the tests additionally force both modes in-process via [`with_kernel_mode`]).
+//! engine configuration and any shard count from 1 to 4 — and every way of damaging a
+//! snapshot directory (byte flips, truncations, version bumps, mixed configurations, a
+//! shard count that does not match) is a structured [`SkylineError::Snapshot`], never a
+//! panic and never silently wrong rows.
 
 use proptest::prelude::*;
-use skyline::model::{with_kernel_mode, KernelMode};
 use skyline::prelude::*;
 use skyline_service::{ShardPartition, ShardedConfig, ShardedService};
 use std::path::PathBuf;
@@ -101,9 +95,8 @@ fn scratch_dir(name: &str) -> PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
 
-    /// Write → load is observationally the identity, for every engine configuration,
-    /// 1–4 shards and both kernel modes — including writing under one kernel mode and
-    /// loading under the other (the snapshot bytes must not depend on the kernel at all).
+    /// Write → load is observationally the identity, for every engine configuration and
+    /// 1–4 shards.
     #[test]
     fn snapshot_round_trip_is_observationally_identical(
         initial in rows_strategy(),
@@ -128,43 +121,24 @@ proptest! {
                 .unwrap();
             let expected = sharded_values(&service, &pref);
 
-            // The format stores data, not kernel state: both modes write identical bytes.
-            let packed_bytes = with_kernel_mode(KernelMode::Packed, || {
-                service.shard(0).read().write_snapshot().unwrap()
-            });
-            let scalar_bytes = with_kernel_mode(KernelMode::Scalar, || {
-                service.shard(0).read().write_snapshot().unwrap()
-            });
-            prop_assert_eq!(
-                &packed_bytes, &scalar_bytes,
-                "snapshot bytes must be kernel-mode independent (config {:?})", config
-            );
-
-            let written = with_kernel_mode(KernelMode::Packed, || service.write_snapshots(&dir));
+            let written = service.write_snapshots(&dir);
             prop_assert_eq!(written.unwrap().len(), shards.max(1));
 
-            // Load and serve under both kernel modes: write-packed/load-scalar and
-            // write-packed/load-packed both answer exactly like the original service.
-            for mode in [KernelMode::Packed, KernelMode::Scalar] {
-                let loaded = with_kernel_mode(mode, || {
-                    ShardedService::from_snapshots(&dir, sharded.clone())
-                }).unwrap();
-                prop_assert_eq!(loaded.shard_count(), service.shard_count());
-                prop_assert_eq!(loaded.live_rows(), service.live_rows());
-                for s in 0..service.shard_count() {
-                    prop_assert_eq!(
-                        loaded.shard(s).read().epoch(),
-                        service.shard(s).read().epoch(),
-                        "shard {} epoch must survive the round trip", s
-                    );
-                }
-                let answered = with_kernel_mode(mode, || sharded_values(&loaded, &pref));
+            let loaded = ShardedService::from_snapshots(&dir, sharded.clone()).unwrap();
+            prop_assert_eq!(loaded.shard_count(), service.shard_count());
+            prop_assert_eq!(loaded.live_rows(), service.live_rows());
+            for s in 0..service.shard_count() {
                 prop_assert_eq!(
-                    answered, expected.clone(),
-                    "config {:?}, shards {}, load mode {:?}", config, shards, mode
+                    loaded.shard(s).read().epoch(),
+                    service.shard(s).read().epoch(),
+                    "shard {} epoch must survive the round trip", s
                 );
-                prop_assert_eq!(loaded.stats().snapshot_loads, shards.max(1) as u64);
             }
+            prop_assert_eq!(
+                sharded_values(&loaded, &pref), expected,
+                "config {:?}, shards {}", config, shards
+            );
+            prop_assert_eq!(loaded.stats().snapshot_loads, shards.max(1) as u64);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -193,19 +167,14 @@ fn corruption_target() -> Vec<u8> {
 fn every_byte_flip_is_detected() {
     let bytes = corruption_target();
     let baseline = SkylineEngine::from_snapshot(&bytes).expect("pristine snapshot loads");
-    for mode in [KernelMode::Packed, KernelMode::Scalar] {
-        with_kernel_mode(mode, || {
-            for i in 0..bytes.len() {
-                let mut corrupt = bytes.clone();
-                corrupt[i] ^= 0x01;
-                let err = SkylineEngine::from_snapshot(&corrupt);
-                assert!(
-                    err.is_err(),
-                    "flipping byte {i} of {} went undetected under {mode:?}",
-                    bytes.len()
-                );
-            }
-        });
+    for i in 0..bytes.len() {
+        let mut corrupt = bytes.clone();
+        corrupt[i] ^= 0x01;
+        assert!(
+            SkylineEngine::from_snapshot(&corrupt).is_err(),
+            "flipping byte {i} of {} went undetected",
+            bytes.len()
+        );
     }
     assert_eq!(
         SkylineEngine::from_snapshot(&bytes).unwrap().live_rows(),
@@ -294,4 +263,45 @@ fn mixed_config_shard_files_are_refused() {
     );
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&hybrid_dir);
+}
+
+/// `from_snapshots` refuses a directory written by a service with more shards than the
+/// configured count: serving its first shards alone would drop the other shards' rows and
+/// route later inserts by the wrong shard count.
+#[test]
+fn larger_shard_directory_is_refused() {
+    let rows: Rows = (0..24i32)
+        .map(|i| {
+            (
+                vec![f64::from(i % 5), f64::from((i * 7) % 9)],
+                vec![(i as usize % CARD) as ValueId],
+            )
+        })
+        .collect();
+    let data = Arc::new(initial_dataset(&rows));
+    let sharded = |shards| ShardedConfig {
+        shards,
+        partition: ShardPartition::HashNominal { dim: 0 },
+        ..ShardedConfig::default()
+    };
+    let dir = scratch_dir("larger-directory");
+    let service = ShardedService::build(
+        &data,
+        Template::empty(data.schema()),
+        EngineConfig::AdaptiveSfs,
+        sharded(4),
+    )
+    .unwrap();
+    service.write_snapshots(&dir).unwrap();
+
+    // Shards 0–2 all hold rows here, so the 2-shard prefix would serve 16 of 24 (`Ok(16)`).
+    let err = ShardedService::from_snapshots(&dir, sharded(2)).map(|s| s.live_rows());
+    assert!(
+        matches!(&err, Err(SkylineError::Snapshot(msg)) if msg.contains("shard-0002.snap")),
+        "a 4-shard directory loaded as 2 shards must be refused, got {err:?}"
+    );
+    // The matching count still loads every row.
+    let loaded = ShardedService::from_snapshots(&dir, sharded(4)).unwrap();
+    assert_eq!(loaded.live_rows(), service.live_rows());
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,8 +15,6 @@
 //!
 //! A fifth, deterministic scenario pins the reason streams never join a single-flight latch:
 //! a stream whose consumer stops pulling must not block batch serves or writers.
-//!
-//! The suite is kernel-agnostic; CI runs it under both `SKYLINE_KERNEL` modes.
 
 use proptest::prelude::*;
 use skyline::prelude::*;

@@ -5,12 +5,11 @@
 //!
 //! 1. [`CompiledRelation`] ≡ [`DominanceContext`]: `dominates` and `compare` agree on every
 //!    point pair, for random datasets, templates and query preferences.
-//! 2. Packed ≡ scalar ≡ reference on every path that scans a window: the bit-parallel
-//!    64-lane kernel ([`KernelMode::Packed`], the runtime default), the scalar compiled
-//!    walk it falls back to, and the reference context produce identical skylines through
-//!    BNL, the SFS dense-window scan, and the cross-fragment `merge_skylines` operator —
-//!    across 2–8 total dimensions, ragged window lengths straddling the 64/128 lane-block
-//!    boundaries, and both all-ranked and mixed ranked/unranked nominal orders.
+//! 2. Packed ≡ reference on every path that scans a window: the bit-parallel 64-lane
+//!    kernel and the reference context produce identical skylines through BNL, the SFS
+//!    window scan, and the cross-fragment `merge_skylines` operator — across 2–8 total
+//!    dimensions, ragged window lengths straddling the 64/128 lane-block boundaries, and
+//!    both all-ranked and mixed ranked/unranked nominal orders.
 //! 3. Parallel divide-and-conquer preprocessing ≡ serial: `AdaptiveSfs::build_with_workers`
 //!    produces a **bit-for-bit identical** sorted list for any worker count, and engines of
 //!    every [`EngineConfig`] answer queries identically no matter how their Adaptive SFS
@@ -20,7 +19,7 @@ use proptest::prelude::*;
 use skyline::prelude::*;
 use skyline_core::algo::{bnl, sfs};
 use skyline_core::score::ScoreFn;
-use skyline_core::{merge_skylines, with_kernel_mode, Deadline, KernelMode, PartialOrder};
+use skyline_core::{merge_skylines, Deadline, PartialOrder};
 
 /// A compact description of a random test instance.
 #[derive(Debug, Clone)]
@@ -214,8 +213,7 @@ proptest! {
     }
 }
 
-/// A random instance over the widened design space the packed kernel monomorphizes on:
-/// 1–4 numeric × 1–4 nominal dimensions (2–8 total), row counts chosen to straddle the
+/// A random instance over a widened design space: 1–4 numeric × 1–4 nominal dimensions (2–8 total), row counts chosen to straddle the
 /// 64-lane block boundaries, and per-dimension partial orders that may or may not be
 /// layered-rank representable (mixed ranked/unranked).
 #[derive(Debug, Clone)]
@@ -297,11 +295,11 @@ fn build_wide_dataset(instance: &WideInstance) -> std::sync::Arc<Dataset> {
     )
 }
 
-/// Pins packed ≡ scalar ≡ reference on both window walks: BNL against the reference BNL
-/// skyline (`expected`), and the SFS presorted scan against the reference context's scan
-/// over the same `sorted` order. The scan is compared scan-to-scan, not scan-to-BNL: a
-/// score that is merely weakly monotone (ties broken by id) makes SFS output order-
-/// dependent, and all three implementations must be order-dependent *identically*.
+/// Pins packed ≡ reference on both window walks: BNL against the reference BNL skyline
+/// (`expected`), and the SFS presorted scan against the reference context's scan over the
+/// same `sorted` order. The scan is compared scan-to-scan, not scan-to-BNL: a score that is
+/// merely weakly monotone (ties broken by id) makes SFS output order-dependent, and both
+/// implementations must be order-dependent *identically*.
 fn assert_all_paths_match<D: Dominance>(
     dom: &D,
     sorted: &[PointId],
@@ -310,30 +308,26 @@ fn assert_all_paths_match<D: Dominance>(
     expected_scan: &[PointId],
     what: &str,
 ) {
-    let packed = with_kernel_mode(KernelMode::Packed, || bnl::skyline_of(dom, all));
-    let scalar = with_kernel_mode(KernelMode::Scalar, || bnl::skyline_of(dom, all));
-    assert_eq!(&packed, expected, "packed bnl vs reference ({what})");
-    assert_eq!(&scalar, expected, "scalar bnl vs reference ({what})");
-    let packed_scan = with_kernel_mode(KernelMode::Packed, || sfs::scan_presorted(dom, sorted));
-    let scalar_scan = with_kernel_mode(KernelMode::Scalar, || sfs::scan_presorted(dom, sorted));
     assert_eq!(
-        &packed_scan, expected_scan,
-        "packed sfs vs reference ({what})"
+        &bnl::skyline_of(dom, all),
+        expected,
+        "packed bnl vs reference ({what})"
     );
     assert_eq!(
-        &scalar_scan, expected_scan,
-        "scalar sfs vs reference ({what})"
+        &sfs::scan_presorted(dom, sorted),
+        expected_scan,
+        "packed sfs vs reference ({what})"
     );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
 
-    /// Packed ≡ scalar ≡ reference under **general partial-order templates** (mixed
-    /// ranked/unranked dimensions) on wide schemas and lane-boundary window lengths, for
-    /// the BNL window, the SFS dense-window scan, and the cross-fragment merge.
+    /// Packed ≡ reference under **general partial-order templates** (mixed ranked/unranked
+    /// dimensions) on wide schemas and lane-boundary window lengths, for the BNL window, the
+    /// SFS window scan, and the cross-fragment merge.
     #[test]
-    fn packed_scalar_and_reference_agree_on_wide_templates(
+    fn packed_and_reference_agree_on_wide_templates(
         instance in wide_instance_strategy()
     ) {
         let data = build_wide_dataset(&instance);
@@ -371,30 +365,25 @@ proptest! {
         let expected_scan = sfs::scan_presorted(&ctx, &sorted);
         assert_all_paths_match(&kernel, &sorted, &all, &expected, &expected_scan, "template");
 
-        // Cross-fragment merge: 3-way ragged split, fragment skylines merged back must
-        // equal the global skyline, packed and scalar alike.
+        // Cross-fragment merge: 3-way ragged split, the reference fragment skylines merged
+        // back must equal the global skyline.
         let fragments: Vec<Vec<PointId>> = (0..3)
             .map(|s| {
                 let rows: Vec<PointId> =
                     all.iter().copied().filter(|p| p % 3 == s).collect();
-                with_kernel_mode(KernelMode::Scalar, || bnl::skyline_of(&kernel, &rows))
+                bnl::skyline_of(&ctx, &rows)
             })
             .collect();
         let views: Vec<&[PointId]> = fragments.iter().map(Vec::as_slice).collect();
-        let mut merged_packed =
-            with_kernel_mode(KernelMode::Packed, || merge_skylines(&kernel, &views));
-        let mut merged_scalar =
-            with_kernel_mode(KernelMode::Scalar, || merge_skylines(&kernel, &views));
-        merged_packed.sort_unstable();
-        merged_scalar.sort_unstable();
-        prop_assert_eq!(&merged_packed, &expected, "packed merge vs reference");
-        prop_assert_eq!(&merged_scalar, &expected, "scalar merge vs reference");
+        let mut merged = merge_skylines(&kernel, &views);
+        merged.sort_unstable();
+        prop_assert_eq!(&merged, &expected, "packed merge vs reference");
     }
 
-    /// The same three-way agreement under **implicit-preference queries** (the paper's
-    /// all-ranked form) on wide schemas, through the query-compiled kernel.
+    /// The same agreement under **implicit-preference queries** (the paper's all-ranked
+    /// form) on wide schemas, through the query-compiled kernel.
     #[test]
-    fn packed_scalar_and_reference_agree_on_wide_queries(
+    fn packed_and_reference_agree_on_wide_queries(
         instance in wide_instance_strategy()
     ) {
         let data = build_wide_dataset(&instance);

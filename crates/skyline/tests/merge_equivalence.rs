@@ -6,9 +6,9 @@
 //!
 //! `SkylineMerger::merge` ≡ `merge_skylines` ≡ drained `ProgressiveMerger` ≡ `bnl::skyline`
 //!
-//! under both [`KernelMode`]s, with the batch forms preserving push order and the progressive
-//! form never publishing a row it would have to retract. The instances cover what the
-//! source-aware, zone-mapped elimination has to get right: empty sources, push order
+//! with the batch forms preserving push order and the progressive form never publishing a
+//! row it would have to retract. The instances cover what the source-aware, zone-mapped
+//! elimination has to get right: empty sources, push order
 //! interleaved across sources, value-identical rows in different sources, a NaN numeric
 //! column, a nominal dimension of cardinality 70 whose values collide in the lanes' folded
 //! 64-bit value sets, general (non-ranked) partial orders, and per-source skylines that
@@ -17,10 +17,7 @@
 use proptest::prelude::*;
 use skyline::prelude::*;
 use skyline_core::algo::bnl;
-use skyline_core::{
-    merge_skylines, with_kernel_mode, CompiledOrder, KernelMode, PartialOrder, ProgressiveMerger,
-    SkylineMerger,
-};
+use skyline_core::{merge_skylines, CompiledOrder, PartialOrder, ProgressiveMerger, SkylineMerger};
 use std::sync::Arc;
 
 /// Cardinality of the wide nominal dimension, and the values rows actually take on it:
@@ -135,14 +132,13 @@ fn score(block: &PointBlock, orders: &[CompiledOrder], p: PointId) -> f64 {
     numeric + f64::from(nominal)
 }
 
-/// Runs all three operators under the kernel mode in effect and checks each against
-/// `expected`, the sorted skyline of the union.
+/// Runs all three operators and checks each against `expected`, the sorted skyline of the
+/// union.
 fn assert_operators_agree(
     instance: &Instance,
     kernel: &CompiledRelation,
     locals: &[Vec<PointId>],
     expected: &[PointId],
-    mode: KernelMode,
 ) {
     let block = kernel.block();
     let numeric_dims = block.numeric_dims();
@@ -156,11 +152,7 @@ fn assert_operators_agree(
         .copied()
         .filter(|&p| is_global(p))
         .collect();
-    assert_eq!(
-        merge_skylines(kernel, &views),
-        want,
-        "merge_skylines ({mode:?})"
-    );
+    assert_eq!(merge_skylines(kernel, &views), want, "merge_skylines");
 
     // SkylineMerger: candidates pushed interleaved across sources, survivors in push order.
     let is_local = |p: PointId| locals[instance.source_of[p as usize]].contains(&p);
@@ -183,7 +175,7 @@ fn assert_operators_agree(
         .copied()
         .filter(|&(_, p)| is_global(p))
         .collect();
-    assert_eq!(merger.merge(), want, "SkylineMerger ({mode:?})");
+    assert_eq!(merger.merge(), want, "SkylineMerger");
     assert!(merger.is_empty());
 
     // ProgressiveMerger: every source streams its local skyline in ascending score order;
@@ -207,16 +199,10 @@ fn assert_operators_agree(
         assert_eq!(merger.published(), published.len());
         for &(source, p) in &published[before..] {
             // Never retract: whatever is handed out is in the final answer.
-            assert!(
-                is_global(p),
-                "row {p} of source {source} published {when} ({mode:?})"
-            );
+            assert!(is_global(p), "row {p} of source {source} published {when}");
         }
         for w in published[before.saturating_sub(1)..].windows(2) {
-            assert!(
-                score_of(w[0].1) <= score_of(w[1].1),
-                "score order ({mode:?})"
-            );
+            assert!(score_of(w[0].1) <= score_of(w[1].1), "score order");
         }
     };
     for (s, stream) in streams.iter().enumerate() {
@@ -248,7 +234,7 @@ fn assert_operators_agree(
     assert!(merger.is_complete(), "every stream was offered in full");
     let mut drained: Vec<PointId> = published.iter().map(|&(_, p)| p).collect();
     drained.sort_unstable();
-    assert_eq!(drained, expected, "ProgressiveMerger ({mode:?})");
+    assert_eq!(drained, expected, "ProgressiveMerger");
     for &(source, p) in &published {
         assert_eq!(source, instance.source_of[p as usize]);
     }
@@ -282,10 +268,6 @@ proptest! {
             })
             .collect();
 
-        for mode in [KernelMode::Packed, KernelMode::Scalar] {
-            with_kernel_mode(mode, || {
-                assert_operators_agree(&instance, &kernel, &locals, &expected, mode)
-            });
-        }
+        assert_operators_agree(&instance, &kernel, &locals, &expected);
     }
 }

@@ -12,7 +12,6 @@ use skyline::adaptive::ScanMode;
 use skyline::prelude::*;
 use skyline_core::algo::bnl;
 use skyline_core::score::ScoreFn;
-use skyline_core::{with_kernel_mode, KernelMode};
 
 const CARD: usize = 4;
 
@@ -162,43 +161,39 @@ fn assert_affect_lemma(
         prop_assert_eq!(template_score.score(data, p), query_score.score(data, p));
     }
 
-    for mode in [KernelMode::Packed, KernelMode::Scalar] {
-        with_kernel_mode(mode, || {
-            // (iii) Every query path agrees with the oracle, also through mutations.
-            let mut asfs = AdaptiveSfs::build(data.clone(), &template).unwrap();
-            let stats = assert_adaptive_paths_agree(&asfs, query);
-            let affected = template_skyline
-                .iter()
-                .filter(|&&p| newly_listed(p))
-                .count();
-            prop_assert_eq!(
-                stats.affected,
-                affected,
-                "AFFECT = members with a newly listed value"
-            );
+    // (iii) Every query path agrees with the oracle, also through mutations.
+    let mut asfs = AdaptiveSfs::build(data.clone(), &template).unwrap();
+    let stats = assert_adaptive_paths_agree(&asfs, query);
+    let affected = template_skyline
+        .iter()
+        .filter(|&&p| newly_listed(p))
+        .count();
+    prop_assert_eq!(
+        stats.affected,
+        affected,
+        "AFFECT = members with a newly listed value"
+    );
 
-            // (iv) A query equal to the template is a copy of the stored skyline.
-            let (same, stats) = asfs
-                .query_with_stats(template_pref, ScanMode::AffectedOnly)
-                .unwrap();
-            prop_assert_eq!(&same, &asfs.template_skyline());
-            prop_assert_eq!((stats.affected, stats.dominance_tests), (0, 0));
+    // (iv) A query equal to the template is a copy of the stored skyline.
+    let (same, stats) = asfs
+        .query_with_stats(template_pref, ScanMode::AffectedOnly)
+        .unwrap();
+    prop_assert_eq!(&same, &asfs.template_skyline());
+    prop_assert_eq!((stats.affected, stats.dominance_tests), (0, 0));
 
-            for mutation in mutations {
-                match *mutation {
-                    Mutation::Insert(numeric, nominal) => {
-                        asfs.insert_row(&numeric, &nominal).unwrap();
-                    }
-                    Mutation::Delete(k) => {
-                        let live: Vec<PointId> = asfs.point_block().live_ids().collect();
-                        if !live.is_empty() {
-                            asfs.delete_row(live[k % live.len()]).unwrap();
-                        }
-                    }
-                }
-                assert_adaptive_paths_agree(&asfs, query);
+    for mutation in mutations {
+        match *mutation {
+            Mutation::Insert(numeric, nominal) => {
+                asfs.insert_row(&numeric, &nominal).unwrap();
             }
-        });
+            Mutation::Delete(k) => {
+                let live: Vec<PointId> = asfs.point_block().live_ids().collect();
+                if !live.is_empty() {
+                    asfs.delete_row(live[k % live.len()]).unwrap();
+                }
+            }
+        }
+        assert_adaptive_paths_agree(&asfs, query);
     }
 }
 
