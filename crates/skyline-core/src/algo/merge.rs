@@ -48,7 +48,6 @@ use crate::lanes::PackedLanes;
 use crate::value::{PointId, ValueId};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
-use std::time::{Duration, Instant};
 
 /// One candidate's raw values: numeric and nominal, each in dimension-index order.
 type Row<'a> = (&'a [f64], &'a [ValueId]);
@@ -361,28 +360,16 @@ impl Ord for PendingCandidate {
 /// finished the published set equals what [`SkylineMerger`] would have produced from the
 /// same candidates.
 ///
-/// # Bounded staleness
-///
-/// By default a single stalled source gates every other stream's buffered candidates
-/// forever. A **laggard timeout** ([`ProgressiveMerger::set_laggard_timeout`]) bounds that
-/// staleness: [`ProgressiveMerger::take_timed_out`] force-finishes every *blocking* source
-/// (one whose frontier sits below the buffered head) that has made no progress for the
-/// timeout, so the next [`ProgressiveMerger::drain_ready`] publishes every row that only the
-/// laggards were gating — each row then waits on the **responsive** sources only. Cutting a
-/// source loose forfeits its not-yet-emitted dominators, so the caller must surface the
-/// returned sources through its partial/degraded answer semantics.
+/// A stalled source holds back every buffered candidate above its frontier — the merger has
+/// no clock and never publishes past an unfinished source. What bounds the wait is the
+/// request's own [`Deadline`](crate::Deadline) on that source's pull: expiry fails the pull,
+/// and a retry under a fresh budget resumes where it stopped.
 #[derive(Debug, Clone)]
 pub struct ProgressiveMerger {
     /// Every offered row's values; a buffered candidate refers to its row by slot.
     rows: CandidateRows,
     /// Per-source score frontier; `None` once the source has finished (treated as +∞).
     frontiers: Vec<Option<f64>>,
-    /// When each source last advanced its frontier (its construction time before the first
-    /// offer) — the staleness clock behind the laggard timeout.
-    last_progress: Vec<Instant>,
-    /// Staleness bound for [`ProgressiveMerger::take_timed_out`]; `None` (the default)
-    /// means sources are never timed out.
-    laggard_timeout: Option<Duration>,
     pending: BinaryHeap<Reverse<PendingCandidate>>,
     /// The published survivors — the only dominators later candidates are ever tested
     /// against — packed per source.
@@ -405,8 +392,6 @@ impl ProgressiveMerger {
         Self {
             rows: CandidateRows::new(orders, numeric_dims),
             frontiers: vec![Some(f64::NEG_INFINITY); sources],
-            last_progress: vec![Instant::now(); sources],
-            laggard_timeout: None,
             pending: BinaryHeap::new(),
             lanes,
             published: 0,
@@ -414,66 +399,16 @@ impl ProgressiveMerger {
         }
     }
 
-    /// Sets (or clears) the bounded-staleness timeout consulted by
-    /// [`ProgressiveMerger::take_timed_out`].
-    pub fn set_laggard_timeout(&mut self, timeout: Option<Duration>) {
-        self.laggard_timeout = timeout;
-    }
-
-    /// The configured bounded-staleness timeout, if any.
-    pub fn laggard_timeout(&self) -> Option<Duration> {
-        self.laggard_timeout
-    }
-
-    /// The sources currently gating the buffered head candidate: unfinished, with a frontier
-    /// strictly below the head's score. Empty when nothing is buffered — there is nothing to
-    /// gate. These are the streams [`ProgressiveMerger::drain_ready`] is waiting on.
-    pub fn blocking_sources(&self) -> Vec<usize> {
-        let Some(Reverse(top)) = self.pending.peek() else {
-            return Vec::new();
-        };
+    /// The unfinished source with the lowest frontier, ties to the lowest index: the stream
+    /// whose next offer can move the gate, so the one to pull next. `None` once every source
+    /// has finished.
+    pub fn gating_source(&self) -> Option<usize> {
         self.frontiers
             .iter()
             .enumerate()
-            .filter(|(_, f)| f.is_some_and(|f| top.score.total_cmp(&f) == Ordering::Greater))
+            .filter_map(|(s, f)| f.map(|f| (s, f)))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(s, _)| s)
-            .collect()
-    }
-
-    /// When the earliest currently-blocking source crosses the laggard timeout: the caller's
-    /// natural wait bound before re-checking [`ProgressiveMerger::take_timed_out`]. `None`
-    /// without a timeout or while nothing is blocked.
-    pub fn laggard_deadline(&self) -> Option<Instant> {
-        let timeout = self.laggard_timeout?;
-        self.blocking_sources()
-            .into_iter()
-            .map(|s| self.last_progress[s] + timeout)
-            .min()
-    }
-
-    /// Force-finishes every blocking source whose frontier has not advanced for at least the
-    /// laggard timeout as of `now`, returning them in ascending order (empty without a
-    /// configured timeout). The explicit `now` keeps tests deterministic — and
-    /// `Duration::ZERO` times every blocking source out immediately.
-    ///
-    /// A returned source behaves exactly as if [`ProgressiveMerger::finish`] had been called:
-    /// further offers are rejected and its frontier stops gating the other streams, so the
-    /// next [`ProgressiveMerger::drain_ready`] publishes everything only the laggards held
-    /// back. The published set may then miss dominators the timed-out sources never emitted —
-    /// route the returned sources through the caller's degraded-answer path.
-    pub fn take_timed_out(&mut self, now: Instant) -> Vec<usize> {
-        let Some(timeout) = self.laggard_timeout else {
-            return Vec::new();
-        };
-        let timed_out: Vec<usize> = self
-            .blocking_sources()
-            .into_iter()
-            .filter(|&s| now.saturating_duration_since(self.last_progress[s]) >= timeout)
-            .collect();
-        for &s in &timed_out {
-            self.frontiers[s] = None;
-        }
-        timed_out
     }
 
     /// Number of rows published (confirmed) so far.
@@ -516,7 +451,6 @@ impl ProgressiveMerger {
         }
         let slot = self.rows.push(numeric, nominal)?;
         *frontier = Some(score);
-        self.last_progress[source] = Instant::now();
         self.pending.push(Reverse(PendingCandidate {
             score,
             source,
@@ -825,21 +759,30 @@ mod tests {
         ))];
         let mut merger = ProgressiveMerger::new(orders, 1, 2);
         let mut out = Vec::new();
+        assert_eq!(
+            merger.gating_source(),
+            Some(0),
+            "ties go to the lowest index"
+        );
         // Source 0 emits a row at score 5; source 1 has not reached score 5 yet, so the row
         // must stay pending — source 1 could still emit a dominator below 5.
         merger.offer(0, 10, 5.0, &[4.0], &[0]).unwrap();
         merger.drain_ready(&mut out);
         assert!(out.is_empty(), "gated by source 1's frontier");
+        assert_eq!(merger.gating_source(), Some(1));
         // Source 1 advances past score 5 with a non-dominating row: both resolve.
         merger.offer(1, 20, 6.0, &[6.0], &[1]).unwrap();
         merger.drain_ready(&mut out);
         assert_eq!(out, vec![(0, 10)]);
+        assert_eq!(merger.gating_source(), Some(0));
         merger.finish(0);
         merger.drain_ready(&mut out);
         assert_eq!(out, vec![(0, 10), (1, 20)]);
+        assert_eq!(merger.gating_source(), Some(1));
         assert!(!merger.is_complete());
         merger.finish(1);
         assert!(merger.is_complete());
+        assert_eq!(merger.gating_source(), None);
     }
 
     #[test]
@@ -875,59 +818,6 @@ mod tests {
             m.offer(0, 3, 4.0, &[1.0], &[0]).is_err(),
             "offer after finish"
         );
-    }
-
-    #[test]
-    fn laggard_timeout_releases_rows_gated_by_a_stalled_source() {
-        let orders = vec![CompiledOrder::compile(&crate::order::PartialOrder::empty(
-            2,
-        ))];
-        let mut merger = ProgressiveMerger::new(orders, 1, 2);
-        let mut out = Vec::new();
-        merger.offer(0, 10, 5.0, &[4.0], &[0]).unwrap();
-        merger.drain_ready(&mut out);
-        assert!(out.is_empty(), "source 1's frontier gates the row");
-        // Without a timeout nothing ever times out, and the deadline is absent.
-        assert!(merger.take_timed_out(Instant::now()).is_empty());
-        assert_eq!(merger.laggard_deadline(), None);
-        // A zero timeout makes every blocking source an immediate laggard.
-        merger.set_laggard_timeout(Some(Duration::ZERO));
-        assert_eq!(merger.blocking_sources(), vec![1]);
-        assert!(merger.laggard_deadline().is_some());
-        assert_eq!(merger.take_timed_out(Instant::now()), vec![1]);
-        merger.drain_ready(&mut out);
-        assert_eq!(out, vec![(0, 10)], "the gated row publishes");
-        // The timed-out source behaves exactly like a finished one.
-        assert!(merger.offer(1, 20, 6.0, &[6.0], &[1]).is_err());
-        merger.finish(0);
-        merger.drain_ready(&mut out);
-        assert!(merger.is_complete());
-    }
-
-    #[test]
-    fn responsive_sources_are_never_timed_out() {
-        let orders = vec![CompiledOrder::compile(&crate::order::PartialOrder::empty(
-            2,
-        ))];
-        let mut merger = ProgressiveMerger::new(orders, 1, 2);
-        merger.set_laggard_timeout(Some(Duration::from_secs(3600)));
-        merger.offer(0, 10, 5.0, &[4.0], &[0]).unwrap();
-        // Source 1 is blocking but nowhere near an hour stale.
-        assert_eq!(merger.blocking_sources(), vec![1]);
-        assert!(merger.take_timed_out(Instant::now()).is_empty());
-        assert!(merger.laggard_deadline().unwrap() > Instant::now());
-        // Nothing pending ⇒ nothing blocked ⇒ nothing to time out, even at +∞ staleness.
-        let mut out = Vec::new();
-        merger.offer(1, 20, 6.0, &[6.0], &[1]).unwrap();
-        merger.drain_ready(&mut out);
-        assert_eq!(out, vec![(0, 10)]);
-        merger.set_laggard_timeout(Some(Duration::ZERO));
-        // Source 0 gates (1, 20) at score 6: only source 0 may be returned, source 1 stays.
-        assert_eq!(merger.take_timed_out(Instant::now()), vec![0]);
-        merger.drain_ready(&mut out);
-        assert_eq!(out, vec![(0, 10), (1, 20)]);
-        assert!(merger.blocking_sources().is_empty());
-        assert!(merger.take_timed_out(Instant::now()).is_empty());
     }
 
     #[test]

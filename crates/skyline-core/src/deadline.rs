@@ -86,17 +86,6 @@ impl Deadline {
         self
     }
 
-    /// The sooner of this deadline and `budget` from now, sharing the cancel token. The
-    /// sharded streaming gather uses this to cap how long one laggard shard's pull may run
-    /// without loosening (or losing the cancellation of) the request's own deadline.
-    pub fn tightened(&self, budget: Duration) -> Self {
-        let cap = Instant::now() + budget;
-        Self {
-            at: Some(self.at.map_or(cap, |at| at.min(cap))),
-            cancel: self.cancel.clone(),
-        }
-    }
-
     /// Whether this deadline can ever expire (false for [`Deadline::none`]).
     pub fn is_bounded(&self) -> bool {
         self.at.is_some() || self.cancel.is_some()

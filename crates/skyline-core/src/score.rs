@@ -70,6 +70,19 @@ impl ScoreFn {
         total
     }
 
+    /// [`ScoreFn::score`] of a row given by its values in dimension-index order — the same
+    /// sum in the same order, for rows read out of a [`crate::PointBlock`].
+    pub fn score_row(&self, numeric: &[f64], nominal: &[ValueId]) -> f64 {
+        let mut total = 0.0;
+        for &v in numeric {
+            total += v;
+        }
+        for (ranks, &v) in self.nominal_ranks.iter().zip(nominal) {
+            total += ranks[v as usize];
+        }
+        total
+    }
+
     /// Scores every point of the dataset (index = point id).
     pub fn score_all(&self, data: &Dataset) -> Vec<f64> {
         data.point_ids().map(|p| self.score(data, p)).collect()
@@ -143,6 +156,11 @@ mod tests {
         // point 2: price 5, group M (rank 1) => 6
         assert_eq!(f.score(&data, 2), 6.0);
         assert_eq!(f.score_all(&data), vec![13.0, 22.0, 6.0, 8.0]);
+        let block = crate::PointBlock::new(&data);
+        for p in data.point_ids() {
+            let row = f.score_row(block.numeric_row(p), block.nominal_row(p));
+            assert_eq!(row.to_bits(), f.score(&data, p).to_bits());
+        }
     }
 
     #[test]

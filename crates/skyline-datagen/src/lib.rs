@@ -26,5 +26,5 @@ pub mod workload;
 pub mod zipf;
 
 pub use synthetic::Distribution;
-pub use workload::{equi_depth_bounds, ExperimentConfig, QueryGenerator, WorkloadOp};
+pub use workload::{ExperimentConfig, QueryGenerator, WorkloadOp};
 pub use zipf::Zipf;

@@ -326,34 +326,6 @@ pub fn top_k_values(dataset: &Dataset, k: usize) -> Vec<Vec<ValueId>> {
         .collect()
 }
 
-/// Equi-depth split points for range-partitioning `dataset` on numeric dimension
-/// `numeric_index` (a *numeric index*) into `shards` shards: the `shards - 1` empirical
-/// quantiles of that dimension, ascending — the `bounds` a
-/// `ShardPartition::RangeNumeric` wants so every shard starts with roughly `n / shards`
-/// rows. `NaN` values sort last; a quantile landing on one becomes `+∞` so the result is
-/// always `shards - 1` ascending non-NaN bounds. On heavily duplicated dimensions adjacent
-/// bounds may coincide, which starves the shards between them — that is inherent to range
-/// partitioning, not a defect of the estimate.
-pub fn equi_depth_bounds(dataset: &Dataset, numeric_index: usize, shards: usize) -> Vec<f64> {
-    if shards <= 1 || dataset.is_empty() {
-        return vec![0.0; shards.saturating_sub(1)];
-    }
-    let mut values: Vec<f64> = (0..dataset.len() as PointId)
-        .map(|p| dataset.numeric(p, numeric_index))
-        .collect();
-    values.sort_by(f64::total_cmp);
-    (1..shards)
-        .map(|i| {
-            let v = values[(i * values.len() / shards).min(values.len() - 1)];
-            if v.is_nan() {
-                f64::INFINITY
-            } else {
-                v
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -674,35 +646,6 @@ mod tests {
             cfg.query_generator()
                 .mixed_workload(data.schema(), &template, 2, 8, 40, 1.0, 1.0, 0);
         assert!(matches!(from_empty[0], WorkloadOp::Insert { .. }));
-    }
-
-    #[test]
-    fn equi_depth_bounds_split_evenly() {
-        let cfg = small_config();
-        let data = cfg.generate_dataset();
-        for shards in [2usize, 4, 7] {
-            let bounds = equi_depth_bounds(&data, 0, shards);
-            assert_eq!(bounds.len(), shards - 1);
-            assert!(bounds.windows(2).all(|w| w[0] <= w[1]), "ascending");
-            // Each bucket holds roughly n / shards rows (quantile rounding slack).
-            let mut counts = vec![0usize; shards];
-            for p in 0..data.len() as PointId {
-                let x = data.numeric(p, 0);
-                counts[bounds.partition_point(|&b| x >= b).min(shards - 1)] += 1;
-            }
-            let target = data.len() / shards;
-            for (s, &c) in counts.iter().enumerate() {
-                assert!(
-                    c.abs_diff(target) <= target / 2 + 8,
-                    "shard {s} holds {c} of {} rows over {shards} shards",
-                    data.len()
-                );
-            }
-        }
-        // Degenerate inputs still produce a structurally valid bounds list.
-        assert!(equi_depth_bounds(&data, 0, 1).is_empty());
-        let empty = Dataset::empty(data.schema().clone());
-        assert_eq!(equi_depth_bounds(&empty, 0, 4), vec![0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -21,13 +21,15 @@
 //!
 //! The pieces:
 //!
-//! * [`ShardPartition`] — how rows map to shards: hash on a nominal dimension or range on a
-//!   numeric one. Mutations route to their owning shard and touch only that engine's lock.
+//! * [`ShardPartition`] — how rows map to shards: a hash of one nominal dimension's value.
+//!   Mutations route to their owning shard and touch only that engine's lock.
 //! * [`ShardedService`] — the facade: scatter-gather queries with an epoch-**vector**-tagged
 //!   result cache (the tag is every shard's [`DatasetEpoch`], so a mutation on one shard
 //!   invalidates exactly what it must), per-key single-flight, and remap-aware salvage: when
 //!   only generation swaps moved a shard's epoch, the cached global skyline is translated
-//!   through that shard's remap chain instead of dropped.
+//!   through that shard's remap chain instead of dropped. The batch and the streaming path
+//!   share one front end (admission, deadline, guards, key, cache lookup, quarantine policy)
+//!   and one scatter; they differ only in the per-shard call and the merge operator.
 //! * a shared [`BuildPool`]: one small set of build threads maintains every shard under a
 //!   global in-flight cap, instead of one maintenance thread per shard.
 //!
@@ -68,7 +70,7 @@ use crate::flight::{FlightRole, SingleFlight};
 use crate::stats::{ServiceMetrics, StatsSnapshot};
 use skyline::{
     BuildHandle, BuildPool, BuildPoolConfig, EngineConfig, EngineScratch, EngineStream,
-    MaintenancePolicy, MethodUsed, QueryOutcome, SharedEngine, SkylineEngine,
+    MaintenancePolicy, MethodUsed, SharedEngine, SkylineEngine,
 };
 use skyline_core::score::ScoreFn;
 use skyline_core::{
@@ -83,9 +85,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// How rows are assigned to shards. The assignment is a pure function of a row's values, so
-/// routing a mutation needs no directory — and both sides (initial partitioning and later
-/// inserts) can never disagree.
+/// How rows are assigned to shards. The assignment is a pure function of a row's nominal
+/// values, so routing a mutation needs no directory — and both sides (initial partitioning
+/// and later inserts) can never disagree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShardPartition {
     /// Hash of the value id of nominal dimension `dim` (a *nominal index*). Rows sharing a
@@ -95,66 +97,27 @@ pub enum ShardPartition {
         /// Nominal index of the dimension hashed.
         dim: usize,
     },
-    /// Range partition on numeric dimension `dim` (a *numeric index*): `bounds` are the
-    /// ascending split points, `shards - 1` of them; shard `i` owns values in
-    /// `[bounds[i-1], bounds[i])` (unbounded at both ends). `NaN` routes to shard 0.
-    RangeNumeric {
-        /// Numeric index of the dimension split.
-        dim: usize,
-        /// Ascending split points (`shards - 1` entries).
-        bounds: Vec<f64>,
-    },
 }
 
 impl ShardPartition {
-    /// The shard owning a row with the given values.
-    pub fn shard_of(&self, shards: usize, numeric: &[f64], nominal: &[ValueId]) -> usize {
-        match self {
-            Self::HashNominal { dim } => {
-                // splitmix64 finalizer: adjacent value ids spread over all shards.
-                let mut h = nominal[*dim] as u64;
-                h = (h ^ (h >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-                h = (h ^ (h >> 27)).wrapping_mul(0x94d049bb133111eb);
-                (h ^ (h >> 31)) as usize % shards
-            }
-            Self::RangeNumeric { dim, bounds } => {
-                let x = numeric[*dim];
-                bounds.partition_point(|&b| x >= b).min(shards - 1)
-            }
-        }
+    /// The shard owning a row with the given nominal values.
+    pub fn shard_of(&self, shards: usize, nominal: &[ValueId]) -> usize {
+        let Self::HashNominal { dim } = self;
+        // splitmix64 finalizer: adjacent value ids spread over all shards.
+        let mut h = nominal[*dim] as u64;
+        h = (h ^ (h >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d049bb133111eb);
+        (h ^ (h >> 31)) as usize % shards
     }
 
-    /// Checks the partition against a schema and shard count.
-    fn validate(&self, schema: &Schema, shards: usize) -> Result<()> {
-        match self {
-            Self::HashNominal { dim } => {
-                if *dim >= schema.nominal_count() {
-                    return Err(SkylineError::InvalidArgument(format!(
-                        "hash partition on nominal dimension {dim} but the schema has {}",
-                        schema.nominal_count()
-                    )));
-                }
-            }
-            Self::RangeNumeric { dim, bounds } => {
-                if *dim >= schema.numeric_count() {
-                    return Err(SkylineError::InvalidArgument(format!(
-                        "range partition on numeric dimension {dim} but the schema has {}",
-                        schema.numeric_count()
-                    )));
-                }
-                if bounds.len() != shards - 1 {
-                    return Err(SkylineError::InvalidArgument(format!(
-                        "range partition over {shards} shards needs {} bounds, got {}",
-                        shards - 1,
-                        bounds.len()
-                    )));
-                }
-                if bounds.iter().any(|b| b.is_nan()) || bounds.windows(2).any(|w| w[0] > w[1]) {
-                    return Err(SkylineError::InvalidArgument(
-                        "range partition bounds must be ascending (and not NaN)".into(),
-                    ));
-                }
-            }
+    /// Checks the partition against a schema.
+    fn validate(&self, schema: &Schema) -> Result<()> {
+        let Self::HashNominal { dim } = self;
+        if *dim >= schema.nominal_count() {
+            return Err(SkylineError::InvalidArgument(format!(
+                "hash partition on nominal dimension {dim} but the schema has {}",
+                schema.nominal_count()
+            )));
         }
         Ok(())
     }
@@ -422,13 +385,6 @@ pub struct ShardedConfig {
     /// build threads, off the serve path, best-effort — keeping `shard-NNNN.snap` files a
     /// [`ShardedService::from_snapshots`] cold start can rehydrate without preprocessing.
     pub snapshot_dir: Option<PathBuf>,
-    /// Bounded staleness for the streaming gather: when a pull of the laggard shard makes no
-    /// progress for this long (while the request's own deadline is still alive), the shard
-    /// is cut loose — the [`ProgressiveMerger`] stops waiting on its frontier, rows gated
-    /// only by it publish, and the answer flows through the degraded-shard semantics (so a
-    /// tolerant [`DegradePolicy`] keeps streaming and `FailClosed` fails the request).
-    /// `None` (the default) waits on every shard indefinitely.
-    pub laggard_timeout: Option<Duration>,
 }
 
 impl Default for ShardedConfig {
@@ -446,7 +402,6 @@ impl Default for ShardedConfig {
             recovery: RecoveryPolicy::default(),
             admission_depth: 0,
             snapshot_dir: None,
-            laggard_timeout: None,
         }
     }
 }
@@ -454,6 +409,16 @@ impl Default for ShardedConfig {
 /// The canonical snapshot file name for shard `s` inside a snapshot directory.
 fn shard_snapshot_path(dir: &Path, s: usize) -> PathBuf {
     dir.join(format!("shard-{s:04}.snap"))
+}
+
+/// Best-effort write-through of shard `s`'s current generation to `dir` (created if missing)
+/// after a generation swap: a failed write keeps serving, and the next swap retries.
+fn write_swapped_snapshot(dir: &Path, s: usize, engine: &SharedEngine) {
+    if std::fs::create_dir_all(dir).is_ok() {
+        let _ = engine
+            .read()
+            .write_snapshot_file(&shard_snapshot_path(dir, s));
+    }
 }
 
 /// The schema and template every shard shares — shard 0's — or a message naming the first
@@ -502,7 +467,6 @@ pub struct ShardedService {
     pool: Option<BuildPool>,
     workers: usize,
     snapshot_dir: Option<PathBuf>,
-    laggard_timeout: Option<Duration>,
 }
 
 impl ShardedService {
@@ -520,29 +484,17 @@ impl ShardedService {
     ) -> Result<Self> {
         let shard_count = config.shards.max(1);
         let schema = data.schema().clone();
-        config.partition.validate(&schema, shard_count)?;
+        config.partition.validate(&schema)?;
 
         let started = Instant::now();
-        let mut parts: Vec<Dataset> = (0..shard_count)
-            .map(|_| Dataset::empty(schema.clone()))
-            .collect();
-        let mut numeric = vec![0.0f64; schema.numeric_count()];
-        let mut nominal = vec![ValueId::default(); schema.nominal_count()];
-        for p in 0..data.len() as PointId {
-            for (j, v) in numeric.iter_mut().enumerate() {
-                *v = data.numeric(p, j);
-            }
-            for (j, v) in nominal.iter_mut().enumerate() {
-                *v = data.nominal(p, j);
-            }
-            let s = config.partition.shard_of(shard_count, &numeric, &nominal);
-            parts[s].push_row_ids(&numeric, &nominal)?;
+        let mut owned: Vec<Vec<PointId>> = vec![Vec::new(); shard_count];
+        for (p, g) in (0..).zip(Self::partition_rows(&config.partition, shard_count, data)) {
+            owned[g.shard].push(p);
         }
-
-        let shards: Vec<SharedEngine> = parts
-            .into_iter()
-            .map(|part| {
-                SkylineEngine::build(Arc::new(part), template.clone(), engine)
+        let shards: Vec<SharedEngine> = owned
+            .iter()
+            .map(|rows| {
+                SkylineEngine::build(Arc::new(data.retained(rows)), template.clone(), engine)
                     .map(SharedEngine::new)
             })
             .collect::<Result<_>>()?;
@@ -583,7 +535,7 @@ impl ShardedService {
             })
             .collect::<Result<_>>()?;
         let (schema, template) = shared_shape(&engines).map_err(SkylineError::Snapshot)?;
-        config.partition.validate(&schema, shard_count)?;
+        config.partition.validate(&schema)?;
         let metrics = ServiceMetrics::new();
         metrics.record_snapshot_load(shard_count as u64, started.elapsed());
         let shards = engines.into_iter().map(SharedEngine::new).collect();
@@ -609,7 +561,7 @@ impl ShardedService {
             let guards: Vec<_> = engines.iter().map(|e| e.read()).collect();
             shared_shape(guards.iter().map(|g| &**g)).map_err(SkylineError::InvalidArgument)?
         };
-        config.partition.validate(&schema, engines.len())?;
+        config.partition.validate(&schema)?;
         Self::assemble(engines, schema, template, config, ServiceMetrics::new())
     }
 
@@ -674,11 +626,7 @@ impl ShardedService {
                     let engines = shards.clone();
                     pool.set_swap_hook(Some(Arc::new(move |slot| {
                         if let Some(engine) = engines.get(slot) {
-                            if std::fs::create_dir_all(&dir).is_ok() {
-                                let _ = engine
-                                    .read()
-                                    .write_snapshot_file(&shard_snapshot_path(&dir, slot));
-                            }
+                            write_swapped_snapshot(&dir, slot, engine);
                         }
                     })));
                 }
@@ -714,7 +662,6 @@ impl ShardedService {
             pool,
             workers,
             snapshot_dir: config.snapshot_dir,
-            laggard_timeout: config.laggard_timeout,
         })
     }
 
@@ -727,19 +674,14 @@ impl ShardedService {
         data: &Dataset,
     ) -> Vec<GlobalRowId> {
         let shards = shards.max(1);
-        let schema = data.schema();
         let mut next_row = vec![0 as PointId; shards];
-        let mut numeric = vec![0.0f64; schema.numeric_count()];
-        let mut nominal = vec![ValueId::default(); schema.nominal_count()];
+        let mut nominal = vec![ValueId::default(); data.schema().nominal_count()];
         (0..data.len() as PointId)
             .map(|p| {
-                for (j, v) in numeric.iter_mut().enumerate() {
-                    *v = data.numeric(p, j);
-                }
                 for (j, v) in nominal.iter_mut().enumerate() {
                     *v = data.nominal(p, j);
                 }
-                let shard = partition.shard_of(shards, &numeric, &nominal);
+                let shard = partition.shard_of(shards, &nominal);
                 let row = next_row[shard];
                 next_row[shard] += 1;
                 GlobalRowId { shard, row }
@@ -781,11 +723,6 @@ impl ShardedService {
     /// Where post-swap snapshot writes land, when configured.
     pub fn snapshot_dir(&self) -> Option<&Path> {
         self.snapshot_dir.as_deref()
-    }
-
-    /// The streaming gather's bounded-staleness timeout, when configured.
-    pub fn laggard_timeout(&self) -> Option<Duration> {
-        self.laggard_timeout
     }
 
     /// Current number of cached merged results.
@@ -845,11 +782,7 @@ impl ShardedService {
     /// A failed write keeps serving; the next swap retries.
     fn snapshot_after_swap(&self, s: usize) {
         if let (Some(dir), Some(shard)) = (&self.snapshot_dir, self.shards.get(s)) {
-            if std::fs::create_dir_all(dir).is_ok() {
-                let _ = shard
-                    .read()
-                    .write_snapshot_file(&shard_snapshot_path(dir, s));
-            }
+            write_swapped_snapshot(dir, s, shard);
         }
     }
 
@@ -877,7 +810,7 @@ impl ShardedService {
                 got: numeric.len() + nominal.len(),
             });
         }
-        let s = self.partition.shard_of(self.shards.len(), numeric, nominal);
+        let s = self.partition.shard_of(self.shards.len(), nominal);
         let mut engine = self.shards[s].write();
         engine
             .insert_row(numeric, nominal)
@@ -935,35 +868,75 @@ impl ShardedService {
     /// identical in-flight query gives up at expiry without touching the latch, and nothing
     /// partial or cancelled ever reaches the cache.
     pub fn serve_deadline(&self, pref: &Preference, deadline: &Deadline) -> Result<ShardedServed> {
-        let _permit = self.admission.try_admit().inspect_err(|_| {
-            self.metrics.record_shed();
-        })?;
         let result = self.serve_admitted(pref, deadline);
+        self.count_deadline_miss(result)
+    }
+
+    /// The batch path behind [`ShardedService::serve_deadline`]: the shared front end, then
+    /// single-flight around the scatter-gather.
+    fn serve_admitted(&self, pref: &Preference, deadline: &Deadline) -> Result<ShardedServed> {
+        let front = self.front_end(pref, deadline)?;
+        if let Some(outcome) = &front.hit {
+            return Ok(self.served_hit(outcome.clone(), &front));
+        }
+        if !front.quarantined.is_empty() {
+            // Known-degraded before the scatter. Partial answers are never cached, so
+            // single-flight — whose followers expect to find the leader's cache entry — is
+            // skipped: every caller scatters over the healthy shards itself.
+            return self.scatter_gather(front, pref, deadline);
+        }
+        match self
+            .flight
+            .join_deadline(&front.key, front.epochs.clone(), deadline)
+            .inspect_err(|_| self.metrics.record_error())?
+        {
+            FlightRole::Leader(flight_guard) => {
+                let served = self.scatter_gather(front, pref, deadline);
+                drop(flight_guard); // wakes followers (also on the error path)
+                served
+            }
+            FlightRole::Followed => {
+                self.metrics.record_coalesced();
+                match self.cache.get(&front.key, front.epochs.clone()) {
+                    Some(outcome) => Ok(self.served_hit(outcome, &front)),
+                    None => self.scatter_gather(front, pref, deadline),
+                }
+            }
+        }
+    }
+
+    /// Counts a request that failed on its deadline — on either path, at any stage.
+    fn count_deadline_miss<T>(&self, result: Result<T>) -> Result<T> {
         if matches!(result, Err(SkylineError::DeadlineExceeded)) {
             self.metrics.record_deadline_miss();
         }
         result
     }
 
-    /// The admitted serve path (the caller holds the admission permit).
-    fn serve_admitted(&self, pref: &Preference, deadline: &Deadline) -> Result<ShardedServed> {
+    /// The front end both request paths share, up to the scatter: admission, the upfront
+    /// deadline check, opportunistic recovery, read guards on every shard with the epoch
+    /// vector they pin, the canonical key, every shard's servability check, the remap-aware
+    /// cache lookup and — on a miss — the policy check for shards already quarantined.
+    fn front_end(&self, pref: &Preference, deadline: &Deadline) -> Result<Admitted<'_>> {
+        let permit = self.admission.try_admit().inspect_err(|_| {
+            self.metrics.record_shed();
+        })?;
         // A request that arrives already expired or cancelled fails fast — even when the
         // answer would have been a cache hit, returning it to a caller that revoked the
         // request is wrong.
         deadline.check()?;
-        // Opportunistic recovery: at most one due quarantined shard per serve, *before* any
-        // read guard is held (the rebuild needs the shard's write lock). Backoff keeps this
-        // from running on the common path — `claim_due` is one atomic load while healthy.
+        // Opportunistic recovery: at most one due quarantined shard per request, *before*
+        // any read guard is held (the rebuild needs the shard's write lock). Backoff keeps
+        // this off the common path — `claim_due` is one atomic load while healthy.
         if let Some(s) = self.quarantine.claim_due() {
             self.attempt_recovery(s);
         }
         let started = Instant::now();
-        // Read guards for every shard, acquired in fixed index order and held across the
-        // epoch snapshot, cache lookup and (on a miss) the scatter: the epoch vector, the
-        // merged answer and the cache entry are mutually consistent, and writers (which take
-        // exactly one shard's lock) cannot interleave mid-serve. Quarantined shards are
-        // included — a caught panic leaves their engines consistent (and their locks are
-        // poison-recovered), it is only their availability that is suspect.
+        // Read guards for every shard, acquired in fixed index order: the epoch vector, the
+        // answer and the cache entry are mutually consistent, and writers (which take
+        // exactly one shard's lock) cannot interleave. Quarantined shards are included — a
+        // caught panic leaves their engines consistent (and their locks are poison-recovered),
+        // it is only their availability that is suspect.
         let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
         let epochs: EpochVector = guards.iter().map(|g| g.epoch()).collect::<Vec<_>>().into();
         let key = CanonicalPreference::new(&self.schema, pref)
@@ -975,62 +948,42 @@ impl ShardedService {
         }
         // Cached answers are complete by construction and the quarantined shards' data is
         // intact, so a hit keeps serving full answers right through a quarantine.
-        if let Some((outcome, translated)) = self.lookup(&key, &epochs, &guards) {
-            let latency = started.elapsed();
-            self.metrics.record(true, latency);
-            if translated {
-                self.metrics.record_remapped_hit();
-            }
-            return Ok(ShardedServed {
-                outcome,
-                cache_hit: true,
-                epochs,
-                degraded_shards: Vec::new(),
-                latency,
-            });
-        }
-        let quarantined = self.quarantine.quarantined();
-        if !quarantined.is_empty() {
-            // Known-degraded before the scatter. Partial answers are never cached, so
-            // single-flight — whose followers expect to find the leader's cache entry — is
-            // skipped: every caller scatters over the healthy shards itself.
-            self.check_policy(quarantined.first().copied(), quarantined.len())?;
-            return self.scatter_gather(
-                &guards,
-                pref,
-                key,
-                epochs,
-                deadline,
-                &quarantined,
-                started,
-            );
-        }
-        match self
-            .flight
-            .join_deadline(&key, epochs.clone(), deadline)
-            .inspect_err(|_| self.metrics.record_error())?
-        {
-            FlightRole::Leader(flight_guard) => {
-                let served =
-                    self.scatter_gather(&guards, pref, key, epochs, deadline, &[], started);
-                drop(flight_guard); // wakes followers (also on the error path)
-                served
-            }
-            FlightRole::Followed => {
-                self.metrics.record_coalesced();
-                if let Some(outcome) = self.cache.get(&key, epochs.clone()) {
-                    let latency = started.elapsed();
-                    self.metrics.record(true, latency);
-                    return Ok(ShardedServed {
-                        outcome,
-                        cache_hit: true,
-                        epochs,
-                        degraded_shards: Vec::new(),
-                        latency,
-                    });
+        let hit = self
+            .lookup(&key, &epochs, &guards)
+            .map(|(outcome, translated)| {
+                if translated {
+                    self.metrics.record_remapped_hit();
                 }
-                self.scatter_gather(&guards, pref, key, epochs, deadline, &[], started)
-            }
+                outcome
+            });
+        let quarantined = match hit {
+            Some(_) => Vec::new(),
+            None => self.quarantine.quarantined(),
+        };
+        if !quarantined.is_empty() {
+            self.check_policy(quarantined.first().copied(), quarantined.len())?;
+        }
+        Ok(Admitted {
+            permit,
+            guards,
+            epochs,
+            key,
+            started,
+            hit,
+            quarantined,
+        })
+    }
+
+    /// A cache hit as a batch answer.
+    fn served_hit(&self, outcome: Arc<ShardedOutcome>, front: &Admitted<'_>) -> ShardedServed {
+        let latency = front.started.elapsed();
+        self.metrics.record(true, latency);
+        ShardedServed {
+            outcome,
+            cache_hit: true,
+            epochs: front.epochs.clone(),
+            degraded_shards: Vec::new(),
+            latency,
         }
     }
 
@@ -1058,134 +1011,76 @@ impl ShardedService {
     /// [`ShardedService::serve_streaming`] under a per-request [`Deadline`], polled at block
     /// granularity inside each per-shard pull. Expiry fails the *pull* (counted in
     /// [`StatsSnapshot::deadline_misses`]); [`ShardedStream::set_deadline`] plus another
-    /// pull resumes every shard's scan where it stopped.
+    /// pull resumes every shard's scan where it stopped. A stalled shard is bounded by this
+    /// deadline alone.
+    ///
+    /// Opening the stream follows the batch path's rule: a shard whose leg misses the
+    /// deadline while its stream is being opened degrades the answer like a quarantined one —
+    /// under a tolerant [`DegradePolicy`] the stream opens without it (flagged in
+    /// [`ShardedStream::degraded_shards`], never cached), under
+    /// [`DegradePolicy::FailClosed`] the open fails with [`SkylineError::DeadlineExceeded`].
     pub fn serve_streaming_deadline(
         &self,
         pref: &Preference,
         deadline: Deadline,
     ) -> Result<ShardedStream<'_>> {
-        let permit = self.admission.try_admit().inspect_err(|_| {
-            self.metrics.record_shed();
-        })?;
-        deadline.check().inspect_err(|_| {
-            self.metrics.record_deadline_miss();
-        })?;
-        if let Some(s) = self.quarantine.claim_due() {
-            self.attempt_recovery(s);
-        }
-        let started = Instant::now();
-        // Guards are held only through construction: every per-shard stream owns shared
-        // handles to its generation snapshot, so the caller can pace its pulls for as long
-        // as it likes without blocking writers.
-        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        let epochs: EpochVector = guards.iter().map(|g| g.epoch()).collect::<Vec<_>>().into();
-        let key = CanonicalPreference::new(&self.schema, pref)
-            .inspect_err(|_| self.metrics.record_error())?;
-        for guard in &guards {
-            guard
-                .check_servable(pref)
-                .inspect_err(|_| self.metrics.record_error())?;
-        }
-        if let Some((outcome, translated)) = self.lookup(&key, &epochs, &guards) {
-            let ids = self.score_ordered_global(&guards, pref, &outcome.skyline)?;
-            drop(guards);
-            self.metrics.record(true, started.elapsed());
-            if translated {
-                self.metrics.record_remapped_hit();
-            }
-            self.metrics.record_stream_started();
-            return Ok(ShardedStream {
-                service: self,
-                _permit: permit,
-                epochs,
-                started,
-                ttfr_recorded: false,
-                state: ShardedStreamState::Replay {
-                    ids: ids.into_iter(),
-                },
-            });
-        }
-        let quarantined = self.quarantine.quarantined();
-        if !quarantined.is_empty() {
-            self.check_policy(quarantined.first().copied(), quarantined.len())?;
-        }
-        let healthy: Vec<usize> = (0..guards.len())
-            .filter(|s| !quarantined.contains(s))
-            .collect();
-        let scatter_victim = self.faults.begin_scatter();
-        // Streams are constructed in parallel (presorting/re-ranking happens here; the
-        // elimination scans run lazily in the pulls), each inside `catch_unwind` so a
-        // panicking shard is quarantined instead of taking the scatter down.
-        let built = executor::run_indexed_scratch(
-            &healthy,
-            self.workers.min(healthy.len().max(1)),
-            || (),
-            |_, &s, ()| {
-                catch_unwind(AssertUnwindSafe(|| {
-                    self.faults.before_shard_query(s, scatter_victim);
-                    guards[s].query_streaming_at(pref, epochs[s], deadline.clone())
-                }))
-            },
-        );
-        drop(guards);
-        let mut streams: Vec<Option<EngineStream>> = (0..self.shards.len()).map(|_| None).collect();
-        let mut panicked: Vec<usize> = Vec::new();
-        for (&s, result) in healthy.iter().zip(built) {
-            match result {
-                Ok(Ok(stream)) => streams[s] = Some(stream),
-                Ok(Err(err)) => {
-                    self.metrics.record_error();
-                    if matches!(err, SkylineError::DeadlineExceeded) {
-                        self.metrics.record_deadline_miss();
-                    }
-                    return Err(err);
-                }
-                Err(_panic) => {
-                    self.quarantine.quarantine(s);
-                    panicked.push(s);
-                }
-            }
-        }
-        let mut degraded: Vec<usize> = quarantined.clone();
-        degraded.extend_from_slice(&panicked);
-        degraded.sort_unstable();
-        if !degraded.is_empty() {
-            self.check_policy(
-                panicked.first().or(quarantined.first()).copied(),
-                degraded.len(),
+        let result = self.open_stream(pref, deadline);
+        self.count_deadline_miss(result)
+    }
+
+    /// The streaming path behind [`ShardedService::serve_streaming_deadline`]: the shared
+    /// front end, then a replay of the cached answer or the scatter opening one
+    /// [`EngineStream`] per healthy shard. The read guards are released on return — every
+    /// per-shard stream owns shared handles to its generation, so the caller can pace its
+    /// pulls for as long as it likes without blocking writers.
+    fn open_stream(&self, pref: &Preference, deadline: Deadline) -> Result<ShardedStream<'_>> {
+        let front = self.front_end(pref, &deadline)?;
+        let (state, degraded) = if let Some(outcome) = &front.hit {
+            let ids = self
+                .score_ordered_global(&front.guards, pref, &outcome.skyline)?
+                .into_iter();
+            self.metrics.record(true, front.started.elapsed());
+            (ShardedStreamState::Replay { ids }, Vec::new())
+        } else {
+            // Presorting/re-ranking happens here; the elimination scans run lazily in the
+            // pulls.
+            let Scattered { answered, degraded } = self.scatter(
+                &front,
+                || (),
+                |engine, s, ()| engine.query_streaming_at(pref, front.epochs[s], deadline.clone()),
             )?;
-        }
-        let orders: Vec<CompiledOrder> = self
-            .template
-            .effective_orders(&self.schema, pref)
-            .inspect_err(|_| self.metrics.record_error())?
-            .iter()
-            .map(CompiledOrder::compile)
-            .collect();
-        let mut merger = ProgressiveMerger::new(orders, self.schema.numeric_count(), streams.len());
-        for &s in &degraded {
-            merger.finish(s);
-        }
-        self.metrics.record_stream_started();
-        Ok(ShardedStream {
-            service: self,
-            _permit: permit,
-            epochs,
-            started,
-            ttfr_recorded: false,
-            state: ShardedStreamState::Live(Box::new(LiveScatter {
-                frontier: vec![f64::NEG_INFINITY; streams.len()],
+            let mut merger = ProgressiveMerger::new(
+                self.compiled_orders(pref)?,
+                self.schema.numeric_count(),
+                self.shards.len(),
+            );
+            for &s in &degraded {
+                merger.finish(s);
+            }
+            let mut streams: Vec<Option<EngineStream>> =
+                (0..self.shards.len()).map(|_| None).collect();
+            for (s, stream) in answered {
+                streams[s] = Some(stream);
+            }
+            let live = LiveScatter {
                 streams,
                 merger,
                 ready: VecDeque::new(),
                 emitted: Vec::new(),
                 answered: Vec::new(),
-                degraded,
-                key,
-                deadline,
-                numeric: vec![0.0; self.schema.numeric_count()],
-                nominal: vec![ValueId::default(); self.schema.nominal_count()],
-            })),
+                key: front.key,
+            };
+            (ShardedStreamState::Live(Box::new(live)), degraded)
+        };
+        self.metrics.record_stream_started();
+        Ok(ShardedStream {
+            service: self,
+            _permit: front.permit,
+            epochs: front.epochs,
+            started: front.started,
+            ttfr_recorded: false,
+            degraded,
+            state,
         })
     }
 
@@ -1324,46 +1219,35 @@ impl ShardedService {
         })
     }
 
-    /// The cache-miss path: scatter the query over the non-quarantined shards on the worker
-    /// pool (under the already-held read guards), gather by cross-shard dominance merge.
-    /// Complete answers are cached at the epoch vector; an answer degraded by `quarantined`
-    /// shards, a mid-scatter panic (which quarantines its shard) or a per-shard deadline
-    /// miss is policy-checked, flagged and **never cached**.
-    #[allow(clippy::too_many_arguments)]
-    fn scatter_gather(
+    /// The scatter both request paths share: `leg` runs on every shard the front end did not
+    /// find quarantined, under its read guard, on the worker pool. Each leg runs inside
+    /// `catch_unwind`: a panicking shard (a bug in one engine, or an injected fault) is
+    /// quarantined instead of unwinding through the pool and taking the request down. A
+    /// panicked leg and a leg past the deadline degrade the answer exactly like a
+    /// quarantined shard — through one policy check — and any other leg error fails the
+    /// request.
+    fn scatter<T: Send, S>(
         &self,
-        guards: &[parking_lot_free::Guard<'_>],
-        pref: &Preference,
-        key: CanonicalPreference,
-        epochs: EpochVector,
-        deadline: &Deadline,
-        quarantined: &[usize],
-        started: Instant,
-    ) -> Result<ShardedServed> {
-        let healthy: Vec<usize> = (0..guards.len())
-            .filter(|s| !quarantined.contains(s))
+        front: &Admitted<'_>,
+        init: impl Fn() -> S + Sync,
+        leg: impl Fn(&SkylineEngine, usize, &mut S) -> Result<T> + Sync,
+    ) -> Result<Scattered<T>> {
+        let healthy: Vec<usize> = (0..self.shards.len())
+            .filter(|s| !front.quarantined.contains(s))
             .collect();
         let scatter_victim = self.faults.begin_scatter();
-        // Each per-shard query runs inside `catch_unwind`: a panicking shard (a bug in one
-        // engine, or an injected fault) is isolated and quarantined instead of unwinding
-        // through the worker pool and taking the whole gather down.
-        let scattered = executor::run_indexed_scratch(
-            &healthy,
-            self.workers.min(healthy.len().max(1)),
-            EngineScratch::default,
-            |_, &s, scratch| {
+        let results =
+            executor::run_indexed_scratch(&healthy, self.workers, init, |_, &s, scratch| {
                 catch_unwind(AssertUnwindSafe(|| {
                     self.faults.before_shard_query(s, scatter_victim);
-                    guards[s].query_at_deadline(pref, epochs[s], deadline, scratch)
+                    leg(&front.guards[s], s, scratch)
                 }))
-            },
-        );
-        let mut outcomes: Vec<(usize, QueryOutcome)> = Vec::with_capacity(healthy.len());
-        let mut panicked: Vec<usize> = Vec::new();
-        let mut missed: Vec<usize> = Vec::new();
-        for (&s, result) in healthy.iter().zip(scattered) {
+            });
+        let mut answered = Vec::with_capacity(healthy.len());
+        let (mut panicked, mut missed) = (Vec::new(), Vec::new());
+        for (&s, result) in healthy.iter().zip(results) {
             match result {
-                Ok(Ok(outcome)) => outcomes.push((s, outcome)),
+                Ok(Ok(answer)) => answered.push((s, answer)),
                 Ok(Err(SkylineError::DeadlineExceeded)) => missed.push(s),
                 Ok(Err(err)) => {
                     self.metrics.record_error();
@@ -1375,40 +1259,56 @@ impl ShardedService {
                 }
             }
         }
-
-        let mut degraded: Vec<usize> = quarantined.to_vec();
-        degraded.extend_from_slice(&panicked);
-        degraded.extend_from_slice(&missed);
+        let mut degraded = [front.quarantined.as_slice(), &panicked, &missed].concat();
         degraded.sort_unstable();
         if !degraded.is_empty() {
             // Deadline misses are the request's fault, so they only fail the request as
             // `DeadlineExceeded`; a panicked (or already-quarantined) shard is named.
             self.check_policy(
-                panicked.first().or(quarantined.first()).copied(),
+                panicked.first().or(front.quarantined.first()).copied(),
                 degraded.len(),
             )?;
         }
+        Ok(Scattered { answered, degraded })
+    }
 
-        // Gather. A single answering shard's skyline is already the global one (the merger
-        // would test nothing against it); otherwise the cross-shard dominance merge under
-        // the query's effective orders, each engine answer being its shard's exact skyline
-        // as the merger requires.
-        let skyline: Vec<GlobalRowId> = if let [(shard, outcome)] = outcomes.as_slice() {
+    /// The query's effective orders, compiled once for a cross-shard merge.
+    fn compiled_orders(&self, pref: &Preference) -> Result<Vec<CompiledOrder>> {
+        Ok(self
+            .template
+            .effective_orders(&self.schema, pref)?
+            .iter()
+            .map(CompiledOrder::compile)
+            .collect())
+    }
+
+    /// The batch miss path: the shared scatter of engine answers, then the gather by
+    /// cross-shard dominance merge. Complete answers are cached at the epoch vector; a
+    /// degraded answer is flagged and **never cached**.
+    fn scatter_gather(
+        &self,
+        front: Admitted<'_>,
+        pref: &Preference,
+        deadline: &Deadline,
+    ) -> Result<ShardedServed> {
+        let Scattered { answered, degraded } =
+            self.scatter(&front, EngineScratch::default, |engine, s, scratch| {
+                engine.query_at_deadline(pref, front.epochs[s], deadline, scratch)
+            })?;
+        // A single answering shard's skyline is already the global one (the merger would
+        // test nothing against it); otherwise the cross-shard dominance merge, each engine
+        // answer being its shard's exact skyline as the merger requires.
+        let skyline: Vec<GlobalRowId> = if let [(shard, outcome)] = answered.as_slice() {
             outcome
                 .skyline
                 .iter()
                 .map(|&row| GlobalRowId { shard: *shard, row })
                 .collect()
         } else {
-            let orders: Vec<CompiledOrder> = self
-                .template
-                .effective_orders(&self.schema, pref)?
-                .iter()
-                .map(CompiledOrder::compile)
-                .collect();
-            let mut merger = SkylineMerger::new(orders, self.schema.numeric_count());
-            for (s, outcome) in &outcomes {
-                let block = guards[*s].point_block();
+            let mut merger =
+                SkylineMerger::new(self.compiled_orders(pref)?, self.schema.numeric_count());
+            for (s, outcome) in &answered {
+                let block = front.guards[*s].point_block();
                 for &p in &outcome.skyline {
                     merger.push(*s, p, block.numeric_row(p), block.nominal_row(p))?;
                 }
@@ -1421,23 +1321,44 @@ impl ShardedService {
         };
         let value = Arc::new(ShardedOutcome {
             skyline,
-            methods: outcomes.iter().map(|(_, o)| o.method).collect(),
+            methods: answered.iter().map(|(_, o)| o.method).collect(),
         });
         if degraded.is_empty() {
-            self.cache.insert(key, epochs.clone(), value.clone());
+            self.cache
+                .insert(front.key, front.epochs.clone(), value.clone());
         } else {
             self.metrics.record_degraded();
         }
-        let latency = started.elapsed();
+        let latency = front.started.elapsed();
         self.metrics.record(false, latency);
         Ok(ShardedServed {
             outcome: value,
             cache_hit: false,
-            epochs,
+            epochs: front.epochs,
             degraded_shards: degraded,
             latency,
         })
     }
+}
+
+/// A request past the front end both paths share: its admission permit, read guards on every
+/// shard with the epoch vector they pin, and the canonical key — plus the cached complete
+/// answer on a hit, or the shards quarantined before the scatter on a miss.
+struct Admitted<'s> {
+    permit: AdmissionPermit,
+    guards: Vec<parking_lot_free::Guard<'s>>,
+    epochs: EpochVector,
+    key: CanonicalPreference,
+    started: Instant,
+    hit: Option<Arc<ShardedOutcome>>,
+    quarantined: Vec<usize>,
+}
+
+/// What the scatter hands a gather: every answering shard's leg, ascending by shard, and the
+/// shards missing from the answer (quarantined, panicked or past the deadline), ascending.
+struct Scattered<T> {
+    answered: Vec<(usize, T)>,
+    degraded: Vec<usize>,
 }
 
 /// The per-stream serving state (see [`ShardedStream`]).
@@ -1456,11 +1377,9 @@ enum ShardedStreamState {
 /// The live scatter-gather state behind [`ShardedStreamState::Live`].
 #[derive(Debug)]
 struct LiveScatter {
-    /// One stream per shard (`None` = exhausted, degraded, or quarantined).
+    /// One stream per shard (`None` = exhausted, degraded, or quarantined) — open exactly
+    /// while the merger's source is unfinished.
     streams: Vec<Option<EngineStream>>,
-    /// Last score offered per shard (drives which stream to pull: the merger's gate is
-    /// the minimum over unfinished frontiers, so pulling the laggard makes progress).
-    frontier: Vec<f64>,
     merger: ProgressiveMerger,
     /// Rows confirmed by the merger, not yet handed to the caller.
     ready: VecDeque<GlobalRowId>,
@@ -1468,16 +1387,7 @@ struct LiveScatter {
     emitted: Vec<GlobalRowId>,
     /// `(shard, method)` per cleanly finished shard.
     answered: Vec<(usize, MethodUsed)>,
-    /// Shards missing from the answer, ascending.
-    degraded: Vec<usize>,
     key: CanonicalPreference,
-    /// The request's own deadline. With a laggard timeout configured, each pull runs under
-    /// [`Deadline::tightened`] of this — so a pull expiring while this is still alive marks
-    /// the pulled shard a laggard rather than the request late.
-    deadline: Deadline,
-    /// Scratch row buffers for the merger's dominance tests.
-    numeric: Vec<f64>,
-    nominal: Vec<ValueId>,
 }
 
 /// A progressive sharded answer handed out by [`ShardedService::serve_streaming`]: globally
@@ -1495,6 +1405,8 @@ pub struct ShardedStream<'a> {
     epochs: EpochVector,
     started: Instant,
     ttfr_recorded: bool,
+    /// Shards missing from the answer, ascending.
+    degraded: Vec<usize>,
     state: ShardedStreamState,
 }
 
@@ -1508,10 +1420,7 @@ impl ShardedStream<'_> {
     /// ascending. May grow while pulling — a shard can panic mid-stream under a tolerant
     /// policy. Empty for replayed cache hits (cached answers are always complete).
     pub fn degraded_shards(&self) -> &[usize] {
-        match &self.state {
-            ShardedStreamState::Live(live) => &live.degraded,
-            _ => &[],
-        }
+        &self.degraded
     }
 
     /// Replaces every per-shard stream's deadline: an expired pull can be retried under a
@@ -1521,7 +1430,6 @@ impl ShardedStream<'_> {
             for stream in live.streams.iter_mut().flatten() {
                 stream.set_deadline(deadline.clone());
             }
-            live.deadline = deadline;
         }
     }
 
@@ -1548,16 +1456,11 @@ impl ShardedStream<'_> {
                 ShardedStreamState::Live(live) => {
                     let LiveScatter {
                         streams,
-                        frontier,
                         merger,
                         ready,
                         emitted,
                         answered,
-                        degraded,
                         key,
-                        deadline,
-                        numeric,
-                        nominal,
                     } = &mut **live;
                     if let Some(g) = ready.pop_front() {
                         emitted.push(g);
@@ -1580,7 +1483,7 @@ impl ShardedStream<'_> {
                             skyline,
                             methods: answered.into_iter().map(|(_, m)| m).collect(),
                         });
-                        if degraded.is_empty() {
+                        if self.degraded.is_empty() {
                             self.service
                                 .cache
                                 .insert(key.clone(), self.epochs.clone(), outcome);
@@ -1591,68 +1494,38 @@ impl ShardedStream<'_> {
                         self.state = ShardedStreamState::Done;
                         return Ok(None);
                     }
-                    // Pull the laggard: the active stream with the minimal offered score is
-                    // the one gating the merger.
-                    let s = (0..streams.len())
-                        .filter(|&s| streams[s].is_some())
-                        .min_by(|&a, &b| frontier[a].total_cmp(&frontier[b]))
-                        .expect("an incomplete merger implies an active stream");
-                    let stream = streams[s].as_mut().expect("chosen stream is active");
-                    // Bounded staleness: cap how long this one laggard may gate the merge.
-                    // The tightened deadline keeps the request's cancel token and never
-                    // extends its own expiry.
-                    if let Some(budget) = self.service.laggard_timeout {
-                        stream.set_deadline(deadline.tightened(budget));
-                    }
+                    // Pull the stream gating the merger: its lowest-frontier open source.
+                    let s = merger
+                        .gating_source()
+                        .expect("an incomplete merger has an unfinished source");
+                    let stream = streams[s].as_mut().expect("an unfinished source is open");
                     match catch_unwind(AssertUnwindSafe(|| stream.next_row())) {
                         Ok(Ok(Some(p))) => {
-                            let score = stream.score_of(p);
-                            let data = stream.dataset_arc();
-                            for (j, v) in numeric.iter_mut().enumerate() {
-                                *v = data.numeric(p, j);
-                            }
-                            for (j, v) in nominal.iter_mut().enumerate() {
-                                *v = data.nominal(p, j);
-                            }
-                            frontier[s] = score;
+                            let block = stream.point_block();
                             merger
-                                .offer(s, p, score, numeric, nominal)
+                                .offer(
+                                    s,
+                                    p,
+                                    stream.score_of(p),
+                                    block.numeric_row(p),
+                                    block.nominal_row(p),
+                                )
                                 .inspect_err(|_| self.service.metrics.record_error())?;
                         }
                         Ok(Ok(None)) => {
-                            let method = stream.method();
-                            answered.push((s, method));
+                            answered.push((s, stream.method()));
                             streams[s] = None;
                             merger.finish(s);
                         }
                         Ok(Err(e)) => {
-                            if matches!(e, SkylineError::DeadlineExceeded)
-                                && self.service.laggard_timeout.is_some()
-                                && deadline.check().is_ok()
-                            {
-                                // The request's own budget is alive, so the *tightened*
-                                // per-pull budget expired: shard `s` exceeded the bounded
-                                // staleness the service tolerates. Cut it loose — the
-                                // merger stops waiting on its frontier, so every row gated
-                                // only by this laggard publishes on the drain below — and
-                                // route it through the degraded-answer semantics, exactly
-                                // as a quarantined shard: policy-checked, flagged in
-                                // `degraded_shards`, never cached.
-                                streams[s] = None;
-                                merger.finish(s);
-                                degraded.push(s);
-                                degraded.sort_unstable();
-                                self.service.check_policy(Some(s), degraded.len())?;
-                            } else {
-                                // One shared deadline governs every shard, so a per-shard
-                                // expiry is the request's expiry: fail the pull
-                                // (resumable), do not degrade the shard.
-                                self.service.metrics.record_error();
-                                if matches!(e, SkylineError::DeadlineExceeded) {
-                                    self.service.metrics.record_deadline_miss();
-                                }
-                                return Err(e);
+                            // One shared deadline governs every shard, so a per-shard expiry
+                            // is the request's expiry: fail the pull (resumable), do not
+                            // degrade the shard.
+                            self.service.metrics.record_error();
+                            if matches!(e, SkylineError::DeadlineExceeded) {
+                                self.service.metrics.record_deadline_miss();
                             }
+                            return Err(e);
                         }
                         Err(_panic) => {
                             // Mid-pull panic: quarantine the shard and, when tolerated,
@@ -1661,9 +1534,9 @@ impl ShardedStream<'_> {
                             self.service.quarantine.quarantine(s);
                             streams[s] = None;
                             merger.finish(s);
-                            degraded.push(s);
-                            degraded.sort_unstable();
-                            self.service.check_policy(Some(s), degraded.len())?;
+                            self.degraded.push(s);
+                            self.degraded.sort_unstable();
+                            self.service.check_policy(Some(s), self.degraded.len())?;
                         }
                     }
                     let mut confirmed = Vec::new();
@@ -1929,77 +1802,6 @@ mod tests {
             sharded_values(&service2, &served)
         };
         assert_eq!(sharded_values(&service, &after), fresh);
-    }
-
-    #[test]
-    fn range_partition_routes_and_validates() {
-        let schema = Schema::new(vec![
-            Dimension::numeric("x"),
-            Dimension::nominal("g", NominalDomain::anonymous(4)),
-        ])
-        .unwrap();
-        let partition = ShardPartition::RangeNumeric {
-            dim: 0,
-            bounds: vec![10.0, 20.0],
-        };
-        assert_eq!(partition.shard_of(3, &[5.0], &[0]), 0);
-        assert_eq!(partition.shard_of(3, &[10.0], &[0]), 1);
-        assert_eq!(partition.shard_of(3, &[19.9], &[0]), 1);
-        assert_eq!(partition.shard_of(3, &[99.0], &[0]), 2);
-        assert_eq!(partition.shard_of(3, &[f64::NAN], &[0]), 0);
-
-        let mut data = Dataset::empty(schema.clone());
-        for (x, g) in [(5.0, 0), (15.0, 1), (25.0, 2), (7.0, 3)] {
-            data.push_row_ids(&[x], &[g as ValueId]).unwrap();
-        }
-        let template = Template::empty(&schema);
-        let service = ShardedService::build(
-            &data,
-            template.clone(),
-            EngineConfig::SfsD,
-            ShardedConfig {
-                shards: 3,
-                partition,
-                workers: 1,
-                ..ShardedConfig::default()
-            },
-        )
-        .unwrap();
-        // Shard 0 owns the two x < 10 rows, shards 1 and 2 one row each.
-        assert_eq!(service.shard(0).read().dataset().len(), 2);
-        assert_eq!(service.shard(1).read().dataset().len(), 1);
-        assert_eq!(service.shard(2).read().dataset().len(), 1);
-        // Mutations route by value.
-        let id = service.insert_row(&[12.0], &[0]).unwrap();
-        assert_eq!(id.shard, 1);
-
-        // Wrong bounds count is rejected up front.
-        assert!(ShardedService::build(
-            &data,
-            template.clone(),
-            EngineConfig::SfsD,
-            ShardedConfig {
-                shards: 3,
-                partition: ShardPartition::RangeNumeric {
-                    dim: 0,
-                    bounds: vec![10.0],
-                },
-                ..ShardedConfig::default()
-            },
-        )
-        .is_err());
-        // So is an out-of-schema dimension.
-        assert!(ShardedService::build(
-            &data,
-            template,
-            EngineConfig::SfsD,
-            ShardedConfig {
-                shards: 2,
-                partition: ShardPartition::HashNominal { dim: 5 },
-                ..ShardedConfig::default()
-            },
-        )
-        .is_err());
     }
 
     #[test]
@@ -2586,57 +2388,72 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Batch and stream share one rule for a leg that misses the deadline in the scatter:
+    /// under a tolerant policy the answer degrades by that shard (not quarantined, never
+    /// cached), under fail-closed the request fails with `DeadlineExceeded`.
     #[test]
-    fn laggard_timeout_degrades_the_stalled_shard_under_a_tolerant_policy() {
+    fn a_leg_past_the_deadline_follows_one_rule_on_both_paths() {
         let (data, template) = experiment(300, 109);
         let mut generator = QueryGenerator::new(113);
         let pref = generator.random_preference(data.schema(), &template, 2, None);
-        let build = |laggard_timeout, degrade| {
-            ShardedService::build(
+        let build = |degrade| {
+            let service = ShardedService::build(
                 &data,
                 template.clone(),
                 EngineConfig::AdaptiveSfs,
                 ShardedConfig {
                     shards: 2,
-                    workers: 2,
-                    laggard_timeout,
+                    workers: 1,
                     degrade,
                     ..ShardedConfig::default()
                 },
             )
-            .unwrap()
+            .unwrap();
+            // Shard 1's leg starts only after the request's budget is spent.
+            service
+                .fault_injector()
+                .delay_shard_query(1, Duration::from_millis(300));
+            service
         };
-        // A generous staleness bound never triggers: complete answer, nothing degraded.
-        let relaxed = build(
-            Some(Duration::from_secs(600)),
-            DegradePolicy::Tolerate { max_degraded: 2 },
-        );
-        let stream = relaxed.serve_streaming(&pref).unwrap();
-        let rows = stream.collect_rows().unwrap();
-        let batch = build(None, DegradePolicy::FailClosed).serve(&pref).unwrap();
-        let mut sorted = rows.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, batch.outcome.skyline);
+        let deadline = || Deadline::within(Duration::from_millis(150));
 
-        // A zero staleness bound times every pull out: under a tolerant policy each shard
-        // is cut loose through the degraded path and the stream still completes cleanly.
-        let strict = build(
-            Some(Duration::ZERO),
-            DegradePolicy::Tolerate { max_degraded: 2 },
-        );
-        let stream = strict.serve_streaming(&pref).unwrap();
+        let tolerant = build(DegradePolicy::Tolerate { max_degraded: 1 });
+        let served = tolerant.serve_deadline(&pref, &deadline()).unwrap();
+        assert_eq!(served.degraded_shards, vec![1]);
+        let mut stream = tolerant
+            .serve_streaming_deadline(&pref, deadline())
+            .unwrap();
+        assert_eq!(stream.degraded_shards(), &[1]);
+        stream.set_deadline(Deadline::none());
         let rows = stream.collect_rows().unwrap();
-        assert!(rows.is_empty(), "every shard timed out before emitting");
-        assert_eq!(strict.quarantined_shards(), Vec::<usize>::new());
-        let stats = strict.stats();
-        assert_eq!(stats.degraded, 1, "the degraded answer is counted");
-        // Degraded answers are never cached.
-        assert!(!strict.serve(&pref).unwrap().cache_hit);
+        assert_eq!(
+            stream_values(&tolerant, &rows),
+            sharded_values(&tolerant, &served)
+        );
+        assert_eq!(
+            sharded_values(&tolerant, &served),
+            merge_of_shards(&tolerant, &[0], &pref)
+        );
+        assert!(
+            tolerant.quarantined_shards().is_empty(),
+            "a deadline is no fault"
+        );
+        assert_eq!(tolerant.cache_len(), 0, "degraded answers are never cached");
+        assert_eq!(tolerant.stats().degraded, 2);
 
-        // Fail-closed: the first laggard cut fails the request, naming the shard.
-        let closed = build(Some(Duration::ZERO), DegradePolicy::FailClosed);
-        let result = closed.serve_streaming(&pref).unwrap().collect_rows();
-        assert!(matches!(result, Err(SkylineError::ShardUnavailable { .. })));
+        let closed = build(DegradePolicy::FailClosed);
+        assert_eq!(
+            closed.serve_deadline(&pref, &deadline()).unwrap_err(),
+            SkylineError::DeadlineExceeded
+        );
+        assert_eq!(
+            closed
+                .serve_streaming_deadline(&pref, deadline())
+                .unwrap_err(),
+            SkylineError::DeadlineExceeded
+        );
+        assert_eq!(closed.stats().deadline_misses, 2);
+        assert!(closed.quarantined_shards().is_empty());
     }
 
     // ---- One shard: the single-engine service ----
@@ -2706,14 +2523,11 @@ mod tests {
                 Err(SkylineError::InvalidArgument(_))
             ));
         }
-        // The partition is validated against the derived count.
+        // The partition is validated against the engines' schema (two nominal dimensions).
         assert!(ShardedService::from_engines(
             vec![engine],
             ShardedConfig {
-                partition: ShardPartition::RangeNumeric {
-                    dim: 0,
-                    bounds: vec![0.5],
-                },
+                partition: ShardPartition::HashNominal { dim: 2 },
                 ..ShardedConfig::default()
             },
         )

@@ -2,11 +2,12 @@
 //!
 //! The central proptest runs a *twin experiment* — one [`ShardedService`] with faults
 //! injected, one fault-free, both fed the identical mutation stream — and checks, at every
-//! serve of any interleaving of faults and mutations:
+//! serve and every drained stream of any interleaving of faults and mutations:
 //!
 //! 1. non-degraded responses are exactly the fault-free sharded answer;
-//! 2. degraded responses are the fault-free answer restricted to the healthy shards
-//!    (computed independently via per-shard queries + the public cross-shard merger);
+//! 2. degraded responses name exactly the quarantined shards and are the fault-free answer
+//!    restricted to the healthy shards (computed independently via per-shard queries + the
+//!    public cross-shard merger);
 //! 3. the cache never stores a partial or cancelled result — every cache hit is complete.
 //!
 //! Around it sit deterministic scenarios for the quarantine lifecycle: a background build
@@ -72,6 +73,10 @@ enum Op {
     Serve {
         choices: Vec<ValueId>,
     },
+    /// Drains a `serve_streaming` of the faulty twin.
+    Stream {
+        choices: Vec<ValueId>,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -88,6 +93,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0usize..8).prop_map(|shard| Op::Panic { shard }),
         proptest::sample::subsequence((0..CARD as ValueId).collect::<Vec<_>>(), 0..=2)
             .prop_map(|choices| Op::Serve { choices }),
+        proptest::sample::subsequence((0..CARD as ValueId).collect::<Vec<_>>(), 0..=2)
+            .prop_map(|choices| Op::Stream { choices }),
     ]
 }
 
@@ -105,15 +112,17 @@ fn value_key(data: &Dataset, p: PointId) -> ValueKey {
     )
 }
 
-fn served_values(service: &ShardedService, served: &ShardedServed) -> Vec<ValueKey> {
-    let mut values: Vec<ValueKey> = served
-        .outcome
-        .skyline
+fn row_values(service: &ShardedService, rows: &[GlobalRowId]) -> Vec<ValueKey> {
+    let mut values: Vec<ValueKey> = rows
         .iter()
         .map(|g| value_key(service.shard(g.shard).read().dataset(), g.row))
         .collect();
     values.sort();
     values
+}
+
+fn served_values(service: &ShardedService, served: &ShardedServed) -> Vec<ValueKey> {
+    row_values(service, &served.outcome.skyline)
 }
 
 /// Ground truth for a (possibly degraded) answer: merge the per-shard skylines of `shards`,
@@ -148,6 +157,43 @@ fn merge_of_shards(service: &ShardedService, shards: &[usize], pref: &Preference
         .collect();
     values.sort();
     values
+}
+
+/// The checks every answer of the faulty twin passes, batch or streamed: a degraded answer
+/// names exactly the quarantined shards (panics only; no deadlines are in play) and equals
+/// the fault-free twin's merge of the healthy shards; a complete answer equals the
+/// fault-free twin's answer.
+fn check_against_twin(
+    faulty: &ShardedService,
+    clean: &ShardedService,
+    pref: &Preference,
+    rows: &[GlobalRowId],
+    degraded: &[usize],
+) {
+    let values = row_values(faulty, rows);
+    if degraded.is_empty() {
+        let reference = clean.serve(pref).unwrap();
+        assert!(!reference.is_degraded());
+        assert_eq!(
+            values,
+            served_values(clean, &reference),
+            "complete answer == fault-free sharded answer"
+        );
+    } else {
+        assert_eq!(
+            degraded,
+            faulty.quarantined_shards(),
+            "degraded answers name exactly the quarantined shards"
+        );
+        let healthy: Vec<usize> = (0..faulty.shard_count())
+            .filter(|s| !degraded.contains(s))
+            .collect();
+        assert_eq!(
+            values,
+            merge_of_shards(clean, &healthy, pref),
+            "degraded answer == fault-free answer restricted to healthy shards"
+        );
+    }
 }
 
 fn build_service(data: &Dataset, shards: usize, tolerate_all: bool) -> ShardedService {
@@ -237,36 +283,33 @@ proptest! {
                     if served.is_degraded() {
                         // Lazy stale eviction may shrink the cache on lookup, but a
                         // degraded serve must never *add* an entry. (That cached answers
-                        // are complete and correct is enforced by the cache-hit branch
-                        // below comparing them against the fault-free twin.)
+                        // are complete and correct is enforced by comparing them against
+                        // the fault-free twin.)
                         prop_assert!(
                             faulty.cache_len() <= cache_before,
                             "degraded answers are never cached"
                         );
-                        // Degraded shards reported = exactly the quarantined set (panics
-                        // only here; no deadlines are in play).
-                        prop_assert_eq!(
-                            served.degraded_shards.clone(),
-                            faulty.quarantined_shards(),
-                            "degraded answers name exactly the quarantined shards"
-                        );
-                        let healthy: Vec<usize> = (0..shards)
-                            .filter(|s| !served.degraded_shards.contains(s))
-                            .collect();
-                        prop_assert_eq!(
-                            served_values(&faulty, &served),
-                            merge_of_shards(&clean, &healthy, &pref),
-                            "degraded answer == fault-free answer restricted to healthy shards"
-                        );
-                    } else {
-                        let reference = clean.serve(&pref).unwrap();
-                        prop_assert!(!reference.is_degraded());
-                        prop_assert_eq!(
-                            served_values(&faulty, &served),
-                            served_values(&clean, &reference),
-                            "non-degraded answer == fault-free sharded answer"
-                        );
                     }
+                    check_against_twin(
+                        &faulty,
+                        &clean,
+                        &pref,
+                        &served.outcome.skyline,
+                        &served.degraded_shards,
+                    );
+                }
+                Op::Stream { choices } => {
+                    let pref = Preference::from_dims(vec![
+                        ImplicitPreference::new(choices.clone()).unwrap(),
+                    ]);
+                    let mut stream = faulty.serve_streaming(&pref).unwrap();
+                    let mut rows = Vec::new();
+                    while let Some(g) = stream.next_row().unwrap() {
+                        rows.push(g);
+                    }
+                    let degraded = stream.degraded_shards().to_vec();
+                    drop(stream);
+                    check_against_twin(&faulty, &clean, &pref, &rows, &degraded);
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! Scatter-gather equivalence: a [`ShardedService`] answers every query with exactly the
 //! same skyline (as a multiset of row *values*) as a single unsharded engine over the same
-//! live rows — for every mutable engine configuration, both partition schemes, any shard
-//! count from 1 to 8, and any interleaving of inserts, deletes and generation rebuilds.
+//! live rows — for every mutable engine configuration, any shard count from 1 to 8, and any
+//! interleaving of inserts, deletes and generation rebuilds.
 //!
 //! Row ids are not comparable across shard counts (each shard numbers its own rows, and
 //! compactions renumber them independently), but the skyline's value multiset is fully
@@ -117,7 +117,6 @@ proptest! {
         initial in rows_strategy(),
         updates in proptest::collection::vec(update_strategy(), 0..20),
         shards in 1usize..=8,
-        range_partition in any::<bool>(),
         query_choices in proptest::sample::subsequence(
             (0..CARD as ValueId).collect::<Vec<_>>(), 0..=2
         ).prop_shuffle(),
@@ -125,15 +124,7 @@ proptest! {
         let data = Arc::new(initial_dataset(&initial));
         let template = Template::empty(data.schema());
         let pref = Preference::from_dims(vec![ImplicitPreference::new(query_choices).unwrap()]);
-        let partition = if range_partition {
-            // Numeric values live in 0..6: evenly spaced ascending split points.
-            ShardPartition::RangeNumeric {
-                dim: 0,
-                bounds: (1..shards).map(|i| 6.0 * i as f64 / shards as f64).collect(),
-            }
-        } else {
-            ShardPartition::HashNominal { dim: 0 }
-        };
+        let partition = ShardPartition::HashNominal { dim: 0 };
 
         for config in [
             EngineConfig::SfsD,

@@ -930,11 +930,11 @@ impl SkylineEngine {
     ) -> Result<EngineStream> {
         self.ensure_epoch(epoch)?;
         deadline.check()?;
-        let data = self.dataset_arc().clone();
+        let (data, block) = (self.dataset(), self.point_block().clone());
         let score = ScoreFn::for_preference(data.schema(), pref)?;
         let (inner, method) = if let Some(tree) = self.serving_tree(pref) {
-            let ids = tree.query(&data, pref)?;
-            let ordered = score.sort_by_score(&data, &ids);
+            let ids = tree.query(data, pref)?;
+            let ordered = score.sort_by_score(data, &ids);
             (
                 StreamInner::Materialized(ordered.into_iter()),
                 MethodUsed::IpoTree,
@@ -945,11 +945,10 @@ impl SkylineEngine {
                 MethodUsed::AdaptiveSfs,
             )
         } else {
-            let block = self.point_block();
             let dom =
                 CompiledRelation::for_query(block.clone(), data.schema(), &self.template, pref)?;
             let all: Vec<PointId> = block.live_ids().collect();
-            let sorted = score.sort_by_score(&data, &all);
+            let sorted = score.sort_by_score(data, &all);
             let mut window = DenseWindow::default();
             dom.reset_window(&mut window);
             (
@@ -968,7 +967,7 @@ impl SkylineEngine {
             epoch,
             method,
             score,
-            data,
+            block,
         })
     }
 }
@@ -1007,7 +1006,7 @@ pub struct EngineStream {
     epoch: DatasetEpoch,
     method: MethodUsed,
     score: ScoreFn,
-    data: Arc<Dataset>,
+    block: Arc<PointBlock>,
 }
 
 impl EngineStream {
@@ -1068,13 +1067,14 @@ impl EngineStream {
     /// The query score of a yielded point — the monotone order the stream emits in. A
     /// sharded merger gates its cross-shard publication on exactly these scores.
     pub fn score_of(&self, p: PointId) -> f64 {
-        self.score.score(&self.data, p)
+        self.score
+            .score_row(self.block.numeric_row(p), self.block.nominal_row(p))
     }
 
-    /// The dataset snapshot the stream reads from (row values for cross-shard dominance
-    /// tests).
-    pub fn dataset_arc(&self) -> &Arc<Dataset> {
-        &self.data
+    /// The generation's point block the stream reads from: a yielded point's row values, as
+    /// slices, for cross-shard dominance tests.
+    pub fn point_block(&self) -> &PointBlock {
+        &self.block
     }
 
     /// Drains the rest of the stream into a sorted-id batch answer (the streaming core of
