@@ -1,18 +1,22 @@
 //! Minimal Disqualifying Conditions (MDCs).
 //!
-//! For a template order `R` and a skyline point `p ∈ SKY(R)`, a *disqualifying condition* is a
-//! set of extra value pairs `R'` (disjoint from and conflict-free with `R`) whose addition makes
-//! some other point dominate `p`. A **minimal** disqualifying condition (MDC) is one with no
-//! proper subset that already disqualifies `p`. The concept comes from the authors' earlier
-//! "Mining favorable facets" work (\[20\]) and is used here exactly the way Section 3.1 describes:
-//! during IPO-tree construction, a node's disqualified set `A` is found by checking, for every
-//! template skyline point, whether one of its MDCs is contained in the node's implicit
-//! preference.
+//! For a base relation `R` and a point `p`, a *disqualifying condition* is a set of extra value
+//! pairs `R'` (disjoint from and conflict-free with `R`) whose addition makes some other point
+//! dominate `p`. A **minimal** disqualifying condition (MDC) is one with no proper subset that
+//! already disqualifies `p`. The concept comes from the authors' earlier "Mining favorable
+//! facets" work (\[20\]) and is used here the way Section 3.1 describes: during IPO-tree
+//! construction, a node's disqualified set `A` is found by checking, for every template skyline
+//! point, whether one of its MDCs is contained in the node's first-order choices.
+//!
+//! The base relation is whatever the miner's [`CompiledRelation`] compiles. The IPO-tree
+//! builder mines against the **empty** relation of `SKY(∅)`, not the template: a node
+//! disqualifies `p` when a `SKY(∅)` point dominates it under the node's path-only orders (one
+//! first-order choice per dimension on the path, nothing from the template).
 //!
 //! Every MDC pair states "`better` must be preferred to `worse` on nominal dimension `dim`".
 
 use crate::bitset::BitSet;
-use crate::dominance::DominanceContext;
+use crate::kernel::{CompiledOrder, CompiledRelation};
 use crate::order::{PartialOrder, Preference};
 use crate::value::{PointId, ValueId};
 
@@ -188,92 +192,120 @@ impl MdcIndex {
     }
 }
 
-/// Computes the MDCs of every point in `skyline` with respect to the template relation bound
-/// to `ctx` (which must be the *template* context, not a query context).
+/// Computes the MDCs of every point in `skyline` against the relation compiled into `ctx`,
+/// considering only `dominators` as potential dominating points.
 ///
-/// For every skyline point `p` and every other point `q`, the candidate condition is the set of
-/// pairs `(q.Dᵢ, p.Dᵢ)` on the nominal dimensions where the two values are distinct and not yet
-/// related by the template; the candidate is feasible when `q` is at least as good as `p` on
-/// every numeric dimension and never *worse* than `p` on a nominal dimension under the
-/// template. Minimal candidates (by subset inclusion) are kept.
+/// For a skyline point `p` and a dominator `q`, the candidate condition is the set of pairs
+/// `(q.Dᵢ, p.Dᵢ)` on the nominal dimensions where the two values are distinct and not yet
+/// related by `ctx`'s orders. It is feasible when `q` is at least as good as `p` on every
+/// numeric dimension (`!(q > p)`, so a NaN neither blocks nor helps) and never *worse* than
+/// `p` on a nominal dimension under those orders.
 ///
-/// Cost is `O(|D| · |SKY(R)| · m)`, which is exactly the preprocessing cost the paper attributes
-/// to IPO-tree construction.
-pub fn compute_mdcs(ctx: &DominanceContext<'_>, skyline: &[PointId]) -> MdcIndex {
-    let all_points: Vec<PointId> = ctx.dataset().point_ids().collect();
-    compute_mdcs_with_dominators(ctx, skyline, &all_points)
-}
-
-/// Like [`compute_mdcs`] but only considers `dominators` as potential dominating points.
+/// The condition depends only on `q`'s nominal tuple, so the miner probes once per dominator
+/// **tuple**: it groups the dominators by tuple, decides the tuple's pairs (or conflict) first,
+/// and only then scans the group for a numeric witness. A group keeps its numeric rows
+/// contiguous, sorted on numeric dimension 0 with NaN counted as `−∞` (the zone rule of the
+/// packed lanes), so the scan stops at the first row with `q₀ > p₀`. Each point then gets
+/// at most one candidate per dominator tuple, and only the minimal ones are kept.
 ///
-/// Restricting the dominators to the skyline of the dataset under the *same* relation as `ctx`
-/// is lossless: if any point disqualifies `p` under a refinement, some skyline point does too
-/// (follow the dominance chain upwards). This turns the `O(|D|·|SKY|)` mining pass into
-/// `O(|SKY(base)|·|SKY|)`, which is what makes full IPO-tree construction practical.
+/// `ctx`'s orders fix what a node's set means. The IPO-tree builder mines against the *empty*
+/// relation of `SKY(∅)`, with `SKY(∅)` as the dominators: a node disqualifies `p` when some
+/// dominator beats it under the node's first-order choices alone (path-only orders, as
+/// `skyline_ipo::build::direct_disqualified` defines them). Restricting the dominators to the
+/// skyline under `ctx`'s relation is lossless: if any point disqualifies `p` under a refinement,
+/// some skyline point does too (follow the dominance chain upwards).
 pub fn compute_mdcs_with_dominators(
-    ctx: &DominanceContext<'_>,
+    ctx: &CompiledRelation,
     skyline: &[PointId],
     dominators: &[PointId],
 ) -> MdcIndex {
-    let data = ctx.dataset();
-    let schema = data.schema();
-    let orders = ctx.orders();
-
-    let mut mdcs = Vec::with_capacity(skyline.len());
-    for &p in skyline {
-        let mut candidates: Vec<Mdc> = Vec::new();
-        'next_q: for &q in dominators {
-            if q == p {
-                continue;
-            }
-            let mut strict = false;
-            // Numeric dimensions: q must be at least as good everywhere.
-            for j in 0..schema.numeric_count() {
-                let qv = data.numeric(q, j);
-                let pv = data.numeric(p, j);
-                if qv > pv {
-                    continue 'next_q;
-                }
-                if qv < pv {
-                    strict = true;
-                }
-            }
-            // Nominal dimensions: collect the extra pairs needed.
-            let mut pairs: Vec<MdcPair> = Vec::new();
-            for (j, order) in orders.iter().enumerate() {
-                let qv = data.nominal(q, j);
-                let pv = data.nominal(p, j);
-                if qv == pv {
-                    continue;
-                }
-                if order.strictly_preferred(qv, pv) {
-                    strict = true;
-                } else if order.strictly_preferred(pv, qv) {
-                    // Any refinement keeps p strictly better here (conflict-freedom), so q can
-                    // never dominate p.
-                    continue 'next_q;
-                } else {
-                    pairs.push(MdcPair {
-                        dim: j as u16,
-                        better: qv,
-                        worse: pv,
-                    });
-                }
-            }
-            if pairs.is_empty() {
-                // q already dominates p under the template (impossible when `skyline` really is
-                // SKY(R)) or q equals p in every dimension; nothing to record either way.
-                continue;
-            }
-            let _ = strict; // adding any pair introduces a strict preference, so q dominates.
-            candidates.push(Mdc::new(pairs));
-        }
-        mdcs.push(minimalize(candidates));
+    let block = ctx.block();
+    let (nd, md) = (block.numeric_dims(), block.nominal_dims());
+    let zone = |q: PointId| match block.numeric_row(q).first() {
+        Some(v) if !v.is_nan() => *v,
+        _ => f64::NEG_INFINITY,
+    };
+    let mut sorted = dominators.to_vec();
+    sorted.sort_unstable_by(|&a, &b| {
+        block
+            .nominal_row(a)
+            .cmp(block.nominal_row(b))
+            .then(zone(a).total_cmp(&zone(b)))
+    });
+    // Flat group buffers: one tuple per group in `tuples`; group `g`'s numeric rows are
+    // `nums[ends[g - 1]..ends[g]]`.
+    let (mut tuples, mut nums, mut ends) = (Vec::new(), Vec::new(), Vec::new());
+    for group in sorted.chunk_by(|&a, &b| block.nominal_row(a) == block.nominal_row(b)) {
+        tuples.extend_from_slice(block.nominal_row(group[0]));
+        nums.extend(group.iter().flat_map(|&q| block.numeric_row(q)));
+        ends.push(nums.len());
     }
+
+    let mut pairs: Vec<MdcPair> = Vec::with_capacity(md);
+    let mdcs = skyline
+        .iter()
+        .map(|&p| {
+            let (pn, pm) = (block.numeric_row(p), block.nominal_row(p));
+            let mut candidates: Vec<Mdc> = Vec::new();
+            let mut start = 0;
+            // `max(1)`: with no nominal dimension `tuples` is empty and there is no group.
+            for (tuple, &end) in tuples.chunks(md.max(1)).zip(&ends) {
+                let rows = &nums[start..end];
+                start = end;
+                if tuple_pairs(ctx.orders(), tuple, pm, &mut pairs)
+                    && has_numeric_witness(rows, nd, pn)
+                {
+                    candidates.push(Mdc::new(pairs.clone()));
+                }
+            }
+            minimalize(candidates)
+        })
+        .collect();
     MdcIndex {
         skyline: skyline.to_vec(),
         mdcs,
     }
+}
+
+/// Fills `pairs` with the condition a dominator tuple `q` induces on a point with tuple `p`:
+/// one pair per dimension where the values differ and `orders` does not already prefer `q`'s.
+/// False when the tuple induces nothing — `orders` prefers `p`'s value somewhere (any
+/// refinement keeps `p` strictly better there, so `q` can never dominate `p`), or no pair is
+/// needed (`q` already dominates `p`, impossible for a skyline point, or the tuples are equal).
+fn tuple_pairs(
+    orders: &[CompiledOrder],
+    q: &[ValueId],
+    p: &[ValueId],
+    pairs: &mut Vec<MdcPair>,
+) -> bool {
+    pairs.clear();
+    for (j, (order, (&qv, &pv))) in orders.iter().zip(q.iter().zip(p)).enumerate() {
+        if qv == pv || order.strictly_preferred(qv, pv) {
+            continue;
+        }
+        if order.strictly_preferred(pv, qv) {
+            return false;
+        }
+        pairs.push(MdcPair {
+            dim: j as u16,
+            better: qv,
+            worse: pv,
+        });
+    }
+    !pairs.is_empty()
+}
+
+/// True when some row of `rows` (`nd` values each, sorted on dimension 0 with NaN first) is
+/// not worse than `p` on every numeric dimension; the scan stops at the first `q₀ > p₀`. With
+/// no numeric dimension every row of a (never empty) group is a witness.
+// `!(q > p)` is deliberate, not `q <= p`: NaN must neither block nor establish a witness.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn has_numeric_witness(rows: &[f64], nd: usize, p: &[f64]) -> bool {
+    nd == 0
+        || rows
+            .chunks_exact(nd)
+            .take_while(|q| !(q[0] > p[0]))
+            .any(|q| q.iter().zip(p).all(|(qv, pv)| !(qv > pv)))
 }
 
 /// Removes duplicate conditions and prunes conditions that strictly contain a kept single-pair
@@ -281,10 +313,10 @@ pub fn compute_mdcs_with_dominators(
 ///
 /// Full subset-minimality is only an optimization (a superset condition can never change which
 /// preferences disqualify the point, it is just redundant), and computing it exactly is
-/// quadratic in the number of candidate conditions — far too slow at the paper's scale, where a
-/// skyline point can have tens of thousands of dominators. Deduplication plus single-pair
-/// pruning removes the overwhelming majority of the redundancy at linear cost; the handful of
-/// remaining redundant multi-pair conditions only cost a few bytes of storage.
+/// quadratic in the number of candidate conditions. A point has at most one candidate per
+/// dominator tuple — at most `∏ cᵢ`, 400 on the paper's default schema — so deduplication plus
+/// single-pair pruning at linear cost removes nearly all of the redundancy; the few remaining
+/// redundant multi-pair conditions only cost a few bytes of storage.
 fn minimalize(candidates: Vec<Mdc>) -> Vec<Mdc> {
     use std::collections::HashSet;
     let mut distinct: Vec<Mdc> = Vec::with_capacity(candidates.len().min(1024));
@@ -311,8 +343,227 @@ mod tests {
     use super::*;
     use crate::algo::bnl;
     use crate::dataset::{Dataset, DatasetBuilder, RowValue};
+    use crate::dominance::DominanceContext;
+    use crate::kernel::PointBlock;
     use crate::order::{ImplicitPreference, Template};
     use crate::schema::{Dimension, Schema};
+    use crate::value::NominalDomain;
+    use std::sync::Arc;
+
+    /// Mines against `template`'s relation with every row as a potential dominator.
+    fn mine(data: &Dataset, template: &Template, skyline: &[PointId]) -> MdcIndex {
+        let block = Arc::new(PointBlock::new(data));
+        let rel = CompiledRelation::for_template(block, template).unwrap();
+        let all: Vec<PointId> = data.point_ids().collect();
+        compute_mdcs_with_dominators(&rel, skyline, &all)
+    }
+
+    /// The oracle: the pairwise miner, one candidate per feasible (point, dominator) pair,
+    /// read through the reference `DominanceContext`'s columns and orders.
+    fn pairwise_oracle(
+        ctx: &DominanceContext<'_>,
+        skyline: &[PointId],
+        dominators: &[PointId],
+    ) -> MdcIndex {
+        let data = ctx.dataset();
+        let mut mdcs = Vec::with_capacity(skyline.len());
+        for &p in skyline {
+            let mut candidates: Vec<Mdc> = Vec::new();
+            'next_q: for &q in dominators {
+                if q == p {
+                    continue;
+                }
+                for j in 0..data.schema().numeric_count() {
+                    if data.numeric(q, j) > data.numeric(p, j) {
+                        continue 'next_q;
+                    }
+                }
+                let mut pairs: Vec<MdcPair> = Vec::new();
+                for (j, order) in ctx.orders().iter().enumerate() {
+                    let (qv, pv) = (data.nominal(q, j), data.nominal(p, j));
+                    if qv == pv || order.strictly_preferred(qv, pv) {
+                        continue;
+                    }
+                    if order.strictly_preferred(pv, qv) {
+                        continue 'next_q;
+                    }
+                    pairs.push(MdcPair {
+                        dim: j as u16,
+                        better: qv,
+                        worse: pv,
+                    });
+                }
+                if !pairs.is_empty() {
+                    candidates.push(Mdc::new(pairs));
+                }
+            }
+            mdcs.push(minimalize(candidates));
+        }
+        MdcIndex {
+            skyline: skyline.to_vec(),
+            mdcs,
+        }
+    }
+
+    /// SplitMix64: a dependency-free deterministic stream for the adversarial generator.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// A small adversarial dataset: values from {0, 1, 2, 3} (ties on every dimension,
+    /// dimension 0 included), about one NaN cell in six, whole-row duplicates and rows that
+    /// repeat an earlier row's numerics under a fresh tuple. `tuples` picks the nominal
+    /// layout: 0 random, 1 a single tuple, 2 every row in its own tuple.
+    fn adversarial_data(rng: &mut Rng, tuples: usize) -> Dataset {
+        let (nd, md, card) = (rng.below(3), 1 + rng.below(2), 2 + rng.below(3));
+        let mut dims: Vec<Dimension> = (0..nd)
+            .map(|i| Dimension::numeric(format!("x{i}")))
+            .collect();
+        dims.extend(
+            (0..md).map(|j| Dimension::nominal(format!("g{j}"), NominalDomain::anonymous(card))),
+        );
+        let mut data = Dataset::empty(Schema::new(dims).unwrap());
+        let n = (1 + rng.below(14)).min(if tuples == 2 {
+            card.pow(md as u32)
+        } else {
+            usize::MAX
+        });
+        for i in 0..n {
+            let mut nums: Vec<f64> = (0..nd)
+                .map(|_| match rng.below(6) {
+                    0 => f64::NAN,
+                    v => (v % 4) as f64,
+                })
+                .collect();
+            let mut noms: Vec<ValueId> = match tuples {
+                0 => (0..md).map(|_| rng.below(card) as ValueId).collect(),
+                1 => vec![1; md],
+                _ => (0..md)
+                    .map(|j| (i / card.pow(j as u32) % card) as ValueId)
+                    .collect(),
+            };
+            if i > 0 && rng.below(4) == 0 {
+                let src = rng.below(i) as PointId;
+                nums = (0..nd).map(|j| data.numeric(src, j)).collect();
+                if tuples != 2 && rng.below(2) == 0 {
+                    noms = (0..md).map(|j| data.nominal(src, j)).collect();
+                }
+            }
+            data.push_row_ids(&nums, &noms).unwrap();
+        }
+        data
+    }
+
+    /// The values of nominal dimension `j`, shuffled.
+    fn shuffled(rng: &mut Rng, data: &Dataset, j: usize) -> Vec<ValueId> {
+        let card = data.schema().nominal_domain(j).unwrap().cardinality();
+        let mut values: Vec<ValueId> = (0..card as ValueId).collect();
+        for i in (1..card).rev() {
+            values.swap(i, rng.below(i + 1));
+        }
+        values
+    }
+
+    /// Either the empty relation or random acyclic orders (pairs along a shuffled chain).
+    fn random_orders(rng: &mut Rng, data: &Dataset, empty: bool) -> Vec<PartialOrder> {
+        (0..data.schema().nominal_count())
+            .map(|j| {
+                let chain = shuffled(rng, data, j);
+                let card = chain.len();
+                let pairs: Vec<(ValueId, ValueId)> = (0..card)
+                    .flat_map(|a| (a + 1..card).map(move |b| (a, b)))
+                    .filter(|_| !empty && rng.below(3) == 0)
+                    .map(|(a, b)| (chain[a], chain[b]))
+                    .collect();
+                PartialOrder::from_pairs(card, pairs).unwrap()
+            })
+            .collect()
+    }
+
+    /// Every first-order path: per dimension φ or one value.
+    fn first_order_paths(data: &Dataset) -> Vec<Vec<Option<ValueId>>> {
+        let mut paths = vec![Vec::new()];
+        for j in 0..data.schema().nominal_count() {
+            let card = data.schema().nominal_domain(j).unwrap().cardinality() as ValueId;
+            paths = paths
+                .into_iter()
+                .flat_map(|path| {
+                    std::iter::once(None)
+                        .chain((0..card).map(Some))
+                        .map(move |c| {
+                            let mut next = path.clone();
+                            next.push(c);
+                            next
+                        })
+                })
+                .collect();
+        }
+        paths
+    }
+
+    /// The grouped miner ≡ the pairwise oracle on adversarial inputs: the same conditions per
+    /// point (as sets), the same count, and the same disqualified sets for every first-order
+    /// path and for random implicit preferences, under an empty and a non-empty relation and
+    /// with all rows or a random subset as dominators.
+    #[test]
+    fn grouped_miner_matches_the_pairwise_oracle_on_adversarial_inputs() {
+        let mut rng = Rng(0x5eed);
+        for case in 0..600 {
+            let data = adversarial_data(&mut rng, case % 3);
+            let orders = random_orders(&mut rng, &data, case % 2 == 0);
+            let ctx = DominanceContext::new(&data, orders.clone()).unwrap();
+            let rel = CompiledRelation::new(Arc::new(PointBlock::new(&data)), &orders).unwrap();
+            let all: Vec<PointId> = data.point_ids().collect();
+            let some: Vec<PointId> = all.iter().copied().filter(|_| rng.below(3) > 0).collect();
+            for dominators in [&all, &some] {
+                let got = compute_mdcs_with_dominators(&rel, &all, dominators);
+                let want = pairwise_oracle(&ctx, &all, dominators);
+                let sets = |index: &MdcIndex, i: usize| {
+                    let mut set: Vec<Vec<MdcPair>> = index
+                        .mdcs_of_index(i)
+                        .iter()
+                        .map(|m| m.pairs().to_vec())
+                        .collect();
+                    set.sort();
+                    set
+                };
+                for i in 0..all.len() {
+                    assert_eq!(sets(&got, i), sets(&want, i), "case {case}, point {i}");
+                }
+                assert_eq!(got.condition_count(), want.condition_count(), "case {case}");
+                for path in first_order_paths(&data) {
+                    assert_eq!(
+                        got.disqualified_by_first_order(&path),
+                        want.disqualified_by_first_order(&path),
+                        "case {case}, path {path:?}"
+                    );
+                }
+                for _ in 0..4 {
+                    let dims = (0..data.schema().nominal_count())
+                        .map(|j| {
+                            let mut values = shuffled(&mut rng, &data, j);
+                            values.truncate(rng.below(values.len() + 1));
+                            ImplicitPreference::new(values).unwrap()
+                        })
+                        .collect();
+                    let pref = Preference::from_dims(dims);
+                    assert_eq!(
+                        got.disqualified_by_preference(&pref),
+                        want.disqualified_by_preference(&pref),
+                        "case {case}, preference {pref:?}"
+                    );
+                }
+            }
+        }
+    }
 
     fn vacation_data() -> Dataset {
         let schema = Schema::new(vec![
@@ -386,7 +637,7 @@ mod tests {
         let ctx = DominanceContext::for_template(&data, &template).unwrap();
         let sky = bnl::skyline(&ctx);
         assert_eq!(sky, vec![0, 2, 4, 5]);
-        let index = compute_mdcs(&ctx, &sky);
+        let index = mine(&data, &template, &sky);
         assert_eq!(index.len(), 4);
         assert!(!index.is_empty());
 
@@ -409,7 +660,7 @@ mod tests {
         let template = Template::empty(data.schema());
         let ctx = DominanceContext::for_template(&data, &template).unwrap();
         let sky = bnl::skyline(&ctx);
-        let index = compute_mdcs(&ctx, &sky);
+        let index = mine(&data, &template, &sky);
         // First-order choice T ≺ * on the only nominal dimension.
         let bits = index.disqualified_by_first_order(&[Some(0)]);
         let by_pref = index.disqualified_by_preference(&Preference::from_dims(vec![
@@ -427,7 +678,7 @@ mod tests {
         let template = Template::empty(data.schema());
         let ctx = DominanceContext::for_template(&data, &template).unwrap();
         let sky = bnl::skyline(&ctx);
-        let index = compute_mdcs(&ctx, &sky);
+        let index = mine(&data, &template, &sky);
         for i in 0..index.len() {
             for mdc in index.mdcs_of_index(i) {
                 assert!(!mdc.is_empty());
