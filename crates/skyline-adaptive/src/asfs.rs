@@ -9,8 +9,8 @@
 //! template's list is a prefix of the query's, [`Template::check_refinement`]). A value is
 //! *newly listed* on `j` when it sits at a position `> t_j` of the query's list; a member of
 //! `SKY(R)` is **affected** when it carries a newly listed value on some dimension, and AFFECT
-//! is the set of affected members ([`SkylineValueIndex::affected_by`],
-//! [`QueryStats::affected`]). This is narrower than the paper's Figure (d) ratio
+//! is the set of affected members ([`SkylineValueIndex::affected_by`], counted in
+//! [`Work::affected`]). This is narrower than the paper's Figure (d) ratio
 //! [`skyline_core::stats::affected_points`], which counts every *listed* value — including
 //! the template's own prefix, whose rows keep their score and every relation among them.
 //!
@@ -24,19 +24,20 @@
 //!
 //! Hence Algorithm 4 re-ranks AFFECT only and tests **every** candidate — affected or not —
 //! against the *accepted affected* rows only: a rejected dominator is itself dominated by an
-//! accepted affected row (the transitivity argument SFS already relies on). AFFECT = ∅ — for
-//! one, a query equal to the template — answers `SKY(R)` with zero dominance tests.
+//! accepted affected row (the transitivity argument SFS already relies on). That is the core
+//! SFS [`Scan`] with only AFFECT flagged "may dominate later rows". AFFECT = ∅ — for one, a
+//! query equal to the template — answers `SKY(R)` with zero dominance tests.
 
 use crate::index::{LiveRowIndex, SkylineValueIndex};
 use crate::sorted_list::ScoredEntry;
-use skyline_core::algo::{merge_skylines, sfs};
+use skyline_core::algo::merge_skylines;
+use skyline_core::algo::sfs::Scan;
 use skyline_core::kernel::{
     CompiledOrder, CompiledRelation, DatasetEpoch, DenseWindow, PointBlock, RowIdRemap,
 };
 use skyline_core::score::ScoreFn;
 use skyline_core::{
-    Dataset, Deadline, Dominance, PointId, Preference, Result, SkylineError, Template, ValueId,
-    DEADLINE_CHECK_INTERVAL,
+    Dataset, Deadline, PointId, Preference, Result, SkylineError, Template, ValueId, Work,
 };
 use std::collections::HashSet;
 use std::num::NonZeroUsize;
@@ -77,19 +78,6 @@ pub struct PreprocessStats {
     pub preprocess_seconds: f64,
     /// Worker threads the template-skyline scan was chunked over (1 = serial).
     pub workers: usize,
-}
-
-/// Statistics recorded by one query evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryStats {
-    /// Number of re-ranked points: members of `SKY(R)` carrying a value the query lists
-    /// *beyond the template's prefix* (the module-level AFFECT). Not the paper's Figure (d)
-    /// count, [`skyline_core::stats::affected_points`], which includes the prefix.
-    pub affected: usize,
-    /// Pairwise dominance tests performed during the elimination pass.
-    pub dominance_tests: u64,
-    /// Size of the returned skyline.
-    pub result_size: usize,
 }
 
 /// Counters accumulated by the incremental-maintenance mode.
@@ -143,7 +131,7 @@ impl MaintenanceStats {
 /// structure's [`DatasetEpoch`]; queries answer against the current epoch.
 ///
 /// Mutations take `&mut self`. When other `Arc` handles to the dataset or block are still
-/// alive (for example a [`ProgressiveScan`] in flight), the first mutation copies the shared
+/// alive (for example an open query [`Scan`]), the first mutation copies the shared
 /// state (`Arc::make_mut`) so those handles keep an immutable snapshot; subsequent mutations
 /// are in place.
 #[derive(Debug, Clone)]
@@ -178,22 +166,11 @@ impl AdaptiveSfs {
     /// into chunks whose local skylines are computed on one thread per available core and
     /// merged with a final elimination pass (divide and conquer; the result is bit-for-bit
     /// identical to a serial scan). Use [`AdaptiveSfs::build_with_workers`] to pin the worker
-    /// count or [`AdaptiveSfs::build_serial`] to force the single-threaded reference path.
+    /// count (1 is the single-threaded reference path).
     pub fn build(data: impl Into<Arc<Dataset>>, template: &Template) -> Result<Self> {
         let data = data.into();
-        let workers = if data.len() >= PARALLEL_BUILD_THRESHOLD {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            1
-        };
+        let workers = build_workers(data.len());
         Self::build_with_workers(data, template, workers)
-    }
-
-    /// [`AdaptiveSfs::build`] pinned to one thread (the reference preprocessing path).
-    pub fn build_serial(data: impl Into<Arc<Dataset>>, template: &Template) -> Result<Self> {
-        Self::build_with_workers(data, template, 1)
     }
 
     /// [`AdaptiveSfs::build`] with an explicit preprocessing worker count (clamped to ≥ 1).
@@ -224,15 +201,8 @@ impl AdaptiveSfs {
         block: Arc<PointBlock>,
         template: &Template,
     ) -> Result<Self> {
-        let data = data.into();
-        let workers = if block.live_count() >= PARALLEL_BUILD_THRESHOLD {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            1
-        };
-        Self::build_on_block(data, block, template, workers)
+        let workers = build_workers(block.live_count());
+        Self::build_on_block(data.into(), block, template, workers)
     }
 
     /// The shared preprocessing path behind [`AdaptiveSfs::build_with_workers`] and
@@ -263,70 +233,22 @@ impl AdaptiveSfs {
         Ok(this)
     }
 
-    /// Builds the structure from an already-computed template skyline (used by the hybrid
-    /// engine, which shares one skyline computation between the IPO tree and Adaptive SFS).
-    pub fn from_precomputed_skyline(
-        data: impl Into<Arc<Dataset>>,
-        template: Template,
-        skyline: Vec<PointId>,
-    ) -> Result<Self> {
-        let data = data.into();
-        let block = Arc::new(PointBlock::new(&data));
-        Self::from_precomputed_with_block(data, block, template, skyline)
-    }
-
-    /// Like [`AdaptiveSfs::from_precomputed_skyline`], reusing an existing [`PointBlock`] of
-    /// the same dataset instead of transposing it again (the hybrid engine shares one block
-    /// between its own query path and this fallback structure).
+    /// Builds the structure from an already-computed template skyline, reusing an existing
+    /// [`PointBlock`] of the same dataset instead of transposing it again. The hybrid engine
+    /// seeds its fallback structure this way, with its IPO tree's `SKY(R)` and its own block.
     pub fn from_precomputed_with_block(
         data: impl Into<Arc<Dataset>>,
         block: Arc<PointBlock>,
         template: Template,
         skyline: Vec<PointId>,
     ) -> Result<Self> {
-        let data = data.into();
-        if block.len() != data.len() {
-            return Err(SkylineError::InvalidArgument(format!(
-                "point block holds {} points but the dataset has {}",
-                block.len(),
-                data.len()
-            )));
-        }
-        let template_pref = template.implicit().cloned().ok_or_else(|| {
-            SkylineError::InvalidArgument(
-                "Adaptive SFS requires a template with an implicit form".into(),
-            )
-        })?;
-        let score = ScoreFn::for_preference(data.schema(), &template_pref)?;
-        let template_compiled: Vec<CompiledOrder> = template
-            .orders()
-            .iter()
-            .map(CompiledOrder::compile)
-            .collect();
-        let mut entries: Vec<ScoredEntry> = skyline
-            .iter()
-            .map(|&p| ScoredEntry::new(p, score.score(&data, p)))
-            .collect();
-        entries.sort();
-        let index = SkylineValueIndex::build(&data, &skyline);
-        let stats = PreprocessStats {
-            dataset_size: data.len(),
-            template_skyline_size: entries.len(),
-            preprocess_seconds: 0.0,
-            workers: 1,
-        };
-        Ok(Self {
-            data,
-            block,
-            template,
-            template_score: score,
-            template_compiled,
-            entries,
-            index,
-            row_index: None,
-            updates_since_compact: 0,
-            maintenance: MaintenanceStats::default(),
-            stats,
+        Self::assemble(data.into(), block, template, |data, _, score| {
+            let mut entries: Vec<ScoredEntry> = skyline
+                .iter()
+                .map(|&p| ScoredEntry::new(p, score.score(data, p)))
+                .collect();
+            entries.sort();
+            Ok(entries)
         })
     }
 
@@ -343,7 +265,43 @@ impl AdaptiveSfs {
         template: Template,
         entries: Vec<ScoredEntry>,
     ) -> Result<Self> {
-        let data = data.into();
+        Self::assemble(data.into(), block, template, |_, block, _| {
+            if entries.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(SkylineError::Snapshot(
+                    "sorted list entries are not strictly ascending by (score, point)".into(),
+                ));
+            }
+            for e in &entries {
+                if e.point as usize >= block.len() || !block.is_live(e.point) {
+                    return Err(SkylineError::Snapshot(format!(
+                        "sorted list references point {} which is not a live row",
+                        e.point
+                    )));
+                }
+            }
+            // Strict (score, point) ordering cannot rule out one point listed under two
+            // different scores, which would corrupt the value index — check ids themselves.
+            let mut ids: Vec<PointId> = entries.iter().map(|e| e.point).collect();
+            ids.sort_unstable();
+            if ids.windows(2).any(|w| w[0] == w[1]) {
+                return Err(SkylineError::Snapshot(
+                    "sorted list references the same point twice".into(),
+                ));
+            }
+            Ok(entries)
+        })
+    }
+
+    /// The one assembler behind both constructors: checks the block against the dataset and
+    /// the template for an implicit form, derives the template ranking, lets `sorted_list`
+    /// produce the sorted entries under it (scoring a raw skyline, or validating decoded
+    /// entries), then compiles the template orders and indexes the list.
+    fn assemble(
+        data: Arc<Dataset>,
+        block: Arc<PointBlock>,
+        template: Template,
+        sorted_list: impl FnOnce(&Dataset, &PointBlock, &ScoreFn) -> Result<Vec<ScoredEntry>>,
+    ) -> Result<Self> {
         if block.len() != data.len() {
             return Err(SkylineError::InvalidArgument(format!(
                 "point block holds {} points but the dataset has {}",
@@ -351,40 +309,19 @@ impl AdaptiveSfs {
                 data.len()
             )));
         }
-        if entries.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(SkylineError::Snapshot(
-                "sorted list entries are not strictly ascending by (score, point)".into(),
-            ));
-        }
-        for e in &entries {
-            if e.point as usize >= block.len() || !block.is_live(e.point) {
-                return Err(SkylineError::Snapshot(format!(
-                    "sorted list references point {} which is not a live row",
-                    e.point
-                )));
-            }
-        }
         let template_pref = template.implicit().cloned().ok_or_else(|| {
             SkylineError::InvalidArgument(
                 "Adaptive SFS requires a template with an implicit form".into(),
             )
         })?;
         let score = ScoreFn::for_preference(data.schema(), &template_pref)?;
+        let entries = sorted_list(&data, &block, &score)?;
         let template_compiled: Vec<CompiledOrder> = template
             .orders()
             .iter()
             .map(CompiledOrder::compile)
             .collect();
         let skyline: Vec<PointId> = entries.iter().map(|e| e.point).collect();
-        // Strict (score, point) ordering cannot rule out one point listed under two
-        // different scores, which would corrupt the value index — check ids themselves.
-        let mut ids = skyline.clone();
-        ids.sort_unstable();
-        if ids.windows(2).any(|w| w[0] == w[1]) {
-            return Err(SkylineError::Snapshot(
-                "sorted list references the same point twice".into(),
-            ));
-        }
         let index = SkylineValueIndex::build(&data, &skyline);
         let stats = PreprocessStats {
             dataset_size: data.len(),
@@ -460,112 +397,54 @@ impl AdaptiveSfs {
             .map(|(r, _)| r)
     }
 
-    /// Like [`AdaptiveSfs::query`], reusing caller-owned scratch buffers across queries.
-    ///
-    /// Hand one [`QueryScratch`] to a loop of queries (e.g. a service worker thread draining a
-    /// batch) and the merge/elimination buffers are reused instead of reallocated per query.
-    pub fn query_with_scratch(
-        &self,
-        pref: &Preference,
-        scratch: &mut QueryScratch,
-    ) -> Result<Vec<PointId>> {
-        self.query_with_stats_scratch(pref, ScanMode::default(), scratch)
-            .map(|(r, _)| r)
-    }
-
-    /// Algorithm 4 with an explicit scan mode, reporting per-query statistics.
+    /// Algorithm 4 with an explicit scan mode, reporting the query's [`Work`]: dominance
+    /// tests, AFFECT size, candidates examined and rows emitted.
     pub fn query_with_stats(
         &self,
         pref: &Preference,
         mode: ScanMode,
-    ) -> Result<(Vec<PointId>, QueryStats)> {
+    ) -> Result<(Vec<PointId>, Work)> {
         let mut scratch = QueryScratch::default();
-        self.query_with_stats_scratch(pref, mode, &mut scratch)
+        let scan = self.query_scan(pref, mode, &mut scratch)?;
+        scratch.drain(scan, &Deadline::none())
     }
 
-    /// [`AdaptiveSfs::query_with_stats`] with caller-owned scratch buffers.
-    pub fn query_with_stats_scratch(
-        &self,
-        pref: &Preference,
-        mode: ScanMode,
-        scratch: &mut QueryScratch,
-    ) -> Result<(Vec<PointId>, QueryStats)> {
-        self.query_deadline_scratch(pref, mode, &Deadline::none(), scratch)
-    }
-
-    /// [`AdaptiveSfs::query_with_stats_scratch`] under a request [`Deadline`]: the
-    /// elimination scan polls the deadline at block granularity and aborts with
-    /// [`SkylineError::DeadlineExceeded`] instead of finishing an answer nobody is waiting
-    /// for. The scratch buffers stay reusable after an abort.
+    /// Opens Algorithm 4 for `pref` as a progressive [`Scan`] that yields `SKY(R̃′)` in
+    /// ascending query-score order; each row is final as soon as it is produced (the
+    /// progressiveness property of Section 4.3), so a caller can stop early without wasted
+    /// work. The scan owns its compiled relation (the point block is shared with this
+    /// structure), so it carries no borrow of the structure and keeps a snapshot across later
+    /// mutations.
     ///
-    /// The batch answer is the drained [`ProgressiveScan`], run on the scratch's buffers.
-    pub fn query_deadline_scratch(
-        &self,
-        pref: &Preference,
-        mode: ScanMode,
-        deadline: &Deadline,
-        scratch: &mut QueryScratch,
-    ) -> Result<(Vec<PointId>, QueryStats)> {
-        let mut scan = self.scan(pref, mode, scratch)?;
-        let mut result = Vec::new();
-        let drained: Result<()> = (|| {
-            while let Some(p) = scan.advance(deadline)? {
-                result.push(p);
-            }
-            Ok(())
-        })();
-        let stats = QueryStats {
-            affected: scratch.reinserted.len(),
-            dominance_tests: scan.dominance_tests,
-            result_size: result.len(),
-        };
-        scratch.merged = scan.merged;
-        scratch.window = scan.window;
-        drained?;
-        result.sort_unstable();
-        Ok((result, stats))
-    }
-
-    /// Progressive evaluation: returns an iterator that yields skyline points in ascending
-    /// query-score order. Every yielded point is already guaranteed to be in `SKY(R̃′)`, so a
-    /// caller can stop early (e.g. "give me the first 10 results") without any wasted work.
-    pub fn query_progressive(&self, pref: &Preference) -> Result<ProgressiveScan> {
-        self.scan(pref, ScanMode::default(), &mut QueryScratch::default())
-    }
-
-    /// Sets up Algorithm 4 for `pref`: validates it, re-ranks AFFECT into the merged candidate
-    /// order and hands the scan the scratch's candidate and window buffers. The query relation
-    /// is compiled only when some candidate is flagged affected — otherwise no window is ever
-    /// pushed to and every member of `SKY(R)` is accepted untested.
-    fn scan(
+    /// Validates `pref`, re-ranks AFFECT into the merged candidate order and takes the
+    /// candidate and window buffers out of `scratch`. A batch caller hands them back with
+    /// [`QueryScratch::drain`], so a worker thread that keeps one scratch allocates no scan
+    /// buffers per query; a streaming caller simply keeps the scan.
+    pub fn query_scan(
         &self,
         pref: &Preference,
         mode: ScanMode,
         scratch: &mut QueryScratch,
-    ) -> Result<ProgressiveScan> {
+    ) -> Result<Scan<CompiledRelation>> {
         self.merged_order(pref, scratch)?;
         let full = mode == ScanMode::FullRescan;
         let dom = if full || !scratch.reinserted.is_empty() {
             let schema = self.data.schema();
-            let dom =
-                CompiledRelation::for_query(self.block.clone(), schema, &self.template, pref)?;
-            dom.reset_window(&mut scratch.window);
-            Some(dom)
+            CompiledRelation::for_query(self.block.clone(), schema, &self.template, pref)?
         } else {
-            None
+            // No candidate may dominate, so the scan never probes its relation: the template's,
+            // compiled at construction, stands in for compiling the query's.
+            self.template_relation()
         };
         if full {
             for (_, affected) in &mut scratch.merged {
                 *affected = true;
             }
         }
-        Ok(ProgressiveScan {
-            dom,
-            merged: std::mem::take(&mut scratch.merged),
-            pos: 0,
-            window: std::mem::take(&mut scratch.window),
-            dominance_tests: 0,
-        })
+        let order = std::mem::take(&mut scratch.merged);
+        let mut scan = Scan::new(dom, order, std::mem::take(&mut scratch.window));
+        scan.work.affected = scratch.reinserted.len() as u64;
+        Ok(scan)
     }
 
     /// Builds the query-score-ordered candidate list into `scratch.merged` as
@@ -793,14 +672,7 @@ impl AdaptiveSfs {
         let rel = self.template_relation();
         let live: Vec<PointId> = self.block.live_ids().collect();
         let sorted = self.template_score.sort_by_score(&self.data, &live);
-        let workers = if live.len() >= PARALLEL_BUILD_THRESHOLD {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            1
-        };
-        let skyline = chunked_scan_presorted(&rel, &sorted, workers);
+        let skyline = chunked_scan_presorted(&rel, &sorted, build_workers(live.len()));
         self.entries = skyline
             .iter()
             .map(|&p| ScoredEntry::new(p, self.template_score.score(&self.data, p)))
@@ -848,13 +720,25 @@ impl AdaptiveSfs {
     }
 }
 
+/// Preprocessing workers for a build over `rows` rows: one per available core from
+/// [`PARALLEL_BUILD_THRESHOLD`] rows up, else one.
+fn build_workers(rows: usize) -> usize {
+    if rows >= PARALLEL_BUILD_THRESHOLD {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    } else {
+        1
+    }
+}
+
 /// Divide-and-conquer presorted elimination scan.
 ///
 /// The score-sorted candidate list is split into contiguous chunks; each worker thread
 /// computes its chunk-local skyline (any point it removes is dominated by an earlier-sorted
 /// point, so it cannot be in the global skyline), and one final scan over the concatenated
 /// survivors — which is still in global score order — removes cross-chunk dominated points.
-/// The output is **bit-for-bit identical** to a serial [`sfs::scan_presorted`] over the full
+/// The output is **bit-for-bit identical** to a serial [`Scan::presorted`] over the full
 /// list: the monotone score guarantees dominators sort strictly earlier, so both scans accept
 /// exactly the global skyline in score order. The cross-chunk pass is the shared
 /// [`merge_skylines`] operator (order-preserving, so the score order survives the merge) —
@@ -865,13 +749,13 @@ fn chunked_scan_presorted(
     workers: usize,
 ) -> Vec<PointId> {
     if workers <= 1 || sorted.len() < workers * 2 {
-        return sfs::scan_presorted(compiled, sorted);
+        return Scan::presorted(compiled, sorted).collect();
     }
     let chunk = sorted.len().div_ceil(workers);
     let locals: Vec<Vec<PointId>> = std::thread::scope(|scope| {
         let handles: Vec<_> = sorted
             .chunks(chunk)
-            .map(|part| scope.spawn(move || sfs::scan_presorted(compiled, part)))
+            .map(|part| scope.spawn(move || Scan::presorted(compiled, part).collect::<Vec<_>>()))
             .collect();
         handles
             .into_iter()
@@ -903,87 +787,23 @@ impl QueryScratch {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-/// Iterator returned by [`AdaptiveSfs::query_progressive`]: the one candidate loop of
-/// Algorithm 4, which the batch query paths drain.
-///
-/// Yields the members of `SKY(R̃′)` in ascending query-score order; each item is final as soon
-/// as it is produced (the progressiveness property of Section 4.3). Owns its compiled
-/// dominance kernel (the point block is shared with the parent structure), so the iterator
-/// carries no borrow of the [`AdaptiveSfs`] it came from.
-#[derive(Debug)]
-pub struct ProgressiveScan {
-    /// `None` when no candidate is flagged affected: nothing can dominate a member of
-    /// `SKY(R)` (lemma (b)), so no relation is compiled and every candidate is accepted.
-    dom: Option<CompiledRelation>,
-    merged: Vec<(PointId, bool)>,
-    pos: usize,
-    /// The accepted candidates flagged affected — the only possible dominators.
-    window: DenseWindow,
-    /// Per rejected candidate the index of its first dominator + 1, per accepted one the
-    /// length of the window it was probed against.
-    dominance_tests: u64,
-}
-
-impl ProgressiveScan {
-    /// Number of candidates examined so far (the scan's position in the merged order).
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// True once every candidate has been examined — no further point can be yielded.
-    pub fn is_exhausted(&self) -> bool {
-        self.pos >= self.merged.len()
-    }
-
-    /// [`Iterator::next`] under a request [`Deadline`]: the candidate walk polls the deadline
-    /// once per [`DEADLINE_CHECK_INTERVAL`] candidates (block granularity, matching the batch
-    /// scans) and aborts with [`SkylineError::DeadlineExceeded`] on expiry. The scan stays
-    /// usable after an abort — a later call with a fresh deadline resumes where it stopped —
-    /// which is what lets a streaming follower pick up a timed-out leader's scan.
-    pub fn next_deadline(&mut self, deadline: &Deadline) -> Result<Option<PointId>> {
-        // One check per pull (each call is an external consumer touchpoint), plus the usual
-        // block-granularity polling for long dominated runs between yields.
-        deadline.check()?;
-        self.advance(deadline)
-    }
-
-    /// Walks the merged order to the next accepted candidate. Cooperative cancellation at
-    /// block granularity: one wall-clock poll per packed window block of candidates, so an
-    /// expired budget stops mid-scan with the position preserved.
-    fn advance(&mut self, deadline: &Deadline) -> Result<Option<PointId>> {
-        let bounded = deadline.is_bounded();
-        while self.pos < self.merged.len() {
-            if bounded && self.pos.is_multiple_of(DEADLINE_CHECK_INTERVAL) {
-                deadline.check()?;
-            }
-            let (p, is_affected) = self.merged[self.pos];
-            self.pos += 1;
-            let Some(dom) = &self.dom else {
-                return Ok(Some(p));
-            };
-            match dom.window_first_dominator(&mut self.window, p) {
-                Some(i) => self.dominance_tests += i as u64 + 1,
-                None => {
-                    self.dominance_tests += self.window.len() as u64;
-                    if is_affected {
-                        dom.push_window(&mut self.window, p);
-                    }
-                    return Ok(Some(p));
-                }
-            }
-        }
-        Ok(None)
-    }
-}
-
-impl Iterator for ProgressiveScan {
-    type Item = PointId;
-
-    fn next(&mut self) -> Option<PointId> {
-        self.next_deadline(&Deadline::none())
-            .expect("an unbounded deadline never expires")
+    /// Drains a scan opened on this scratch by [`AdaptiveSfs::query_scan`] into a batch
+    /// answer sorted by id, with the scan's [`Work`], and takes the scan's buffers back — also
+    /// when `deadline` aborts the drain with [`SkylineError::DeadlineExceeded`], so the
+    /// scratch stays reusable either way.
+    pub fn drain(
+        &mut self,
+        mut scan: Scan<CompiledRelation>,
+        deadline: &Deadline,
+    ) -> Result<(Vec<PointId>, Work)> {
+        let mut result = Vec::new();
+        let drained = scan.drain_into(&mut result, deadline);
+        let work = scan.work;
+        (self.merged, self.window) = scan.into_buffers();
+        drained?;
+        result.sort_unstable();
+        Ok((result, work))
     }
 }
 
@@ -1015,6 +835,12 @@ mod tests {
                 .unwrap();
         }
         Arc::new(b.build().unwrap())
+    }
+
+    /// The progressive scan of `pref` under the default mode, on fresh buffers.
+    fn stream(asfs: &AdaptiveSfs, pref: &Preference) -> Scan<CompiledRelation> {
+        asfs.query_scan(pref, ScanMode::default(), &mut QueryScratch::new())
+            .unwrap()
     }
 
     #[test]
@@ -1067,7 +893,7 @@ mod tests {
             .unwrap();
         // Affected = skyline points with hotel-group M = {e, f}.
         assert_eq!(stats.affected, 2);
-        assert_eq!(stats.result_size, result.len());
+        assert_eq!(stats.rows_emitted, result.len() as u64);
         assert_eq!(result, vec![0, 2, 4, 5]);
     }
 
@@ -1083,7 +909,7 @@ mod tests {
             .unwrap();
         assert_eq!(result, asfs.template_skyline());
         assert_eq!((stats.affected, stats.dominance_tests), (0, 0));
-        let streamed: Vec<PointId> = asfs.query_progressive(&pref).unwrap().collect();
+        let streamed: Vec<PointId> = stream(&asfs, &pref).collect();
         let in_list_order: Vec<PointId> = asfs.sorted_entries().iter().map(|e| e.point).collect();
         assert_eq!(streamed, in_list_order);
         // The reference path answers the same through the full elimination scan.
@@ -1100,19 +926,17 @@ mod tests {
         let template = Template::empty(&schema);
         let asfs = AdaptiveSfs::build(data, &template).unwrap();
         let pref = Preference::parse(&schema, [("hotel-group", "T < M < *")]).unwrap();
-        let mut scratch = QueryScratch::new();
-        let expected = asfs.query_with_scratch(&pref, &mut scratch).unwrap();
+        let (mode, mut scratch) = (ScanMode::default(), QueryScratch::new());
+        let expected = asfs.query(&pref).unwrap();
         let expired = Deadline::within(std::time::Duration::ZERO);
+        let scan = asfs.query_scan(&pref, mode, &mut scratch).unwrap();
         assert_eq!(
-            asfs.query_deadline_scratch(&pref, ScanMode::default(), &expired, &mut scratch)
-                .unwrap_err(),
+            scratch.drain(scan, &expired).unwrap_err(),
             SkylineError::DeadlineExceeded
         );
         assert!(scratch.merged.capacity() > 0, "buffers are handed back");
-        assert_eq!(
-            asfs.query_with_scratch(&pref, &mut scratch).unwrap(),
-            expected
-        );
+        let scan = asfs.query_scan(&pref, mode, &mut scratch).unwrap();
+        assert_eq!(scratch.drain(scan, &Deadline::none()).unwrap().0, expected);
     }
 
     #[test]
@@ -1124,7 +948,7 @@ mod tests {
         let pref = Preference::parse(&schema, [("hotel-group", "T < M < *")]).unwrap();
         let full = asfs.query(&pref).unwrap();
         let mut streamed: Vec<PointId> = Vec::new();
-        for p in asfs.query_progressive(&pref).unwrap() {
+        for p in stream(&asfs, &pref) {
             // Progressiveness: every yielded point must be in the final answer.
             assert!(
                 full.contains(&p),
@@ -1424,7 +1248,7 @@ mod tests {
         let template = Template::empty(&schema);
         let mut asfs = AdaptiveSfs::build(data, &template).unwrap();
         let pref = Preference::parse(&schema, [("hotel-group", "T < M < *")]).unwrap();
-        let snapshot = asfs.query_progressive(&pref).unwrap();
+        let snapshot = stream(&asfs, &pref);
         let before: Vec<PointId> = {
             let mut v = asfs.query(&pref).unwrap();
             v.sort_unstable();
@@ -1447,24 +1271,24 @@ mod tests {
         let template = Template::empty(&schema);
         let asfs = AdaptiveSfs::build(data, &template).unwrap();
         let pref = Preference::parse(&schema, [("hotel-group", "T < M < *")]).unwrap();
-        let expected: Vec<PointId> = asfs.query_progressive(&pref).unwrap().collect();
+        let expected: Vec<PointId> = stream(&asfs, &pref).collect();
 
-        let mut scan = asfs.query_progressive(&pref).unwrap();
+        let mut scan = stream(&asfs, &pref);
         // An already-expired deadline aborts before the first candidate is examined.
         let expired = Deadline::within(std::time::Duration::ZERO);
         assert_eq!(
-            scan.next_deadline(&expired).unwrap_err(),
+            scan.next_row(&expired).unwrap_err(),
             SkylineError::DeadlineExceeded
         );
         assert_eq!(scan.position(), 0, "nothing consumed on abort");
         // A fresh unbounded deadline resumes the same scan and yields the full sequence.
         let mut resumed = Vec::new();
-        while let Some(p) = scan.next_deadline(&Deadline::none()).unwrap() {
+        while let Some(p) = scan.next_row(&Deadline::none()).unwrap() {
             resumed.push(p);
         }
         assert_eq!(resumed, expected);
         assert!(scan.is_exhausted());
-        assert_eq!(scan.next_deadline(&Deadline::none()).unwrap(), None);
+        assert_eq!(scan.next_row(&Deadline::none()).unwrap(), None);
     }
 
     #[test]

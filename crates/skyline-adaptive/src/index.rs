@@ -323,7 +323,11 @@ mod tests {
             Err(SkylineError::NotARefinement { .. })
         ));
         assert!(matches!(
-            asfs.query_progressive(&bad),
+            asfs.query_scan(
+                &bad,
+                crate::ScanMode::default(),
+                &mut crate::QueryScratch::new()
+            ),
             Err(SkylineError::NotARefinement { .. })
         ));
     }

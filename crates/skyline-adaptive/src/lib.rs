@@ -7,8 +7,9 @@
 //! by a monotone preference score. At query time (Algorithm 4) only the points that carry a
 //! value the query lists *beyond the template's own prefix* change rank (AFFECT, see the
 //! lemma in [`asfs`]); they are re-inserted at their new positions and a single elimination
-//! pass — which only ever tests points against the accepted re-ranked ones — produces
-//! `SKY(R̃′)`. Results stream out progressively in score order, and the sorted list supports
+//! pass — the core [`skyline_core::algo::sfs::Scan`], which here only ever tests points
+//! against the accepted re-ranked ones — produces `SKY(R̃′)`. Results stream out
+//! progressively in score order ([`AdaptiveSfs::query_scan`]), and the sorted list supports
 //! incremental maintenance when the underlying data changes.
 //!
 //! * [`asfs::AdaptiveSfs`] — the query structure (the paper's **SFS-A**), including the
@@ -30,9 +31,6 @@ pub mod index;
 pub mod snapshot;
 pub mod sorted_list;
 
-pub use asfs::{
-    AdaptiveSfs, MaintenanceStats, PreprocessStats, ProgressiveScan, QueryScratch, QueryStats,
-    ScanMode,
-};
+pub use asfs::{AdaptiveSfs, MaintenanceStats, PreprocessStats, QueryScratch, ScanMode};
 pub use index::{LiveRowIndex, SkylineValueIndex};
 pub use sorted_list::ScoredEntry;

@@ -29,7 +29,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use skyline::prelude::*;
-use skyline_core::algo::sfs;
+use skyline_core::algo::sfs::Scan;
 use skyline_core::score::ScoreFn;
 use skyline_core::{merge_skylines, CompiledOrder, SkylineMerger};
 use std::hint::black_box;
@@ -94,7 +94,7 @@ fn scan_all<D: Dominance>(
         .zip(sorted)
         .map(|(pref, order)| {
             let dom = make(pref);
-            sfs::scan_presorted(&dom, order).len()
+            Scan::presorted(&dom, order).count()
         })
         .sum()
 }
@@ -287,7 +287,8 @@ fn bench_merge_cross_source(c: &mut Criterion) {
                     .flat_map(|s| {
                         let rows: Vec<PointId> =
                             data.point_ids().filter(|&p| source_of(p) == s).collect();
-                        let local = sfs::scan_presorted(&rel, &score.sort_by_score(&data, &rows));
+                        let local: Vec<PointId> =
+                            Scan::presorted(&rel, &score.sort_by_score(&data, &rows)).collect();
                         local.into_iter().map(move |p| (s, p))
                     })
                     .collect();

@@ -10,8 +10,6 @@
 //! for any [`DominanceContext`], and it is the oracle the property-based tests compare every
 //! other algorithm against.
 
-use super::sink::ResultSink;
-use super::AlgoStats;
 use crate::dominance::{Dominance, DominanceContext};
 use crate::value::PointId;
 
@@ -25,71 +23,14 @@ pub fn skyline(ctx: &DominanceContext<'_>) -> Vec<PointId> {
 /// implementation (the reference context or the compiled kernel).
 ///
 /// Dispatches through [`Dominance::bnl_skyline`], so the compiled kernel runs its
-/// bit-parallel packed window here; the stats variant below keeps the generic reference
-/// loop (its per-test counters are meaningless for a mask-algebra walk).
+/// bit-parallel packed window here.
 pub fn skyline_of<D: Dominance + ?Sized>(ctx: &D, points: &[PointId]) -> Vec<PointId> {
     ctx.bnl_skyline(points)
-}
-
-/// Drives a [`ResultSink`] with the skyline of `points`.
-///
-/// BNL is **not** progressive — a window member can still be evicted by a later candidate —
-/// so members are confirmed (and emitted, in ascending id order) only once the scan has
-/// finished. Streaming callers that need true incremental emission should use the SFS scan
-/// ([`crate::algo::sfs::scan_presorted_sink`]); this adapter exists so every elimination
-/// algorithm in the workspace speaks the same sink interface.
-pub fn skyline_of_sink<D: Dominance + ?Sized, S: ResultSink>(
-    ctx: &D,
-    points: &[PointId],
-    sink: &mut S,
-) {
-    for p in ctx.bnl_skyline(points) {
-        if !sink.emit(p) {
-            break;
-        }
-    }
-}
-
-/// Computes the skyline of a subset and reports work counters.
-pub fn skyline_of_with_stats<D: Dominance + ?Sized>(
-    ctx: &D,
-    points: &[PointId],
-) -> (Vec<PointId>, AlgoStats) {
-    let mut window: Vec<PointId> = Vec::new();
-    let mut stats = AlgoStats::default();
-    for &p in points {
-        stats.points_scanned += 1;
-        let mut dominated = false;
-        let mut evict = Vec::new();
-        for (i, &w) in window.iter().enumerate() {
-            stats.dominance_tests += 1;
-            if ctx.dominates(w, p) {
-                dominated = true;
-                break;
-            }
-            stats.dominance_tests += 1;
-            if ctx.dominates(p, w) {
-                evict.push(i);
-            }
-        }
-        if dominated {
-            continue;
-        }
-        // Remove evicted window entries from the back so indexes stay valid.
-        for &i in evict.iter().rev() {
-            window.swap_remove(i);
-        }
-        window.push(p);
-    }
-    window.sort_unstable();
-    stats.skyline_size = window.len();
-    (window, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::verify_skyline;
     use crate::dataset::{Dataset, DatasetBuilder, RowValue};
     use crate::order::{Preference, Template};
     use crate::schema::{Dimension, Schema};
@@ -154,43 +95,6 @@ mod tests {
         // Within {a, b} a dominates b.
         assert_eq!(skyline_of(&ctx, &[0, 1]), vec![0]);
         assert!(skyline_of(&ctx, &[]).is_empty());
-    }
-
-    #[test]
-    fn stats_are_populated() {
-        let data = vacation_data();
-        let template = Template::empty(data.schema());
-        let ctx = DominanceContext::for_template(&data, &template).unwrap();
-        let (sky, stats) = skyline_of_with_stats(&ctx, &data.point_ids().collect::<Vec<_>>());
-        assert_eq!(stats.skyline_size, sky.len());
-        assert_eq!(stats.points_scanned, 6);
-        assert!(stats.dominance_tests > 0);
-        assert!(verify_skyline(
-            &ctx,
-            &data.point_ids().collect::<Vec<_>>(),
-            &sky
-        ));
-    }
-
-    #[test]
-    fn sink_adapter_confirms_the_whole_skyline() {
-        let data = vacation_data();
-        let template = Template::empty(data.schema());
-        let ctx = DominanceContext::for_template(&data, &template).unwrap();
-        let all: Vec<PointId> = data.point_ids().collect();
-        let mut emitted = Vec::new();
-        skyline_of_sink(&ctx, &all, &mut |p: PointId| {
-            emitted.push(p);
-            true
-        });
-        assert_eq!(emitted, skyline_of(&ctx, &all));
-        // Early stop truncates the emission, not the computation's correctness.
-        let mut first = Vec::new();
-        skyline_of_sink(&ctx, &all, &mut |p: PointId| {
-            first.push(p);
-            false
-        });
-        assert_eq!(first, emitted[..1]);
     }
 
     #[test]

@@ -8,8 +8,8 @@ use crate::value::PointId;
 /// Pairwise dominance testing, implemented by both the reference [`DominanceContext`] and the
 /// compiled kernel ([`crate::kernel::CompiledRelation`]).
 ///
-/// The skyline algorithms ([`crate::algo::bnl`], [`crate::algo::sfs`]) are generic over this
-/// trait, so the same elimination loops run against either implementation: the context is the
+/// The skyline algorithms ([`crate::algo::bnl`], [`crate::algo::sfs::Scan`]) are generic over
+/// this trait, so the same elimination loops run against either implementation: the context is the
 /// executable specification, the kernel is the fast path, and the `kernel_equivalence`
 /// property suite holds the two together.
 pub trait Dominance {
@@ -90,6 +90,44 @@ pub trait Dominance {
         }
         window.sort_unstable();
         window
+    }
+}
+
+/// A borrowed relation is a relation: batch scans run on `&D` and owning scans on `D`, with
+/// the same monomorphized loop. Every method forwards, so the kernel's overrides still apply.
+impl<D: Dominance + ?Sized> Dominance for &D {
+    type Window = D::Window;
+
+    fn reset_window(&self, window: &mut D::Window) {
+        D::reset_window(self, window)
+    }
+
+    fn push_window(&self, window: &mut D::Window, p: PointId) {
+        D::push_window(self, window, p)
+    }
+
+    fn window_first_dominator(&self, window: &mut D::Window, p: PointId) -> Option<usize> {
+        D::window_first_dominator(self, window, p)
+    }
+
+    fn dominates(&self, p: PointId, q: PointId) -> bool {
+        D::dominates(self, p, q)
+    }
+
+    fn compare(&self, p: PointId, q: PointId) -> DomRelation {
+        D::compare(self, p, q)
+    }
+
+    fn first_dominator(&self, p: PointId, candidates: &[PointId]) -> Option<usize> {
+        D::first_dominator(self, p, candidates)
+    }
+
+    fn dominated_by_any(&self, p: PointId, candidates: &[PointId]) -> bool {
+        D::dominated_by_any(self, p, candidates)
+    }
+
+    fn bnl_skyline(&self, points: &[PointId]) -> Vec<PointId> {
+        D::bnl_skyline(self, points)
     }
 }
 

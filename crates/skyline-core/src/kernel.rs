@@ -1158,7 +1158,7 @@ mod tests {
     /// ranked/unranked case, against the reference context and the plain-id window.
     #[test]
     fn unranked_orders_take_the_probe_path_and_match_the_reference() {
-        use crate::algo::sfs;
+        use crate::algo::sfs::Scan;
         use crate::score::ScoreFn;
 
         let schema = Schema::new(vec![
@@ -1199,8 +1199,8 @@ mod tests {
         let score = ScoreFn::default_ranking(data.schema());
         let sorted = score.sort_by_score(&data, &data.point_ids().collect::<Vec<_>>());
         assert_eq!(
-            sfs::scan_presorted(&kernel, &sorted),
-            sfs::scan_presorted(&ctx, &sorted),
+            Scan::presorted(&kernel, &sorted).collect::<Vec<_>>(),
+            Scan::presorted(&ctx, &sorted).collect::<Vec<_>>(),
             "dense-window scan must match the reference scan on unranked orders"
         );
     }
@@ -1463,7 +1463,7 @@ mod tests {
     /// disabled) and 64 (peek covers a whole lane block).
     #[test]
     fn packed_matches_reference_at_every_pinned_peek_depth() {
-        use crate::algo::sfs;
+        use crate::algo::sfs::Scan;
         use crate::score::ScoreFn;
 
         let data = peek_stress_data();
@@ -1475,12 +1475,12 @@ mod tests {
         let score = ScoreFn::default_ranking(data.schema());
         let all: Vec<PointId> = data.point_ids().collect();
         let sorted = score.sort_by_score(&data, &all);
-        let reference = sfs::scan_presorted(&ctx, &sorted);
+        let reference: Vec<PointId> = Scan::presorted(&ctx, &sorted).collect();
         let reference_bnl = ctx.bnl_skyline(&all);
         for depth in [0usize, 1, 2, 8, 32, 64] {
             with_window_peek(depth, || {
                 assert_eq!(
-                    sfs::scan_presorted(&kernel, &sorted),
+                    Scan::presorted(&kernel, &sorted).collect::<Vec<_>>(),
                     reference,
                     "scan mismatch at peek depth {depth}"
                 );

@@ -19,7 +19,8 @@
 //! * the compiled dominance kernel ([`kernel`]): query-compiled closure bitmasks over a
 //!   cache-friendly row-major point layout, behind the shared [`dominance::Dominance`] trait;
 //! * baseline full-dataset skyline algorithms: block-nested-loop ([`algo::bnl`]) and
-//!   sort-first-skyline ([`algo::sfs`], the paper's **SFS-D** baseline);
+//!   sort-first-skyline ([`algo::sfs`]: one progressive scan, the paper's **SFS-D** baseline
+//!   and Adaptive SFS's elimination loop), counting into one [`Work`] record;
 //! * minimal disqualifying conditions ([`mdc`]) used by the IPO-tree construction;
 //! * a compact [`bitset::BitSet`] shared by the partial-order closure and the bitmap
 //!   IPO-tree representation;
@@ -47,7 +48,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod value;
 
-pub use algo::{merge_skylines, CollectSink, ProgressiveMerger, ResultSink, SkylineMerger};
+pub use algo::{merge_skylines, ProgressiveMerger, SkylineMerger, Work};
 pub use bitset::BitSet;
 pub use dataset::{Dataset, DatasetBuilder, RowValue};
 pub use deadline::{CancelToken, Deadline, DEADLINE_CHECK_INTERVAL};

@@ -56,7 +56,7 @@ fn percentage(numerator: usize, denominator: usize) -> f64 {
 /// This counts **every** listed value, the template's own prefix included. The set Adaptive
 /// SFS actually re-ranks is narrower — only values listed *beyond* the template's prefix move
 /// a row or give it a new dominator (`skyline_adaptive::SkylineValueIndex::affected_by`,
-/// reported as `QueryStats::affected`); under an empty template the two coincide.
+/// counted in [`crate::Work::affected`]); under an empty template the two coincide.
 pub fn affected_points(data: &Dataset, skyline: &[PointId], pref: &Preference) -> Vec<PointId> {
     skyline
         .iter()

@@ -19,9 +19,8 @@
 //! once the benchmark can resolve the change — see `ROADMAP.md`, item 4(a).
 
 use crate::inverted::InvertedIndex;
-use crate::query::QueryStats;
 use crate::tree::{IpoTree, Materialization};
-use skyline_core::{BitSet, Dataset, PointId, Preference, Result, Template, ValueId};
+use skyline_core::{BitSet, Dataset, PointId, Preference, Result, Template, ValueId, Work};
 
 /// One node of the bitmap tree: the same label/children layout as the set-based node, with the
 /// disqualified set stored as a bitmap over skyline positions.
@@ -125,16 +124,16 @@ impl BitmapIpoTree {
         &self,
         data: &Dataset,
         pref: &Preference,
-    ) -> Result<(Vec<PointId>, QueryStats)> {
+    ) -> Result<(Vec<PointId>, Work)> {
         let schema = data.schema();
         pref.validate(schema)?;
         self.template.check_refinement(schema, pref)?;
         self.materialization.require_materialized(schema, pref)?;
-        let mut stats = QueryStats::default();
+        let mut work = Work::default();
         let all = BitSet::full(self.skyline.len());
-        let bits = self.query_rec(pref, 0, 0, all, &mut stats);
+        let bits = self.query_rec(pref, 0, 0, all, &mut work);
         let result = bits.iter().map(|pos| self.skyline[pos]).collect();
-        Ok((result, stats))
+        Ok((result, work))
     }
 
     fn query_rec(
@@ -143,17 +142,17 @@ impl BitmapIpoTree {
         dim: usize,
         node: u32,
         s: BitSet,
-        stats: &mut QueryStats,
+        work: &mut Work,
     ) -> BitSet {
-        stats.nodes_visited += 1;
+        work.nodes_visited += 1;
         if dim == self.nominal_count() {
-            stats.leaf_results += 1;
+            work.leaf_results += 1;
             return s;
         }
         let dim_pref = pref.dim(dim);
         if dim_pref.is_none() {
             let child = self.child_of(node, None).expect("φ child exists");
-            return self.query_rec(pref, dim + 1, child, s, stats);
+            return self.query_rec(pref, dim + 1, child, s, work);
         }
         let mut partials = Vec::with_capacity(dim_pref.order());
         for &v in dim_pref.choices() {
@@ -162,10 +161,10 @@ impl BitmapIpoTree {
                 .expect("materialization checked");
             let mut reduced = s.clone();
             reduced.difference_with(&self.nodes[child as usize].disqualified);
-            stats.set_operations += 1;
-            partials.push(self.query_rec(pref, dim + 1, child, reduced, stats));
+            work.set_operations += 1;
+            partials.push(self.query_rec(pref, dim + 1, child, reduced, work));
         }
-        self.merge(dim, dim_pref.choices(), partials, stats)
+        self.merge(dim, dim_pref.choices(), partials, work)
     }
 
     /// Algorithm 2 on bitmaps: `X ← (X ∩ Y) ∪ (X ∩ positions(prefix values))`.
@@ -174,7 +173,7 @@ impl BitmapIpoTree {
         dim: usize,
         choices: &[ValueId],
         partials: Vec<BitSet>,
-        stats: &mut QueryStats,
+        work: &mut Work,
     ) -> BitSet {
         let mut partials = partials.into_iter();
         let mut x = partials
@@ -182,7 +181,7 @@ impl BitmapIpoTree {
             .unwrap_or_else(|| BitSet::new(self.skyline.len()));
         for (i, y) in partials.enumerate() {
             let prefix = &choices[..=i];
-            stats.set_operations += 3;
+            work.set_operations += 3;
             let mut z = self.inverted.positions_of_any(dim, prefix);
             z.intersect_with(&x);
             x.intersect_with(&y);

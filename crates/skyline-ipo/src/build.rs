@@ -24,7 +24,8 @@
 //! paper's preprocessing-time figures measure.
 
 use crate::tree::{IpoNode, IpoTree, Materialization};
-use skyline_core::algo::{bnl, sfs};
+use skyline_core::algo::bnl;
+use skyline_core::algo::sfs::Scan;
 use skyline_core::mdc::compute_mdcs_with_dominators;
 use skyline_core::score::ScoreFn;
 use skyline_core::{
@@ -242,7 +243,7 @@ fn base_skyline(data: &Dataset, base: &CompiledRelation) -> Vec<PointId> {
     sorted.sort_by(|&a, &b| block.nominal_row(a).cmp(block.nominal_row(b)));
     let mut skyline: Vec<PointId> = sorted
         .chunk_by(|&a, &b| block.nominal_row(a) == block.nominal_row(b))
-        .flat_map(|group| sfs::scan_presorted(base, group))
+        .flat_map(|group| Scan::presorted(base, group))
         .collect();
     skyline.sort_unstable();
     skyline
@@ -296,6 +297,7 @@ pub fn first_order_preference(nominal_count: usize, path: &[Option<ValueId>]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skyline_core::algo::sfs;
     use skyline_core::{DatasetBuilder, Dimension, RowValue, Schema};
 
     /// Table 3 of the paper: two nominal attributes (Hotel-group and Airline).
@@ -657,7 +659,8 @@ mod tests {
             let empty = Template::empty(schema);
             let ctx = DominanceContext::for_template(&data, &empty).unwrap();
             let all: Vec<PointId> = data.point_ids().collect();
-            let mut global = sfs::skyline_sorted(&ctx, &ScoreFn::default_ranking(schema), &all);
+            let (mut global, _) =
+                sfs::skyline_sorted_with_stats(&ctx, &ScoreFn::default_ranking(schema), &all);
             global.sort_unstable();
             let orders: Vec<PartialOrder> = schema
                 .nominal_cardinalities()

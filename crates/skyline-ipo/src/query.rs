@@ -19,19 +19,7 @@
 
 use crate::setops;
 use crate::tree::IpoTree;
-use skyline_core::{Dataset, PointId, Preference, Result};
-
-/// Work counters for one query evaluation (the paper bounds the number of set operations by
-/// `O(x^{m'})`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryStats {
-    /// Number of tree nodes visited.
-    pub nodes_visited: u64,
-    /// Number of set operations (intersections, unions, differences, filters) performed.
-    pub set_operations: u64,
-    /// Number of leaf-level partial results produced.
-    pub leaf_results: u64,
-}
+use skyline_core::{Dataset, PointId, Preference, Result, Work};
 
 impl IpoTree {
     /// Evaluates an implicit-preference query and returns the skyline as sorted point ids.
@@ -44,19 +32,20 @@ impl IpoTree {
         self.query_with_stats(data, pref).map(|(result, _)| result)
     }
 
-    /// Like [`IpoTree::query`], additionally reporting work counters.
+    /// Like [`IpoTree::query`], additionally reporting the [`Work`] done: nodes visited, set
+    /// operations and leaf results (the paper bounds the set operations by `O(x^{m'})`).
     pub fn query_with_stats(
         &self,
         data: &Dataset,
         pref: &Preference,
-    ) -> Result<(Vec<PointId>, QueryStats)> {
+    ) -> Result<(Vec<PointId>, Work)> {
         let schema = data.schema();
         pref.validate(schema)?;
         self.template.check_refinement(schema, pref)?;
         self.materialization.require_materialized(schema, pref)?;
-        let mut stats = QueryStats::default();
-        let result = self.query_rec(data, pref, 0, 0, self.skyline.clone(), &mut stats);
-        Ok((result, stats))
+        let mut work = Work::default();
+        let result = self.query_rec(data, pref, 0, 0, self.skyline.clone(), &mut work);
+        Ok((result, work))
     }
 
     /// Algorithm 1: evaluate dimensions `dim..m'` below `node`, starting from candidate set `s`.
@@ -67,11 +56,11 @@ impl IpoTree {
         dim: usize,
         node: u32,
         s: Vec<PointId>,
-        stats: &mut QueryStats,
+        work: &mut Work,
     ) -> Vec<PointId> {
-        stats.nodes_visited += 1;
+        work.nodes_visited += 1;
         if dim == self.nominal_count() {
-            stats.leaf_results += 1;
+            work.leaf_results += 1;
             return s;
         }
         let dim_pref = pref.dim(dim);
@@ -79,7 +68,7 @@ impl IpoTree {
             let child = self
                 .child_of(node, None)
                 .expect("every node has a φ child by construction");
-            return self.query_rec(data, pref, dim + 1, child, s, stats);
+            return self.query_rec(data, pref, dim + 1, child, s, work);
         }
         // Split into first-order sub-queries, one per listed value.
         let mut partials = Vec::with_capacity(dim_pref.order());
@@ -88,11 +77,11 @@ impl IpoTree {
                 .child_of(node, Some(v))
                 .expect("materialization was checked before the recursion started");
             let disqualified = self.node(child).disqualified();
-            stats.set_operations += 1;
+            work.set_operations += 1;
             let reduced = setops::difference(&s, disqualified);
-            partials.push(self.query_rec(data, pref, dim + 1, child, reduced, stats));
+            partials.push(self.query_rec(data, pref, dim + 1, child, reduced, work));
         }
-        self.merge(data, dim, dim_pref.choices(), partials, stats)
+        self.merge(data, dim, dim_pref.choices(), partials, work)
     }
 
     /// Algorithm 2: fold the per-value partial results into the skyline of the full
@@ -103,14 +92,14 @@ impl IpoTree {
         dim: usize,
         choices: &[skyline_core::ValueId],
         partials: Vec<Vec<PointId>>,
-        stats: &mut QueryStats,
+        work: &mut Work,
     ) -> Vec<PointId> {
         let mut partials = partials.into_iter();
         let mut x = partials.next().unwrap_or_default();
         for (i, y) in partials.enumerate() {
             // `prefix` holds v₁ … v_i (the values already folded into `x`).
             let prefix = &choices[..=i];
-            stats.set_operations += 3;
+            work.set_operations += 3;
             let z: Vec<PointId> = x
                 .iter()
                 .copied()

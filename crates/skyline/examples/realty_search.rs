@@ -11,6 +11,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use skyline::adaptive::{QueryScratch, ScanMode};
 use skyline::prelude::*;
 
 const REGIONS: [&str; 6] = [
@@ -121,7 +122,11 @@ fn main() -> Result<()> {
             outcome.skyline.len(),
             outcome.method
         );
-        for p in asfs.query_progressive(&pref)?.take(5) {
+        let mut scratch = QueryScratch::new();
+        for p in asfs
+            .query_scan(&pref, ScanMode::default(), &mut scratch)?
+            .take(5)
+        {
             println!(
                 "     #{p:<6} {:>7.0} kEUR  {:>4.0} min  {:12} {}",
                 data.numeric(p, 0),

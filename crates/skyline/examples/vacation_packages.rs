@@ -6,6 +6,7 @@
 //!
 //! Run with: `cargo run -p skyline --example vacation_packages`
 
+use skyline::adaptive::{QueryScratch, ScanMode};
 use skyline::prelude::*;
 
 fn main() -> Result<()> {
@@ -67,7 +68,7 @@ fn main() -> Result<()> {
         let skyline = asfs.query(&pref)?;
         let members: Vec<&str> = skyline.iter().map(|&p| names[p as usize]).collect();
         let streamed: Vec<&str> = asfs
-            .query_progressive(&pref)?
+            .query_scan(&pref, ScanMode::default(), &mut QueryScratch::new())?
             .map(|p| names[p as usize])
             .collect();
         println!(

@@ -5,13 +5,12 @@
 //! re-materialization — constructs the *next* generation off the live rows without blocking
 //! readers, replays mutations that arrived mid-build, and swaps it in atomically.
 
-use skyline_adaptive::{AdaptiveSfs, MaintenanceStats, ProgressiveScan, QueryScratch};
-use skyline_core::algo::sfs;
-use skyline_core::kernel::{CompiledRelation, DatasetEpoch, DenseWindow, PointBlock, RowIdRemap};
+use skyline_adaptive::{AdaptiveSfs, MaintenanceStats, QueryScratch, ScanMode};
+use skyline_core::algo::sfs::Scan;
+use skyline_core::kernel::{CompiledRelation, DatasetEpoch, PointBlock, RowIdRemap};
 use skyline_core::score::ScoreFn;
 use skyline_core::{
-    Dataset, Deadline, Dominance, PointId, Preference, Result, SkylineError, Template, ValueId,
-    DEADLINE_CHECK_INTERVAL,
+    Dataset, Deadline, PointId, Preference, Result, SkylineError, Template, ValueId,
 };
 use skyline_ipo::{IpoTree, IpoTreeBuilder, Materialization};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -871,35 +870,31 @@ impl SkylineEngine {
                 method: MethodUsed::IpoTree,
             });
         }
-        let Some(asfs) = &self.generation.asfs else {
-            return self.query_sfs_d(pref, deadline);
-        };
-        let mode = skyline_adaptive::ScanMode::default();
-        Ok(QueryOutcome {
-            skyline: asfs
-                .query_deadline_scratch(pref, mode, deadline, &mut scratch.asfs)?
-                .0,
-            method: MethodUsed::AdaptiveSfs,
-        })
+        let (scan, method) = self.open_scan(pref, &mut scratch.asfs)?;
+        let (skyline, _) = scratch.asfs.drain(scan, deadline)?;
+        Ok(QueryOutcome { skyline, method })
     }
 
-    /// The SFS-D baseline path: score-sort the live rows with the query ranking, then run
-    /// the elimination scan on the compiled dominance kernel (the engine's shared point block
-    /// plus orders compiled for this query). Tombstoned rows never enter the candidate list,
-    /// so the compiled scan skips them without any rebuild.
-    fn query_sfs_d(&self, pref: &Preference, deadline: &Deadline) -> Result<QueryOutcome> {
-        let block = self.point_block();
-        let data = self.dataset();
+    /// The elimination scan that answers `pref` when the tree does not; the batch path drains
+    /// it, the stream path keeps it. Adaptive SFS re-ranks AFFECT into its template skyline
+    /// on `scratch`'s buffers. SFS-D score-sorts the live rows with the query ranking over the
+    /// engine's shared point block: tombstoned rows never enter the candidate list, so the
+    /// scan skips them without any rebuild.
+    fn open_scan(
+        &self,
+        pref: &Preference,
+        scratch: &mut QueryScratch,
+    ) -> Result<(Scan<CompiledRelation>, MethodUsed)> {
+        if let Some(asfs) = &self.generation.asfs {
+            let scan = asfs.query_scan(pref, ScanMode::default(), scratch)?;
+            return Ok((scan, MethodUsed::AdaptiveSfs));
+        }
+        let (data, block) = (self.dataset(), self.point_block());
         let dom = CompiledRelation::for_query(block.clone(), data.schema(), &self.template, pref)?;
         let score = ScoreFn::for_preference(data.schema(), pref)?;
-        let all: Vec<PointId> = block.live_ids().collect();
-        let sorted = score.sort_by_score(data, &all);
-        let (mut skyline, _) = sfs::scan_presorted_deadline(&dom, &sorted, deadline)?;
-        skyline.sort_unstable();
-        Ok(QueryOutcome {
-            skyline,
-            method: MethodUsed::SfsD,
-        })
+        let live: Vec<PointId> = block.live_ids().collect();
+        let scan = Scan::presorted(dom, &score.sort_by_score(data, &live));
+        Ok((scan, MethodUsed::SfsD))
     }
 
     /// The stream primitive — progressive evaluation: validates that the engine is still at
@@ -939,27 +934,9 @@ impl SkylineEngine {
                 StreamInner::Materialized(ordered.into_iter()),
                 MethodUsed::IpoTree,
             )
-        } else if let Some(asfs) = &self.generation.asfs {
-            (
-                StreamInner::Progressive(Box::new(asfs.query_progressive(pref)?)),
-                MethodUsed::AdaptiveSfs,
-            )
         } else {
-            let dom =
-                CompiledRelation::for_query(block.clone(), data.schema(), &self.template, pref)?;
-            let all: Vec<PointId> = block.live_ids().collect();
-            let sorted = score.sort_by_score(data, &all);
-            let mut window = DenseWindow::default();
-            dom.reset_window(&mut window);
-            (
-                StreamInner::Sorted(Box::new(SortedScan {
-                    dom,
-                    sorted,
-                    pos: 0,
-                    window,
-                })),
-                MethodUsed::SfsD,
-            )
+            let (scan, method) = self.open_scan(pref, &mut QueryScratch::default())?;
+            (StreamInner::Scan(Box::new(scan)), method)
         };
         Ok(EngineStream {
             inner,
@@ -975,21 +952,11 @@ impl SkylineEngine {
 /// The per-configuration state behind an [`EngineStream`].
 #[derive(Debug)]
 enum StreamInner {
-    /// The Adaptive-SFS progressive scan (owns its compiled kernel and merged order).
-    Progressive(Box<ProgressiveScan>),
-    /// The SFS-D elimination scan, driven lazily over the presorted candidates.
-    Sorted(Box<SortedScan>),
+    /// The Adaptive-SFS or SFS-D elimination scan (owns its compiled kernel and candidate
+    /// order), driven lazily.
+    Scan(Box<Scan<CompiledRelation>>),
     /// A fully materialized answer (IPO-tree-served), replayed in score order.
     Materialized(std::vec::IntoIter<PointId>),
-}
-
-/// The lazily driven SFS-D elimination state behind [`StreamInner::Sorted`].
-#[derive(Debug)]
-struct SortedScan {
-    dom: CompiledRelation,
-    sorted: Vec<PointId>,
-    pos: usize,
-    window: DenseWindow,
 }
 
 /// A progressive skyline result: confirmed members, one per [`EngineStream::next_row`] call,
@@ -1016,35 +983,11 @@ impl EngineStream {
     /// with [`SkylineError::DeadlineExceeded`] but the stream's position is preserved —
     /// [`EngineStream::set_deadline`] plus another pull resumes where it stopped.
     pub fn next_row(&mut self) -> Result<Option<PointId>> {
+        // One check per pull; the scan adds one per block across long dominated runs.
+        self.deadline.check()?;
         match &mut self.inner {
-            StreamInner::Progressive(scan) => scan.next_deadline(&self.deadline),
-            StreamInner::Sorted(scan) => {
-                let bounded = self.deadline.is_bounded();
-                // One check per pull, plus block-granularity polling across dominated runs.
-                if bounded {
-                    self.deadline.check()?;
-                }
-                while scan.pos < scan.sorted.len() {
-                    if bounded && scan.pos.is_multiple_of(DEADLINE_CHECK_INTERVAL) {
-                        self.deadline.check()?;
-                    }
-                    let p = scan.sorted[scan.pos];
-                    scan.pos += 1;
-                    if scan
-                        .dom
-                        .window_first_dominator(&mut scan.window, p)
-                        .is_none()
-                    {
-                        scan.dom.push_window(&mut scan.window, p);
-                        return Ok(Some(p));
-                    }
-                }
-                Ok(None)
-            }
-            StreamInner::Materialized(iter) => {
-                self.deadline.check()?;
-                Ok(iter.next())
-            }
+            StreamInner::Scan(scan) => scan.next_row(&self.deadline),
+            StreamInner::Materialized(iter) => Ok(iter.next()),
         }
     }
 

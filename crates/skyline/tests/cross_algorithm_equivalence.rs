@@ -4,6 +4,7 @@
 //! return exactly the same skyline.
 
 use proptest::prelude::*;
+use skyline::adaptive::{QueryScratch, ScanMode};
 use skyline::ipo::build::direct_disqualified;
 use skyline::prelude::*;
 use skyline_core::algo::bnl;
@@ -139,11 +140,14 @@ proptest! {
         let asfs = AdaptiveSfs::build(data.clone(), &template).unwrap();
         prop_assert_eq!(&asfs.query(&query).unwrap(), &expected);
         let (full, _) = asfs
-            .query_with_stats(&query, skyline::adaptive::ScanMode::FullRescan)
+            .query_with_stats(&query, ScanMode::FullRescan)
             .unwrap();
         prop_assert_eq!(&full, &expected);
         // Progressive iterator yields the same members.
-        let mut streamed: Vec<PointId> = asfs.query_progressive(&query).unwrap().collect();
+        let mut streamed: Vec<PointId> = asfs
+            .query_scan(&query, ScanMode::default(), &mut QueryScratch::new())
+            .unwrap()
+            .collect();
         streamed.sort_unstable();
         prop_assert_eq!(&streamed, &expected);
 

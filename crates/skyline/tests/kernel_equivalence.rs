@@ -17,7 +17,8 @@
 
 use proptest::prelude::*;
 use skyline::prelude::*;
-use skyline_core::algo::{bnl, sfs};
+use skyline_core::algo::bnl;
+use skyline_core::algo::sfs::Scan;
 use skyline_core::score::ScoreFn;
 use skyline_core::{merge_skylines, Deadline, PartialOrder};
 
@@ -153,7 +154,7 @@ proptest! {
         let template = build_template(&data, &instance);
         let query = build_query(&template, &instance);
 
-        let serial = AdaptiveSfs::build_serial(data.clone(), &template).unwrap();
+        let serial = AdaptiveSfs::build_with_workers(data.clone(), &template, 1).unwrap();
         prop_assert_eq!(serial.preprocess_stats().workers, 1);
         for workers in [2, 3, 4, 7] {
             let parallel =
@@ -314,7 +315,7 @@ fn assert_all_paths_match<D: Dominance>(
         "packed bnl vs reference ({what})"
     );
     assert_eq!(
-        &sfs::scan_presorted(dom, sorted),
+        &Scan::presorted(dom, sorted).collect::<Vec<_>>(),
         expected_scan,
         "packed sfs vs reference ({what})"
     );
@@ -362,7 +363,7 @@ proptest! {
         let expected = bnl::skyline_of(&ctx, &all);
         let score = ScoreFn::default_ranking(data.schema());
         let sorted = score.sort_by_score(&data, &all);
-        let expected_scan = sfs::scan_presorted(&ctx, &sorted);
+        let expected_scan: Vec<PointId> = Scan::presorted(&ctx, &sorted).collect();
         assert_all_paths_match(&kernel, &sorted, &all, &expected, &expected_scan, "template");
 
         // Cross-fragment merge: 3-way ragged split, the reference fragment skylines merged
@@ -413,7 +414,7 @@ proptest! {
         let sorted = score.sort_by_score(&data, &all);
         // `for_preference` scores are monotone w.r.t. query dominance, so here the scan
         // must also equal the BNL skyline (up to order).
-        let expected_scan = sfs::scan_presorted(&ctx, &sorted);
+        let expected_scan: Vec<PointId> = Scan::presorted(&ctx, &sorted).collect();
         let mut scan_sorted = expected_scan.clone();
         scan_sorted.sort_unstable();
         assert_eq!(&scan_sorted, &expected, "reference scan vs reference bnl");
@@ -438,7 +439,7 @@ fn auto_build_matches_serial_on_a_large_dataset() {
     let data = std::sync::Arc::new(config.generate_dataset());
     let template = config.template(&data);
     let auto = AdaptiveSfs::build(data.clone(), &template).unwrap();
-    let serial = AdaptiveSfs::build_serial(data.clone(), &template).unwrap();
+    let serial = AdaptiveSfs::build_with_workers(data.clone(), &template, 1).unwrap();
     let four = AdaptiveSfs::build_with_workers(data, &template, 4).unwrap();
     assert_eq!(auto.sorted_entries(), serial.sorted_entries());
     assert_eq!(serial.sorted_entries(), four.sorted_entries());

@@ -8,7 +8,7 @@
 //!   rows carrying a value listed *beyond the template's prefix* move or gain a dominator.
 
 use proptest::prelude::*;
-use skyline::adaptive::ScanMode;
+use skyline::adaptive::{QueryScratch, ScanMode};
 use skyline::prelude::*;
 use skyline_core::algo::bnl;
 use skyline_core::score::ScoreFn;
@@ -99,12 +99,9 @@ fn mutation_strategy() -> impl Strategy<Value = Vec<Mutation>> {
     )
 }
 
-/// `AdaptiveSfs::query` ≡ `FullRescan` ≡ drained `query_progressive` ≡ BNL over the live rows
-/// under the reference dominance context; returns the default path's statistics.
-fn assert_adaptive_paths_agree(
-    asfs: &AdaptiveSfs,
-    query: &Preference,
-) -> skyline::adaptive::QueryStats {
+/// `AdaptiveSfs::query` ≡ `FullRescan` ≡ drained `query_scan` ≡ BNL over the live rows under
+/// the reference dominance context; returns the default path's work.
+fn assert_adaptive_paths_agree(asfs: &AdaptiveSfs, query: &Preference) -> skyline_core::Work {
     let ctx = DominanceContext::for_query(asfs.dataset(), asfs.template(), query).unwrap();
     let live: Vec<PointId> = asfs.point_block().live_ids().collect();
     let expected = bnl::skyline_of(&ctx, &live);
@@ -116,7 +113,10 @@ fn assert_adaptive_paths_agree(
     prop_assert_eq!(&full, &expected, "full rescan");
     prop_assert_eq!(stats.affected, full_stats.affected);
     prop_assert!(stats.dominance_tests <= full_stats.dominance_tests);
-    let mut streamed: Vec<PointId> = asfs.query_progressive(query).unwrap().collect();
+    let mut streamed: Vec<PointId> = asfs
+        .query_scan(query, ScanMode::default(), &mut QueryScratch::new())
+        .unwrap()
+        .collect();
     streamed.sort_unstable();
     prop_assert_eq!(&streamed, &expected, "drained progressive scan");
     stats
@@ -170,7 +170,7 @@ fn assert_affect_lemma(
         .count();
     prop_assert_eq!(
         stats.affected,
-        affected,
+        affected as u64,
         "AFFECT = members with a newly listed value"
     );
 
