@@ -1,7 +1,11 @@
 //! Adaptive SFS (the paper's **SFS-A**): preprocessing (Algorithm 3), query processing
 //! (Algorithm 4) with a progressive result iterator, and incremental maintenance
 //! (Section 4.3) — row insertions and logical deletions keep the sorted list and the value
-//! index up to date in place, with periodic compaction back to the parallel build path.
+//! index up to date in place.
+//!
+//! Preprocessing runs once per structure: one [`Scan::presorted`] drain over the live rows in
+//! template-score order. Mutations never re-run it; the engine's generation rebuild, which
+//! reclaims tombstoned rows, builds a fresh structure with [`AdaptiveSfs::rebased`].
 //!
 //! # What a query touches: AFFECT = rows carrying a *newly listed* value
 //!
@@ -30,29 +34,17 @@
 
 use crate::index::{LiveRowIndex, SkylineValueIndex};
 use crate::sorted_list::ScoredEntry;
-use skyline_core::algo::merge_skylines;
 use skyline_core::algo::sfs::Scan;
 use skyline_core::kernel::{
-    CompiledOrder, CompiledRelation, DatasetEpoch, DenseWindow, PointBlock, RowIdRemap,
+    CompiledOrder, CompiledRelation, DatasetEpoch, DenseWindow, PointBlock,
 };
 use skyline_core::score::ScoreFn;
 use skyline_core::{
     Dataset, Deadline, PointId, Preference, Result, SkylineError, Template, ValueId, Work,
 };
 use std::collections::HashSet;
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Datasets below this size skip thread spawning in the auto-parallel [`AdaptiveSfs::build`]:
-/// the chunked scan's merge pass costs more than it saves on small inputs.
-const PARALLEL_BUILD_THRESHOLD: usize = 4096;
-
-/// Mutations between automatic [`AdaptiveSfs::compact`] passes. Each insert or delete is an
-/// exact in-place update, so compaction is not needed for correctness — it re-runs the
-/// parallel preprocessing over the live rows as a periodic self-check and the hook where
-/// physical row reclamation will land.
-const AUTO_COMPACT_INTERVAL: usize = 4096;
 
 /// How the elimination pass of Algorithm 4 is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -67,7 +59,8 @@ pub enum ScanMode {
     FullRescan,
 }
 
-/// Statistics recorded by [`AdaptiveSfs::build`].
+/// Statistics recorded by the preprocessing pass ([`AdaptiveSfs::build`] or
+/// [`AdaptiveSfs::rebased`]); mutations leave them as the pass recorded them.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PreprocessStats {
     /// `|D|`.
@@ -76,8 +69,6 @@ pub struct PreprocessStats {
     pub template_skyline_size: usize,
     /// Wall-clock seconds spent computing and sorting the template skyline.
     pub preprocess_seconds: f64,
-    /// Worker threads the template-skyline scan was chunked over (1 = serial).
-    pub workers: usize,
 }
 
 /// Counters accumulated by the incremental-maintenance mode.
@@ -90,14 +81,14 @@ pub struct MaintenanceStats {
     /// Candidate rows actually tested by delete resurface passes (the quantity the
     /// dominance-region restriction shrinks).
     pub resurface_candidates: u64,
-    /// Compaction passes run (automatic or explicit, logical or physical).
-    pub compactions: u64,
     /// Tombstoned rows physically reclaimed — dropped from the dataset and block — by
-    /// [`AdaptiveSfs::compact_physical`] or an engine-level generation rebuild.
+    /// engine-level generation rebuilds.
     pub reclaimed_rows: u64,
-    /// Generational rebuilds installed. Always 0 on a standalone structure (a rebuild
-    /// *replaces* the structure); the engine lifecycle layer counts installs and merges them
-    /// in via [`MaintenanceStats::merged`].
+    /// Generational rebuilds installed.
+    ///
+    /// This and `reclaimed_rows` are always 0 on a standalone structure (a rebuild
+    /// *replaces* the structure); the engine lifecycle layer counts them and merges them in
+    /// via [`MaintenanceStats::merged`].
     pub rebuilds: u64,
 }
 
@@ -109,7 +100,6 @@ impl MaintenanceStats {
             inserts: self.inserts + other.inserts,
             deletes: self.deletes + other.deletes,
             resurface_candidates: self.resurface_candidates + other.resurface_candidates,
-            compactions: self.compactions + other.compactions,
             reclaimed_rows: self.reclaimed_rows + other.reclaimed_rows,
             rebuilds: self.rebuilds + other.rebuilds,
         }
@@ -149,7 +139,6 @@ pub struct AdaptiveSfs {
     /// Value → live-row index over the whole dataset; built lazily by the first deletion and
     /// maintained incrementally afterwards.
     row_index: Option<LiveRowIndex>,
-    updates_since_compact: usize,
     maintenance: MaintenanceStats,
     stats: PreprocessStats,
 }
@@ -160,76 +149,46 @@ impl AdaptiveSfs {
     /// Accepts either an owned [`Dataset`] or an [`Arc<Dataset>`] (share the same `Arc` across
     /// engines and threads to avoid copying the data). Requires a template with an implicit
     /// form (the sorted list's ranking is derived from it); general partial-order templates
-    /// are rejected.
-    ///
-    /// Large datasets are preprocessed in parallel: the score-sorted candidate list is split
-    /// into chunks whose local skylines are computed on one thread per available core and
-    /// merged with a final elimination pass (divide and conquer; the result is bit-for-bit
-    /// identical to a serial scan). Use [`AdaptiveSfs::build_with_workers`] to pin the worker
-    /// count (1 is the single-threaded reference path).
+    /// are rejected. This is [`AdaptiveSfs::rebased`] over a freshly transposed
+    /// [`PointBlock`] of `data`.
     pub fn build(data: impl Into<Arc<Dataset>>, template: &Template) -> Result<Self> {
         let data = data.into();
-        let workers = build_workers(data.len());
-        Self::build_with_workers(data, template, workers)
-    }
-
-    /// [`AdaptiveSfs::build`] with an explicit preprocessing worker count (clamped to ≥ 1).
-    ///
-    /// Unlike the auto path this honours `workers > 1` regardless of dataset size, which the
-    /// equivalence test suites use to exercise the chunked scan on small inputs.
-    pub fn build_with_workers(
-        data: impl Into<Arc<Dataset>>,
-        template: &Template,
-        workers: usize,
-    ) -> Result<Self> {
-        let data = data.into();
         let block = Arc::new(PointBlock::new(&data));
-        Self::build_on_block(data, block, template, workers)
+        Self::rebased(data, block, template)
     }
 
-    /// Rebases a structure onto an existing (typically physically compacted) [`PointBlock`]
-    /// of the same rows as `data`, recomputing the template skyline over the block's live
-    /// rows through the parallel preprocessing path.
+    /// The preprocessing pass over an existing [`PointBlock`] of the same rows as `data`: one
+    /// serial [`Scan::presorted`] drain over the block's live rows in template-score order.
+    /// The monotone score sorts every dominator before the rows it dominates, so the scan
+    /// accepts exactly `SKY(R̃)`, already in sorted-list order.
     ///
-    /// This is the engine lifecycle's entry point for building the next generation's query
-    /// structure off a remapped snapshot: the block — with whatever [`DatasetEpoch`] the
-    /// compaction stamped on it — is adopted as-is instead of being re-transposed at epoch
-    /// zero, so epoch-tagged artifacts built against the old generation keep failing their
-    /// staleness checks against the new one.
+    /// This is also the engine lifecycle's entry point for building the next generation's
+    /// query structure off a physically compacted snapshot: the block — with whatever
+    /// [`DatasetEpoch`] the compaction stamped on it — is adopted as-is instead of being
+    /// re-transposed at epoch zero, so epoch-tagged artifacts built against the old
+    /// generation keep failing their staleness checks against the new one.
     pub fn rebased(
         data: impl Into<Arc<Dataset>>,
         block: Arc<PointBlock>,
         template: &Template,
     ) -> Result<Self> {
-        let workers = build_workers(block.live_count());
-        Self::build_on_block(data.into(), block, template, workers)
-    }
-
-    /// The shared preprocessing path behind [`AdaptiveSfs::build_with_workers`] and
-    /// [`AdaptiveSfs::rebased`]: score-sort the block's live rows, run the (possibly chunked)
-    /// elimination scan, assemble the structure around the given block.
-    fn build_on_block(
-        data: Arc<Dataset>,
-        block: Arc<PointBlock>,
-        template: &Template,
-        workers: usize,
-    ) -> Result<Self> {
         let started = Instant::now();
-        let template_pref = template.implicit().cloned().ok_or_else(|| {
-            SkylineError::InvalidArgument(
-                "Adaptive SFS requires a template with an implicit form".into(),
-            )
-        })?;
-        template_pref.validate(data.schema())?;
-        let score = ScoreFn::for_preference(data.schema(), &template_pref)?;
         let compiled = CompiledRelation::for_template(block.clone(), template)?;
-        let all: Vec<PointId> = block.live_ids().collect();
-        let sorted = score.sort_by_score(&data, &all);
-        let workers = workers.max(1);
-        let skyline = chunked_scan_presorted(&compiled, &sorted, workers);
-        let mut this = Self::from_precomputed_with_block(data, block, template.clone(), skyline)?;
+        let mut this = Self::assemble(
+            data.into(),
+            block,
+            template.clone(),
+            |data, block, score| {
+                let live: Vec<PointId> = block.live_ids().collect();
+                let sorted = score.sort_by_score(data, &live);
+                Ok(scored_list(
+                    data,
+                    score,
+                    Scan::presorted(&compiled, &sorted),
+                ))
+            },
+        )?;
         this.stats.preprocess_seconds = started.elapsed().as_secs_f64();
-        this.stats.workers = workers;
         Ok(this)
     }
 
@@ -243,12 +202,7 @@ impl AdaptiveSfs {
         skyline: Vec<PointId>,
     ) -> Result<Self> {
         Self::assemble(data.into(), block, template, |data, _, score| {
-            let mut entries: Vec<ScoredEntry> = skyline
-                .iter()
-                .map(|&p| ScoredEntry::new(p, score.score(data, p)))
-                .collect();
-            entries.sort();
-            Ok(entries)
+            Ok(scored_list(data, score, skyline))
         })
     }
 
@@ -327,7 +281,6 @@ impl AdaptiveSfs {
             dataset_size: data.len(),
             template_skyline_size: entries.len(),
             preprocess_seconds: 0.0,
-            workers: 1,
         };
         Ok(Self {
             data,
@@ -338,7 +291,6 @@ impl AdaptiveSfs {
             entries,
             index,
             row_index: None,
-            updates_since_compact: 0,
             maintenance: MaintenanceStats::default(),
             stats,
         })
@@ -495,7 +447,7 @@ impl AdaptiveSfs {
     }
 }
 
-/// Incremental maintenance (Section 4.3): in-place inserts, logical deletes, compaction.
+/// Incremental maintenance (Section 4.3): in-place inserts and logical deletes.
 impl AdaptiveSfs {
     /// The structure's current mutation epoch (bumped by every insert or live delete).
     pub fn epoch(&self) -> DatasetEpoch {
@@ -522,11 +474,6 @@ impl AdaptiveSfs {
         self.maintenance
     }
 
-    /// Mutations applied since the last [`AdaptiveSfs::compact`] (or since the build).
-    pub fn updates_since_compact(&self) -> usize {
-        self.updates_since_compact
-    }
-
     /// The template relation over the current block, from the orders compiled at construction
     /// (no per-mutation closure derivation).
     fn template_relation(&self) -> CompiledRelation {
@@ -548,7 +495,6 @@ impl AdaptiveSfs {
             idx.insert(&self.data, p);
         }
         self.maintenance.inserts += 1;
-        self.updates_since_compact += 1;
 
         let rel = self.template_relation();
         let members: Vec<PointId> = self.entries.iter().map(|e| e.point).collect();
@@ -572,7 +518,6 @@ impl AdaptiveSfs {
             }
             self.index.insert(&self.data, p);
         }
-        self.maybe_compact();
         Ok(p)
     }
 
@@ -603,12 +548,10 @@ impl AdaptiveSfs {
             idx.remove(&self.data, p);
         }
         self.maintenance.deletes += 1;
-        self.updates_since_compact += 1;
 
         let entry = ScoredEntry::new(p, self.template_score.score(&self.data, p));
         let Ok(pos) = self.entries.binary_search(&entry) else {
             // Not a skyline member: nothing else changes.
-            self.maybe_compact();
             return Ok(true);
         };
         self.entries.remove(pos);
@@ -657,59 +600,7 @@ impl AdaptiveSfs {
             }
             self.index.insert(&self.data, q);
         }
-        self.maybe_compact();
         Ok(true)
-    }
-
-    /// Recomputes the maintained structures from scratch over the live rows, via the same
-    /// parallel preprocessing path as [`AdaptiveSfs::build`].
-    ///
-    /// Every mutation is an exact in-place update, so compaction does not change the answer
-    /// set (the maintenance proptests pin maintained ≡ recomputed); it runs automatically
-    /// every few thousand mutations as a drift bound and is the hook where physical
-    /// reclamation of tombstoned rows (dropping them from the dataset and block) will land.
-    pub fn compact(&mut self) {
-        let rel = self.template_relation();
-        let live: Vec<PointId> = self.block.live_ids().collect();
-        let sorted = self.template_score.sort_by_score(&self.data, &live);
-        let skyline = chunked_scan_presorted(&rel, &sorted, build_workers(live.len()));
-        self.entries = skyline
-            .iter()
-            .map(|&p| ScoredEntry::new(p, self.template_score.score(&self.data, p)))
-            .collect();
-        self.entries.sort();
-        self.index = SkylineValueIndex::build(&self.data, &skyline);
-        self.stats.dataset_size = self.data.len();
-        self.stats.template_skyline_size = self.entries.len();
-        self.updates_since_compact = 0;
-        self.maintenance.compactions += 1;
-    }
-
-    /// Physically compacts the structure in place: tombstoned rows are dropped from the
-    /// dataset and the block ([`PointBlock::compacted`]), the survivors renumbered, and the
-    /// maintained structures recomputed over the compacted snapshot. Returns the
-    /// [`RowIdRemap`] translating the old row ids, so callers holding stale ids (cached
-    /// skylines, external row handles) can rewrite them instead of discarding them.
-    ///
-    /// Every id the structure ever handed out is stale after this call; the block's
-    /// [`DatasetEpoch`] moves past every previously observed epoch, so epoch-tagged artifacts
-    /// fail their staleness checks rather than misread renumbered rows. Counted in
-    /// [`MaintenanceStats::reclaimed_rows`] (and as a compaction).
-    pub fn compact_physical(&mut self) -> RowIdRemap {
-        let (block, remap) = self.block.compacted();
-        self.data = Arc::new(self.data.retained(remap.kept_old_ids()));
-        self.block = Arc::new(block);
-        // The whole id space moved: the lazily built live-row index is rebuilt on demand.
-        self.row_index = None;
-        self.maintenance.reclaimed_rows += remap.reclaimed() as u64;
-        self.compact();
-        remap
-    }
-
-    fn maybe_compact(&mut self) {
-        if self.updates_since_compact >= AUTO_COMPACT_INTERVAL {
-            self.compact();
-        }
     }
 
     fn ensure_row_index(&mut self) {
@@ -720,50 +611,19 @@ impl AdaptiveSfs {
     }
 }
 
-/// Preprocessing workers for a build over `rows` rows: one per available core from
-/// [`PARALLEL_BUILD_THRESHOLD`] rows up, else one.
-fn build_workers(rows: usize) -> usize {
-    if rows >= PARALLEL_BUILD_THRESHOLD {
-        std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        1
-    }
-}
-
-/// Divide-and-conquer presorted elimination scan.
-///
-/// The score-sorted candidate list is split into contiguous chunks; each worker thread
-/// computes its chunk-local skyline (any point it removes is dominated by an earlier-sorted
-/// point, so it cannot be in the global skyline), and one final scan over the concatenated
-/// survivors — which is still in global score order — removes cross-chunk dominated points.
-/// The output is **bit-for-bit identical** to a serial [`Scan::presorted`] over the full
-/// list: the monotone score guarantees dominators sort strictly earlier, so both scans accept
-/// exactly the global skyline in score order. The cross-chunk pass is the shared
-/// [`merge_skylines`] operator (order-preserving, so the score order survives the merge) —
-/// the same machinery a sharded service uses to gather per-shard skylines.
-fn chunked_scan_presorted(
-    compiled: &CompiledRelation,
-    sorted: &[PointId],
-    workers: usize,
-) -> Vec<PointId> {
-    if workers <= 1 || sorted.len() < workers * 2 {
-        return Scan::presorted(compiled, sorted).collect();
-    }
-    let chunk = sorted.len().div_ceil(workers);
-    let locals: Vec<Vec<PointId>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = sorted
-            .chunks(chunk)
-            .map(|part| scope.spawn(move || Scan::presorted(compiled, part).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("skyline scan worker panicked"))
-            .collect()
-    });
-    let fragments: Vec<&[PointId]> = locals.iter().map(Vec::as_slice).collect();
-    merge_skylines(compiled, &fragments)
+/// Scores `skyline` under the template ranking into the sorted list's entries, in ascending
+/// `(score, point)` order.
+fn scored_list(
+    data: &Dataset,
+    score: &ScoreFn,
+    skyline: impl IntoIterator<Item = PointId>,
+) -> Vec<ScoredEntry> {
+    let mut entries: Vec<ScoredEntry> = skyline
+        .into_iter()
+        .map(|p| ScoredEntry::new(p, score.score(data, p)))
+        .collect();
+    entries.sort();
+    entries
 }
 
 /// Reusable buffers for Adaptive SFS query evaluation.
@@ -1131,7 +991,7 @@ mod tests {
     }
 
     #[test]
-    fn mixed_update_sequence_stays_consistent_with_rebuild_and_compaction() {
+    fn mixed_update_sequence_stays_consistent_with_rebuild() {
         let data = vacation_data();
         let schema = data.schema().clone();
         let template = Template::empty(&schema);
@@ -1141,62 +1001,45 @@ mod tests {
         asfs.insert_row(&[1500.0, -1.0], &[2]).unwrap();
         asfs.delete_row(4).unwrap();
         asfs.insert_row(&[1500.0, -1.0], &[2]).unwrap();
-        assert_eq!(asfs.updates_since_compact(), 5);
+        assert_eq!(asfs.epoch().get(), 5);
 
         let pref = Preference::parse(&schema, [("hotel-group", "M < H < *")]).unwrap();
         assert_eq!(asfs.query(&pref).unwrap(), oracle(&asfs, &pref));
-        // The maintained skyline equals a from-scratch skyline of the live rows, and an
-        // explicit compaction (the parallel build path) leaves it unchanged.
-        let before = asfs.template_skyline();
+        // The maintained skyline equals a from-scratch skyline of the live rows.
         let ctx = DominanceContext::for_template(asfs.dataset(), asfs.template()).unwrap();
         let live: Vec<PointId> = asfs.point_block().live_ids().collect();
-        assert_eq!(&before, &bnl::skyline_of(&ctx, &live));
-        asfs.compact();
-        assert_eq!(asfs.template_skyline(), before);
-        assert_eq!(asfs.updates_since_compact(), 0);
-        assert_eq!(asfs.maintenance_stats().compactions, 1);
-        assert_eq!(asfs.query(&pref).unwrap(), oracle(&asfs, &pref));
+        assert_eq!(asfs.template_skyline(), bnl::skyline_of(&ctx, &live));
     }
 
     #[test]
-    fn physical_compaction_reclaims_rows_and_remaps_ids() {
+    fn mutations_never_rerun_preprocessing() {
         let data = vacation_data();
-        let schema = data.schema().clone();
-        let template = Template::empty(&schema);
+        let template = Template::empty(data.schema());
         let mut asfs = AdaptiveSfs::build(data, &template).unwrap();
-        asfs.delete_row(0).unwrap();
-        asfs.delete_row(3).unwrap();
-        asfs.insert_row(&[1000.0, -5.0], &[0]).unwrap();
-        let before_epoch = asfs.epoch();
-        let logical_skyline = asfs.template_skyline();
-
-        let remap = asfs.compact_physical();
-        // Dead rows are physically gone: the dataset and block shrink to the live rows.
-        assert_eq!(asfs.dataset().len(), 5);
-        assert_eq!(asfs.point_block().len(), 5);
-        assert_eq!(asfs.point_block().live_count(), 5);
-        assert_eq!(remap.reclaimed(), 2);
-        assert!(asfs.epoch() > before_epoch, "compaction moves the epoch");
-        assert_eq!(asfs.maintenance_stats().reclaimed_rows, 2);
-        assert_eq!(asfs.maintenance_stats().compactions, 1);
-        // The maintained skyline is the logical one translated through the remap.
-        let translated = remap.translate_ids(&logical_skyline).unwrap();
-        assert_eq!(asfs.template_skyline(), translated);
-        // Queries over the compacted structure match the oracle over its (all-live) rows.
-        for text in ["*", "T < M < *", "M < *"] {
-            let pref = Preference::parse(&schema, [("hotel-group", text)]).unwrap();
-            assert_eq!(
-                asfs.query(&pref).unwrap(),
-                oracle(&asfs, &pref),
-                "preference {text}"
-            );
+        let built = *asfs.preprocess_stats();
+        // One mutation past 4 096, with every fourth step a delete of a pseudo-random row (a
+        // dead row makes it a no-op that does not count).
+        let mut state = 7u64;
+        for step in 0u64.. {
+            if asfs.epoch().get() > 4_096 {
+                break;
+            }
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let r = state >> 33;
+            if step % 4 == 3 {
+                let row = (r % asfs.dataset().len() as u64) as PointId;
+                asfs.delete_row(row).unwrap();
+            } else {
+                let numeric = [(r % 97) as f64 * 50.0, -((r % 5) as f64)];
+                asfs.insert_row(&numeric, &[(r % 3) as ValueId]).unwrap();
+            }
         }
-        // Mutations keep working in the new id space.
-        assert!(asfs.delete_row(0).unwrap());
-        assert_eq!(asfs.query(&Preference::none(1)).unwrap(), {
-            let pref = Preference::none(1);
-            oracle(&asfs, &pref)
-        });
+        assert_eq!(*asfs.preprocess_stats(), built);
+        let ctx = DominanceContext::for_template(asfs.dataset(), asfs.template()).unwrap();
+        let live: Vec<PointId> = asfs.point_block().live_ids().collect();
+        assert_eq!(asfs.template_skyline(), bnl::skyline_of(&ctx, &live));
     }
 
     #[test]
@@ -1214,7 +1057,10 @@ mod tests {
             AdaptiveSfs::rebased(compact_data.clone(), Arc::new(block), &template).unwrap();
         assert_eq!(rebased.epoch(), epoch, "the compacted epoch is adopted");
         let fresh = AdaptiveSfs::build(compact_data, &template).unwrap();
-        assert_eq!(rebased.template_skyline(), fresh.template_skyline());
+        assert_eq!(rebased.sorted_entries(), fresh.sorted_entries());
+        // The rebuilt skyline is the maintained one translated through the remap.
+        let translated = remap.translate_ids(&asfs.template_skyline()).unwrap();
+        assert_eq!(rebased.template_skyline(), translated);
         assert_eq!(
             rebased.preprocess_stats().dataset_size,
             fresh.preprocess_stats().dataset_size
@@ -1227,7 +1073,6 @@ mod tests {
             inserts: 1,
             deletes: 2,
             resurface_candidates: 3,
-            compactions: 4,
             reclaimed_rows: 5,
             rebuilds: 6,
         };

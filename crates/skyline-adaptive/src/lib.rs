@@ -3,7 +3,8 @@
 //! **Adaptive SFS** (Section 4 of *"Efficient Skyline Querying with Variable User Preferences
 //! on Nominal Attributes"*): a progressive, low-preprocessing alternative to the IPO-tree.
 //!
-//! Preprocessing (Algorithm 3) computes the template skyline `SKY(R̃)` once and keeps it sorted
+//! Preprocessing (Algorithm 3) computes the template skyline `SKY(R̃)` once — one serial
+//! [`skyline_core::algo::sfs::Scan`] drain over the score-sorted live rows — and keeps it sorted
 //! by a monotone preference score. At query time (Algorithm 4) only the points that carry a
 //! value the query lists *beyond the template's own prefix* change rank (AFFECT, see the
 //! lemma in [`asfs`]); they are re-inserted at their new positions and a single elimination
@@ -15,8 +16,9 @@
 //! * [`asfs::AdaptiveSfs`] — the query structure (the paper's **SFS-A**), including the
 //!   incremental-maintenance mode of Section 4.3: [`AdaptiveSfs::insert_row`] and
 //!   [`AdaptiveSfs::delete_row`] update the sorted list and indexes in place (bumping the
-//!   structure's [`skyline_core::DatasetEpoch`]), with periodic compaction back through the
-//!   parallel build path.
+//!   structure's [`skyline_core::DatasetEpoch`]). Each mutation is exact, so nothing re-runs
+//!   the preprocessing; reclaiming tombstoned rows is the engine's generation rebuild, which
+//!   builds a fresh structure with [`AdaptiveSfs::rebased`].
 //! * [`sorted_list`] — the scored entries behind the sorted list.
 //! * [`index::SkylineValueIndex`] — per-dimension value → skyline-point lookup used to find
 //!   the affected points (newly listed values only) without scanning the whole list.

@@ -1,5 +1,5 @@
-//! The compiled dominance kernel vs. the reference `DominanceContext`, and serial vs.
-//! parallel template-skyline preprocessing, on the n=2000 hybrid-engine workload of
+//! The compiled dominance kernel vs. the reference `DominanceContext`, and the Adaptive-SFS
+//! template-skyline preprocessing, on the n=2000 hybrid-engine workload of
 //! `bench_throughput`.
 //!
 //! The query arms run the *same* algorithm — score-sort the dataset under the query ranking,
@@ -22,10 +22,9 @@
 //! sources the fan-in where every candidate probes seven foreign lane sets. Each arm batches
 //! 24 preferences so that even the floor clears the gate's 1 ms exemption.
 //!
-//! The build arms compare `AdaptiveSfs::build_with_workers(…, 1)` against the chunked
-//! divide-and-conquer scan on all available cores (identical output, asserted by the
-//! `kernel_equivalence` property suite; the win scales with core count, so expect parity on a
-//! single-core CI box).
+//! `asfs_build` times `AdaptiveSfs::build`: one transposition into a `PointBlock`, one
+//! template-score sort and one serial SFS scan over it (Algorithm 3). It is the whole
+//! preprocessing of the paper's SFS-A; the engine's generation rebuild runs the same pass.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use skyline::prelude::*;
@@ -33,7 +32,6 @@ use skyline_core::algo::sfs::Scan;
 use skyline_core::score::ScoreFn;
 use skyline_core::{merge_skylines, CompiledOrder, SkylineMerger};
 use std::hint::black_box;
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 const TUPLES: usize = 2_000;
@@ -180,24 +178,9 @@ fn bench_kernel(c: &mut Criterion) {
         b.iter(|| black_box(merge_all(&merge_inputs)))
     });
 
-    group.bench_function("asfs_build_serial", |b| {
+    group.bench_function("asfs_build", |b| {
         b.iter(|| {
-            black_box(
-                AdaptiveSfs::build_with_workers(w.data.clone(), &w.template, 1)
-                    .expect("build succeeds"),
-            )
-        })
-    });
-
-    let cores = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
-    group.bench_function("asfs_build_parallel", |b| {
-        b.iter(|| {
-            black_box(
-                AdaptiveSfs::build_with_workers(w.data.clone(), &w.template, cores)
-                    .expect("build succeeds"),
-            )
+            black_box(AdaptiveSfs::build(w.data.clone(), &w.template).expect("build succeeds"))
         })
     });
     group.finish();
@@ -225,7 +208,7 @@ fn bench_kernel(c: &mut Criterion) {
     }
     let speedup = legacy.as_secs_f64() / packed.as_secs_f64();
     println!(
-        "  summary: {QUERIES} queries at n={TUPLES} ({cores} cores); \
+        "  summary: {QUERIES} queries at n={TUPLES}; \
          packed kernel speedup {speedup:.1}x over DominanceContext \
          (legacy {:.1}ms, packed {:.1}ms)",
         legacy.as_secs_f64() * 1e3,

@@ -158,13 +158,38 @@ fn run_fig4(options: &Options) -> (String, Vec<CellResult>) {
     } else {
         vec![base.n / 2, base.n, base.n * 3 / 2, base.n * 2]
     };
-    let cells = sizes
+    let cells: Vec<CellResult> = sizes
         .into_iter()
         .map(|n| {
             let config = ExperimentConfig { n, ..base.clone() };
             run_synthetic_cell(&config, options.queries, format!("{}", n / 1000))
         })
         .collect();
+    // Figure 4(a): SFS-A's one sorted scan preprocesses faster than building even the
+    // truncated IPO tree, at every database size of the sweep.
+    let preprocess =
+        |cell: &CellResult, method| cell.method(method).map_or(0.0, |m| m.preprocess_seconds);
+    let pairs: Vec<(f64, f64)> = cells
+        .iter()
+        .map(|cell| (preprocess(cell, "SFS-A"), preprocess(cell, "IPO Tree-10")))
+        .collect();
+    let below = pairs.iter().all(|&(sfs_a, ipo_10)| sfs_a < ipo_10);
+    let seconds: Vec<String> = pairs
+        .iter()
+        .map(|(sfs_a, ipo_10)| format!("{sfs_a:.3}/{ipo_10:.3}"))
+        .collect();
+    println!(
+        "  check: preprocessing s, SFS-A/IPO Tree-10 by size {} — SFS-A is {}",
+        seconds.join(" "),
+        if below {
+            "below at every size, ok"
+        } else {
+            "NOT below at every size"
+        },
+    );
+    if !below {
+        std::process::exit(1);
+    }
     ("points(K)".to_string(), cells)
 }
 

@@ -10,8 +10,9 @@
 //!
 //! Three forms over one elimination:
 //!
-//! * [`merge_skylines`] — all fragments live in **one** [`PointBlock`](crate::PointBlock) (the Adaptive-SFS
-//!   parallel build merges its per-chunk skylines this way);
+//! * [`merge_skylines`] — all fragments live in **one** [`PointBlock`](crate::PointBlock);
+//!   no serving path calls it; it is the single-block form the tests and benches compare
+//!   the other two against;
 //! * [`SkylineMerger`] — fragments come from **different** sources with their own row-id
 //!   spaces (a sharded service merges per-shard skylines this way): callers push each
 //!   candidate's raw values and get back `(source, id)` tags;
@@ -28,11 +29,11 @@
 //!
 //! The rows of one source (fragment, shard, stream) must be **mutually non-dominating** —
 //! the source's local skyline, which is what every caller has in hand: engine answers and
-//! engine streams are exact local skylines, the chunked presorted scan passes chunk-local
-//! skylines. The elimination leans on it twice. A candidate is tested against the **other**
-//! sources only (with one source that is no test at all), and a candidate found dominated is
-//! dropped at once, so later candidates are tested against survivors only. The second is
-//! sound by transitivity given the first: if a dropped row `d` dominated a candidate `c`, then
+//! engine streams are exact local skylines. The elimination leans on it twice. A candidate
+//! is tested against the **other** sources only (with one source that is no test at all),
+//! and a candidate found dominated is dropped at once, so later candidates are tested
+//! against survivors only. The second is sound by transitivity given the first: if a
+//! dropped row `d` dominated a candidate `c`, then
 //! `d`'s own dominator `e` dominates `c` too, `e` cannot share `c`'s source (that source's
 //! rows do not dominate one another), and following the chain — it strictly descends in a
 //! finite order — ends in a live row of another source, which the probe finds. **Without** the

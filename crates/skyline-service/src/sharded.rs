@@ -367,7 +367,9 @@ pub struct ShardedConfig {
     pub workers: usize,
     /// When set, a shared [`BuildPool`] maintains every shard under this policy.
     pub maintenance: Option<MaintenancePolicy>,
-    /// Build threads in the shared pool (only with `maintenance`).
+    /// Build threads in the shared pool (only with `maintenance`). This is the only build
+    /// parallelism: each shard's rebuild preprocesses serially on one pool thread, so the
+    /// pool runs up to this many shard rebuilds at once (capped by `max_in_flight_builds`).
     pub build_threads: usize,
     /// Global cap on concurrently running shard rebuilds (only with `maintenance`).
     pub max_in_flight_builds: usize,

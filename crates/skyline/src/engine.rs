@@ -258,9 +258,10 @@ impl GenerationSnapshot {
 
     /// Builds the next generation off the snapshot's live rows: a physically compacted
     /// dataset/block pair (dead rows dropped, survivors renumbered, epoch moved past the
-    /// snapshot's), the Adaptive-SFS structure rebased through the parallel build path, and —
-    /// for the hybrid configuration — the IPO tree re-materialized so tree-served queries
-    /// come back after the swap.
+    /// snapshot's), the Adaptive-SFS structure preprocessed afresh over it
+    /// ([`AdaptiveSfs::rebased`], one serial scan), and — for the hybrid configuration — the
+    /// IPO tree re-materialized so tree-served queries come back after the swap. This is the
+    /// only compaction: a structure's own mutations never re-run its preprocessing.
     ///
     /// Runs with **no engine lock held**; concurrent readers keep serving the old generation
     /// throughout. Hand the result to [`SkylineEngine::install_generation`] under the write
@@ -569,12 +570,6 @@ impl SkylineEngine {
         self.generation.asfs.as_ref()
     }
 
-    /// Mutable access to the Adaptive SFS structure (e.g. to trigger an explicit
-    /// [`AdaptiveSfs::compact`]).
-    pub fn adaptive_mut(&mut self) -> Option<&mut AdaptiveSfs> {
-        self.generation.asfs.as_mut()
-    }
-
     /// Errors exactly when [`SkylineEngine::query`] would reject `pref` without computing a
     /// skyline: schema validation and template refinement.
     ///
@@ -663,7 +658,7 @@ impl SkylineEngine {
     /// Maintenance counters across the engine's whole lifetime: the live structure's
     /// incremental-maintenance counters plus everything carried over from generations
     /// replaced by past swaps, including [`MaintenanceStats::rebuilds`] (installed swaps) and
-    /// [`MaintenanceStats::reclaimed_rows`] (rows physically reclaimed by compactions).
+    /// [`MaintenanceStats::reclaimed_rows`] (rows physically reclaimed by those swaps).
     pub fn maintenance_stats(&self) -> MaintenanceStats {
         let live = match &self.generation.asfs {
             Some(asfs) => asfs.maintenance_stats(),

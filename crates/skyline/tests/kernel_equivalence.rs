@@ -1,5 +1,5 @@
-//! Property-based equivalence of the compiled dominance kernel and the parallel
-//! preprocessing path against their reference implementations.
+//! Property-based equivalence of the compiled dominance kernel, and of every engine
+//! configuration built on it, against the reference implementations.
 //!
 //! Three contracts are pinned here:
 //!
@@ -10,10 +10,8 @@
 //!    window scan, and the cross-fragment `merge_skylines` operator — across 2–8 total
 //!    dimensions, ragged window lengths straddling the 64/128 lane-block boundaries, and
 //!    both all-ranked and mixed ranked/unranked nominal orders.
-//! 3. Parallel divide-and-conquer preprocessing ≡ serial: `AdaptiveSfs::build_with_workers`
-//!    produces a **bit-for-bit identical** sorted list for any worker count, and engines of
-//!    every [`EngineConfig`] answer queries identically no matter how their Adaptive SFS
-//!    structure was preprocessed.
+//! 3. Engines of every [`EngineConfig`] answer queries exactly like BNL under the reference
+//!    context, also when one reused scratch serves the query twice.
 
 use proptest::prelude::*;
 use skyline::prelude::*;
@@ -149,33 +147,7 @@ proptest! {
     }
 
     #[test]
-    fn parallel_preprocessing_is_bit_for_bit_serial(instance in instance_strategy()) {
-        let data = build_dataset(&instance);
-        let template = build_template(&data, &instance);
-        let query = build_query(&template, &instance);
-
-        let serial = AdaptiveSfs::build_with_workers(data.clone(), &template, 1).unwrap();
-        prop_assert_eq!(serial.preprocess_stats().workers, 1);
-        for workers in [2, 3, 4, 7] {
-            let parallel =
-                AdaptiveSfs::build_with_workers(data.clone(), &template, workers).unwrap();
-            prop_assert_eq!(parallel.preprocess_stats().workers, workers);
-            // Bit-for-bit: identical entries (points AND f64 scores) in identical order.
-            prop_assert_eq!(
-                serial.sorted_entries(),
-                parallel.sorted_entries(),
-                "workers = {}", workers
-            );
-            prop_assert_eq!(serial.template_skyline(), parallel.template_skyline());
-            prop_assert_eq!(
-                serial.query(&query).unwrap(),
-                parallel.query(&query).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn every_engine_config_answers_identically_under_parallel_preprocessing(
+    fn every_engine_config_answers_like_the_reference_bnl(
         instance in instance_strategy()
     ) {
         let data = build_dataset(&instance);
@@ -420,29 +392,4 @@ proptest! {
         assert_eq!(&scan_sorted, &expected, "reference scan vs reference bnl");
         assert_all_paths_match(&kernel, &sorted, &all, &expected, &expected_scan, "query");
     }
-}
-
-/// Deterministic spot check: the auto-parallel `build` and the pinned variants agree on a
-/// dataset large enough to cross the parallel threshold.
-#[test]
-fn auto_build_matches_serial_on_a_large_dataset() {
-    let config = ExperimentConfig {
-        n: 6000,
-        numeric_dims: 2,
-        nominal_dims: 2,
-        cardinality: 5,
-        theta: 1.0,
-        pref_order: 2,
-        distribution: Distribution::AntiCorrelated,
-        seed: 11,
-    };
-    let data = std::sync::Arc::new(config.generate_dataset());
-    let template = config.template(&data);
-    let auto = AdaptiveSfs::build(data.clone(), &template).unwrap();
-    let serial = AdaptiveSfs::build_with_workers(data.clone(), &template, 1).unwrap();
-    let four = AdaptiveSfs::build_with_workers(data, &template, 4).unwrap();
-    assert_eq!(auto.sorted_entries(), serial.sorted_entries());
-    assert_eq!(serial.sorted_entries(), four.sorted_entries());
-    assert_eq!(four.preprocess_stats().workers, 4);
-    assert!(auto.preprocess_stats().workers >= 1);
 }
