@@ -9,7 +9,9 @@
 //!   time. The time bar is not the test ratio (≈ 4×) because at n = 1500 a window is two or
 //!   three lane blocks and the kernel's adaptive scalar peek charges every *surviving*
 //!   candidate up to 32 scalar tests whatever the window holds (≈ 1.8–1.9× on the 2-core
-//!   reference host, 2.25× with `SKYLINE_WINDOW_PEEK=0`; ROADMAP item 3).
+//!   reference host, 2.25× with the peek off). To take that ablation in-process, run the
+//!   timed scans inside `skyline_core::with_window_peek(0, || ..)`, which pins the depth on
+//!   the calling thread.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use skyline::datagen::ExperimentConfig;

@@ -37,7 +37,7 @@ use crate::schema::Schema;
 use crate::value::{PointId, ValueId};
 use std::cell::Cell;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The dominance inner loop the compiled kernel runs: the bit-parallel window, where accepted
 /// rows are packed 64 to a block and one pass of `u64` mask algebra tests the candidate
@@ -622,8 +622,8 @@ pub struct DenseWindow {
 ///
 /// The effective depth is **adaptive** per window ([`PeekDepth`]): each scan tracks an EWMA
 /// of its recent kill depths and sizes the peek to roughly twice that, within
-/// [`WINDOW_PEEK_MIN`]..=[`WINDOW_PEEK_MAX`]. The `SKYLINE_WINDOW_PEEK` environment variable
-/// (or [`with_window_peek`] in tests) pins the depth instead.
+/// [`WINDOW_PEEK_MIN`]..=[`WINDOW_PEEK_MAX`]. [`with_window_peek`] pins the depth instead,
+/// on the calling thread.
 const WINDOW_PEEK: usize = 8;
 
 /// Lower bound of the adaptive peek depth — never give up the first couple of scalar tests.
@@ -632,25 +632,10 @@ const WINDOW_PEEK_MIN: usize = 2;
 /// Upper bound of the adaptive peek depth — beyond this the 64-lane walk wins regardless.
 const WINDOW_PEEK_MAX: usize = 32;
 
-fn env_window_peek() -> Option<usize> {
-    static PEEK: OnceLock<Option<usize>> = OnceLock::new();
-    *PEEK.get_or_init(|| {
-        std::env::var("SKYLINE_WINDOW_PEEK")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|d| d.min(64))
-    })
-}
-
 thread_local! {
+    /// The calling thread's pinned peek depth (the innermost [`with_window_peek`]); `None`
+    /// means the depth adapts per scan.
     static PEEK_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// The pinned peek depth in effect on the calling thread, if any: the innermost
-/// [`with_window_peek`] override, else the process-wide `SKYLINE_WINDOW_PEEK` setting.
-/// `None` means the depth adapts per scan.
-pub fn window_peek_override() -> Option<usize> {
-    PEEK_OVERRIDE.get().or_else(env_window_peek)
 }
 
 /// Runs `f` with the calling thread's scalar-peek depth pinned to `depth` (0 disables the
@@ -672,7 +657,7 @@ pub fn with_window_peek<T>(depth: usize, f: impl FnOnce() -> T) -> T {
 /// the first dominator found) sized so that the typical kill stays on the cheap pairwise path
 /// while deep survivors fall through to the packed walk quickly. The state persists across
 /// [`Dominance::reset_window`] — reused scratch windows carry their recent-workload signal
-/// from scan to scan — and a pinned depth (env var or [`with_window_peek`]) disables
+/// from scan to scan — and a pinned depth ([`with_window_peek`]) disables
 /// adaptation for reproducibility.
 ///
 /// Correctness does not depend on the depth: the peek tests a prefix of the window with the
@@ -699,10 +684,10 @@ impl Default for PeekDepth {
 }
 
 impl PeekDepth {
-    /// Re-reads the pin (env/test override); called on every window reset so a window
-    /// created outside a [`with_window_peek`] scope still honours it.
+    /// Re-reads the thread's pin; called on every window reset so a window created outside
+    /// a [`with_window_peek`] scope still honours it.
     fn resync(&mut self) {
-        match window_peek_override() {
+        match PEEK_OVERRIDE.get() {
             Some(d) => {
                 self.depth = d;
                 self.ewma8 = (d as u32) * 8;

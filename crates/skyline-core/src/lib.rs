@@ -55,8 +55,8 @@ pub use deadline::{CancelToken, Deadline, DEADLINE_CHECK_INTERVAL};
 pub use dominance::{DomRelation, Dominance, DominanceContext};
 pub use error::{Result, SkylineError};
 pub use kernel::{
-    kernel_mode, window_peek_override, with_window_peek, CompiledOrder, CompiledRelation,
-    DatasetEpoch, DenseWindow, KernelMode, PointBlock, RowIdRemap,
+    kernel_mode, with_window_peek, CompiledOrder, CompiledRelation, DatasetEpoch, DenseWindow,
+    KernelMode, PointBlock, RowIdRemap,
 };
 pub use order::{CanonicalPreference, ImplicitPreference, PartialOrder, Preference, Template};
 pub use schema::{Dimension, DimensionKind, Schema};

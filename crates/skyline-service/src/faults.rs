@@ -156,8 +156,8 @@ impl FaultInjector {
         self.armed.store(false, Ordering::Relaxed);
     }
 
-    /// Hook: called right before a generation build of `shard` (background pool cycles and
-    /// recovery rebuilds alike). Panics if a `panic-on-build` failpoint is armed for it.
+    /// Hook: called right before every rebuild of `shard` — policy-driven, forced and
+    /// recovery rebuilds alike. Panics if a `panic-on-build` failpoint is armed for it.
     pub fn before_build(&self, shard: usize) {
         if !self.is_armed() {
             return;

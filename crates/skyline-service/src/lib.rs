@@ -76,6 +76,7 @@ pub mod cache;
 mod executor;
 pub mod faults;
 pub mod flight;
+mod maintenance;
 pub mod sharded;
 pub mod stats;
 

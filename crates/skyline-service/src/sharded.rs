@@ -30,8 +30,11 @@
 //!   through that shard's remap chain instead of dropped. The batch and the streaming path
 //!   share one front end (admission, deadline, guards, key, cache lookup, quarantine policy)
 //!   and one scatter; they differ only in the per-shard call and the merge operator.
-//! * a shared [`BuildPool`]: one small set of build threads maintains every shard under a
-//!   global in-flight cap, instead of one maintenance thread per shard.
+//! * one rebuild path: the build threads of [`ShardedConfig::maintenance`] (a few threads
+//!   shared by every shard under a global in-flight cap),
+//!   [`ShardedService::force_rebuild_shard`] and quarantine recovery all run the same
+//!   shard rebuild, which contains a panicking build, lifts a quarantine when it installs
+//!   and writes the shard's snapshot through to [`ShardedConfig::snapshot_dir`].
 //!
 //! # One shard: the single-engine service
 //!
@@ -44,15 +47,15 @@
 //! [`ShardedService::force_rebuild_shard`]`(0)`. What a caller used to a bare engine will
 //! notice: a panic inside the only shard's query is caught and quarantines shard 0
 //! ([`SkylineError::ShardUnavailable`] under [`DegradePolicy::FailClosed`], healed by the
-//! [`RecoveryPolicy`] or [`ShardedService::recover_shard`]) instead of unwinding into the
-//! caller; [`ShardedService::insert_row`] returns the new row's [`GlobalRowId`] and
+//! [`RecoveryPolicy`] or any rebuild that installs) instead of unwinding into the caller;
+//! [`ShardedService::insert_row`] returns the new row's [`GlobalRowId`] and
 //! [`ShardedService::delete_row`] takes one and returns whether the row was live; and
 //! concurrent identical streams each run their own scan.
 //!
 //! # Fault isolation
 //!
 //! Failures stay confined to the shard they happen on. A panic inside a shard's scatter
-//! query or background build is caught ([`std::panic::catch_unwind`]) and **quarantines**
+//! query or any rebuild of it is caught ([`std::panic::catch_unwind`]) and **quarantines**
 //! that shard; under a tolerant [`DegradePolicy`] the gather keeps answering from the
 //! healthy shards — a partial answer flagged with exactly the shards it is missing
 //! ([`ShardedServed::degraded_shards`], never cached) — and the quarantined shard works its
@@ -67,10 +70,11 @@ use crate::cache::{translate_through_chain, ResultCache, Salvage, TranslateFailu
 use crate::executor;
 use crate::faults::FaultInjector;
 use crate::flight::{FlightRole, SingleFlight};
+use crate::maintenance::Scheduler;
 use crate::stats::{ServiceMetrics, StatsSnapshot};
 use skyline::{
-    BuildHandle, BuildPool, BuildPoolConfig, EngineConfig, EngineScratch, EngineStream,
-    MaintenancePolicy, MethodUsed, SharedEngine, SkylineEngine,
+    EngineConfig, EngineScratch, EngineStream, MaintenancePolicy, MethodUsed, SharedEngine,
+    SkylineEngine,
 };
 use skyline_core::score::ScoreFn;
 use skyline_core::{
@@ -217,9 +221,9 @@ pub enum DegradePolicy {
 /// with exponential backoff between attempts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryPolicy {
-    /// Automatic rebuild attempts before the shard stays quarantined until
-    /// [`ShardedService::recover_shard`] is called explicitly. `0` disables automatic
-    /// recovery entirely.
+    /// Automatic rebuild attempts before the shard stays quarantined until some other
+    /// rebuild of it installs ([`ShardedService::force_rebuild_shard`], or one the
+    /// [`MaintenancePolicy`] triggers). `0` disables automatic recovery entirely.
     pub max_attempts: u32,
     /// Backoff before the first automatic attempt; doubles after each failed one.
     pub initial_backoff: Duration,
@@ -292,9 +296,9 @@ impl Quarantine {
             .min(self.policy.max_backoff)
     }
 
-    /// Marks `shard` quarantined (a panic on its query, background build, or recovery
+    /// Marks `shard` quarantined (a panic on its query or in a rebuild, or a failed recovery
     /// rebuild) and schedules its next automatic recovery attempt — unless the bounded
-    /// attempt budget is spent, which parks the shard for explicit recovery only.
+    /// attempt budget is spent, which parks the shard until another rebuild installs.
     fn quarantine(&self, shard: usize) {
         let mut states = self.locked();
         let state = &mut states[shard];
@@ -351,6 +355,88 @@ impl Quarantine {
     }
 }
 
+/// The shard engines plus what a rebuild of one touches — its failpoints, its quarantine
+/// entry, its snapshot file — shared by the service and its build threads.
+#[derive(Debug)]
+pub(crate) struct ShardSet {
+    pub(crate) engines: Vec<SharedEngine>,
+    pub(crate) faults: FaultInjector,
+    quarantine: Quarantine,
+    snapshot_dir: Option<PathBuf>,
+}
+
+impl ShardSet {
+    pub(crate) fn new(
+        engines: Vec<SharedEngine>,
+        recovery: RecoveryPolicy,
+        snapshot_dir: Option<PathBuf>,
+    ) -> Self {
+        Self {
+            quarantine: Quarantine::new(engines.len(), recovery),
+            engines,
+            faults: FaultInjector::from_env(),
+            snapshot_dir,
+        }
+    }
+
+    /// Rebuilds shard `s`'s generation on the calling thread — the one rebuild path behind
+    /// the build threads' policy-driven cycles, [`ShardedService::force_rebuild_shard`] and
+    /// quarantine recovery. Returns whether a new generation was installed: `Ok(false)` when
+    /// a rebuild of `s` was already in flight.
+    ///
+    /// A full rebuild re-derives every serving structure from the shard's intact rows, so an
+    /// install is the proof of health that lifts a quarantine; it also writes the shard's
+    /// snapshot through to [`ShardedConfig::snapshot_dir`]. The `panic-on-build` failpoint
+    /// fires first. A panicking build is contained here: the torn rebuild is aborted, the
+    /// shard quarantined and [`SkylineError::ShardUnavailable`] returned. A build error on a
+    /// quarantined shard counts as a failed recovery attempt.
+    pub(crate) fn rebuild_shard(&self, s: usize) -> Result<bool> {
+        let engine = self.engines.get(s).ok_or_else(|| {
+            SkylineError::InvalidArgument(format!(
+                "shard {s} does not exist ({} shards)",
+                self.engines.len()
+            ))
+        })?;
+        let began = std::cell::Cell::new(false);
+        let built = catch_unwind(AssertUnwindSafe(|| {
+            self.faults.before_build(s);
+            began.set(true);
+            engine.rebuild_now()
+        }));
+        match built {
+            Ok(Ok(Some(_))) => {
+                self.quarantine.mark_recovered(s);
+                // Best-effort: a failed write keeps serving, and the next install retries.
+                if let Some(dir) = &self.snapshot_dir {
+                    if std::fs::create_dir_all(dir).is_ok() {
+                        let _ = engine
+                            .read()
+                            .write_snapshot_file(&shard_snapshot_path(dir, s));
+                    }
+                }
+                Ok(true)
+            }
+            Ok(Ok(None)) => Ok(false),
+            Ok(Err(e)) => {
+                if self.quarantine.is_quarantined(s) {
+                    self.quarantine.quarantine(s);
+                }
+                Err(e)
+            }
+            Err(_panic) => {
+                if began.get() && engine.read().rebuild_in_flight() {
+                    // The panic unwound between `begin_rebuild` and the install; disarm the
+                    // replay log or every later rebuild would skip as "already in flight".
+                    // A failpoint panic began nothing: the rebuild in flight is another's.
+                    engine.write().abort_rebuild();
+                }
+                self.quarantine.quarantine(s);
+                Err(SkylineError::ShardUnavailable { shard: s })
+            }
+        }
+    }
+}
+
 /// Tuning knobs for a [`ShardedService`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedConfig {
@@ -365,11 +451,12 @@ pub struct ShardedConfig {
     /// Worker threads for the query scatter and [`ShardedService::serve_batch`]
     /// (0 = one per available core).
     pub workers: usize,
-    /// When set, a shared [`BuildPool`] maintains every shard under this policy.
+    /// When set, a few build threads shared by every shard rebuild each shard whose debt
+    /// crosses this policy.
     pub maintenance: Option<MaintenancePolicy>,
-    /// Build threads in the shared pool (only with `maintenance`). This is the only build
-    /// parallelism: each shard's rebuild preprocesses serially on one pool thread, so the
-    /// pool runs up to this many shard rebuilds at once (capped by `max_in_flight_builds`).
+    /// Build threads (only with `maintenance`). This is the only build parallelism: each
+    /// shard's rebuild preprocesses serially on one build thread, so up to this many shard
+    /// rebuilds run at once (capped by `max_in_flight_builds`).
     pub build_threads: usize,
     /// Global cap on concurrently running shard rebuilds (only with `maintenance`).
     pub max_in_flight_builds: usize,
@@ -382,10 +469,11 @@ pub struct ShardedConfig {
     /// (reject-newest) and counted in [`StatsSnapshot::shed`]. `0` disables admission
     /// control.
     pub admission_depth: usize,
-    /// When set (and `maintenance` runs a build pool), every generation swap a shard
-    /// installs rewrites that shard's persistent snapshot in this directory — on the pool's
-    /// build threads, off the serve path, best-effort — keeping `shard-NNNN.snap` files a
-    /// [`ShardedService::from_snapshots`] cold start can rehydrate without preprocessing.
+    /// When set, every generation a shard installs — policy-driven, forced or recovery
+    /// rebuild alike — rewrites that shard's persistent snapshot in this directory, right
+    /// after the install on the thread that ran the rebuild, best-effort — keeping
+    /// `shard-NNNN.snap` files a [`ShardedService::from_snapshots`] cold start can rehydrate
+    /// without preprocessing.
     pub snapshot_dir: Option<PathBuf>,
 }
 
@@ -411,16 +499,6 @@ impl Default for ShardedConfig {
 /// The canonical snapshot file name for shard `s` inside a snapshot directory.
 fn shard_snapshot_path(dir: &Path, s: usize) -> PathBuf {
     dir.join(format!("shard-{s:04}.snap"))
-}
-
-/// Best-effort write-through of shard `s`'s current generation to `dir` (created if missing)
-/// after a generation swap: a failed write keeps serving, and the next swap retries.
-fn write_swapped_snapshot(dir: &Path, s: usize, engine: &SharedEngine) {
-    if std::fs::create_dir_all(dir).is_ok() {
-        let _ = engine
-            .read()
-            .write_snapshot_file(&shard_snapshot_path(dir, s));
-    }
 }
 
 /// The schema and template every shard shares — shard 0's — or a message naming the first
@@ -453,7 +531,7 @@ type EpochVector = Arc<[DatasetEpoch]>;
 /// shards (see the module docs).
 #[derive(Debug)]
 pub struct ShardedService {
-    shards: Vec<SharedEngine>,
+    shards: Arc<ShardSet>,
     partition: ShardPartition,
     schema: Schema,
     template: Template,
@@ -461,14 +539,10 @@ pub struct ShardedService {
     flight: SingleFlight<EpochVector>,
     metrics: ServiceMetrics,
     degrade: DegradePolicy,
-    quarantine: Arc<Quarantine>,
     admission: AdmissionQueue,
-    faults: Arc<FaultInjector>,
-    handles: Vec<BuildHandle>,
-    /// Dropped after `handles`: shuts the build threads down.
-    pool: Option<BuildPool>,
+    /// The build threads, when [`ShardedConfig::maintenance`] is set.
+    scheduler: Option<Scheduler>,
     workers: usize,
-    snapshot_dir: Option<PathBuf>,
 }
 
 impl ShardedService {
@@ -578,8 +652,8 @@ impl ShardedService {
                 dir.display()
             ))
         })?;
-        let mut paths = Vec::with_capacity(self.shards.len());
-        for (s, shard) in self.shards.iter().enumerate() {
+        let mut paths = Vec::with_capacity(self.shards.engines.len());
+        for (s, shard) in self.shards.engines.iter().enumerate() {
             let path = shard_snapshot_path(dir, s);
             shard.read().write_snapshot_file(&path)?;
             paths.push(path);
@@ -588,59 +662,24 @@ impl ShardedService {
     }
 
     /// The common wiring behind [`ShardedService::build`] and
-    /// [`ShardedService::from_snapshots`]: fault injection, quarantine, the shared build
-    /// pool with its hooks (including post-swap snapshot writes when
-    /// [`ShardedConfig::snapshot_dir`] is set), caches and admission control.
+    /// [`ShardedService::from_snapshots`]: fault injection, quarantine, the build threads
+    /// (when [`ShardedConfig::maintenance`] is set), caches and admission control.
     fn assemble(
-        shards: Vec<SharedEngine>,
+        engines: Vec<SharedEngine>,
         schema: Schema,
         template: Template,
         config: ShardedConfig,
         metrics: ServiceMetrics,
     ) -> Result<Self> {
-        let shard_count = shards.len();
-        let faults = Arc::new(FaultInjector::from_env());
-        let quarantine = Arc::new(Quarantine::new(shard_count, config.recovery.clone()));
-        let (pool, handles) = match &config.maintenance {
-            Some(policy) => {
-                let pool = BuildPool::new(BuildPoolConfig {
-                    threads: config.build_threads,
-                    max_in_flight: config.max_in_flight_builds,
-                    poll_interval: policy.poll_interval,
-                });
-                // Shards register in index order, so pool slot ids *are* shard indices: the
-                // hooks below translate a slot's build fault into that shard's failpoint
-                // check and (on a panic the pool caught) its quarantine.
-                pool.set_build_hook(Some({
-                    let faults = faults.clone();
-                    Arc::new(move |slot| faults.before_build(slot))
-                }));
-                pool.set_panic_hook(Some({
-                    let quarantine = quarantine.clone();
-                    Arc::new(move |slot| quarantine.quarantine(slot))
-                }));
-                if let Some(dir) = &config.snapshot_dir {
-                    // Every installed generation swap rewrites the swapped shard's snapshot
-                    // on the pool's build thread — the serve path never waits on a write,
-                    // and a crash at any moment leaves the last atomically renamed file.
-                    // Best-effort: a failed write keeps serving and the next swap retries.
-                    let dir = dir.clone();
-                    let engines = shards.clone();
-                    pool.set_swap_hook(Some(Arc::new(move |slot| {
-                        if let Some(engine) = engines.get(slot) {
-                            write_swapped_snapshot(&dir, slot, engine);
-                        }
-                    })));
-                }
-                let handles = shards
-                    .iter()
-                    .map(|s| pool.register(s.clone(), policy.clone()))
-                    .collect();
-                (Some(pool), handles)
-            }
-            None => (None, Vec::new()),
-        };
-
+        let shards = Arc::new(ShardSet::new(engines, config.recovery, config.snapshot_dir));
+        let scheduler = config.maintenance.map(|policy| {
+            Scheduler::new(
+                shards.clone(),
+                policy,
+                config.build_threads,
+                config.max_in_flight_builds,
+            )
+        });
         let workers = if config.workers == 0 {
             std::thread::available_parallelism()
                 .map(NonZeroUsize::get)
@@ -657,13 +696,9 @@ impl ShardedService {
             flight: SingleFlight::new(),
             metrics,
             degrade: config.degrade,
-            quarantine,
             admission: AdmissionQueue::new(config.admission_depth),
-            faults,
-            handles,
-            pool,
+            scheduler,
             workers,
-            snapshot_dir: config.snapshot_dir,
         })
     }
 
@@ -693,13 +728,13 @@ impl ShardedService {
 
     /// Number of dataset shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.shards.engines.len()
     }
 
     /// The engine serving shard `s` (read-lock it to inspect; do not hold the guard across
     /// service calls).
     pub fn shard(&self, s: usize) -> &SharedEngine {
-        &self.shards[s]
+        &self.shards.engines[s]
     }
 
     /// The row-to-shard mapping.
@@ -724,7 +759,7 @@ impl ShardedService {
 
     /// Where post-swap snapshot writes land, when configured.
     pub fn snapshot_dir(&self) -> Option<&Path> {
-        self.snapshot_dir.as_deref()
+        self.shards.snapshot_dir.as_deref()
     }
 
     /// Current number of cached merged results.
@@ -734,12 +769,20 @@ impl ShardedService {
 
     /// Every shard's current mutation epoch, in shard order.
     pub fn epochs(&self) -> Vec<DatasetEpoch> {
-        self.shards.iter().map(|s| s.read().epoch()).collect()
+        self.shards
+            .engines
+            .iter()
+            .map(|s| s.read().epoch())
+            .collect()
     }
 
     /// Total live rows across all shards.
     pub fn live_rows(&self) -> usize {
-        self.shards.iter().map(|s| s.read().live_rows()).sum()
+        self.shards
+            .engines
+            .iter()
+            .map(|s| s.read().live_rows())
+            .sum()
     }
 
     /// Counters accumulated since the service was built; `rebuilds` and `reclaimed_rows`
@@ -749,7 +792,7 @@ impl ShardedService {
         snapshot.stale_evictions = self.cache.stale_evictions();
         snapshot.remap_misses = self.cache.remap_misses();
         snapshot.queue_depth = self.admission.depth() as u64;
-        for shard in &self.shards {
+        for shard in &self.shards.engines {
             let maintenance = shard.read().maintenance_stats();
             snapshot.rebuilds += maintenance.rebuilds;
             snapshot.reclaimed_rows += maintenance.reclaimed_rows;
@@ -757,42 +800,21 @@ impl ShardedService {
         snapshot
     }
 
-    /// The shared build pool, when [`ShardedConfig::maintenance`] enabled one.
-    pub fn build_pool(&self) -> Option<&BuildPool> {
-        self.pool.as_ref()
-    }
-
-    /// Rebuilds shard `s`'s generation right now and waits for it; returns whether a new
-    /// generation was installed.
+    /// Rebuilds shard `s`'s generation right now, on the calling thread, and waits for it;
+    /// returns whether a new generation was installed (`false` when a rebuild of `s` was
+    /// already in flight). An install lifts the shard's quarantine and writes its snapshot
+    /// through to [`ShardedConfig::snapshot_dir`]. A build that panics — the
+    /// `panic-on-build` failpoint included — quarantines `s` and fails with
+    /// [`SkylineError::ShardUnavailable`], the rule a panicking query leg follows.
     pub fn force_rebuild_shard(&self, s: usize) -> Result<bool> {
-        let shard = self.shards.get(s).ok_or_else(|| {
-            SkylineError::InvalidArgument(format!(
-                "shard {s} does not exist ({} shards)",
-                self.shards.len()
-            ))
-        })?;
-        if shard.read().rebuild_in_flight() {
-            return Ok(false);
-        }
-        shard.rebuild_now()?;
-        self.snapshot_after_swap(s);
-        Ok(true)
-    }
-
-    /// Best-effort snapshot write-through after shard `s` installed a generation outside the
-    /// build pool (explicit or recovery rebuilds — pool cycles go through the swap hook).
-    /// A failed write keeps serving; the next swap retries.
-    fn snapshot_after_swap(&self, s: usize) {
-        if let (Some(dir), Some(shard)) = (&self.snapshot_dir, self.shards.get(s)) {
-            write_swapped_snapshot(dir, s, shard);
-        }
+        self.shards.rebuild_shard(s)
     }
 
     /// Rebuilds every shard's generation (sequentially); returns how many installed a new
     /// generation.
     pub fn force_rebuild_all(&self) -> Result<usize> {
         let mut installed = 0;
-        for s in 0..self.shards.len() {
+        for s in 0..self.shard_count() {
             if self.force_rebuild_shard(s)? {
                 installed += 1;
             }
@@ -812,16 +834,16 @@ impl ShardedService {
                 got: numeric.len() + nominal.len(),
             });
         }
-        let s = self.partition.shard_of(self.shards.len(), nominal);
-        let mut engine = self.shards[s].write();
+        let s = self.partition.shard_of(self.shard_count(), nominal);
+        let mut engine = self.shards.engines[s].write();
         engine
             .insert_row(numeric, nominal)
             .inspect_err(|_| self.metrics.record_error())?;
         let row = (engine.dataset().len() - 1) as PointId;
         drop(engine);
         self.metrics.record_mutation();
-        if let Some(handle) = self.handles.get(s) {
-            handle.notify();
+        if let Some(scheduler) = &self.scheduler {
+            scheduler.notify(s);
         }
         Ok(GlobalRowId { shard: s, row })
     }
@@ -829,12 +851,12 @@ impl ShardedService {
     /// Logically deletes a row on its owning shard. Returns whether the row was live
     /// (deleting an already-deleted row is a no-op that moves no epoch).
     pub fn delete_row(&self, id: GlobalRowId) -> Result<bool> {
-        let shard = self.shards.get(id.shard).ok_or_else(|| {
+        let shard = self.shards.engines.get(id.shard).ok_or_else(|| {
             self.metrics.record_error();
             SkylineError::InvalidArgument(format!(
                 "shard {} does not exist ({} shards)",
                 id.shard,
-                self.shards.len()
+                self.shard_count()
             ))
         })?;
         let mut engine = shard.write();
@@ -846,8 +868,8 @@ impl ShardedService {
         let was_live = epoch != before;
         if was_live {
             self.metrics.record_mutation();
-            if let Some(handle) = self.handles.get(id.shard) {
-                handle.notify();
+            if let Some(scheduler) = &self.scheduler {
+                scheduler.notify(id.shard);
             }
         }
         Ok(was_live)
@@ -929,9 +951,10 @@ impl ShardedService {
         deadline.check()?;
         // Opportunistic recovery: at most one due quarantined shard per request, *before*
         // any read guard is held (the rebuild needs the shard's write lock). Backoff keeps
-        // this off the common path — `claim_due` is one atomic load while healthy.
-        if let Some(s) = self.quarantine.claim_due() {
-            self.attempt_recovery(s);
+        // this off the common path — `claim_due` is one atomic load while healthy. The
+        // rebuild records its own outcome in the quarantine: healed, or rescheduled.
+        if let Some(s) = self.shards.quarantine.claim_due() {
+            let _ = self.shards.rebuild_shard(s);
         }
         let started = Instant::now();
         // Read guards for every shard, acquired in fixed index order: the epoch vector, the
@@ -939,7 +962,7 @@ impl ShardedService {
         // exactly one shard's lock) cannot interleave. Quarantined shards are included — a
         // caught panic leaves their engines consistent (and their locks are poison-recovered),
         // it is only their availability that is suspect.
-        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
+        let guards: Vec<_> = self.shards.engines.iter().map(|s| s.read()).collect();
         let epochs: EpochVector = guards.iter().map(|g| g.epoch()).collect::<Vec<_>>().into();
         let key = CanonicalPreference::new(&self.schema, pref)
             .inspect_err(|_| self.metrics.record_error())?;
@@ -960,7 +983,7 @@ impl ShardedService {
             });
         let quarantined = match hit {
             Some(_) => Vec::new(),
-            None => self.quarantine.quarantined(),
+            None => self.shards.quarantine.quarantined(),
         };
         if !quarantined.is_empty() {
             self.check_policy(quarantined.first().copied(), quarantined.len())?;
@@ -1054,13 +1077,13 @@ impl ShardedService {
             let mut merger = ProgressiveMerger::new(
                 self.compiled_orders(pref)?,
                 self.schema.numeric_count(),
-                self.shards.len(),
+                self.shard_count(),
             );
             for &s in &degraded {
                 merger.finish(s);
             }
             let mut streams: Vec<Option<EngineStream>> =
-                (0..self.shards.len()).map(|_| None).collect();
+                (0..self.shard_count()).map(|_| None).collect();
             for (s, stream) in answered {
                 streams[s] = Some(stream);
             }
@@ -1127,65 +1150,13 @@ impl ShardedService {
 
     /// Shards currently quarantined (panicked and not yet recovered), ascending.
     pub fn quarantined_shards(&self) -> Vec<usize> {
-        self.quarantine.quarantined()
+        self.shards.quarantine.quarantined()
     }
 
     /// The service's failpoint registry (disarmed unless `SKYLINE_FAULTS` was set when the
     /// service was built, or a test arms it programmatically).
     pub fn fault_injector(&self) -> &FaultInjector {
-        &self.faults
-    }
-
-    /// Forces one recovery rebuild of shard `s` right now, regardless of backoff schedule
-    /// or remaining automatic attempts. Returns whether the shard is healthy afterwards
-    /// (`true` without doing anything when it was never quarantined).
-    pub fn recover_shard(&self, s: usize) -> Result<bool> {
-        if s >= self.shards.len() {
-            return Err(SkylineError::InvalidArgument(format!(
-                "shard {s} does not exist ({} shards)",
-                self.shards.len()
-            )));
-        }
-        if !self.quarantine.is_quarantined(s) {
-            return Ok(true);
-        }
-        Ok(self.attempt_recovery(s))
-    }
-
-    /// One recovery rebuild attempt on quarantined shard `s`; `true` if it healed. A full
-    /// generation rebuild re-derives every serving structure from the (intact) dataset, so
-    /// surviving one is the proof of health that ends the quarantine; a panicking or failing
-    /// rebuild re-quarantines with doubled backoff until the bounded attempts are spent.
-    fn attempt_recovery(&self, s: usize) -> bool {
-        let shard = &self.shards[s];
-        if shard.read().rebuild_in_flight() {
-            // The build pool is already rebuilding it; let that cycle finish and the next
-            // scheduled attempt (or explicit recovery) observe the result.
-            return false;
-        }
-        match catch_unwind(AssertUnwindSafe(|| {
-            self.faults.before_build(s);
-            shard.rebuild_now()
-        })) {
-            Ok(Ok(_)) => {
-                self.quarantine.mark_recovered(s);
-                self.snapshot_after_swap(s);
-                true
-            }
-            Ok(Err(_)) => {
-                self.quarantine.quarantine(s);
-                false
-            }
-            Err(_) => {
-                if shard.read().rebuild_in_flight() {
-                    // The panic unwound between `begin_rebuild` and the install; disarm the
-                    // replay log or every later rebuild would no-op as "already in flight".
-                    shard.write().abort_rebuild();
-                }
-                self.quarantine.quarantine(s);
-                false
-            }
-        }
+        &self.shards.faults
     }
 
     /// Policy gate for serving an answer missing `degraded_count` shards. `broken` is a
@@ -1234,14 +1205,14 @@ impl ShardedService {
         init: impl Fn() -> S + Sync,
         leg: impl Fn(&SkylineEngine, usize, &mut S) -> Result<T> + Sync,
     ) -> Result<Scattered<T>> {
-        let healthy: Vec<usize> = (0..self.shards.len())
+        let healthy: Vec<usize> = (0..self.shard_count())
             .filter(|s| !front.quarantined.contains(s))
             .collect();
-        let scatter_victim = self.faults.begin_scatter();
+        let scatter_victim = self.shards.faults.begin_scatter();
         let results =
             executor::run_indexed_scratch(&healthy, self.workers, init, |_, &s, scratch| {
                 catch_unwind(AssertUnwindSafe(|| {
-                    self.faults.before_shard_query(s, scatter_victim);
+                    self.shards.faults.before_shard_query(s, scatter_victim);
                     leg(&front.guards[s], s, scratch)
                 }))
             });
@@ -1256,7 +1227,7 @@ impl ShardedService {
                     return Err(err);
                 }
                 Err(_panic) => {
-                    self.quarantine.quarantine(s);
+                    self.shards.quarantine.quarantine(s);
                     panicked.push(s);
                 }
             }
@@ -1533,7 +1504,7 @@ impl ShardedStream<'_> {
                             // Mid-pull panic: quarantine the shard and, when tolerated,
                             // keep streaming from the rest. Rows already delivered remain
                             // valid members of the healthy shards' merge.
-                            self.service.quarantine.quarantine(s);
+                            self.service.shards.quarantine.quarantine(s);
                             streams[s] = None;
                             merger.finish(s);
                             self.degraded.push(s);
@@ -1963,7 +1934,7 @@ mod tests {
             ShardedConfig {
                 shards: 2,
                 workers: 1,
-                // Automatic recovery disabled: only `recover_shard` may heal.
+                // Automatic recovery disabled: only an explicit rebuild may heal.
                 recovery: RecoveryPolicy {
                     max_attempts: 0,
                     ..RecoveryPolicy::default()
@@ -1988,15 +1959,17 @@ mod tests {
         assert_eq!(service.quarantined_shards(), vec![0]);
         assert_eq!(service.cache_len(), 0);
 
-        assert!(service.recover_shard(0).unwrap());
+        assert!(service.force_rebuild_shard(0).unwrap());
         assert!(service.quarantined_shards().is_empty());
         let served = service.serve(&pref).unwrap();
         assert!(!served.is_degraded());
         assert!(
-            service.recover_shard(0).unwrap(),
-            "healthy shard is a no-op"
+            matches!(
+                service.force_rebuild_shard(9),
+                Err(SkylineError::InvalidArgument(_))
+            ),
+            "unknown shard"
         );
-        assert!(service.recover_shard(9).is_err(), "unknown shard");
     }
 
     #[test]
@@ -2058,7 +2031,6 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(service.build_pool().is_some());
         // Delete one live row per shard; the pool must compact every shard on its own.
         for shard in 0..service.shard_count() {
             assert!(service.delete_row(GlobalRowId { shard, row: 0 }).unwrap());
@@ -2354,40 +2326,80 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Every driver of a rebuild runs the one rebuild path: a policy-driven pool cycle,
+    /// `force_rebuild_shard` and the serve-driven recovery each lift the shard's quarantine
+    /// when they install, and write the installed generation's snapshot through.
     #[test]
-    fn pool_swap_hook_persists_snapshots_in_the_background() {
-        let (data, template) = experiment(240, 107);
-        let dir = scratch_dir("swap-hook");
-        let service = ShardedService::build(
-            &data,
-            template.clone(),
-            EngineConfig::AdaptiveSfs,
-            ShardedConfig {
-                shards: 2,
-                workers: 2,
-                maintenance: Some(MaintenancePolicy {
-                    dead_row_ratio: 1.0,
-                    max_mutations_since_rebuild: 1,
-                    poll_interval: Duration::from_millis(5),
-                }),
-                snapshot_dir: Some(dir.clone()),
-                ..ShardedConfig::default()
-            },
-        )
-        .unwrap();
-        // One mutation crosses the eager policy on the owning shard; the pool's swap hook
-        // must write that shard's snapshot on a build thread without any explicit call.
-        let id = service.insert_row(&[0.5, 0.5], &[2, 2]).unwrap();
-        let path = shard_snapshot_path(&dir, id.shard);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !path.exists() {
-            assert!(Instant::now() < deadline, "swap hook never wrote {path:?}");
-            std::thread::sleep(Duration::from_millis(2));
+    fn every_rebuild_driver_heals_the_quarantine_and_persists_the_snapshot() {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Driver {
+            PoolCycle,
+            Forced,
+            Recovery,
         }
-        // The hook's file is a complete, loadable engine snapshot of the swapped shard.
-        let engine = SkylineEngine::from_snapshot_file(&path).unwrap();
-        assert_eq!(engine.template(), service.template());
-        let _ = std::fs::remove_dir_all(&dir);
+        let (data, template) = experiment(240, 107);
+        let mut generator = QueryGenerator::new(109);
+        let pref = generator.random_preference(data.schema(), &template, 2, None);
+        let victim = 1;
+        for driver in [Driver::PoolCycle, Driver::Forced, Driver::Recovery] {
+            let dir = scratch_dir(&format!("heal-{driver:?}"));
+            let service = ShardedService::build(
+                &data,
+                template.clone(),
+                EngineConfig::AdaptiveSfs,
+                ShardedConfig {
+                    shards: 2,
+                    workers: 1,
+                    degrade: DegradePolicy::Tolerate { max_degraded: 1 },
+                    // Only the recovery driver may heal by backoff: at once, on the next
+                    // request.
+                    recovery: RecoveryPolicy {
+                        max_attempts: u32::from(driver == Driver::Recovery),
+                        initial_backoff: Duration::ZERO,
+                        ..RecoveryPolicy::default()
+                    },
+                    maintenance: (driver == Driver::PoolCycle).then(|| MaintenancePolicy {
+                        dead_row_ratio: 1.0,
+                        max_mutations_since_rebuild: 1,
+                        poll_interval: Duration::from_millis(5),
+                    }),
+                    snapshot_dir: Some(dir.clone()),
+                    ..ShardedConfig::default()
+                },
+            )
+            .unwrap();
+            service.fault_injector().panic_on_shard_query(victim, 1);
+            assert_eq!(service.serve(&pref).unwrap().degraded_shards, vec![victim]);
+            assert_eq!(service.quarantined_shards(), vec![victim]);
+
+            match driver {
+                // One delete crosses the eager policy; the write itself nudges the pool.
+                Driver::PoolCycle => assert!(service
+                    .delete_row(GlobalRowId {
+                        shard: victim,
+                        row: 0
+                    })
+                    .unwrap()),
+                Driver::Forced => assert!(service.force_rebuild_shard(victim).unwrap()),
+                Driver::Recovery => assert!(!service.serve(&pref).unwrap().is_degraded()),
+            }
+            // The snapshot is written right after the install that lifted the quarantine.
+            let path = shard_snapshot_path(&dir, victim);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !path.exists() {
+                assert!(Instant::now() < deadline, "{driver:?} never wrote {path:?}");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            assert!(service.quarantined_shards().is_empty(), "{driver:?}");
+            let installed = service.shard(victim).read();
+            assert_eq!(installed.generation().id(), 1, "{driver:?}");
+            assert!(
+                std::fs::read(&path).unwrap() == installed.write_snapshot().unwrap(),
+                "{driver:?}: the file is the installed generation"
+            );
+            drop(installed);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// Batch and stream share one rule for a leg that misses the deadline in the scatter:

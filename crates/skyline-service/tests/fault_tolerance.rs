@@ -213,7 +213,7 @@ fn build_service(data: &Dataset, shards: usize, tolerate_all: bool) -> ShardedSe
                 DegradePolicy::FailClosed
             },
             // Deterministic quarantine: no automatic recovery mid-stream, shards stay
-            // quarantined until the explicit recovery at the end of the case.
+            // quarantined until the explicit rebuilds at the end of the case.
             recovery: RecoveryPolicy {
                 max_attempts: 0,
                 ..RecoveryPolicy::default()
@@ -318,7 +318,7 @@ proptest! {
         // twins converge back to identical complete answers.
         faulty.fault_injector().clear();
         for s in faulty.quarantined_shards() {
-            prop_assert!(faulty.recover_shard(s).unwrap());
+            prop_assert!(faulty.force_rebuild_shard(s).unwrap());
         }
         prop_assert!(faulty.quarantined_shards().is_empty());
         let pref = Preference::from_dims(vec![ImplicitPreference::new([0]).unwrap()]);
@@ -375,9 +375,9 @@ fn cancelled_requests_leave_no_cache_entries() {
     );
 }
 
-/// A panic inside a *background* build (the shared pool) quarantines its shard: the pool
-/// worker survives (its drop guard releases the slot), the service keeps answering degraded
-/// under a tolerant policy, and the shard heals through the serve-driven backoff rebuild.
+/// A panic inside a *background* build quarantines its shard: the build thread survives (the
+/// rebuild contains the panic), the service keeps answering degraded under a tolerant policy,
+/// and the shard heals through the serve-driven backoff rebuild.
 #[test]
 fn background_build_panic_quarantines_then_recovers() {
     let config = ExperimentConfig {
@@ -465,7 +465,7 @@ fn background_build_panic_quarantines_then_recovers() {
 /// One shard is the single-engine service, and its fault isolation is the same machinery: a
 /// panic inside the only shard's query is caught — it quarantines shard 0 instead of
 /// unwinding into the caller — cached answers keep serving through the quarantine, and an
-/// explicit recovery heals it. Under a tolerant policy the degraded answer is empty.
+/// explicit rebuild heals it. Under a tolerant policy the degraded answer is empty.
 #[test]
 fn a_one_shard_service_contains_its_only_shards_panic() {
     let data = initial_dataset(&vec![
@@ -491,7 +491,7 @@ fn a_one_shard_service_contains_its_only_shards_panic() {
     assert!(hit.cache_hit && !hit.is_degraded());
     assert_eq!(hit.outcome.skyline, full.outcome.skyline);
 
-    assert!(service.recover_shard(0).unwrap());
+    assert!(service.force_rebuild_shard(0).unwrap());
     assert!(service.quarantined_shards().is_empty());
     let healed = service.serve(&pref).unwrap();
     assert!(!healed.cache_hit && !healed.is_degraded());
@@ -514,4 +514,38 @@ fn a_one_shard_service_contains_its_only_shards_panic() {
     }
     assert_eq!(tolerant.cache_len(), 0, "degraded answers are never cached");
     assert_eq!(tolerant.stats().degraded, 2);
+}
+
+/// A forced rebuild runs the same rebuild path as the background and recovery ones: the
+/// armed `panic-on-build` failpoint fires, the panic is contained and quarantines the shard
+/// (the rule a panicking query leg follows), and the next forced rebuild installs a new
+/// generation and lifts the quarantine.
+#[test]
+fn forced_rebuilds_honour_the_build_failpoint_and_contain_the_panic() {
+    let data = initial_dataset(&vec![
+        (vec![1.0, 2.0], vec![0]),
+        (vec![2.0, 1.0], vec![1]),
+        (vec![0.5, 3.0], vec![2]),
+        (vec![3.0, 0.5], vec![0]),
+    ]);
+    let service = build_service(&data, 2, false);
+    service.fault_injector().arm_from_spec("panic-on-build=1:1");
+    let generation = service.shard(1).read().generation().id();
+
+    assert_eq!(
+        service.force_rebuild_shard(1).unwrap_err(),
+        SkylineError::ShardUnavailable { shard: 1 }
+    );
+    assert_eq!(service.quarantined_shards(), vec![1]);
+    assert!(
+        !service.shard(1).read().rebuild_in_flight(),
+        "nothing is left armed"
+    );
+    assert_eq!(service.shard(1).read().generation().id(), generation);
+
+    assert!(service.force_rebuild_shard(1).unwrap());
+    assert!(service.quarantined_shards().is_empty());
+    assert_eq!(service.shard(1).read().generation().id(), generation + 1);
+    let pref = Preference::from_dims(vec![ImplicitPreference::new([0]).unwrap()]);
+    assert!(!service.serve(&pref).unwrap().is_degraded());
 }

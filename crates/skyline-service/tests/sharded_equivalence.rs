@@ -178,7 +178,7 @@ proptest! {
                         }
                     }
                     Update::Rebuild => {
-                        let published = reference.rebuild_now().unwrap();
+                        let published = reference.rebuild_now().unwrap().unwrap();
                         for (p, _) in rows.iter_mut() {
                             *p = p.and_then(|old| {
                                 published.remap.translate_ids(&[old]).map(|v| v[0])

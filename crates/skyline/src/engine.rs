@@ -345,9 +345,8 @@ impl PendingGeneration {
 ///    the new generation, swaps it in atomically, and publishes a [`GenerationRemap`] so
 ///    callers can translate stale row ids.
 ///
-/// [`SharedEngine::rebuild_now`] packages the three steps for synchronous use; a
-/// [`crate::maintenance::BuildPool`] drives them from background threads under a
-/// [`crate::maintenance::MaintenancePolicy`].
+/// [`SharedEngine::rebuild_now`] packages the three steps for synchronous use; a sharded
+/// service's build threads run it under a [`crate::maintenance::MaintenancePolicy`].
 #[derive(Debug, Clone)]
 pub struct SkylineEngine {
     pub(crate) template: Template,
@@ -430,13 +429,21 @@ impl SharedEngine {
     /// (microseconds), [`GenerationSnapshot::build_next`] with **no lock held** — concurrent
     /// readers keep serving the old generation, and mutations keep landing (they are
     /// replayed) — then the atomic swap under the write lock. Returns the published
-    /// [`GenerationRemap`].
+    /// [`GenerationRemap`], or `None` when another rebuild was already in flight (checked
+    /// under the same write lock that begins this one, so two racing callers never both
+    /// begin).
     ///
-    /// This is the same three-step cycle the background
-    /// [`crate::maintenance::BuildPool`] drives; call it directly for deterministic
-    /// rebuilds in tests or batch jobs. Fails when another rebuild is already in flight.
-    pub fn rebuild_now(&self) -> Result<GenerationRemap> {
-        let snapshot = self.write().begin_rebuild()?;
+    /// A sharded service drives every shard's rebuilds through this cycle under a
+    /// [`crate::maintenance::MaintenancePolicy`]; call it directly for deterministic
+    /// rebuilds in tests or batch jobs.
+    pub fn rebuild_now(&self) -> Result<Option<GenerationRemap>> {
+        let snapshot = {
+            let mut engine = self.write();
+            if engine.rebuild_in_flight() {
+                return Ok(None);
+            }
+            engine.begin_rebuild()?
+        };
         let pending = match snapshot.build_next() {
             Ok(pending) => pending,
             Err(e) => {
@@ -444,7 +451,7 @@ impl SharedEngine {
                 return Err(e);
             }
         };
-        self.write().install_generation(pending)
+        self.write().install_generation(pending).map(Some)
     }
 }
 

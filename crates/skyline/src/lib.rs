@@ -55,7 +55,7 @@ pub use engine::{
     EngineConfig, EngineScratch, EngineStream, Generation, GenerationRemap, GenerationSnapshot,
     MethodUsed, PendingGeneration, QueryOutcome, SharedEngine, SkylineEngine, REMAP_CHAIN_LIMIT,
 };
-pub use maintenance::{BuildHandle, BuildHook, BuildPool, BuildPoolConfig, MaintenancePolicy};
+pub use maintenance::MaintenancePolicy;
 
 pub use skyline_adaptive as adaptive;
 pub use skyline_core as model;

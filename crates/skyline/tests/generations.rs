@@ -128,7 +128,7 @@ proptest! {
                             let engine = shared.read();
                             (engine.epoch(), engine.query(&pref).unwrap().skyline)
                         };
-                        let published = shared.rebuild_now().unwrap();
+                        let published = shared.rebuild_now().unwrap().unwrap();
                         rebuilds += 1;
                         let engine = shared.read();
                         // The swap's epochs bridge exactly the observed ones.
