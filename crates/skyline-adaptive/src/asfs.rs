@@ -5,7 +5,8 @@
 //!
 //! Preprocessing runs once per structure: one [`Scan::presorted`] drain over the live rows in
 //! template-score order. Mutations never re-run it; the engine's generation rebuild, which
-//! reclaims tombstoned rows, builds a fresh structure with [`AdaptiveSfs::rebased`].
+//! reclaims tombstoned rows, builds a fresh structure with [`AdaptiveSfs::build`] over the
+//! compacted dataset.
 //!
 //! # What a query touches: AFFECT = rows carrying a *newly listed* value
 //!
@@ -35,12 +36,11 @@
 use crate::index::{LiveRowIndex, SkylineValueIndex};
 use crate::sorted_list::ScoredEntry;
 use skyline_core::algo::sfs::Scan;
-use skyline_core::kernel::{
-    CompiledOrder, CompiledRelation, DatasetEpoch, DenseWindow, PointBlock,
-};
+use skyline_core::kernel::{CompiledOrder, CompiledRelation, DenseWindow};
 use skyline_core::score::ScoreFn;
 use skyline_core::{
-    Dataset, Deadline, PointId, Preference, Result, SkylineError, Template, ValueId, Work,
+    Dataset, DatasetEpoch, Deadline, PointId, Preference, Result, SkylineError, Template, ValueId,
+    Work,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -59,8 +59,8 @@ pub enum ScanMode {
     FullRescan,
 }
 
-/// Statistics recorded by the preprocessing pass ([`AdaptiveSfs::build`] or
-/// [`AdaptiveSfs::rebased`]); mutations leave them as the pass recorded them.
+/// Statistics recorded by the preprocessing pass ([`AdaptiveSfs::build`]); mutations leave
+/// them as the pass recorded them.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PreprocessStats {
     /// `|D|`.
@@ -81,7 +81,7 @@ pub struct MaintenanceStats {
     /// Candidate rows actually tested by delete resurface passes (the quantity the
     /// dominance-region restriction shrinks).
     pub resurface_candidates: u64,
-    /// Tombstoned rows physically reclaimed — dropped from the dataset and block — by
+    /// Tombstoned rows physically reclaimed — dropped from the dataset — by
     /// engine-level generation rebuilds.
     pub reclaimed_rows: u64,
     /// Generational rebuilds installed.
@@ -114,20 +114,18 @@ impl MaintenanceStats {
 /// # Incremental maintenance (Section 4.3)
 ///
 /// [`AdaptiveSfs::insert_row`] and [`AdaptiveSfs::delete_row`] mutate the dataset in place —
-/// appending to the shared [`PointBlock`] or tombstoning a row — and update the sorted list
+/// appending a row or tombstoning one — and update the sorted list
 /// and the value index incrementally: an insert is one dominance check against the current
 /// skyline plus an `O(log n)` list update, a delete of a skyline member additionally scans the
 /// deleted point's *dominance region* for resurfacing rows. Every mutation bumps the
 /// structure's [`DatasetEpoch`]; queries answer against the current epoch.
 ///
-/// Mutations take `&mut self`. When other `Arc` handles to the dataset or block are still
-/// alive (for example an open query [`Scan`]), the first mutation copies the shared
-/// state (`Arc::make_mut`) so those handles keep an immutable snapshot; subsequent mutations
-/// are in place.
+/// Mutations take `&mut self`. When other `Arc` handles to the dataset are still alive (for
+/// example an open query [`Scan`]), the first mutation copies the rows once (`Arc::make_mut`)
+/// so those handles keep an immutable snapshot; subsequent mutations are in place.
 #[derive(Debug, Clone)]
 pub struct AdaptiveSfs {
     data: Arc<Dataset>,
-    block: Arc<PointBlock>,
     template: Template,
     /// The template's ranking, shared by the sorted list and every mutation.
     template_score: ScoreFn,
@@ -144,89 +142,68 @@ pub struct AdaptiveSfs {
 }
 
 impl AdaptiveSfs {
-    /// Algorithm 3: computes `SKY(R̃)`, scores it under the template ranking and sorts it.
+    /// Algorithm 3: computes `SKY(R̃)`, scores it under the template ranking and sorts it —
+    /// one serial [`Scan::presorted`] drain over the dataset's live rows in template-score
+    /// order. The monotone score sorts every dominator before the rows it dominates, so the
+    /// scan accepts exactly `SKY(R̃)`, already in sorted-list order.
     ///
     /// Accepts either an owned [`Dataset`] or an [`Arc<Dataset>`] (share the same `Arc` across
     /// engines and threads to avoid copying the data). Requires a template with an implicit
     /// form (the sorted list's ranking is derived from it); general partial-order templates
-    /// are rejected. This is [`AdaptiveSfs::rebased`] over a freshly transposed
-    /// [`PointBlock`] of `data`.
-    pub fn build(data: impl Into<Arc<Dataset>>, template: &Template) -> Result<Self> {
-        let data = data.into();
-        let block = Arc::new(PointBlock::new(&data));
-        Self::rebased(data, block, template)
-    }
-
-    /// The preprocessing pass over an existing [`PointBlock`] of the same rows as `data`: one
-    /// serial [`Scan::presorted`] drain over the block's live rows in template-score order.
-    /// The monotone score sorts every dominator before the rows it dominates, so the scan
-    /// accepts exactly `SKY(R̃)`, already in sorted-list order.
+    /// are rejected.
     ///
     /// This is also the engine lifecycle's entry point for building the next generation's
-    /// query structure off a physically compacted snapshot: the block — with whatever
-    /// [`DatasetEpoch`] the compaction stamped on it — is adopted as-is instead of being
-    /// re-transposed at epoch zero, so epoch-tagged artifacts built against the old
+    /// query structure off a physically compacted dataset: the structure adopts the
+    /// dataset's [`DatasetEpoch`] as-is, so epoch-tagged artifacts built against the old
     /// generation keep failing their staleness checks against the new one.
-    pub fn rebased(
-        data: impl Into<Arc<Dataset>>,
-        block: Arc<PointBlock>,
-        template: &Template,
-    ) -> Result<Self> {
+    pub fn build(data: impl Into<Arc<Dataset>>, template: &Template) -> Result<Self> {
         let started = Instant::now();
-        let compiled = CompiledRelation::for_template(block.clone(), template)?;
-        let mut this = Self::assemble(
-            data.into(),
-            block,
-            template.clone(),
-            |data, block, score| {
-                let live: Vec<PointId> = block.live_ids().collect();
-                let sorted = score.sort_by_score(data, &live);
-                Ok(scored_list(
-                    data,
-                    score,
-                    Scan::presorted(&compiled, &sorted),
-                ))
-            },
-        )?;
+        let mut this = Self::assemble(data.into(), template.clone(), |data, score| {
+            let compiled = CompiledRelation::for_template(data, template)?;
+            let live: Vec<PointId> = data.live_ids().collect();
+            let sorted = score.sort_by_score(data, &live);
+            Ok(scored_list(
+                data,
+                score,
+                Scan::presorted(&compiled, &sorted),
+            ))
+        })?;
         this.stats.preprocess_seconds = started.elapsed().as_secs_f64();
         Ok(this)
     }
 
-    /// Builds the structure from an already-computed template skyline, reusing an existing
-    /// [`PointBlock`] of the same dataset instead of transposing it again. The hybrid engine
-    /// seeds its fallback structure this way, with its IPO tree's `SKY(R)` and its own block.
-    pub fn from_precomputed_with_block(
+    /// Builds the structure from an already-computed template skyline. The hybrid engine
+    /// seeds its fallback structure this way, with its IPO tree's `SKY(R)`.
+    pub fn from_precomputed(
         data: impl Into<Arc<Dataset>>,
-        block: Arc<PointBlock>,
         template: Template,
         skyline: Vec<PointId>,
     ) -> Result<Self> {
-        Self::assemble(data.into(), block, template, |data, _, score| {
+        Self::assemble(data.into(), template, |data, score| {
             Ok(scored_list(data, score, skyline))
         })
     }
 
     /// Rehydrates the structure from an already-scored, already-sorted list — the snapshot
-    /// load path. Where [`AdaptiveSfs::from_precomputed_with_block`] still scores and sorts
-    /// the skyline, this constructor trusts the decoded `(score, point)` entries and only
-    /// re-establishes the invariants it depends on: strict ascending
-    /// `(score.total_cmp, point)` order, every point id in range and live in `block`. The
-    /// remaining work — compiling the template ranking and rebuilding the value index — is
-    /// `O(skyline · dims)`, independent of the dataset size.
+    /// load path. Where [`AdaptiveSfs::from_precomputed`] still scores and sorts the skyline,
+    /// this constructor trusts the decoded `(score, point)` entries and only re-establishes
+    /// the invariants it depends on: strict ascending `(score.total_cmp, point)` order, every
+    /// point id in range and live in `data`. The remaining work — compiling the template
+    /// ranking and rebuilding the value index — is `O(skyline · dims)`, independent of the
+    /// dataset size.
     pub fn from_sorted_entries(
         data: impl Into<Arc<Dataset>>,
-        block: Arc<PointBlock>,
         template: Template,
         entries: Vec<ScoredEntry>,
     ) -> Result<Self> {
-        Self::assemble(data.into(), block, template, |_, block, _| {
+        Self::assemble(data.into(), template, |data, _| {
             if entries.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(SkylineError::Snapshot(
                     "sorted list entries are not strictly ascending by (score, point)".into(),
                 ));
             }
             for e in &entries {
-                if e.point as usize >= block.len() || !block.is_live(e.point) {
+                if !data.is_live(e.point) {
                     return Err(SkylineError::Snapshot(format!(
                         "sorted list references point {} which is not a live row",
                         e.point
@@ -246,30 +223,22 @@ impl AdaptiveSfs {
         })
     }
 
-    /// The one assembler behind both constructors: checks the block against the dataset and
-    /// the template for an implicit form, derives the template ranking, lets `sorted_list`
-    /// produce the sorted entries under it (scoring a raw skyline, or validating decoded
-    /// entries), then compiles the template orders and indexes the list.
+    /// The one assembler behind every constructor: checks the template for an implicit form,
+    /// derives the template ranking, lets `sorted_list` produce the sorted entries under it
+    /// (scanning the live rows, scoring a raw skyline, or validating decoded entries), then
+    /// compiles the template orders and indexes the list.
     fn assemble(
         data: Arc<Dataset>,
-        block: Arc<PointBlock>,
         template: Template,
-        sorted_list: impl FnOnce(&Dataset, &PointBlock, &ScoreFn) -> Result<Vec<ScoredEntry>>,
+        sorted_list: impl FnOnce(&Dataset, &ScoreFn) -> Result<Vec<ScoredEntry>>,
     ) -> Result<Self> {
-        if block.len() != data.len() {
-            return Err(SkylineError::InvalidArgument(format!(
-                "point block holds {} points but the dataset has {}",
-                block.len(),
-                data.len()
-            )));
-        }
         let template_pref = template.implicit().cloned().ok_or_else(|| {
             SkylineError::InvalidArgument(
                 "Adaptive SFS requires a template with an implicit form".into(),
             )
         })?;
         let score = ScoreFn::for_preference(data.schema(), &template_pref)?;
-        let entries = sorted_list(&data, &block, &score)?;
+        let entries = sorted_list(&data, &score)?;
         let template_compiled: Vec<CompiledOrder> = template
             .orders()
             .iter()
@@ -284,7 +253,6 @@ impl AdaptiveSfs {
         };
         Ok(Self {
             data,
-            block,
             template,
             template_score: score,
             template_compiled,
@@ -328,16 +296,6 @@ impl AdaptiveSfs {
         ids
     }
 
-    /// The per-dimension value index over the template skyline.
-    pub fn value_index(&self) -> &SkylineValueIndex {
-        &self.index
-    }
-
-    /// The shared row-major point layout the compiled query kernel evaluates over.
-    pub fn point_block(&self) -> &Arc<PointBlock> {
-        &self.block
-    }
-
     /// Approximate heap footprint in bytes (sorted list + value index), for the storage plots.
     pub fn approximate_bytes(&self) -> usize {
         self.entries.len() * std::mem::size_of::<ScoredEntry>() + self.index.approximate_bytes()
@@ -364,9 +322,8 @@ impl AdaptiveSfs {
     /// Opens Algorithm 4 for `pref` as a progressive [`Scan`] that yields `SKY(R̃′)` in
     /// ascending query-score order; each row is final as soon as it is produced (the
     /// progressiveness property of Section 4.3), so a caller can stop early without wasted
-    /// work. The scan owns its compiled relation (the point block is shared with this
-    /// structure), so it carries no borrow of the structure and keeps a snapshot across later
-    /// mutations.
+    /// work. The scan owns its compiled relation (which shares this structure's dataset), so
+    /// it carries no borrow of the structure and keeps a snapshot across later mutations.
     ///
     /// Validates `pref`, re-ranks AFFECT into the merged candidate order and takes the
     /// candidate and window buffers out of `scratch`. A batch caller hands them back with
@@ -381,8 +338,7 @@ impl AdaptiveSfs {
         self.merged_order(pref, scratch)?;
         let full = mode == ScanMode::FullRescan;
         let dom = if full || !scratch.reinserted.is_empty() {
-            let schema = self.data.schema();
-            CompiledRelation::for_query(self.block.clone(), schema, &self.template, pref)?
+            CompiledRelation::for_query(self.data.clone(), &self.template, pref)?
         } else {
             // No candidate may dominate, so the scan never probes its relation: the template's,
             // compiled at construction, stands in for compiling the query's.
@@ -451,12 +407,12 @@ impl AdaptiveSfs {
 impl AdaptiveSfs {
     /// The structure's current mutation epoch (bumped by every insert or live delete).
     pub fn epoch(&self) -> DatasetEpoch {
-        self.block.epoch()
+        self.data.epoch()
     }
 
     /// Number of live (non-deleted) rows.
     pub fn live_rows(&self) -> usize {
-        self.block.live_count()
+        self.data.live_count()
     }
 
     /// Current size of the sorted list (`|SKY(R̃)|`).
@@ -464,20 +420,15 @@ impl AdaptiveSfs {
         self.entries.len()
     }
 
-    /// True when a row has been logically deleted (or never existed).
-    pub fn is_deleted(&self, p: PointId) -> bool {
-        !self.block.is_live(p)
-    }
-
     /// Counters accumulated by the maintenance mode.
     pub fn maintenance_stats(&self) -> MaintenanceStats {
         self.maintenance
     }
 
-    /// The template relation over the current block, from the orders compiled at construction
+    /// The template relation over the current rows, from the orders compiled at construction
     /// (no per-mutation closure derivation).
     fn template_relation(&self) -> CompiledRelation {
-        CompiledRelation::from_compiled_orders(self.block.clone(), self.template_compiled.clone())
+        CompiledRelation::from_compiled_orders(self.data.clone(), self.template_compiled.clone())
             .expect("template orders cover the schema domains by construction")
     }
 
@@ -489,8 +440,7 @@ impl AdaptiveSfs {
     /// `O(log n)` sorted-list updates — the cheap path the paper's maintenance analysis
     /// promises. The structure's [`DatasetEpoch`] is bumped.
     pub fn insert_row(&mut self, numeric: &[f64], nominal: &[ValueId]) -> Result<PointId> {
-        let p = Arc::make_mut(&mut self.data).push_row_ids(numeric, nominal)?;
-        Arc::make_mut(&mut self.block).append_row(numeric, nominal)?;
+        let p = Arc::make_mut(&mut self.data).append_row(numeric, nominal)?;
         if let Some(idx) = &mut self.row_index {
             idx.insert(&self.data, p);
         }
@@ -541,7 +491,7 @@ impl AdaptiveSfs {
     }
 
     fn delete_row_impl(&mut self, p: PointId, restrict: bool) -> Result<bool> {
-        if !Arc::make_mut(&mut self.block).tombstone(p)? {
+        if !Arc::make_mut(&mut self.data).tombstone(p)? {
             return Ok(false);
         }
         if let Some(idx) = &mut self.row_index {
@@ -574,11 +524,11 @@ impl AdaptiveSfs {
         };
         let candidates: Vec<PointId> = match region {
             Some(rows) => rows,
-            None => self.block.live_ids().collect(),
+            None => self.data.live_ids().collect(),
         };
         let mut resurfaced: Vec<PointId> = Vec::new();
         for q in candidates {
-            if !self.block.is_live(q) || member_set.contains(&q) || !rel.dominates(p, q) {
+            if !self.data.is_live(q) || member_set.contains(&q) || !rel.dominates(p, q) {
                 continue;
             }
             self.maintenance.resurface_candidates += 1;
@@ -605,8 +555,7 @@ impl AdaptiveSfs {
 
     fn ensure_row_index(&mut self) {
         if self.row_index.is_none() {
-            let block = &self.block;
-            self.row_index = Some(LiveRowIndex::build(&self.data, |q| block.is_live(q)));
+            self.row_index = Some(LiveRowIndex::build(&self.data));
         }
     }
 }
@@ -841,29 +790,6 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_point_blocks_are_rejected() {
-        let data = vacation_data();
-        let template = Template::empty(data.schema());
-        // A block over a one-row dataset cannot serve the six-row dataset.
-        let tiny = Dataset::from_columns(
-            data.schema().clone(),
-            vec![vec![1.0], vec![1.0]],
-            vec![vec![0]],
-        )
-        .unwrap();
-        let wrong_block = Arc::new(skyline_core::PointBlock::new(&tiny));
-        assert!(matches!(
-            AdaptiveSfs::from_precomputed_with_block(
-                data.clone(),
-                wrong_block,
-                template.clone(),
-                vec![0, 2, 4, 5],
-            ),
-            Err(SkylineError::InvalidArgument(_))
-        ));
-    }
-
-    #[test]
     fn general_templates_are_rejected() {
         let data = vacation_data();
         let schema = data.schema().clone();
@@ -891,7 +817,7 @@ mod tests {
     /// Brute-force skyline of the live rows only.
     fn oracle(asfs: &AdaptiveSfs, pref: &Preference) -> Vec<PointId> {
         let ctx = DominanceContext::for_query(asfs.dataset(), asfs.template(), pref).unwrap();
-        let live: Vec<PointId> = asfs.point_block().live_ids().collect();
+        let live: Vec<PointId> = asfs.dataset().live_ids().collect();
         bnl::skyline_of(&ctx, &live)
     }
 
@@ -936,9 +862,12 @@ mod tests {
         assert_eq!(asfs.epoch(), epoch, "no-op must not bump the epoch");
         assert_eq!(asfs.template_skyline(), vec![1, 2, 4, 5]);
         assert_eq!(asfs.live_rows(), 5);
-        assert!(asfs.is_deleted(0));
-        assert!(!asfs.is_deleted(1));
-        assert!(asfs.is_deleted(99), "rows that never existed are not live");
+        assert!(!asfs.dataset().is_live(0));
+        assert!(asfs.dataset().is_live(1));
+        assert!(
+            !asfs.dataset().is_live(99),
+            "rows that never existed are not live"
+        );
         let schema = asfs.dataset().schema().clone();
         for text in ["*", "T < M < *", "H < M < *", "M < *"] {
             let pref = Preference::parse(&schema, [("hotel-group", text)]).unwrap();
@@ -1007,7 +936,7 @@ mod tests {
         assert_eq!(asfs.query(&pref).unwrap(), oracle(&asfs, &pref));
         // The maintained skyline equals a from-scratch skyline of the live rows.
         let ctx = DominanceContext::for_template(asfs.dataset(), asfs.template()).unwrap();
-        let live: Vec<PointId> = asfs.point_block().live_ids().collect();
+        let live: Vec<PointId> = asfs.dataset().live_ids().collect();
         assert_eq!(asfs.template_skyline(), bnl::skyline_of(&ctx, &live));
     }
 
@@ -1038,10 +967,12 @@ mod tests {
         }
         assert_eq!(*asfs.preprocess_stats(), built);
         let ctx = DominanceContext::for_template(asfs.dataset(), asfs.template()).unwrap();
-        let live: Vec<PointId> = asfs.point_block().live_ids().collect();
+        let live: Vec<PointId> = asfs.dataset().live_ids().collect();
         assert_eq!(asfs.template_skyline(), bnl::skyline_of(&ctx, &live));
     }
 
+    /// The generation rebuild's path: a structure built over the compacted dataset matches a
+    /// fresh build over the same rows and adopts the compacted dataset's epoch.
     #[test]
     fn rebased_matches_a_fresh_build_and_keeps_the_block_epoch() {
         let data = vacation_data();
@@ -1049,14 +980,15 @@ mod tests {
         let mut asfs = AdaptiveSfs::build(data, &template).unwrap();
         asfs.delete_row(1).unwrap();
         asfs.delete_row(4).unwrap();
-        let (block, remap) = asfs.point_block().compacted();
-        let compact_data = Arc::new(asfs.dataset().retained(remap.kept_old_ids()));
-        let epoch = block.epoch();
+        let (compact, remap) = asfs.dataset().compacted();
+        let epoch = compact.epoch();
+        assert!(epoch > asfs.epoch(), "compaction moves the epoch");
 
-        let rebased =
-            AdaptiveSfs::rebased(compact_data.clone(), Arc::new(block), &template).unwrap();
+        let rebased = AdaptiveSfs::build(compact, &template).unwrap();
         assert_eq!(rebased.epoch(), epoch, "the compacted epoch is adopted");
-        let fresh = AdaptiveSfs::build(compact_data, &template).unwrap();
+        let live: Vec<PointId> = asfs.dataset().live_ids().collect();
+        let fresh = AdaptiveSfs::build(asfs.dataset().retained(&live), &template).unwrap();
+        assert_eq!(fresh.epoch(), DatasetEpoch::INITIAL);
         assert_eq!(rebased.sorted_entries(), fresh.sorted_entries());
         // The rebuilt skyline is the maintained one translated through the remap.
         let translated = remap.translate_ids(&asfs.template_skyline()).unwrap();
@@ -1099,7 +1031,7 @@ mod tests {
             v.sort_unstable();
             v
         };
-        // Mutating while the scan is alive copies the shared block; the scan still yields
+        // Mutating while the scan is alive copies the shared dataset; the scan still yields
         // the pre-mutation answer.
         asfs.insert_row(&[100.0, -5.0], &[0]).unwrap();
         let mut streamed: Vec<PointId> = snapshot.collect();

@@ -123,14 +123,14 @@ pub struct LiveRowIndex {
 }
 
 impl LiveRowIndex {
-    /// Builds the index over the rows for which `is_live` holds.
-    pub fn build(data: &Dataset, is_live: impl Fn(PointId) -> bool) -> Self {
+    /// Builds the index over the dataset's live rows.
+    pub fn build(data: &Dataset) -> Self {
         let schema = data.schema();
         let mut lists = Vec::with_capacity(schema.nominal_count());
         for j in 0..schema.nominal_count() {
             let cardinality = schema.nominal_domain(j).map_or(0, |d| d.cardinality());
             let mut per_value = vec![Vec::new(); cardinality];
-            for p in data.point_ids().filter(|&p| is_live(p)) {
+            for p in data.live_ids() {
                 per_value[data.nominal(p, j) as usize].push(p);
             }
             lists.push(per_value);
@@ -348,8 +348,9 @@ mod tests {
 
     #[test]
     fn live_row_index_tracks_all_live_rows() {
-        let data = data();
-        let mut index = LiveRowIndex::build(&data, |p| p != 2);
+        let mut data = data();
+        data.tombstone(2).unwrap();
+        let mut index = LiveRowIndex::build(&data);
         assert_eq!(index.rows_with(0, 0), &[0, 3]);
         assert_eq!(index.rows_with(0, 2), &[] as &[PointId]);
         index.insert(&data, 2);
@@ -363,7 +364,7 @@ mod tests {
     fn dominance_region_picks_the_most_selective_dimension() {
         use skyline_core::PartialOrder;
         let data = data();
-        let index = LiveRowIndex::build(&data, |_| true);
+        let index = LiveRowIndex::build(&data);
         // Empty template orders: the region of a value is the value itself.
         let empty = [
             CompiledOrder::compile(&PartialOrder::empty(3)),
@@ -385,7 +386,7 @@ mod tests {
         // No nominal dimensions → no restriction possible.
         let numeric_only = Schema::new(vec![Dimension::numeric("x")]).unwrap();
         let tiny = Dataset::from_columns(numeric_only, vec![vec![1.0]], vec![]).unwrap();
-        let bare = LiveRowIndex::build(&tiny, |_| true);
+        let bare = LiveRowIndex::build(&tiny);
         assert!(bare.dominance_region_candidates(&tiny, &[], 0).is_none());
     }
 }

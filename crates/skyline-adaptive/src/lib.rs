@@ -18,7 +18,7 @@
 //!   [`AdaptiveSfs::delete_row`] update the sorted list and indexes in place (bumping the
 //!   structure's [`skyline_core::DatasetEpoch`]). Each mutation is exact, so nothing re-runs
 //!   the preprocessing; reclaiming tombstoned rows is the engine's generation rebuild, which
-//!   builds a fresh structure with [`AdaptiveSfs::rebased`].
+//!   builds a fresh structure with [`AdaptiveSfs::build`] over the compacted dataset.
 //! * [`sorted_list`] — the scored entries behind the sorted list.
 //! * [`index::SkylineValueIndex`] — per-dimension value → skyline-point lookup used to find
 //!   the affected points (newly listed values only) without scanning the whole list.

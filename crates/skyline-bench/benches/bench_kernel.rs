@@ -5,9 +5,9 @@
 //! The query arms run the *same* algorithm — score-sort the dataset under the query ranking,
 //! then the SFS elimination scan — and differ only in the pairwise dominance implementation:
 //!
-//! * `legacy_context_scan` — [`DominanceContext`]: strided columnar lookups plus a
+//! * `legacy_context_scan` — [`DominanceContext`]: per-cell lookups plus a
 //!   [`skyline_core::PartialOrder`] closure probe per nominal dimension;
-//! * `packed_kernel_scan` — [`CompiledRelation`]: a shared row-major [`PointBlock`] plus
+//! * `packed_kernel_scan` — [`CompiledRelation`]: the shared row-major [`Dataset`] plus
 //!   per-query closure bitmasks, the accepted window packed into 64-row lane blocks tested
 //!   with `u64` mask algebra.
 //!
@@ -22,8 +22,8 @@
 //! sources the fan-in where every candidate probes seven foreign lane sets. Each arm batches
 //! 24 preferences so that even the floor clears the gate's 1 ms exemption.
 //!
-//! `asfs_build` times `AdaptiveSfs::build`: one transposition into a `PointBlock`, one
-//! template-score sort and one serial SFS scan over it (Algorithm 3). It is the whole
+//! `asfs_build` times `AdaptiveSfs::build`: one template-score sort of the live rows and one
+//! serial SFS scan over them (Algorithm 3). It is the whole
 //! preprocessing of the paper's SFS-A; the engine's generation rebuild runs the same pass.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -41,7 +41,6 @@ const QUERIES: usize = 60;
 struct Workload {
     data: Arc<Dataset>,
     template: Template,
-    block: Arc<PointBlock>,
     queries: Vec<Preference>,
 }
 
@@ -52,17 +51,6 @@ fn setup() -> Workload {
     };
     let data = Arc::new(config.generate_dataset());
     let template = config.template(&data);
-    // The hybrid engine owns the shared point block in production; reuse it here so the
-    // compiled arm measures exactly what the engine executes.
-    let engine = Arc::new(
-        SkylineEngine::build(
-            data.clone(),
-            template.clone(),
-            EngineConfig::Hybrid { top_k: 10 },
-        )
-        .expect("hybrid engine builds"),
-    );
-    let block = engine.point_block().clone();
     let mut generator = config.query_generator();
     let queries = generator.zipf_workload(
         data.schema(),
@@ -75,7 +63,6 @@ fn setup() -> Workload {
     Workload {
         data,
         template,
-        block,
         queries,
     }
 }
@@ -132,7 +119,7 @@ fn bench_kernel(c: &mut Criterion) {
         scan_all(
             w,
             |pref| {
-                CompiledRelation::for_query(w.block.clone(), w.data.schema(), &w.template, pref)
+                CompiledRelation::for_query(w.data.clone(), &w.template, pref)
                     .expect("workload preferences are valid")
             },
             sorted,
@@ -151,9 +138,8 @@ fn bench_kernel(c: &mut Criterion) {
         .iter()
         .take(12)
         .map(|pref| {
-            let rel =
-                CompiledRelation::for_query(w.block.clone(), w.data.schema(), &w.template, pref)
-                    .expect("workload preferences are valid");
+            let rel = CompiledRelation::for_query(w.data.clone(), &w.template, pref)
+                .expect("workload preferences are valid");
             let fragments: Vec<Vec<PointId>> = (0..8)
                 .map(|s| {
                     let rows: Vec<PointId> =
@@ -241,7 +227,6 @@ fn bench_merge_cross_source(c: &mut Criterion) {
     };
     let data = Arc::new(config.generate_dataset());
     let template = config.template(&data);
-    let block = Arc::new(PointBlock::new(&data));
     let prefs = config.query_generator().random_preferences(
         data.schema(),
         &template,
@@ -261,9 +246,8 @@ fn bench_merge_cross_source(c: &mut Criterion) {
         prefs
             .iter()
             .map(|pref| {
-                let rel =
-                    CompiledRelation::for_query(block.clone(), data.schema(), &template, pref)
-                        .expect("workload preferences are valid");
+                let rel = CompiledRelation::for_query(data.clone(), &template, pref)
+                    .expect("workload preferences are valid");
                 let score = ScoreFn::for_preference(data.schema(), pref)
                     .expect("workload preferences are valid");
                 let candidates = (0..sources)
@@ -289,11 +273,12 @@ fn bench_merge_cross_source(c: &mut Criterion) {
                 let survivors: usize = inputs
                     .iter()
                     .map(|(orders, candidates)| {
-                        let mut merger = SkylineMerger::new(orders.clone(), block.numeric_dims());
+                        let mut merger =
+                            SkylineMerger::new(orders.clone(), data.schema().numeric_count());
                         for &(s, p) in candidates {
                             merger
-                                .push(s, p, block.numeric_row(p), block.nominal_row(p))
-                                .expect("rows match the block's own dimensions");
+                                .push(s, p, data.numeric_row(p), data.nominal_row(p))
+                                .expect("rows match the dataset's own dimensions");
                         }
                         merger.merge().len()
                     })

@@ -10,8 +10,8 @@
 //!
 //! Three forms over one elimination:
 //!
-//! * [`merge_skylines`] — all fragments live in **one** [`PointBlock`](crate::PointBlock);
-//!   no serving path calls it; it is the single-block form the tests and benches compare
+//! * [`merge_skylines`] — all fragments live in **one** [`Dataset`];
+//!   no serving path calls it; it is the single-dataset form the tests and benches compare
 //!   the other two against;
 //! * [`SkylineMerger`] — fragments come from **different** sources with their own row-id
 //!   spaces (a sharded service merges per-shard skylines this way): callers push each
@@ -43,12 +43,14 @@
 //! Fragments must not repeat a row: duplicates are value-identical, never dominate each
 //! other, and would both survive.
 
+use crate::dataset::Dataset;
 use crate::error::{Result, SkylineError};
 use crate::kernel::{CompiledOrder, CompiledRelation};
 use crate::lanes::PackedLanes;
 use crate::value::{PointId, ValueId};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
+use std::ops::Deref;
 
 /// One candidate's raw values: numeric and nominal, each in dimension-index order.
 type Row<'a> = (&'a [f64], &'a [ValueId]);
@@ -139,28 +141,31 @@ fn eliminate<'a>(
     alive
 }
 
-/// Merges per-fragment skylines of disjoint row sets of one block into the skyline of their
+/// Merges per-fragment skylines of disjoint row sets of one dataset into the skyline of their
 /// union, preserving the concatenated input order of the survivors.
 ///
 /// **Each fragment must already be the skyline of its own rows**: rows are tested against the
 /// other fragments only, so a row dominated by nothing but a fragment-mate would survive
 /// (module header). Fragments must not repeat a row id either: duplicates never dominate
 /// each other and would both survive.
-pub fn merge_skylines(relation: &CompiledRelation, fragments: &[&[PointId]]) -> Vec<PointId> {
+pub fn merge_skylines<R: Deref<Target = Dataset>>(
+    relation: &CompiledRelation<R>,
+    fragments: &[&[PointId]],
+) -> Vec<PointId> {
     let tagged: Vec<(usize, PointId)> = fragments
         .iter()
         .enumerate()
         .flat_map(|(f, fragment)| fragment.iter().map(move |&p| (f, p)))
         .collect();
-    let block = relation.block();
+    let data = relation.dataset();
     let alive = eliminate(
         relation.orders(),
-        block.numeric_dims(),
+        data.schema().numeric_count(),
         tagged.len(),
         |c| tagged[c].0,
         |c| {
             let p = tagged[c].1;
-            (block.numeric_row(p), block.nominal_row(p))
+            (data.numeric_row(p), data.nominal_row(p))
         },
     );
     tagged
@@ -237,7 +242,7 @@ impl CandidateRows {
 /// Push-based cross-source skyline merge on compiled nominal orders.
 ///
 /// Sources with different row-id spaces (dataset shards, remote partitions) cannot share a
-/// [`PointBlock`](crate::PointBlock), so the merger owns a row-major copy of the candidate values instead:
+/// [`Dataset`], so the merger owns a row-major copy of the candidate values instead:
 /// push every per-source skyline member with its raw values, then [`SkylineMerger::merge`]
 /// returns the `(source, id)` tags of the global skyline in push order.
 ///
@@ -505,10 +510,8 @@ mod tests {
     use crate::algo::bnl;
     use crate::dataset::{Dataset, DatasetBuilder, RowValue};
     use crate::dominance::DominanceContext;
-    use crate::kernel::PointBlock;
     use crate::order::{Preference, Template};
     use crate::schema::{Dimension, Schema};
-    use std::sync::Arc;
 
     /// Table 3 of the paper: two numeric + two nominal dimensions, six rows.
     fn table3_data() -> Dataset {
@@ -539,16 +542,13 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn query_relation(data: &Dataset, spec: &[(&str, &str)]) -> (CompiledRelation, Preference) {
+    fn query_relation<'a>(
+        data: &'a Dataset,
+        spec: &[(&str, &str)],
+    ) -> (CompiledRelation<&'a Dataset>, Preference) {
         let template = Template::empty(data.schema());
         let pref = Preference::parse(data.schema(), spec.to_vec()).unwrap();
-        let rel = CompiledRelation::for_query(
-            Arc::new(PointBlock::new(data)),
-            data.schema(),
-            &template,
-            &pref,
-        )
-        .unwrap();
+        let rel = CompiledRelation::for_query(data, &template, &pref).unwrap();
         (rel, pref)
     }
 

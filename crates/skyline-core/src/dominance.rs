@@ -38,9 +38,6 @@ pub trait Dominance {
     /// True when `p` dominates `q`: `p ⪯ q` on every dimension and `p ≺ q` on at least one.
     fn dominates(&self, p: PointId, q: PointId) -> bool;
 
-    /// Full three-way (plus equality) comparison of two points.
-    fn compare(&self, p: PointId, q: PointId) -> DomRelation;
-
     /// Index into `candidates` of the first point that dominates `p`, if any.
     ///
     /// This is the innermost operation of every elimination scan (one candidate point tested
@@ -48,11 +45,6 @@ pub trait Dominance {
     /// `dominates` call per candidate — the compiled kernel hoists `p`'s rows out of the loop.
     fn first_dominator(&self, p: PointId, candidates: &[PointId]) -> Option<usize> {
         candidates.iter().position(|&q| self.dominates(q, p))
-    }
-
-    /// True when point `p` is dominated by at least one point of `candidates`.
-    fn dominated_by_any(&self, p: PointId, candidates: &[PointId]) -> bool {
-        self.first_dominator(p, candidates).is_some()
     }
 
     /// Computes the BNL skyline of `points` (sorted ascending by id).
@@ -114,34 +106,13 @@ impl<D: Dominance + ?Sized> Dominance for &D {
         D::dominates(self, p, q)
     }
 
-    fn compare(&self, p: PointId, q: PointId) -> DomRelation {
-        D::compare(self, p, q)
-    }
-
     fn first_dominator(&self, p: PointId, candidates: &[PointId]) -> Option<usize> {
         D::first_dominator(self, p, candidates)
-    }
-
-    fn dominated_by_any(&self, p: PointId, candidates: &[PointId]) -> bool {
-        D::dominated_by_any(self, p, candidates)
     }
 
     fn bnl_skyline(&self, points: &[PointId]) -> Vec<PointId> {
         D::bnl_skyline(self, points)
     }
-}
-
-/// Outcome of comparing two points under a dominance relation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DomRelation {
-    /// The first point dominates the second.
-    Dominates,
-    /// The first point is dominated by the second.
-    DominatedBy,
-    /// The points have identical values in every dimension.
-    Equal,
-    /// Neither point dominates the other.
-    Incomparable,
 }
 
 /// A dominance relation `R = (R1, …, Rm)` bound to a dataset.
@@ -231,70 +202,6 @@ impl<'a> DominanceContext<'a> {
         }
         strict
     }
-
-    /// Full three-way (plus equality) comparison of two points.
-    pub fn compare(&self, p: PointId, q: PointId) -> DomRelation {
-        if p == q {
-            return DomRelation::Equal;
-        }
-        // p_better: p can still dominate q; q_better: q can still dominate p.
-        let mut p_strict = false;
-        let mut q_strict = false;
-        let mut p_ok = true;
-        let mut q_ok = true;
-        let schema = self.data.schema();
-        for j in 0..schema.numeric_count() {
-            let pv = self.data.numeric(p, j);
-            let qv = self.data.numeric(q, j);
-            if pv < qv {
-                p_strict = true;
-                q_ok = false;
-            } else if qv < pv {
-                q_strict = true;
-                p_ok = false;
-            }
-            if !p_ok && !q_ok {
-                return DomRelation::Incomparable;
-            }
-        }
-        let mut all_equal = !p_strict && !q_strict;
-        for (j, order) in self.orders.iter().enumerate() {
-            let pv = self.data.nominal(p, j);
-            let qv = self.data.nominal(q, j);
-            if pv == qv {
-                continue;
-            }
-            all_equal = false;
-            if order.strictly_preferred(pv, qv) {
-                p_strict = true;
-                q_ok = false;
-            } else if order.strictly_preferred(qv, pv) {
-                q_strict = true;
-                p_ok = false;
-            } else {
-                // Incomparable nominal values block dominance in both directions.
-                p_ok = false;
-                q_ok = false;
-            }
-            if !p_ok && !q_ok {
-                return DomRelation::Incomparable;
-            }
-        }
-        if all_equal {
-            DomRelation::Equal
-        } else if p_ok && p_strict {
-            DomRelation::Dominates
-        } else if q_ok && q_strict {
-            DomRelation::DominatedBy
-        } else {
-            DomRelation::Incomparable
-        }
-    }
-
-    /// True when point `p` is dominated by at least one point of `candidates`.
-    pub fn dominated_by_any(&self, p: PointId, candidates: &[PointId]) -> bool {
-        candidates.iter().any(|&q| self.dominates(q, p))
-    }
 }
 
 impl Dominance for DominanceContext<'_> {
@@ -316,10 +223,6 @@ impl Dominance for DominanceContext<'_> {
     #[inline]
     fn dominates(&self, p: PointId, q: PointId) -> bool {
         DominanceContext::dominates(self, p, q)
-    }
-
-    fn compare(&self, p: PointId, q: PointId) -> DomRelation {
-        DominanceContext::compare(self, p, q)
     }
 }
 
@@ -369,10 +272,8 @@ mod tests {
         assert!(ctx.dominates(2, 3));
         // a does not dominate c: different incomparable groups.
         assert!(!ctx.dominates(0, 2));
-        assert_eq!(ctx.compare(0, 1), DomRelation::Dominates);
-        assert_eq!(ctx.compare(1, 0), DomRelation::DominatedBy);
-        assert_eq!(ctx.compare(0, 2), DomRelation::Incomparable);
-        assert_eq!(ctx.compare(4, 4), DomRelation::Equal);
+        assert!(!ctx.dominates(2, 0));
+        assert!(!ctx.dominates(4, 4), "a point never dominates itself");
     }
 
     #[test]
@@ -398,16 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn dominated_by_any_helper() {
-        let data = vacation_data();
-        let template = Template::empty(data.schema());
-        let ctx = DominanceContext::for_template(&data, &template).unwrap();
-        assert!(ctx.dominated_by_any(1, &[0, 2]));
-        assert!(!ctx.dominated_by_any(0, &[1, 2, 3, 4, 5]));
-        assert!(!ctx.dominated_by_any(0, &[]));
-    }
-
-    #[test]
     fn equal_rows_are_equal_not_dominating() {
         let schema = Schema::new(vec![
             Dimension::numeric("x"),
@@ -419,7 +310,6 @@ mod tests {
         let ctx = DominanceContext::for_template(&data, &template).unwrap();
         assert!(!ctx.dominates(0, 1));
         assert!(!ctx.dominates(1, 0));
-        assert_eq!(ctx.compare(0, 1), DomRelation::Equal);
     }
 
     #[test]
@@ -450,7 +340,7 @@ mod tests {
         let query = Preference::from_dims(vec![ImplicitPreference::first_order(0)]);
         let ctx = DominanceContext::for_query(&data, &template, &query).unwrap();
         assert!(ctx.dominates(0, 1));
-        assert_eq!(ctx.compare(1, 0), DomRelation::DominatedBy);
+        assert!(!ctx.dominates(1, 0));
         // Without the preference the nominal values are incomparable, so no dominance.
         let ctx = DominanceContext::for_template(&data, &template).unwrap();
         assert!(!ctx.dominates(0, 1));

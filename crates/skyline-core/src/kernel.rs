@@ -1,48 +1,48 @@
-//! Compiled dominance kernel: query-compiled orders over a cache-friendly point layout.
+//! Compiled dominance kernel: query-compiled orders over the dataset's row-major rows.
 //!
-//! [`crate::DominanceContext`] is the *reference* dominance implementation: per-column lookups
-//! into the columnar [`Dataset`] plus a [`PartialOrder`] closure probe per nominal dimension.
-//! Correct, but every pairwise test pays strided column access (one cache line per dimension
-//! per point) and several layers of bounds-checked indirection — and the pairwise test is the
-//! innermost loop of every algorithm in this workspace (BNL, SFS, Adaptive SFS, the hybrid
-//! engine's fallback), each of which performs an O(n²)-shaped number of them.
+//! [`crate::DominanceContext`] is the *reference* dominance implementation: per-cell lookups
+//! into the [`Dataset`] plus a [`PartialOrder`] closure probe per nominal dimension. Correct,
+//! but every pairwise test pays several layers of bounds-checked indirection — and the
+//! pairwise test is the innermost loop of every algorithm in this workspace (BNL, SFS,
+//! Adaptive SFS, the hybrid engine's fallback), each of which performs an O(n²)-shaped number
+//! of them.
 //!
-//! This module compiles the same relation into a form the hardware likes:
+//! This module compiles the same relation into a form the hardware likes. The rows need no
+//! compiling: a [`Dataset`] already stores them **row-major and interleaved** (all numeric
+//! values of one point are contiguous, and so are its nominal value ids), so one pairwise test
+//! touches two short contiguous runs, and the one copy of the rows is shared (`Arc`) across
+//! every query, engine and worker thread.
 //!
-//! * [`PointBlock`] — a **row-major, interleaved layout** of the dataset: all numeric values
-//!   of one point are contiguous, and so are its nominal value ids. One pairwise test touches
-//!   two short contiguous runs instead of `d` strided columns. A block depends only on the
-//!   dataset, so it is built **once** and shared (`Arc`) across every query, engine and
-//!   worker thread.
 //! * [`CompiledOrder`] — one nominal dimension's strict order flattened into **dense per-value
 //!   closure bitmask rows** (`u64` words: bit `v` of row `u` says `u ≺ v`) plus **layered
 //!   ranks** (topological depth in the order's DAG), giving a branch-light `u ≺ v` probe with
 //!   a one-compare early out. Compiling is O(c²) bit probes over a cardinality-`c` domain —
 //!   nominal cardinalities are tiny (4–40 in the paper), so this costs well under a
 //!   microsecond per query.
-//! * [`CompiledRelation`] — the kernel itself: a shared block plus one compiled order per
-//!   nominal dimension. Behaviourally identical to [`DominanceContext`] (asserted by the
-//!   `kernel_equivalence` property suite) but with the inner loop reduced to contiguous loads,
-//!   integer compares and single-word bit tests.
+//! * [`CompiledRelation`] — the kernel itself: a handle to the rows plus one compiled order
+//!   per nominal dimension. Behaviourally identical to
+//!   [`DominanceContext`](crate::DominanceContext) (asserted by the `kernel_equivalence`
+//!   property suite) but with the inner loop reduced to contiguous loads, integer compares and
+//!   single-word bit tests.
 //!
 //! Algorithms accept either implementation through the [`Dominance`] trait, keeping
-//! [`DominanceContext`] as the executable specification the kernel is checked against.
+//! [`DominanceContext`](crate::DominanceContext) as the executable specification the kernel
+//! is checked against.
 
 use crate::dataset::Dataset;
-use crate::dominance::{DomRelation, Dominance, DominanceContext};
+use crate::dominance::Dominance;
 use crate::error::{Result, SkylineError};
 use crate::lanes::PackedLanes;
 use crate::order::{PartialOrder, Preference, Template};
-use crate::schema::Schema;
 use crate::value::{PointId, ValueId};
 use std::cell::Cell;
-use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// The dominance inner loop the compiled kernel runs: the bit-parallel window, where accepted
 /// rows are packed 64 to a block and one pass of `u64` mask algebra tests the candidate
-/// against all of them at once. It is the only one; [`DominanceContext`] is the reference
-/// it is checked against.
+/// against all of them at once. It is the only one;
+/// [`DominanceContext`](crate::DominanceContext) is the reference it is checked against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
     /// Bit-parallel 64-lane window walk.
@@ -54,417 +54,6 @@ pub enum KernelMode {
 /// refuses two result sets whose stamps differ.
 pub fn kernel_mode() -> KernelMode {
     KernelMode::Packed
-}
-
-/// Version counter of a mutable dataset: every row insertion or logical deletion bumps it.
-///
-/// Query answers are only meaningful relative to the epoch they were computed at, so serving
-/// layers tag derived artifacts (cached skylines, materialized statistics) with the epoch and
-/// treat a mismatch as staleness. Epochs are totally ordered; [`DatasetEpoch::INITIAL`] is the
-/// epoch of a freshly built, never-mutated block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct DatasetEpoch(u64);
-
-impl DatasetEpoch {
-    /// The epoch of a freshly built, never-mutated dataset.
-    pub const INITIAL: Self = Self(0);
-
-    /// The raw counter value.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Reconstructs an epoch from its raw counter — the snapshot load path uses this to
-    /// restore a rehydrated block's mutation epoch so epoch-tagged artifacts (cached
-    /// skylines, remap chains) keep composing across a process restart.
-    pub fn from_raw(raw: u64) -> Self {
-        Self(raw)
-    }
-}
-
-impl fmt::Display for DatasetEpoch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "epoch {}", self.0)
-    }
-}
-
-/// Mapping between the row-id spaces of a [`PointBlock`] and its physically compacted
-/// successor.
-///
-/// Compaction ([`PointBlock::compacted`]) drops tombstoned rows and renumbers the survivors,
-/// so every id minted before the compaction is stale afterwards. The remap is the published
-/// translation: `new_id(old)` is the surviving row's new id (or `None` when the old row was
-/// dead and physically reclaimed), `old_id(new)` goes the other way. Both directions are
-/// **order-preserving** — compaction keeps surviving rows in their original relative order and
-/// appends replayed rows at the end — so translating a sorted id list yields a sorted list.
-///
-/// Serving layers hold the remap next to the epochs it bridges so derived artifacts (cached
-/// skylines, caller-held row handles) can be translated instead of discarded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowIdRemap {
-    /// `forward[old]` = the row's id in the new space, `None` when it was reclaimed.
-    forward: Vec<Option<PointId>>,
-    /// `backward[new]` = the row's id in the old space.
-    backward: Vec<PointId>,
-}
-
-impl RowIdRemap {
-    /// Builds the remap for a compaction that keeps exactly the rows where `live` is true,
-    /// in order.
-    fn from_liveness(live: &[bool]) -> Self {
-        let mut forward = Vec::with_capacity(live.len());
-        let mut backward = Vec::new();
-        for (old, &is_live) in live.iter().enumerate() {
-            if is_live {
-                forward.push(Some(backward.len() as PointId));
-                backward.push(old as PointId);
-            } else {
-                forward.push(None);
-            }
-        }
-        Self { forward, backward }
-    }
-
-    /// The new id of old row `old`, or `None` when the row was physically reclaimed (it was
-    /// tombstoned before the compaction) or never existed.
-    pub fn new_id(&self, old: PointId) -> Option<PointId> {
-        self.forward.get(old as usize).copied().flatten()
-    }
-
-    /// The old id of new row `new`, or `None` when `new` is out of range.
-    pub fn old_id(&self, new: PointId) -> Option<PointId> {
-        self.backward.get(new as usize).copied()
-    }
-
-    /// Number of rows in the old id space (including the reclaimed ones).
-    pub fn old_len(&self) -> usize {
-        self.forward.len()
-    }
-
-    /// Number of rows in the new id space.
-    pub fn new_len(&self) -> usize {
-        self.backward.len()
-    }
-
-    /// Number of old rows physically reclaimed by the compaction.
-    pub fn reclaimed(&self) -> usize {
-        self.old_len() - self.new_len()
-    }
-
-    /// True when the compaction dropped nothing (every old id maps to itself).
-    pub fn is_identity(&self) -> bool {
-        self.old_len() == self.new_len()
-    }
-
-    /// The old ids of the surviving rows, in new-id order (`kept_old_ids()[new] == old`) —
-    /// exactly the `keep` list [`crate::Dataset::retained`] expects for the dataset half of a
-    /// compaction.
-    pub fn kept_old_ids(&self) -> &[PointId] {
-        &self.backward
-    }
-
-    /// Records a row appended (in both spaces) **after** the compaction snapshot was taken:
-    /// the next old id maps to `new`. The generation-swap replay path uses this to keep the
-    /// published remap covering rows inserted while the new generation was being built.
-    /// Replayed rows land at the tail of the new space, so `new` must equal
-    /// [`RowIdRemap::new_len`].
-    pub fn push_appended(&mut self, new: PointId) {
-        debug_assert_eq!(new as usize, self.backward.len());
-        let old = self.forward.len() as PointId;
-        self.forward.push(Some(new));
-        self.backward.push(old);
-    }
-
-    /// Translates a list of old ids, preserving order; `None` when any id has no mapping
-    /// (i.e. some listed row was reclaimed — the caller's artifact is unsalvageable).
-    pub fn translate_ids(&self, old: &[PointId]) -> Option<Vec<PointId>> {
-        old.iter().map(|&p| self.new_id(p)).collect()
-    }
-}
-
-/// Row-major, interleaved copy of a dataset's values, shared by every compiled relation.
-///
-/// Point `p` occupies `numeric_dims` contiguous `f64`s in [`PointBlock::numeric_row`] and
-/// `nominal_dims` contiguous [`ValueId`]s in [`PointBlock::nominal_row`], so a pairwise
-/// dominance test reads two short cache-resident runs instead of one strided cell per column.
-/// The block is query-independent: build it once per dataset (an O(n·d) transpose) and hand
-/// the same `Arc` to every [`CompiledRelation`].
-///
-/// Blocks support **dynamic datasets** without a rebuild: [`PointBlock::append_row`] adds a
-/// point at the end and [`PointBlock::tombstone`] logically deletes one. Both bump the block's
-/// [`DatasetEpoch`]. Tombstoned rows keep their id (so existing query answers stay
-/// addressable) but are excluded from [`PointBlock::live_ids`], which is what the elimination
-/// scans enumerate — dead rows simply never enter a window or candidate list.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PointBlock {
-    len: usize,
-    numeric_dims: usize,
-    nominal_dims: usize,
-    nums: Vec<f64>,
-    noms: Vec<ValueId>,
-    /// Per nominal dimension: the largest value id present (0 for empty datasets); used to
-    /// validate compiled orders against the block without retaining the schema.
-    max_value: Vec<ValueId>,
-    /// `live[p]` is false when row `p` has been tombstoned.
-    live: Vec<bool>,
-    live_len: usize,
-    epoch: u64,
-}
-
-impl PointBlock {
-    /// Transposes `data` into the interleaved row-major layout.
-    pub fn new(data: &Dataset) -> Self {
-        let schema = data.schema();
-        let len = data.len();
-        let numeric_dims = schema.numeric_count();
-        let nominal_dims = schema.nominal_count();
-        let mut nums = Vec::with_capacity(len * numeric_dims);
-        let mut noms = Vec::with_capacity(len * nominal_dims);
-        for p in 0..len as PointId {
-            for j in 0..numeric_dims {
-                nums.push(data.numeric(p, j));
-            }
-            for j in 0..nominal_dims {
-                noms.push(data.nominal(p, j));
-            }
-        }
-        let max_value = (0..nominal_dims)
-            .map(|j| {
-                data.nominal_column(j)
-                    .iter()
-                    .copied()
-                    .max()
-                    .unwrap_or_default()
-            })
-            .collect();
-        Self {
-            len,
-            numeric_dims,
-            nominal_dims,
-            nums,
-            noms,
-            max_value,
-            live: vec![true; len],
-            live_len: len,
-            epoch: 0,
-        }
-    }
-
-    /// Number of points in the block, **including** tombstoned rows.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the block holds no points at all (live or dead).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The block's current mutation epoch (bumped by every append or tombstone).
-    pub fn epoch(&self) -> DatasetEpoch {
-        DatasetEpoch(self.epoch)
-    }
-
-    /// Number of live (non-tombstoned) rows.
-    pub fn live_count(&self) -> usize {
-        self.live_len
-    }
-
-    /// Number of tombstoned rows still physically occupying the block.
-    pub fn dead_count(&self) -> usize {
-        self.len - self.live_len
-    }
-
-    /// Fraction of the block's rows that are tombstoned (0 for an empty block) — the quantity
-    /// maintenance policies watch to decide when physical compaction pays off.
-    pub fn dead_ratio(&self) -> f64 {
-        if self.len == 0 {
-            0.0
-        } else {
-            self.dead_count() as f64 / self.len as f64
-        }
-    }
-
-    /// Physically compacts the block: tombstoned rows are dropped, survivors renumbered in
-    /// order. Returns the new block — every row live, `len() == live_count()` — and the
-    /// [`RowIdRemap`] translating old ids to new ones.
-    ///
-    /// The compacted block's epoch is the source epoch **plus one**: renumbering invalidates
-    /// every id minted against the old block, so derived artifacts tagged with the old epoch
-    /// must observe a mismatch. Per-dimension `max_value` bounds are recomputed over the
-    /// surviving rows, so order-cardinality validation stays as tight as a fresh build.
-    pub fn compacted(&self) -> (Self, RowIdRemap) {
-        let remap = RowIdRemap::from_liveness(&self.live);
-        let live_len = remap.new_len();
-        let mut nums = Vec::with_capacity(live_len * self.numeric_dims);
-        let mut noms = Vec::with_capacity(live_len * self.nominal_dims);
-        let mut max_value = vec![ValueId::default(); self.nominal_dims];
-        for new in 0..live_len as PointId {
-            let old = remap.old_id(new).expect("new id in range by construction");
-            nums.extend_from_slice(self.numeric_row(old));
-            let row = self.nominal_row(old);
-            noms.extend_from_slice(row);
-            for (m, &v) in max_value.iter_mut().zip(row) {
-                *m = (*m).max(v);
-            }
-        }
-        let block = Self {
-            len: live_len,
-            numeric_dims: self.numeric_dims,
-            nominal_dims: self.nominal_dims,
-            nums,
-            noms,
-            max_value,
-            live: vec![true; live_len],
-            live_len,
-            epoch: self.epoch + 1,
-        };
-        (block, remap)
-    }
-
-    /// True when row `p` exists and has not been tombstoned.
-    #[inline]
-    pub fn is_live(&self, p: PointId) -> bool {
-        self.live.get(p as usize).copied().unwrap_or(false)
-    }
-
-    /// The ids of all live rows, in ascending order — what elimination scans over a mutable
-    /// dataset enumerate so compiled scans skip dead rows without a rebuild.
-    pub fn live_ids(&self) -> impl Iterator<Item = PointId> + '_ {
-        self.live
-            .iter()
-            .enumerate()
-            .filter(|(_, &l)| l)
-            .map(|(p, _)| p as PointId)
-    }
-
-    /// Appends one row (numeric values in numeric-index order, nominal value ids in
-    /// nominal-index order) and bumps the epoch. Returns the new row id.
-    ///
-    /// The caller is responsible for keeping the block in sync with its [`Dataset`]
-    /// (values are validated against the schema when they are pushed into the dataset).
-    pub fn append_row(&mut self, numeric: &[f64], nominal: &[ValueId]) -> Result<PointId> {
-        if numeric.len() != self.numeric_dims || nominal.len() != self.nominal_dims {
-            return Err(SkylineError::RowShapeMismatch {
-                expected: self.numeric_dims + self.nominal_dims,
-                got: numeric.len() + nominal.len(),
-            });
-        }
-        self.nums.extend_from_slice(numeric);
-        self.noms.extend_from_slice(nominal);
-        for (m, &v) in self.max_value.iter_mut().zip(nominal) {
-            *m = (*m).max(v);
-        }
-        let id = self.len as PointId;
-        self.len += 1;
-        self.live.push(true);
-        self.live_len += 1;
-        self.epoch += 1;
-        Ok(id)
-    }
-
-    /// Logically deletes row `p`, bumping the epoch. Returns `true` when the row was live
-    /// (tombstoning an already-dead row is a no-op that leaves the epoch untouched); rows that
-    /// never existed are an error.
-    pub fn tombstone(&mut self, p: PointId) -> Result<bool> {
-        let Some(slot) = self.live.get_mut(p as usize) else {
-            return Err(SkylineError::InvalidArgument(format!(
-                "row {p} does not exist"
-            )));
-        };
-        if !*slot {
-            return Ok(false);
-        }
-        *slot = false;
-        self.live_len -= 1;
-        self.epoch += 1;
-        Ok(true)
-    }
-
-    /// Number of numeric dimensions per point.
-    pub fn numeric_dims(&self) -> usize {
-        self.numeric_dims
-    }
-
-    /// Number of nominal dimensions per point.
-    pub fn nominal_dims(&self) -> usize {
-        self.nominal_dims
-    }
-
-    /// The contiguous numeric values of point `p`.
-    #[inline]
-    pub fn numeric_row(&self, p: PointId) -> &[f64] {
-        let start = p as usize * self.numeric_dims;
-        &self.nums[start..start + self.numeric_dims]
-    }
-
-    /// The contiguous nominal value ids of point `p`.
-    #[inline]
-    pub fn nominal_row(&self, p: PointId) -> &[ValueId] {
-        let start = p as usize * self.nominal_dims;
-        &self.noms[start..start + self.nominal_dims]
-    }
-
-    /// Approximate heap footprint in bytes (for the storage plots).
-    pub fn approximate_bytes(&self) -> usize {
-        self.nums.len() * std::mem::size_of::<f64>()
-            + self.noms.len() * std::mem::size_of::<ValueId>()
-            + self.live.len()
-    }
-
-    /// The full interleaved numeric array (`len × numeric_dims` values, row-major) — the
-    /// snapshot writer persists this verbatim so the load side can bulk-decode it.
-    pub fn numeric_values(&self) -> &[f64] {
-        &self.nums
-    }
-
-    /// The full interleaved nominal array (`len × nominal_dims` ids, row-major).
-    pub fn nominal_values(&self) -> &[ValueId] {
-        &self.noms
-    }
-
-    /// Per-nominal-dimension largest value id present (see the field invariant: the max is
-    /// over all physical rows, live and tombstoned).
-    pub fn max_values(&self) -> &[ValueId] {
-        &self.max_value
-    }
-
-    /// The per-row liveness flags (`liveness()[p]` is false for tombstoned rows).
-    pub fn liveness(&self) -> &[bool] {
-        &self.live
-    }
-
-    /// Reassembles a block from persisted parts (the snapshot load path). The caller —
-    /// [`crate::snapshot::read_block`] — has already validated array lengths, liveness
-    /// consistency and the max-value invariant against the decoded header.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        len: usize,
-        numeric_dims: usize,
-        nominal_dims: usize,
-        nums: Vec<f64>,
-        noms: Vec<ValueId>,
-        max_value: Vec<ValueId>,
-        live: Vec<bool>,
-        epoch: u64,
-    ) -> Self {
-        debug_assert_eq!(nums.len(), len * numeric_dims);
-        debug_assert_eq!(noms.len(), len * nominal_dims);
-        debug_assert_eq!(max_value.len(), nominal_dims);
-        debug_assert_eq!(live.len(), len);
-        let live_len = live.iter().filter(|&&l| l).count();
-        Self {
-            len,
-            numeric_dims,
-            nominal_dims,
-            nums,
-            noms,
-            max_value,
-            live,
-            live_len,
-            epoch,
-        }
-    }
 }
 
 /// One nominal dimension's strict order, compiled to dense closure bitmasks and layered ranks.
@@ -604,7 +193,7 @@ pub struct DenseWindow {
     /// The accepted rows, bit-parallel.
     lanes: PackedLanes,
     /// Member point ids, lane-aligned with `lanes`: the scalar-peek prefix test reaches back
-    /// to the block rows through them.
+    /// to the dataset's rows through them.
     members: Vec<PointId>,
     /// Adaptive scalar-peek depth; persists across resets so reused scratch windows carry
     /// their recent kill-depth signal from scan to scan.
@@ -722,32 +311,33 @@ impl DenseWindow {
     }
 }
 
-/// The compiled dominance kernel: a shared [`PointBlock`] plus one [`CompiledOrder`] per
-/// nominal dimension.
+/// The compiled dominance kernel: a handle to the rows (a shared [`Dataset`]) plus one
+/// [`CompiledOrder`] per nominal dimension.
 ///
-/// Semantically identical to a [`DominanceContext`] over the same dataset and orders (the
-/// `kernel_equivalence` property suite asserts `dominates` and `compare` agree point-for-point)
-/// but an order of magnitude cheaper per pairwise test: contiguous row loads, no per-cell
-/// column indirection, and single-word bit probes for the nominal orders.
+/// Semantically identical to a [`DominanceContext`](crate::DominanceContext) over the same
+/// dataset and orders (the `kernel_equivalence` property suite asserts `dominates` agrees
+/// point-for-point) but an order of magnitude cheaper per pairwise test: contiguous row loads,
+/// no per-cell bounds-checked indirection, and single-word bit probes for the nominal orders.
 ///
-/// The block is shared via `Arc`, so compiling a relation for a new query preference costs
-/// only the per-dimension O(c²) order flattening — the point layout is reused across every
-/// query, engine and thread.
+/// The rows are held through `R`: an `Arc<Dataset>` (the default) for relations that outlive
+/// the caller's borrow — an engine's query scans and streams — or a plain `&Dataset` for
+/// one-shot passes such as the IPO-tree build. Either way compiling a relation for a new query
+/// preference costs only the per-dimension O(c²) order flattening; the rows are never copied.
 #[derive(Debug, Clone)]
-pub struct CompiledRelation {
-    block: Arc<PointBlock>,
+pub struct CompiledRelation<R = Arc<Dataset>> {
+    data: R,
     orders: Vec<CompiledOrder>,
 }
 
-impl CompiledRelation {
-    /// Compiles per-nominal-dimension orders against a shared block.
+impl<R: Deref<Target = Dataset>> CompiledRelation<R> {
+    /// Compiles per-nominal-dimension orders against the rows of `data`.
     ///
-    /// Fails when the number of orders does not match the block's nominal dimensions or an
-    /// order's cardinality cannot cover a value id present in the block.
-    pub fn new(block: Arc<PointBlock>, orders: &[PartialOrder]) -> Result<Self> {
-        Self::validate_cardinalities(&block, orders.len(), |j| orders[j].cardinality())?;
+    /// Fails when the number of orders does not match the dataset's nominal dimensions or an
+    /// order's cardinality cannot cover a value id present in the data.
+    pub fn new(data: R, orders: &[PartialOrder]) -> Result<Self> {
+        Self::validate_cardinalities(&data, orders.len(), |j| orders[j].cardinality())?;
         let orders = orders.iter().map(CompiledOrder::compile).collect();
-        Ok(Self { block, orders })
+        Ok(Self { data, orders })
     }
 
     /// Builds a relation from **already compiled** orders, skipping the O(c²) closure
@@ -756,39 +346,31 @@ impl CompiledRelation {
     /// Incremental-maintenance paths evaluate the *same* template relation on every row
     /// insertion or deletion; they compile the template orders once at construction and clone
     /// the (tiny) compiled form per mutation instead of re-deriving the closure each time.
-    pub fn from_compiled_orders(
-        block: Arc<PointBlock>,
-        orders: Vec<CompiledOrder>,
-    ) -> Result<Self> {
-        Self::validate_cardinalities(&block, orders.len(), |j| orders[j].cardinality())?;
-        Ok(Self { block, orders })
+    pub fn from_compiled_orders(data: R, orders: Vec<CompiledOrder>) -> Result<Self> {
+        Self::validate_cardinalities(&data, orders.len(), |j| orders[j].cardinality())?;
+        Ok(Self { data, orders })
     }
 
     /// Shared validation: one order per nominal dimension, each covering every value id the
-    /// block holds on that dimension.
+    /// data holds on that dimension.
     fn validate_cardinalities(
-        block: &PointBlock,
+        data: &Dataset,
         count: usize,
         cardinality_of: impl Fn(usize) -> usize,
     ) -> Result<()> {
-        if count != block.nominal_dims() {
+        let nominal_dims = data.schema().nominal_count();
+        if count != nominal_dims {
             return Err(SkylineError::InvalidArgument(format!(
-                "expected {} nominal orders, got {count}",
-                block.nominal_dims(),
+                "expected {nominal_dims} nominal orders, got {count}",
             )));
         }
-        for j in 0..count {
-            let needed = if block.is_empty() {
-                0
-            } else {
-                block.max_value[j] as usize + 1
-            };
+        for (j, &max) in data.max_values().iter().enumerate() {
+            let needed = if data.is_empty() { 0 } else { max as usize + 1 };
             if cardinality_of(j) < needed {
                 return Err(SkylineError::InvalidArgument(format!(
                     "order on nominal dimension {j} has cardinality {} but the data holds \
-                     value id {}",
+                     value id {max}",
                     cardinality_of(j),
-                    block.max_value[j]
                 )));
             }
         }
@@ -796,38 +378,21 @@ impl CompiledRelation {
     }
 
     /// Compiles the relation of a template alone (`R`).
-    pub fn for_template(block: Arc<PointBlock>, template: &Template) -> Result<Self> {
-        Self::new(block, template.orders())
+    pub fn for_template(data: R, template: &Template) -> Result<Self> {
+        Self::new(data, template.orders())
     }
 
     /// Compiles the relation of a query preference evaluated against a template
-    /// (`R ∪ P(R̃′)`), mirroring [`DominanceContext::for_query`].
-    pub fn for_query(
-        block: Arc<PointBlock>,
-        schema: &Schema,
-        template: &Template,
-        query: &Preference,
-    ) -> Result<Self> {
-        let orders = template.effective_orders(schema, query)?;
-        Self::new(block, &orders)
+    /// (`R ∪ P(R̃′)`), mirroring
+    /// [`DominanceContext::for_query`](crate::DominanceContext::for_query).
+    pub fn for_query(data: R, template: &Template, query: &Preference) -> Result<Self> {
+        let orders = template.effective_orders(data.schema(), query)?;
+        Self::new(data, &orders)
     }
 
-    /// One-shot convenience: builds the block *and* compiles the query relation.
-    ///
-    /// Prefer [`CompiledRelation::for_query`] with a cached block on any hot path — this
-    /// variant re-transposes the dataset every call.
-    pub fn compile_query(data: &Dataset, template: &Template, query: &Preference) -> Result<Self> {
-        Self::for_query(
-            Arc::new(PointBlock::new(data)),
-            data.schema(),
-            template,
-            query,
-        )
-    }
-
-    /// The shared point layout the relation evaluates over.
-    pub fn block(&self) -> &Arc<PointBlock> {
-        &self.block
+    /// The rows the relation evaluates over.
+    pub fn dataset(&self) -> &Dataset {
+        &self.data
     }
 
     /// The compiled per-nominal-dimension orders.
@@ -837,7 +402,8 @@ impl CompiledRelation {
 
     /// True when `p` dominates `q`: `p ⪯ q` on every dimension and `p ≺ q` on at least one.
     ///
-    /// Same contract as [`DominanceContext::dominates`], compiled form.
+    /// Same contract as [`DominanceContext::dominates`](crate::DominanceContext::dominates),
+    /// compiled form.
     #[inline]
     pub fn dominates(&self, p: PointId, q: PointId) -> bool {
         if p == q {
@@ -845,10 +411,10 @@ impl CompiledRelation {
         }
         let mut strict = false;
         for (pv, qv) in self
-            .block
+            .data
             .numeric_row(p)
             .iter()
-            .zip(self.block.numeric_row(q))
+            .zip(self.data.numeric_row(q))
         {
             if pv > qv {
                 return false;
@@ -856,10 +422,10 @@ impl CompiledRelation {
             strict |= pv < qv;
         }
         for (order, (&pv, &qv)) in self.orders.iter().zip(
-            self.block
+            self.data
                 .nominal_row(p)
                 .iter()
-                .zip(self.block.nominal_row(q)),
+                .zip(self.data.nominal_row(q)),
         ) {
             if pv != qv {
                 if !order.strictly_preferred(pv, qv) {
@@ -877,22 +443,22 @@ impl CompiledRelation {
     // dominance, exactly mirroring the reference `if pv > qv { return false }`.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn first_dominator(&self, p: PointId, candidates: &[PointId]) -> Option<usize> {
-        let pn = self.block.numeric_row(p);
-        let pm = self.block.nominal_row(p);
+        let pn = self.data.numeric_row(p);
+        let pm = self.data.nominal_row(p);
         for (i, &q) in candidates.iter().enumerate() {
             if q == p {
                 continue;
             }
             let mut not_worse = true;
             let mut strict = false;
-            for (qv, pv) in self.block.numeric_row(q).iter().zip(pn) {
+            for (qv, pv) in self.data.numeric_row(q).iter().zip(pn) {
                 not_worse &= !(qv > pv);
                 strict |= qv < pv;
             }
             for (order, (&qv, &pv)) in self
                 .orders
                 .iter()
-                .zip(self.block.nominal_row(q).iter().zip(pm))
+                .zip(self.data.nominal_row(q).iter().zip(pm))
             {
                 let differs = qv != pv;
                 let preferred = order.strictly_preferred(qv, pv);
@@ -906,80 +472,8 @@ impl CompiledRelation {
         None
     }
 
-    /// Full three-way (plus equality) comparison, mirroring [`DominanceContext::compare`].
-    pub fn compare(&self, p: PointId, q: PointId) -> DomRelation {
-        if p == q {
-            return DomRelation::Equal;
-        }
-        let mut p_strict = false;
-        let mut q_strict = false;
-        let mut p_ok = true;
-        let mut q_ok = true;
-        for (pv, qv) in self
-            .block
-            .numeric_row(p)
-            .iter()
-            .zip(self.block.numeric_row(q))
-        {
-            if pv < qv {
-                p_strict = true;
-                q_ok = false;
-            } else if qv < pv {
-                q_strict = true;
-                p_ok = false;
-            }
-            if !p_ok && !q_ok {
-                return DomRelation::Incomparable;
-            }
-        }
-        let mut all_equal = !p_strict && !q_strict;
-        for (order, (&pv, &qv)) in self.orders.iter().zip(
-            self.block
-                .nominal_row(p)
-                .iter()
-                .zip(self.block.nominal_row(q)),
-        ) {
-            if pv == qv {
-                continue;
-            }
-            all_equal = false;
-            if order.strictly_preferred(pv, qv) {
-                p_strict = true;
-                q_ok = false;
-            } else if order.strictly_preferred(qv, pv) {
-                q_strict = true;
-                p_ok = false;
-            } else {
-                p_ok = false;
-                q_ok = false;
-            }
-            if !p_ok && !q_ok {
-                return DomRelation::Incomparable;
-            }
-        }
-        if all_equal {
-            DomRelation::Equal
-        } else if p_ok && p_strict {
-            DomRelation::Dominates
-        } else if q_ok && q_strict {
-            DomRelation::DominatedBy
-        } else {
-            DomRelation::Incomparable
-        }
-    }
-
-    /// True when point `p` is dominated by at least one point of `candidates`.
-    pub fn dominated_by_any(&self, p: PointId, candidates: &[PointId]) -> bool {
-        candidates.iter().any(|&q| self.dominates(q, p))
-    }
-
-    /// Compiles the same relation a [`DominanceContext`] evaluates, sharing `block`.
-    pub fn from_context(block: Arc<PointBlock>, ctx: &DominanceContext<'_>) -> Result<Self> {
-        Self::new(block, ctx.orders())
-    }
-
-    /// Approximate heap footprint of the compiled orders in bytes (the block is shared and
-    /// accounted once via [`PointBlock::approximate_bytes`]).
+    /// Approximate heap footprint of the compiled orders in bytes (the rows are shared and
+    /// accounted once via [`Dataset::approximate_bytes`]).
     pub fn approximate_bytes(&self) -> usize {
         self.orders
             .iter()
@@ -989,28 +483,29 @@ impl CompiledRelation {
 
     /// Appends point `p`'s `(id, rank)` nominal pairs to `out`.
     fn extend_nominal_keys(&self, out: &mut Vec<u16>, p: PointId) {
-        for (order, &v) in self.orders.iter().zip(self.block.nominal_row(p)) {
+        for (order, &v) in self.orders.iter().zip(self.data.nominal_row(p)) {
             out.push(v);
             out.push(order.layer(v));
         }
     }
 }
 
-impl Dominance for CompiledRelation {
+impl<R: Deref<Target = Dataset>> Dominance for CompiledRelation<R> {
     type Window = DenseWindow;
 
     fn reset_window(&self, window: &mut DenseWindow) {
         window.members.clear();
         window.peek.resync();
+        let schema = self.data.schema();
         window
             .lanes
-            .reset(self.block.numeric_dims(), self.block.nominal_dims());
+            .reset(schema.numeric_count(), schema.nominal_count());
     }
 
     fn push_window(&self, window: &mut DenseWindow, p: PointId) {
         window.probe.clear();
         self.extend_nominal_keys(&mut window.probe, p);
-        window.lanes.push(self.block.numeric_row(p), &window.probe);
+        window.lanes.push(self.data.numeric_row(p), &window.probe);
         window.members.push(p);
     }
 
@@ -1030,7 +525,7 @@ impl Dominance for CompiledRelation {
         let hit =
             window
                 .lanes
-                .first_dominator(&self.orders, self.block.numeric_row(p), &window.probe);
+                .first_dominator(&self.orders, self.data.numeric_row(p), &window.probe);
         if let Some(i) = hit {
             window.peek.observe(i + 1);
         }
@@ -1040,10 +535,6 @@ impl Dominance for CompiledRelation {
     #[inline]
     fn dominates(&self, p: PointId, q: PointId) -> bool {
         CompiledRelation::dominates(self, p, q)
-    }
-
-    fn compare(&self, p: PointId, q: PointId) -> DomRelation {
-        CompiledRelation::compare(self, p, q)
     }
 
     #[inline]
@@ -1056,10 +547,11 @@ impl Dominance for CompiledRelation {
     /// rows just lose their validity bit (lanes are never reused, so a lane index stays
     /// aligned with the side list of member ids).
     fn bnl_skyline(&self, points: &[PointId]) -> Vec<PointId> {
+        let schema = self.data.schema();
         let mut lanes = PackedLanes::default();
-        lanes.reset(self.block.numeric_dims(), self.block.nominal_dims());
+        lanes.reset(schema.numeric_count(), schema.nominal_count());
         let mut members: Vec<PointId> = Vec::new();
-        let mut probe: Vec<u16> = Vec::with_capacity(self.block.nominal_dims() * 2);
+        let mut probe: Vec<u16> = Vec::with_capacity(schema.nominal_count() * 2);
         // First still-valid lane; advances monotonically as evictions only clear bits.
         let mut first_valid = 0usize;
         // Local adaptive peek depth, tracking this scan's recent kill depths.
@@ -1084,7 +576,7 @@ impl Dominance for CompiledRelation {
             }
             probe.clear();
             self.extend_nominal_keys(&mut probe, p);
-            let pn = self.block.numeric_row(p);
+            let pn = self.data.numeric_row(p);
             // Window members are mutually undominated, so when one dominates `p`, none can
             // be dominated by `p` (transitivity) — probing before evicting loses nothing.
             if let Some(l) = lanes.first_dominator(&self.orders, pn, &probe) {
@@ -1109,9 +601,11 @@ impl Dominance for CompiledRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::DatasetBuilder;
+    use crate::dataset::{DatasetBuilder, DatasetEpoch};
+    use crate::dominance::DominanceContext;
     use crate::order::ImplicitPreference;
     use crate::schema::Dimension;
+    use crate::schema::Schema;
 
     fn vacation_data() -> Dataset {
         let schema = Schema::new(vec![
@@ -1169,8 +663,7 @@ mod tests {
             Template::from_partial_orders(data.schema(), vec![g_order, h_order]).unwrap();
 
         let ctx = DominanceContext::for_template(&data, &template).unwrap();
-        let kernel =
-            CompiledRelation::for_template(Arc::new(PointBlock::new(&data)), &template).unwrap();
+        let kernel = CompiledRelation::for_template(&data, &template).unwrap();
         assert!(!kernel.orders()[0].is_ranked(), "g must be unranked");
         assert!(kernel.orders()[1].is_ranked(), "h must be ranked");
 
@@ -1178,7 +671,6 @@ mod tests {
         for p in data.point_ids() {
             for q in data.point_ids() {
                 assert_eq!(kernel.dominates(p, q), ctx.dominates(p, q), "({p}, {q})");
-                assert_eq!(kernel.compare(p, q), ctx.compare(p, q), "({p}, {q})");
             }
         }
         let score = ScoreFn::default_ranking(data.schema());
@@ -1190,23 +682,26 @@ mod tests {
         );
     }
 
+    /// The row-major layout the kernel reads: each row's numeric values are contiguous, then
+    /// its nominal value ids, and the per-dimension max value covers every row.
     #[test]
     fn block_layout_roundtrips_the_dataset() {
         let data = vacation_data();
-        let block = PointBlock::new(&data);
-        assert_eq!(block.len(), 6);
-        assert!(!block.is_empty());
-        assert_eq!(block.numeric_dims(), 2);
-        assert_eq!(block.nominal_dims(), 1);
+        assert_eq!(data.len(), 6);
+        assert!(!data.is_empty());
+        assert_eq!(data.numeric_row(2), &[3000.0, -5.0]);
+        assert_eq!(data.nominal_row(2), &[1]);
+        assert_eq!(data.nominal_label(2, 0), "H");
+        let mut nums = Vec::new();
+        let mut noms = Vec::new();
         for p in data.point_ids() {
-            assert_eq!(
-                block.numeric_row(p),
-                &[data.numeric(p, 0), data.numeric(p, 1)]
-            );
-            assert_eq!(block.nominal_row(p), &[data.nominal(p, 0)]);
+            nums.extend_from_slice(data.numeric_row(p));
+            noms.extend_from_slice(data.nominal_row(p));
         }
-        assert_eq!(block.max_value, vec![2]);
-        assert!(block.approximate_bytes() >= 6 * (2 * 8 + 2));
+        assert_eq!(data.numeric_values(), nums.as_slice());
+        assert_eq!(data.nominal_values(), noms.as_slice());
+        assert_eq!(data.max_values(), &[2]);
+        assert_eq!(data.approximate_bytes(), 6 * (2 * 8 + 2));
     }
 
     #[test]
@@ -1253,68 +748,52 @@ mod tests {
         let template = Template::empty(data.schema());
         let query = Preference::from_dims(vec![ImplicitPreference::new([0, 2]).unwrap()]);
         let ctx = DominanceContext::for_query(&data, &template, &query).unwrap();
-        let kernel = CompiledRelation::compile_query(&data, &template, &query).unwrap();
+        let kernel =
+            CompiledRelation::for_query(Arc::new(data.clone()), &template, &query).unwrap();
         for p in data.point_ids() {
             for q in data.point_ids() {
                 assert_eq!(kernel.dominates(p, q), ctx.dominates(p, q), "({p}, {q})");
-                assert_eq!(kernel.compare(p, q), ctx.compare(p, q), "({p}, {q})");
             }
         }
-        assert!(kernel.dominated_by_any(1, &[0]));
-        assert!(!kernel.dominated_by_any(0, &[]));
         assert_eq!(kernel.orders().len(), 1);
-        assert_eq!(kernel.block().len(), 6);
+        assert_eq!(kernel.dataset().len(), 6);
         assert!(kernel.approximate_bytes() > 0);
-    }
-
-    #[test]
-    fn from_context_shares_the_block() {
-        let data = vacation_data();
-        let template = Template::empty(data.schema());
-        let ctx = DominanceContext::for_template(&data, &template).unwrap();
-        let block = Arc::new(PointBlock::new(&data));
-        let kernel = CompiledRelation::from_context(block.clone(), &ctx).unwrap();
-        assert!(Arc::ptr_eq(kernel.block(), &block));
-        assert!(kernel.dominates(0, 1));
-        assert!(!kernel.dominates(0, 2));
     }
 
     #[test]
     fn validation_rejects_mismatched_orders() {
         let data = vacation_data();
-        let block = Arc::new(PointBlock::new(&data));
-        assert!(CompiledRelation::new(block.clone(), &[]).is_err());
+        assert!(CompiledRelation::new(&data, &[]).is_err());
         // Cardinality 2 cannot cover value id 2 present in the data.
-        assert!(CompiledRelation::new(block.clone(), &[PartialOrder::empty(2)]).is_err());
-        assert!(CompiledRelation::new(block, &[PartialOrder::empty(3)]).is_ok());
+        assert!(CompiledRelation::new(&data, &[PartialOrder::empty(2)]).is_err());
+        assert!(CompiledRelation::new(&data, &[PartialOrder::empty(3)]).is_ok());
     }
 
     #[test]
     fn append_and_tombstone_bump_the_epoch_and_track_liveness() {
-        let data = vacation_data();
-        let mut block = PointBlock::new(&data);
-        assert_eq!(block.epoch(), DatasetEpoch::INITIAL);
-        assert_eq!(block.live_count(), 6);
-        assert_eq!(block.live_ids().count(), 6);
+        let mut data = vacation_data();
+        assert_eq!(data.epoch(), DatasetEpoch::INITIAL);
+        assert_eq!(data.live_count(), 6);
+        assert_eq!(data.live_ids().count(), 6);
 
-        let p = block.append_row(&[1000.0, -5.0], &[1]).unwrap();
+        let p = data.append_row(&[1000.0, -5.0], &[1]).unwrap();
         assert_eq!(p, 6);
-        assert_eq!(block.len(), 7);
-        assert_eq!(block.live_count(), 7);
-        assert_eq!(block.epoch().get(), 1);
-        assert_eq!(block.numeric_row(p), &[1000.0, -5.0]);
-        assert_eq!(block.nominal_row(p), &[1]);
+        assert_eq!(data.len(), 7);
+        assert_eq!(data.live_count(), 7);
+        assert_eq!(data.epoch().get(), 1);
+        assert_eq!(data.numeric_row(p), &[1000.0, -5.0]);
+        assert_eq!(data.nominal_row(p), &[1]);
 
-        assert!(block.tombstone(2).unwrap());
-        assert!(!block.is_live(2));
-        assert_eq!(block.live_count(), 6);
-        assert_eq!(block.epoch().get(), 2);
-        assert!(!block.tombstone(2).unwrap(), "double tombstone is a no-op");
-        assert_eq!(block.epoch().get(), 2, "no-op must not bump the epoch");
-        assert!(block.tombstone(99).is_err());
-        assert_eq!(block.live_ids().collect::<Vec<_>>(), vec![0, 1, 3, 4, 5, 6]);
+        assert!(data.tombstone(2).unwrap());
+        assert!(!data.is_live(2));
+        assert_eq!(data.live_count(), 6);
+        assert_eq!(data.epoch().get(), 2);
+        assert!(!data.tombstone(2).unwrap(), "double tombstone is a no-op");
+        assert_eq!(data.epoch().get(), 2, "no-op must not bump the epoch");
+        assert!(data.tombstone(99).is_err());
+        assert_eq!(data.live_ids().collect::<Vec<_>>(), vec![0, 1, 3, 4, 5, 6]);
         // Appends keep the max-value validation in sync.
-        let mut grown = PointBlock::new(&data);
+        let mut grown = vacation_data();
         grown.append_row(&[1.0, 1.0], &[2]).unwrap();
         assert!(grown.append_row(&[1.0], &[2]).is_err(), "arity checked");
         assert!(DatasetEpoch::INITIAL < grown.epoch());
@@ -1323,19 +802,18 @@ mod tests {
 
     #[test]
     fn compaction_reclaims_dead_rows_and_publishes_a_remap() {
-        let data = vacation_data();
-        let mut block = PointBlock::new(&data);
-        assert_eq!(block.dead_count(), 0);
-        assert_eq!(block.dead_ratio(), 0.0);
-        block.tombstone(1).unwrap();
-        block.tombstone(3).unwrap();
-        let p = block.append_row(&[100.0, -9.0], &[2]).unwrap();
+        let mut data = vacation_data();
+        assert_eq!(data.dead_count(), 0);
+        assert_eq!(data.dead_ratio(), 0.0);
+        data.tombstone(1).unwrap();
+        data.tombstone(3).unwrap();
+        let p = data.append_row(&[100.0, -9.0], &[2]).unwrap();
         assert_eq!(p, 6);
-        assert_eq!(block.dead_count(), 2);
-        assert!((block.dead_ratio() - 2.0 / 7.0).abs() < 1e-12);
-        let before_epoch = block.epoch();
+        assert_eq!(data.dead_count(), 2);
+        assert!((data.dead_ratio() - 2.0 / 7.0).abs() < 1e-12);
+        let before_epoch = data.epoch();
 
-        let (compact, remap) = block.compacted();
+        let (compact, remap) = data.compacted();
         // Only live rows survive, all live, renumbered in order.
         assert_eq!(compact.len(), 5);
         assert_eq!(compact.live_count(), compact.len());
@@ -1353,7 +831,6 @@ mod tests {
         assert_eq!(remap.old_len(), 7);
         assert_eq!(remap.new_len(), 5);
         assert_eq!(remap.reclaimed(), 2);
-        assert!(!remap.is_identity());
         assert_eq!(remap.new_id(0), Some(0));
         assert_eq!(remap.new_id(1), None, "reclaimed rows have no new id");
         assert_eq!(remap.new_id(2), Some(1));
@@ -1363,23 +840,22 @@ mod tests {
         assert_eq!(remap.old_id(5), None);
         for new in 0..compact.len() as PointId {
             let old = remap.old_id(new).unwrap();
-            assert_eq!(compact.numeric_row(new), block.numeric_row(old));
-            assert_eq!(compact.nominal_row(new), block.nominal_row(old));
+            assert_eq!(compact.numeric_row(new), data.numeric_row(old));
+            assert_eq!(compact.nominal_row(new), data.nominal_row(old));
         }
         // Sorted translation stays sorted; lists naming a reclaimed row are unsalvageable.
         assert_eq!(remap.translate_ids(&[0, 2, 6]), Some(vec![0, 1, 4]));
         assert_eq!(remap.translate_ids(&[0, 1]), None);
         // max_value is recomputed over the survivors.
-        assert_eq!(compact.max_value, vec![2]);
+        assert_eq!(compact.max_values(), &[2]);
     }
 
     #[test]
     fn remap_extends_over_replayed_appends() {
-        let data = vacation_data();
-        let mut block = PointBlock::new(&data);
-        block.tombstone(0).unwrap();
-        let (mut compact, mut remap) = block.compacted();
-        // A mutation that arrived mid-build is replayed onto the new block and recorded.
+        let mut data = vacation_data();
+        data.tombstone(0).unwrap();
+        let (mut compact, mut remap) = data.compacted();
+        // A mutation that arrived mid-build is replayed onto the new data and recorded.
         let new = compact.append_row(&[1.0, 1.0], &[0]).unwrap();
         remap.push_appended(new);
         assert_eq!(remap.old_len(), 7);
@@ -1387,7 +863,7 @@ mod tests {
         assert_eq!(remap.old_id(5), Some(6));
         // An identity compaction (nothing dead) maps every id to itself.
         let (_, identity) = compact.compacted();
-        assert!(identity.is_identity());
+        assert_eq!(identity.reclaimed(), 0);
         assert_eq!(identity.translate_ids(&[0, 3, 5]), Some(vec![0, 3, 5]));
     }
 
@@ -1395,19 +871,18 @@ mod tests {
     fn from_compiled_orders_matches_the_fresh_compilation() {
         let data = vacation_data();
         let template = Template::empty(data.schema());
-        let block = Arc::new(PointBlock::new(&data));
-        let fresh = CompiledRelation::for_template(block.clone(), &template).unwrap();
+        let fresh = CompiledRelation::for_template(&data, &template).unwrap();
         let reused =
-            CompiledRelation::from_compiled_orders(block.clone(), fresh.orders().to_vec()).unwrap();
+            CompiledRelation::from_compiled_orders(&data, fresh.orders().to_vec()).unwrap();
         for p in data.point_ids() {
             for q in data.point_ids() {
                 assert_eq!(fresh.dominates(p, q), reused.dominates(p, q), "({p}, {q})");
             }
         }
         // Validation still applies: wrong count and undersized cardinality are rejected.
-        assert!(CompiledRelation::from_compiled_orders(block.clone(), vec![]).is_err());
+        assert!(CompiledRelation::from_compiled_orders(&data, vec![]).is_err());
         let tiny = CompiledOrder::compile(&PartialOrder::empty(1));
-        assert!(CompiledRelation::from_compiled_orders(block, vec![tiny]).is_err());
+        assert!(CompiledRelation::from_compiled_orders(&data, vec![tiny]).is_err());
     }
 
     #[test]
@@ -1418,9 +893,8 @@ mod tests {
         ])
         .unwrap();
         let data = Dataset::from_columns(schema, vec![vec![]], vec![vec![]]).unwrap();
-        let block = Arc::new(PointBlock::new(&data));
-        assert!(block.is_empty());
-        assert!(CompiledRelation::new(block, &[PartialOrder::empty(0)]).is_ok());
+        assert!(data.is_empty());
+        assert!(CompiledRelation::new(&data, &[PartialOrder::empty(0)]).is_ok());
     }
 
     /// A dataset whose skyline is large enough to push the dense window past several 64-lane
@@ -1455,8 +929,7 @@ mod tests {
         let g_order = PartialOrder::from_pairs(3, [(0, 2)]).unwrap();
         let template = Template::from_partial_orders(data.schema(), vec![g_order]).unwrap();
         let ctx = DominanceContext::for_template(&data, &template).unwrap();
-        let kernel =
-            CompiledRelation::for_template(Arc::new(PointBlock::new(&data)), &template).unwrap();
+        let kernel = CompiledRelation::for_template(&data, &template).unwrap();
         let score = ScoreFn::default_ranking(data.schema());
         let all: Vec<PointId> = data.point_ids().collect();
         let sorted = score.sort_by_score(&data, &all);
@@ -1526,8 +999,7 @@ mod tests {
         // reset_window resyncs the pin for windows created outside the override scope.
         let data = vacation_data();
         let template = Template::empty(data.schema());
-        let kernel =
-            CompiledRelation::for_template(Arc::new(PointBlock::new(&data)), &template).unwrap();
+        let kernel = CompiledRelation::for_template(&data, &template).unwrap();
         let mut window = DenseWindow::default();
         with_window_peek(3, || {
             kernel.reset_window(&mut window);

@@ -10,14 +10,15 @@
 //!
 //! This crate provides:
 //!
-//! * the data model: [`Schema`], [`Dataset`], nominal value dictionaries ([`NominalDomain`]);
+//! * the data model: [`Schema`], the row store [`Dataset`] (row-major rows plus liveness and
+//!   the mutation [`DatasetEpoch`]), nominal value dictionaries ([`NominalDomain`]);
 //! * preference machinery: general strict [`order::PartialOrder`]s, the restricted
 //!   [`order::ImplicitPreference`] form used by the paper, [`order::Preference`] profiles and
 //!   [`order::Template`]s shared by all users;
 //! * dominance testing ([`DominanceContext`]) and the monotone scoring function used by the
 //!   SFS family ([`score::ScoreFn`]);
-//! * the compiled dominance kernel ([`kernel`]): query-compiled closure bitmasks over a
-//!   cache-friendly row-major point layout, behind the shared [`dominance::Dominance`] trait;
+//! * the compiled dominance kernel ([`kernel`]): query-compiled closure bitmasks over the
+//!   dataset's row-major rows, behind the shared [`dominance::Dominance`] trait;
 //! * baseline full-dataset skyline algorithms: block-nested-loop ([`algo::bnl`]) and
 //!   sort-first-skyline ([`algo::sfs`]: one progressive scan, the paper's **SFS-D** baseline
 //!   and Adaptive SFS's elimination loop), counting into one [`Work`] record;
@@ -50,13 +51,12 @@ pub mod value;
 
 pub use algo::{merge_skylines, ProgressiveMerger, SkylineMerger, Work};
 pub use bitset::BitSet;
-pub use dataset::{Dataset, DatasetBuilder, RowValue};
+pub use dataset::{Dataset, DatasetBuilder, DatasetEpoch, RowIdRemap, RowValue};
 pub use deadline::{CancelToken, Deadline, DEADLINE_CHECK_INTERVAL};
-pub use dominance::{DomRelation, Dominance, DominanceContext};
+pub use dominance::{Dominance, DominanceContext};
 pub use error::{Result, SkylineError};
 pub use kernel::{
-    kernel_mode, with_window_peek, CompiledOrder, CompiledRelation, DatasetEpoch, DenseWindow,
-    KernelMode, PointBlock, RowIdRemap,
+    kernel_mode, with_window_peek, CompiledOrder, CompiledRelation, DenseWindow, KernelMode,
 };
 pub use order::{CanonicalPreference, ImplicitPreference, PartialOrder, Preference, Template};
 pub use schema::{Dimension, DimensionKind, Schema};

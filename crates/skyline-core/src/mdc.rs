@@ -16,9 +16,11 @@
 //! Every MDC pair states "`better` must be preferred to `worse` on nominal dimension `dim`".
 
 use crate::bitset::BitSet;
+use crate::dataset::Dataset;
 use crate::kernel::{CompiledOrder, CompiledRelation};
 use crate::order::{PartialOrder, Preference};
 use crate::value::{PointId, ValueId};
+use std::ops::Deref;
 
 /// One required binary order `(better ≺ worse)` on a nominal dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -214,30 +216,29 @@ impl MdcIndex {
 /// `skyline_ipo::build::direct_disqualified` defines them). Restricting the dominators to the
 /// skyline under `ctx`'s relation is lossless: if any point disqualifies `p` under a refinement,
 /// some skyline point does too (follow the dominance chain upwards).
-pub fn compute_mdcs_with_dominators(
-    ctx: &CompiledRelation,
+pub fn compute_mdcs_with_dominators<R: Deref<Target = Dataset>>(
+    ctx: &CompiledRelation<R>,
     skyline: &[PointId],
     dominators: &[PointId],
 ) -> MdcIndex {
-    let block = ctx.block();
-    let (nd, md) = (block.numeric_dims(), block.nominal_dims());
-    let zone = |q: PointId| match block.numeric_row(q).first() {
+    let data = ctx.dataset();
+    let (nd, md) = (data.schema().numeric_count(), data.schema().nominal_count());
+    let zone = |q: PointId| match data.numeric_row(q).first() {
         Some(v) if !v.is_nan() => *v,
         _ => f64::NEG_INFINITY,
     };
     let mut sorted = dominators.to_vec();
     sorted.sort_unstable_by(|&a, &b| {
-        block
-            .nominal_row(a)
-            .cmp(block.nominal_row(b))
+        data.nominal_row(a)
+            .cmp(data.nominal_row(b))
             .then(zone(a).total_cmp(&zone(b)))
     });
     // Flat group buffers: one tuple per group in `tuples`; group `g`'s numeric rows are
     // `nums[ends[g - 1]..ends[g]]`.
     let (mut tuples, mut nums, mut ends) = (Vec::new(), Vec::new(), Vec::new());
-    for group in sorted.chunk_by(|&a, &b| block.nominal_row(a) == block.nominal_row(b)) {
-        tuples.extend_from_slice(block.nominal_row(group[0]));
-        nums.extend(group.iter().flat_map(|&q| block.numeric_row(q)));
+    for group in sorted.chunk_by(|&a, &b| data.nominal_row(a) == data.nominal_row(b)) {
+        tuples.extend_from_slice(data.nominal_row(group[0]));
+        nums.extend(group.iter().flat_map(|&q| data.numeric_row(q)));
         ends.push(nums.len());
     }
 
@@ -245,7 +246,7 @@ pub fn compute_mdcs_with_dominators(
     let mdcs = skyline
         .iter()
         .map(|&p| {
-            let (pn, pm) = (block.numeric_row(p), block.nominal_row(p));
+            let (pn, pm) = (data.numeric_row(p), data.nominal_row(p));
             let mut candidates: Vec<Mdc> = Vec::new();
             let mut start = 0;
             // `max(1)`: with no nominal dimension `tuples` is empty and there is no group.
@@ -342,18 +343,15 @@ fn minimalize(candidates: Vec<Mdc>) -> Vec<Mdc> {
 mod tests {
     use super::*;
     use crate::algo::bnl;
-    use crate::dataset::{Dataset, DatasetBuilder, RowValue};
+    use crate::dataset::{DatasetBuilder, RowValue};
     use crate::dominance::DominanceContext;
-    use crate::kernel::PointBlock;
     use crate::order::{ImplicitPreference, Template};
     use crate::schema::{Dimension, Schema};
     use crate::value::NominalDomain;
-    use std::sync::Arc;
 
     /// Mines against `template`'s relation with every row as a potential dominator.
     fn mine(data: &Dataset, template: &Template, skyline: &[PointId]) -> MdcIndex {
-        let block = Arc::new(PointBlock::new(data));
-        let rel = CompiledRelation::for_template(block, template).unwrap();
+        let rel = CompiledRelation::for_template(data, template).unwrap();
         let all: Vec<PointId> = data.point_ids().collect();
         compute_mdcs_with_dominators(&rel, skyline, &all)
     }
@@ -520,7 +518,7 @@ mod tests {
             let data = adversarial_data(&mut rng, case % 3);
             let orders = random_orders(&mut rng, &data, case % 2 == 0);
             let ctx = DominanceContext::new(&data, orders.clone()).unwrap();
-            let rel = CompiledRelation::new(Arc::new(PointBlock::new(&data)), &orders).unwrap();
+            let rel = CompiledRelation::new(&data, &orders).unwrap();
             let all: Vec<PointId> = data.point_ids().collect();
             let some: Vec<PointId> = all.iter().copied().filter(|_| rng.below(3) > 0).collect();
             for dominators in [&all, &some] {

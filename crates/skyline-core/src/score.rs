@@ -59,25 +59,11 @@ impl ScoreFn {
 
     /// Score of point `p`: sum of its numeric values plus the ranks of its nominal values.
     pub fn score(&self, data: &Dataset, p: PointId) -> f64 {
-        let schema = data.schema();
         let mut total = 0.0;
-        for j in 0..schema.numeric_count() {
-            total += data.numeric(p, j);
-        }
-        for (j, ranks) in self.nominal_ranks.iter().enumerate() {
-            total += ranks[data.nominal(p, j) as usize];
-        }
-        total
-    }
-
-    /// [`ScoreFn::score`] of a row given by its values in dimension-index order — the same
-    /// sum in the same order, for rows read out of a [`crate::PointBlock`].
-    pub fn score_row(&self, numeric: &[f64], nominal: &[ValueId]) -> f64 {
-        let mut total = 0.0;
-        for &v in numeric {
+        for &v in data.numeric_row(p) {
             total += v;
         }
-        for (ranks, &v) in self.nominal_ranks.iter().zip(nominal) {
+        for (ranks, &v) in self.nominal_ranks.iter().zip(data.nominal_row(p)) {
             total += ranks[v as usize];
         }
         total
@@ -156,11 +142,6 @@ mod tests {
         // point 2: price 5, group M (rank 1) => 6
         assert_eq!(f.score(&data, 2), 6.0);
         assert_eq!(f.score_all(&data), vec![13.0, 22.0, 6.0, 8.0]);
-        let block = crate::PointBlock::new(&data);
-        for p in data.point_ids() {
-            let row = f.score_row(block.numeric_row(p), block.nominal_row(p));
-            assert_eq!(row.to_bits(), f.score(&data, p).to_bits());
-        }
     }
 
     #[test]

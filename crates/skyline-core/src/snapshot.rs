@@ -17,12 +17,13 @@
 //! | …                | section payloads, each starting at an 8-byte-aligned offset |
 //!
 //! Every integer is little-endian. Section payloads are the raw arrays the in-memory
-//! structures are made of — the numeric column block is a plain `f64` array, the nominal
-//! block a plain `u16` array — so loading is one bounds- and alignment-checked pass over
-//! the buffer with bulk fixed-width decoding (which the compiler vectorizes into wide
-//! copies), not a field-by-field walk through a self-describing encoding. Section offsets
-//! are **required** to be 8-byte aligned within the buffer; [`SnapshotView::parse`] rejects
-//! misaligned tables so the bulk decode never straddles an element boundary.
+//! structures are made of — the dataset's row-major numeric values are a plain `f64` array,
+//! its nominal value ids a plain `u16` array — so loading is one bounds- and
+//! alignment-checked pass over the buffer with bulk fixed-width decoding (which the compiler
+//! vectorizes into wide copies), not a field-by-field walk through a self-describing
+//! encoding. Section offsets are **required** to be 8-byte aligned within the buffer;
+//! [`SnapshotView::parse`] rejects misaligned tables so the bulk decode never straddles an
+//! element boundary.
 //!
 //! Integrity is layered: the table CRC covers the section table, and each section carries
 //! its own CRC-32 over its payload, all verified eagerly at [`SnapshotView::parse`] time.
@@ -31,15 +32,14 @@
 //! never partially served.
 //!
 //! This module owns the container plus the codecs for the core types ([`Schema`],
-//! [`Template`], [`PointBlock`]) and the shared primitives ([`ByteWriter`],
+//! [`Template`], the [`Dataset`] rows) and the shared primitives ([`ByteWriter`],
 //! [`ByteReader`], delta-encoded vbyte posting lists). Higher layers add their own
 //! sections: `skyline-ipo` encodes the IPO tree ([`SECTION_IPO_TREE`]), `skyline-adaptive`
 //! the sorted list ([`SECTION_ASFS_ENTRIES`]), and the `skyline` engine the generation
 //! metadata ([`SECTION_ENGINE_META`]) tying them together.
 
-use crate::dataset::Dataset;
+use crate::dataset::{out_of_domain, Dataset};
 use crate::error::SkylineError;
-use crate::kernel::PointBlock;
 use crate::order::{ImplicitPreference, PartialOrder, Preference, Template};
 use crate::schema::{Dimension, Schema};
 use crate::value::{PointId, ValueId};
@@ -69,11 +69,11 @@ pub const SECTION_ENGINE_META: u32 = 1;
 pub const SECTION_SCHEMA: u32 = 2;
 /// [`Template`] codec payload ([`encode_template`] / [`decode_template`]).
 pub const SECTION_TEMPLATE: u32 = 3;
-/// Fixed-width [`PointBlock`] header: row count, dimension counts, epoch, live count.
+/// Fixed-width [`Dataset`] row header: row count, dimension counts, epoch, live count.
 pub const SECTION_BLOCK_HEADER: u32 = 4;
-/// The block's interleaved numeric values as a raw little-endian `f64` array.
+/// The dataset's interleaved numeric values as a raw little-endian `f64` array.
 pub const SECTION_BLOCK_NUMERICS: u32 = 5;
-/// The block's interleaved nominal value ids as a raw little-endian `u16` array.
+/// The dataset's interleaved nominal value ids as a raw little-endian `u16` array.
 pub const SECTION_BLOCK_NOMINALS: u32 = 6;
 /// Per-nominal-dimension maximum value ids (`u16` array).
 pub const SECTION_BLOCK_MAX_VALUES: u32 = 7;
@@ -678,7 +678,7 @@ fn decode_f64_slice(bytes: &[u8]) -> Vec<f64> {
 }
 
 // ---------------------------------------------------------------------------
-// Core-type codecs: Schema, Template, PointBlock
+// Core-type codecs: Schema, Template, Dataset
 // ---------------------------------------------------------------------------
 
 const KIND_NUMERIC: u8 = 0;
@@ -836,32 +836,34 @@ pub fn decode_template(schema: &Schema, bytes: &[u8]) -> Result<Template, Snapsh
     Ok(template)
 }
 
-/// Writes the four [`PointBlock`] sections (header, numeric array, nominal array,
-/// max-value array) plus the liveness bitset into `builder`.
-pub fn write_block_sections(block: &PointBlock, builder: &mut SnapshotBuilder) {
+/// Writes the dataset's row sections (header, numeric array, nominal array, max-value
+/// array, liveness bitset) into `builder`. The schema goes in its own section
+/// ([`encode_schema`]).
+pub fn write_dataset_sections(data: &Dataset, builder: &mut SnapshotBuilder) {
+    let schema = data.schema();
     let mut header = ByteWriter::new();
-    header.put_u64(block.len() as u64);
-    header.put_u32(block.numeric_dims() as u32);
-    header.put_u32(block.nominal_dims() as u32);
-    header.put_u64(block.epoch().get());
-    header.put_u64(block.live_count() as u64);
+    header.put_u64(data.len() as u64);
+    header.put_u32(schema.numeric_count() as u32);
+    header.put_u32(schema.nominal_count() as u32);
+    header.put_u64(data.epoch().get());
+    header.put_u64(data.live_count() as u64);
     builder.section(SECTION_BLOCK_HEADER, header.into_inner());
 
     let mut nums = ByteWriter::new();
-    nums.put_f64_slice(block.numeric_values());
+    nums.put_f64_slice(data.numeric_values());
     builder.section(SECTION_BLOCK_NUMERICS, nums.into_inner());
 
     let mut noms = ByteWriter::new();
-    noms.put_u16_slice(block.nominal_values());
+    noms.put_u16_slice(data.nominal_values());
     builder.section(SECTION_BLOCK_NOMINALS, noms.into_inner());
 
     let mut max = ByteWriter::new();
-    max.put_u16_slice(block.max_values());
+    max.put_u16_slice(data.max_values());
     builder.section(SECTION_BLOCK_MAX_VALUES, max.into_inner());
 
     let mut live = ByteWriter::new();
     let mut word = 0u64;
-    for (p, alive) in block.liveness().iter().enumerate() {
+    for (p, alive) in data.liveness().iter().enumerate() {
         if *alive {
             word |= 1 << (p % 64);
         }
@@ -870,15 +872,17 @@ pub fn write_block_sections(block: &PointBlock, builder: &mut SnapshotBuilder) {
             word = 0;
         }
     }
-    if !block.len().is_multiple_of(64) {
+    if !data.len().is_multiple_of(64) {
         live.put_u64(word);
     }
     builder.section(SECTION_BLOCK_LIVENESS, live.into_inner());
 }
 
-/// Reconstructs a [`PointBlock`] from the sections written by [`write_block_sections`],
-/// restoring its [`crate::DatasetEpoch`] so epoch-tagged artifacts keep composing.
-pub fn read_block(view: &SnapshotView<'_>) -> Result<PointBlock, SnapshotError> {
+/// Reconstructs a [`Dataset`] of `schema` from the sections written by
+/// [`write_dataset_sections`], restoring its [`crate::DatasetEpoch`] so epoch-tagged artifacts
+/// keep composing. Rejects rows whose dimensions do not match `schema` and nominal value ids
+/// outside its domains.
+pub fn read_dataset(view: &SnapshotView<'_>, schema: &Schema) -> Result<Dataset, SnapshotError> {
     let mut header = ByteReader::new(view.section(SECTION_BLOCK_HEADER)?);
     let len = header.get_u64()? as usize;
     let numeric_dims = header.get_u32()? as usize;
@@ -888,12 +892,20 @@ pub fn read_block(view: &SnapshotView<'_>) -> Result<PointBlock, SnapshotError> 
     header.expect_end()?;
     if len > PointId::MAX as usize {
         return Err(SnapshotError::Corrupt(format!(
-            "block claims {len} rows, beyond the PointId range"
+            "dataset claims {len} rows, beyond the PointId range"
         )));
     }
     if live_len > len {
         return Err(SnapshotError::Corrupt(format!(
-            "block claims {live_len} live rows out of {len}"
+            "dataset claims {live_len} live rows out of {len}"
+        )));
+    }
+    if schema.numeric_count() != numeric_dims || schema.nominal_count() != nominal_dims {
+        return Err(SnapshotError::Corrupt(format!(
+            "schema has {}+{} dimensions but the rows were written for {numeric_dims}+\
+             {nominal_dims}",
+            schema.numeric_count(),
+            schema.nominal_count(),
         )));
     }
 
@@ -929,8 +941,8 @@ pub fn read_block(view: &SnapshotView<'_>) -> Result<PointBlock, SnapshotError> 
     expect("max-value", max_bytes.len(), nominal_dims * 2)?;
     let max_value = decode_u16_slice(max_bytes);
     if nominal_dims > 0 {
-        // The block invariant: max_value[j] is the max over all physical rows. Compiled
-        // orders validate their cardinality against it, so an understated bound in a
+        // The invariant: max_value[j] is the max over all physical rows. Compiled orders
+        // validate their cardinality against it, so an understated bound in a
         // checksum-colliding payload could send a value id past an order's closure table.
         let mut computed = vec![ValueId::default(); nominal_dims];
         for row in noms.chunks_exact(nominal_dims) {
@@ -942,6 +954,14 @@ pub fn read_block(view: &SnapshotView<'_>) -> Result<PointBlock, SnapshotError> 
             return Err(SnapshotError::Corrupt(
                 "per-dimension max-value bounds do not match the nominal array".into(),
             ));
+        }
+    }
+    if len > 0 {
+        // With the bounds verified exact, checking each bound checks every value id.
+        for (j, &max) in max_value.iter().enumerate() {
+            if max as usize >= schema.nominal_domain(j).map_or(0, |d| d.cardinality()) {
+                return Err(out_of_domain(schema, j, max).into());
+            }
         }
     }
 
@@ -966,49 +986,14 @@ pub fn read_block(view: &SnapshotView<'_>) -> Result<PointBlock, SnapshotError> 
             "liveness bitset counts {counted} live rows but the header claims {live_len}"
         )));
     }
-    Ok(PointBlock::from_parts(
-        len,
-        numeric_dims,
-        nominal_dims,
+    Ok(Dataset::from_parts(
+        schema.clone(),
         nums,
         noms,
         max_value,
         live,
         epoch,
     ))
-}
-
-/// Rebuilds the columnar [`Dataset`] by transposing a decoded block — the snapshot never
-/// stores the data twice. Goes through [`Dataset::from_columns`], so out-of-domain values
-/// in a corrupt (but checksum-colliding) payload are still rejected.
-pub fn dataset_from_block(schema: &Schema, block: &PointBlock) -> Result<Dataset, SnapshotError> {
-    if schema.numeric_count() != block.numeric_dims()
-        || schema.nominal_count() != block.nominal_dims()
-    {
-        return Err(SnapshotError::Corrupt(format!(
-            "schema has {}+{} dimensions but the block was built for {}+{}",
-            schema.numeric_count(),
-            schema.nominal_count(),
-            block.numeric_dims(),
-            block.nominal_dims()
-        )));
-    }
-    let len = block.len();
-    let mut numeric_cols = vec![Vec::with_capacity(len); block.numeric_dims()];
-    let mut nominal_cols = vec![Vec::with_capacity(len); block.nominal_dims()];
-    for p in 0..len as PointId {
-        for (col, &v) in numeric_cols.iter_mut().zip(block.numeric_row(p)) {
-            col.push(v);
-        }
-        for (col, &v) in nominal_cols.iter_mut().zip(block.nominal_row(p)) {
-            col.push(v);
-        }
-    }
-    Ok(Dataset::from_columns(
-        schema.clone(),
-        numeric_cols,
-        nominal_cols,
-    )?)
 }
 
 // ---------------------------------------------------------------------------
@@ -1232,35 +1217,35 @@ mod tests {
         for (price, g, m) in [(10.0, 0, 0), (20.0, 1, 1), (30.0, 2, 0), (40.0, 0, 1)] {
             data.push_row_ids(&[price], &[g, m]).unwrap();
         }
-        let mut block = PointBlock::new(&data);
-        block.tombstone(1).unwrap();
-        block.append_row(&[50.0], &[1, 0]).unwrap();
+        data.tombstone(1).unwrap();
+        data.append_row(&[50.0], &[1, 0]).unwrap();
 
         let mut b = SnapshotBuilder::new();
-        write_block_sections(&block, &mut b);
+        write_dataset_sections(&data, &mut b);
         let buf = b.finish();
         let view = SnapshotView::parse(&buf).unwrap();
-        let decoded = read_block(&view).unwrap();
-        assert_eq!(decoded, block);
-        assert_eq!(decoded.epoch(), block.epoch());
+        let decoded = read_dataset(&view, &schema).unwrap();
+        assert_eq!(decoded, data);
+        assert_eq!(decoded.epoch(), data.epoch());
         assert_eq!(decoded.live_count(), 4);
-
-        // And the dataset reconstructs by transposition.
-        let rebuilt = dataset_from_block(&schema, &decoded).unwrap();
-        assert_eq!(rebuilt.len(), 5);
-        assert_eq!(rebuilt.numeric(4, 0), 50.0);
-        assert_eq!(rebuilt.nominal(2, 0), 2);
+        assert_eq!(decoded.len(), 5);
+        assert_eq!(decoded.numeric(4, 0), 50.0);
+        assert_eq!(decoded.nominal(2, 0), 2);
     }
 
+    /// Reading the rows back under a schema of other dimensions is a corruption report.
     #[test]
     fn dataset_from_block_rejects_schema_mismatch() {
         let schema = sample_schema();
         let mut data = Dataset::empty(schema.clone());
         data.push_row_ids(&[1.0], &[0, 0]).unwrap();
-        let block = PointBlock::new(&data);
+        let mut b = SnapshotBuilder::new();
+        write_dataset_sections(&data, &mut b);
+        let buf = b.finish();
+        let view = SnapshotView::parse(&buf).unwrap();
         let narrow = Schema::new(vec![Dimension::numeric("x")]).unwrap();
         assert!(matches!(
-            dataset_from_block(&narrow, &block),
+            read_dataset(&view, &narrow),
             Err(SnapshotError::Corrupt(_))
         ));
     }

@@ -156,7 +156,7 @@ mod tests {
         let data = generate();
         let maxes = [2.0, 4.0, 2.0, 1.0, 2.0, 2.0];
         for (j, &max) in maxes.iter().enumerate() {
-            let col = data.numeric_column(j);
+            let col: Vec<f64> = data.point_ids().map(|p| data.numeric(p, j)).collect();
             assert!(col.iter().all(|&v| v >= 0.0 && v <= max));
             assert!(col.contains(&max), "value {max} missing in column {j}");
         }

@@ -195,14 +195,13 @@ mod tests {
             let data = generate(500, 4, 2, 8, dist, 1.0, 7);
             for j in 0..4 {
                 assert!(
-                    data.numeric_column(j)
-                        .iter()
-                        .all(|v| (0.0..=1.0).contains(v)),
+                    data.point_ids()
+                        .all(|p| (0.0..=1.0).contains(&data.numeric(p, j))),
                     "{dist:?}"
                 );
             }
             for j in 0..2 {
-                assert!(data.nominal_column(j).iter().all(|&v| v < 8), "{dist:?}");
+                assert!(data.point_ids().all(|p| data.nominal(p, j) < 8), "{dist:?}");
             }
         }
     }

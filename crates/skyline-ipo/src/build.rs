@@ -1,9 +1,9 @@
 //! IPO-tree construction (Section 3.1).
 //!
-//! The builder transposes the dataset into one transient [`PointBlock`] and runs four phases
-//! on it. The costs are for the paper-default corpus at n = 100 000 (3 numeric + 2 nominal
-//! dimensions of cardinality 20, anti-correlated; `|SKY(∅)|` = 24 542, `|SKY(R)|` = 3 369) on
-//! a 2-core Xeon @ 2.1 GHz (AVX2):
+//! The builder runs four phases over the dataset's live rows, reading them in place through a
+//! borrowed [`CompiledRelation`]. The costs are for the paper-default corpus at n = 100 000
+//! (3 numeric + 2 nominal dimensions of cardinality 20, anti-correlated; `|SKY(∅)|` = 24 542,
+//! `|SKY(R)|` = 3 369) on a 2-core Xeon @ 2.1 GHz (AVX2):
 //!
 //! 1. **`SKY(∅)` per nominal tuple** (33–37 ms). Under the empty relation two rows are
 //!    comparable only when their nominal tuples are equal, so the base skyline is the union of
@@ -29,10 +29,9 @@ use skyline_core::algo::sfs::Scan;
 use skyline_core::mdc::compute_mdcs_with_dominators;
 use skyline_core::score::ScoreFn;
 use skyline_core::{
-    CompiledRelation, Dataset, DominanceContext, ImplicitPreference, PartialOrder, PointBlock,
-    PointId, Preference, Result, SkylineError, Template, ValueId,
+    CompiledRelation, Dataset, DominanceContext, ImplicitPreference, PartialOrder, PointId,
+    Preference, Result, SkylineError, Template, ValueId,
 };
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Statistics recorded while building a tree (reported by the benchmark harness).
@@ -111,19 +110,17 @@ impl IpoTreeBuilder {
             )));
         }
 
-        // 1. Base skyline SKY(∅): dominator pool for every node computation. One transient
-        //    block serves all three phases.
-        let block = Arc::new(PointBlock::new(data));
+        // 1. Base skyline SKY(∅): dominator pool for every node computation.
         let empty_orders: Vec<PartialOrder> = cards.into_iter().map(PartialOrder::empty).collect();
-        let base = CompiledRelation::new(block.clone(), &empty_orders)?;
-        let base_skyline = base_skyline(data, &base);
+        let base = CompiledRelation::new(data, &empty_orders)?;
+        let base_skyline = base_skyline(&base);
 
         // 2. Template skyline SKY(R) ⊆ SKY(∅): what the root stores.
         let skyline = if template.is_empty() {
             base_skyline.clone()
         } else {
             bnl::skyline_of(
-                &CompiledRelation::for_template(block, template)?,
+                &CompiledRelation::for_template(data, template)?,
                 &base_skyline,
             )
         };
@@ -230,19 +227,19 @@ impl IpoTreeBuilder {
     }
 }
 
-/// `SKY(∅)` of `data`, sorted by id, under `base` (the empty relation over `data`'s block).
+/// `SKY(∅)` of the live rows, sorted by id, under `base` (the empty relation over the data).
 ///
 /// Under the empty relation two rows are comparable only when their nominal tuples are equal,
 /// so the global SFS scan only ever tests a row against earlier rows of its own tuple. Sorting
 /// once by the default ranking, splitting the order stably by tuple and scanning each group
 /// on its own therefore accepts exactly the rows the global scan accepts.
-fn base_skyline(data: &Dataset, base: &CompiledRelation) -> Vec<PointId> {
-    let block = base.block();
-    let all: Vec<PointId> = data.point_ids().collect();
-    let mut sorted = ScoreFn::default_ranking(data.schema()).sort_by_score(data, &all);
-    sorted.sort_by(|&a, &b| block.nominal_row(a).cmp(block.nominal_row(b)));
+fn base_skyline(base: &CompiledRelation<&Dataset>) -> Vec<PointId> {
+    let data = base.dataset();
+    let live: Vec<PointId> = data.live_ids().collect();
+    let mut sorted = ScoreFn::default_ranking(data.schema()).sort_by_score(data, &live);
+    sorted.sort_by(|&a, &b| data.nominal_row(a).cmp(data.nominal_row(b)));
     let mut skyline: Vec<PointId> = sorted
-        .chunk_by(|&a, &b| block.nominal_row(a) == block.nominal_row(b))
+        .chunk_by(|&a, &b| data.nominal_row(a) == data.nominal_row(b))
         .flat_map(|group| Scan::presorted(base, group))
         .collect();
     skyline.sort_unstable();
@@ -667,8 +664,8 @@ mod tests {
                 .into_iter()
                 .map(PartialOrder::empty)
                 .collect();
-            let base = CompiledRelation::new(Arc::new(PointBlock::new(&data)), &orders).unwrap();
-            let grouped = base_skyline(&data, &base);
+            let base = CompiledRelation::new(&data, &orders).unwrap();
+            let grouped = base_skyline(&base);
             assert_eq!(grouped, global, "case {case}");
             if nan {
                 continue;

@@ -172,7 +172,7 @@ fn main() -> Result<()> {
     );
 
     // Mutations stale the tree: every query now routes to the Adaptive-SFS fallback, and
-    // tombstones pile up in the block.
+    // tombstones pile up in the dataset.
     for p in 0..100u32 {
         service.delete_row(row(p))?;
     }
@@ -182,7 +182,7 @@ fn main() -> Result<()> {
         "mutated hybrid: fallback-served"
     );
     println!(
-        "after 100 deletes: {} dead rows in the block, queries fallback-served",
+        "after 100 deletes: {} dead rows in the dataset, queries fallback-served",
         hybrid.read().dead_rows()
     );
 

@@ -462,16 +462,11 @@ mod tests {
 
         // The "mutation": lookups now run at a later epoch. Nothing is flushed eagerly…
         let bumped = {
-            let mut block = skyline_core::PointBlock::new(
-                &skyline_core::Dataset::from_columns(
-                    schema.clone(),
-                    vec![vec![1.0]],
-                    vec![vec![0]],
-                )
-                .unwrap(),
-            );
-            block.tombstone(0).unwrap();
-            block.epoch()
+            let mut data =
+                skyline_core::Dataset::from_columns(schema.clone(), vec![vec![1.0]], vec![vec![0]])
+                    .unwrap();
+            data.tombstone(0).unwrap();
+            data.epoch()
         };
         assert_eq!(cache.len(), 2, "no global flush");
         // …but a stale entry can never be returned: it expires on first touch.
@@ -489,24 +484,24 @@ mod tests {
 
     #[test]
     fn generation_swaps_translate_entries_instead_of_dropping_them() {
-        use skyline_core::{Dataset, PointBlock};
+        use skyline_core::Dataset;
 
         let schema = schema(8);
         let cache = Cache::new(8, 2);
         let k = key(&schema, &[1]);
 
-        // A block whose rows 0 and 2 are dead; the swap compacts it.
+        // A dataset whose rows 0 and 2 are dead; the swap compacts it.
         let data = Dataset::from_columns(
             schema.clone(),
             vec![vec![1.0, 2.0, 3.0, 4.0, 5.0]],
             vec![vec![0, 1, 2, 3, 4]],
         )
         .unwrap();
-        let mut block = PointBlock::new(&data);
-        block.tombstone(0).unwrap();
-        block.tombstone(2).unwrap();
-        let from = block.epoch();
-        let (compact, remap) = block.compacted();
+        let mut data = data;
+        data.tombstone(0).unwrap();
+        data.tombstone(2).unwrap();
+        let from = data.epoch();
+        let (compact, remap) = data.compacted();
         let swap = GenerationRemap {
             remap: Arc::new(remap),
             from,
@@ -550,7 +545,7 @@ mod tests {
     /// entry that was one remap behind, because translation only looked at the latest swap.
     #[test]
     fn back_to_back_swaps_compose_through_the_chain() {
-        use skyline_core::{Dataset, PointBlock};
+        use skyline_core::Dataset;
 
         let schema = schema(8);
         let cache = Cache::new(8, 2);
@@ -565,11 +560,11 @@ mod tests {
         // Swap 1 reclaims rows 0 and 2; swap 2 is a back-to-back rebuild with nothing to
         // reclaim (identity renumbering) — but it still opens a fresh epoch, which is
         // exactly what used to strand every pre-swap-1 entry.
-        let mut block = PointBlock::new(&data);
-        block.tombstone(0).unwrap();
-        block.tombstone(2).unwrap();
-        let e1 = block.epoch();
-        let (compact1, remap1) = block.compacted();
+        let mut data = data;
+        data.tombstone(0).unwrap();
+        data.tombstone(2).unwrap();
+        let e1 = data.epoch();
+        let (compact1, remap1) = data.compacted();
         let swap1 = GenerationRemap {
             remap: Arc::new(remap1),
             from: e1,
@@ -638,16 +633,11 @@ mod tests {
         assert_eq!(*cache.get(&k, tag_a.clone()).unwrap(), vec![1, 2]);
 
         let bumped = {
-            let mut block = skyline_core::PointBlock::new(
-                &skyline_core::Dataset::from_columns(
-                    schema.clone(),
-                    vec![vec![1.0]],
-                    vec![vec![0]],
-                )
-                .unwrap(),
-            );
-            block.tombstone(0).unwrap();
-            block.epoch()
+            let mut data =
+                skyline_core::Dataset::from_columns(schema.clone(), vec![vec![1.0]], vec![vec![0]])
+                    .unwrap();
+            data.tombstone(0).unwrap();
+            data.epoch()
         };
         let tag_b: Arc<[DatasetEpoch]> = Arc::from(vec![E0, bumped].into_boxed_slice());
         // Salvage translates (here: trivially rewrites) instead of dropping.

@@ -278,16 +278,14 @@ mod tests {
         drop(a);
         drop(b);
         // Same key, new epoch: a fresh flight (the epoch is part of the key).
-        let mut block = skyline_core::PointBlock::new(
-            &skyline_core::Dataset::from_columns(
-                Schema::new(vec![Dimension::numeric("x")]).unwrap(),
-                vec![vec![1.0]],
-                vec![],
-            )
-            .unwrap(),
-        );
-        block.tombstone(0).unwrap();
-        let later = block.epoch();
+        let mut data = skyline_core::Dataset::from_columns(
+            Schema::new(vec![Dimension::numeric("x")]).unwrap(),
+            vec![vec![1.0]],
+            vec![],
+        )
+        .unwrap();
+        data.tombstone(0).unwrap();
+        let later = data.epoch();
         let c = flight.join(&key(1), later);
         assert!(matches!(c, FlightRole::Leader(_)));
     }

@@ -198,8 +198,8 @@ mod tests {
         assert!(shards.rebuild_shard(0).unwrap());
         {
             let engine = engine.read();
-            let block = engine.point_block();
-            assert_eq!(block.len(), block.live_count(), "only live rows remain");
+            let data = engine.dataset();
+            assert_eq!(data.len(), data.live_count(), "only live rows remain");
             assert_eq!(engine.generation().id(), 1);
             assert_eq!(engine.maintenance_stats().rebuilds, 1);
             assert_eq!(engine.maintenance_stats().reclaimed_rows, 2);
@@ -219,9 +219,9 @@ mod tests {
             engine.read().maintenance_stats().rebuilds >= 1
         });
         let engine_guard = engine.read();
-        let block = engine_guard.point_block();
-        assert_eq!(block.dead_count(), 0);
-        assert_eq!(block.len(), 3);
+        let data = engine_guard.dataset();
+        assert_eq!(data.dead_count(), 0);
+        assert_eq!(data.len(), 3);
     }
 
     #[test]
@@ -242,7 +242,7 @@ mod tests {
                 .all(|e| e.read().maintenance_stats().rebuilds > 0)
         });
         for engine in &engines {
-            assert_eq!(engine.read().point_block().dead_count(), 0);
+            assert_eq!(engine.read().dataset().dead_count(), 0);
         }
         wait_until("in-flight count never drained", || {
             scheduler.inner.lock().in_flight == 0
@@ -272,7 +272,7 @@ mod tests {
             scheduler.inner.lock().in_flight == 0
         });
         assert!(!engine.read().rebuild_in_flight());
-        assert_eq!(engine.read().point_block().dead_count(), 0);
+        assert_eq!(engine.read().dataset().dead_count(), 0);
         // Forced rebuilds keep working too.
         engine.write().delete_row(2).unwrap();
         assert!(shards.rebuild_shard(0).unwrap());

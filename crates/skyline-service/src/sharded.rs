@@ -1281,9 +1281,9 @@ impl ShardedService {
             let mut merger =
                 SkylineMerger::new(self.compiled_orders(pref)?, self.schema.numeric_count());
             for (s, outcome) in &answered {
-                let block = front.guards[*s].point_block();
+                let data = front.guards[*s].dataset();
                 for &p in &outcome.skyline {
-                    merger.push(*s, p, block.numeric_row(p), block.nominal_row(p))?;
+                    merger.push(*s, p, data.numeric_row(p), data.nominal_row(p))?;
                 }
             }
             merger
@@ -1474,14 +1474,14 @@ impl ShardedStream<'_> {
                     let stream = streams[s].as_mut().expect("an unfinished source is open");
                     match catch_unwind(AssertUnwindSafe(|| stream.next_row())) {
                         Ok(Ok(Some(p))) => {
-                            let block = stream.point_block();
+                            let data = stream.dataset();
                             merger
                                 .offer(
                                     s,
                                     p,
                                     stream.score_of(p),
-                                    block.numeric_row(p),
-                                    block.nominal_row(p),
+                                    data.numeric_row(p),
+                                    data.nominal_row(p),
                                 )
                                 .inspect_err(|_| self.service.metrics.record_error())?;
                         }

@@ -179,8 +179,8 @@ fn background_worker_restores_tree_served_queries() {
     assert!(stats.reclaimed_rows >= 1);
     {
         let engine = engine.read();
-        let block = engine.point_block();
-        assert_eq!(block.len(), block.live_count());
+        let data = engine.dataset();
+        assert_eq!(data.len(), data.live_count());
     }
     // Dropping the service joins the build thread (no panic, no leak).
     drop(service);

@@ -7,17 +7,17 @@
 
 use skyline_adaptive::{AdaptiveSfs, MaintenanceStats, QueryScratch, ScanMode};
 use skyline_core::algo::sfs::Scan;
-use skyline_core::kernel::{CompiledRelation, DatasetEpoch, PointBlock, RowIdRemap};
 use skyline_core::score::ScoreFn;
 use skyline_core::{
-    Dataset, Deadline, PointId, Preference, Result, SkylineError, Template, ValueId,
+    CompiledRelation, Dataset, DatasetEpoch, Deadline, PointId, Preference, Result, RowIdRemap,
+    SkylineError, Template, ValueId,
 };
 use skyline_ipo::{IpoTree, IpoTreeBuilder, Materialization};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Which algorithm an engine instance materializes and uses to answer queries.
 ///
-/// All three configurations hold a point block, accept [`SkylineEngine::insert_row`] /
+/// All three configurations hold one shared [`Dataset`], accept [`SkylineEngine::insert_row`] /
 /// [`SkylineEngine::delete_row`], and take part in the generational rebuild lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineConfig {
@@ -62,8 +62,8 @@ pub struct QueryOutcome {
     pub method: MethodUsed,
 }
 
-/// One immutable serving snapshot of an engine: the dataset/block pair plus whatever derived
-/// structures the configuration materializes.
+/// One immutable serving snapshot of an engine: the dataset plus whatever derived structures
+/// the configuration materializes.
 ///
 /// Queries only ever read a generation; mutations apply to the *current* generation in place
 /// (epoch-bumped appends and tombstones), and the background lifecycle builds the **next**
@@ -75,14 +75,10 @@ pub struct QueryOutcome {
 pub struct Generation {
     /// Monotonic generation number.
     pub(crate) id: u64,
-    /// Dataset handle; `None` when an Adaptive SFS structure owns the data (the
-    /// [`EngineConfig::AdaptiveSfs`] and [`EngineConfig::Hybrid`] configurations), so mutable
-    /// state has exactly one owner and incremental updates never copy it.
+    /// The rows, for [`EngineConfig::SfsD`]; `None` when an Adaptive SFS structure owns them
+    /// (the [`EngineConfig::AdaptiveSfs`] and [`EngineConfig::Hybrid`] configurations), so
+    /// mutable state has exactly one owner and incremental updates never copy it.
     pub(crate) data: Option<Arc<Dataset>>,
-    /// Row-major interleaved copy of the dataset for the compiled dominance kernel. `Some`
-    /// only for [`EngineConfig::SfsD`]: Adaptive-SFS configurations expose their structure's
-    /// block.
-    pub(crate) block: Option<Arc<PointBlock>>,
     /// The IPO tree [`EngineConfig::Hybrid`] serves popular preferences from (shared, so
     /// cloning a generation never copies the node arena).
     pub(crate) tree: Option<Arc<IpoTree>>,
@@ -93,27 +89,25 @@ pub struct Generation {
 }
 
 impl Generation {
-    /// A scanning ([`EngineConfig::SfsD`]) generation, numbered 0: the dataset and its block,
-    /// no derived structure.
-    pub(crate) fn scanning(data: Arc<Dataset>, block: Arc<PointBlock>) -> Self {
+    /// A scanning ([`EngineConfig::SfsD`]) generation, numbered 0: the dataset, no derived
+    /// structure.
+    pub(crate) fn scanning(data: Arc<Dataset>) -> Self {
         Self {
             id: 0,
-            tree_epoch: block.epoch(),
+            tree_epoch: data.epoch(),
             data: Some(data),
-            block: Some(block),
             tree: None,
             asfs: None,
         }
     }
 
-    /// A generation, numbered 0, served by an Adaptive-SFS structure (which owns the dataset
-    /// and the block) plus, for the hybrid, a tree materialized at the block's current epoch.
+    /// A generation, numbered 0, served by an Adaptive-SFS structure (which owns the dataset)
+    /// plus, for the hybrid, a tree materialized at the dataset's current epoch.
     pub(crate) fn adaptive(asfs: AdaptiveSfs, tree: Option<IpoTree>) -> Self {
         Self {
             id: 0,
-            tree_epoch: asfs.point_block().epoch(),
+            tree_epoch: asfs.epoch(),
             data: None,
-            block: None,
             tree: tree.map(Arc::new),
             asfs: Some(asfs),
         }
@@ -121,18 +115,8 @@ impl Generation {
 
     /// The hybrid generation over a freshly built `tree`: the Adaptive-SFS list is seeded with
     /// the tree's own `SKY(R)` (no second skyline computation).
-    fn hybrid(
-        tree: IpoTree,
-        data: Arc<Dataset>,
-        block: Arc<PointBlock>,
-        template: &Template,
-    ) -> Result<Self> {
-        let asfs = AdaptiveSfs::from_precomputed_with_block(
-            data,
-            block,
-            template.clone(),
-            tree.skyline().to_vec(),
-        )?;
+    fn hybrid(tree: IpoTree, data: Arc<Dataset>, template: &Template) -> Result<Self> {
+        let asfs = AdaptiveSfs::from_precomputed(data, template.clone(), tree.skyline().to_vec())?;
         Ok(Self::adaptive(asfs, Some(tree)))
     }
 
@@ -141,22 +125,14 @@ impl Generation {
         self.id
     }
 
-    /// The generation's mutation epoch (from its point block).
+    /// The generation's mutation epoch (from its dataset).
     pub fn epoch(&self) -> DatasetEpoch {
-        self.point_block().epoch()
+        self.dataset_arc().epoch()
     }
 
     /// Epoch the generation's IPO tree was materialized at.
     pub fn tree_epoch(&self) -> DatasetEpoch {
         self.tree_epoch
-    }
-
-    /// The shared point layout the generation's dominance scans evaluate over.
-    pub fn point_block(&self) -> &Arc<PointBlock> {
-        match &self.asfs {
-            Some(asfs) => asfs.point_block(),
-            None => self.block.as_ref().expect("set at construction"),
-        }
     }
 
     fn dataset_arc(&self) -> &Arc<Dataset> {
@@ -172,9 +148,7 @@ impl Generation {
             asfs.insert_row(numeric, nominal)
         } else {
             let data = self.data.as_mut().expect("set at construction");
-            Arc::make_mut(data).push_row_ids(numeric, nominal)?;
-            let block = self.block.as_mut().expect("SfsD builds its block");
-            Arc::make_mut(block).append_row(numeric, nominal)
+            Arc::make_mut(data).append_row(numeric, nominal)
         }
     }
 
@@ -183,8 +157,8 @@ impl Generation {
         if let Some(asfs) = &mut self.asfs {
             asfs.delete_row(p)
         } else {
-            let block = self.block.as_mut().expect("SfsD builds its block");
-            Arc::make_mut(block).tombstone(p)
+            let data = self.data.as_mut().expect("set at construction");
+            Arc::make_mut(data).tombstone(p)
         }
     }
 }
@@ -238,7 +212,6 @@ pub struct GenerationSnapshot {
     template: Template,
     config: EngineConfig,
     data: Arc<Dataset>,
-    block: Arc<PointBlock>,
     /// The current tree's materialization policy, when the configuration has a tree.
     tree: Option<Materialization>,
     epoch: DatasetEpoch,
@@ -257,28 +230,27 @@ impl GenerationSnapshot {
     }
 
     /// Builds the next generation off the snapshot's live rows: a physically compacted
-    /// dataset/block pair (dead rows dropped, survivors renumbered, epoch moved past the
-    /// snapshot's), the Adaptive-SFS structure preprocessed afresh over it
-    /// ([`AdaptiveSfs::rebased`], one serial scan), and — for the hybrid configuration — the
-    /// IPO tree re-materialized so tree-served queries come back after the swap. This is the
-    /// only compaction: a structure's own mutations never re-run its preprocessing.
+    /// dataset (dead rows dropped, survivors renumbered, epoch moved past the snapshot's), the
+    /// Adaptive-SFS structure preprocessed afresh over it ([`AdaptiveSfs::build`], one serial
+    /// scan), and — for the hybrid configuration — the IPO tree re-materialized so tree-served
+    /// queries come back after the swap. This is the only compaction: a structure's own
+    /// mutations never re-run its preprocessing.
     ///
     /// Runs with **no engine lock held**; concurrent readers keep serving the old generation
     /// throughout. Hand the result to [`SkylineEngine::install_generation`] under the write
     /// lock to swap it in.
     pub fn build_next(&self) -> Result<PendingGeneration> {
-        let (block, remap) = self.block.compacted();
-        let data = Arc::new(self.data.retained(remap.kept_old_ids()));
-        let block = Arc::new(block);
+        let (data, remap) = self.data.compacted();
+        let data = Arc::new(data);
         let generation = match self.config {
-            EngineConfig::SfsD => Generation::scanning(data, block),
+            EngineConfig::SfsD => Generation::scanning(data),
             EngineConfig::AdaptiveSfs => {
-                Generation::adaptive(AdaptiveSfs::rebased(data, block, &self.template)?, None)
+                Generation::adaptive(AdaptiveSfs::build(data, &self.template)?, None)
             }
             EngineConfig::Hybrid { .. } => {
                 let policy = self.tree.as_ref().expect("hybrid engines carry a tree");
                 let tree = policy.rebuilt_for(&data, &self.template)?;
-                Generation::hybrid(tree, data, block, &self.template)?
+                Generation::hybrid(tree, data, &self.template)?
             }
         };
         // The id is assigned by `install_generation`, relative to whatever is serving then.
@@ -489,14 +461,12 @@ impl SkylineEngine {
         config: EngineConfig,
     ) -> Result<Self> {
         let data = data.into();
-        // The point block is built exactly once per engine; configurations that carry an
-        // Adaptive SFS structure let it own the block (the engine exposes it by delegation),
-        // so mutations have a single owner and never transpose the dataset twice.
+        // Every configuration serves from this one `Arc`, never a copy: configurations that
+        // carry an Adaptive SFS structure let it own the handle (the engine exposes it by
+        // delegation), so mutations have a single owner, and the IPO build reads the rows in
+        // place.
         let generation = match config {
-            EngineConfig::SfsD => {
-                let block = Arc::new(PointBlock::new(&data));
-                Generation::scanning(data, block)
-            }
+            EngineConfig::SfsD => Generation::scanning(data),
             EngineConfig::AdaptiveSfs => {
                 Generation::adaptive(AdaptiveSfs::build(data, &template)?, None)
             }
@@ -504,8 +474,7 @@ impl SkylineEngine {
                 let tree = IpoTreeBuilder::new()
                     .top_k_values(top_k)
                     .build(&data, &template)?;
-                let block = Arc::new(PointBlock::new(&data));
-                Generation::hybrid(tree, data, block, &template)?
+                Generation::hybrid(tree, data, &template)?
             }
         };
         Ok(Self {
@@ -530,14 +499,9 @@ impl SkylineEngine {
         self.generation.dataset_arc()
     }
 
-    /// The serving generation (snapshot introspection: id, epochs, block).
+    /// The serving generation (snapshot introspection: id, epochs).
     pub fn generation(&self) -> &Generation {
         &self.generation
-    }
-
-    /// The shared row-major point layout the compiled dominance kernel evaluates over.
-    pub fn point_block(&self) -> &Arc<PointBlock> {
-        self.generation.point_block()
     }
 
     /// The engine's current mutation epoch (bumped by every insert, every live delete, and
@@ -548,12 +512,12 @@ impl SkylineEngine {
 
     /// Number of live (non-deleted) rows the engine serves.
     pub fn live_rows(&self) -> usize {
-        self.point_block().live_count()
+        self.dataset().live_count()
     }
 
     /// True when row `p` exists and has not been logically deleted.
     pub fn is_row_live(&self, p: PointId) -> bool {
-        self.point_block().is_live(p)
+        self.dataset().is_live(p)
     }
 
     /// The template shared by all queries.
@@ -595,10 +559,10 @@ impl SkylineEngine {
     ///
     /// Adaptive-SFS-backed configurations update their skyline structures incrementally (one
     /// dominance check against the current skyline plus `O(log n)` list updates); SFS-D only
-    /// appends to its data and point block, since it scans per query anyway. If other `Arc`
-    /// handles to the dataset are still held outside the engine, the first mutation copies
-    /// the data once so those handles keep an immutable snapshot; afterwards the engine owns
-    /// its copy and mutates in place.
+    /// appends to its dataset, since it scans per query anyway. If other `Arc` handles to the
+    /// dataset are still held outside the engine, the first mutation copies the data once so
+    /// those handles keep an immutable snapshot; afterwards the engine owns its copy and
+    /// mutates in place.
     pub fn insert_row(&mut self, numeric: &[f64], nominal: &[ValueId]) -> Result<DatasetEpoch> {
         self.generation.apply_insert(numeric, nominal)?;
         if self.generation.asfs.is_none() {
@@ -638,9 +602,9 @@ impl SkylineEngine {
         self.mutations_since_rebuild
     }
 
-    /// Tombstoned rows still physically occupying the engine's block.
+    /// Tombstoned rows still physically occupying the engine's dataset.
     pub fn dead_rows(&self) -> usize {
-        self.point_block().dead_count()
+        self.dataset().dead_count()
     }
 
     /// The translation published by the most recent generation swap, when one has happened.
@@ -714,7 +678,6 @@ impl SkylineEngine {
             template: self.template.clone(),
             config: self.config,
             data: self.dataset_arc().clone(),
-            block: self.point_block().clone(),
             tree: self.ipo_tree().map(|tree| tree.materialization().clone()),
             epoch: self.epoch(),
             generation_id: self.generation.id,
@@ -738,7 +701,7 @@ impl SkylineEngine {
     ///
     /// The installed epoch is strictly greater than every epoch the old generation ever
     /// served, so epoch-tagged artifacts built against old row ids can never be misread
-    /// against the renumbered block. Fails — leaving the old generation serving — when the
+    /// against the renumbered dataset. Fails — leaving the old generation serving — when the
     /// pending generation is stale (the engine was swapped by someone else in between) or no
     /// rebuild was begun.
     pub fn install_generation(&mut self, pending: PendingGeneration) -> Result<GenerationRemap> {
@@ -880,8 +843,8 @@ impl SkylineEngine {
     /// The elimination scan that answers `pref` when the tree does not; the batch path drains
     /// it, the stream path keeps it. Adaptive SFS re-ranks AFFECT into its template skyline
     /// on `scratch`'s buffers. SFS-D score-sorts the live rows with the query ranking over the
-    /// engine's shared point block: tombstoned rows never enter the candidate list, so the
-    /// scan skips them without any rebuild.
+    /// engine's shared dataset: tombstoned rows never enter the candidate list, so the scan
+    /// skips them without any rebuild.
     fn open_scan(
         &self,
         pref: &Preference,
@@ -891,10 +854,10 @@ impl SkylineEngine {
             let scan = asfs.query_scan(pref, ScanMode::default(), scratch)?;
             return Ok((scan, MethodUsed::AdaptiveSfs));
         }
-        let (data, block) = (self.dataset(), self.point_block());
-        let dom = CompiledRelation::for_query(block.clone(), data.schema(), &self.template, pref)?;
+        let data = self.dataset_arc();
+        let dom = CompiledRelation::for_query(data.clone(), &self.template, pref)?;
         let score = ScoreFn::for_preference(data.schema(), pref)?;
-        let live: Vec<PointId> = block.live_ids().collect();
+        let live: Vec<PointId> = data.live_ids().collect();
         let scan = Scan::presorted(dom, &score.sort_by_score(data, &live));
         Ok((scan, MethodUsed::SfsD))
     }
@@ -914,7 +877,7 @@ impl SkylineEngine {
     ///   in score order, so stream consumers see one uniform contract regardless of the
     ///   serving method.
     ///
-    /// The stream owns shared handles to the generation's dataset and block, so it stays
+    /// The stream owns a shared handle to the generation's dataset, so it stays
     /// valid — pinned to the snapshot it was created from — across later engine mutations,
     /// generation swaps, or dropping the engine guard that created it. `deadline` is polled
     /// at block granularity inside [`EngineStream::next_row`]; an expired deadline aborts the
@@ -927,11 +890,11 @@ impl SkylineEngine {
     ) -> Result<EngineStream> {
         self.ensure_epoch(epoch)?;
         deadline.check()?;
-        let (data, block) = (self.dataset(), self.point_block().clone());
+        let data = self.dataset_arc().clone();
         let score = ScoreFn::for_preference(data.schema(), pref)?;
         let (inner, method) = if let Some(tree) = self.serving_tree(pref) {
-            let ids = tree.query(data, pref)?;
-            let ordered = score.sort_by_score(data, &ids);
+            let ids = tree.query(&data, pref)?;
+            let ordered = score.sort_by_score(&data, &ids);
             (
                 StreamInner::Materialized(ordered.into_iter()),
                 MethodUsed::IpoTree,
@@ -946,7 +909,7 @@ impl SkylineEngine {
             epoch,
             method,
             score,
-            block,
+            data,
         })
     }
 }
@@ -966,7 +929,7 @@ enum StreamInner {
 ///
 /// Every yielded point is **final** — the stream never retracts — and the set of all yielded
 /// points equals the batch [`SkylineEngine::query`] answer for the same preference at the
-/// same epoch. The stream holds shared handles to its generation's data, so it is
+/// same epoch. The stream holds a shared handle to its generation's data, so it is
 /// self-contained: callers may drop the engine lock (or the engine) and keep pulling.
 #[derive(Debug)]
 pub struct EngineStream {
@@ -975,7 +938,7 @@ pub struct EngineStream {
     epoch: DatasetEpoch,
     method: MethodUsed,
     score: ScoreFn,
-    block: Arc<PointBlock>,
+    data: Arc<Dataset>,
 }
 
 impl EngineStream {
@@ -1012,14 +975,13 @@ impl EngineStream {
     /// The query score of a yielded point — the monotone order the stream emits in. A
     /// sharded merger gates its cross-shard publication on exactly these scores.
     pub fn score_of(&self, p: PointId) -> f64 {
-        self.score
-            .score_row(self.block.numeric_row(p), self.block.nominal_row(p))
+        self.score.score(&self.data, p)
     }
 
-    /// The generation's point block the stream reads from: a yielded point's row values, as
+    /// The generation's dataset the stream reads from: a yielded point's row values, as
     /// slices, for cross-shard dominance tests.
-    pub fn point_block(&self) -> &PointBlock {
-        &self.block
+    pub fn dataset(&self) -> &Dataset {
+        &self.data
     }
 
     /// Drains the rest of the stream into a sorted-id batch answer (the streaming core of
@@ -1221,6 +1183,9 @@ mod tests {
         assert!(after.contains(&6));
     }
 
+    /// One row store: every configuration serves from the very `Arc<Dataset>` it was built
+    /// from — no transposed or copied twin — and the hybrid's engine and Adaptive-SFS
+    /// fallback share it.
     #[test]
     fn point_block_exists_exactly_for_dominance_scanning_configs() {
         let data = table3_data();
@@ -1231,9 +1196,12 @@ mod tests {
             EngineConfig::Hybrid { top_k: 2 },
         ] {
             let engine = SkylineEngine::build(data.clone(), template.clone(), config).unwrap();
-            assert_eq!(engine.point_block().len(), data.len(), "config {config:?}");
+            assert!(
+                Arc::ptr_eq(engine.dataset_arc(), &data),
+                "config {config:?}"
+            );
+            assert_eq!(engine.epoch(), DatasetEpoch::INITIAL, "config {config:?}");
         }
-        // Hybrid engines share one block between the engine and the aSFS fallback.
         let hybrid = SkylineEngine::build(
             data.clone(),
             template.clone(),
@@ -1241,8 +1209,8 @@ mod tests {
         )
         .unwrap();
         assert!(Arc::ptr_eq(
-            hybrid.point_block(),
-            hybrid.adaptive().unwrap().point_block()
+            hybrid.dataset_arc(),
+            hybrid.adaptive().unwrap().dataset_arc()
         ));
     }
 

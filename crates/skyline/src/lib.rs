@@ -72,9 +72,8 @@ pub mod prelude {
     pub use skyline_adaptive::{AdaptiveSfs, MaintenanceStats};
     pub use skyline_core::{
         CompiledRelation, Dataset, DatasetBuilder, DatasetEpoch, Dimension, DimensionKind,
-        DomRelation, Dominance, DominanceContext, ImplicitPreference, NominalDomain, PartialOrder,
-        PointBlock, PointId, Preference, Result, RowIdRemap, RowValue, Schema, SkylineError,
-        Template, ValueId,
+        Dominance, DominanceContext, ImplicitPreference, NominalDomain, PartialOrder, PointId,
+        Preference, Result, RowIdRemap, RowValue, Schema, SkylineError, Template, ValueId,
     };
     pub use skyline_datagen::{Distribution, ExperimentConfig, QueryGenerator, WorkloadOp};
     pub use skyline_ipo::{BitmapIpoTree, IpoTree, IpoTreeBuilder};

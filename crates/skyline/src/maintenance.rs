@@ -24,7 +24,7 @@ use std::time::Duration;
 ///   [`MaintenancePolicy::max_mutations_since_rebuild`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MaintenancePolicy {
-    /// Rebuild when at least this fraction of the block's rows are tombstoned (and at least
+    /// Rebuild when at least this fraction of the dataset's rows are tombstoned (and at least
     /// one is). `1.0` effectively disables the ratio trigger.
     pub dead_row_ratio: f64,
     /// Rebuild when this many epoch-bumping mutations have been applied since the last swap
@@ -53,8 +53,8 @@ impl MaintenancePolicy {
         if engine.rebuild_in_flight() {
             return false;
         }
-        let block = engine.point_block();
-        let dead_due = block.dead_count() > 0 && block.dead_ratio() >= self.dead_row_ratio;
+        let data = engine.dataset();
+        let dead_due = data.dead_count() > 0 && data.dead_ratio() >= self.dead_row_ratio;
         let mutation_due = engine.mutations_since_rebuild() >= self.max_mutations_since_rebuild
             && engine.mutations_since_rebuild() > 0;
         dead_due || mutation_due

@@ -1,14 +1,14 @@
 //! Engine-level persistence: [`SkylineEngine::write_snapshot`] / [`SkylineEngine::from_snapshot`].
 //!
 //! A snapshot captures one serving [`Generation`] in the versioned, checksummed container of
-//! [`skyline_core::snapshot`]: the row-major point block as raw column sections, the
+//! [`skyline_core::snapshot`]: the dataset's row-major arrays as raw sections, the
 //! Adaptive-SFS sorted list as a score/point table, and the IPO tree as delta-encoded vbyte
 //! posting lists. Loading is the inverse *without the preprocessing*: no template-skyline
 //! computation, no score sort, no node materialization — just decode, validate, and
 //! reassemble, which is what makes a snapshot cold start at `n = 100k` an order of magnitude
 //! faster than [`SkylineEngine::build`] (hard-asserted by `bench_snapshot`).
 //!
-//! Continuity: the generation [`Generation::id`], the block's [`DatasetEpoch`] and the
+//! Continuity: the generation [`Generation::id`], the dataset's [`DatasetEpoch`] and the
 //! [`Generation::tree_epoch`] all survive the round trip, so epoch-tagged artifacts (result
 //! caches, remap-chain translations) built before a process restart keep validating against
 //! the reloaded engine exactly as they would across a generation swap.
@@ -21,9 +21,8 @@
 use crate::engine::{EngineConfig, Generation, SkylineEngine};
 use skyline_adaptive::snapshot::{decode_entries, encode_entries};
 use skyline_adaptive::AdaptiveSfs;
-use skyline_core::kernel::{DatasetEpoch, PointBlock};
 use skyline_core::snapshot::{self as snap, ByteReader, ByteWriter, SnapshotBuilder, SnapshotView};
-use skyline_core::{PointId, Result, SkylineError};
+use skyline_core::{Dataset, DatasetEpoch, PointId, Result, SkylineError};
 use skyline_ipo::{decode_tree, encode_tree};
 use std::path::Path;
 use std::sync::Arc;
@@ -73,7 +72,7 @@ impl SkylineEngine {
             snap::SECTION_TEMPLATE,
             snap::encode_template(self.template()),
         );
-        snap::write_block_sections(self.point_block(), &mut builder);
+        snap::write_dataset_sections(self.dataset(), &mut builder);
         if let Some(tree) = self.ipo_tree() {
             builder.section(snap::SECTION_IPO_TREE, encode_tree(tree));
         }
@@ -161,25 +160,23 @@ impl SkylineEngine {
 
         let schema = snap::decode_schema(view.section(snap::SECTION_SCHEMA)?)?;
         let template = snap::decode_template(&schema, view.section(snap::SECTION_TEMPLATE)?)?;
-        let block = snap::read_block(&view)?;
-        let data = Arc::new(snap::dataset_from_block(&schema, &block)?);
-        let block = Arc::new(block);
-        let block_epoch = block.epoch();
-        if tree_epoch > block_epoch {
+        let data = Arc::new(snap::read_dataset(&view, &schema)?);
+        let data_epoch = data.epoch();
+        if tree_epoch > data_epoch {
             return Err(SkylineError::Snapshot(format!(
-                "tree epoch {} is ahead of the block epoch {}",
+                "tree epoch {} is ahead of the dataset epoch {}",
                 tree_epoch.get(),
-                block_epoch.get()
+                data_epoch.get()
             )));
         }
-        let decode_asfs = |data, block: Arc<PointBlock>| {
-            let entries = decode_entries(view.section(snap::SECTION_ASFS_ENTRIES)?, block.len())?;
-            AdaptiveSfs::from_sorted_entries(data, block, template.clone(), entries)
+        let decode_asfs = |data: Arc<Dataset>| {
+            let entries = decode_entries(view.section(snap::SECTION_ASFS_ENTRIES)?, data.len())?;
+            AdaptiveSfs::from_sorted_entries(data, template.clone(), entries)
                 .map_err(as_snapshot_error)
         };
         let generation = match config {
-            EngineConfig::SfsD => Generation::scanning(data, block),
-            EngineConfig::AdaptiveSfs => Generation::adaptive(decode_asfs(data, block)?, None),
+            EngineConfig::SfsD => Generation::scanning(data),
+            EngineConfig::AdaptiveSfs => Generation::adaptive(decode_asfs(data)?, None),
             EngineConfig::Hybrid { top_k } => {
                 let tree = decode_tree(
                     template.clone(),
@@ -192,12 +189,12 @@ impl SkylineEngine {
                         tree.top_k()
                     )));
                 }
-                let asfs = decode_asfs(data, block)?;
+                let asfs = decode_asfs(data)?;
                 // A current tree and the sorted list describe the same template skyline; a
                 // stale tree (dataset mutated since materialization, `tree_epoch` behind)
                 // legitimately drifts from the incrementally maintained list and is never
                 // consulted until a rebuild.
-                if tree_epoch == block_epoch {
+                if tree_epoch == data_epoch {
                     let mut list_ids: Vec<PointId> =
                         asfs.sorted_entries().iter().map(|e| e.point).collect();
                     list_ids.sort_unstable();

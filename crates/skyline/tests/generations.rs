@@ -3,7 +3,7 @@
 //!
 //! * Property: any interleaving of inserts, deletes and generation rebuilds produces
 //!   skylines bit-for-bit equal to a from-scratch computation over the live rows, for every
-//!   mutable configuration — and after every rebuild the block holds only live rows.
+//!   mutable configuration — and after every rebuild the dataset holds only live rows.
 //! * Replay: mutations arriving between `begin_rebuild` and `install_generation` land in the
 //!   installed generation, with the published remap covering them.
 //! * Concurrency: queries issued while generation swaps race them never observe a torn or
@@ -89,7 +89,7 @@ proptest! {
 
     /// Every configuration: after any interleaving of inserts, deletes and generation
     /// rebuilds, answers equal a from-scratch computation over the live rows, rebuilds leave
-    /// only live rows in the block, and the published remap translates the pre-swap skyline
+    /// only live rows in the dataset, and the published remap translates the pre-swap skyline
     /// onto the post-swap one.
     #[test]
     fn rebuilt_engines_match_from_scratch_for_every_mutable_config(
@@ -136,10 +136,9 @@ proptest! {
                         prop_assert_eq!(published.to, engine.epoch());
                         prop_assert!(published.to > published.from);
                         // Acceptance criterion: only live rows remain, physically.
-                        let block = engine.point_block();
-                        prop_assert_eq!(block.live_ids().count(), block.len());
-                        prop_assert_eq!(block.live_count(), block.len());
-                        prop_assert_eq!(engine.dataset().len(), block.len());
+                        let data = engine.dataset();
+                        prop_assert_eq!(data.live_ids().count(), data.len());
+                        prop_assert_eq!(data.live_count(), data.len());
                         // The pre-swap answer translates onto the post-swap answer.
                         let translated = published.remap.translate_ids(&before.1).unwrap();
                         prop_assert_eq!(translated, engine.query(&pref).unwrap().skyline);
@@ -267,8 +266,8 @@ fn hybrid_recovers_tree_served_queries_after_a_rebuild() {
         let outcome = engine.query(&pref).unwrap();
         assert_eq!(outcome.method, MethodUsed::IpoTree);
         assert_eq!(outcome.skyline, live_oracle(&engine, &pref));
-        let block = engine.point_block();
-        assert_eq!(block.len(), block.live_count());
+        let data = engine.dataset();
+        assert_eq!(data.len(), data.live_count());
     }
     // The *next* mutation stales the new tree too — the lifecycle is repeatable.
     shared.write().insert_row(&[0.1], &[1]).unwrap();

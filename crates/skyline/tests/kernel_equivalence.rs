@@ -3,8 +3,8 @@
 //!
 //! Three contracts are pinned here:
 //!
-//! 1. [`CompiledRelation`] ≡ [`DominanceContext`]: `dominates` and `compare` agree on every
-//!    point pair, for random datasets, templates and query preferences.
+//! 1. [`CompiledRelation`] ≡ [`DominanceContext`]: `dominates` agrees on every point pair,
+//!    for random datasets, templates and query preferences.
 //! 2. Packed ≡ reference on every path that scans a window: the bit-parallel 64-lane
 //!    kernel and the reference context produce identical skylines through BNL, the SFS
 //!    window scan, and the cross-fragment `merge_skylines` operator — across 2–8 total
@@ -115,7 +115,7 @@ proptest! {
         let query = build_query(&template, &instance);
 
         let ctx = DominanceContext::for_query(&data, &template, &query).unwrap();
-        let kernel = CompiledRelation::compile_query(&data, &template, &query).unwrap();
+        let kernel = CompiledRelation::for_query(data.clone(), &template, &query).unwrap();
         for p in data.point_ids() {
             for q in data.point_ids() {
                 prop_assert_eq!(
@@ -123,25 +123,15 @@ proptest! {
                     ctx.dominates(p, q),
                     "dominates({}, {})", p, q
                 );
-                prop_assert_eq!(
-                    kernel.compare(p, q),
-                    ctx.compare(p, q),
-                    "compare({}, {})", p, q
-                );
             }
         }
 
         // Template-only relations must agree as well (the preprocessing path).
         let ctx = DominanceContext::for_template(&data, &template).unwrap();
-        let kernel = CompiledRelation::for_template(
-            std::sync::Arc::new(PointBlock::new(&data)),
-            &template,
-        )
-        .unwrap();
+        let kernel = CompiledRelation::for_template(data.clone(), &template).unwrap();
         for p in data.point_ids() {
             for q in data.point_ids() {
                 prop_assert_eq!(kernel.dominates(p, q), ctx.dominates(p, q));
-                prop_assert_eq!(kernel.compare(p, q), ctx.compare(p, q));
             }
         }
     }
@@ -313,9 +303,7 @@ proptest! {
         let template = Template::from_partial_orders(data.schema(), orders).unwrap();
 
         let ctx = DominanceContext::for_template(&data, &template).unwrap();
-        let kernel =
-            CompiledRelation::for_template(std::sync::Arc::new(PointBlock::new(&data)), &template)
-                .unwrap();
+        let kernel = CompiledRelation::for_template(data.clone(), &template).unwrap();
 
         // Pair-for-pair agreement (bounded: the pairwise loop is O(n²) and the packed
         // paths are covered by the scan assertions below at every size).
@@ -367,7 +355,7 @@ proptest! {
         }
 
         let ctx = DominanceContext::for_query(&data, &template, &query).unwrap();
-        let kernel = CompiledRelation::compile_query(&data, &template, &query).unwrap();
+        let kernel = CompiledRelation::for_query(data.clone(), &template, &query).unwrap();
         let all: Vec<PointId> = data.point_ids().collect();
         if all.len() <= 48 {
             for &p in &all {

@@ -122,11 +122,11 @@ fn build_dataset(instance: &Instance) -> Arc<Dataset> {
 
 /// A strictly monotone score for a general partial-order relation: the non-NaN numerics plus
 /// each nominal value's layered rank (`u ≺ v` implies `layer(u) < layer(v)`).
-fn score(block: &PointBlock, orders: &[CompiledOrder], p: PointId) -> f64 {
-    let numeric: f64 = block.numeric_row(p).iter().filter(|v| !v.is_nan()).sum();
+fn score(data: &Dataset, orders: &[CompiledOrder], p: PointId) -> f64 {
+    let numeric: f64 = data.numeric_row(p).iter().filter(|v| !v.is_nan()).sum();
     let nominal: u32 = orders
         .iter()
-        .zip(block.nominal_row(p))
+        .zip(data.nominal_row(p))
         .map(|(order, &v)| u32::from(order.layer(v)))
         .sum();
     numeric + f64::from(nominal)
@@ -140,8 +140,8 @@ fn assert_operators_agree(
     locals: &[Vec<PointId>],
     expected: &[PointId],
 ) {
-    let block = kernel.block();
-    let numeric_dims = block.numeric_dims();
+    let data = kernel.dataset();
+    let numeric_dims = data.schema().numeric_count();
     let is_global = |p: PointId| expected.binary_search(&p).is_ok();
 
     // merge_skylines: survivors in concatenated fragment order.
@@ -166,7 +166,7 @@ fn assert_operators_agree(
     let mut merger = SkylineMerger::new(kernel.orders().to_vec(), numeric_dims);
     for &(source, p) in &pushed {
         merger
-            .push(source, p, block.numeric_row(p), block.nominal_row(p))
+            .push(source, p, data.numeric_row(p), data.nominal_row(p))
             .unwrap();
     }
     assert_eq!(merger.len(), concatenated.len());
@@ -180,7 +180,7 @@ fn assert_operators_agree(
 
     // ProgressiveMerger: every source streams its local skyline in ascending score order;
     // the shuffled rows hand out the turns, so the streams advance interleaved and unevenly.
-    let score_of = |p: PointId| score(block, kernel.orders(), p);
+    let score_of = |p: PointId| score(data, kernel.orders(), p);
     let streams: Vec<Vec<PointId>> = locals
         .iter()
         .map(|local| {
@@ -217,13 +217,7 @@ fn assert_operators_agree(
         };
         next[s] += 1;
         merger
-            .offer(
-                s,
-                p,
-                score_of(p),
-                block.numeric_row(p),
-                block.nominal_row(p),
-            )
+            .offer(s, p, score_of(p), data.numeric_row(p), data.nominal_row(p))
             .unwrap();
         if next[s] == streams[s].len() {
             merger.finish(s);
@@ -253,8 +247,7 @@ proptest! {
             .collect();
         let template = Template::from_partial_orders(data.schema(), orders).unwrap();
         let ctx = DominanceContext::for_template(&data, &template).unwrap();
-        let kernel =
-            CompiledRelation::for_template(Arc::new(PointBlock::new(&data)), &template).unwrap();
+        let kernel = CompiledRelation::for_template(data.clone(), &template).unwrap();
 
         let expected = bnl::skyline(&ctx);
         // The operators' shared contract: each source hands in the skyline of its own rows.

@@ -103,7 +103,7 @@ fn mutation_strategy() -> impl Strategy<Value = Vec<Mutation>> {
 /// the reference dominance context; returns the default path's work.
 fn assert_adaptive_paths_agree(asfs: &AdaptiveSfs, query: &Preference) -> skyline_core::Work {
     let ctx = DominanceContext::for_query(asfs.dataset(), asfs.template(), query).unwrap();
-    let live: Vec<PointId> = asfs.point_block().live_ids().collect();
+    let live: Vec<PointId> = asfs.dataset().live_ids().collect();
     let expected = bnl::skyline_of(&ctx, &live);
     let (answer, stats) = asfs
         .query_with_stats(query, ScanMode::AffectedOnly)
@@ -187,7 +187,7 @@ fn assert_affect_lemma(
                 asfs.insert_row(&numeric, &nominal).unwrap();
             }
             Mutation::Delete(k) => {
-                let live: Vec<PointId> = asfs.point_block().live_ids().collect();
+                let live: Vec<PointId> = asfs.dataset().live_ids().collect();
                 if !live.is_empty() {
                     asfs.delete_row(live[k % live.len()]).unwrap();
                 }
