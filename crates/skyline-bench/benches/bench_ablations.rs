@@ -7,11 +7,9 @@
 //!   time, and nothing failed) and, on a full local run (`SKYLINE_BENCH_SAMPLES` unset), that
 //!   it is **≥ 1.5×** faster; the CI smoke job (2 samples on shared runners) only warns on
 //!   time. The time bar is not the test ratio (≈ 4×) because at n = 1500 a window is two or
-//!   three lane blocks and the kernel's adaptive scalar peek charges every *surviving*
-//!   candidate up to 32 scalar tests whatever the window holds (≈ 1.8–1.9× on the 2-core
-//!   reference host, 2.25× with the peek off). To take that ablation in-process, run the
-//!   timed scans inside `skyline_core::with_window_peek(0, || ..)`, which pins the depth on
-//!   the calling thread.
+//!   three lane blocks, and one packed pass tests a candidate against a whole 64-lane block
+//!   at once, so time falls more slowly than the test count (2.17–2.23× on the 2-core
+//!   reference host).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use skyline::datagen::ExperimentConfig;

@@ -293,9 +293,41 @@ fn run_fig8(options: &Options) -> (String, Vec<CellResult>) {
         "order of implicit preference",
         "real data set (UCI Nursery)",
     );
-    let cells = (0..=3usize)
+    let cells: Vec<CellResult> = (0..=3usize)
         .map(|order| run_nursery_cell(order, options.queries))
         .collect();
+    // Figure 8(b): the baseline scans the whole relation per query, so it must be the slowest
+    // method at every order.
+    let pairs: Vec<(f64, f64)> = cells
+        .iter()
+        .map(|cell| {
+            let sfs_d = cell.method("SFS-D").map_or(0.0, |m| m.avg_query_seconds);
+            let others = cell
+                .methods
+                .iter()
+                .filter(|m| m.method != "SFS-D")
+                .map(|m| m.avg_query_seconds)
+                .fold(0.0, f64::max);
+            (sfs_d, others)
+        })
+        .collect();
+    let slowest = pairs.iter().all(|&(sfs_d, others)| sfs_d > others);
+    let millis: Vec<String> = pairs
+        .iter()
+        .map(|(sfs_d, others)| format!("{:.4}/{:.4}", sfs_d * 1e3, others * 1e3))
+        .collect();
+    println!(
+        "  check: query ms, SFS-D/slowest other by order {} — SFS-D is {}",
+        millis.join(" "),
+        if slowest {
+            "the slowest at every order, ok"
+        } else {
+            "NOT the slowest at every order"
+        },
+    );
+    if !slowest {
+        std::process::exit(1);
+    }
     ("order".to_string(), cells)
 }
 

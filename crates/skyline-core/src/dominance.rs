@@ -38,15 +38,6 @@ pub trait Dominance {
     /// True when `p` dominates `q`: `p ⪯ q` on every dimension and `p ≺ q` on at least one.
     fn dominates(&self, p: PointId, q: PointId) -> bool;
 
-    /// Index into `candidates` of the first point that dominates `p`, if any.
-    ///
-    /// This is the innermost operation of every elimination scan (one candidate point tested
-    /// against the accepted window); implementations can batch it far more cheaply than a
-    /// `dominates` call per candidate — the compiled kernel hoists `p`'s rows out of the loop.
-    fn first_dominator(&self, p: PointId, candidates: &[PointId]) -> Option<usize> {
-        candidates.iter().position(|&q| self.dominates(q, p))
-    }
-
     /// Computes the BNL skyline of `points` (sorted ascending by id).
     ///
     /// The default is the classic window loop over [`Dominance::dominates`]; the compiled
@@ -104,10 +95,6 @@ impl<D: Dominance + ?Sized> Dominance for &D {
 
     fn dominates(&self, p: PointId, q: PointId) -> bool {
         D::dominates(self, p, q)
-    }
-
-    fn first_dominator(&self, p: PointId, candidates: &[PointId]) -> Option<usize> {
-        D::first_dominator(self, p, candidates)
     }
 
     fn bnl_skyline(&self, points: &[PointId]) -> Vec<PointId> {

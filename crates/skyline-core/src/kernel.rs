@@ -35,7 +35,6 @@ use crate::error::{Result, SkylineError};
 use crate::lanes::PackedLanes;
 use crate::order::{PartialOrder, Preference, Template};
 use crate::value::{PointId, ValueId};
-use std::cell::Cell;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -181,7 +180,8 @@ impl CompiledOrder {
 ///
 /// Every accepted point's rows are *copied* into 64-row lane blocks, so testing the next
 /// candidate against the whole window is one pass of `u64` mask algebra per block — no id
-/// indirection, no strided loads. Nominal cells are stored as `(value id, layered rank)`
+/// indirection, no strided loads. A window of at most 16 rows is tested pairwise instead
+/// (`PAIRWISE_WINDOW`). Nominal cells are stored as `(value id, layered rank)`
 /// pairs: for ranked (weak) orders the dominance test is then integer compares, with no
 /// closure-probe loads at all. Windows are reusable scratch: [`Dominance::reset_window`]
 /// keeps the allocations, so a worker thread serving thousands of queries re-runs its scans
@@ -192,124 +192,23 @@ pub struct DenseWindow {
     probe: Vec<u16>,
     /// The accepted rows, bit-parallel.
     lanes: PackedLanes,
-    /// Member point ids, lane-aligned with `lanes`: the scalar-peek prefix test reaches back
-    /// to the dataset's rows through them.
+    /// Member point ids, lane-aligned with `lanes`: the pairwise test of a short window
+    /// ([`PAIRWISE_WINDOW`]) reaches back to the dataset's rows through them.
     members: Vec<PointId>,
-    /// Adaptive scalar-peek depth; persists across resets so reused scratch windows carry
-    /// their recent kill-depth signal from scan to scan.
-    peek: PeekDepth,
 }
 
-/// Seed depth for the scalar peek: how many leading window members the packed probes test
-/// with the pairwise [`CompiledRelation::dominates`] before falling into 64-lane mask
-/// algebra. Score-sorted scans kill most candidates with the first handful of accepted rows
-/// (on the all-nominal Nursery workload, usually the very first); the pairwise test
-/// early-exits on the first worse dimension, while a packed pass always pays full mask passes
-/// over every dimension of a 64-lane block. The peek keeps quickly-dominated candidates at
-/// pairwise cost and leaves deep survivors — where the window is long and lane parallelism
-/// wins — to the packed walk.
+/// The longest window both window probes test with the pairwise
+/// [`CompiledRelation::dominates`] alone; a longer window is tested by the 64-lane mask walk
+/// alone. A packed pass costs a full 64-lane block per dimension whatever the block holds,
+/// while the pairwise test exits on the first worse dimension, so a window that fills a small
+/// part of its only block is cheaper to walk row by row. Sixteen rows is the smallest bound
+/// that keeps the all-nominal Nursery workload's windows pairwise: with no preference its
+/// skyline is one row per `(form, children)` pair, and a candidate's one dominator sits
+/// anywhere in that 16-row window.
 ///
-/// The effective depth is **adaptive** per window ([`PeekDepth`]): each scan tracks an EWMA
-/// of its recent kill depths and sizes the peek to roughly twice that, within
-/// [`WINDOW_PEEK_MIN`]..=[`WINDOW_PEEK_MAX`]. [`with_window_peek`] pins the depth instead,
-/// on the calling thread.
-const WINDOW_PEEK: usize = 8;
-
-/// Lower bound of the adaptive peek depth — never give up the first couple of scalar tests.
-const WINDOW_PEEK_MIN: usize = 2;
-
-/// Upper bound of the adaptive peek depth — beyond this the 64-lane walk wins regardless.
-const WINDOW_PEEK_MAX: usize = 32;
-
-thread_local! {
-    /// The calling thread's pinned peek depth (the innermost [`with_window_peek`]); `None`
-    /// means the depth adapts per scan.
-    static PEEK_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Runs `f` with the calling thread's scalar-peek depth pinned to `depth` (0 disables the
-/// peek entirely), restoring the previous override afterwards (also on panic). Equivalence
-/// tests sweep this to pin packed ≡ reference at every depth; it does not affect other
-/// threads.
-pub fn with_window_peek<T>(depth: usize, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            PEEK_OVERRIDE.set(self.0);
-        }
-    }
-    let _restore = Restore(PEEK_OVERRIDE.replace(Some(depth.min(64))));
-    f()
-}
-
-/// Adaptive scalar-peek depth: a per-window EWMA of recent kill depths (the 1-based index of
-/// the first dominator found) sized so that the typical kill stays on the cheap pairwise path
-/// while deep survivors fall through to the packed walk quickly. The state persists across
-/// [`Dominance::reset_window`] — reused scratch windows carry their recent-workload signal
-/// from scan to scan — and a pinned depth ([`with_window_peek`]) disables
-/// adaptation for reproducibility.
-///
-/// Correctness does not depend on the depth: the peek tests a prefix of the window with the
-/// pairwise test and the packed pass re-covers every lane, so any depth (including 0) yields
-/// the same accept/reject decision for every candidate.
-#[derive(Debug, Clone)]
-struct PeekDepth {
-    depth: usize,
-    /// EWMA of observed kill depths, scaled by 8 for integer arithmetic.
-    ewma8: u32,
-    pinned: bool,
-}
-
-impl Default for PeekDepth {
-    fn default() -> Self {
-        let mut peek = Self {
-            depth: WINDOW_PEEK,
-            ewma8: (WINDOW_PEEK as u32) * 8,
-            pinned: false,
-        };
-        peek.resync();
-        peek
-    }
-}
-
-impl PeekDepth {
-    /// Re-reads the thread's pin; called on every window reset so a window created outside
-    /// a [`with_window_peek`] scope still honours it.
-    fn resync(&mut self) {
-        match PEEK_OVERRIDE.get() {
-            Some(d) => {
-                self.depth = d;
-                self.ewma8 = (d as u32) * 8;
-                self.pinned = true;
-            }
-            None => self.pinned = false,
-        }
-    }
-
-    /// Records one observed kill depth (1-based) and re-targets the peek to roughly twice
-    /// the recent typical depth: `ewma ← (3·ewma + d) / 4`, `depth ← clamp(2·ewma)`.
-    #[inline]
-    fn observe(&mut self, kill_depth: usize) {
-        if self.pinned {
-            return;
-        }
-        let d8 = (kill_depth.min(WINDOW_PEEK_MAX) as u32) * 8;
-        self.ewma8 = (3 * self.ewma8 + d8) / 4;
-        self.depth = ((self.ewma8 as usize) / 4).clamp(WINDOW_PEEK_MIN, WINDOW_PEEK_MAX);
-    }
-}
-
-impl DenseWindow {
-    /// Number of points in the window.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True when no point has been pushed since the last reset.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-}
+/// Correctness does not depend on the bound: both tests return the first dominating member,
+/// so either yields the same decision and the same index.
+const PAIRWISE_WINDOW: usize = 16;
 
 /// The compiled dominance kernel: a handle to the rows (a shared [`Dataset`]) plus one
 /// [`CompiledOrder`] per nominal dimension.
@@ -495,7 +394,6 @@ impl<R: Deref<Target = Dataset>> Dominance for CompiledRelation<R> {
 
     fn reset_window(&self, window: &mut DenseWindow) {
         window.members.clear();
-        window.peek.resync();
         let schema = self.data.schema();
         window
             .lanes
@@ -510,26 +408,18 @@ impl<R: Deref<Target = Dataset>> Dominance for CompiledRelation<R> {
     }
 
     fn window_first_dominator(&self, window: &mut DenseWindow, p: PointId) -> Option<usize> {
-        // Scalar peek first (see [`WINDOW_PEEK`]): the leading accepted rows dominate most
-        // candidates, and the pairwise test exits on the first worse dimension. The depth
-        // adapts to the scan's recent kill depths.
-        for (i, &m) in window.members.iter().take(window.peek.depth).enumerate() {
-            if CompiledRelation::dominates(self, m, p) {
-                window.peek.observe(i + 1);
-                return Some(i);
-            }
+        if window.members.len() <= PAIRWISE_WINDOW {
+            return window
+                .members
+                .iter()
+                .position(|&m| CompiledRelation::dominates(self, m, p));
         }
         // Hoist the candidate's (id, rank) pairs once per call.
         window.probe.clear();
         self.extend_nominal_keys(&mut window.probe, p);
-        let hit =
-            window
-                .lanes
-                .first_dominator(&self.orders, self.data.numeric_row(p), &window.probe);
-        if let Some(i) = hit {
-            window.peek.observe(i + 1);
-        }
-        hit
+        window
+            .lanes
+            .first_dominator(&self.orders, self.data.numeric_row(p), &window.probe)
     }
 
     #[inline]
@@ -537,13 +427,9 @@ impl<R: Deref<Target = Dataset>> Dominance for CompiledRelation<R> {
         CompiledRelation::dominates(self, p, q)
     }
 
-    #[inline]
-    fn first_dominator(&self, p: PointId, candidates: &[PointId]) -> Option<usize> {
-        CompiledRelation::first_dominator(self, p, candidates)
-    }
-
     /// BNL over the packed window: candidates stream through 64-lane blocks, the dominator
-    /// probe and the eviction sweep are both one pass of mask algebra per block, and evicted
+    /// probe (pairwise while the window is short, see `PAIRWISE_WINDOW`) and the eviction
+    /// sweep are both one pass of mask algebra per block, and evicted
     /// rows just lose their validity bit (lanes are never reused, so a lane index stays
     /// aligned with the side list of member ids).
     fn bnl_skyline(&self, points: &[PointId]) -> Vec<PointId> {
@@ -552,35 +438,21 @@ impl<R: Deref<Target = Dataset>> Dominance for CompiledRelation<R> {
         lanes.reset(schema.numeric_count(), schema.nominal_count());
         let mut members: Vec<PointId> = Vec::new();
         let mut probe: Vec<u16> = Vec::with_capacity(schema.nominal_count() * 2);
-        // First still-valid lane; advances monotonically as evictions only clear bits.
-        let mut first_valid = 0usize;
-        // Local adaptive peek depth, tracking this scan's recent kill depths.
-        let mut peek = PeekDepth::default();
-        'points: for &p in points {
-            // Scalar peek over the leading surviving members (see [`WINDOW_PEEK`]).
-            while first_valid < members.len() && !lanes.is_valid(first_valid) {
-                first_valid += 1;
-            }
-            let mut peeked = 0usize;
-            for (l, &m) in members.iter().enumerate().skip(first_valid) {
-                if peeked == peek.depth {
-                    break;
-                }
-                if lanes.is_valid(l) {
-                    if CompiledRelation::dominates(self, m, p) {
-                        peek.observe(peeked + 1);
-                        continue 'points;
-                    }
-                    peeked += 1;
-                }
-            }
+        for &p in points {
             probe.clear();
             self.extend_nominal_keys(&mut probe, p);
             let pn = self.data.numeric_row(p);
             // Window members are mutually undominated, so when one dominates `p`, none can
             // be dominated by `p` (transitivity) — probing before evicting loses nothing.
-            if let Some(l) = lanes.first_dominator(&self.orders, pn, &probe) {
-                peek.observe(l + 1);
+            let dominated = if members.len() <= PAIRWISE_WINDOW {
+                members
+                    .iter()
+                    .enumerate()
+                    .any(|(l, &m)| lanes.is_valid(l) && CompiledRelation::dominates(self, m, p))
+            } else {
+                lanes.first_dominator(&self.orders, pn, &probe).is_some()
+            };
+            if dominated {
                 continue;
             }
             lanes.clear_dominated_by(&self.orders, pn, &probe);
@@ -900,7 +772,7 @@ mod tests {
     /// A dataset whose skyline is large enough to push the dense window past several 64-lane
     /// blocks: an anti-correlated numeric staircase (all survive) interleaved with dominated
     /// fill rows (all killed, at varying window depths), over a 3-value nominal dimension.
-    fn peek_stress_data() -> Dataset {
+    fn window_stress_data() -> Dataset {
         let schema = Schema::new(vec![
             Dimension::numeric("x"),
             Dimension::numeric("y"),
@@ -917,38 +789,48 @@ mod tests {
         data
     }
 
-    /// Satellite: the scalar-peek depth is a pure performance knob. The packed scan and BNL
-    /// must emit the reference context's skylines at every pinned depth, including 0 (peek
-    /// disabled) and 64 (peek covers a whole lane block).
+    /// The kernel scan and BNL emit the reference context's skylines, and the scan reports
+    /// the reference scan's `Work`: the pairwise test of a short window and the packed walk
+    /// both return the first dominator, so the kill index, and with it `dominance_tests`,
+    /// match. The first 20 rows keep the window short enough for the pairwise test; all
+    /// rows push it past the bound and kill candidates past the first 64-lane block.
     #[test]
-    fn packed_matches_reference_at_every_pinned_peek_depth() {
+    fn packed_scan_matches_reference_answers_and_work() {
         use crate::algo::sfs::Scan;
         use crate::score::ScoreFn;
 
-        let data = peek_stress_data();
+        let data = window_stress_data();
         let g_order = PartialOrder::from_pairs(3, [(0, 2)]).unwrap();
         let template = Template::from_partial_orders(data.schema(), vec![g_order]).unwrap();
         let ctx = DominanceContext::for_template(&data, &template).unwrap();
         let kernel = CompiledRelation::for_template(&data, &template).unwrap();
         let score = ScoreFn::default_ranking(data.schema());
-        let all: Vec<PointId> = data.point_ids().collect();
-        let sorted = score.sort_by_score(&data, &all);
-        let reference: Vec<PointId> = Scan::presorted(&ctx, &sorted).collect();
-        let reference_bnl = ctx.bnl_skyline(&all);
-        for depth in [0usize, 1, 2, 8, 32, 64] {
-            with_window_peek(depth, || {
-                assert_eq!(
-                    Scan::presorted(&kernel, &sorted).collect::<Vec<_>>(),
-                    reference,
-                    "scan mismatch at peek depth {depth}"
-                );
-                assert_eq!(
-                    kernel.bnl_skyline(&all),
-                    reference_bnl,
-                    "bnl mismatch at peek depth {depth}"
-                );
-            });
+        let mut kills = Vec::new();
+        for n in [20, data.len()] {
+            let points: Vec<PointId> = (0..n as PointId).collect();
+            let sorted = score.sort_by_score(&data, &points);
+            let mut window = Vec::new();
+            for &p in &sorted {
+                match ctx.window_first_dominator(&mut window, p) {
+                    Some(i) => kills.push((window.len(), i)),
+                    None => window.push(p),
+                }
+            }
+
+            let mut reference = Scan::presorted(&ctx, &sorted);
+            let mut packed = Scan::presorted(&kernel, &sorted);
+            assert_eq!(
+                packed.by_ref().collect::<Vec<_>>(),
+                reference.by_ref().collect::<Vec<_>>(),
+            );
+            assert_eq!(packed.work, reference.work);
+            assert_eq!(reference.work.candidates, n as u64);
+            assert_eq!(reference.work.rows_emitted, window.len() as u64);
+            assert_eq!(kernel.bnl_skyline(&points), ctx.bnl_skyline(&points));
         }
+        assert!(kills.iter().any(|&(len, _)| len <= PAIRWISE_WINDOW));
+        assert!(kills.iter().any(|&(len, _)| len > PAIRWISE_WINDOW));
+        assert!(kills.iter().any(|&(_, i)| i >= 64));
     }
 
     /// The repo benchmark writes `format!("{:?}", kernel_mode())` into every host stamp and
@@ -957,56 +839,5 @@ mod tests {
     #[test]
     fn kernel_mode_stamp_reads_packed() {
         assert_eq!(format!("{:?}", kernel_mode()), "Packed");
-    }
-
-    /// Satellite: adaptation tracks observed kill depths within bounds, and pinning (env or
-    /// [`with_window_peek`]) freezes the depth.
-    #[test]
-    fn peek_depth_adapts_within_bounds_and_pinning_freezes_it() {
-        let mut peek = PeekDepth::default();
-        assert_eq!(peek.depth, WINDOW_PEEK, "seed depth");
-        // A run of shallow kills drags the depth down to the floor, never below.
-        for _ in 0..64 {
-            peek.observe(1);
-        }
-        assert_eq!(peek.depth, WINDOW_PEEK_MIN);
-        // A run of deep kills saturates at the ceiling, never above.
-        for _ in 0..64 {
-            peek.observe(1000);
-        }
-        assert_eq!(peek.depth, WINDOW_PEEK_MAX);
-        // Mid-range kills settle near twice the typical depth.
-        for _ in 0..64 {
-            peek.observe(4);
-        }
-        assert_eq!(peek.depth, 8);
-
-        // Pinning through the thread-local override freezes the depth against observations.
-        with_window_peek(5, || {
-            let mut pinned = PeekDepth::default();
-            assert_eq!(pinned.depth, 5);
-            for _ in 0..64 {
-                pinned.observe(1000);
-            }
-            assert_eq!(pinned.depth, 5, "pinned depth must ignore observations");
-        });
-        // Outside the scope a fresh window adapts again.
-        let mut fresh = PeekDepth::default();
-        assert!(!fresh.pinned);
-        fresh.observe(1000);
-        assert_ne!(fresh.depth, WINDOW_PEEK);
-
-        // reset_window resyncs the pin for windows created outside the override scope.
-        let data = vacation_data();
-        let template = Template::empty(data.schema());
-        let kernel = CompiledRelation::for_template(&data, &template).unwrap();
-        let mut window = DenseWindow::default();
-        with_window_peek(3, || {
-            kernel.reset_window(&mut window);
-            assert!(window.peek.pinned);
-            assert_eq!(window.peek.depth, 3);
-        });
-        kernel.reset_window(&mut window);
-        assert!(!window.peek.pinned, "pin clears outside the scope");
     }
 }
