@@ -326,7 +326,8 @@ mod tests {
             asfs.query_scan(
                 &bad,
                 crate::ScanMode::default(),
-                &mut crate::QueryScratch::new()
+                &mut crate::QueryScratch::new(),
+                None
             ),
             Err(SkylineError::NotARefinement { .. })
         ));

@@ -19,6 +19,28 @@
 //! skyline would leave those dominated only by a shard-mate in the answer. With a single
 //! answering shard there is nothing to test, and the batch gather builds no merger at all.
 //!
+//! # Shares of the global template skyline
+//!
+//! Each shard preprocesses its own template skyline `SKY_R(D_s)`, but only the service-wide
+//! `G = SKY_R(D)` can hold an answer: a row outside `G` has an R-dominator chain that ends
+//! in `G`, and R-dominance implies R′-dominance for any refinement R′, so
+//! `SKY_{R′}(D) = SKY_{R′}(G)`. On the first miss at a new epoch vector the service builds
+//! every shard's share `G ∩ D_s` — one [`SkylineMerger`] pass under the template's orders over
+//! every shard's sorted list, sound because each list is exactly its shard's `SKY_R(D_s)` (the
+//! merger's precondition) and `G ⊆ ∪ SKY_R(D_s)` — and keeps it in one slot keyed by the
+//! vector. Every write moves the vector, and so does every swap, which also renumbers rows.
+//! Leg `s` then scans its share only and returns `SKY_{R′}(G ∩ D_s)` (the Adaptive-SFS
+//! lemma holds on a subset of its sorted list): mutually non-dominating rows containing every
+//! row of `SKY_{R′}(D)` on the shard. The merge of such legs is `SKY_{R′}(G) = SKY_{R′}(D)`.
+//! Like the merge, this relies on dominance being transitive. Tree-served legs stay
+//! unfiltered: an exact local skyline meets the same condition.
+//!
+//! The shares apply only with two or more shards, an Adaptive-SFS structure on every shard
+//! and [`DegradePolicy::FailClosed`]. A partial answer under a tolerant policy is the skyline
+//! of the healthy shards' rows, and a share would drop a row whose only template dominator
+//! sits on a missing shard; under `FailClosed` every answer returned or cached is complete.
+//! [`StatsSnapshot::template_skyline_builds`] counts the builds.
+//!
 //! The pieces:
 //!
 //! * [`ShardPartition`] — how rows map to shards: a hash of one nominal dimension's value.
@@ -78,8 +100,8 @@ use skyline::{
 };
 use skyline_core::score::ScoreFn;
 use skyline_core::{
-    CanonicalPreference, CompiledOrder, Dataset, DatasetEpoch, Deadline, PointId, Preference,
-    ProgressiveMerger, Result, Schema, SkylineError, SkylineMerger, Template, ValueId,
+    BitSet, CanonicalPreference, CompiledOrder, Dataset, DatasetEpoch, Deadline, PointId,
+    Preference, ProgressiveMerger, Result, Schema, SkylineError, SkylineMerger, Template, ValueId,
 };
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
@@ -527,6 +549,9 @@ fn shared_shape<'a>(
 
 type EpochVector = Arc<[DatasetEpoch]>;
 
+/// Every shard's share of the service-wide template skyline, indexed by shard, then row.
+type Shares = Arc<[BitSet]>;
+
 /// A concurrent scatter-gather skyline service over N independently maintained dataset
 /// shards (see the module docs).
 #[derive(Debug)]
@@ -543,6 +568,8 @@ pub struct ShardedService {
     /// The build threads, when [`ShardedConfig::maintenance`] is set.
     scheduler: Option<Scheduler>,
     workers: usize,
+    /// The template-skyline shares of the last epoch vector a miss built them at.
+    shares: Mutex<Option<(EpochVector, Shares)>>,
 }
 
 impl ShardedService {
@@ -699,6 +726,7 @@ impl ShardedService {
             admission: AdmissionQueue::new(config.admission_depth),
             scheduler,
             workers,
+            shares: Mutex::new(None),
         })
     }
 
@@ -1069,10 +1097,14 @@ impl ShardedService {
         } else {
             // Presorting/re-ranking happens here; the elimination scans run lazily in the
             // pulls.
+            let shares = self.template_shares(&front)?;
             let Scattered { answered, degraded } = self.scatter(
                 &front,
                 || (),
-                |engine, s, ()| engine.query_streaming_at(pref, front.epochs[s], deadline.clone()),
+                |engine, s, ()| {
+                    let share = shares.as_ref().map(|shares| &shares[s]);
+                    engine.query_streaming_at(pref, front.epochs[s], deadline.clone(), share)
+                },
             )?;
             let mut merger = ProgressiveMerger::new(
                 self.compiled_orders(pref)?,
@@ -1255,6 +1287,51 @@ impl ShardedService {
             .collect())
     }
 
+    /// Every shard's share of the service-wide template skyline `SKY_R(D)` at the front end's
+    /// epoch vector, or `None` where the shares do not apply (module docs): one shard, a shard
+    /// without an Adaptive-SFS structure, or a tolerant [`DegradePolicy`]. One merge of every
+    /// shard's sorted list under the template's orders builds them, under the front end's
+    /// read guards; the slot keeps them for that vector, and its mutex makes concurrent misses
+    /// at a new vector build once.
+    fn template_shares(&self, front: &Admitted<'_>) -> Result<Option<Shares>> {
+        if self.shard_count() < 2 || self.degrade != DegradePolicy::FailClosed {
+            return Ok(None);
+        }
+        let Some(lists) = front
+            .guards
+            .iter()
+            .map(|g| g.adaptive())
+            .collect::<Option<Vec<_>>>()
+        else {
+            return Ok(None);
+        };
+        let mut slot = self.shares.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some((epochs, shares)) = &*slot {
+            if *epochs == front.epochs {
+                return Ok(Some(shares.clone()));
+            }
+        }
+        let orders = self.template.orders().iter().map(CompiledOrder::compile);
+        let mut merger = SkylineMerger::new(orders.collect(), self.schema.numeric_count());
+        for (s, asfs) in lists.iter().enumerate() {
+            let data = asfs.dataset();
+            for p in asfs.sorted_entries().iter().map(|e| e.point) {
+                merger.push(s, p, data.numeric_row(p), data.nominal_row(p))?;
+            }
+        }
+        let mut shares: Vec<BitSet> = lists
+            .iter()
+            .map(|a| BitSet::new(a.dataset().len()))
+            .collect();
+        for (s, p) in merger.merge() {
+            shares[s].insert(p as usize);
+        }
+        let shares: Shares = shares.into();
+        *slot = Some((front.epochs.clone(), shares.clone()));
+        self.metrics.record_template_skyline_build();
+        Ok(Some(shares))
+    }
+
     /// The batch miss path: the shared scatter of engine answers, then the gather by
     /// cross-shard dominance merge. Complete answers are cached at the epoch vector; a
     /// degraded answer is flagged and **never cached**.
@@ -1264,9 +1341,11 @@ impl ShardedService {
         pref: &Preference,
         deadline: &Deadline,
     ) -> Result<ShardedServed> {
+        let shares = self.template_shares(&front)?;
         let Scattered { answered, degraded } =
             self.scatter(&front, EngineScratch::default, |engine, s, scratch| {
-                engine.query_at_deadline(pref, front.epochs[s], deadline, scratch)
+                let share = shares.as_ref().map(|shares| &shares[s]);
+                engine.query_at_deadline(pref, front.epochs[s], deadline, scratch, share)
             })?;
         // A single answering shard's skyline is already the global one (the merger would
         // test nothing against it); otherwise the cross-shard dominance merge, each engine
@@ -2710,5 +2789,111 @@ mod tests {
         let recomputed = service.serve(&other).unwrap();
         assert!(!recomputed.cache_hit, "entry fell off the remap chain");
         assert_eq!(service.stats().remap_misses, 1);
+    }
+
+    // ---- Shares of the global template skyline ----
+
+    /// The brute-force skyline of every row live on any shard, ascending by shard, then row.
+    fn live_oracle(service: &ShardedService, pref: &Preference) -> Vec<GlobalRowId> {
+        let mut union = Dataset::empty(service.schema().clone());
+        let mut ids = Vec::new();
+        for shard in 0..service.shard_count() {
+            let engine = service.shard(shard).read();
+            let data = engine.dataset();
+            for row in data.live_ids() {
+                union
+                    .push_row_ids(data.numeric_row(row), data.nominal_row(row))
+                    .unwrap();
+                ids.push(GlobalRowId { shard, row });
+            }
+        }
+        let ctx =
+            skyline_core::DominanceContext::for_query(&union, service.template(), pref).unwrap();
+        let skyline = skyline_core::algo::bnl::skyline(&ctx);
+        skyline.into_iter().map(|p| ids[p as usize]).collect()
+    }
+
+    /// Template `0 ≺ *` over two shards: `d = (1, 1, 0)` on shard 0 is the only template
+    /// dominator of `r = (2, 2, 1)` on shard 1, beside `r`'s incomparable shard-mate
+    /// `s = (0, 5, 1)`. Shard 1's share leaves `r` out while `d` lives, takes it back when `d`
+    /// goes, and leaves it out again under a new dominator; every answer, batch or streamed,
+    /// equals the oracle, across rebuilds that renumber rows, and the shares are built once
+    /// per epoch vector.
+    #[test]
+    fn template_skyline_shares_follow_the_data() {
+        let schema = Schema::new(vec![
+            Dimension::numeric("x"),
+            Dimension::numeric("y"),
+            Dimension::nominal("g", NominalDomain::anonymous(6)),
+        ])
+        .unwrap();
+        let data = Dataset::from_columns(
+            schema.clone(),
+            vec![vec![1.0, 2.0, 0.0], vec![1.0, 2.0, 5.0]],
+            vec![vec![0, 1, 1]],
+        )
+        .unwrap();
+        let template = Template::from_preference(&schema, listing(&[0])).unwrap();
+        let service = ShardedService::build(
+            &data,
+            template,
+            EngineConfig::AdaptiveSfs,
+            ShardedConfig {
+                shards: 2,
+                workers: 2,
+                ..ShardedConfig::default()
+            },
+        )
+        .unwrap();
+        let placed = ShardedService::partition_rows(service.partition(), 2, &data);
+        let (d, r) = (placed[0], placed[1]);
+        assert_eq!(
+            (d.shard, r.shard),
+            (0, 1),
+            "d and r sit on different shards"
+        );
+
+        // Two misses at the current vector — a batch and a stream of refinements not asked
+        // before — each equal to the oracle; returns the batch answer and checks that exactly
+        // one build happened.
+        let mut builds = 0;
+        let mut misses_at_one_vector = |service: &ShardedService| {
+            builds += 1;
+            let batch_pref = listing(&[0, builds]);
+            let stream_pref = listing(&[0, builds % 5 + 1, builds]);
+            let batch = service.serve(&batch_pref).unwrap();
+            assert!(!batch.cache_hit);
+            assert_eq!(batch.outcome.skyline, live_oracle(service, &batch_pref));
+            let mut streamed = service
+                .serve_streaming(&stream_pref)
+                .unwrap()
+                .collect_rows()
+                .unwrap();
+            streamed.sort_unstable();
+            assert_eq!(streamed, live_oracle(service, &stream_pref));
+            assert_eq!(service.stats().template_skyline_builds, u64::from(builds));
+            batch.outcome.skyline.clone()
+        };
+        let share = |service: &ShardedService, s: usize| {
+            let slot = service.shares.lock().unwrap();
+            slot.as_ref().unwrap().1[s].to_ids()
+        };
+
+        assert!(!misses_at_one_vector(&service).contains(&r));
+        assert_eq!(share(&service, 1), vec![1], "r is outside shard 1's share");
+        assert!(service.delete_row(d).unwrap());
+        assert!(misses_at_one_vector(&service).contains(&r));
+        assert_eq!(share(&service, 1), vec![0, 1]);
+        let d2 = service.insert_row(&[0.5, 0.5], &[0]).unwrap();
+        assert_eq!(d2, GlobalRowId { shard: 0, row: 1 });
+        assert!(!misses_at_one_vector(&service).contains(&r));
+        assert_eq!(share(&service, 1), vec![1]);
+
+        // The rebuild reclaims `d` and renumbers `d2` to row 0.
+        assert!(service.force_rebuild_shard(0).unwrap());
+        let answer = misses_at_one_vector(&service);
+        assert!(answer.contains(&GlobalRowId { shard: 0, row: 0 }));
+        assert!(service.force_rebuild_shard(1).unwrap());
+        misses_at_one_vector(&service);
     }
 }

@@ -27,6 +27,7 @@ pub struct ServiceMetrics {
     snapshot_loads: AtomicU64,
     snapshot_load_ns: AtomicU64,
     preprocess_build_ns: AtomicU64,
+    template_skyline_builds: AtomicU64,
     latency_ns: [AtomicU64; BUCKETS],
     ttfr_ns: [AtomicU64; BUCKETS],
 }
@@ -47,6 +48,7 @@ impl Default for ServiceMetrics {
             snapshot_loads: AtomicU64::new(0),
             snapshot_load_ns: AtomicU64::new(0),
             preprocess_build_ns: AtomicU64::new(0),
+            template_skyline_builds: AtomicU64::new(0),
             latency_ns: std::array::from_fn(|_| AtomicU64::new(0)),
             ttfr_ns: std::array::from_fn(|_| AtomicU64::new(0)),
         }
@@ -136,6 +138,12 @@ impl ServiceMetrics {
         );
     }
 
+    /// Records one build of the shards' template-skyline shares (once per epoch vector a
+    /// sharded miss reached).
+    pub fn record_template_skyline_build(&self) {
+        self.template_skyline_builds.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records a stream's time-to-first-row: the delay between the serve call and its first
     /// delivered skyline member. The whole point of the progressive path — compare
     /// [`StatsSnapshot::ttfr_p99`] against [`StatsSnapshot::p99`] (whole-answer latency).
@@ -179,6 +187,7 @@ impl ServiceMetrics {
             snapshot_loads: self.snapshot_loads.load(Ordering::Relaxed),
             snapshot_load_ms: self.snapshot_load_ns.load(Ordering::Relaxed) / 1_000_000,
             preprocess_build_ms: self.preprocess_build_ns.load(Ordering::Relaxed) / 1_000_000,
+            template_skyline_builds: self.template_skyline_builds.load(Ordering::Relaxed),
             p50: percentile(&buckets, 0.50),
             p99: percentile(&buckets, 0.99),
             ttfr_p50: percentile(&ttfr, 0.50),
@@ -261,6 +270,11 @@ pub struct StatsSnapshot {
     /// Total wall time spent in from-scratch preprocessing builds, in milliseconds — the
     /// cost [`StatsSnapshot::snapshot_load_ms`] replaces on a snapshot bootstrap.
     pub preprocess_build_ms: u64,
+    /// Builds of the shards' shares of the service-wide template skyline: one per epoch
+    /// vector a sharded Adaptive-SFS miss reached, so it counts how often writes and swaps
+    /// forced a rebuild of the shares (0 on one shard, on SFS-D shards and under a tolerant
+    /// degrade policy).
+    pub template_skyline_builds: u64,
     /// Median latency (upper bound of its power-of-two bucket).
     pub p50: Duration,
     /// 99th-percentile latency (upper bound of its power-of-two bucket).

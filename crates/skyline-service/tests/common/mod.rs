@@ -1,5 +1,6 @@
 //! Helpers shared by the service integration suites (each suite is its own crate and pulls
-//! this file in with `mod common;`).
+//! this file in with `mod common;`, and uses some of them).
+#![allow(dead_code)]
 
 use skyline::prelude::*;
 use skyline_core::algo::bnl;
@@ -45,4 +46,27 @@ pub fn live_oracle(service: &ShardedService, pref: &Preference) -> Vec<GlobalRow
         .into_iter()
         .map(|p| ids[p as usize])
         .collect()
+}
+
+/// The template (empty, or `listed` preferred on `g`) and a query refining it: the listed
+/// value first, then `choices` without it. `g` is the schema's only nominal dimension.
+pub fn template_and_refinement(
+    schema: &Schema,
+    listed: Option<ValueId>,
+    choices: Vec<ValueId>,
+) -> (Template, Preference) {
+    let values: Vec<ValueId> = listed
+        .into_iter()
+        .chain(choices.into_iter().filter(|&v| Some(v) != listed))
+        .collect();
+    let pref = Preference::from_dims(vec![ImplicitPreference::new(values).unwrap()]);
+    let template = match listed {
+        None => Template::empty(schema),
+        Some(v) => Template::from_preference(
+            schema,
+            Preference::from_dims(vec![ImplicitPreference::new([v]).unwrap()]),
+        )
+        .unwrap(),
+    };
+    (template, pref)
 }

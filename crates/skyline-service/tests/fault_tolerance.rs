@@ -549,3 +549,82 @@ fn forced_rebuilds_honour_the_build_failpoint_and_contain_the_panic() {
     let pref = Preference::from_dims(vec![ImplicitPreference::new([0]).unwrap()]);
     assert!(!service.serve(&pref).unwrap().is_degraded());
 }
+
+/// A tolerated partial answer is the skyline of the healthy shards' rows, so a tolerant
+/// service gathers without the shards' shares of the global template skyline. Template
+/// `a ≺ *`, row `(1, a)` on shard 1 and row `(2, c)` on shard 0: `(1, a)` template-dominates
+/// `(2, c)`, so shard 0's share would be empty — yet with shard 1 past the deadline or
+/// quarantined the degraded answer is `[(2, c)]`, batch and streamed. Under `FailClosed` the
+/// same requests fail.
+#[test]
+fn tolerated_answers_keep_rows_dominated_only_on_the_missing_shard() {
+    let partition = ShardPartition::HashNominal { dim: 0 };
+    let on = |shard| {
+        (0..CARD as ValueId)
+            .find(|&v| partition.shard_of(2, &[v]) == shard)
+            .unwrap()
+    };
+    let (a, c) = (on(1), on(0));
+    let data = initial_dataset(&vec![(vec![1.0, 1.0], vec![a]), (vec![2.0, 2.0], vec![c])]);
+    let pref = Preference::from_dims(vec![ImplicitPreference::new([a]).unwrap()]);
+    let template = Template::from_preference(data.schema(), pref.clone()).unwrap();
+    let healthy_row = vec![GlobalRowId { shard: 0, row: 0 }];
+    let build = |degrade| {
+        ShardedService::build(
+            &data,
+            template.clone(),
+            EngineConfig::AdaptiveSfs,
+            ShardedConfig {
+                shards: 2,
+                partition: partition.clone(),
+                workers: 2,
+                degrade,
+                recovery: RecoveryPolicy {
+                    max_attempts: 0,
+                    ..RecoveryPolicy::default()
+                },
+                ..ShardedConfig::default()
+            },
+        )
+        .unwrap()
+    };
+
+    for degrade in [
+        DegradePolicy::Tolerate { max_degraded: 1 },
+        DegradePolicy::FailClosed,
+    ] {
+        let tolerant = degrade != DegradePolicy::FailClosed;
+        // Shard 1 past the deadline.
+        let late = build(degrade);
+        late.fault_injector()
+            .delay_shard_query(1, Duration::from_millis(100));
+        let deadline = || Deadline::within(Duration::from_millis(30));
+        let served = late.serve_deadline(&pref, &deadline());
+        let stream = late.serve_streaming_deadline(&pref, deadline());
+        // Shard 1 quarantined: by a panicking leg, then already before the scatter.
+        let broken = build(degrade);
+        broken.fault_injector().panic_on_shard_query(1, 1);
+        let panicked = broken.serve(&pref);
+        let quarantined = broken.serve_streaming(&pref);
+        if tolerant {
+            for served in [served.unwrap(), panicked.unwrap()] {
+                assert_eq!(served.degraded_shards, vec![1]);
+                assert_eq!(served.outcome.skyline, healthy_row);
+            }
+            for mut stream in [stream.unwrap(), quarantined.unwrap()] {
+                stream.set_deadline(Deadline::none());
+                assert_eq!(stream.degraded_shards(), [1]);
+                assert_eq!(stream.collect_rows().unwrap(), healthy_row);
+            }
+            for service in [&late, &broken] {
+                assert_eq!(service.stats().template_skyline_builds, 0);
+            }
+        } else {
+            assert_eq!(served.unwrap_err(), SkylineError::DeadlineExceeded);
+            assert_eq!(stream.unwrap_err(), SkylineError::DeadlineExceeded);
+            let unavailable = SkylineError::ShardUnavailable { shard: 1 };
+            assert_eq!(panicked.unwrap_err(), unavailable);
+            assert_eq!(quarantined.unwrap_err(), unavailable);
+        }
+    }
+}

@@ -13,6 +13,11 @@
 //! * **snapshot isolation** — a mutation racing the stream does not change its answer: the
 //!   stream serves the generation it started on.
 //!
+//! The template is an input: empty, or one listed value on `g` (also the partition
+//! dimension), which every query refines. Only a listed value lets a row template-dominate a
+//! row on another shard, so only then do the shards' shares of the global template skyline
+//! exclude rows from the streamed legs.
+//!
 //! A fifth, deterministic scenario pins the reason streams never join a single-flight latch:
 //! a stream whose consumer stops pulling must not block batch serves or writers.
 
@@ -24,7 +29,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 mod common;
-use common::{live_oracle, rows};
+use common::{live_oracle, rows, template_and_refinement};
 
 const CARD: usize = 3;
 
@@ -80,13 +85,13 @@ proptest! {
         initial in rows_strategy(),
         shards in 1usize..=6,
         mutate_mid_stream in any::<bool>(),
+        listed in proptest::option::of(0..CARD as ValueId),
         query_choices in proptest::sample::subsequence(
             (0..CARD as ValueId).collect::<Vec<_>>(), 0..=2
         ).prop_shuffle(),
     ) {
         let data = Arc::new(initial_dataset(&initial));
-        let template = Template::empty(data.schema());
-        let pref = Preference::from_dims(vec![ImplicitPreference::new(query_choices).unwrap()]);
+        let (template, pref) = template_and_refinement(data.schema(), listed, query_choices);
         let score = ScoreFn::for_preference(data.schema(), &pref).unwrap();
 
         for config in [

@@ -9,8 +9,8 @@ use skyline_adaptive::{AdaptiveSfs, MaintenanceStats, QueryScratch, ScanMode};
 use skyline_core::algo::sfs::Scan;
 use skyline_core::score::ScoreFn;
 use skyline_core::{
-    CompiledRelation, Dataset, DatasetEpoch, Deadline, PointId, Preference, Result, RowIdRemap,
-    SkylineError, Template, ValueId,
+    BitSet, CompiledRelation, Dataset, DatasetEpoch, Deadline, PointId, Preference, Result,
+    RowIdRemap, SkylineError, Template, ValueId,
 };
 use skyline_ipo::{IpoTree, IpoTreeBuilder, Materialization};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -807,6 +807,7 @@ impl SkylineEngine {
             self.epoch(),
             &Deadline::none(),
             &mut EngineScratch::default(),
+            None,
         )
     }
 
@@ -820,12 +821,17 @@ impl SkylineEngine {
     /// and fail with [`SkylineError::DeadlineExceeded`] once the budget is spent — releasing
     /// the worker instead of finishing an answer nobody is waiting for; the IPO tree path
     /// (set operations, orders of magnitude cheaper than a scan) checks it once up front.
+    ///
+    /// `admitted`, when given, restricts the Adaptive-SFS scan to those rows of its sorted
+    /// list ([`AdaptiveSfs::query_scan`]); the tree and SFS-D paths ignore it. A sharded
+    /// service passes the shard's share of the global template skyline.
     pub fn query_at_deadline(
         &self,
         pref: &Preference,
         epoch: DatasetEpoch,
         deadline: &Deadline,
         scratch: &mut EngineScratch,
+        admitted: Option<&BitSet>,
     ) -> Result<QueryOutcome> {
         self.ensure_epoch(epoch)?;
         deadline.check()?;
@@ -835,7 +841,7 @@ impl SkylineEngine {
                 method: MethodUsed::IpoTree,
             });
         }
-        let (scan, method) = self.open_scan(pref, &mut scratch.asfs)?;
+        let (scan, method) = self.open_scan(pref, &mut scratch.asfs, admitted)?;
         let (skyline, _) = scratch.asfs.drain(scan, deadline)?;
         Ok(QueryOutcome { skyline, method })
     }
@@ -849,9 +855,10 @@ impl SkylineEngine {
         &self,
         pref: &Preference,
         scratch: &mut QueryScratch,
+        admitted: Option<&BitSet>,
     ) -> Result<(Scan<CompiledRelation>, MethodUsed)> {
         if let Some(asfs) = &self.generation.asfs {
-            let scan = asfs.query_scan(pref, ScanMode::default(), scratch)?;
+            let scan = asfs.query_scan(pref, ScanMode::default(), scratch, admitted)?;
             return Ok((scan, MethodUsed::AdaptiveSfs));
         }
         let data = self.dataset_arc();
@@ -882,11 +889,13 @@ impl SkylineEngine {
     /// generation swaps, or dropping the engine guard that created it. `deadline` is polled
     /// at block granularity inside [`EngineStream::next_row`]; an expired deadline aborts the
     /// *pull*, not the stream — pulling again after replacing the deadline resumes.
+    /// `admitted` restricts the Adaptive-SFS scan as in [`SkylineEngine::query_at_deadline`].
     pub fn query_streaming_at(
         &self,
         pref: &Preference,
         epoch: DatasetEpoch,
         deadline: Deadline,
+        admitted: Option<&BitSet>,
     ) -> Result<EngineStream> {
         self.ensure_epoch(epoch)?;
         deadline.check()?;
@@ -900,7 +909,7 @@ impl SkylineEngine {
                 MethodUsed::IpoTree,
             )
         } else {
-            let (scan, method) = self.open_scan(pref, &mut QueryScratch::default())?;
+            let (scan, method) = self.open_scan(pref, &mut QueryScratch::default(), admitted)?;
             (StreamInner::Scan(Box::new(scan)), method)
         };
         Ok(EngineStream {
@@ -1153,15 +1162,15 @@ mod tests {
         let none = Deadline::none();
         let epoch = engine.epoch();
         assert!(engine
-            .query_at_deadline(&pref, epoch, &none, &mut scratch)
+            .query_at_deadline(&pref, epoch, &none, &mut scratch, None)
             .is_ok());
         engine.insert_row(&[1.0, 1.0], &[0, 0]).unwrap();
         assert!(matches!(
-            engine.query_at_deadline(&pref, epoch, &none, &mut scratch),
+            engine.query_at_deadline(&pref, epoch, &none, &mut scratch, None),
             Err(SkylineError::EpochMismatch { .. })
         ));
         assert!(engine
-            .query_at_deadline(&pref, engine.epoch(), &none, &mut scratch)
+            .query_at_deadline(&pref, engine.epoch(), &none, &mut scratch, None)
             .is_ok());
     }
 
@@ -1237,7 +1246,7 @@ mod tests {
                 let pref = Preference::parse(&schema, spec.clone()).unwrap();
                 let batch = engine.query(&pref).unwrap();
                 let mut stream = engine
-                    .query_streaming_at(&pref, engine.epoch(), Deadline::none())
+                    .query_streaming_at(&pref, engine.epoch(), Deadline::none(), None)
                     .unwrap();
                 assert_eq!(stream.epoch(), engine.epoch());
                 let mut streamed = Vec::new();
@@ -1270,7 +1279,7 @@ mod tests {
         let pref = Preference::parse(&schema, [("airline", "W < *")]).unwrap();
         let batch = engine.query(&pref).unwrap();
         let outcome = engine
-            .query_streaming_at(&pref, engine.epoch(), Deadline::none())
+            .query_streaming_at(&pref, engine.epoch(), Deadline::none(), None)
             .unwrap()
             .collect_outcome()
             .unwrap();
@@ -1290,14 +1299,14 @@ mod tests {
         let expired = Deadline::within(std::time::Duration::ZERO);
         assert_eq!(
             engine
-                .query_streaming_at(&pref, engine.epoch(), expired)
+                .query_streaming_at(&pref, engine.epoch(), expired, None)
                 .unwrap_err(),
             SkylineError::DeadlineExceeded
         );
 
         // Expiry mid-stream aborts the pull; replacing the deadline resumes the same stream.
         let mut stream = engine
-            .query_streaming_at(&pref, engine.epoch(), Deadline::none())
+            .query_streaming_at(&pref, engine.epoch(), Deadline::none(), None)
             .unwrap();
         let first = stream.next_row().unwrap().unwrap();
         stream.set_deadline(Deadline::within(std::time::Duration::ZERO));
@@ -1324,7 +1333,7 @@ mod tests {
             let pref = Preference::parse(&schema, [("hotel-group", "M < *")]).unwrap();
             let before = engine.query(&pref).unwrap().skyline;
             let mut stream = engine
-                .query_streaming_at(&pref, engine.epoch(), Deadline::none())
+                .query_streaming_at(&pref, engine.epoch(), Deadline::none(), None)
                 .unwrap();
             // A dominating insert lands mid-stream; the stream must keep answering from its
             // snapshot while fresh queries see the new row.
@@ -1348,11 +1357,11 @@ mod tests {
         let pref = Preference::parse(&schema, [("hotel-group", "M < *")]).unwrap();
         let epoch = engine.epoch();
         assert!(engine
-            .query_streaming_at(&pref, epoch, Deadline::none())
+            .query_streaming_at(&pref, epoch, Deadline::none(), None)
             .is_ok());
         engine.insert_row(&[1.0, 1.0], &[0, 0]).unwrap();
         assert!(matches!(
-            engine.query_streaming_at(&pref, epoch, Deadline::none()),
+            engine.query_streaming_at(&pref, epoch, Deadline::none(), None),
             Err(SkylineError::EpochMismatch { .. })
         ));
     }

@@ -152,11 +152,11 @@ proptest! {
             let mut scratch = EngineScratch::default();
             let none = Deadline::none();
             prop_assert!(engine
-                .query_at_deadline(&pref, engine.epoch(), &none, &mut scratch)
+                .query_at_deadline(&pref, engine.epoch(), &none, &mut scratch, None)
                 .is_ok());
             engine.insert_row(&[0.0, 0.0], &[0]).unwrap();
             prop_assert!(matches!(
-                engine.query_at_deadline(&pref, epoch, &none, &mut scratch),
+                engine.query_at_deadline(&pref, epoch, &none, &mut scratch, None),
                 Err(SkylineError::EpochMismatch { .. })
             ));
         }
