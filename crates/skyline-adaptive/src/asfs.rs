@@ -32,20 +32,6 @@
 //! accepted affected row (the transitivity argument SFS already relies on). That is the core
 //! SFS [`Scan`] with only AFFECT flagged "may dominate later rows". AFFECT = ∅ — for one, a
 //! query equal to the template — answers `SKY(R)` with zero dominance tests.
-//!
-//! # Admitted rows: scanning a subset of the sorted list
-//!
-//! [`AdaptiveSfs::query_scan`] can take an `admitted` set and then re-ranks and scans only
-//! the sorted-list rows in it. A sharded service passes each shard its **share of the global
-//! template skyline** `G = SKY_R(D)` over every shard's rows `D`. Refinement monotonicity
-//! makes that enough: a row outside `G` has an R-dominator chain that ends in `G`, and
-//! R-dominance implies R′-dominance, so `SKY_{R′}(D) = SKY_{R′}(G)`. The lemma above holds
-//! verbatim on any subset `S` of the sorted list — (b) only needs `p ∈ SKY(R)` of this
-//! structure's rows, and a rejected dominator in `S` is dominated by an accepted affected row
-//! of `S` — so the scan returns exactly `SKY_{R′}(S)`, mutually non-dominating rows. On the
-//! shard `D_s`, with `S = G ∩ D_s`, that contains every row of `SKY_{R′}(D)` on the shard,
-//! which is what the cross-shard merge needs. Like the merge, this relies on dominance being
-//! transitive.
 
 use crate::index::{LiveRowIndex, SkylineValueIndex};
 use crate::sorted_list::ScoredEntry;
@@ -53,8 +39,8 @@ use skyline_core::algo::sfs::Scan;
 use skyline_core::kernel::{CompiledOrder, CompiledRelation, DenseWindow};
 use skyline_core::score::ScoreFn;
 use skyline_core::{
-    BitSet, Dataset, DatasetEpoch, Deadline, PointId, Preference, Result, SkylineError, Template,
-    ValueId, Work,
+    Dataset, DatasetEpoch, Deadline, PointId, Preference, Result, SkylineError, Template, ValueId,
+    Work,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -329,7 +315,7 @@ impl AdaptiveSfs {
         mode: ScanMode,
     ) -> Result<(Vec<PointId>, Work)> {
         let mut scratch = QueryScratch::default();
-        let scan = self.query_scan(pref, mode, &mut scratch, None)?;
+        let scan = self.query_scan(pref, mode, &mut scratch)?;
         scratch.drain(scan, &Deadline::none())
     }
 
@@ -343,17 +329,13 @@ impl AdaptiveSfs {
     /// candidate and window buffers out of `scratch`. A batch caller hands them back with
     /// [`QueryScratch::drain`], so a worker thread that keeps one scratch allocates no scan
     /// buffers per query; a streaming caller simply keeps the scan.
-    ///
-    /// `admitted`, when given, restricts the scan to the sorted-list rows it contains (see
-    /// the module docs on admitted rows): the rest are neither re-ranked nor scanned.
     pub fn query_scan(
         &self,
         pref: &Preference,
         mode: ScanMode,
         scratch: &mut QueryScratch,
-        admitted: Option<&BitSet>,
     ) -> Result<Scan<CompiledRelation>> {
-        self.merged_order(pref, scratch, admitted)?;
+        self.merged_order(pref, scratch)?;
         let full = mode == ScanMode::FullRescan;
         let dom = if full || !scratch.reinserted.is_empty() {
             CompiledRelation::for_query(self.data.clone(), &self.template, pref)?
@@ -376,13 +358,7 @@ impl AdaptiveSfs {
     /// Builds the query-score-ordered candidate list into `scratch.merged` as
     /// `(point, is_affected)` pairs, leaving the re-scored AFFECT entries in
     /// `scratch.reinserted`. Cost is proportional to `|AFFECT|` plus one pass over the list.
-    /// Rows outside `admitted` (when given) are left out of both.
-    fn merged_order(
-        &self,
-        pref: &Preference,
-        scratch: &mut QueryScratch,
-        admitted: Option<&BitSet>,
-    ) -> Result<()> {
+    fn merged_order(&self, pref: &Preference, scratch: &mut QueryScratch) -> Result<()> {
         let (data, schema) = (&*self.data, self.data.schema());
         // Refinement is checked before the index applies the template's prefix lengths.
         pref.validate(schema)?;
@@ -396,11 +372,10 @@ impl AdaptiveSfs {
         // Affected points are deleted from the sorted list and re-inserted with their new
         // score; everything else keeps its template-score position (lemma (c)). The flag
         // vector de-duplicates rows affected on several dimensions.
-        let admits = |p: PointId| admitted.is_none_or(|a| a.contains(p as usize));
         scratch.affected.resize(data.len(), false);
         scratch.reinserted.clear();
         for p in self.index.affected_by(template_pref, pref) {
-            if admits(p) && !std::mem::replace(&mut scratch.affected[p as usize], true) {
+            if !std::mem::replace(&mut scratch.affected[p as usize], true) {
                 let entry = ScoredEntry::new(p, query_score.score(data, p));
                 scratch.reinserted.push(entry);
             }
@@ -412,7 +387,7 @@ impl AdaptiveSfs {
         merged.reserve(self.entries.len());
         let mut moved = scratch.reinserted.iter().peekable();
         for kept in &self.entries {
-            if scratch.affected[kept.point as usize] || !admits(kept.point) {
+            if scratch.affected[kept.point as usize] {
                 continue;
             }
             while let Some(m) = moved.next_if(|m| *m < kept) {
@@ -673,7 +648,7 @@ mod tests {
 
     /// The progressive scan of `pref` under the default mode, on fresh buffers.
     fn stream(asfs: &AdaptiveSfs, pref: &Preference) -> Scan<CompiledRelation> {
-        asfs.query_scan(pref, ScanMode::default(), &mut QueryScratch::new(), None)
+        asfs.query_scan(pref, ScanMode::default(), &mut QueryScratch::new())
             .unwrap()
     }
 
@@ -763,13 +738,13 @@ mod tests {
         let (mode, mut scratch) = (ScanMode::default(), QueryScratch::new());
         let expected = asfs.query(&pref).unwrap();
         let expired = Deadline::within(std::time::Duration::ZERO);
-        let scan = asfs.query_scan(&pref, mode, &mut scratch, None).unwrap();
+        let scan = asfs.query_scan(&pref, mode, &mut scratch).unwrap();
         assert_eq!(
             scratch.drain(scan, &expired).unwrap_err(),
             SkylineError::DeadlineExceeded
         );
         assert!(scratch.merged.capacity() > 0, "buffers are handed back");
-        let scan = asfs.query_scan(&pref, mode, &mut scratch, None).unwrap();
+        let scan = asfs.query_scan(&pref, mode, &mut scratch).unwrap();
         assert_eq!(scratch.drain(scan, &Deadline::none()).unwrap().0, expected);
     }
 

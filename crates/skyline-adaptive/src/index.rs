@@ -326,8 +326,7 @@ mod tests {
             asfs.query_scan(
                 &bad,
                 crate::ScanMode::default(),
-                &mut crate::QueryScratch::new(),
-                None
+                &mut crate::QueryScratch::new()
             ),
             Err(SkylineError::NotARefinement { .. })
         ));

@@ -1,5 +1,5 @@
 //! Cross-fragment skyline merge: the divide-and-conquer merge step promoted to a
-//! first-class query-time operator.
+//! first-class operator.
 //!
 //! The union property behind every entry point: for any partition `D = D₁ ∪ … ∪ Dₘ`,
 //! `SKY(D) ⊆ SKY(D₁) ∪ … ∪ SKY(Dₘ)` — a point dominated inside its own fragment is dominated
@@ -8,37 +8,36 @@
 //! preferences because dominance is transitive (numeric `≤` composed with strict-order
 //! closures), not just for total orders.
 //!
-//! Three forms over one elimination:
+//! Two forms over one elimination:
 //!
 //! * [`merge_skylines`] — all fragments live in **one** [`Dataset`];
 //!   no serving path calls it; it is the single-dataset form the tests and benches compare
-//!   the other two against;
+//!   the other against;
 //! * [`SkylineMerger`] — fragments come from **different** sources with their own row-id
-//!   spaces (a sharded service merges per-shard skylines this way): callers push each
-//!   candidate's raw values and get back `(source, id)` tags;
-//! * [`ProgressiveMerger`] — the same, fed by per-source streams and publishing confirmed
-//!   rows as early as the streams' score frontiers allow.
+//!   spaces: callers push each candidate's raw values and get back `(source, id)` tags. A
+//!   sharded service runs it once per epoch vector, under the template's orders over every
+//!   shard's template skyline, to find the global template skyline it serves every query
+//!   from; no query runs a merge.
 //!
-//! The batch forms preserve the input/push order of the surviving points, so feeding
-//! score-sorted candidates yields a score-sorted skyline (what the SFS machinery relies on).
-//! All three test dominance on the packed lanes alone — each source's rows in 64-row
-//! blocks, probed with `u64` mask algebra; the `merge_equivalence` suite checks them against
-//! BNL under the reference [`DominanceContext`](crate::DominanceContext).
+//! Both preserve the input/push order of the surviving points, so feeding score-sorted
+//! candidates yields a score-sorted skyline (what the SFS machinery relies on). Both test
+//! dominance on the packed lanes alone — each source's rows in 64-row blocks, probed with
+//! `u64` mask algebra; the `merge_equivalence` suite checks them against BNL under the
+//! reference [`DominanceContext`](crate::DominanceContext).
 //!
 //! # The precondition: every source is its own skyline
 //!
-//! The rows of one source (fragment, shard, stream) must be **mutually non-dominating** —
-//! the source's local skyline, which is what every caller has in hand: engine answers and
-//! engine streams are exact local skylines. The elimination leans on it twice. A candidate
-//! is tested against the **other** sources only (with one source that is no test at all),
-//! and a candidate found dominated is dropped at once, so later candidates are tested
-//! against survivors only. The second is sound by transitivity given the first: if a
-//! dropped row `d` dominated a candidate `c`, then
-//! `d`'s own dominator `e` dominates `c` too, `e` cannot share `c`'s source (that source's
-//! rows do not dominate one another), and following the chain — it strictly descends in a
-//! finite order — ends in a live row of another source, which the probe finds. **Without** the
-//! precondition a row dominated only by a source-mate survives the merge: the answer is a
-//! superset of the skyline, never a subset.
+//! The rows of one source (fragment, shard) must be **mutually non-dominating** — the source's
+//! local skyline, which is what every caller has in hand: engine answers and Adaptive-SFS
+//! sorted lists are exact local skylines. The elimination leans on it twice. A candidate is
+//! tested against the **other** sources only (with one source that is no test at all), and a
+//! candidate found dominated is dropped at once, so later candidates are tested against
+//! survivors only. The second is sound by transitivity given the first: if a dropped row `d`
+//! dominated a candidate `c`, then `d`'s own dominator `e` dominates `c` too, `e` cannot share
+//! `c`'s source (that source's rows do not dominate one another), and following the chain — it
+//! strictly descends in a finite order — ends in a live row of another source, which the probe
+//! finds. **Without** the precondition a row dominated only by a source-mate survives the
+//! merge: the answer is a superset of the skyline, never a subset.
 //!
 //! Fragments must not repeat a row: duplicates are value-identical, never dominate each
 //! other, and would both survive.
@@ -48,8 +47,6 @@ use crate::error::{Result, SkylineError};
 use crate::kernel::{CompiledOrder, CompiledRelation};
 use crate::lanes::PackedLanes;
 use crate::value::{PointId, ValueId};
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
 use std::ops::Deref;
 
 /// One candidate's raw values: numeric and nominal, each in dimension-index order.
@@ -62,21 +59,6 @@ fn stage_probe(orders: &[CompiledOrder], nominal: &[ValueId], probe: &mut Vec<u1
         probe.push(v);
         probe.push(order.layer(v));
     }
-}
-
-/// True when a live lane of any source but `own` dominates the probe row: the cross-source
-/// test shared by the batch and the progressive merge.
-fn dominated_by_another_source(
-    lanes: &[PackedLanes],
-    own: usize,
-    orders: &[CompiledOrder],
-    pn: &[f64],
-    probe: &[u16],
-) -> bool {
-    lanes
-        .iter()
-        .enumerate()
-        .any(|(s, other)| s != own && other.first_dominator(orders, pn, probe).is_some())
 }
 
 /// Clusters a source's candidates by nominal tuple, then first numeric value, so that its
@@ -132,7 +114,11 @@ fn eliminate<'a>(
         for (l, &(_, _, c)) in group.iter().enumerate() {
             let (pn, pm) = row(c);
             stage_probe(orders, pm, &mut probe);
-            if dominated_by_another_source(&lanes, g, orders, pn, &probe) {
+            let dominated = lanes
+                .iter()
+                .enumerate()
+                .any(|(s, other)| s != g && other.first_dominator(orders, pn, &probe).is_some());
+            if dominated {
                 lanes[g].clear_valid(l);
                 alive[c] = false;
             }
@@ -175,70 +161,6 @@ pub fn merge_skylines<R: Deref<Target = Dataset>>(
         .collect()
 }
 
-/// Row-major candidate values under one set of compiled orders: the validated storage the
-/// push-based mergers share. A row's index (its *slot*) is its push position.
-#[derive(Debug, Clone)]
-struct CandidateRows {
-    orders: Vec<CompiledOrder>,
-    numeric_dims: usize,
-    numerics: Vec<f64>,
-    nominals: Vec<ValueId>,
-    len: usize,
-}
-
-impl CandidateRows {
-    fn new(orders: Vec<CompiledOrder>, numeric_dims: usize) -> Self {
-        Self {
-            orders,
-            numeric_dims,
-            numerics: Vec::new(),
-            nominals: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// Appends one row after checking it against the dimensionality and the orders' domains;
-    /// returns its slot.
-    fn push(&mut self, numeric: &[f64], nominal: &[ValueId]) -> Result<usize> {
-        if numeric.len() != self.numeric_dims || nominal.len() != self.orders.len() {
-            return Err(SkylineError::InvalidArgument(format!(
-                "candidate has {} numeric / {} nominal values but the merger expects {} / {}",
-                numeric.len(),
-                nominal.len(),
-                self.numeric_dims,
-                self.orders.len()
-            )));
-        }
-        for (j, (&v, order)) in nominal.iter().zip(&self.orders).enumerate() {
-            if (v as usize) >= order.cardinality() {
-                return Err(SkylineError::InvalidArgument(format!(
-                    "nominal value {v} on dimension {j} is outside the compiled order's \
-                     cardinality {}",
-                    order.cardinality()
-                )));
-            }
-        }
-        self.numerics.extend_from_slice(numeric);
-        self.nominals.extend_from_slice(nominal);
-        self.len += 1;
-        Ok(self.len - 1)
-    }
-
-    fn row(&self, slot: usize) -> Row<'_> {
-        let (nd, md) = (self.numeric_dims, self.orders.len());
-        (
-            &self.numerics[slot * nd..(slot + 1) * nd],
-            &self.nominals[slot * md..(slot + 1) * md],
-        )
-    }
-
-    fn clear(&mut self) {
-        self.numerics.clear();
-        self.nominals.clear();
-        self.len = 0;
-    }
-}
-
 /// Push-based cross-source skyline merge on compiled nominal orders.
 ///
 /// Sources with different row-id spaces (dataset shards, remote partitions) cannot share a
@@ -255,7 +177,11 @@ impl CandidateRows {
 /// the compiled closures, and value-identical candidates co-existing.
 #[derive(Debug, Clone)]
 pub struct SkylineMerger {
-    rows: CandidateRows,
+    orders: Vec<CompiledOrder>,
+    numeric_dims: usize,
+    /// Every pushed row's values, row-major: candidate `c` is the `c`-th push.
+    numerics: Vec<f64>,
+    nominals: Vec<ValueId>,
     tags: Vec<(usize, PointId)>,
 }
 
@@ -264,7 +190,10 @@ impl SkylineMerger {
     /// nominal dimension (compile them once per query and reuse across sources).
     pub fn new(orders: Vec<CompiledOrder>, numeric_dims: usize) -> Self {
         Self {
-            rows: CandidateRows::new(orders, numeric_dims),
+            orders,
+            numeric_dims,
+            numerics: Vec::new(),
+            nominals: Vec::new(),
             tags: Vec::new(),
         }
     }
@@ -289,20 +218,48 @@ impl SkylineMerger {
         numeric: &[f64],
         nominal: &[ValueId],
     ) -> Result<()> {
-        self.rows.push(numeric, nominal)?;
+        if numeric.len() != self.numeric_dims || nominal.len() != self.orders.len() {
+            return Err(SkylineError::InvalidArgument(format!(
+                "candidate has {} numeric / {} nominal values but the merger expects {} / {}",
+                numeric.len(),
+                nominal.len(),
+                self.numeric_dims,
+                self.orders.len()
+            )));
+        }
+        for (j, (&v, order)) in nominal.iter().zip(&self.orders).enumerate() {
+            if (v as usize) >= order.cardinality() {
+                return Err(SkylineError::InvalidArgument(format!(
+                    "nominal value {v} on dimension {j} is outside the compiled order's \
+                     cardinality {}",
+                    order.cardinality()
+                )));
+            }
+        }
+        self.numerics.extend_from_slice(numeric);
+        self.nominals.extend_from_slice(nominal);
         self.tags.push((source, id));
         Ok(())
+    }
+
+    /// Candidate `c`'s values.
+    fn row(&self, c: usize) -> Row<'_> {
+        let (nd, md) = (self.numeric_dims, self.orders.len());
+        (
+            &self.numerics[c * nd..(c + 1) * nd],
+            &self.nominals[c * md..(c + 1) * md],
+        )
     }
 
     /// Runs the cross-source elimination and returns the surviving `(source, id)` tags in
     /// push order. The merger is left empty, ready for the next query.
     pub fn merge(&mut self) -> Vec<(usize, PointId)> {
         let alive = eliminate(
-            &self.rows.orders,
-            self.rows.numeric_dims,
+            &self.orders,
+            self.numeric_dims,
             self.tags.len(),
             |c| self.tags[c].0,
-            |c| self.rows.row(c),
+            |c| self.row(c),
         );
         let survivors = self
             .tags
@@ -310,197 +267,10 @@ impl SkylineMerger {
             .zip(alive)
             .filter_map(|(&tag, keep)| keep.then_some(tag))
             .collect();
-        self.rows.clear();
+        self.numerics.clear();
+        self.nominals.clear();
         self.tags.clear();
         survivors
-    }
-}
-
-/// One candidate buffered inside a [`ProgressiveMerger`], ordered by
-/// `(score, source, id)` with [`f64::total_cmp`] so the resolution order is total and
-/// deterministic even in the presence of NaN scores. Its values stay in the merger's row
-/// buffer at `slot`.
-#[derive(Debug, Clone)]
-struct PendingCandidate {
-    score: f64,
-    source: usize,
-    id: PointId,
-    slot: usize,
-}
-
-impl PartialEq for PendingCandidate {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for PendingCandidate {}
-impl PartialOrd for PendingCandidate {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingCandidate {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.score
-            .total_cmp(&other.score)
-            .then(self.source.cmp(&other.source))
-            .then(self.id.cmp(&other.id))
-    }
-}
-
-/// The incremental form of [`SkylineMerger`]: per-source **streams** feed it and globally
-/// confirmed skyline members come out as early as the frontiers allow, instead of only after
-/// every source has finished.
-///
-/// Each source must emit its candidates in non-decreasing score order under a **shared**
-/// monotone score function (`p ≺ q ⇒ f(p) < f(q)` — the [`crate::score::ScoreFn`] of the
-/// query preference), and **a source's rows must be mutually non-dominating** — the stream of
-/// its local skyline; a row dominated by nothing but a source-mate would be published
-/// (module header). Offering a candidate advances its source's *frontier* to that score; a
-/// buffered candidate at score `s` is resolved once every unfinished source's frontier has
-/// reached `s`: by monotonicity any potential dominator scores strictly below `s`, so it has
-/// already been emitted by its source and resolved here. Resolution happens in ascending
-/// global score order, testing each candidate against the already-published survivors of the
-/// other sources only — sufficient by transitivity, exactly as in the batch elimination.
-/// Published rows are **final**: the merged stream never retracts, and once every source is
-/// finished the published set equals what [`SkylineMerger`] would have produced from the
-/// same candidates.
-///
-/// A stalled source holds back every buffered candidate above its frontier — the merger has
-/// no clock and never publishes past an unfinished source. What bounds the wait is the
-/// request's own [`Deadline`](crate::Deadline) on that source's pull: expiry fails the pull,
-/// and a retry under a fresh budget resumes where it stopped.
-#[derive(Debug, Clone)]
-pub struct ProgressiveMerger {
-    /// Every offered row's values; a buffered candidate refers to its row by slot.
-    rows: CandidateRows,
-    /// Per-source score frontier; `None` once the source has finished (treated as +∞).
-    frontiers: Vec<Option<f64>>,
-    pending: BinaryHeap<Reverse<PendingCandidate>>,
-    /// The published survivors — the only dominators later candidates are ever tested
-    /// against — packed per source.
-    lanes: Vec<PackedLanes>,
-    /// Number of rows published so far.
-    published: usize,
-    /// Scratch for the resolved candidate's `(value id, layered rank)` pairs.
-    probe: Vec<u16>,
-}
-
-impl ProgressiveMerger {
-    /// An empty merger over `sources` streams, `numeric_dims` numeric dimensions and one
-    /// compiled order per nominal dimension (compile them once per query, as for
-    /// [`SkylineMerger`]).
-    pub fn new(orders: Vec<CompiledOrder>, numeric_dims: usize, sources: usize) -> Self {
-        let mut lanes = vec![PackedLanes::default(); sources];
-        for source in &mut lanes {
-            source.reset(numeric_dims, orders.len());
-        }
-        Self {
-            rows: CandidateRows::new(orders, numeric_dims),
-            frontiers: vec![Some(f64::NEG_INFINITY); sources],
-            pending: BinaryHeap::new(),
-            lanes,
-            published: 0,
-            probe: Vec::new(),
-        }
-    }
-
-    /// The unfinished source with the lowest frontier, ties to the lowest index: the stream
-    /// whose next offer can move the gate, so the one to pull next. `None` once every source
-    /// has finished.
-    pub fn gating_source(&self) -> Option<usize> {
-        self.frontiers
-            .iter()
-            .enumerate()
-            .filter_map(|(s, f)| f.map(|f| (s, f)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(s, _)| s)
-    }
-
-    /// Number of rows published (confirmed) so far.
-    pub fn published(&self) -> usize {
-        self.published
-    }
-
-    /// True once every source has finished and every buffered candidate was resolved.
-    pub fn is_complete(&self) -> bool {
-        self.pending.is_empty() && self.frontiers.iter().all(Option::is_none)
-    }
-
-    /// Offers the next candidate of `source`'s stream: its id within the source, its query
-    /// score, and its raw values in dimension-index order. Scores must be non-decreasing per
-    /// source (the stream contract); values must match the merger's dimensionality.
-    pub fn offer(
-        &mut self,
-        source: usize,
-        id: PointId,
-        score: f64,
-        numeric: &[f64],
-        nominal: &[ValueId],
-    ) -> Result<()> {
-        let Some(frontier) = self.frontiers.get_mut(source) else {
-            return Err(SkylineError::InvalidArgument(format!(
-                "source {source} is outside the merger's {} streams",
-                self.frontiers.len()
-            )));
-        };
-        let Some(last) = frontier else {
-            return Err(SkylineError::InvalidArgument(format!(
-                "source {source} already finished its stream"
-            )));
-        };
-        if score.total_cmp(last) == Ordering::Less {
-            return Err(SkylineError::InvalidArgument(format!(
-                "source {source} emitted score {score} after {last}; streams must be \
-                 non-decreasing in score"
-            )));
-        }
-        let slot = self.rows.push(numeric, nominal)?;
-        *frontier = Some(score);
-        self.pending.push(Reverse(PendingCandidate {
-            score,
-            source,
-            id,
-            slot,
-        }));
-        Ok(())
-    }
-
-    /// Marks `source`'s stream as exhausted: its frontier becomes +∞ and stops gating the
-    /// other streams' candidates.
-    pub fn finish(&mut self, source: usize) {
-        if let Some(f) = self.frontiers.get_mut(source) {
-            *f = None;
-        }
-    }
-
-    /// Resolves every candidate the frontiers allow, appending the newly confirmed
-    /// `(source, id)` tags to `out` in ascending global score order. Call after each
-    /// [`ProgressiveMerger::offer`] / [`ProgressiveMerger::finish`] batch.
-    pub fn drain_ready(&mut self, out: &mut Vec<(usize, PointId)>) {
-        let all_finished = self.frontiers.iter().all(Option::is_none);
-        let gate = self
-            .frontiers
-            .iter()
-            .flatten()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
-        while let Some(Reverse(top)) = self.pending.peek() {
-            // Resolvable once no unfinished stream can still emit a smaller score. NaN
-            // scores sort last under total_cmp and resolve only when everything finished.
-            if !all_finished && top.score.total_cmp(&gate) == Ordering::Greater {
-                break;
-            }
-            let Reverse(c) = self.pending.pop().expect("peeked above");
-            let orders = &self.rows.orders;
-            let (pn, pm) = self.rows.row(c.slot);
-            stage_probe(orders, pm, &mut self.probe);
-            if !dominated_by_another_source(&self.lanes, c.source, orders, pn, &self.probe) {
-                self.lanes[c.source].push(pn, &self.probe);
-                self.published += 1;
-                out.push((c.source, c.id));
-            }
-        }
     }
 }
 
@@ -668,160 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn progressive_merger_matches_batch_merger_and_never_retracts() {
-        use crate::score::ScoreFn;
-        let data = table3_data();
-        let template = Template::empty(data.schema());
-        let pref = Preference::parse(
-            data.schema(),
-            [("hotel-group", "T < *"), ("airline", "G < *")],
-        )
-        .unwrap();
-        let orders: Vec<CompiledOrder> = template
-            .effective_orders(data.schema(), &pref)
-            .unwrap()
-            .iter()
-            .map(CompiledOrder::compile)
-            .collect();
-        let score = ScoreFn::for_preference(data.schema(), &pref).unwrap();
-        let ctx = DominanceContext::for_query(&data, &template, &pref).unwrap();
-        let shard_rows: [Vec<PointId>; 2] = [
-            data.point_ids().filter(|p| p % 2 == 0).collect(),
-            data.point_ids().filter(|p| p % 2 == 1).collect(),
-        ];
-        // Per-shard streams: the shard skyline in ascending score order.
-        let streams: Vec<Vec<PointId>> = shard_rows
-            .iter()
-            .map(|rows| score.sort_by_score(&data, &bnl::skyline_of(&ctx, rows)))
-            .collect();
-        let row_values = |p: PointId| {
-            let numeric: Vec<f64> = (0..data.schema().numeric_count())
-                .map(|j| data.numeric(p, j))
-                .collect();
-            let nominal: Vec<ValueId> = (0..data.schema().nominal_count())
-                .map(|j| data.nominal(p, j))
-                .collect();
-            (numeric, nominal)
-        };
-
-        let mut merger = ProgressiveMerger::new(orders.clone(), data.schema().numeric_count(), 2);
-        let mut confirmed: Vec<(usize, PointId)> = Vec::new();
-        let mut positions = [0usize; 2];
-        // Interleave the streams one row at a time, draining after every offer; nothing a
-        // drain publishes may ever be contradicted later.
-        loop {
-            let mut progressed = false;
-            for s in 0..2 {
-                if positions[s] < streams[s].len() {
-                    let p = streams[s][positions[s]];
-                    positions[s] += 1;
-                    let (numeric, nominal) = row_values(p);
-                    merger
-                        .offer(s, p, score.score(&data, p), &numeric, &nominal)
-                        .unwrap();
-                    progressed = true;
-                }
-                let before = confirmed.len();
-                merger.drain_ready(&mut confirmed);
-                // Confirmed rows arrive in non-decreasing global score order.
-                for w in confirmed[before.saturating_sub(1)..].windows(2) {
-                    assert!(score.score(&data, w[0].1) <= score.score(&data, w[1].1));
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        merger.finish(0);
-        merger.finish(1);
-        merger.drain_ready(&mut confirmed);
-        assert!(merger.is_complete());
-        assert_eq!(merger.published(), confirmed.len());
-
-        // The final set equals the batch SkylineMerger over the same candidates.
-        let mut batch = SkylineMerger::new(orders, data.schema().numeric_count());
-        for (s, stream) in streams.iter().enumerate() {
-            for &p in stream {
-                let (numeric, nominal) = row_values(p);
-                batch.push(s, p, &numeric, &nominal).unwrap();
-            }
-        }
-        let mut expected = batch.merge();
-        expected.sort_unstable();
-        let mut got = confirmed.clone();
-        got.sort_unstable();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn progressive_merger_gates_on_the_slowest_frontier() {
-        let orders = vec![CompiledOrder::compile(&crate::order::PartialOrder::empty(
-            2,
-        ))];
-        let mut merger = ProgressiveMerger::new(orders, 1, 2);
-        let mut out = Vec::new();
-        assert_eq!(
-            merger.gating_source(),
-            Some(0),
-            "ties go to the lowest index"
-        );
-        // Source 0 emits a row at score 5; source 1 has not reached score 5 yet, so the row
-        // must stay pending — source 1 could still emit a dominator below 5.
-        merger.offer(0, 10, 5.0, &[4.0], &[0]).unwrap();
-        merger.drain_ready(&mut out);
-        assert!(out.is_empty(), "gated by source 1's frontier");
-        assert_eq!(merger.gating_source(), Some(1));
-        // Source 1 advances past score 5 with a non-dominating row: both resolve.
-        merger.offer(1, 20, 6.0, &[6.0], &[1]).unwrap();
-        merger.drain_ready(&mut out);
-        assert_eq!(out, vec![(0, 10)]);
-        assert_eq!(merger.gating_source(), Some(0));
-        merger.finish(0);
-        merger.drain_ready(&mut out);
-        assert_eq!(out, vec![(0, 10), (1, 20)]);
-        assert_eq!(merger.gating_source(), Some(1));
-        assert!(!merger.is_complete());
-        merger.finish(1);
-        assert!(merger.is_complete());
-        assert_eq!(merger.gating_source(), None);
-    }
-
-    #[test]
-    fn progressive_merger_eliminates_across_sources() {
-        let orders = vec![CompiledOrder::compile(&crate::order::PartialOrder::empty(
-            2,
-        ))];
-        let mut merger = ProgressiveMerger::new(orders, 1, 2);
-        let mut out = Vec::new();
-        // (1.0) from source 0 dominates (2.0) from source 1; scores follow values here.
-        merger.offer(0, 1, 1.0, &[1.0], &[0]).unwrap();
-        merger.offer(1, 2, 2.0, &[2.0], &[0]).unwrap();
-        merger.finish(0);
-        merger.finish(1);
-        merger.drain_ready(&mut out);
-        assert_eq!(out, vec![(0, 1)], "dominated row never published");
-        // Contract violations are rejected.
-        let mut m = ProgressiveMerger::new(
-            vec![CompiledOrder::compile(&crate::order::PartialOrder::empty(
-                2,
-            ))],
-            1,
-            1,
-        );
-        m.offer(0, 1, 3.0, &[1.0], &[0]).unwrap();
-        assert!(
-            m.offer(0, 2, 2.0, &[1.0], &[0]).is_err(),
-            "score regression"
-        );
-        assert!(m.offer(5, 1, 4.0, &[1.0], &[0]).is_err(), "unknown source");
-        m.finish(0);
-        assert!(
-            m.offer(0, 3, 4.0, &[1.0], &[0]).is_err(),
-            "offer after finish"
-        );
-    }
-
-    #[test]
     fn nan_values_neither_block_nor_establish_dominance() {
         let orders: Vec<CompiledOrder> = Vec::new();
         let mut merger = SkylineMerger::new(orders, 2);
@@ -862,21 +478,21 @@ mod tests {
         let orders = vec![CompiledOrder::compile(
             &crate::order::PartialOrder::from_pairs(2, [(0, 1)]).unwrap(),
         )];
-        let mut rows = CandidateRows::new(orders, 2);
-        let mut sources = Vec::new();
+        let mut rows = SkylineMerger::new(orders, 2);
         for s in 0..3usize {
             for i in 0..150usize {
                 let x = ((i * 7 + s * 3) % 150) as f64;
                 rows.push(
+                    s,
+                    i as PointId,
                     &[x + [0.0, 0.5, -0.5][s], 150.0 - x],
                     &[((i + s) % 2) as ValueId],
                 )
                 .unwrap();
-                sources.push(s);
             }
         }
-        let n = sources.len();
-        let alive = eliminate(&rows.orders, 2, n, |c| sources[c], |c| rows.row(c));
+        let n = rows.len();
+        let alive = eliminate(&rows.orders, 2, n, |c| rows.tags[c].0, |c| rows.row(c));
         // Each source is its own skyline, so the survivors are exactly the rows no row of
         // the union dominates.
         let oracle: Vec<bool> = (0..n)

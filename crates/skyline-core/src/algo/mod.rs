@@ -21,7 +21,7 @@ pub mod bnl;
 pub mod merge;
 pub mod sfs;
 
-pub use merge::{merge_skylines, ProgressiveMerger, SkylineMerger};
+pub use merge::{merge_skylines, SkylineMerger};
 
 use crate::dominance::Dominance;
 use crate::value::PointId;

@@ -49,7 +49,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod value;
 
-pub use algo::{merge_skylines, ProgressiveMerger, SkylineMerger, Work};
+pub use algo::{merge_skylines, SkylineMerger, Work};
 pub use bitset::BitSet;
 pub use dataset::{Dataset, DatasetBuilder, DatasetEpoch, RowIdRemap, RowValue};
 pub use deadline::{CancelToken, Deadline, DEADLINE_CHECK_INTERVAL};

@@ -30,8 +30,8 @@ fn main() -> Result<()> {
     let template = config.template(&data);
     let schema = data.schema().clone();
 
-    // Three shards under a *tolerant* degrade policy: up to one shard may drop out of a
-    // gather and the service still answers (flagged, never cached). The admission queue
+    // Three shards under a *tolerant* degrade policy: up to one shard may drop out of an
+    // answer and the service still answers (flagged, never cached). The admission queue
     // holds two requests; everything beyond that is shed with `Overloaded` instead of
     // queueing without bound. A quarantined shard is retried with exponential backoff.
     let service = Arc::new(ShardedService::build(
@@ -42,7 +42,7 @@ fn main() -> Result<()> {
             shards: 3,
             partition: ShardPartition::HashNominal { dim: 0 },
             // One scatter worker per shard: the injected 30 ms delay below must stall only
-            // its own shard, not a worker another shard's query is queued behind.
+            // its own shard, not a worker another shard's read is queued behind.
             workers: 3,
             admission_depth: 2,
             degrade: DegradePolicy::Tolerate { max_degraded: 1 },
@@ -67,8 +67,20 @@ fn main() -> Result<()> {
     let mut generator = config.query_generator();
     let pref = generator.random_preference(&schema, &template, config.pref_order, None);
 
+    // A miss at an epoch vector whose global template skyline is built reads no shard, so
+    // it fires no shard failpoint. Each armed section below first moves the vector with
+    // one insert and one delete: its miss rebuilds that skyline, reading every shard.
+    let move_vector = || -> Result<()> {
+        let id = service.insert_row(
+            &vec![1e9; schema.numeric_count()],
+            &vec![0; schema.nominal_count()],
+        )?;
+        assert!(service.delete_row(id)?);
+        Ok(())
+    };
+
     // ── Deadlines and cancellation ────────────────────────────────────────────────────
-    // A bounded deadline threads through the scatter and the per-shard elimination scans;
+    // A bounded deadline threads through the shard reads and the elimination scans;
     // an expired (or cancelled) request fails fast with `DeadlineExceeded` and caches
     // nothing — the cache never learns from an answer that didn't finish.
     let served = service.serve_deadline(&pref, &Deadline::within(Duration::from_secs(5)))?;
@@ -91,7 +103,8 @@ fn main() -> Result<()> {
     // ── Injected slowness: degraded, but never quarantined ────────────────────────────
     // `delay-on-shard-query` makes shard 0 miss a tight deadline. Slow is not broken:
     // the shard is reported degraded for this request but stays in service. (Each section
-    // takes a fresh preference — a cache hit would never reach the scatter.)
+    // takes a fresh preference — a cache hit would never reach a shard.)
+    move_vector()?;
     service
         .fault_injector()
         .delay_shard_query(0, Duration::from_millis(30));
@@ -103,11 +116,20 @@ fn main() -> Result<()> {
         service.quarantined_shards(),
         service.cache_len()
     );
+    assert!(
+        slow.degraded_shards.contains(&0),
+        "the delayed shard degrades"
+    );
+    assert!(
+        service.quarantined_shards().is_empty(),
+        "slow is not broken"
+    );
     service.fault_injector().clear();
 
-    // ── Injected panic: quarantine, degraded gathers, backoff recovery ────────────────
-    // `panic-on-shard-query` panics shard 1's next scatter leg. The panic is contained,
-    // the shard is quarantined, and gathers keep answering from the healthy shards.
+    // ── Injected panic: quarantine, degraded answers, backoff recovery ────────────────
+    // `panic-on-shard-query` panics shard 1's next read. The panic is contained, the shard
+    // is quarantined, and the service keeps answering from the healthy shards.
+    move_vector()?;
     service
         .fault_injector()
         .arm_from_spec("panic-on-shard-query=1:1");
@@ -119,6 +141,12 @@ fn main() -> Result<()> {
         service.quarantined_shards(),
         degraded.outcome.skyline.len()
     );
+    assert_eq!(degraded.degraded_shards, [1]);
+    assert_eq!(
+        service.quarantined_shards(),
+        [1],
+        "the panicked shard is quarantined"
+    );
 
     // Serves opportunistically retry quarantined shards once their backoff elapses; the
     // failpoint consumed itself above, so the proof-of-health rebuild succeeds.
@@ -128,7 +156,7 @@ fn main() -> Result<()> {
         if !served.is_degraded() && service.quarantined_shards().is_empty() {
             println!(
                 "recovered: complete {}-row answer, quarantine empty, {} degraded \
-                 gather(s) along the way",
+                 answer(s) along the way",
                 served.outcome.skyline.len(),
                 service.stats().degraded
             );
@@ -141,6 +169,7 @@ fn main() -> Result<()> {
     // ── Overload: bounded admission sheds the excess ──────────────────────────────────
     // Six clients race two admission slots while every shard is slowed 20 ms, so each
     // accepted request holds its slot long enough for the others to pile up and shed.
+    move_vector()?;
     for s in 0..service.shard_count() {
         service
             .fault_injector()
@@ -181,5 +210,6 @@ fn main() -> Result<()> {
         stats.shed,
         stats.queue_depth
     );
+    assert!(shed.load(Ordering::Relaxed) >= 1, "overload sheds");
     Ok(())
 }

@@ -1,6 +1,7 @@
-//! Sharded scatter-gather serving end-to-end: the dataset is hash-partitioned across four
-//! independently maintained engines, queries scatter to per-shard skylines in parallel and
-//! gather through a cross-shard dominance merge, mutations route to exactly one shard (and
+//! Sharded serving end-to-end: the dataset is hash-partitioned across four independently
+//! maintained engines, the first miss at an epoch vector builds the global template skyline
+//! from every shard's sorted list and every miss is one query over it, mutations route to
+//! exactly one shard (and
 //! invalidate exactly what they must, thanks to the epoch-*vector* cache tag), and one
 //! shared build pool compacts every shard under a global in-flight cap.
 //!
@@ -49,16 +50,17 @@ fn main() -> Result<()> {
     }
     println!(" rows (hash on the first nominal dimension)");
 
-    // Scatter-gather: one query fans out to all four engines; the union property
-    // SKY(D₁ ∪ … ∪ D₄) ⊆ SKY(D₁) ∪ … ∪ SKY(D₄) makes the per-shard skylines a complete
-    // candidate set, and the dominance merge removes cross-shard losers.
+    // Every answer lies in the global template skyline G = SKY_R(D₁ ∪ … ∪ D₄): the first miss
+    // builds it by one dominance merge of the four shards' template skylines, and every miss
+    // at that epoch vector is one Adaptive-SFS query over it.
     let mut generator = config.query_generator();
     let pref = generator.random_preference(&schema, &template, config.pref_order, None);
     let served = service.serve(&pref)?;
     println!(
-        "scatter-gather: {} skyline rows merged from 4 per-shard skylines \
+        "{} skyline rows from a {}-row global template skyline built over 4 shards \
          (methods: {:?}, {:.2} ms cold)",
         served.outcome.skyline.len(),
+        service.stats().global_skyline_rows,
         served.outcome.methods,
         served.latency.as_secs_f64() * 1e3
     );

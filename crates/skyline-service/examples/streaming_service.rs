@@ -1,6 +1,7 @@
 //! Progressive skyline serving end-to-end: time-to-first-row vs whole-answer latency, a
 //! finished stream warming the cache for batch and stream requests alike, and a sharded
-//! scatter that keeps emitting while one shard is slow — or drops out entirely.
+//! stream served from the global template skyline — built once per epoch vector, while one
+//! shard is slow — or without a shard that drops out entirely.
 //!
 //! Run with: `cargo run -p skyline-service --release --example streaming_service`
 //!
@@ -91,10 +92,11 @@ fn main() -> Result<()> {
     );
 
     // ── Sharded streaming with a slow shard ───────────────────────────────────────────
-    // Per-shard engine streams feed a cross-shard progressive merger: a row is published
-    // once it has survived dominance against every shard's emitted-so-far prefix, long
-    // before the slowest shard finishes its scan. Here shard 0 is slowed 40 ms (the same
-    // failpoint `SKYLINE_FAULTS=delay-on-shard-query=0:40` arms from the environment).
+    // With several shards, the first miss at an epoch vector builds the global template
+    // skyline from every shard's sorted list; every stream at that vector is then one
+    // Adaptive-SFS scan over it, reading no shard. Here shard 0 is slowed 40 ms (the same
+    // failpoint `SKYLINE_FAULTS=delay-on-shard-query=0:40` arms from the environment): the
+    // first stream's first row waits for the build, the next stream's does not.
     let sharded = ShardedService::build(
         &data,
         template.clone(),
@@ -124,7 +126,6 @@ fn main() -> Result<()> {
     let mut rows = vec![first];
     rows.extend(stream.collect_rows()?);
     let total = started.elapsed();
-    sharded.fault_injector().clear();
     println!(
         "4 shards, shard 0 delayed 40 ms: first row {:?} in {:.2} ms, all {} rows in \
          {:.2} ms",
@@ -133,11 +134,37 @@ fn main() -> Result<()> {
         rows.len(),
         total.as_secs_f64() * 1e3,
     );
+    assert!(
+        ttfr >= Duration::from_millis(40),
+        "the build read the delayed shard"
+    );
+    let pref = generator.random_preference(&schema, &template, config.pref_order, None);
+    let started = Instant::now();
+    let mut stream = sharded.serve_streaming(&pref)?;
+    stream.next_row()?;
+    let warm = started.elapsed();
+    stream.collect_rows()?;
+    sharded.fault_injector().clear();
+    println!(
+        "the next stream at the same epoch vector: first row in {:.2} ms, no shard read \
+         ({} build of the global template skyline, {} rows)",
+        warm.as_secs_f64() * 1e3,
+        sharded.stats().template_skyline_builds,
+        sharded.stats().global_skyline_rows,
+    );
 
-    // ── A shard dying mid-scatter degrades the stream, not the service ────────────────
-    // An injected panic quarantines shard 1 at stream construction; under the tolerant
-    // policy the remaining shards keep streaming and the answer is flagged — and never
-    // cached. The quarantined shard heals through the backoff rebuild as usual.
+    // Writes move the epoch vector; the next miss rebuilds the global template skyline,
+    // reading every shard again — which is what the next section needs to reach shard 1.
+    let id = sharded.insert_row(
+        &vec![1e9; schema.numeric_count()],
+        &vec![0; schema.nominal_count()],
+    )?;
+    assert!(sharded.delete_row(id)?);
+
+    // ── A shard dying in the build degrades the stream, not the service ───────────────
+    // An injected panic quarantines shard 1 while the stream opens; under the tolerant
+    // policy the stream serves the healthy shards' skyline, flagged — and never cached.
+    // The quarantined shard heals through the backoff rebuild as usual.
     sharded
         .fault_injector()
         .arm_from_spec("panic-on-shard-query=1:1");
@@ -151,6 +178,12 @@ fn main() -> Result<()> {
         degraded,
         rows.len(),
         sharded.quarantined_shards(),
+    );
+    assert_eq!(degraded, [1]);
+    assert_eq!(
+        sharded.quarantined_shards(),
+        [1],
+        "the panicked shard is quarantined"
     );
     Ok(())
 }

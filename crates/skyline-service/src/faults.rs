@@ -19,12 +19,18 @@
 //!
 //! * `panic-on-build=SHARD[:TIMES]` — the next `TIMES` (default 1) generation builds of
 //!   `SHARD` panic before touching the engine;
-//! * `panic-on-shard-query=SHARD[:TIMES]` — the next `TIMES` (default 1) scatter queries on
-//!   `SHARD` panic;
-//! * `delay-on-shard-query=SHARD:MILLIS` — every scatter query on `SHARD` first sleeps
-//!   `MILLIS` milliseconds (persistent until cleared);
-//! * `fail-nth-scatter=N[:SHARD]` — the `N`-th scatter-gather (1-based, counted from
+//! * `panic-on-shard-query=SHARD[:TIMES]` — the next `TIMES` (default 1) reads of `SHARD`
+//!   panic;
+//! * `delay-on-shard-query=SHARD:MILLIS` — every read of `SHARD` first sleeps `MILLIS`
+//!   milliseconds (persistent until cleared);
+//! * `fail-nth-scatter=N[:SHARD]` — the `N`-th per-shard scatter (1-based, counted from
 //!   arming) panics on `SHARD` (default 0).
+//!
+//! A *read* of a shard is one leg of a scatter. With two or more shards the only scatter is
+//! the build of the global template skyline, which runs on the first miss at a new epoch
+//! vector; a miss at a vector whose skyline is built reads no shard and fires none of these
+//! three. With one shard every miss is a scatter of the engine leg. A test that arms a
+//! query failpoint after the first miss moves the vector first — one insert and one delete.
 //!
 //! Panic failpoints consume themselves (`TIMES` decrements), so a quarantined shard's
 //! recovery rebuild succeeds once the configured failures are spent — exactly the
@@ -125,7 +131,8 @@ impl FaultInjector {
         self.arm();
     }
 
-    /// Arms: the next `times` scatter queries on `shard` panic.
+    /// Arms: the next `times` reads of `shard` panic (see the module docs for when a read
+    /// happens).
     pub fn panic_on_shard_query(&self, shard: usize, times: u32) {
         *Self::locked(&self.panic_on_shard_query)
             .entry(shard)
@@ -133,13 +140,13 @@ impl FaultInjector {
         self.arm();
     }
 
-    /// Arms: every scatter query on `shard` first sleeps `delay` (until [`FaultInjector::clear`]).
+    /// Arms: every read of `shard` first sleeps `delay` (until [`FaultInjector::clear`]).
     pub fn delay_shard_query(&self, shard: usize, delay: Duration) {
         Self::locked(&self.delay_on_shard_query).insert(shard, delay);
         self.arm();
     }
 
-    /// Arms: the `n`-th scatter-gather from now (1-based) panics on `victim`.
+    /// Arms: the `n`-th per-shard scatter from now (1-based) panics on `victim`.
     pub fn fail_nth_scatter(&self, n: u64, victim: usize) {
         assert!(n > 0, "fail-nth-scatter is 1-based");
         self.scatter_count.store(0, Ordering::Relaxed);
@@ -172,7 +179,7 @@ impl FaultInjector {
         }
     }
 
-    /// Hook: called at the start of each scatter-gather; returns the shard the armed
+    /// Hook: called at the start of each per-shard scatter; returns the shard the armed
     /// `fail-nth-scatter` failpoint dooms in *this* scatter, if any. The scatter's per-shard
     /// closures feed the victim to [`FaultInjector::before_shard_query`].
     pub fn begin_scatter(&self) -> Option<usize> {
@@ -190,7 +197,7 @@ impl FaultInjector {
         }
     }
 
-    /// Hook: called inside each per-shard scatter closure before the engine query. Applies
+    /// Hook: called inside each scatter leg before it reads its shard. Applies
     /// the armed delay, then panics if this shard is the scatter victim or has an armed
     /// `panic-on-shard-query` failpoint.
     pub fn before_shard_query(&self, shard: usize, scatter_victim: Option<usize>) {

@@ -3,21 +3,24 @@
 //! Right after a mutation (or a generation swap) empties the epoch-tagged cache, a popular
 //! preference's next wave of queries all miss at once; without coordination each of them runs
 //! the engine for the same answer. The latch collapses the wave: the first thread to miss a
-//! `(canonical key, epoch)` pair becomes the **leader** and computes, the rest become
-//! **followers** and block until the leader finishes, then re-check the cache — in the normal
-//! case hitting the entry the leader just inserted.
+//! key becomes the **leader** and computes, the rest become **followers** and block until the
+//! leader finishes, then re-check the cache — in the normal case hitting the entry the leader
+//! just inserted. The service runs two registries: answers fly per `(canonical key, epoch
+//! vector)`, and the global template skyline every miss is served from flies per epoch
+//! vector, so misses of *different* preferences at a new vector build it once.
 //!
 //! Followers block while holding the engine's *read* lock, which is safe: the leader also
-//! only holds a read lock, so it always makes progress and wakes them. The latch is keyed on
-//! the epoch too, so flights for different dataset versions never interfere. A leader that
+//! only holds a read lock, so it always makes progress and wakes them. Keys carry the epoch,
+//! so flights for different dataset versions never interfere. A leader that
 //! fails (query error) still releases and wakes its followers, who then compute individually
 //! — single-flight is an optimization of the success path, never a correctness gate.
 //!
-//! Only the batch path joins flights. A stream is paced by its caller, so a streaming leader
-//! would hold its latch for as long as its consumer cares to idle; streams therefore never
-//! take one (see `ShardedService::serve_streaming`).
+//! Only the batch path joins answer flights. A stream is paced by its caller, so a streaming
+//! leader would hold its latch for as long as its consumer cares to idle; streams therefore
+//! never take one (see `ShardedService::serve_streaming`). Both paths join the global
+//! template skyline's flight: that build ends before a stream is handed out.
 
-use skyline_core::{CanonicalPreference, Deadline, Result};
+use skyline_core::{Deadline, Result};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -43,16 +46,13 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     })
 }
 
-type Key<E> = (CanonicalPreference, E);
-
-/// The in-flight registry (one per service). Generic over the epoch tag `E` — the service
-/// tags flights with its per-shard epoch vector.
+/// The in-flight registry, generic over the flight key `K`.
 #[derive(Debug)]
-pub struct SingleFlight<E> {
-    inflight: Mutex<HashMap<Key<E>, Arc<Latch>>>,
+pub struct SingleFlight<K> {
+    inflight: Mutex<HashMap<K, Arc<Latch>>>,
 }
 
-impl<E> Default for SingleFlight<E> {
+impl<K> Default for SingleFlight<K> {
     fn default() -> Self {
         Self {
             inflight: Mutex::new(HashMap::new()),
@@ -62,34 +62,34 @@ impl<E> Default for SingleFlight<E> {
 
 /// What `join` decided for the calling thread.
 #[derive(Debug)]
-pub enum FlightRole<'a, E: Hash + Eq> {
+pub enum FlightRole<'a, K: Hash + Eq> {
     /// This thread computes; dropping the guard (success, error or panic) releases the latch
     /// and wakes every follower.
-    Leader(FlightGuard<'a, E>),
-    /// Another thread was already computing this key at this epoch; it has since finished.
+    Leader(FlightGuard<'a, K>),
+    /// Another thread was already computing this key; it has since finished.
     /// Re-check the cache — and on a second miss (the leader failed), compute directly.
     Followed,
 }
 
 /// Leader's release-on-drop guard.
 #[derive(Debug)]
-pub struct FlightGuard<'a, E: Hash + Eq> {
-    flight: &'a SingleFlight<E>,
-    key: Key<E>,
+pub struct FlightGuard<'a, K: Hash + Eq> {
+    flight: &'a SingleFlight<K>,
+    key: K,
     latch: Arc<Latch>,
 }
 
-impl<E: Hash + Eq + Clone> SingleFlight<E> {
+impl<K: Hash + Eq + Clone> SingleFlight<K> {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Joins the flight for `(key, epoch)`: returns [`FlightRole::Leader`] when this thread
-    /// should compute, or — after having **blocked until the current leader finished** —
+    /// Joins the flight for `key`: returns [`FlightRole::Leader`] when this thread should
+    /// compute, or — after having **blocked until the current leader finished** —
     /// [`FlightRole::Followed`].
-    pub fn join(&self, key: &CanonicalPreference, epoch: E) -> FlightRole<'_, E> {
-        self.join_deadline(key, epoch, &Deadline::none())
+    pub fn join(&self, key: K) -> FlightRole<'_, K> {
+        self.join_deadline(key, &Deadline::none())
             .expect("an unbounded deadline never expires")
     }
 
@@ -99,13 +99,8 @@ impl<E: Hash + Eq + Clone> SingleFlight<E> {
     /// surviving followers and caches its answer as usual), and a leader's own expiry is
     /// handled by its computation erroring out, after which `FlightGuard`'s drop releases
     /// the latch on the ordinary error path.
-    pub fn join_deadline(
-        &self,
-        key: &CanonicalPreference,
-        epoch: E,
-        deadline: &Deadline,
-    ) -> Result<FlightRole<'_, E>> {
-        let latch = match self.claim(key, epoch) {
+    pub fn join_deadline(&self, key: K, deadline: &Deadline) -> Result<FlightRole<'_, K>> {
+        let latch = match self.claim(key) {
             Ok(guard) => return Ok(FlightRole::Leader(guard)),
             Err(latch) => latch,
         };
@@ -116,22 +111,17 @@ impl<E: Hash + Eq + Clone> SingleFlight<E> {
         Ok(FlightRole::Followed)
     }
 
-    /// Registers this thread as leader for `(key, epoch)` or returns the existing latch.
-    fn claim(
-        &self,
-        key: &CanonicalPreference,
-        epoch: E,
-    ) -> std::result::Result<FlightGuard<'_, E>, Arc<Latch>> {
-        let full_key = (key.clone(), epoch);
+    /// Registers this thread as leader for `key` or returns the existing latch.
+    fn claim(&self, key: K) -> std::result::Result<FlightGuard<'_, K>, Arc<Latch>> {
         let mut inflight = lock_recover(&self.inflight);
-        match inflight.get(&full_key) {
+        match inflight.get(&key) {
             Some(latch) => Err(latch.clone()),
             None => {
                 let latch = Arc::new(Latch::default());
-                inflight.insert(full_key.clone(), latch.clone());
+                inflight.insert(key.clone(), latch.clone());
                 Ok(FlightGuard {
                     flight: self,
-                    key: full_key,
+                    key,
                     latch,
                 })
             }
@@ -173,7 +163,7 @@ impl<E: Hash + Eq + Clone> SingleFlight<E> {
     }
 }
 
-impl<E: Hash + Eq> Drop for FlightGuard<'_, E> {
+impl<K: Hash + Eq> Drop for FlightGuard<'_, K> {
     fn drop(&mut self) {
         let mut inflight = lock_recover(&self.flight.inflight);
         inflight.remove(&self.key);
@@ -186,7 +176,9 @@ impl<E: Hash + Eq> Drop for FlightGuard<'_, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skyline_core::{DatasetEpoch, Dimension, NominalDomain, Preference, Schema};
+    use skyline_core::{
+        CanonicalPreference, DatasetEpoch, Dimension, NominalDomain, Preference, Schema,
+    };
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
 
@@ -203,7 +195,7 @@ mod tests {
     #[test]
     fn one_leader_many_followers() {
         const THREADS: usize = 8;
-        let flight = SingleFlight::<DatasetEpoch>::new();
+        let flight = SingleFlight::<(CanonicalPreference, DatasetEpoch)>::new();
         let leaders = AtomicUsize::new(0);
         let followers = AtomicUsize::new(0);
         let barrier = Barrier::new(THREADS);
@@ -212,7 +204,7 @@ mod tests {
             for _ in 0..THREADS {
                 scope.spawn(|| {
                     barrier.wait();
-                    match flight.join(&k, DatasetEpoch::INITIAL) {
+                    match flight.join((k.clone(), DatasetEpoch::INITIAL)) {
                         FlightRole::Leader(_guard) => {
                             // Hold the flight long enough that the others pile up behind it.
                             std::thread::sleep(std::time::Duration::from_millis(50));
@@ -234,15 +226,14 @@ mod tests {
 
     #[test]
     fn follower_deadline_expires_without_touching_the_latch() {
-        let flight = SingleFlight::<DatasetEpoch>::new();
+        let flight = SingleFlight::<(CanonicalPreference, DatasetEpoch)>::new();
         let k = key(1);
-        let leader = flight.join(&k, DatasetEpoch::INITIAL);
+        let leader = flight.join((k.clone(), DatasetEpoch::INITIAL));
         assert!(matches!(leader, FlightRole::Leader(_)));
         // A bounded follower gives up at expiry...
         let err = flight
             .join_deadline(
-                &k,
-                DatasetEpoch::INITIAL,
+                (k.clone(), DatasetEpoch::INITIAL),
                 &Deadline::within(Duration::from_millis(5)),
             )
             .unwrap_err();
@@ -252,8 +243,7 @@ mod tests {
         token.cancel();
         assert!(flight
             .join_deadline(
-                &k,
-                DatasetEpoch::INITIAL,
+                (k.clone(), DatasetEpoch::INITIAL),
                 &Deadline::none().with_cancel(token)
             )
             .is_err());
@@ -262,16 +252,16 @@ mod tests {
         drop(leader);
         assert_eq!(flight.in_flight(), 0);
         assert!(matches!(
-            flight.join(&k, DatasetEpoch::INITIAL),
+            flight.join((k.clone(), DatasetEpoch::INITIAL)),
             FlightRole::Leader(_)
         ));
     }
 
     #[test]
     fn distinct_keys_and_epochs_fly_separately() {
-        let flight = SingleFlight::<DatasetEpoch>::new();
-        let a = flight.join(&key(1), DatasetEpoch::INITIAL);
-        let b = flight.join(&key(2), DatasetEpoch::INITIAL);
+        let flight = SingleFlight::<(CanonicalPreference, DatasetEpoch)>::new();
+        let a = flight.join((key(1), DatasetEpoch::INITIAL));
+        let b = flight.join((key(2), DatasetEpoch::INITIAL));
         assert!(matches!(a, FlightRole::Leader(_)));
         assert!(matches!(b, FlightRole::Leader(_)));
         assert_eq!(flight.in_flight(), 2);
@@ -286,7 +276,7 @@ mod tests {
         .unwrap();
         data.tombstone(0).unwrap();
         let later = data.epoch();
-        let c = flight.join(&key(1), later);
+        let c = flight.join((key(1), later));
         assert!(matches!(c, FlightRole::Leader(_)));
     }
 }

@@ -9,9 +9,10 @@
 //!
 //! * [`ShardedService`] — *the* service: N dataset shards, each a [`skyline::SharedEngine`]
 //!   (the engine is `Send + Sync`, so one preprocessing pass serves every thread), answered
-//!   by scatter-gather via [`ShardedService::serve`] / [`ShardedService::serve_batch`] /
-//!   [`ShardedService::serve_streaming`]. One shard is the single-engine case — there is no
-//!   separate single-engine service (see the [`sharded`] module docs);
+//!   from one global template skyline via [`ShardedService::serve`] /
+//!   [`ShardedService::serve_batch`] / [`ShardedService::serve_streaming`]. One shard is the
+//!   single-engine case — there is no separate single-engine service (see the [`sharded`]
+//!   module docs);
 //! * [`cache::ResultCache`] — a sharded LRU keyed on [`skyline_core::CanonicalPreference`],
 //!   so semantically equal preferences share one memoized answer;
 //! * a worker-pool batch executor on `std::thread` + channels, plus lock-free

@@ -1,57 +1,58 @@
-//! The service: N dataset shards, each its own generational [`SharedEngine`], answered by
-//! scatter-gather as one logical service. There is no other serving path — **one shard is
-//! the single-engine case** (see below).
+//! The service: N dataset shards, each its own generational [`SharedEngine`], answered as one
+//! logical service. There is no other serving path — **one shard is the single-engine case**
+//! (see below).
 //!
-//! The paper's algorithms are single-node by construction, but the serving layer does not
-//! have to be: the skyline union property — `SKY(D₁ ∪ … ∪ Dₘ) ⊆ SKY(D₁) ∪ … ∪ SKY(Dₘ)`,
-//! valid under any strict partial order because dominance is transitive — means a query can
-//! **scatter** to per-shard engines (each running the paper's IPO-tree/Adaptive-SFS
-//! machinery over its slice of the data) and **gather** by a cross-shard dominance merge of
-//! the per-shard skylines ([`skyline_core::merge_skylines`]' operator, here via
-//! [`skyline_core::SkylineMerger`]). Per-shard skylines are tiny compared to their shards,
-//! so the merge is cheap and the scatter parallelizes the expensive part.
+//! # One serving skyline
 //!
-//! The merge operators test a row against the **other** shards' rows only, so what a shard
-//! hands to the gather must be the exact skyline of that shard — mutually non-dominating
-//! rows. Every leg satisfies it: an engine answer and the rows of an [`EngineStream`] are
-//! exact local skylines, and a shard that panicked or missed its deadline is dropped before
-//! the gather, never merged partially. A leg that handed in rows it had not reduced to a
-//! skyline would leave those dominated only by a shard-mate in the answer. With a single
-//! answering shard there is nothing to test, and the batch gather builds no merger at all.
+//! The paper preprocesses the template skyline `SKY(R)` of the whole relation once because
+//! every refinement's answer lies inside it: a row outside `G = SKY_R(D)` has an R-dominator
+//! chain that ends in `G`, and R-dominance implies R′-dominance for any refinement R′, so
+//! `SKY_{R′}(D) = SKY_{R′}(G)`. Each shard preprocesses its own `SKY_R(D_s)`; with two or
+//! more shards the first miss at a new epoch vector builds `G` from them, once:
 //!
-//! # Shares of the global template skyline
+//! 1. every healthy shard's template skyline is read through the per-shard scatter, which
+//!    contains panics, fires the failpoints and applies the deadline and the
+//!    [`DegradePolicy`]. An Adaptive-SFS shard hands in its sorted list; an SFS-D shard keeps
+//!    none and computes `SKY_R(D_s)` with one presorted scan over its live rows;
+//! 2. one [`SkylineMerger`] pass under the template's orders finds `G`'s members — sound
+//!    because each list is exactly its shard's `SKY_R(D_s)` (the merger's precondition) and
+//!    the union property gives `G ⊆ ∪ SKY_R(D_s)`;
+//! 3. the members are copied, in `(score, shard, row)` order, into one small [`Dataset`]
+//!    with their [`GlobalRowId`]s beside it, and [`AdaptiveSfs::from_sorted_entries`] wraps
+//!    them with the scores the lists already hold — no re-sort and no scan.
 //!
-//! Each shard preprocesses its own template skyline `SKY_R(D_s)`, but only the service-wide
-//! `G = SKY_R(D)` can hold an answer: a row outside `G` has an R-dominator chain that ends
-//! in `G`, and R-dominance implies R′-dominance for any refinement R′, so
-//! `SKY_{R′}(D) = SKY_{R′}(G)`. On the first miss at a new epoch vector the service builds
-//! every shard's share `G ∩ D_s` — one [`SkylineMerger`] pass under the template's orders over
-//! every shard's sorted list, sound because each list is exactly its shard's `SKY_R(D_s)` (the
-//! merger's precondition) and `G ⊆ ∪ SKY_R(D_s)` — and keeps it in one slot keyed by the
-//! vector. Every write moves the vector, and so does every swap, which also renumbers rows.
-//! Leg `s` then scans its share only and returns `SKY_{R′}(G ∩ D_s)` (the Adaptive-SFS
-//! lemma holds on a subset of its sorted list): mutually non-dominating rows containing every
-//! row of `SKY_{R′}(D)` on the shard. The merge of such legs is `SKY_{R′}(G) = SKY_{R′}(D)`.
-//! Like the merge, this relies on dominance being transitive. Tree-served legs stay
-//! unfiltered: an exact local skyline meets the same condition.
+//! Every miss at that vector is then one Adaptive-SFS query over `G`: a batch miss drains
+//! one scan, a stream hands out that scan's rows as they are confirmed. No read scatters or
+//! merges. `G`'s sorted list is exactly `SKY_R` of `G`'s own rows — the precondition of the
+//! AFFECT lemma in `skyline_adaptive::asfs` — so the query returns
+//! `SKY_{R′}(G) = SKY_{R′}(D)`. Like the merge, this relies on dominance being transitive.
 //!
-//! The shares apply only with two or more shards, an Adaptive-SFS structure on every shard
-//! and [`DegradePolicy::FailClosed`]. A partial answer under a tolerant policy is the skyline
-//! of the healthy shards' rows, and a share would drop a row whose only template dominator
-//! sits on a missing shard; under `FailClosed` every answer returned or cached is complete.
-//! [`StatsSnapshot::template_skyline_builds`] counts the builds.
+//! One slot keeps the last complete `G`, keyed by its epoch vector: every write moves the
+//! vector, and so does every swap, which also renumbers rows. Concurrent misses at a new
+//! vector build once — they join one [`SingleFlight`] keyed by the vector, each waiting no
+//! longer than its own deadline. A build that misses a shard (quarantined, panicked or past
+//! the deadline, under a tolerant [`DegradePolicy`]) is `SKY_R(H)` of the healthy shards'
+//! rows `H`; it serves its one request and is never cached. Since
+//! `SKY_{R′}(SKY_R(H)) = SKY_{R′}(H)`, its answer is the skyline of the healthy shards' rows
+//! — the partial-answer contract. [`StatsSnapshot::template_skyline_builds`] counts the
+//! complete builds and [`StatsSnapshot::global_skyline_rows`] reports `|G|`.
+//!
+//! A hybrid shard still builds and snapshots its IPO tree, but with two or more shards no
+//! read consults it. A service of two or more shards needs a template with an implicit form:
+//! it is the ranking `G`'s sorted list is ordered by.
 //!
 //! The pieces:
 //!
 //! * [`ShardPartition`] — how rows map to shards: a hash of one nominal dimension's value.
 //!   Mutations route to their owning shard and touch only that engine's lock.
-//! * [`ShardedService`] — the facade: scatter-gather queries with an epoch-**vector**-tagged
-//!   result cache (the tag is every shard's [`DatasetEpoch`], so a mutation on one shard
-//!   invalidates exactly what it must), per-key single-flight, and remap-aware salvage: when
-//!   only generation swaps moved a shard's epoch, the cached global skyline is translated
-//!   through that shard's remap chain instead of dropped. The batch and the streaming path
-//!   share one front end (admission, deadline, guards, key, cache lookup, quarantine policy)
-//!   and one scatter; they differ only in the per-shard call and the merge operator.
+//! * [`ShardedService`] — the facade: queries with an epoch-**vector**-tagged result cache
+//!   (the tag is every shard's [`DatasetEpoch`], so a mutation on one shard invalidates
+//!   exactly what it must), per-key single-flight, and remap-aware salvage: when only
+//!   generation swaps moved a shard's epoch, the cached global skyline is translated through
+//!   that shard's remap chain instead of dropped. The batch and the streaming path share one
+//!   front end (admission, deadline, guards, key, cache lookup, quarantine policy) and one
+//!   source of rows — `G`, or the engine at one shard; they differ only in draining it at
+//!   once or row by row.
 //! * one rebuild path: the build threads of [`ShardedConfig::maintenance`] (a few threads
 //!   shared by every shard under a global in-flight cap),
 //!   [`ShardedService::force_rebuild_shard`] and quarantine recovery all run the same
@@ -60,32 +61,34 @@
 //!
 //! # One shard: the single-engine service
 //!
-//! At one partition the union property degenerates to "the shard's skyline is the answer":
-//! the batch gather builds no merger and the scatter runs inline on the caller's thread, so
-//! a one-shard service costs what its engine costs. Build it with `shards: 1`, or wrap an
-//! engine that already exists with [`ShardedService::from_engines`]. Answers are
-//! [`ShardedServed`]s whose rows are `GlobalRowId { shard: 0, row }` (`row` is the engine's
-//! own id), the engine is [`ShardedService::shard`]`(0)`, a rebuild is
-//! [`ShardedService::force_rebuild_shard`]`(0)`. What a caller used to a bare engine will
-//! notice: a panic inside the only shard's query is caught and quarantines shard 0
-//! ([`SkylineError::ShardUnavailable`] under [`DegradePolicy::FailClosed`], healed by the
-//! [`RecoveryPolicy`] or any rebuild that installs) instead of unwinding into the caller;
-//! [`ShardedService::insert_row`] returns the new row's [`GlobalRowId`] and
-//! [`ShardedService::delete_row`] takes one and returns whether the row was live; and
-//! concurrent identical streams each run their own scan.
+//! At one partition the engine's own tree or sorted list already is `G`: a miss is one engine
+//! query, run inline on the caller's thread through the same scatter (so panics, failpoints
+//! and deadlines behave as with N shards), and a one-shard service costs what its engine
+//! costs. Build it with `shards: 1`, or wrap an engine that already exists with
+//! [`ShardedService::from_engines`]. Answers are [`ShardedServed`]s whose rows are
+//! `GlobalRowId { shard: 0, row }` (`row` is the engine's own id), the engine is
+//! [`ShardedService::shard`]`(0)`, a rebuild is [`ShardedService::force_rebuild_shard`]`(0)`.
+//! What a caller used to a bare engine will notice: a panic inside the only shard's query is
+//! caught and quarantines shard 0 ([`SkylineError::ShardUnavailable`] under
+//! [`DegradePolicy::FailClosed`], healed by the [`RecoveryPolicy`] or any rebuild that
+//! installs) instead of unwinding into the caller; [`ShardedService::insert_row`] returns
+//! the new row's [`GlobalRowId`] and [`ShardedService::delete_row`] takes one and returns
+//! whether the row was live; and concurrent identical streams each run their own scan.
 //!
 //! # Fault isolation
 //!
-//! Failures stay confined to the shard they happen on. A panic inside a shard's scatter
-//! query or any rebuild of it is caught ([`std::panic::catch_unwind`]) and **quarantines**
-//! that shard; under a tolerant [`DegradePolicy`] the gather keeps answering from the
-//! healthy shards — a partial answer flagged with exactly the shards it is missing
-//! ([`ShardedServed::degraded_shards`], never cached) — and the quarantined shard works its
-//! way back via bounded retry-with-backoff generation rebuilds ([`RecoveryPolicy`]).
-//! Requests carry [`Deadline`]s (checked at block granularity inside the elimination scans)
-//! and pass a bounded admission queue, so overload sheds the newest arrivals instead of
-//! queueing without bound. A [`FaultInjector`] (armed programmatically or via
-//! `SKYLINE_FAULTS`) gives every one of these paths a deterministic trigger.
+//! Failures stay confined to the shard they happen on. A panic inside a read of a shard — a
+//! leg of a `G` build, or the engine leg at one shard — or inside any rebuild of it is caught
+//! ([`std::panic::catch_unwind`]) and **quarantines** that shard; under a tolerant
+//! [`DegradePolicy`] the service keeps answering from the healthy shards — a partial answer
+//! flagged with exactly the shards it is missing ([`ShardedServed::degraded_shards`], never
+//! cached) — and the quarantined shard works its way back via bounded retry-with-backoff
+//! generation rebuilds ([`RecoveryPolicy`]). Requests carry [`Deadline`]s (checked at block
+//! granularity inside the elimination scans) and pass a bounded admission queue, so overload
+//! sheds the newest arrivals instead of queueing without bound. A [`FaultInjector`] (armed
+//! programmatically or via `SKYLINE_FAULTS`) gives every one of these paths a deterministic
+//! trigger. A miss at an epoch vector whose `G` is built reads no shard, so it fires no
+//! shard failpoint.
 
 use crate::admission::{AdmissionPermit, AdmissionQueue};
 use crate::cache::{translate_through_chain, ResultCache, Salvage, TranslateFailure};
@@ -94,21 +97,23 @@ use crate::faults::FaultInjector;
 use crate::flight::{FlightRole, SingleFlight};
 use crate::maintenance::Scheduler;
 use crate::stats::{ServiceMetrics, StatsSnapshot};
+use skyline::adaptive::{AdaptiveSfs, QueryScratch, ScanMode, ScoredEntry};
 use skyline::{
     EngineConfig, EngineScratch, EngineStream, MaintenancePolicy, MethodUsed, SharedEngine,
     SkylineEngine,
 };
+use skyline_core::algo::sfs::Scan;
 use skyline_core::score::ScoreFn;
 use skyline_core::{
-    BitSet, CanonicalPreference, CompiledOrder, Dataset, DatasetEpoch, Deadline, PointId,
-    Preference, ProgressiveMerger, Result, Schema, SkylineError, SkylineMerger, Template, ValueId,
+    CanonicalPreference, CompiledOrder, CompiledRelation, Dataset, DatasetEpoch, Deadline, PointId,
+    Preference, Result, Schema, SkylineError, SkylineMerger, Template, ValueId,
 };
-use std::collections::VecDeque;
+use std::borrow::Cow;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How rows are assigned to shards. The assignment is a pure function of a row's nominal
@@ -161,23 +166,24 @@ pub struct GlobalRowId {
     pub row: PointId,
 }
 
-/// One merged scatter-gather answer.
+/// One sharded answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardedOutcome {
-    /// The global skyline: per-shard skyline survivors of the cross-shard dominance merge,
-    /// grouped by shard in shard order (each shard's survivors keep their engine's order).
+    /// The global skyline, ascending by [`GlobalRowId`]: grouped by shard in shard order,
+    /// rows ascending within a shard.
     pub skyline: Vec<GlobalRowId>,
-    /// Which algorithm answered on each *answering* shard, ascending by shard index —
-    /// all shards for a complete answer, the healthy ones for a degraded answer (shards age
-    /// independently: one may serve from its IPO tree while a recently mutated neighbor is
-    /// on the Adaptive-SFS fallback).
+    /// One entry per *answering* shard — all shards for a complete answer, the healthy ones
+    /// for a degraded answer. At one shard it is the method the engine answered with (its IPO
+    /// tree or its Adaptive-SFS structure); with two or more shards every answer is one
+    /// Adaptive-SFS query over the global template skyline built from those shards (module
+    /// docs), so every entry is [`MethodUsed::AdaptiveSfs`].
     pub methods: Vec<MethodUsed>,
 }
 
 /// One answered sharded query, with serving provenance.
 #[derive(Debug, Clone)]
 pub struct ShardedServed {
-    /// The merged answer (shared, not copied, between users asking equivalent preferences).
+    /// The answer (shared, not copied, between users asking equivalent preferences).
     /// When [`degraded_shards`](ShardedServed::degraded_shards) is non-empty this covers
     /// only the healthy shards' slices of the data.
     pub outcome: Arc<ShardedOutcome>,
@@ -199,7 +205,7 @@ impl ShardedServed {
         !self.degraded_shards.is_empty()
     }
 
-    /// The degraded view — the healthy shards' merged skyline plus exactly which shards are
+    /// The degraded view — the healthy shards' skyline plus exactly which shards are
     /// missing — or `None` for a complete answer.
     pub fn partial(&self) -> Option<PartialSkyline> {
         self.is_degraded().then(|| PartialSkyline {
@@ -209,8 +215,8 @@ impl ShardedServed {
     }
 }
 
-/// A degraded gather's answer: the merged skyline of the healthy shards, flagged with
-/// exactly the shards it is missing. Obtained via [`ShardedServed::partial`].
+/// A degraded answer: the skyline of the healthy shards' rows, flagged with exactly the
+/// shards it is missing. Obtained via [`ShardedServed::partial`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartialSkyline {
     /// The skyline of the union of the healthy shards' slices.
@@ -219,7 +225,7 @@ pub struct PartialSkyline {
     pub degraded_shards: Vec<usize>,
 }
 
-/// What the gather does when some shards cannot answer — quarantined after a panic, or past
+/// What a request does when some shards cannot answer — quarantined after a panic, or past
 /// the request [`Deadline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DegradePolicy {
@@ -228,8 +234,8 @@ pub enum DegradePolicy {
     /// deadlines were missed. The default — answers are always complete.
     #[default]
     FailClosed,
-    /// Tolerate up to `max_degraded` unavailable shards: the gather merges the healthy rest
-    /// into a partial answer flagged with [`ShardedServed::degraded_shards`]. A useful
+    /// Tolerate up to `max_degraded` unavailable shards: the answer is the skyline of the
+    /// healthy rest, flagged with [`ShardedServed::degraded_shards`]. A useful
     /// subset now beats nothing at all — the regret-minimization stance applied to
     /// availability. Partial answers are never cached.
     Tolerate {
@@ -466,12 +472,12 @@ pub struct ShardedConfig {
     pub shards: usize,
     /// How rows map to shards.
     pub partition: ShardPartition,
-    /// Maximum number of cached merged results (0 disables the cache).
+    /// Maximum number of cached answers (0 disables the cache).
     pub cache_capacity: usize,
     /// Number of independently locked cache shards (unrelated to dataset shards).
     pub cache_shards: usize,
-    /// Worker threads for the query scatter and [`ShardedService::serve_batch`]
-    /// (0 = one per available core).
+    /// Worker threads for the per-shard scatter of a global-template-skyline build and for
+    /// [`ShardedService::serve_batch`] (0 = one per available core).
     pub workers: usize,
     /// When set, a few build threads shared by every shard rebuild each shard whose debt
     /// crosses this policy.
@@ -482,7 +488,7 @@ pub struct ShardedConfig {
     pub build_threads: usize,
     /// Global cap on concurrently running shard rebuilds (only with `maintenance`).
     pub max_in_flight_builds: usize,
-    /// What the gather does when shards cannot answer (default: fail closed).
+    /// What a request does when shards cannot answer (default: fail closed).
     pub degrade: DegradePolicy,
     /// How quarantined shards return to service.
     pub recovery: RecoveryPolicy,
@@ -549,11 +555,31 @@ fn shared_shape<'a>(
 
 type EpochVector = Arc<[DatasetEpoch]>;
 
-/// Every shard's share of the service-wide template skyline, indexed by shard, then row.
-type Shares = Arc<[BitSet]>;
+/// What a scatter returns: every answering shard's leg, ascending by shard, and the shards
+/// missing from the answer (quarantined, panicked or past the deadline), ascending.
+type Scattered<T> = (Vec<(usize, T)>, Vec<usize>);
 
-/// A concurrent scatter-gather skyline service over N independently maintained dataset
-/// shards (see the module docs).
+/// The global template skyline `G` (module docs): `G`'s rows copied into one Adaptive-SFS
+/// structure, whose row `i` is shard row `ids[i]`.
+#[derive(Debug)]
+struct GlobalSkyline {
+    asfs: AdaptiveSfs,
+    ids: Vec<GlobalRowId>,
+    /// Shards the build missed, ascending; empty for a complete `G`.
+    degraded: Vec<usize>,
+}
+
+impl GlobalSkyline {
+    /// The [`ShardedOutcome::methods`] and degraded shards of an answer from `G`: one
+    /// Adaptive-SFS entry per shard `G` was built from.
+    fn provenance(&self, shards: usize) -> (Vec<MethodUsed>, Vec<usize>) {
+        let methods = vec![MethodUsed::AdaptiveSfs; shards - self.degraded.len()];
+        (methods, self.degraded.clone())
+    }
+}
+
+/// A concurrent skyline service over N independently maintained dataset shards (see the
+/// module docs).
 #[derive(Debug)]
 pub struct ShardedService {
     shards: Arc<ShardSet>,
@@ -561,15 +587,17 @@ pub struct ShardedService {
     schema: Schema,
     template: Template,
     cache: ResultCache<EpochVector, ShardedOutcome>,
-    flight: SingleFlight<EpochVector>,
+    flight: SingleFlight<(CanonicalPreference, EpochVector)>,
     metrics: ServiceMetrics,
     degrade: DegradePolicy,
     admission: AdmissionQueue,
     /// The build threads, when [`ShardedConfig::maintenance`] is set.
     scheduler: Option<Scheduler>,
     workers: usize,
-    /// The template-skyline shares of the last epoch vector a miss built them at.
-    shares: Mutex<Option<(EpochVector, Shares)>>,
+    /// The last complete global template skyline, with the epoch vector it was built at.
+    global: Mutex<Option<(EpochVector, Arc<GlobalSkyline>)>>,
+    /// Misses at a new epoch vector join one build of `G`.
+    global_flight: SingleFlight<EpochVector>,
 }
 
 impl ShardedService {
@@ -690,7 +718,8 @@ impl ShardedService {
 
     /// The common wiring behind [`ShardedService::build`] and
     /// [`ShardedService::from_snapshots`]: fault injection, quarantine, the build threads
-    /// (when [`ShardedConfig::maintenance`] is set), caches and admission control.
+    /// (when [`ShardedConfig::maintenance`] is set), caches and admission control. Two or
+    /// more shards need a template with an implicit form (module docs).
     fn assemble(
         engines: Vec<SharedEngine>,
         schema: Schema,
@@ -698,6 +727,11 @@ impl ShardedService {
         config: ShardedConfig,
         metrics: ServiceMetrics,
     ) -> Result<Self> {
+        if engines.len() > 1 && template.implicit().is_none() {
+            return Err(SkylineError::InvalidArgument(
+                "a service of two or more shards needs a template with an implicit form".into(),
+            ));
+        }
         let shards = Arc::new(ShardSet::new(engines, config.recovery, config.snapshot_dir));
         let scheduler = config.maintenance.map(|policy| {
             Scheduler::new(
@@ -726,7 +760,8 @@ impl ShardedService {
             admission: AdmissionQueue::new(config.admission_depth),
             scheduler,
             workers,
-            shares: Mutex::new(None),
+            global: Mutex::new(None),
+            global_flight: SingleFlight::new(),
         })
     }
 
@@ -780,7 +815,7 @@ impl ShardedService {
         &self.template
     }
 
-    /// Worker threads the scatter (and batches) spread over.
+    /// Worker threads the per-shard scatter (and batches) spread over.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -790,7 +825,7 @@ impl ShardedService {
         self.shards.snapshot_dir.as_deref()
     }
 
-    /// Current number of cached merged results.
+    /// Current number of cached answers.
     pub fn cache_len(&self) -> usize {
         self.cache.len()
     }
@@ -903,7 +938,7 @@ impl ShardedService {
         Ok(was_live)
     }
 
-    /// Answers one query by scatter-gather, consulting the merged-result cache first.
+    /// Answers one query, consulting the result cache first.
     ///
     /// A preference any shard's engine would reject (schema or refinement violation) is
     /// rejected for the whole service, so sharding never changes which inputs are servable —
@@ -915,17 +950,19 @@ impl ShardedService {
     /// Like [`ShardedService::serve`] under a per-request [`Deadline`], with admission
     /// control in front: a request past the admission bound is shed immediately with
     /// [`SkylineError::Overloaded`], and an admitted one fails with
-    /// [`SkylineError::DeadlineExceeded`] once its budget is spent — the per-shard
-    /// elimination scans poll the deadline at block granularity, a follower waiting on an
-    /// identical in-flight query gives up at expiry without touching the latch, and nothing
-    /// partial or cancelled ever reaches the cache.
+    /// [`SkylineError::DeadlineExceeded`] once its budget is spent — the elimination scans
+    /// poll the deadline at block granularity, a follower waiting on an identical in-flight
+    /// query or on a build of `G` gives up at expiry without touching the latch, and nothing
+    /// partial or cancelled ever reaches the cache. A shard left out of a tolerated `G` build
+    /// on the deadline degrades the answer; the query over the rows in hand then runs to
+    /// completion, as late as the tolerant policy allows.
     pub fn serve_deadline(&self, pref: &Preference, deadline: &Deadline) -> Result<ShardedServed> {
         let result = self.serve_admitted(pref, deadline);
         self.count_deadline_miss(result)
     }
 
     /// The batch path behind [`ShardedService::serve_deadline`]: the shared front end, then
-    /// single-flight around the scatter-gather.
+    /// single-flight around the miss.
     fn serve_admitted(&self, pref: &Preference, deadline: &Deadline) -> Result<ShardedServed> {
         let front = self.front_end(pref, deadline)?;
         if let Some(outcome) = &front.hit {
@@ -934,16 +971,16 @@ impl ShardedService {
         if !front.quarantined.is_empty() {
             // Known-degraded before the scatter. Partial answers are never cached, so
             // single-flight — whose followers expect to find the leader's cache entry — is
-            // skipped: every caller scatters over the healthy shards itself.
-            return self.scatter_gather(front, pref, deadline);
+            // skipped: every caller answers from the healthy shards itself.
+            return self.serve_miss(front, pref, deadline);
         }
         match self
             .flight
-            .join_deadline(&front.key, front.epochs.clone(), deadline)
+            .join_deadline((front.key.clone(), front.epochs.clone()), deadline)
             .inspect_err(|_| self.metrics.record_error())?
         {
             FlightRole::Leader(flight_guard) => {
-                let served = self.scatter_gather(front, pref, deadline);
+                let served = self.serve_miss(front, pref, deadline);
                 drop(flight_guard); // wakes followers (also on the error path)
                 served
             }
@@ -951,7 +988,7 @@ impl ShardedService {
                 self.metrics.record_coalesced();
                 match self.cache.get(&front.key, front.epochs.clone()) {
                     Some(outcome) => Ok(self.served_hit(outcome, &front)),
-                    None => self.scatter_gather(front, pref, deadline),
+                    None => self.serve_miss(front, pref, deadline),
                 }
             }
         }
@@ -965,7 +1002,7 @@ impl ShardedService {
         result
     }
 
-    /// The front end both request paths share, up to the scatter: admission, the upfront
+    /// The front end both request paths share, up to the miss: admission, the upfront
     /// deadline check, opportunistic recovery, read guards on every shard with the epoch
     /// vector they pin, the canonical key, every shard's servability check, the remap-aware
     /// cache lookup and — on a miss — the policy check for shards already quarantined.
@@ -1040,36 +1077,36 @@ impl ShardedService {
         }
     }
 
-    /// Answers one query **progressively**: per-shard [`EngineStream`]s feed a cross-shard
-    /// [`ProgressiveMerger`], and a row is handed out as soon as it has survived dominance
-    /// against every shard's emitted-so-far prefix — long before the slowest shard finishes
-    /// its scan. Rows arrive in ascending query-score order, are never retracted, and the
-    /// complete set equals the batch [`ShardedService::serve`] answer at the same epoch
-    /// vector.
+    /// Answers one query **progressively**: rows are handed out one at a time, in ascending
+    /// query-score order, as the elimination scan confirms them — long before it finishes.
+    /// With two or more shards that scan is the Adaptive-SFS query over the global template
+    /// skyline `G` (module docs); at one shard it is the engine's own stream. Rows are never
+    /// retracted, and the complete set equals the batch [`ShardedService::serve`] answer at
+    /// the same epoch vector.
     ///
-    /// Fault isolation carries over from the batch path: a shard that panics — at stream
-    /// construction or mid-pull — is quarantined, and under a tolerant [`DegradePolicy`] the
-    /// remaining shards keep streaming (a degraded stream's final answer is never cached).
-    /// A finished complete stream caches its merged answer, so the batch and streaming paths
-    /// warm each other. Unlike the batch path, concurrent identical streaming misses do
-    /// **not** coalesce — each request drives its own scatter. A stream is pull-paced by its
-    /// caller: a streaming leader would hold the single-flight latch for as long as its
-    /// consumer idles, an identical batch `serve` would park on that latch *holding the shard
-    /// read locks*, the next writer would queue behind that reader and every later reader
-    /// behind the writer — one slow consumer wedging the whole service.
+    /// Fault isolation carries over from the batch path: a shard that panics or misses the
+    /// deadline while the stream is opened — in the build of `G`, or in the engine leg at
+    /// one shard — is handled as there, and a panic in a later pull of the single shard's
+    /// stream quarantines it. A degraded stream's final answer is never cached. A finished
+    /// complete stream caches its answer, so the batch and streaming paths warm each other.
+    /// Unlike the batch path, concurrent identical streaming misses do **not** coalesce —
+    /// each request drives its own scan. A stream is pull-paced by its caller: a streaming
+    /// leader would hold the single-flight latch for as long as its consumer idles, an
+    /// identical batch `serve` would park on that latch *holding the shard read locks*, the
+    /// next writer would queue behind that reader and every later reader behind the writer —
+    /// one slow consumer wedging the whole service.
     pub fn serve_streaming(&self, pref: &Preference) -> Result<ShardedStream<'_>> {
         self.serve_streaming_deadline(pref, Deadline::none())
     }
 
     /// [`ShardedService::serve_streaming`] under a per-request [`Deadline`], polled at block
-    /// granularity inside each per-shard pull. Expiry fails the *pull* (counted in
+    /// granularity inside each pull. Expiry fails the *pull* (counted in
     /// [`StatsSnapshot::deadline_misses`]); [`ShardedStream::set_deadline`] plus another
-    /// pull resumes every shard's scan where it stopped. A stalled shard is bounded by this
-    /// deadline alone.
+    /// pull resumes the scan where it stopped.
     ///
-    /// Opening the stream follows the batch path's rule: a shard whose leg misses the
-    /// deadline while its stream is being opened degrades the answer like a quarantined one —
-    /// under a tolerant [`DegradePolicy`] the stream opens without it (flagged in
+    /// Opening the stream follows the batch path's rule: a shard that misses the deadline
+    /// while the stream is being opened degrades the answer like a quarantined one — under a
+    /// tolerant [`DegradePolicy`] the stream opens without it (flagged in
     /// [`ShardedStream::degraded_shards`], never cached), under
     /// [`DegradePolicy::FailClosed`] the open fails with [`SkylineError::DeadlineExceeded`].
     pub fn serve_streaming_deadline(
@@ -1082,10 +1119,10 @@ impl ShardedService {
     }
 
     /// The streaming path behind [`ShardedService::serve_streaming_deadline`]: the shared
-    /// front end, then a replay of the cached answer or the scatter opening one
-    /// [`EngineStream`] per healthy shard. The read guards are released on return — every
-    /// per-shard stream owns shared handles to its generation, so the caller can pace its
-    /// pulls for as long as it likes without blocking writers.
+    /// front end, then a replay of the cached answer or a scan opened over `G` (the engine's
+    /// stream at one shard). The read guards are released on return — the scan owns shared
+    /// handles to its rows, so the caller can pace its pulls for as long as it likes without
+    /// blocking writers.
     fn open_stream(&self, pref: &Preference, deadline: Deadline) -> Result<ShardedStream<'_>> {
         let front = self.front_end(pref, &deadline)?;
         let (state, degraded) = if let Some(outcome) = &front.hit {
@@ -1095,36 +1132,36 @@ impl ShardedService {
             self.metrics.record(true, front.started.elapsed());
             (ShardedStreamState::Replay { ids }, Vec::new())
         } else {
-            // Presorting/re-ranking happens here; the elimination scans run lazily in the
-            // pulls.
-            let shares = self.template_shares(&front)?;
-            let Scattered { answered, degraded } = self.scatter(
-                &front,
-                || (),
-                |engine, s, ()| {
-                    let share = shares.as_ref().map(|shares| &shares[s]);
-                    engine.query_streaming_at(pref, front.epochs[s], deadline.clone(), share)
-                },
-            )?;
-            let mut merger = ProgressiveMerger::new(
-                self.compiled_orders(pref)?,
-                self.schema.numeric_count(),
-                self.shard_count(),
-            );
-            for &s in &degraded {
-                merger.finish(s);
-            }
-            let mut streams: Vec<Option<EngineStream>> =
-                (0..self.shard_count()).map(|_| None).collect();
-            for (s, stream) in answered {
-                streams[s] = Some(stream);
-            }
-            let live = LiveScatter {
-                streams,
-                merger,
-                ready: VecDeque::new(),
+            // Re-ranking happens here; the elimination scan runs lazily in the pulls.
+            let (rows, methods, degraded) = if self.shard_count() == 1 {
+                let (answered, degraded) = self.scatter(&front, |engine, s| {
+                    engine.query_streaming_at(pref, front.epochs[s], deadline.clone())
+                })?;
+                let stream = answered.into_iter().next().map(|(_, stream)| stream);
+                let methods = stream.iter().map(EngineStream::method).collect();
+                (LiveRows::Engine(stream), methods, degraded)
+            } else {
+                let global = self.global_skyline(&front, &deadline)?;
+                let scan = global
+                    .asfs
+                    .query_scan(pref, ScanMode::default(), &mut QueryScratch::default())
+                    .inspect_err(|_| self.metrics.record_error())?;
+                let (methods, degraded) = global.provenance(self.shard_count());
+                let scan = Box::new(scan);
+                (
+                    LiveRows::Global {
+                        scan,
+                        global,
+                        deadline,
+                    },
+                    methods,
+                    degraded,
+                )
+            };
+            let live = LiveStream {
+                rows,
                 emitted: Vec::new(),
-                answered: Vec::new(),
+                methods,
                 key: front.key,
             };
             (ShardedStreamState::Live(Box::new(live)), degraded)
@@ -1224,30 +1261,33 @@ impl ShardedService {
         })
     }
 
-    /// The scatter both request paths share: `leg` runs on every shard the front end did not
-    /// find quarantined, under its read guard, on the worker pool. Each leg runs inside
-    /// `catch_unwind`: a panicking shard (a bug in one engine, or an injected fault) is
-    /// quarantined instead of unwinding through the pool and taking the request down. A
-    /// panicked leg and a leg past the deadline degrade the answer exactly like a
-    /// quarantined shard — through one policy check — and any other leg error fails the
-    /// request.
-    fn scatter<T: Send, S>(
+    /// The per-shard scatter: `leg` runs on every shard the front end did not find
+    /// quarantined, under its read guard, on the worker pool — the legs of a `G` build, or
+    /// the engine leg at one shard. Each leg runs inside `catch_unwind`: a panicking shard (a
+    /// bug in one engine, or an injected fault) is quarantined instead of unwinding through
+    /// the pool and taking the request down. A panicked leg and a leg past the deadline
+    /// degrade the answer exactly like a quarantined shard — through one policy check — and
+    /// any other leg error fails the request.
+    fn scatter<'f, T: Send>(
         &self,
-        front: &Admitted<'_>,
-        init: impl Fn() -> S + Sync,
-        leg: impl Fn(&SkylineEngine, usize, &mut S) -> Result<T> + Sync,
+        front: &'f Admitted<'_>,
+        leg: impl Fn(&'f SkylineEngine, usize) -> Result<T> + Sync,
     ) -> Result<Scattered<T>> {
         let healthy: Vec<usize> = (0..self.shard_count())
             .filter(|s| !front.quarantined.contains(s))
             .collect();
         let scatter_victim = self.shards.faults.begin_scatter();
-        let results =
-            executor::run_indexed_scratch(&healthy, self.workers, init, |_, &s, scratch| {
+        let results = executor::run_indexed_scratch(
+            &healthy,
+            self.workers,
+            || (),
+            |_, &s, ()| {
                 catch_unwind(AssertUnwindSafe(|| {
                     self.shards.faults.before_shard_query(s, scatter_victim);
-                    leg(&front.guards[s], s, scratch)
+                    leg(&front.guards[s], s)
                 }))
-            });
+            },
+        );
         let mut answered = Vec::with_capacity(healthy.len());
         let (mut panicked, mut missed) = (Vec::new(), Vec::new());
         for (&s, result) in healthy.iter().zip(results) {
@@ -1274,107 +1314,143 @@ impl ShardedService {
                 degraded.len(),
             )?;
         }
-        Ok(Scattered { answered, degraded })
+        Ok((answered, degraded))
     }
 
-    /// The query's effective orders, compiled once for a cross-shard merge.
-    fn compiled_orders(&self, pref: &Preference) -> Result<Vec<CompiledOrder>> {
-        Ok(self
-            .template
-            .effective_orders(&self.schema, pref)?
-            .iter()
-            .map(CompiledOrder::compile)
-            .collect())
-    }
-
-    /// Every shard's share of the service-wide template skyline `SKY_R(D)` at the front end's
-    /// epoch vector, or `None` where the shares do not apply (module docs): one shard, a shard
-    /// without an Adaptive-SFS structure, or a tolerant [`DegradePolicy`]. One merge of every
-    /// shard's sorted list under the template's orders builds them, under the front end's
-    /// read guards; the slot keeps them for that vector, and its mutex makes concurrent misses
-    /// at a new vector build once.
-    fn template_shares(&self, front: &Admitted<'_>) -> Result<Option<Shares>> {
-        if self.shard_count() < 2 || self.degrade != DegradePolicy::FailClosed {
-            return Ok(None);
+    /// The global template skyline `G` at the front end's epoch vector (module docs): the
+    /// slot's complete build, or a new one. Misses at a new vector join one flight keyed by
+    /// it, each waiting no longer than its own deadline; only a complete build fills the
+    /// slot. With shards quarantined before the miss the build cannot be complete, so it
+    /// goes straight to the healthy shards.
+    fn global_skyline(
+        &self,
+        front: &Admitted<'_>,
+        deadline: &Deadline,
+    ) -> Result<Arc<GlobalSkyline>> {
+        if !front.quarantined.is_empty() {
+            return self.build_global(front, deadline);
         }
-        let Some(lists) = front
-            .guards
-            .iter()
-            .map(|g| g.adaptive())
-            .collect::<Option<Vec<_>>>()
-        else {
-            return Ok(None);
+        let cached = || {
+            let slot = self.global.lock().unwrap_or_else(PoisonError::into_inner);
+            slot.as_ref()
+                .filter(|(epochs, _)| *epochs == front.epochs)
+                .map(|(_, global)| global.clone())
         };
-        let mut slot = self.shares.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some((epochs, shares)) = &*slot {
-            if *epochs == front.epochs {
-                return Ok(Some(shares.clone()));
-            }
+        if let Some(global) = cached() {
+            return Ok(global);
         }
+        let flight = self
+            .global_flight
+            .join_deadline(front.epochs.clone(), deadline)
+            .inspect_err(|_| self.metrics.record_error())?;
+        // A leader may follow a flight that filled the slot since the look above; a follower
+        // finds its leader's build, or builds alone when the leader failed or degraded.
+        if let Some(global) = cached() {
+            return Ok(global);
+        }
+        let global = self.build_global(front, deadline)?;
+        if global.degraded.is_empty() {
+            *self.global.lock().unwrap_or_else(PoisonError::into_inner) =
+                Some((front.epochs.clone(), global.clone()));
+            self.metrics.record_template_skyline_build(global.ids.len());
+        }
+        drop(flight); // wakes followers once the slot is filled
+        Ok(global)
+    }
+
+    /// Builds `G` over every shard the scatter reaches (module docs, steps 1–3).
+    fn build_global(
+        &self,
+        front: &Admitted<'_>,
+        deadline: &Deadline,
+    ) -> Result<Arc<GlobalSkyline>> {
+        let ranking = self
+            .template
+            .implicit()
+            .expect("assembly rejects templates without an implicit form at two or more shards");
+        let score = ScoreFn::for_preference(&self.schema, ranking)?;
+        let (answered, degraded) = self.scatter(front, |engine, _| {
+            template_skyline(engine, &score, deadline)
+        })?;
         let orders = self.template.orders().iter().map(CompiledOrder::compile);
         let mut merger = SkylineMerger::new(orders.collect(), self.schema.numeric_count());
-        for (s, asfs) in lists.iter().enumerate() {
-            let data = asfs.dataset();
-            for p in asfs.sorted_entries().iter().map(|e| e.point) {
-                merger.push(s, p, data.numeric_row(p), data.nominal_row(p))?;
+        // Every candidate is pushed under its index in `candidates`.
+        let mut candidates: Vec<(f64, GlobalRowId)> = Vec::new();
+        for (shard, list) in &answered {
+            let data = front.guards[*shard].dataset();
+            for &ScoredEntry { score, point: row } in list.iter() {
+                let id = candidates.len() as PointId;
+                merger.push(*shard, id, data.numeric_row(row), data.nominal_row(row))?;
+                candidates.push((score, GlobalRowId { shard: *shard, row }));
             }
         }
-        let mut shares: Vec<BitSet> = lists
-            .iter()
-            .map(|a| BitSet::new(a.dataset().len()))
+        let mut members: Vec<(f64, GlobalRowId)> = merger
+            .merge()
+            .into_iter()
+            .map(|(_, id)| candidates[id as usize])
             .collect();
-        for (s, p) in merger.merge() {
-            shares[s].insert(p as usize);
+        members.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut rows = Dataset::empty(self.schema.clone());
+        let mut entries = Vec::with_capacity(members.len());
+        for (i, &(score, g)) in (0..).zip(&members) {
+            let data = front.guards[g.shard].dataset();
+            rows.push_row_ids(data.numeric_row(g.row), data.nominal_row(g.row))?;
+            entries.push(ScoredEntry::new(i, score));
         }
-        let shares: Shares = shares.into();
-        *slot = Some((front.epochs.clone(), shares.clone()));
-        self.metrics.record_template_skyline_build();
-        Ok(Some(shares))
+        Ok(Arc::new(GlobalSkyline {
+            asfs: AdaptiveSfs::from_sorted_entries(rows, self.template.clone(), entries)?,
+            ids: members.into_iter().map(|(_, g)| g).collect(),
+            degraded,
+        }))
     }
 
-    /// The batch miss path: the shared scatter of engine answers, then the gather by
-    /// cross-shard dominance merge. Complete answers are cached at the epoch vector; a
-    /// degraded answer is flagged and **never cached**.
-    fn scatter_gather(
+    /// The batch miss path: one Adaptive-SFS query over `G` with two or more shards, the
+    /// engine leg at one. Complete answers are cached at the epoch vector; a degraded answer
+    /// is flagged and **never cached**.
+    fn serve_miss(
         &self,
         front: Admitted<'_>,
         pref: &Preference,
         deadline: &Deadline,
     ) -> Result<ShardedServed> {
-        let shares = self.template_shares(&front)?;
-        let Scattered { answered, degraded } =
-            self.scatter(&front, EngineScratch::default, |engine, s, scratch| {
-                let share = shares.as_ref().map(|shares| &shares[s]);
-                engine.query_at_deadline(pref, front.epochs[s], deadline, scratch, share)
+        let (skyline, methods, degraded) = if self.shard_count() == 1 {
+            let (answered, degraded) = self.scatter(&front, |engine, s| {
+                let scratch = &mut EngineScratch::default();
+                engine.query_at_deadline(pref, front.epochs[s], deadline, scratch)
             })?;
-        // A single answering shard's skyline is already the global one (the merger would
-        // test nothing against it); otherwise the cross-shard dominance merge, each engine
-        // answer being its shard's exact skyline as the merger requires.
-        let skyline: Vec<GlobalRowId> = if let [(shard, outcome)] = answered.as_slice() {
-            outcome
-                .skyline
-                .iter()
-                .map(|&row| GlobalRowId { shard: *shard, row })
-                .collect()
-        } else {
-            let mut merger =
-                SkylineMerger::new(self.compiled_orders(pref)?, self.schema.numeric_count());
-            for (s, outcome) in &answered {
-                let data = front.guards[*s].dataset();
-                for &p in &outcome.skyline {
-                    merger.push(*s, p, data.numeric_row(p), data.nominal_row(p))?;
-                }
+            let (mut skyline, mut methods) = (Vec::new(), Vec::new());
+            for (shard, outcome) in answered {
+                skyline.extend(
+                    outcome
+                        .skyline
+                        .into_iter()
+                        .map(|row| GlobalRowId { shard, row }),
+                );
+                methods.push(outcome.method);
             }
-            merger
-                .merge()
-                .into_iter()
-                .map(|(shard, row)| GlobalRowId { shard, row })
-                .collect()
+            (skyline, methods, degraded)
+        } else {
+            let global = self.global_skyline(&front, deadline)?;
+            // A degraded build already spent what the tolerant policy allows on the missing
+            // shards; the query over the rows in hand runs to completion.
+            let deadline = if global.degraded.is_empty() {
+                deadline.clone()
+            } else {
+                Deadline::none()
+            };
+            let mut scratch = QueryScratch::default();
+            let (rows, _) = global
+                .asfs
+                .query_scan(pref, ScanMode::default(), &mut scratch)
+                .and_then(|scan| scratch.drain(scan, &deadline))
+                .inspect_err(|_| self.metrics.record_error())?;
+            let mut skyline: Vec<GlobalRowId> =
+                rows.iter().map(|&p| global.ids[p as usize]).collect();
+            skyline.sort_unstable();
+            let (methods, degraded) = global.provenance(self.shard_count());
+            (skyline, methods, degraded)
         };
-        let value = Arc::new(ShardedOutcome {
-            skyline,
-            methods: answered.iter().map(|(_, o)| o.method).collect(),
-        });
+        let value = Arc::new(ShardedOutcome { skyline, methods });
         if degraded.is_empty() {
             self.cache
                 .insert(front.key, front.epochs.clone(), value.clone());
@@ -1393,6 +1469,31 @@ impl ShardedService {
     }
 }
 
+/// A shard's leg of a `G` build: its template skyline `SKY_R(D_s)` as sorted-list entries in
+/// ascending `(score, row)` order — the Adaptive-SFS sorted list itself, or, on an SFS-D
+/// shard, which keeps none, one presorted scan over its live rows, as
+/// [`AdaptiveSfs::build`] runs.
+fn template_skyline<'e>(
+    engine: &'e SkylineEngine,
+    score: &ScoreFn,
+    deadline: &Deadline,
+) -> Result<Cow<'e, [ScoredEntry]>> {
+    deadline.check()?;
+    if let Some(asfs) = engine.adaptive() {
+        return Ok(Cow::Borrowed(asfs.sorted_entries()));
+    }
+    let data = engine.dataset();
+    let relation = CompiledRelation::for_template(data, engine.template())?;
+    let live: Vec<PointId> = data.live_ids().collect();
+    let mut members = Vec::new();
+    Scan::presorted(&relation, &score.sort_by_score(data, &live))
+        .drain_into(&mut members, deadline)?;
+    let entries = members
+        .into_iter()
+        .map(|p| ScoredEntry::new(p, score.score(data, p)));
+    Ok(Cow::Owned(entries.collect()))
+}
+
 /// A request past the front end both paths share: its admission permit, read guards on every
 /// shard with the epoch vector they pin, and the canonical key — plus the cached complete
 /// answer on a hit, or the shards quarantined before the scatter on a miss.
@@ -1406,50 +1507,51 @@ struct Admitted<'s> {
     quarantined: Vec<usize>,
 }
 
-/// What the scatter hands a gather: every answering shard's leg, ascending by shard, and the
-/// shards missing from the answer (quarantined, panicked or past the deadline), ascending.
-struct Scattered<T> {
-    answered: Vec<(usize, T)>,
-    degraded: Vec<usize>,
-}
-
 /// The per-stream serving state (see [`ShardedStream`]).
 #[derive(Debug)]
 enum ShardedStreamState {
-    /// Cache hit: replay the memoized merged answer in ascending score order.
+    /// Cache hit: replay the memoized answer in ascending score order.
     Replay {
         ids: std::vec::IntoIter<GlobalRowId>,
     },
-    /// Live scatter: per-shard engine streams feeding the progressive merger.
-    Live(Box<LiveScatter>),
+    /// A scan handing out confirmed rows.
+    Live(Box<LiveStream>),
     /// Exhausted (terminal bookkeeping already done).
     Done,
 }
 
-/// The live scatter-gather state behind [`ShardedStreamState::Live`].
+/// The live state behind [`ShardedStreamState::Live`].
 #[derive(Debug)]
-struct LiveScatter {
-    /// One stream per shard (`None` = exhausted, degraded, or quarantined) — open exactly
-    /// while the merger's source is unfinished.
-    streams: Vec<Option<EngineStream>>,
-    merger: ProgressiveMerger,
-    /// Rows confirmed by the merger, not yet handed to the caller.
-    ready: VecDeque<GlobalRowId>,
+struct LiveStream {
+    rows: LiveRows,
     /// Every row handed out so far (becomes the cached answer on a complete finish).
     emitted: Vec<GlobalRowId>,
-    /// `(shard, method)` per cleanly finished shard.
-    answered: Vec<(usize, MethodUsed)>,
+    /// The answer's [`ShardedOutcome::methods`].
+    methods: Vec<MethodUsed>,
     key: CanonicalPreference,
 }
 
-/// A progressive sharded answer handed out by [`ShardedService::serve_streaming`]: globally
-/// confirmed skyline members, one per [`ShardedStream::next_row`] call, in ascending
+/// Where a live stream's rows come from.
+#[derive(Debug)]
+enum LiveRows {
+    /// One shard: its engine's stream; `None` once the shard dropped out of the answer.
+    Engine(Option<EngineStream>),
+    /// Two or more shards: the Adaptive-SFS scan over `G`, under the stream's deadline.
+    Global {
+        scan: Box<Scan<CompiledRelation>>,
+        global: Arc<GlobalSkyline>,
+        deadline: Deadline,
+    },
+}
+
+/// A progressive sharded answer handed out by [`ShardedService::serve_streaming`]: confirmed
+/// global skyline members, one per [`ShardedStream::next_row`] call, in ascending
 /// query-score order.
 ///
 /// The stream is pinned to the epoch vector it was created at ([`ShardedStream::epochs`])
-/// — every per-shard stream snapshots its generation — and holds its admission permit until
-/// dropped. [`ShardedStream::degraded_shards`] names the shards the answer will be missing
-/// (only non-empty under a tolerant [`DegradePolicy`]).
+/// — its scan owns shared handles to the rows it reads — and holds its admission permit
+/// until dropped. [`ShardedStream::degraded_shards`] names the shards the answer will be
+/// missing (only non-empty under a tolerant [`DegradePolicy`]).
 #[derive(Debug)]
 pub struct ShardedStream<'a> {
     service: &'a ShardedService,
@@ -1468,137 +1570,104 @@ impl ShardedStream<'_> {
         &self.epochs
     }
 
-    /// Shards missing from the answer so far (quarantined before or during the stream),
-    /// ascending. May grow while pulling — a shard can panic mid-stream under a tolerant
-    /// policy. Empty for replayed cache hits (cached answers are always complete).
+    /// Shards missing from the answer, ascending. Fixed when the stream opens, except at one
+    /// shard, whose panic in a later pull adds it under a tolerant policy. Empty for replayed
+    /// cache hits (cached answers are always complete).
     pub fn degraded_shards(&self) -> &[usize] {
         &self.degraded
     }
 
-    /// Replaces every per-shard stream's deadline: an expired pull can be retried under a
-    /// fresh budget and resumes each shard's scan where it stopped.
+    /// Replaces the stream's deadline: an expired pull can be retried under a fresh budget
+    /// and resumes the scan where it stopped.
     pub fn set_deadline(&mut self, deadline: Deadline) {
         if let ShardedStreamState::Live(live) = &mut self.state {
-            for stream in live.streams.iter_mut().flatten() {
-                stream.set_deadline(deadline.clone());
+            match &mut live.rows {
+                LiveRows::Engine(Some(stream)) => stream.set_deadline(deadline),
+                LiveRows::Engine(None) => {}
+                LiveRows::Global { deadline: d, .. } => *d = deadline,
             }
         }
     }
 
-    /// Pulls the next globally confirmed skyline member, or `Ok(None)` once the answer is
-    /// complete. Rows already delivered are final regardless of later errors; deadline
-    /// expiry preserves every shard's position (see [`ShardedStream::set_deadline`]).
+    /// Pulls the next confirmed skyline member, or `Ok(None)` once the answer is complete.
+    /// Rows already delivered are final regardless of later errors; deadline expiry
+    /// preserves the scan's position (see [`ShardedStream::set_deadline`]).
     pub fn next_row(&mut self) -> Result<Option<GlobalRowId>> {
-        loop {
-            match &mut self.state {
-                ShardedStreamState::Done => return Ok(None),
-                ShardedStreamState::Replay { ids } => match ids.next() {
-                    Some(g) => {
-                        if !self.ttfr_recorded {
-                            self.ttfr_recorded = true;
-                            self.service.metrics.record_ttfr(self.started.elapsed());
-                        }
-                        return Ok(Some(g));
-                    }
-                    None => {
-                        self.state = ShardedStreamState::Done;
-                        return Ok(None);
-                    }
-                },
-                ShardedStreamState::Live(live) => {
-                    let LiveScatter {
-                        streams,
-                        merger,
-                        ready,
-                        emitted,
-                        answered,
-                        key,
-                    } = &mut **live;
-                    if let Some(g) = ready.pop_front() {
-                        emitted.push(g);
-                        if !self.ttfr_recorded {
-                            self.ttfr_recorded = true;
-                            self.service.metrics.record_ttfr(self.started.elapsed());
-                        }
-                        return Ok(Some(g));
-                    }
-                    if merger.is_complete() {
-                        // Complete: the emitted rows, re-grouped by shard in engine order,
-                        // are exactly the batch `ShardedOutcome` layout (the merger emits
-                        // per-shard prefixes in the engines' ascending-score = ascending-id
-                        // survivor order), so the entry is shared with the batch path.
-                        let mut skyline = std::mem::take(emitted);
-                        skyline.sort_unstable();
-                        let mut answered = std::mem::take(answered);
-                        answered.sort_unstable_by_key(|&(s, _)| s);
-                        let outcome = Arc::new(ShardedOutcome {
-                            skyline,
-                            methods: answered.into_iter().map(|(_, m)| m).collect(),
-                        });
-                        if self.degraded.is_empty() {
-                            self.service
-                                .cache
-                                .insert(key.clone(), self.epochs.clone(), outcome);
-                        } else {
-                            self.service.metrics.record_degraded();
-                        }
-                        self.service.metrics.record(false, self.started.elapsed());
-                        self.state = ShardedStreamState::Done;
-                        return Ok(None);
-                    }
-                    // Pull the stream gating the merger: its lowest-frontier open source.
-                    let s = merger
-                        .gating_source()
-                        .expect("an incomplete merger has an unfinished source");
-                    let stream = streams[s].as_mut().expect("an unfinished source is open");
+        let pulled = match &mut self.state {
+            ShardedStreamState::Done => return Ok(None),
+            ShardedStreamState::Replay { ids } => Ok(ids.next()),
+            ShardedStreamState::Live(live) => match &mut live.rows {
+                LiveRows::Global {
+                    scan,
+                    global,
+                    deadline,
+                } => deadline
+                    // One check per pull, as an engine stream makes; the scan adds one per
+                    // block across long dominated runs.
+                    .check()
+                    .and_then(|()| scan.next_row(deadline))
+                    .map(|p| p.map(|p| global.ids[p as usize])),
+                LiveRows::Engine(None) => Ok(None),
+                LiveRows::Engine(Some(stream)) => {
                     match catch_unwind(AssertUnwindSafe(|| stream.next_row())) {
-                        Ok(Ok(Some(p))) => {
-                            let data = stream.dataset();
-                            merger
-                                .offer(
-                                    s,
-                                    p,
-                                    stream.score_of(p),
-                                    data.numeric_row(p),
-                                    data.nominal_row(p),
-                                )
-                                .inspect_err(|_| self.service.metrics.record_error())?;
-                        }
-                        Ok(Ok(None)) => {
-                            answered.push((s, stream.method()));
-                            streams[s] = None;
-                            merger.finish(s);
-                        }
-                        Ok(Err(e)) => {
-                            // One shared deadline governs every shard, so a per-shard expiry
-                            // is the request's expiry: fail the pull (resumable), do not
-                            // degrade the shard.
-                            self.service.metrics.record_error();
-                            if matches!(e, SkylineError::DeadlineExceeded) {
-                                self.service.metrics.record_deadline_miss();
-                            }
-                            return Err(e);
-                        }
+                        Ok(pulled) => pulled.map(|p| p.map(|row| GlobalRowId { shard: 0, row })),
                         Err(_panic) => {
-                            // Mid-pull panic: quarantine the shard and, when tolerated,
-                            // keep streaming from the rest. Rows already delivered remain
-                            // valid members of the healthy shards' merge.
-                            self.service.shards.quarantine.quarantine(s);
-                            streams[s] = None;
-                            merger.finish(s);
-                            self.degraded.push(s);
-                            self.degraded.sort_unstable();
-                            self.service.check_policy(Some(s), self.degraded.len())?;
+                            // Mid-pull panic: quarantine the only shard. Rows already
+                            // delivered remain valid; a tolerant policy ends the answer here.
+                            self.service.shards.quarantine.quarantine(0);
+                            live.rows = LiveRows::Engine(None);
+                            live.methods.clear();
+                            self.degraded = vec![0];
+                            self.service.check_policy(Some(0), 1)?;
+                            Ok(None)
                         }
                     }
-                    let mut confirmed = Vec::new();
-                    merger.drain_ready(&mut confirmed);
-                    ready.extend(
-                        confirmed
-                            .into_iter()
-                            .map(|(shard, row)| GlobalRowId { shard, row }),
-                    );
                 }
+            },
+        };
+        match pulled {
+            Ok(Some(g)) => {
+                if let ShardedStreamState::Live(live) = &mut self.state {
+                    live.emitted.push(g);
+                }
+                if !self.ttfr_recorded {
+                    self.ttfr_recorded = true;
+                    self.service.metrics.record_ttfr(self.started.elapsed());
+                }
+                Ok(Some(g))
+            }
+            Ok(None) => {
+                // Terminal bookkeeping: a finished complete live stream caches its answer —
+                // the emitted rows sorted, exactly the batch [`ShardedOutcome`] layout, so the
+                // entry is shared with the batch path — and every finished live stream counts
+                // as one miss served.
+                let done = std::mem::replace(&mut self.state, ShardedStreamState::Done);
+                if let ShardedStreamState::Live(live) = done {
+                    let LiveStream {
+                        mut emitted,
+                        methods,
+                        key,
+                        ..
+                    } = *live;
+                    emitted.sort_unstable();
+                    let outcome = Arc::new(ShardedOutcome {
+                        skyline: emitted,
+                        methods,
+                    });
+                    if self.degraded.is_empty() {
+                        self.service.cache.insert(key, self.epochs.clone(), outcome);
+                    } else {
+                        self.service.metrics.record_degraded();
+                    }
+                    self.service.metrics.record(false, self.started.elapsed());
+                }
+                Ok(None)
+            }
+            Err(e) => {
+                // One deadline governs the whole scan, so its expiry is the request's: fail
+                // the pull (resumable).
+                self.service.metrics.record_error();
+                self.service.count_deadline_miss(Err(e))
             }
         }
     }
@@ -2075,8 +2144,11 @@ mod tests {
         let full = service.serve(&cached_pref).unwrap();
         assert!(!full.cache_hit);
 
-        // Quarantine shard 1 via a different query's scatter panic.
+        // Quarantine shard 1 via a different query's scatter panic. A miss at an unchanged
+        // vector reads no shard (it is answered from the cached global template skyline), so
+        // a swap moves the vector first; the cached answer survives it by remap translation.
         let other = generator.random_preference(data.schema(), &template, 1, None);
+        assert!(service.force_rebuild_shard(0).unwrap());
         service.fault_injector().panic_on_shard_query(1, 1);
         let _ = service.serve(&other);
         assert_eq!(service.quarantined_shards(), vec![1]);
@@ -2175,7 +2247,7 @@ mod tests {
         );
 
         // The finished stream cached the merged answer in the exact batch layout: the
-        // warmed batch path replays it, and it equals a cold service's gather bit for bit.
+        // warmed batch path replays it, and it equals a cold service's answer bit for bit.
         let served = service.serve(&pref).unwrap();
         assert!(served.cache_hit, "finished stream warms the batch cache");
         let mut sorted = rows.clone();
@@ -2791,7 +2863,7 @@ mod tests {
         assert_eq!(service.stats().remap_misses, 1);
     }
 
-    // ---- Shares of the global template skyline ----
+    // ---- The global template skyline ----
 
     /// The brute-force skyline of every row live on any shard, ascending by shard, then row.
     fn live_oracle(service: &ShardedService, pref: &Preference) -> Vec<GlobalRowId> {
@@ -2813,14 +2885,51 @@ mod tests {
         skyline.into_iter().map(|p| ids[p as usize]).collect()
     }
 
+    /// The members of the cached `G`, ascending.
+    fn global_members(service: &ShardedService) -> Vec<GlobalRowId> {
+        let slot = service.global.lock().unwrap();
+        let mut ids = slot.as_ref().expect("a complete G is cached").1.ids.clone();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Two misses at the current epoch vector — a batch of `prefs[0]` and a stream of
+    /// `prefs[1]`, neither asked at this vector before — each equal to the oracle; `G`'s rows
+    /// equal BNL `SKY_R` over the live rows; and the vector cost exactly one build. Returns
+    /// the batch answer.
+    fn check_global(service: &ShardedService, prefs: [&Preference; 2]) -> Vec<GlobalRowId> {
+        let builds = service.stats().template_skyline_builds;
+        let batch = service.serve(prefs[0]).unwrap();
+        assert!(!batch.cache_hit);
+        assert_eq!(batch.outcome.skyline, live_oracle(service, prefs[0]));
+        assert_eq!(batch.outcome.methods.len(), service.shard_count());
+        let mut streamed = service
+            .serve_streaming(prefs[1])
+            .unwrap()
+            .collect_rows()
+            .unwrap();
+        streamed.sort_unstable();
+        assert_eq!(streamed, live_oracle(service, prefs[1]));
+        let stats = service.stats();
+        assert_eq!(
+            stats.template_skyline_builds,
+            builds + 1,
+            "one build per vector"
+        );
+        let template = service.template().implicit().unwrap().clone();
+        let members = global_members(service);
+        assert_eq!(members, live_oracle(service, &template), "G = SKY_R(D)");
+        assert_eq!(stats.global_skyline_rows, members.len() as u64);
+        batch.outcome.skyline.clone()
+    }
+
     /// Template `0 ≺ *` over two shards: `d = (1, 1, 0)` on shard 0 is the only template
     /// dominator of `r = (2, 2, 1)` on shard 1, beside `r`'s incomparable shard-mate
-    /// `s = (0, 5, 1)`. Shard 1's share leaves `r` out while `d` lives, takes it back when `d`
-    /// goes, and leaves it out again under a new dominator; every answer, batch or streamed,
-    /// equals the oracle, across rebuilds that renumber rows, and the shares are built once
-    /// per epoch vector.
+    /// `s = (0, 5, 1)`. `G` leaves `r` out while `d` lives, takes it back when `d` goes, and
+    /// leaves it out again under a new dominator — for every engine shape, across rebuilds
+    /// that renumber rows.
     #[test]
-    fn template_skyline_shares_follow_the_data() {
+    fn global_template_skyline_follows_the_data() {
         let schema = Schema::new(vec![
             Dimension::numeric("x"),
             Dimension::numeric("y"),
@@ -2834,66 +2943,107 @@ mod tests {
         )
         .unwrap();
         let template = Template::from_preference(&schema, listing(&[0])).unwrap();
-        let service = ShardedService::build(
-            &data,
-            template,
+        for config in [
+            EngineConfig::SfsD,
             EngineConfig::AdaptiveSfs,
-            ShardedConfig {
-                shards: 2,
-                workers: 2,
-                ..ShardedConfig::default()
-            },
-        )
-        .unwrap();
-        let placed = ShardedService::partition_rows(service.partition(), 2, &data);
-        let (d, r) = (placed[0], placed[1]);
-        assert_eq!(
-            (d.shard, r.shard),
-            (0, 1),
-            "d and r sit on different shards"
-        );
+            EngineConfig::Hybrid { top_k: 2 },
+        ] {
+            let service = ShardedService::build(
+                &data,
+                template.clone(),
+                config,
+                ShardedConfig {
+                    shards: 2,
+                    workers: 2,
+                    ..ShardedConfig::default()
+                },
+            )
+            .unwrap();
+            let placed = ShardedService::partition_rows(service.partition(), 2, &data);
+            let (d, r) = (placed[0], placed[1]);
+            assert_eq!(
+                (d.shard, r.shard),
+                (0, 1),
+                "d and r sit on different shards"
+            );
+            // Refinements not asked before, one pair per vector.
+            let mut k = 0;
+            let mut misses = |service: &ShardedService| {
+                k += 1;
+                check_global(service, [&listing(&[0, k]), &listing(&[0, k % 5 + 1, k])])
+            };
 
-        // Two misses at the current vector — a batch and a stream of refinements not asked
-        // before — each equal to the oracle; returns the batch answer and checks that exactly
-        // one build happened.
-        let mut builds = 0;
-        let mut misses_at_one_vector = |service: &ShardedService| {
-            builds += 1;
-            let batch_pref = listing(&[0, builds]);
-            let stream_pref = listing(&[0, builds % 5 + 1, builds]);
-            let batch = service.serve(&batch_pref).unwrap();
-            assert!(!batch.cache_hit);
-            assert_eq!(batch.outcome.skyline, live_oracle(service, &batch_pref));
-            let mut streamed = service
-                .serve_streaming(&stream_pref)
-                .unwrap()
-                .collect_rows()
+            assert!(!misses(&service).contains(&r), "{config:?}");
+            assert!(!global_members(&service).contains(&r));
+            assert!(service.delete_row(d).unwrap());
+            assert!(misses(&service).contains(&r));
+            assert!(global_members(&service).contains(&r));
+            let d2 = service.insert_row(&[0.5, 0.5], &[0]).unwrap();
+            assert_eq!(d2, GlobalRowId { shard: 0, row: 1 });
+            assert!(!misses(&service).contains(&r));
+            // The rebuild reclaims `d` and renumbers `d2` to row 0.
+            assert!(service.force_rebuild_shard(0).unwrap());
+            assert!(misses(&service).contains(&GlobalRowId { shard: 0, row: 0 }));
+            assert!(service.force_rebuild_shard(1).unwrap());
+            misses(&service);
+        }
+    }
+
+    /// The same checks on generated data at two to four shards, for every engine shape, after
+    /// every insert, delete of a `G` member and forced rebuild.
+    #[test]
+    fn global_template_skyline_follows_generated_data_at_every_shard_count() {
+        let (data, template) = experiment(160, 131);
+        let mut seen = std::collections::HashSet::new();
+        let prefs: Vec<Preference> = QueryGenerator::new(137)
+            .random_preferences(data.schema(), &template, 2, 200, None)
+            .into_iter()
+            .filter(|p| seen.insert(CanonicalPreference::new(data.schema(), p).unwrap()))
+            .collect();
+        for shards in 2..=4 {
+            for config in [
+                EngineConfig::SfsD,
+                EngineConfig::AdaptiveSfs,
+                EngineConfig::Hybrid { top_k: 3 },
+            ] {
+                let service = ShardedService::build(
+                    &data,
+                    template.clone(),
+                    config,
+                    ShardedConfig {
+                        shards,
+                        workers: 2,
+                        ..ShardedConfig::default()
+                    },
+                )
                 .unwrap();
-            streamed.sort_unstable();
-            assert_eq!(streamed, live_oracle(service, &stream_pref));
-            assert_eq!(service.stats().template_skyline_builds, u64::from(builds));
-            batch.outcome.skyline.clone()
-        };
-        let share = |service: &ShardedService, s: usize| {
-            let slot = service.shares.lock().unwrap();
-            slot.as_ref().unwrap().1[s].to_ids()
-        };
-
-        assert!(!misses_at_one_vector(&service).contains(&r));
-        assert_eq!(share(&service, 1), vec![1], "r is outside shard 1's share");
-        assert!(service.delete_row(d).unwrap());
-        assert!(misses_at_one_vector(&service).contains(&r));
-        assert_eq!(share(&service, 1), vec![0, 1]);
-        let d2 = service.insert_row(&[0.5, 0.5], &[0]).unwrap();
-        assert_eq!(d2, GlobalRowId { shard: 0, row: 1 });
-        assert!(!misses_at_one_vector(&service).contains(&r));
-        assert_eq!(share(&service, 1), vec![1]);
-
-        // The rebuild reclaims `d` and renumbers `d2` to row 0.
-        assert!(service.force_rebuild_shard(0).unwrap());
-        let answer = misses_at_one_vector(&service);
-        assert!(answer.contains(&GlobalRowId { shard: 0, row: 0 }));
-        assert!(service.force_rebuild_shard(1).unwrap());
-        misses_at_one_vector(&service);
+                let mut fresh = prefs.chunks_exact(2).cycle();
+                let mut check = |service: &ShardedService| {
+                    let pair = fresh.next().unwrap();
+                    check_global(service, [&pair[0], &pair[1]]);
+                };
+                check(&service);
+                for step in 0..6u16 {
+                    match step % 3 {
+                        0 => {
+                            let x = 0.05 * f64::from(step);
+                            service
+                                .insert_row(&[x, 0.1], &[step % 8, 7 - step % 8])
+                                .unwrap();
+                        }
+                        1 => {
+                            let member = global_members(&service)[usize::from(step) % 3];
+                            assert!(service.delete_row(member).unwrap());
+                        }
+                        _ => {
+                            assert!(service
+                                .force_rebuild_shard(usize::from(step) % shards)
+                                .unwrap());
+                        }
+                    }
+                    check(&service);
+                }
+            }
+        }
     }
 }

@@ -28,6 +28,7 @@ pub struct ServiceMetrics {
     snapshot_load_ns: AtomicU64,
     preprocess_build_ns: AtomicU64,
     template_skyline_builds: AtomicU64,
+    global_skyline_rows: AtomicU64,
     latency_ns: [AtomicU64; BUCKETS],
     ttfr_ns: [AtomicU64; BUCKETS],
 }
@@ -49,6 +50,7 @@ impl Default for ServiceMetrics {
             snapshot_load_ns: AtomicU64::new(0),
             preprocess_build_ns: AtomicU64::new(0),
             template_skyline_builds: AtomicU64::new(0),
+            global_skyline_rows: AtomicU64::new(0),
             latency_ns: std::array::from_fn(|_| AtomicU64::new(0)),
             ttfr_ns: std::array::from_fn(|_| AtomicU64::new(0)),
         }
@@ -138,10 +140,12 @@ impl ServiceMetrics {
         );
     }
 
-    /// Records one build of the shards' template-skyline shares (once per epoch vector a
-    /// sharded miss reached).
-    pub fn record_template_skyline_build(&self) {
+    /// Records one complete build of the global template skyline (once per epoch vector a
+    /// sharded miss reached) and its row count.
+    pub fn record_template_skyline_build(&self, rows: usize) {
         self.template_skyline_builds.fetch_add(1, Ordering::Relaxed);
+        self.global_skyline_rows
+            .store(rows as u64, Ordering::Relaxed);
     }
 
     /// Records a stream's time-to-first-row: the delay between the serve call and its first
@@ -188,6 +192,7 @@ impl ServiceMetrics {
             snapshot_load_ms: self.snapshot_load_ns.load(Ordering::Relaxed) / 1_000_000,
             preprocess_build_ms: self.preprocess_build_ns.load(Ordering::Relaxed) / 1_000_000,
             template_skyline_builds: self.template_skyline_builds.load(Ordering::Relaxed),
+            global_skyline_rows: self.global_skyline_rows.load(Ordering::Relaxed),
             p50: percentile(&buckets, 0.50),
             p99: percentile(&buckets, 0.99),
             ttfr_p50: percentile(&ttfr, 0.50),
@@ -270,11 +275,14 @@ pub struct StatsSnapshot {
     /// Total wall time spent in from-scratch preprocessing builds, in milliseconds — the
     /// cost [`StatsSnapshot::snapshot_load_ms`] replaces on a snapshot bootstrap.
     pub preprocess_build_ms: u64,
-    /// Builds of the shards' shares of the service-wide template skyline: one per epoch
-    /// vector a sharded Adaptive-SFS miss reached, so it counts how often writes and swaps
-    /// forced a rebuild of the shares (0 on one shard, on SFS-D shards and under a tolerant
-    /// degrade policy).
+    /// Complete builds of the service-wide template skyline `G = SKY(R)` that every sharded
+    /// miss is served from: one per epoch vector a miss reached, so it counts how often
+    /// writes and swaps forced a rebuild (0 on one shard, where the engine's own structure
+    /// is `G`). Builds over the healthy shards of a degraded request are not counted.
     pub template_skyline_builds: u64,
+    /// `|G|`, the paper's `|SKY(R)|` over every shard's rows, at the last complete build
+    /// (0 before the first).
+    pub global_skyline_rows: u64,
     /// Median latency (upper bound of its power-of-two bucket).
     pub p50: Duration,
     /// 99th-percentile latency (upper bound of its power-of-two bucket).

@@ -1,13 +1,17 @@
 //! Concurrency suite: N threads × M queries against the one service must produce exactly
 //! the answers a serial reference produces, with and without the result cache — at one shard
-//! (every engine configuration, against serial `SkylineEngine::query`) and through a real
-//! two-shard scatter-gather (against the brute-force skyline).
+//! (every engine configuration, against serial `SkylineEngine::query`) and at two shards,
+//! served from the global template skyline (against the brute-force skyline). Misses that
+//! arrive together at a new epoch vector build that skyline once, and a request waiting on
+//! the build gives up at its own deadline.
 
 use skyline::prelude::*;
+use skyline_core::{CanonicalPreference, Deadline};
 use skyline_service::{ShardedConfig, ShardedServed, ShardedService};
 use std::fmt::Debug;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
+use std::time::{Duration, Instant};
 
 mod common;
 use common::{live_oracle, rows};
@@ -151,8 +155,9 @@ fn threaded_service_matches_serial_engine_for_every_config() {
 
 #[test]
 fn threaded_scatter_gather_matches_the_live_oracle() {
-    // Two shards: the scatter spawns a real worker per request, under the batch pool and
-    // the user threads, and single-flight collapses the identical cold misses.
+    // Two shards: the first miss scatters to a real worker per shard to build the global
+    // template skyline, under the batch pool and the user threads, and single-flight
+    // collapses the identical cold misses.
     for config in [
         EngineConfig::SfsD,
         EngineConfig::AdaptiveSfs,
@@ -224,4 +229,113 @@ fn tiny_cache_evicts_but_never_corrupts() {
         }
         assert!(service.cache_len() <= 4);
     }
+}
+
+/// `count` preferences over the service's schema, pairwise distinct as canonical keys (so
+/// each is its own result-cache miss).
+fn distinct_prefs(service: &ShardedService, seed: u64, count: usize) -> Vec<Preference> {
+    let mut seen = std::collections::HashSet::new();
+    let prefs: Vec<Preference> = QueryGenerator::new(seed)
+        .random_preferences(service.schema(), service.template(), 2, count * 20, None)
+        .into_iter()
+        .filter(|p| seen.insert(CanonicalPreference::new(service.schema(), p).unwrap()))
+        .take(count)
+        .collect();
+    assert_eq!(prefs.len(), count);
+    prefs
+}
+
+#[test]
+fn concurrent_misses_at_a_new_vector_build_the_global_skyline_once() {
+    // Different preferences, so the answer flights do not collapse them: only the build of
+    // the global template skyline is shared. The delay keeps the build open while every
+    // thread arrives; half the threads stream.
+    const THREADS: usize = 8;
+    for config in [EngineConfig::AdaptiveSfs, EngineConfig::Hybrid { top_k: 3 }] {
+        let service = build_service(
+            13,
+            config,
+            ShardedConfig {
+                shards: 2,
+                workers: 2,
+                ..ShardedConfig::default()
+            },
+        );
+        for round in 0..2u64 {
+            if round == 1 {
+                // A new vector: one insert, one delete.
+                let id = service.insert_row(&[0.5, 0.5], &[1, 1]).unwrap();
+                assert!(service.delete_row(id).unwrap());
+            }
+            let prefs = distinct_prefs(&service, 47 + round, THREADS);
+            let oracle: Vec<_> = prefs.iter().map(|p| live_oracle(&service, p)).collect();
+            service
+                .fault_injector()
+                .delay_shard_query(0, Duration::from_millis(50));
+            let barrier = Barrier::new(THREADS);
+            thread::scope(|scope| {
+                for (t, (pref, expected)) in prefs.iter().zip(&oracle).enumerate() {
+                    let (service, barrier) = (&service, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let mut rows = if t % 2 == 0 {
+                            service.serve(pref).unwrap().outcome.skyline.clone()
+                        } else {
+                            service
+                                .serve_streaming(pref)
+                                .unwrap()
+                                .collect_rows()
+                                .unwrap()
+                        };
+                        rows.sort_unstable();
+                        assert_eq!(&rows, expected, "{config:?}, thread {t}");
+                    });
+                }
+            });
+            service.fault_injector().clear();
+            let stats = service.stats();
+            assert_eq!(stats.template_skyline_builds, round + 1, "{config:?}");
+            assert_eq!(stats.misses, (round + 1) * THREADS as u64);
+        }
+    }
+}
+
+#[test]
+fn a_wait_on_a_delayed_build_is_bounded_by_the_waiters_deadline() {
+    let service = build_service(
+        19,
+        EngineConfig::AdaptiveSfs,
+        ShardedConfig {
+            shards: 2,
+            workers: 2,
+            ..ShardedConfig::default()
+        },
+    );
+    let prefs = distinct_prefs(&service, 53, 2);
+    service
+        .fault_injector()
+        .delay_shard_query(0, Duration::from_millis(100));
+    thread::scope(|scope| {
+        // No deadline: this request builds the global template skyline, for 100 ms.
+        let builder = scope.spawn(|| service.serve(&prefs[0]));
+        thread::sleep(Duration::from_millis(30));
+        let started = Instant::now();
+        assert_eq!(
+            service
+                .serve_deadline(&prefs[1], &Deadline::within(Duration::from_millis(20)))
+                .unwrap_err(),
+            SkylineError::DeadlineExceeded
+        );
+        assert!(
+            started.elapsed() < Duration::from_millis(100),
+            "the waiter gave up at its own deadline, not at the end of the build"
+        );
+        let built = builder.join().unwrap().unwrap();
+        assert!(!built.is_degraded());
+        assert_eq!(built.outcome.skyline, live_oracle(&service, &prefs[0]));
+    });
+    let stats = service.stats();
+    assert_eq!(stats.template_skyline_builds, 1);
+    assert_eq!(stats.deadline_misses, 1);
+    assert!(service.quarantined_shards().is_empty());
 }

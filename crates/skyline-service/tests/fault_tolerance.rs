@@ -127,7 +127,7 @@ fn served_values(service: &ShardedService, served: &ShardedServed) -> Vec<ValueK
 
 /// Ground truth for a (possibly degraded) answer: merge the per-shard skylines of `shards`,
 /// computed through per-shard engine queries and the public merger — independent of the
-/// scatter-gather serve path under test.
+/// serve path under test.
 fn merge_of_shards(service: &ShardedService, shards: &[usize], pref: &Preference) -> Vec<ValueKey> {
     let orders: Vec<CompiledOrder> = service
         .template()
@@ -550,12 +550,12 @@ fn forced_rebuilds_honour_the_build_failpoint_and_contain_the_panic() {
     assert!(!service.serve(&pref).unwrap().is_degraded());
 }
 
-/// A tolerated partial answer is the skyline of the healthy shards' rows, so a tolerant
-/// service gathers without the shards' shares of the global template skyline. Template
-/// `a ≺ *`, row `(1, a)` on shard 1 and row `(2, c)` on shard 0: `(1, a)` template-dominates
-/// `(2, c)`, so shard 0's share would be empty — yet with shard 1 past the deadline or
-/// quarantined the degraded answer is `[(2, c)]`, batch and streamed. Under `FailClosed` the
-/// same requests fail.
+/// A tolerated partial answer is the skyline of the healthy shards' rows: the global template
+/// skyline a degraded request builds covers the healthy shards only, and is never cached.
+/// Template `a ≺ *`, row `(1, a)` on shard 1 and row `(2, c)` on shard 0: `(1, a)`
+/// template-dominates `(2, c)`, so the complete `G` is `[(1, a)]` — yet with shard 1 past the
+/// deadline or quarantined the degraded answer is `[(2, c)]`, batch and streamed. Under
+/// `FailClosed` the same requests fail.
 #[test]
 fn tolerated_answers_keep_rows_dominated_only_on_the_missing_shard() {
     let partition = ShardPartition::HashNominal { dim: 0 };
@@ -616,8 +616,17 @@ fn tolerated_answers_keep_rows_dominated_only_on_the_missing_shard() {
                 assert_eq!(stream.degraded_shards(), [1]);
                 assert_eq!(stream.collect_rows().unwrap(), healthy_row);
             }
+            // Nothing degraded was cached: with shard 1 back, the next miss builds a complete
+            // global template skyline and answers `[(1, a)]`.
             for service in [&late, &broken] {
-                assert_eq!(service.stats().template_skyline_builds, 0);
+                service.fault_injector().clear();
+                assert!(service.force_rebuild_shard(1).unwrap());
+                let healed = service.serve(&pref).unwrap();
+                assert!(!healed.is_degraded() && !healed.cache_hit);
+                assert_eq!(healed.outcome.skyline, [GlobalRowId { shard: 1, row: 0 }]);
+                let stats = service.stats();
+                assert_eq!(stats.template_skyline_builds, 1);
+                assert_eq!(stats.global_skyline_rows, 1);
             }
         } else {
             assert_eq!(served.unwrap_err(), SkylineError::DeadlineExceeded);

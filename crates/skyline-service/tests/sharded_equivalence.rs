@@ -1,13 +1,13 @@
-//! Scatter-gather equivalence: a [`ShardedService`] answers every query with exactly the
+//! Sharded equivalence: a [`ShardedService`] answers every query with exactly the
 //! same skyline (as a multiset of row *values*) as a single unsharded engine over the same
 //! live rows — for every mutable engine configuration, any shard count from 1 to 8, and any
 //! interleaving of inserts, deletes and generation rebuilds, checked after every update.
 //!
 //! The template is an input too: empty, or one listed value on `g`, which every query then
 //! refines. Under a listed value a row on one shard can template-dominate a row on another
-//! (`g` is also the partition dimension), so the shards' shares of the global template
-//! skyline exclude rows and the share path is exercised; under the empty template they
-//! exclude nothing.
+//! (`g` is also the partition dimension), so the global template skyline drops rows that
+//! are in their own shard's template skyline; under the empty template it drops only rows
+//! dominated across shards.
 //!
 //! Row ids are not comparable across shard counts (each shard numbers its own rows, and
 //! compactions renumber them independently), but the skyline's value multiset is fully

@@ -15,8 +15,8 @@
 //!
 //! The template is an input: empty, or one listed value on `g` (also the partition
 //! dimension), which every query refines. Only a listed value lets a row template-dominate a
-//! row on another shard, so only then do the shards' shares of the global template skyline
-//! exclude rows from the streamed legs.
+//! row on another shard, so only then does the global template skyline the stream scans drop
+//! rows of one shard's template skyline for another shard's.
 //!
 //! A fifth, deterministic scenario pins the reason streams never join a single-flight latch:
 //! a stream whose consumer stops pulling must not block batch serves or writers.

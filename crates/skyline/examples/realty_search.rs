@@ -124,7 +124,7 @@ fn main() -> Result<()> {
         );
         let mut scratch = QueryScratch::new();
         for p in asfs
-            .query_scan(&pref, ScanMode::default(), &mut scratch, None)?
+            .query_scan(&pref, ScanMode::default(), &mut scratch)?
             .take(5)
         {
             println!(

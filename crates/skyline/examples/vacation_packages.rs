@@ -68,7 +68,7 @@ fn main() -> Result<()> {
         let skyline = asfs.query(&pref)?;
         let members: Vec<&str> = skyline.iter().map(|&p| names[p as usize]).collect();
         let streamed: Vec<&str> = asfs
-            .query_scan(&pref, ScanMode::default(), &mut QueryScratch::new(), None)?
+            .query_scan(&pref, ScanMode::default(), &mut QueryScratch::new())?
             .map(|p| names[p as usize])
             .collect();
         println!(

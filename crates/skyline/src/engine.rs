@@ -9,8 +9,8 @@ use skyline_adaptive::{AdaptiveSfs, MaintenanceStats, QueryScratch, ScanMode};
 use skyline_core::algo::sfs::Scan;
 use skyline_core::score::ScoreFn;
 use skyline_core::{
-    BitSet, CompiledRelation, Dataset, DatasetEpoch, Deadline, PointId, Preference, Result,
-    RowIdRemap, SkylineError, Template, ValueId,
+    CompiledRelation, Dataset, DatasetEpoch, Deadline, PointId, Preference, Result, RowIdRemap,
+    SkylineError, Template, ValueId,
 };
 use skyline_ipo::{IpoTree, IpoTreeBuilder, Materialization};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -436,8 +436,7 @@ impl From<SkylineEngine> for SharedEngine {
 /// Reusable per-thread buffers for [`SkylineEngine::query_at_deadline`].
 ///
 /// A worker thread serving many queries hands the same scratch to every call so the
-/// per-query candidate and elimination buffers are reused instead of reallocated (the
-/// `skyline-service` batch executor keeps one per worker).
+/// per-query candidate and elimination buffers are reused instead of reallocated.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     asfs: QueryScratch,
@@ -807,7 +806,6 @@ impl SkylineEngine {
             self.epoch(),
             &Deadline::none(),
             &mut EngineScratch::default(),
-            None,
         )
     }
 
@@ -821,17 +819,12 @@ impl SkylineEngine {
     /// and fail with [`SkylineError::DeadlineExceeded`] once the budget is spent — releasing
     /// the worker instead of finishing an answer nobody is waiting for; the IPO tree path
     /// (set operations, orders of magnitude cheaper than a scan) checks it once up front.
-    ///
-    /// `admitted`, when given, restricts the Adaptive-SFS scan to those rows of its sorted
-    /// list ([`AdaptiveSfs::query_scan`]); the tree and SFS-D paths ignore it. A sharded
-    /// service passes the shard's share of the global template skyline.
     pub fn query_at_deadline(
         &self,
         pref: &Preference,
         epoch: DatasetEpoch,
         deadline: &Deadline,
         scratch: &mut EngineScratch,
-        admitted: Option<&BitSet>,
     ) -> Result<QueryOutcome> {
         self.ensure_epoch(epoch)?;
         deadline.check()?;
@@ -841,7 +834,7 @@ impl SkylineEngine {
                 method: MethodUsed::IpoTree,
             });
         }
-        let (scan, method) = self.open_scan(pref, &mut scratch.asfs, admitted)?;
+        let (scan, method) = self.open_scan(pref, &mut scratch.asfs)?;
         let (skyline, _) = scratch.asfs.drain(scan, deadline)?;
         Ok(QueryOutcome { skyline, method })
     }
@@ -855,10 +848,9 @@ impl SkylineEngine {
         &self,
         pref: &Preference,
         scratch: &mut QueryScratch,
-        admitted: Option<&BitSet>,
     ) -> Result<(Scan<CompiledRelation>, MethodUsed)> {
         if let Some(asfs) = &self.generation.asfs {
-            let scan = asfs.query_scan(pref, ScanMode::default(), scratch, admitted)?;
+            let scan = asfs.query_scan(pref, ScanMode::default(), scratch)?;
             return Ok((scan, MethodUsed::AdaptiveSfs));
         }
         let data = self.dataset_arc();
@@ -884,32 +876,30 @@ impl SkylineEngine {
     ///   in score order, so stream consumers see one uniform contract regardless of the
     ///   serving method.
     ///
-    /// The stream owns a shared handle to the generation's dataset, so it stays
-    /// valid — pinned to the snapshot it was created from — across later engine mutations,
-    /// generation swaps, or dropping the engine guard that created it. `deadline` is polled
+    /// The stream owns what it reads (a scan holds a shared handle to the generation's
+    /// dataset; a tree-served answer is computed up front), so it stays valid — pinned to the
+    /// snapshot it was created from — across later engine mutations, generation swaps, or
+    /// dropping the engine guard that created it. `deadline` is polled
     /// at block granularity inside [`EngineStream::next_row`]; an expired deadline aborts the
     /// *pull*, not the stream — pulling again after replacing the deadline resumes.
-    /// `admitted` restricts the Adaptive-SFS scan as in [`SkylineEngine::query_at_deadline`].
     pub fn query_streaming_at(
         &self,
         pref: &Preference,
         epoch: DatasetEpoch,
         deadline: Deadline,
-        admitted: Option<&BitSet>,
     ) -> Result<EngineStream> {
         self.ensure_epoch(epoch)?;
         deadline.check()?;
-        let data = self.dataset_arc().clone();
-        let score = ScoreFn::for_preference(data.schema(), pref)?;
         let (inner, method) = if let Some(tree) = self.serving_tree(pref) {
-            let ids = tree.query(&data, pref)?;
-            let ordered = score.sort_by_score(&data, &ids);
+            let data = self.dataset();
+            let ids = tree.query(data, pref)?;
+            let ordered = ScoreFn::for_preference(data.schema(), pref)?.sort_by_score(data, &ids);
             (
                 StreamInner::Materialized(ordered.into_iter()),
                 MethodUsed::IpoTree,
             )
         } else {
-            let (scan, method) = self.open_scan(pref, &mut QueryScratch::default(), admitted)?;
+            let (scan, method) = self.open_scan(pref, &mut QueryScratch::default())?;
             (StreamInner::Scan(Box::new(scan)), method)
         };
         Ok(EngineStream {
@@ -917,8 +907,6 @@ impl SkylineEngine {
             deadline,
             epoch,
             method,
-            score,
-            data,
         })
     }
 }
@@ -938,7 +926,7 @@ enum StreamInner {
 ///
 /// Every yielded point is **final** — the stream never retracts — and the set of all yielded
 /// points equals the batch [`SkylineEngine::query`] answer for the same preference at the
-/// same epoch. The stream holds a shared handle to its generation's data, so it is
+/// same epoch. The stream owns what it reads (a scan shares its generation's data), so it is
 /// self-contained: callers may drop the engine lock (or the engine) and keep pulling.
 #[derive(Debug)]
 pub struct EngineStream {
@@ -946,8 +934,6 @@ pub struct EngineStream {
     deadline: Deadline,
     epoch: DatasetEpoch,
     method: MethodUsed,
-    score: ScoreFn,
-    data: Arc<Dataset>,
 }
 
 impl EngineStream {
@@ -979,18 +965,6 @@ impl EngineStream {
     /// Which algorithm is producing the stream.
     pub fn method(&self) -> MethodUsed {
         self.method
-    }
-
-    /// The query score of a yielded point — the monotone order the stream emits in. A
-    /// sharded merger gates its cross-shard publication on exactly these scores.
-    pub fn score_of(&self, p: PointId) -> f64 {
-        self.score.score(&self.data, p)
-    }
-
-    /// The generation's dataset the stream reads from: a yielded point's row values, as
-    /// slices, for cross-shard dominance tests.
-    pub fn dataset(&self) -> &Dataset {
-        &self.data
     }
 
     /// Drains the rest of the stream into a sorted-id batch answer (the streaming core of
@@ -1162,15 +1136,15 @@ mod tests {
         let none = Deadline::none();
         let epoch = engine.epoch();
         assert!(engine
-            .query_at_deadline(&pref, epoch, &none, &mut scratch, None)
+            .query_at_deadline(&pref, epoch, &none, &mut scratch)
             .is_ok());
         engine.insert_row(&[1.0, 1.0], &[0, 0]).unwrap();
         assert!(matches!(
-            engine.query_at_deadline(&pref, epoch, &none, &mut scratch, None),
+            engine.query_at_deadline(&pref, epoch, &none, &mut scratch),
             Err(SkylineError::EpochMismatch { .. })
         ));
         assert!(engine
-            .query_at_deadline(&pref, engine.epoch(), &none, &mut scratch, None)
+            .query_at_deadline(&pref, engine.epoch(), &none, &mut scratch)
             .is_ok());
     }
 
@@ -1246,13 +1220,14 @@ mod tests {
                 let pref = Preference::parse(&schema, spec.clone()).unwrap();
                 let batch = engine.query(&pref).unwrap();
                 let mut stream = engine
-                    .query_streaming_at(&pref, engine.epoch(), Deadline::none(), None)
+                    .query_streaming_at(&pref, engine.epoch(), Deadline::none())
                     .unwrap();
                 assert_eq!(stream.epoch(), engine.epoch());
                 let mut streamed = Vec::new();
                 let mut last_score = f64::NEG_INFINITY;
+                let score = ScoreFn::for_preference(&schema, &pref).unwrap();
                 while let Some(p) = stream.next_row().unwrap() {
-                    let s = stream.score_of(p);
+                    let s = score.score(&data, p);
                     assert!(
                         s >= last_score,
                         "config {config:?}, spec {spec:?}: score order violated"
@@ -1279,7 +1254,7 @@ mod tests {
         let pref = Preference::parse(&schema, [("airline", "W < *")]).unwrap();
         let batch = engine.query(&pref).unwrap();
         let outcome = engine
-            .query_streaming_at(&pref, engine.epoch(), Deadline::none(), None)
+            .query_streaming_at(&pref, engine.epoch(), Deadline::none())
             .unwrap()
             .collect_outcome()
             .unwrap();
@@ -1299,14 +1274,14 @@ mod tests {
         let expired = Deadline::within(std::time::Duration::ZERO);
         assert_eq!(
             engine
-                .query_streaming_at(&pref, engine.epoch(), expired, None)
+                .query_streaming_at(&pref, engine.epoch(), expired)
                 .unwrap_err(),
             SkylineError::DeadlineExceeded
         );
 
         // Expiry mid-stream aborts the pull; replacing the deadline resumes the same stream.
         let mut stream = engine
-            .query_streaming_at(&pref, engine.epoch(), Deadline::none(), None)
+            .query_streaming_at(&pref, engine.epoch(), Deadline::none())
             .unwrap();
         let first = stream.next_row().unwrap().unwrap();
         stream.set_deadline(Deadline::within(std::time::Duration::ZERO));
@@ -1333,7 +1308,7 @@ mod tests {
             let pref = Preference::parse(&schema, [("hotel-group", "M < *")]).unwrap();
             let before = engine.query(&pref).unwrap().skyline;
             let mut stream = engine
-                .query_streaming_at(&pref, engine.epoch(), Deadline::none(), None)
+                .query_streaming_at(&pref, engine.epoch(), Deadline::none())
                 .unwrap();
             // A dominating insert lands mid-stream; the stream must keep answering from its
             // snapshot while fresh queries see the new row.
@@ -1357,11 +1332,11 @@ mod tests {
         let pref = Preference::parse(&schema, [("hotel-group", "M < *")]).unwrap();
         let epoch = engine.epoch();
         assert!(engine
-            .query_streaming_at(&pref, epoch, Deadline::none(), None)
+            .query_streaming_at(&pref, epoch, Deadline::none())
             .is_ok());
         engine.insert_row(&[1.0, 1.0], &[0, 0]).unwrap();
         assert!(matches!(
-            engine.query_streaming_at(&pref, epoch, Deadline::none(), None),
+            engine.query_streaming_at(&pref, epoch, Deadline::none()),
             Err(SkylineError::EpochMismatch { .. })
         ));
     }

@@ -145,7 +145,7 @@ proptest! {
         prop_assert_eq!(&full, &expected);
         // Progressive iterator yields the same members.
         let mut streamed: Vec<PointId> = asfs
-            .query_scan(&query, ScanMode::default(), &mut QueryScratch::new(), None)
+            .query_scan(&query, ScanMode::default(), &mut QueryScratch::new())
             .unwrap()
             .collect();
         streamed.sort_unstable();
@@ -166,7 +166,7 @@ proptest! {
         prop_assert_eq!(batch.method, MethodUsed::IpoTree);
         prop_assert_eq!(&batch.skyline, &expected);
         let streamed = full
-            .query_streaming_at(&query, full.epoch(), Deadline::none(), None)
+            .query_streaming_at(&query, full.epoch(), Deadline::none())
             .unwrap()
             .collect_outcome()
             .unwrap();

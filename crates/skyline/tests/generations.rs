@@ -440,7 +440,7 @@ fn queries_during_swaps_are_never_torn_or_stale() {
                     let epoch = engine.epoch();
                     // Never EpochMismatch: epoch and query run under one guard.
                     let outcome = engine
-                        .query_at_deadline(pref_ref, epoch, &Deadline::none(), &mut scratch, None)
+                        .query_at_deadline(pref_ref, epoch, &Deadline::none(), &mut scratch)
                         .unwrap();
                     let mut values: Vec<(i64, ValueId)> = outcome
                         .skyline

@@ -72,7 +72,7 @@ proptest! {
         let mut last_score = f64::NEG_INFINITY;
         let mut scratch = skyline::adaptive::QueryScratch::new();
         let mode = skyline::adaptive::ScanMode::default();
-        for p in asfs.query_scan(&pref, mode, &mut scratch, None).unwrap() {
+        for p in asfs.query_scan(&pref, mode, &mut scratch).unwrap() {
             prop_assert!(full.contains(&p), "streamed point {p} is not in the final skyline");
             prop_assert!(seen.insert(p), "point {p} streamed twice");
             let s = score.score(&data, p);

@@ -165,7 +165,7 @@ proptest! {
             for pass in ["first", "second"] {
                 prop_assert_eq!(
                     &engine
-                        .query_at_deadline(&query, engine.epoch(), &Deadline::none(), &mut scratch, None)
+                        .query_at_deadline(&query, engine.epoch(), &Deadline::none(), &mut scratch)
                         .unwrap()
                         .skyline,
                     &expected,

@@ -152,11 +152,11 @@ proptest! {
             let mut scratch = EngineScratch::default();
             let none = Deadline::none();
             prop_assert!(engine
-                .query_at_deadline(&pref, engine.epoch(), &none, &mut scratch, None)
+                .query_at_deadline(&pref, engine.epoch(), &none, &mut scratch)
                 .is_ok());
             engine.insert_row(&[0.0, 0.0], &[0]).unwrap();
             prop_assert!(matches!(
-                engine.query_at_deadline(&pref, epoch, &none, &mut scratch, None),
+                engine.query_at_deadline(&pref, epoch, &none, &mut scratch),
                 Err(SkylineError::EpochMismatch { .. })
             ));
         }

@@ -1,13 +1,12 @@
-//! One equivalence suite for the three cross-source merge operators.
+//! One equivalence suite for the two cross-source merge operators.
 //!
 //! For random datasets split into 1–5 sources, every operator fed the sources' **local
 //! skylines** (the contract they share) must return exactly the brute-force skyline of the
 //! union under the reference [`DominanceContext`]:
 //!
-//! `SkylineMerger::merge` ≡ `merge_skylines` ≡ drained `ProgressiveMerger` ≡ `bnl::skyline`
+//! `SkylineMerger::merge` ≡ `merge_skylines` ≡ `bnl::skyline`
 //!
-//! with the batch forms preserving push order and the progressive form never publishing a
-//! row it would have to retract. The instances cover what the source-aware, zone-mapped
+//! with both preserving push order. The instances cover what the source-aware, zone-mapped
 //! elimination has to get right: empty sources, push order
 //! interleaved across sources, value-identical rows in different sources, a NaN numeric
 //! column, a nominal dimension of cardinality 70 whose values collide in the lanes' folded
@@ -17,7 +16,7 @@
 use proptest::prelude::*;
 use skyline::prelude::*;
 use skyline_core::algo::bnl;
-use skyline_core::{merge_skylines, CompiledOrder, PartialOrder, ProgressiveMerger, SkylineMerger};
+use skyline_core::{merge_skylines, PartialOrder, SkylineMerger};
 use std::sync::Arc;
 
 /// Cardinality of the wide nominal dimension, and the values rows actually take on it:
@@ -120,19 +119,7 @@ fn build_dataset(instance: &Instance) -> Arc<Dataset> {
     )
 }
 
-/// A strictly monotone score for a general partial-order relation: the non-NaN numerics plus
-/// each nominal value's layered rank (`u ≺ v` implies `layer(u) < layer(v)`).
-fn score(data: &Dataset, orders: &[CompiledOrder], p: PointId) -> f64 {
-    let numeric: f64 = data.numeric_row(p).iter().filter(|v| !v.is_nan()).sum();
-    let nominal: u32 = orders
-        .iter()
-        .zip(data.nominal_row(p))
-        .map(|(order, &v)| u32::from(order.layer(v)))
-        .sum();
-    numeric + f64::from(nominal)
-}
-
-/// Runs all three operators and checks each against `expected`, the sorted skyline of the
+/// Runs both operators and checks each against `expected`, the sorted skyline of the
 /// union.
 fn assert_operators_agree(
     instance: &Instance,
@@ -177,61 +164,6 @@ fn assert_operators_agree(
         .collect();
     assert_eq!(merger.merge(), want, "SkylineMerger");
     assert!(merger.is_empty());
-
-    // ProgressiveMerger: every source streams its local skyline in ascending score order;
-    // the shuffled rows hand out the turns, so the streams advance interleaved and unevenly.
-    let score_of = |p: PointId| score(data, kernel.orders(), p);
-    let streams: Vec<Vec<PointId>> = locals
-        .iter()
-        .map(|local| {
-            let mut stream = local.clone();
-            stream.sort_by(|&a, &b| score_of(a).total_cmp(&score_of(b)).then(a.cmp(&b)));
-            stream
-        })
-        .collect();
-    let mut merger =
-        ProgressiveMerger::new(kernel.orders().to_vec(), numeric_dims, instance.sources);
-    let mut next = vec![0usize; instance.sources];
-    let mut published: Vec<(usize, PointId)> = Vec::new();
-    let mut check_published = |merger: &mut ProgressiveMerger, when: &str| {
-        let before = published.len();
-        merger.drain_ready(&mut published);
-        assert_eq!(merger.published(), published.len());
-        for &(source, p) in &published[before..] {
-            // Never retract: whatever is handed out is in the final answer.
-            assert!(is_global(p), "row {p} of source {source} published {when}");
-        }
-        for w in published[before.saturating_sub(1)..].windows(2) {
-            assert!(score_of(w[0].1) <= score_of(w[1].1), "score order");
-        }
-    };
-    for (s, stream) in streams.iter().enumerate() {
-        if stream.is_empty() {
-            merger.finish(s);
-        }
-    }
-    for &row in &instance.order {
-        let s = instance.source_of[row];
-        let Some(&p) = streams[s].get(next[s]) else {
-            continue;
-        };
-        next[s] += 1;
-        merger
-            .offer(s, p, score_of(p), data.numeric_row(p), data.nominal_row(p))
-            .unwrap();
-        if next[s] == streams[s].len() {
-            merger.finish(s);
-        }
-        check_published(&mut merger, "mid-stream");
-    }
-    check_published(&mut merger, "at the end");
-    assert!(merger.is_complete(), "every stream was offered in full");
-    let mut drained: Vec<PointId> = published.iter().map(|&(_, p)| p).collect();
-    drained.sort_unstable();
-    assert_eq!(drained, expected, "ProgressiveMerger");
-    for &(source, p) in &published {
-        assert_eq!(source, instance.source_of[p as usize]);
-    }
 }
 
 proptest! {

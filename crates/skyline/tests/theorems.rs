@@ -114,7 +114,7 @@ fn assert_adaptive_paths_agree(asfs: &AdaptiveSfs, query: &Preference) -> skylin
     prop_assert_eq!(stats.affected, full_stats.affected);
     prop_assert!(stats.dominance_tests <= full_stats.dominance_tests);
     let mut streamed: Vec<PointId> = asfs
-        .query_scan(query, ScanMode::default(), &mut QueryScratch::new(), None)
+        .query_scan(query, ScanMode::default(), &mut QueryScratch::new())
         .unwrap()
         .collect();
     streamed.sort_unstable();

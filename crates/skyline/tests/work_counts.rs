@@ -45,7 +45,7 @@ fn checksum(hash: u64, ids: impl IntoIterator<Item = PointId>) -> u64 {
 
 fn drain(engine: &SkylineEngine, pref: &Preference) -> Vec<PointId> {
     let mut stream = engine
-        .query_streaming_at(pref, engine.epoch(), Deadline::none(), None)
+        .query_streaming_at(pref, engine.epoch(), Deadline::none())
         .unwrap();
     let mut rows = Vec::new();
     while let Some(p) = stream.next_row().unwrap() {
