@@ -118,7 +118,9 @@ impl MaintenanceStats {
 /// and the value index incrementally: an insert is one dominance check against the current
 /// skyline plus an `O(log n)` list update, a delete of a skyline member additionally scans the
 /// deleted point's *dominance region* for resurfacing rows. Every mutation bumps the
-/// structure's [`DatasetEpoch`]; queries answer against the current epoch.
+/// structure's [`DatasetEpoch`]; queries answer against the current epoch. A mutation that
+/// changes the sorted list's membership also moves [`AdaptiveSfs::skyline_epoch`], the epoch
+/// every refinement's answer depends on.
 ///
 /// Mutations take `&mut self`. When other `Arc` handles to the dataset are still alive (for
 /// example an open query [`Scan`]), the first mutation copies the rows once (`Arc::make_mut`)
@@ -133,6 +135,8 @@ pub struct AdaptiveSfs {
     /// instead of re-deriving the dominance closure per call.
     template_compiled: Vec<CompiledOrder>,
     entries: Vec<ScoredEntry>,
+    /// The dataset epoch at which `entries` last changed membership (or was built).
+    skyline_epoch: DatasetEpoch,
     index: SkylineValueIndex,
     /// Value → live-row index over the whole dataset; built lazily by the first deletion and
     /// maintained incrementally afterwards.
@@ -252,6 +256,7 @@ impl AdaptiveSfs {
             preprocess_seconds: 0.0,
         };
         Ok(Self {
+            skyline_epoch: data.epoch(),
             data,
             template,
             template_score: score,
@@ -410,6 +415,14 @@ impl AdaptiveSfs {
         self.data.epoch()
     }
 
+    /// The epoch at which the template skyline `SKY(R̃)` last changed membership, or at which
+    /// the structure was built. Every refinement's answer lies in `SKY(R̃)`
+    /// (`SKY(R̃′) = SKY_{R̃′}(SKY(R̃))`), so while this epoch holds every answer is the same
+    /// set of row ids: a dominated insert or a non-member delete leaves it where it is.
+    pub fn skyline_epoch(&self) -> DatasetEpoch {
+        self.skyline_epoch
+    }
+
     /// Number of live (non-deleted) rows.
     pub fn live_rows(&self) -> usize {
         self.data.live_count()
@@ -467,6 +480,7 @@ impl AdaptiveSfs {
                 self.entries.insert(pos, entry);
             }
             self.index.insert(&self.data, p);
+            self.skyline_epoch = self.data.epoch();
         }
         Ok(p)
     }
@@ -506,6 +520,7 @@ impl AdaptiveSfs {
         };
         self.entries.remove(pos);
         self.index.remove(&self.data, p);
+        self.skyline_epoch = self.data.epoch();
 
         // Rows previously shadowed (possibly only by p) may resurface: a live non-member
         // joins the skyline when no remaining member dominates it. Any such row was dominated
@@ -969,6 +984,51 @@ mod tests {
         let ctx = DominanceContext::for_template(asfs.dataset(), asfs.template()).unwrap();
         let live: Vec<PointId> = asfs.dataset().live_ids().collect();
         assert_eq!(asfs.template_skyline(), bnl::skyline_of(&ctx, &live));
+    }
+
+    /// `skyline_epoch` moves exactly when the sorted list's membership changes — then to the
+    /// epoch of the write that changed it — and stays put through every other write.
+    #[test]
+    fn skyline_epoch_moves_exactly_when_the_template_skyline_changes() {
+        let data = vacation_data();
+        let template = Template::empty(data.schema());
+        let mut asfs = AdaptiveSfs::build(data, &template).unwrap();
+        assert_eq!(asfs.skyline_epoch(), DatasetEpoch::INITIAL);
+        enum Write {
+            Insert([f64; 2], ValueId),
+            Delete(PointId),
+        }
+        use Write::{Delete, Insert};
+        let writes = [
+            // Worse than a (id 0) in every way, same group: row 6.
+            ("dominated insert", Insert([5000.0, 0.0], 0), false),
+            // d (id 3) is dominated by c.
+            ("non-member delete", Delete(3), false),
+            // Cheaper than c (id 2) but worse class, same group: joins, evicts nothing (row 7).
+            ("incomparable insert", Insert([100.0, 0.0], 1), true),
+            // Better than a in every way, same group: joins and evicts a (row 8).
+            ("dominating insert", Insert([1000.0, -5.0], 0), true),
+            // a resurfaces.
+            ("member delete with resurfacing", Delete(8), true),
+            ("member delete", Delete(7), true),
+            ("double delete", Delete(7), false),
+        ];
+        for (what, write, changes) in writes {
+            let (members, epoch) = (asfs.template_skyline(), asfs.skyline_epoch());
+            match write {
+                Insert(numeric, group) => {
+                    asfs.insert_row(&numeric, &[group]).unwrap();
+                }
+                Delete(p) => {
+                    asfs.delete_row(p).unwrap();
+                }
+            }
+            assert_eq!(asfs.template_skyline() != members, changes, "{what}");
+            let expected = if changes { asfs.epoch() } else { epoch };
+            assert_eq!(asfs.skyline_epoch(), expected, "{what}");
+        }
+        assert_eq!(asfs.template_skyline(), vec![0, 2, 4, 5]);
+        assert_eq!(asfs.epoch().get(), 6);
     }
 
     /// The generation rebuild's path: a structure built over the compacted dataset matches a

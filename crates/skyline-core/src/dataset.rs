@@ -45,10 +45,15 @@ impl From<String> for RowValue {
 /// Version counter of a mutable dataset: every [`Dataset::append_row`] and every live
 /// [`Dataset::tombstone`] bumps it.
 ///
-/// Query answers are only meaningful relative to the epoch they were computed at, so serving
-/// layers tag derived artifacts (cached skylines, materialized statistics) with the epoch and
-/// treat a mismatch as staleness. Epochs are totally ordered; [`DatasetEpoch::INITIAL`] is the
-/// epoch of a freshly ingested, never-mutated dataset.
+/// Row ids and liveness are only meaningful relative to the epoch they were read at, so an
+/// engine query names the epoch it expects and fails on a mismatch. Epochs are totally
+/// ordered; [`DatasetEpoch::INITIAL`] is the epoch of a freshly ingested, never-mutated
+/// dataset.
+///
+/// Answers move less often than the dataset: every refinement's skyline lies in the template
+/// skyline `SKY(R)`, so the serving layers tag cached answers with a *skyline epoch* — the
+/// epoch at which `SKY(R)` last changed membership — and a write that leaves `SKY(R)`
+/// unchanged keeps them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DatasetEpoch(u64);
 

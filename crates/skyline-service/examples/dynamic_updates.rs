@@ -1,12 +1,14 @@
 //! Dynamic datasets end-to-end: rows are inserted and sold-out rows deleted while a
-//! cache-backed service keeps answering — every mutation bumps the dataset epoch, which
-//! atomically invalidates the cached skylines (no flush; stale entries expire lazily), and
-//! the Adaptive-SFS engine absorbs each update incrementally instead of rebuilding.
+//! cache-backed service keeps answering — every mutation bumps the dataset epoch, one that
+//! changes the template skyline also its skyline epoch, which atomically invalidates the
+//! cached skylines (no flush; stale entries expire lazily), and the Adaptive-SFS engine
+//! absorbs each update incrementally instead of rebuilding.
 //!
-//! The second half shows the **generational lifecycle**: a mutated hybrid engine falls back
-//! to Adaptive SFS for every query (its truncated IPO tree is stale), until the service's
-//! build pool compacts the dataset — physically reclaiming tombstoned rows — and
-//! re-materializes the tree, after which popular queries are tree-served again.
+//! The second half shows the **generational lifecycle**: a hybrid engine whose template
+//! skyline changed falls back to Adaptive SFS for every query (its truncated IPO tree is
+//! stale), until the service's build pool compacts the dataset — physically reclaiming
+//! tombstoned rows — and re-materializes the tree, after which popular queries are
+//! tree-served again.
 //!
 //! Run with: `cargo run -p skyline-service --release --example dynamic_updates`
 
@@ -171,8 +173,8 @@ fn main() -> Result<()> {
         "fresh hybrid: tree-served"
     );
 
-    // Mutations stale the tree: every query now routes to the Adaptive-SFS fallback, and
-    // tombstones pile up in the dataset.
+    // Deletes that take members out of the template skyline stale the tree: every query now
+    // routes to the Adaptive-SFS fallback, and tombstones pile up in the dataset.
     for p in 0..100u32 {
         service.delete_row(row(p))?;
     }

@@ -67,12 +67,14 @@ fn main() -> Result<()> {
     let mut generator = config.query_generator();
     let pref = generator.random_preference(&schema, &template, config.pref_order, None);
 
-    // A miss at an epoch vector whose global template skyline is built reads no shard, so
-    // it fires no shard failpoint. Each armed section below first moves the vector with
-    // one insert and one delete: its miss rebuilds that skyline, reading every shard.
+    // A miss at a skyline-epoch vector whose global template skyline is built reads no
+    // shard, so it fires no shard failpoint, and only a write that changes a shard's
+    // template skyline moves the vector. Each armed section below first inserts a row below
+    // every existing one on all numerics — it enters its shard's template skyline — and
+    // deletes it again: its miss rebuilds the global skyline, reading every shard.
     let move_vector = || -> Result<()> {
         let id = service.insert_row(
-            &vec![1e9; schema.numeric_count()],
+            &vec![-1.0; schema.numeric_count()],
             &vec![0; schema.nominal_count()],
         )?;
         assert!(service.delete_row(id)?);

@@ -1,8 +1,8 @@
 //! Sharded serving end-to-end: the dataset is hash-partitioned across four independently
-//! maintained engines, the first miss at an epoch vector builds the global template skyline
-//! from every shard's sorted list and every miss is one query over it, mutations route to
-//! exactly one shard (and
-//! invalidate exactly what they must, thanks to the epoch-*vector* cache tag), and one
+//! maintained engines, the first miss at a skyline-epoch vector builds the global template
+//! skyline from every shard's sorted list and every miss is one query over it, mutations
+//! route to exactly one shard (and invalidate exactly what they must, thanks to the
+//! skyline-epoch-*vector* cache tag: only a write that changes a template skyline), and one
 //! shared build pool compacts every shard under a global in-flight cap.
 //!
 //! Run with: `cargo run -p skyline-service --release --example sharded_service`

@@ -153,10 +153,12 @@ fn main() -> Result<()> {
         sharded.stats().global_skyline_rows,
     );
 
-    // Writes move the epoch vector; the next miss rebuilds the global template skyline,
-    // reading every shard again — which is what the next section needs to reach shard 1.
+    // A write that changes a shard's template skyline moves the skyline-epoch vector; the
+    // next miss rebuilds the global template skyline, reading every shard again — which is
+    // what the next section needs to reach shard 1. A row below every existing one on all
+    // numerics enters its shard's template skyline, and deleting it moves the vector again.
     let id = sharded.insert_row(
-        &vec![1e9; schema.numeric_count()],
+        &vec![-1.0; schema.numeric_count()],
         &vec![0; schema.nominal_count()],
     )?;
     assert!(sharded.delete_row(id)?);

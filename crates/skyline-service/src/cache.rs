@@ -5,15 +5,17 @@
 //! service memoizes full query answers. Keys are [`skyline_core::CanonicalPreference`]s: two
 //! textually different but semantically equal preferences hit the same entry.
 //!
-//! Every entry carries the epoch tag it was computed at — the service uses its per-shard
-//! epoch vector (the cache is generic over the tag). A lookup passes the *current* tag; an entry from another tag is stale, counts
-//! as a miss and is dropped on the spot. A dataset mutation therefore invalidates every
-//! cached result **atomically** (the epoch moved, so no stale entry can ever be returned)
-//! without flushing anything — stale entries expire lazily, one by one, exactly when they
-//! are next touched or evicted by capacity.
+//! Every entry carries the epoch tag it was computed at — the service uses the vector of its
+//! shards' skyline epochs ([`skyline::SkylineEngine::skyline_epoch`]); the cache is generic
+//! over the tag. A lookup passes the *current* tag; an entry from another tag is stale,
+//! counts as a miss and is dropped on the spot. A write that changes some shard's template
+//! skyline therefore invalidates every cached result **atomically** (the tag moved, so no
+//! stale entry can ever be returned) without flushing anything — stale entries expire
+//! lazily, one by one, exactly when they are next touched or evicted by capacity. A write
+//! that leaves every template skyline unchanged changes no answer and keeps every entry.
 //!
-//! Staleness has one reprieve: when only generation swaps (id renumberings, not real
-//! mutations) separate an entry from the lookup, [`ResultCache::get_or_salvage`] lets the
+//! Staleness has one reprieve: when only generation swaps (id renumberings, not template
+//! skyline changes) separate an entry from the lookup, [`ResultCache::get_or_salvage`] lets the
 //! caller rewrite the entry into the current id space instead of dropping it —
 //! [`translate_through_chain`] composes an engine's bounded [`GenerationRemap`] chain, so
 //! even several back-to-back rebuilds keep the cache warm. Entries that fell off the bounded
@@ -278,8 +280,8 @@ pub enum TranslateFailure {
 /// Rewrites `ids` from the id space of `entry_epoch` into the id space of `target` by
 /// composing consecutive links of `chain` (the engine's bounded remap history, oldest
 /// first). Succeeds only when the walk starts exactly at `entry_epoch`, every hop is
-/// contiguous (`link.from` equals the epoch reached so far — no mutation in between), and it
-/// lands exactly on `target`.
+/// contiguous (`link.from` equals the epoch reached so far — no template skyline change in
+/// between), and it lands exactly on `target`.
 pub fn translate_through_chain(
     ids: &[PointId],
     entry_epoch: DatasetEpoch,

@@ -27,10 +27,11 @@
 //!   arming) panics on `SHARD` (default 0).
 //!
 //! A *read* of a shard is one leg of a scatter. With two or more shards the only scatter is
-//! the build of the global template skyline, which runs on the first miss at a new epoch
-//! vector; a miss at a vector whose skyline is built reads no shard and fires none of these
-//! three. With one shard every miss is a scatter of the engine leg. A test that arms a
-//! query failpoint after the first miss moves the vector first — one insert and one delete.
+//! the build of the global template skyline, which runs on the first miss at a new
+//! skyline-epoch vector; a miss at a vector whose skyline is built reads no shard and fires
+//! none of these three. With one shard every miss is a scatter of the engine leg. A test that
+//! arms a query failpoint after the first miss moves the vector first — it inserts a row that
+//! enters its shard's template skyline, and deletes it.
 //!
 //! Panic failpoints consume themselves (`TIMES` decrements), so a quarantined shard's
 //! recovery rebuild succeeds once the configured failures are spent — exactly the

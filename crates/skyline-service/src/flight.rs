@@ -1,17 +1,19 @@
 //! Per-key single-flight latch for cache misses.
 //!
-//! Right after a mutation (or a generation swap) empties the epoch-tagged cache, a popular
+//! Right after a template-skyline change (or a generation swap) empties the epoch-tagged
+//! cache, a popular
 //! preference's next wave of queries all miss at once; without coordination each of them runs
 //! the engine for the same answer. The latch collapses the wave: the first thread to miss a
 //! key becomes the **leader** and computes, the rest become **followers** and block until the
 //! leader finishes, then re-check the cache — in the normal case hitting the entry the leader
-//! just inserted. The service runs two registries: answers fly per `(canonical key, epoch
-//! vector)`, and the global template skyline every miss is served from flies per epoch
-//! vector, so misses of *different* preferences at a new vector build it once.
+//! just inserted. The service runs two registries: answers fly per `(canonical key,
+//! skyline-epoch vector)`, and the global template skyline every miss is served from flies
+//! per skyline-epoch vector, so misses of *different* preferences at a new vector build it
+//! once.
 //!
 //! Followers block while holding the engine's *read* lock, which is safe: the leader also
 //! only holds a read lock, so it always makes progress and wakes them. Keys carry the epoch,
-//! so flights for different dataset versions never interfere. A leader that
+//! so flights for different skyline versions never interfere. A leader that
 //! fails (query error) still releases and wakes its followers, who then compute individually
 //! — single-flight is an optimization of the success path, never a correctness gate.
 //!

@@ -59,8 +59,9 @@
 //! assert_eq!(service.stats().misses, 1);
 //! assert_eq!(service.stats().hits, 99);
 //!
-//! // Dynamic data: a mutation bumps the owning shard's epoch, which atomically invalidates
-//! // every cached result — the next serve recomputes instead of replaying the stale answer.
+//! // Dynamic data: a mutation that changes the owning shard's template skyline moves its
+//! // skyline epoch, which atomically invalidates every cached result — the next serve
+//! // recomputes instead of replaying the stale answer.
 //! let tulips = service.insert_row(&[1000.0, -5.0], &[0]).unwrap(); // an even better package
 //! assert_eq!(tulips, GlobalRowId { shard: 0, row: 6 });
 //! let fresh = service.serve(&alice).unwrap();

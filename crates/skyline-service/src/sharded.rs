@@ -8,7 +8,8 @@
 //! every refinement's answer lies inside it: a row outside `G = SKY_R(D)` has an R-dominator
 //! chain that ends in `G`, and R-dominance implies R′-dominance for any refinement R′, so
 //! `SKY_{R′}(D) = SKY_{R′}(G)`. Each shard preprocesses its own `SKY_R(D_s)`; with two or
-//! more shards the first miss at a new epoch vector builds `G` from them, once:
+//! more shards the first miss at a new skyline-epoch vector (below) builds `G` from them,
+//! once:
 //!
 //! 1. every healthy shard's template skyline is read through the per-shard scatter, which
 //!    contains panics, fires the failpoints and applies the deadline and the
@@ -27,12 +28,24 @@
 //! AFFECT lemma in `skyline_adaptive::asfs` — so the query returns
 //! `SKY_{R′}(G) = SKY_{R′}(D)`. Like the merge, this relies on dominance being transitive.
 //!
-//! One slot keeps the last complete `G`, keyed by its epoch vector: every write moves the
-//! vector, and so does every swap, which also renumbers rows. Concurrent misses at a new
-//! vector build once — they join one [`SingleFlight`] keyed by the vector, each waiting no
-//! longer than its own deadline. A build that misses a shard (quarantined, panicked or past
-//! the deadline, under a tolerant [`DegradePolicy`]) is `SKY_R(H)` of the healthy shards'
-//! rows `H`; it serves its one request and is never cached. Since
+//! # Answers move only when a template skyline moves
+//!
+//! Answers and `G` are keyed by the vector of the shards' skyline epochs
+//! ([`SkylineEngine::skyline_epoch`]): the dataset epoch at which a shard's `SKY_R(D_s)` last
+//! changed membership, or at which its generation was installed. Since
+//! `G = SKY_R(∪ SKY_R(D_s))` and `SKY_{R′}(D) = SKY_{R′}(G)`, while no shard's template
+//! skyline changes `G` and every refinement's answer are the same [`GlobalRowId`]s: a
+//! dominated insert or a non-member delete keeps the result cache and `G`. A write that
+//! changes a shard's skyline moves the vector, and so does every swap, which also renumbers
+//! rows. Deleting a member always moves it, so a cache hit never names a dead row. An SFS-D
+//! shard keeps no template skyline and reports its dataset epoch, so every write on it moves
+//! the vector. Answers still report the dataset epochs ([`ShardedServed::epochs`]).
+//!
+//! One slot keeps the last complete `G`, keyed by its skyline-epoch vector. Concurrent
+//! misses at a new vector build once — they join one [`SingleFlight`] keyed by the vector,
+//! each waiting no longer than its own deadline. A build that misses a shard (quarantined,
+//! panicked or past the deadline, under a tolerant [`DegradePolicy`]) is `SKY_R(H)` of the
+//! healthy shards' rows `H`; it serves its one request and is never cached. Since
 //! `SKY_{R′}(SKY_R(H)) = SKY_{R′}(H)`, its answer is the skyline of the healthy shards' rows
 //! — the partial-answer contract. [`StatsSnapshot::template_skyline_builds`] counts the
 //! complete builds and [`StatsSnapshot::global_skyline_rows`] reports `|G|`.
@@ -45,14 +58,14 @@
 //!
 //! * [`ShardPartition`] — how rows map to shards: a hash of one nominal dimension's value.
 //!   Mutations route to their owning shard and touch only that engine's lock.
-//! * [`ShardedService`] — the facade: queries with an epoch-**vector**-tagged result cache
-//!   (the tag is every shard's [`DatasetEpoch`], so a mutation on one shard invalidates
-//!   exactly what it must), per-key single-flight, and remap-aware salvage: when only
-//!   generation swaps moved a shard's epoch, the cached global skyline is translated through
-//!   that shard's remap chain instead of dropped. The batch and the streaming path share one
-//!   front end (admission, deadline, guards, key, cache lookup, quarantine policy) and one
-//!   source of rows — `G`, or the engine at one shard; they differ only in draining it at
-//!   once or row by row.
+//! * [`ShardedService`] — the facade: queries with a result cache tagged by the
+//!   skyline-epoch **vector** (a write invalidates exactly the answers whose shard skyline it
+//!   changed: all of them, or none), per-key single-flight, and remap-aware salvage: when only
+//!   generation swaps moved a shard's skyline epoch, the cached global skyline is translated
+//!   through that shard's remap chain instead of dropped. The batch and the streaming path
+//!   share one front end (admission, deadline, guards, key, cache lookup, quarantine policy)
+//!   and one source of rows — `G`, or the engine at one shard; they differ only in draining
+//!   it at once or row by row.
 //! * one rebuild path: the build threads of [`ShardedConfig::maintenance`] (a few threads
 //!   shared by every shard under a global in-flight cap),
 //!   [`ShardedService::force_rebuild_shard`] and quarantine recovery all run the same
@@ -87,8 +100,8 @@
 //! granularity inside the elimination scans) and pass a bounded admission queue, so overload
 //! sheds the newest arrivals instead of queueing without bound. A [`FaultInjector`] (armed
 //! programmatically or via `SKYLINE_FAULTS`) gives every one of these paths a deterministic
-//! trigger. A miss at an epoch vector whose `G` is built reads no shard, so it fires no
-//! shard failpoint.
+//! trigger. A miss at a skyline-epoch vector whose `G` is built reads no shard, so it fires
+//! no shard failpoint.
 
 use crate::admission::{AdmissionPermit, AdmissionQueue};
 use crate::cache::{translate_through_chain, ResultCache, Salvage, TranslateFailure};
@@ -594,9 +607,10 @@ pub struct ShardedService {
     /// The build threads, when [`ShardedConfig::maintenance`] is set.
     scheduler: Option<Scheduler>,
     workers: usize,
-    /// The last complete global template skyline, with the epoch vector it was built at.
+    /// The last complete global template skyline, with the skyline-epoch vector it was
+    /// built at.
     global: Mutex<Option<(EpochVector, Arc<GlobalSkyline>)>>,
-    /// Misses at a new epoch vector join one build of `G`.
+    /// Misses at a new skyline-epoch vector join one build of `G`.
     global_flight: SingleFlight<EpochVector>,
 }
 
@@ -976,7 +990,7 @@ impl ShardedService {
         }
         match self
             .flight
-            .join_deadline((front.key.clone(), front.epochs.clone()), deadline)
+            .join_deadline((front.key.clone(), front.tags.clone()), deadline)
             .inspect_err(|_| self.metrics.record_error())?
         {
             FlightRole::Leader(flight_guard) => {
@@ -986,7 +1000,7 @@ impl ShardedService {
             }
             FlightRole::Followed => {
                 self.metrics.record_coalesced();
-                match self.cache.get(&front.key, front.epochs.clone()) {
+                match self.cache.get(&front.key, front.tags.clone()) {
                     Some(outcome) => Ok(self.served_hit(outcome, &front)),
                     None => self.serve_miss(front, pref, deadline),
                 }
@@ -1022,13 +1036,14 @@ impl ShardedService {
             let _ = self.shards.rebuild_shard(s);
         }
         let started = Instant::now();
-        // Read guards for every shard, acquired in fixed index order: the epoch vector, the
+        // Read guards for every shard, acquired in fixed index order: the epoch vectors, the
         // answer and the cache entry are mutually consistent, and writers (which take
         // exactly one shard's lock) cannot interleave. Quarantined shards are included — a
         // caught panic leaves their engines consistent (and their locks are poison-recovered),
         // it is only their availability that is suspect.
         let guards: Vec<_> = self.shards.engines.iter().map(|s| s.read()).collect();
-        let epochs: EpochVector = guards.iter().map(|g| g.epoch()).collect::<Vec<_>>().into();
+        let epochs: EpochVector = guards.iter().map(|g| g.epoch()).collect();
+        let tags: EpochVector = guards.iter().map(|g| g.skyline_epoch()).collect();
         let key = CanonicalPreference::new(&self.schema, pref)
             .inspect_err(|_| self.metrics.record_error())?;
         for guard in &guards {
@@ -1039,7 +1054,7 @@ impl ShardedService {
         // Cached answers are complete by construction and the quarantined shards' data is
         // intact, so a hit keeps serving full answers right through a quarantine.
         let hit = self
-            .lookup(&key, &epochs, &guards)
+            .lookup(&key, &tags, &guards)
             .map(|(outcome, translated)| {
                 if translated {
                     self.metrics.record_remapped_hit();
@@ -1057,6 +1072,7 @@ impl ShardedService {
             permit,
             guards,
             epochs,
+            tags,
             key,
             started,
             hit,
@@ -1171,6 +1187,7 @@ impl ShardedService {
             service: self,
             _permit: front.permit,
             epochs: front.epochs,
+            tags: front.tags,
             started: front.started,
             ttfr_recorded: false,
             degraded,
@@ -1244,16 +1261,16 @@ impl ShardedService {
         }
     }
 
-    /// Remap-aware cache lookup: entries whose epoch vector differs only by generation swaps
+    /// Remap-aware cache lookup: entries whose skyline-epoch vector differs only by swaps
     /// are translated per shard through that shard's remap chain.
     fn lookup(
         &self,
         key: &CanonicalPreference,
-        epochs: &EpochVector,
+        tags: &EpochVector,
         guards: &[parking_lot_free::Guard<'_>],
     ) -> Option<(Arc<ShardedOutcome>, bool)> {
-        self.cache.get_or_salvage(key, epochs, |old, value| {
-            match translate_vector(old, epochs, value, guards) {
+        self.cache.get_or_salvage(key, tags, |old, value| {
+            match translate_vector(old, tags, value, guards) {
                 Ok(translated) => Salvage::Translated(translated),
                 Err(TranslateFailure::Stale) => Salvage::Stale,
                 Err(TranslateFailure::ChainTruncated) => Salvage::RemapMiss,
@@ -1317,10 +1334,10 @@ impl ShardedService {
         Ok((answered, degraded))
     }
 
-    /// The global template skyline `G` at the front end's epoch vector (module docs): the
-    /// slot's complete build, or a new one. Misses at a new vector join one flight keyed by
-    /// it, each waiting no longer than its own deadline; only a complete build fills the
-    /// slot. With shards quarantined before the miss the build cannot be complete, so it
+    /// The global template skyline `G` at the front end's skyline-epoch vector (module
+    /// docs): the slot's complete build, or a new one. Misses at a new vector join one flight
+    /// keyed by it, each waiting no longer than its own deadline; only a complete build fills
+    /// the slot. With shards quarantined before the miss the build cannot be complete, so it
     /// goes straight to the healthy shards.
     fn global_skyline(
         &self,
@@ -1333,7 +1350,7 @@ impl ShardedService {
         let cached = || {
             let slot = self.global.lock().unwrap_or_else(PoisonError::into_inner);
             slot.as_ref()
-                .filter(|(epochs, _)| *epochs == front.epochs)
+                .filter(|(tags, _)| *tags == front.tags)
                 .map(|(_, global)| global.clone())
         };
         if let Some(global) = cached() {
@@ -1341,7 +1358,7 @@ impl ShardedService {
         }
         let flight = self
             .global_flight
-            .join_deadline(front.epochs.clone(), deadline)
+            .join_deadline(front.tags.clone(), deadline)
             .inspect_err(|_| self.metrics.record_error())?;
         // A leader may follow a flight that filled the slot since the look above; a follower
         // finds its leader's build, or builds alone when the leader failed or degraded.
@@ -1351,7 +1368,7 @@ impl ShardedService {
         let global = self.build_global(front, deadline)?;
         if global.degraded.is_empty() {
             *self.global.lock().unwrap_or_else(PoisonError::into_inner) =
-                Some((front.epochs.clone(), global.clone()));
+                Some((front.tags.clone(), global.clone()));
             self.metrics.record_template_skyline_build(global.ids.len());
         }
         drop(flight); // wakes followers once the slot is filled
@@ -1405,8 +1422,8 @@ impl ShardedService {
     }
 
     /// The batch miss path: one Adaptive-SFS query over `G` with two or more shards, the
-    /// engine leg at one. Complete answers are cached at the epoch vector; a degraded answer
-    /// is flagged and **never cached**.
+    /// engine leg at one. Complete answers are cached at the skyline-epoch vector; a degraded
+    /// answer is flagged and **never cached**.
     fn serve_miss(
         &self,
         front: Admitted<'_>,
@@ -1452,8 +1469,7 @@ impl ShardedService {
         };
         let value = Arc::new(ShardedOutcome { skyline, methods });
         if degraded.is_empty() {
-            self.cache
-                .insert(front.key, front.epochs.clone(), value.clone());
+            self.cache.insert(front.key, front.tags, value.clone());
         } else {
             self.metrics.record_degraded();
         }
@@ -1495,12 +1511,16 @@ fn template_skyline<'e>(
 }
 
 /// A request past the front end both paths share: its admission permit, read guards on every
-/// shard with the epoch vector they pin, and the canonical key — plus the cached complete
-/// answer on a hit, or the shards quarantined before the scatter on a miss.
+/// shard with the epoch and skyline-epoch vectors they pin, and the canonical key — plus the
+/// cached complete answer on a hit, or the shards quarantined before the scatter on a miss.
 struct Admitted<'s> {
     permit: AdmissionPermit,
     guards: Vec<parking_lot_free::Guard<'s>>,
+    /// Every shard's dataset epoch: what an answer reports and an engine query checks.
     epochs: EpochVector,
+    /// Every shard's [`SkylineEngine::skyline_epoch`]: what the result cache, the answer
+    /// flight and `G` are keyed by (module docs).
+    tags: EpochVector,
     key: CanonicalPreference,
     started: Instant,
     hit: Option<Arc<ShardedOutcome>>,
@@ -1557,6 +1577,8 @@ pub struct ShardedStream<'a> {
     service: &'a ShardedService,
     _permit: AdmissionPermit,
     epochs: EpochVector,
+    /// The skyline-epoch vector a finished complete answer is cached under.
+    tags: EpochVector,
     started: Instant,
     ttfr_recorded: bool,
     /// Shards missing from the answer, ascending.
@@ -1655,7 +1677,7 @@ impl ShardedStream<'_> {
                         methods,
                     });
                     if self.degraded.is_empty() {
-                        self.service.cache.insert(key, self.epochs.clone(), outcome);
+                        self.service.cache.insert(key, self.tags.clone(), outcome);
                     } else {
                         self.service.metrics.record_degraded();
                     }
@@ -1683,9 +1705,9 @@ impl ShardedStream<'_> {
     }
 }
 
-/// Translates a cached outcome from epoch vector `old` to `new`, shard by shard, through
-/// each changed shard's remap chain. All-or-nothing: every changed shard must bridge
-/// entirely via swaps. A shard with real mutations in between makes the entry
+/// Translates a cached outcome from skyline-epoch vector `old` to `new`, shard by shard,
+/// through each changed shard's remap chain. All-or-nothing: every changed shard must bridge
+/// entirely via swaps. A shard whose template skyline changed in between makes the entry
 /// [`TranslateFailure::Stale`]; when swaps alone separate the vectors but some shard's
 /// translations already fell off its bounded chain, the entry is an unrecoverable
 /// [`TranslateFailure::ChainTruncated`] (counted as a remap miss).

@@ -2,7 +2,7 @@
 //! the answers a serial reference produces, with and without the result cache — at one shard
 //! (every engine configuration, against serial `SkylineEngine::query`) and at two shards,
 //! served from the global template skyline (against the brute-force skyline). Misses that
-//! arrive together at a new epoch vector build that skyline once, and a request waiting on
+//! arrive together at a new skyline-epoch vector build that skyline once, and a request waiting on
 //! the build gives up at its own deadline.
 
 use skyline::prelude::*;
@@ -263,8 +263,9 @@ fn concurrent_misses_at_a_new_vector_build_the_global_skyline_once() {
         );
         for round in 0..2u64 {
             if round == 1 {
-                // A new vector: one insert, one delete.
-                let id = service.insert_row(&[0.5, 0.5], &[1, 1]).unwrap();
+                // A new vector: a row below every existing one on both numerics enters its
+                // shard's template skyline, and deleting it moves the vector again.
+                let id = service.insert_row(&[-1.0, -1.0], &[1, 1]).unwrap();
                 assert!(service.delete_row(id).unwrap());
             }
             let prefs = distinct_prefs(&service, 47 + round, THREADS);

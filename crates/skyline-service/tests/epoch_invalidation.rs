@@ -4,6 +4,10 @@
 //! answer; with epoch-tagged entries the mutation atomically invalidates the cached state and
 //! every answer matches a from-scratch computation over the live rows — at one shard (the
 //! single-engine case) and at two.
+//!
+//! The tag is each shard's skyline epoch ([`SkylineEngine::skyline_epoch`]): a write that
+//! leaves every shard's template skyline unchanged changes no answer, so it keeps the cached
+//! answers and the global template skyline; a write that changes one invalidates both.
 
 use proptest::prelude::*;
 use skyline::prelude::*;
@@ -104,9 +108,118 @@ fn a_cached_result_is_never_served_across_a_delete() {
     assert_eq!(service.stats().mutations, 1);
 }
 
+/// Rows over `x`, `y` and `g`, as `(x, y, g)`: on `g = 0` row 2 is dominated by row 1, and
+/// rows 0, 1 and 3 form the group's skyline.
+const ROWS: [(f64, f64, ValueId); 6] = [
+    (1.0, 4.0, 0),
+    (2.0, 3.0, 0),
+    (3.0, 3.5, 0),
+    (4.0, 1.0, 0),
+    (2.0, 2.0, 1),
+    (1.0, 1.0, 2),
+];
+
+/// An Adaptive-SFS service over [`ROWS`] under the empty template, with each row's global
+/// id in `ROWS` order.
+fn small_service(shards: usize) -> (ShardedService, Vec<GlobalRowId>) {
+    let schema = Schema::new(vec![
+        Dimension::numeric("x"),
+        Dimension::numeric("y"),
+        Dimension::nominal("g", NominalDomain::anonymous(3)),
+    ])
+    .unwrap();
+    let mut data = Dataset::empty(schema.clone());
+    for (x, y, g) in ROWS {
+        data.push_row_ids(&[x, y], &[g]).unwrap();
+    }
+    let config = ShardedConfig {
+        shards,
+        workers: 1,
+        ..ShardedConfig::default()
+    };
+    let ids = ShardedService::partition_rows(&config.partition, shards, &data);
+    let service = ShardedService::build(
+        &data,
+        Template::empty(&schema),
+        EngineConfig::AdaptiveSfs,
+        config,
+    )
+    .unwrap();
+    (service, ids)
+}
+
+/// `g = 0` first, then `g = 1`.
+fn zero_then_one() -> Preference {
+    Preference::from_dims(vec![ImplicitPreference::new([0, 1]).unwrap()])
+}
+
+#[test]
+fn writes_that_keep_every_template_skyline_keep_the_cache_and_the_global_skyline() {
+    for shards in [1, 2] {
+        let (service, ids) = small_service(shards);
+        let pref = zero_then_one();
+        assert!(!service.serve(&pref).unwrap().cache_hit);
+        let builds = service.stats().template_skyline_builds;
+
+        // Row 1 dominates the insert; row 2 is no member of its shard's template skyline.
+        let writes: [(&str, &dyn Fn()); 2] = [
+            ("dominated insert", &|| {
+                service.insert_row(&[5.0, 5.0], &[0]).unwrap();
+            }),
+            ("non-member delete", &|| {
+                assert!(service.delete_row(ids[2]).unwrap())
+            }),
+        ];
+        for (what, write) in writes {
+            write();
+            let served = service.serve(&pref).unwrap();
+            assert!(served.cache_hit, "{shards} shards, {what}");
+            assert_eq!(served.outcome.skyline, live_oracle(&service, &pref));
+            // Answers still report the dataset epochs, which every write moves.
+            assert_eq!(*served.epochs, service.epochs()[..]);
+        }
+        let stats = service.stats();
+        assert_eq!(stats.template_skyline_builds, builds, "{shards} shards");
+        assert_eq!((stats.mutations, stats.stale_evictions), (2, 0));
+    }
+}
+
+#[test]
+fn writes_that_change_a_template_skyline_miss_and_build_the_global_skyline_once() {
+    for shards in [1, 2] {
+        // No global template skyline at one shard: its engine answers.
+        let rise = u64::from(shards > 1);
+        let (service, ids) = small_service(shards);
+        let pref = zero_then_one();
+        service.serve(&pref).unwrap();
+        assert!(service.serve(&pref).unwrap().cache_hit);
+
+        // Dominates every other `g = 0` row.
+        let dominating = service.insert_row(&[0.5, 0.5], &[0]).unwrap();
+        let builds = service.stats().template_skyline_builds;
+        let served = service.serve(&pref).unwrap();
+        assert!(!served.cache_hit, "{shards} shards, dominating insert");
+        assert_eq!(served.outcome.skyline, live_oracle(&service, &pref));
+        assert!(!served.outcome.skyline.contains(&ids[0]));
+        assert_eq!(service.stats().template_skyline_builds, builds + rise);
+
+        // Deleting the member resurfaces rows 0, 1 and 3.
+        assert!(service.delete_row(dominating).unwrap());
+        let served = service.serve(&pref).unwrap();
+        assert!(!served.cache_hit, "{shards} shards, member delete");
+        assert_eq!(served.outcome.skyline, live_oracle(&service, &pref));
+        assert!(served.outcome.skyline.contains(&ids[0]));
+        assert_eq!(service.stats().template_skyline_builds, builds + 2 * rise);
+        assert!(service.serve(&pref).unwrap().cache_hit);
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Serve {
+        choices: Vec<ValueId>,
+    },
+    Stream {
         choices: Vec<ValueId>,
     },
     Insert {
@@ -116,13 +229,19 @@ enum Op {
     Delete {
         index: usize,
     },
+    Rebuild {
+        shard: usize,
+    },
+}
+
+fn choices_strategy() -> impl Strategy<Value = Vec<ValueId>> {
+    proptest::sample::subsequence(vec![0u16, 1, 2], 0..=2).prop_shuffle()
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        proptest::sample::subsequence(vec![0u16, 1, 2], 0..=2)
-            .prop_shuffle()
-            .prop_map(|choices| Op::Serve { choices }),
+        choices_strategy().prop_map(|choices| Op::Serve { choices }),
+        choices_strategy().prop_map(|choices| Op::Stream { choices }),
         (
             proptest::collection::vec(0i32..6, 2),
             proptest::collection::vec(0u16..3, 1),
@@ -132,15 +251,16 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                 nominal: c,
             }),
         (0usize..32).prop_map(|index| Op::Delete { index }),
+        (0usize..3).prop_map(|shard| Op::Rebuild { shard }),
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
 
-    /// Any interleaving of serves, inserts and deletes, at one shard and at two: every served
-    /// answer equals the brute-force skyline of the rows live at that moment, cache or no
-    /// cache.
+    /// Any interleaving of serves, streams, inserts, deletes and shard rebuilds, at one to
+    /// three shards and under every engine configuration: every answer, hit or miss, equals
+    /// the brute-force skyline of the rows live at that moment.
     #[test]
     fn served_answers_always_match_the_live_oracle(
         ops in proptest::collection::vec(op_strategy(), 1..30),
@@ -155,7 +275,12 @@ proptest! {
         for (x, y, g) in [(1.0, 4.0, 0), (2.0, 3.0, 1), (3.0, 2.0, 2), (4.0, 1.0, 0)] {
             data.push_row_ids(&[x, y], &[g]).unwrap();
         }
-        for shards in [1, 2] {
+        let configs = [
+            EngineConfig::SfsD,
+            EngineConfig::AdaptiveSfs,
+            EngineConfig::Hybrid { top_k: 3 },
+        ];
+        for (shards, engine) in (1..=3).flat_map(|s| configs.map(|c| (s, c))) {
             let config = ShardedConfig {
                 shards,
                 workers: 1,
@@ -163,38 +288,57 @@ proptest! {
                 cache_shards: 1,
                 ..ShardedConfig::default()
             };
-            // Every row ever placed, in insertion order (deleted ones stay listed: deleting
-            // them again is the no-op case).
-            let mut placed = ShardedService::partition_rows(&config.partition, shards, &data);
-            let service = ShardedService::build(
-                &data,
-                Template::empty(&schema),
-                EngineConfig::AdaptiveSfs,
-                config,
-            )
-            .unwrap();
+            let service =
+                ShardedService::build(&data, Template::empty(&schema), engine, config).unwrap();
+            let pref_of = |choices: &Vec<ValueId>| {
+                Preference::from_dims(vec![ImplicitPreference::new(choices.clone()).unwrap()])
+            };
 
             for op in &ops {
                 match op {
                     Op::Serve { choices } => {
-                        let pref = Preference::from_dims(vec![
-                            ImplicitPreference::new(choices.clone()).unwrap(),
-                        ]);
+                        let pref = pref_of(choices);
                         let served = service.serve(&pref).unwrap();
                         prop_assert_eq!(
                             &served.outcome.skyline,
                             &live_oracle(&service, &pref),
-                            "{} shards, epochs {:?}",
+                            "{} shards, {:?}, epochs {:?}, hit {}",
                             shards,
-                            served.epochs
+                            engine,
+                            served.epochs,
+                            served.cache_hit
                         );
                         prop_assert_eq!(&*served.epochs, &service.epochs()[..]);
                     }
+                    Op::Stream { choices } => {
+                        let pref = pref_of(choices);
+                        let stream = service.serve_streaming(&pref).unwrap();
+                        prop_assert_eq!(&stream.epochs()[..], &service.epochs()[..]);
+                        let mut rows = stream.collect_rows().unwrap();
+                        rows.sort_unstable();
+                        prop_assert_eq!(
+                            &rows,
+                            &live_oracle(&service, &pref),
+                            "{} shards, {:?}, stream",
+                            shards,
+                            engine
+                        );
+                    }
                     Op::Insert { numeric, nominal } => {
-                        placed.push(service.insert_row(numeric, nominal).unwrap());
+                        service.insert_row(numeric, nominal).unwrap();
                     }
                     Op::Delete { index } => {
-                        service.delete_row(placed[index % placed.len()]).unwrap();
+                        // Any row the shard holds, live or dead (a dead one is the no-op
+                        // case); a rebuild renumbers them.
+                        let shard = index % shards;
+                        let len = service.shard(shard).read().dataset().len();
+                        if len > 0 {
+                            let row = ((index / shards) % len) as PointId;
+                            service.delete_row(GlobalRowId { shard, row }).unwrap();
+                        }
+                    }
+                    Op::Rebuild { shard } => {
+                        service.force_rebuild_shard(shard % shards).unwrap();
                     }
                 }
             }

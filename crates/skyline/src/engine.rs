@@ -83,9 +83,12 @@ pub struct Generation {
     /// cloning a generation never copies the node arena).
     pub(crate) tree: Option<Arc<IpoTree>>,
     pub(crate) asfs: Option<AdaptiveSfs>,
-    /// Epoch the IPO tree was materialized at; when the dataset has moved past it, the
-    /// hybrid configuration stops consulting its (stale) tree.
+    /// Epoch the IPO tree was materialized at; when the template skyline has moved past it,
+    /// the hybrid configuration stops consulting its (stale) tree.
     pub(crate) tree_epoch: DatasetEpoch,
+    /// Epoch the generation started serving at: its dataset's epoch when built or loaded,
+    /// the swap's [`GenerationRemap::to`] when installed. No skyline epoch precedes it.
+    pub(crate) installed_epoch: DatasetEpoch,
 }
 
 impl Generation {
@@ -95,6 +98,7 @@ impl Generation {
         Self {
             id: 0,
             tree_epoch: data.epoch(),
+            installed_epoch: data.epoch(),
             data: Some(data),
             tree: None,
             asfs: None,
@@ -107,6 +111,7 @@ impl Generation {
         Self {
             id: 0,
             tree_epoch: asfs.epoch(),
+            installed_epoch: asfs.epoch(),
             data: None,
             tree: tree.map(Arc::new),
             asfs: Some(asfs),
@@ -133,6 +138,15 @@ impl Generation {
     /// Epoch the generation's IPO tree was materialized at.
     pub fn tree_epoch(&self) -> DatasetEpoch {
         self.tree_epoch
+    }
+
+    /// See [`SkylineEngine::skyline_epoch`]. SFS-D keeps no template skyline, so every
+    /// mutation counts as a change.
+    fn skyline_epoch(&self) -> DatasetEpoch {
+        match &self.asfs {
+            Some(asfs) => asfs.skyline_epoch().max(self.installed_epoch),
+            None => self.epoch(),
+        }
     }
 
     fn dataset_arc(&self) -> &Arc<Dataset> {
@@ -163,21 +177,24 @@ impl Generation {
     }
 }
 
-/// The row-id translation published by a generation swap, bridging the epochs on either side.
+/// The row-id translation published by a generation swap, bridging the skyline epochs on
+/// either side.
 ///
 /// Compaction renumbers rows, so every id minted before the swap is stale afterwards. Callers
-/// holding old ids — result caches, external row handles — translate them through
-/// [`GenerationRemap::remap`] **iff** their artifact is tagged with exactly
-/// [`GenerationRemap::from`] (the engine epoch right before the swap): at that epoch the old
-/// ids were current, so the translation is lossless. Artifacts from earlier epochs predate
-/// mutations the remap knows nothing about and must be discarded as usual.
+/// holding answers — result caches — translate them through [`GenerationRemap::remap`]
+/// **iff** their answer is tagged with exactly [`GenerationRemap::from`] (the engine's
+/// [`SkylineEngine::skyline_epoch`] right before the swap): the template skyline has not
+/// changed since that tag, so the answer's rows are still live members of it and the
+/// translation is lossless. Answers tagged earlier predate skyline changes the remap knows
+/// nothing about and must be discarded as usual.
 #[derive(Debug, Clone)]
 pub struct GenerationRemap {
     /// Old row ids → new row ids (order-preserving; reclaimed rows map to `None`).
     pub remap: Arc<RowIdRemap>,
-    /// The engine epoch immediately before the swap (the last epoch of the old id space).
+    /// The engine's skyline epoch immediately before the swap.
     pub from: DatasetEpoch,
-    /// The installed generation's epoch (strictly greater than `from`).
+    /// The installed generation's epoch, which is also its skyline epoch (strictly greater
+    /// than `from`).
     pub to: DatasetEpoch,
 }
 
@@ -298,10 +315,11 @@ impl PendingGeneration {
 /// place (`&mut self`) and return the new [`DatasetEpoch`]; every answered query is implicitly
 /// relative to the epoch it ran at, and [`SkylineEngine::query_at_deadline`] rejects a stale
 /// expectation with [`SkylineError::EpochMismatch`]. Every configuration accepts
-/// mutations. The hybrid configuration stays fully servable: after a mutation its tree is
-/// stale, so every query routes to the incrementally maintained Adaptive-SFS side until a
-/// generation rebuild re-materializes the tree. To share one mutable engine between threads,
-/// wrap it in a [`SharedEngine`].
+/// mutations. The hybrid configuration stays fully servable: after a write that changes its
+/// template skyline ([`SkylineEngine::skyline_epoch`]) its tree is stale, so every query
+/// routes to the incrementally maintained Adaptive-SFS side until a generation rebuild
+/// re-materializes the tree. To share one mutable engine between threads, wrap it in a
+/// [`SharedEngine`].
 ///
 /// # Generational lifecycle
 ///
@@ -509,6 +527,15 @@ impl SkylineEngine {
         self.generation.epoch()
     }
 
+    /// The epoch at which the engine's template skyline `SKY_R(D)` last changed membership,
+    /// or at which its generation was built or installed. Every refinement's answer lies in
+    /// `SKY_R(D)`, so while this epoch holds every answer is the same set of row ids — a
+    /// dominated insert or a non-member delete moves [`SkylineEngine::epoch`] but not this.
+    /// An SFS-D engine keeps no template skyline and reports [`SkylineEngine::epoch`].
+    pub fn skyline_epoch(&self) -> DatasetEpoch {
+        self.generation.skyline_epoch()
+    }
+
     /// Number of live (non-deleted) rows the engine serves.
     pub fn live_rows(&self) -> usize {
         self.dataset().live_count()
@@ -613,8 +640,9 @@ impl SkylineEngine {
 
     /// The bounded chain of recent generation-swap translations, oldest first (at most
     /// [`REMAP_CHAIN_LIMIT`] entries). Consecutive entries compose — `chain[i].to ==
-    /// chain[i + 1].from` whenever no mutation landed between the two swaps — letting a
-    /// cache translate results that are several swaps behind the serving generation.
+    /// chain[i + 1].from` whenever no write between the two swaps changed the template
+    /// skyline — letting a cache translate results that are several swaps behind the serving
+    /// generation.
     pub fn remap_chain(&self) -> &[GenerationRemap] {
         &self.remap_history
     }
@@ -638,7 +666,8 @@ impl SkylineEngine {
     }
 
     /// True when `pref` would currently be answered from the materialized IPO tree: the
-    /// engine has one, it is current (no mutation since materialization), and it materializes
+    /// engine has one, it is current (no template-skyline change since materialization), and
+    /// it materializes
     /// every listed value. This is the introspection hook tests and monitors use to observe a
     /// mutated hybrid recovering tree-served queries after a generation rebuild.
     pub fn serves_from_tree(&self, pref: &Preference) -> bool {
@@ -649,14 +678,16 @@ impl SkylineEngine {
     /// [`SkylineEngine::serves_from_tree`], the batch path and the stream path. It consults
     /// the same [`Materialization`] predicate the tree's own query rejection uses (Section
     /// 5.3): popular (fully materialized) preferences go to the IPO tree, everything else to
-    /// Adaptive SFS. The tree was materialized at the generation's `tree_epoch`; once the
-    /// dataset moves past it, every query routes to the incrementally maintained fallback so
-    /// a stale tree can never answer — until a generation rebuild re-materializes the tree
-    /// and tree-served queries resume.
+    /// Adaptive SFS. The tree was materialized at the generation's `tree_epoch` and answers
+    /// from `SKY_R(D)` as it was then; a write that leaves the template skyline unchanged
+    /// changes no answer (`SKY_{R′}(D) = SKY_{R′}(SKY_R(D))`), so the tree keeps serving. Once
+    /// the skyline epoch moves past `tree_epoch`, every query routes to the incrementally
+    /// maintained fallback so a stale tree can never answer — until a generation rebuild
+    /// re-materializes the tree and tree-served queries resume.
     fn serving_tree(&self, pref: &Preference) -> Option<&IpoTree> {
         let tree = self.generation.tree.as_deref()?;
-        (self.epoch() == self.generation.tree_epoch && tree.materialization().materializes(pref))
-            .then_some(tree)
+        let current = self.skyline_epoch() == self.generation.tree_epoch;
+        (current && tree.materialization().materializes(pref)).then_some(tree)
     }
 
     /// Starts a generation rebuild: captures a cheap [`GenerationSnapshot`] and arms the
@@ -700,7 +731,8 @@ impl SkylineEngine {
     ///
     /// The installed epoch is strictly greater than every epoch the old generation ever
     /// served, so epoch-tagged artifacts built against old row ids can never be misread
-    /// against the renumbered dataset. Fails — leaving the old generation serving — when the
+    /// against the renumbered dataset. It is also the new generation's skyline epoch; the
+    /// remap's `from` is the old generation's. Fails — leaving the old generation serving — when the
     /// pending generation is stale (the engine was swapped by someone else in between) or no
     /// rebuild was begun.
     pub fn install_generation(&mut self, pending: PendingGeneration) -> Result<GenerationRemap> {
@@ -754,10 +786,11 @@ impl SkylineEngine {
                 }
             }
         }
-        let from = self.epoch();
+        let from = self.skyline_epoch();
         let to = generation.epoch();
         debug_assert!(to > from, "the installed epoch must move past the old one");
         generation.id = self.generation.id + 1;
+        generation.installed_epoch = to;
         let old = std::mem::replace(&mut self.generation, generation);
         let old_stats = match &old.asfs {
             Some(asfs) => asfs.maintenance_stats(),

@@ -11,7 +11,9 @@
 //! Continuity: the generation [`Generation::id`], the dataset's [`DatasetEpoch`] and the
 //! [`Generation::tree_epoch`] all survive the round trip, so epoch-tagged artifacts (result
 //! caches, remap-chain translations) built before a process restart keep validating against
-//! the reloaded engine exactly as they would across a generation swap.
+//! the reloaded engine exactly as they would across a generation swap. The skyline epoch is
+//! not persisted: a loaded engine's [`SkylineEngine::skyline_epoch`] is its dataset epoch, so
+//! answers tagged with an earlier skyline epoch miss once.
 //!
 //! Failure model: any parse or validation problem — bad magic, checksum mismatch, truncated
 //! or structurally inconsistent payloads — surfaces as [`SkylineError::Snapshot`]. The caller

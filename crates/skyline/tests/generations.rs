@@ -126,14 +126,16 @@ proptest! {
                     Update::Rebuild => {
                         let before = {
                             let engine = shared.read();
-                            (engine.epoch(), engine.query(&pref).unwrap().skyline)
+                            (engine.skyline_epoch(), engine.query(&pref).unwrap().skyline)
                         };
                         let published = shared.rebuild_now().unwrap().unwrap();
                         rebuilds += 1;
                         let engine = shared.read();
-                        // The swap's epochs bridge exactly the observed ones.
+                        // The swap bridges exactly the observed skyline epochs; the installed
+                        // epoch is both the dataset's and the skyline's.
                         prop_assert_eq!(published.from, before.0);
                         prop_assert_eq!(published.to, engine.epoch());
+                        prop_assert_eq!(published.to, engine.skyline_epoch());
                         prop_assert!(published.to > published.from);
                         // Acceptance criterion: only live rows remain, physically.
                         let data = engine.dataset();

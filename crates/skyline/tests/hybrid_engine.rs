@@ -113,3 +113,45 @@ fn truncated_tree_is_smaller_than_the_full_tree() {
         );
     }
 }
+
+/// The tree answers from `SKY(R)` as it was materialized, and every refinement's answer lies
+/// in `SKY(R)`: a write that leaves the template skyline unchanged keeps the tree serving, a
+/// write that changes it sends the same preference to the Adaptive-SFS fallback.
+#[test]
+fn the_tree_serves_until_the_template_skyline_changes() {
+    let (data, template) = synthetic();
+    let mut engine = SkylineEngine::build(
+        data.clone(),
+        template.clone(),
+        EngineConfig::Hybrid { top_k: 3 },
+    )
+    .unwrap();
+    let allowed = top_k_values(&data, 3);
+    let mut generator = QueryGenerator::new(31);
+    let pref = std::iter::repeat_with(|| {
+        generator.random_preference(data.schema(), &template, 2, Some(&allowed))
+    })
+    .find(|pref| engine.serves_from_tree(pref))
+    .unwrap();
+    let bnl_answer = |engine: &SkylineEngine| {
+        let ctx = DominanceContext::for_query(engine.dataset(), &template, &pref).unwrap();
+        bnl::skyline(&ctx)
+    };
+
+    // Row 0's nominal values with numerics above every row's: row 0 dominates it.
+    let nominal: Vec<ValueId> = data.nominal_row(0).to_vec();
+    let skyline_epoch = engine.skyline_epoch();
+    engine.insert_row(&[2.0, 2.0], &nominal).unwrap();
+    assert_eq!(engine.skyline_epoch(), skyline_epoch);
+    assert!(engine.epoch() > skyline_epoch);
+    let outcome = engine.query(&pref).unwrap();
+    assert_eq!(outcome.method, MethodUsed::IpoTree);
+    assert_eq!(outcome.skyline, bnl_answer(&engine));
+
+    // Numerics below every row's: the row joins the template skyline.
+    engine.insert_row(&[-1.0, -1.0], &nominal).unwrap();
+    assert_eq!(engine.skyline_epoch(), engine.epoch());
+    let outcome = engine.query(&pref).unwrap();
+    assert_eq!(outcome.method, MethodUsed::AdaptiveSfs);
+    assert_eq!(outcome.skyline, bnl_answer(&engine));
+}
