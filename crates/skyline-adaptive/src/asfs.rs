@@ -32,15 +32,18 @@
 //! accepted affected row (the transitivity argument SFS already relies on). That is the core
 //! SFS [`Scan`] with only AFFECT flagged "may dominate later rows". AFFECT = ∅ — for one, a
 //! query equal to the template — answers `SKY(R)` with zero dominance tests.
+//!
+//! Every row the scan yields is final (SFS is progressive), so there is one query call shape:
+//! [`AdaptiveSfs::query_scan`] opens the scan, which allocates and owns its candidate list
+//! and window, and a batch answer ([`AdaptiveSfs::query_with_stats`]) is that scan drained.
 
 use crate::index::{LiveRowIndex, SkylineValueIndex};
 use crate::sorted_list::ScoredEntry;
 use skyline_core::algo::sfs::Scan;
-use skyline_core::kernel::{CompiledOrder, CompiledRelation, DenseWindow};
+use skyline_core::kernel::{CompiledOrder, CompiledRelation};
 use skyline_core::score::ScoreFn;
 use skyline_core::{
-    Dataset, DatasetEpoch, Deadline, PointId, Preference, Result, SkylineError, Template, ValueId,
-    Work,
+    Dataset, DatasetEpoch, PointId, Preference, Result, SkylineError, Template, ValueId, Work,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -313,15 +316,17 @@ impl AdaptiveSfs {
     }
 
     /// Algorithm 4 with an explicit scan mode, reporting the query's [`Work`]: dominance
-    /// tests, AFFECT size, candidates examined and rows emitted.
+    /// tests, AFFECT size, candidates examined and rows emitted. The answer is the drained
+    /// [`AdaptiveSfs::query_scan`], sorted by id.
     pub fn query_with_stats(
         &self,
         pref: &Preference,
         mode: ScanMode,
     ) -> Result<(Vec<PointId>, Work)> {
-        let mut scratch = QueryScratch::default();
-        let scan = self.query_scan(pref, mode, &mut scratch)?;
-        scratch.drain(scan, &Deadline::none())
+        let mut scan = self.query_scan(pref, mode)?;
+        let mut result: Vec<PointId> = scan.by_ref().collect();
+        result.sort_unstable();
+        Ok((result, scan.work))
     }
 
     /// Opens Algorithm 4 for `pref` as a progressive [`Scan`] that yields `SKY(R̃′)` in
@@ -330,19 +335,12 @@ impl AdaptiveSfs {
     /// work. The scan owns its compiled relation (which shares this structure's dataset), so
     /// it carries no borrow of the structure and keeps a snapshot across later mutations.
     ///
-    /// Validates `pref`, re-ranks AFFECT into the merged candidate order and takes the
-    /// candidate and window buffers out of `scratch`. A batch caller hands them back with
-    /// [`QueryScratch::drain`], so a worker thread that keeps one scratch allocates no scan
-    /// buffers per query; a streaming caller simply keeps the scan.
-    pub fn query_scan(
-        &self,
-        pref: &Preference,
-        mode: ScanMode,
-        scratch: &mut QueryScratch,
-    ) -> Result<Scan<CompiledRelation>> {
-        self.merged_order(pref, scratch)?;
+    /// Validates `pref` and re-ranks AFFECT into the merged candidate order; the scan owns
+    /// that order and its window. A batch answer is the drained scan.
+    pub fn query_scan(&self, pref: &Preference, mode: ScanMode) -> Result<Scan<CompiledRelation>> {
+        let (mut order, affected) = self.merged_order(pref)?;
         let full = mode == ScanMode::FullRescan;
-        let dom = if full || !scratch.reinserted.is_empty() {
+        let dom = if full || affected > 0 {
             CompiledRelation::for_query(self.data.clone(), &self.template, pref)?
         } else {
             // No candidate may dominate, so the scan never probes its relation: the template's,
@@ -350,20 +348,18 @@ impl AdaptiveSfs {
             self.template_relation()
         };
         if full {
-            for (_, affected) in &mut scratch.merged {
-                *affected = true;
+            for (_, may_dominate) in &mut order {
+                *may_dominate = true;
             }
         }
-        let order = std::mem::take(&mut scratch.merged);
-        let mut scan = Scan::new(dom, order, std::mem::take(&mut scratch.window));
-        scan.work.affected = scratch.reinserted.len() as u64;
+        let mut scan = Scan::new(dom, order);
+        scan.work.affected = affected as u64;
         Ok(scan)
     }
 
-    /// Builds the query-score-ordered candidate list into `scratch.merged` as
-    /// `(point, is_affected)` pairs, leaving the re-scored AFFECT entries in
-    /// `scratch.reinserted`. Cost is proportional to `|AFFECT|` plus one pass over the list.
-    fn merged_order(&self, pref: &Preference, scratch: &mut QueryScratch) -> Result<()> {
+    /// The query-score-ordered candidate list as `(point, is_affected)` pairs, with
+    /// `|AFFECT|`. Cost is proportional to `|AFFECT|` plus one pass over the list.
+    fn merged_order(&self, pref: &Preference) -> Result<(Vec<(PointId, bool)>, usize)> {
         let (data, schema) = (&*self.data, self.data.schema());
         // Refinement is checked before the index applies the template's prefix lengths.
         pref.validate(schema)?;
@@ -377,22 +373,19 @@ impl AdaptiveSfs {
         // Affected points are deleted from the sorted list and re-inserted with their new
         // score; everything else keeps its template-score position (lemma (c)). The flag
         // vector de-duplicates rows affected on several dimensions.
-        scratch.affected.resize(data.len(), false);
-        scratch.reinserted.clear();
+        let mut affected = vec![false; data.len()];
+        let mut reinserted = Vec::new();
         for p in self.index.affected_by(template_pref, pref) {
-            if !std::mem::replace(&mut scratch.affected[p as usize], true) {
-                let entry = ScoredEntry::new(p, query_score.score(data, p));
-                scratch.reinserted.push(entry);
+            if !std::mem::replace(&mut affected[p as usize], true) {
+                reinserted.push(ScoredEntry::new(p, query_score.score(data, p)));
             }
         }
-        scratch.reinserted.sort_unstable();
+        reinserted.sort_unstable();
 
-        let merged = &mut scratch.merged;
-        merged.clear();
-        merged.reserve(self.entries.len());
-        let mut moved = scratch.reinserted.iter().peekable();
+        let mut merged = Vec::with_capacity(self.entries.len());
+        let mut moved = reinserted.iter().peekable();
         for kept in &self.entries {
-            if scratch.affected[kept.point as usize] {
+            if affected[kept.point as usize] {
                 continue;
             }
             while let Some(m) = moved.next_if(|m| *m < kept) {
@@ -401,10 +394,7 @@ impl AdaptiveSfs {
             merged.push((kept.point, false));
         }
         merged.extend(moved.map(|m| (m.point, true)));
-        for m in &scratch.reinserted {
-            scratch.affected[m.point as usize] = false;
-        }
-        Ok(())
+        Ok((merged, reinserted.len()))
     }
 }
 
@@ -590,53 +580,12 @@ fn scored_list(
     entries
 }
 
-/// Reusable buffers for Adaptive SFS query evaluation.
-///
-/// One query needs a point-id flag vector, a re-scored entry list, the merged candidate order
-/// and the elimination window; allocating them per query is wasteful when a worker thread
-/// serves thousands of queries back to back. A scratch starts empty ([`Default`]) and grows
-/// to the high-water mark of the queries it served.
-#[derive(Debug, Default)]
-pub struct QueryScratch {
-    /// `affected[p]` while a query's AFFECT is being collected and merged; all-false between
-    /// queries (cleared by walking AFFECT, not the vector).
-    affected: Vec<bool>,
-    reinserted: Vec<ScoredEntry>,
-    merged: Vec<(PointId, bool)>,
-    window: DenseWindow,
-}
-
-impl QueryScratch {
-    /// Creates an empty scratch (equivalent to [`QueryScratch::default`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drains a scan opened on this scratch by [`AdaptiveSfs::query_scan`] into a batch
-    /// answer sorted by id, with the scan's [`Work`], and takes the scan's buffers back — also
-    /// when `deadline` aborts the drain with [`SkylineError::DeadlineExceeded`], so the
-    /// scratch stays reusable either way.
-    pub fn drain(
-        &mut self,
-        mut scan: Scan<CompiledRelation>,
-        deadline: &Deadline,
-    ) -> Result<(Vec<PointId>, Work)> {
-        let mut result = Vec::new();
-        let drained = scan.drain_into(&mut result, deadline);
-        let work = scan.work;
-        (self.merged, self.window) = scan.into_buffers();
-        drained?;
-        result.sort_unstable();
-        Ok((result, work))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use skyline_core::algo::bnl;
     use skyline_core::{
-        DatasetBuilder, Dimension, DominanceContext, ImplicitPreference, RowValue, Schema,
+        DatasetBuilder, Deadline, Dimension, DominanceContext, ImplicitPreference, RowValue, Schema,
     };
 
     fn vacation_data() -> Arc<Dataset> {
@@ -661,10 +610,9 @@ mod tests {
         Arc::new(b.build().unwrap())
     }
 
-    /// The progressive scan of `pref` under the default mode, on fresh buffers.
+    /// The progressive scan of `pref` under the default mode.
     fn stream(asfs: &AdaptiveSfs, pref: &Preference) -> Scan<CompiledRelation> {
-        asfs.query_scan(pref, ScanMode::default(), &mut QueryScratch::new())
-            .unwrap()
+        asfs.query_scan(pref, ScanMode::default()).unwrap()
     }
 
     #[test]
@@ -744,23 +692,27 @@ mod tests {
     }
 
     #[test]
-    fn an_aborted_batch_query_leaves_the_scratch_reusable() {
+    fn an_aborted_drain_fails_on_the_deadline_and_a_new_scan_answers() {
         let data = vacation_data();
         let schema = data.schema().clone();
         let template = Template::empty(&schema);
         let asfs = AdaptiveSfs::build(data, &template).unwrap();
         let pref = Preference::parse(&schema, [("hotel-group", "T < M < *")]).unwrap();
-        let (mode, mut scratch) = (ScanMode::default(), QueryScratch::new());
         let expected = asfs.query(&pref).unwrap();
         let expired = Deadline::within(std::time::Duration::ZERO);
-        let scan = asfs.query_scan(&pref, mode, &mut scratch).unwrap();
+        let mut rows = Vec::new();
         assert_eq!(
-            scratch.drain(scan, &expired).unwrap_err(),
+            stream(&asfs, &pref)
+                .drain_into(&mut rows, &expired)
+                .unwrap_err(),
             SkylineError::DeadlineExceeded
         );
-        assert!(scratch.merged.capacity() > 0, "buffers are handed back");
-        let scan = asfs.query_scan(&pref, mode, &mut scratch).unwrap();
-        assert_eq!(scratch.drain(scan, &Deadline::none()).unwrap().0, expected);
+        assert!(rows.is_empty());
+        stream(&asfs, &pref)
+            .drain_into(&mut rows, &Deadline::none())
+            .unwrap();
+        rows.sort_unstable();
+        assert_eq!(rows, expected);
     }
 
     #[test]

@@ -323,11 +323,7 @@ mod tests {
             Err(SkylineError::NotARefinement { .. })
         ));
         assert!(matches!(
-            asfs.query_scan(
-                &bad,
-                crate::ScanMode::default(),
-                &mut crate::QueryScratch::new()
-            ),
+            asfs.query_scan(&bad, crate::ScanMode::default()),
             Err(SkylineError::NotARefinement { .. })
         ));
     }

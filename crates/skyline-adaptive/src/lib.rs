@@ -33,6 +33,6 @@ pub mod index;
 pub mod snapshot;
 pub mod sorted_list;
 
-pub use asfs::{AdaptiveSfs, MaintenanceStats, PreprocessStats, QueryScratch, ScanMode};
+pub use asfs::{AdaptiveSfs, MaintenanceStats, PreprocessStats, ScanMode};
 pub use index::{LiveRowIndex, SkylineValueIndex};
 pub use sorted_list::ScoredEntry;

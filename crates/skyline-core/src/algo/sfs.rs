@@ -68,14 +68,14 @@ pub struct Scan<D: Dominance> {
 }
 
 impl<D: Dominance> Scan<D> {
-    /// A scan over `order`, reusing `window`'s allocations: it is reset against `dom` when
-    /// the first row enters it, so a scan that flags no candidate never touches it.
-    pub fn new(dom: D, order: Vec<(PointId, bool)>, window: D::Window) -> Self {
+    /// A scan over `order`. Its window is reset against `dom` when the first row enters it,
+    /// so a scan that flags no candidate never touches it.
+    pub fn new(dom: D, order: Vec<(PointId, bool)>) -> Self {
         Self {
             dom,
             order,
             pos: 0,
-            window,
+            window: D::Window::default(),
             pushed: 0,
             work: Work::default(),
         }
@@ -85,7 +85,7 @@ impl<D: Dominance> Scan<D> {
     /// may dominate later ones.
     pub fn presorted(dom: D, sorted: &[PointId]) -> Self {
         let order = sorted.iter().map(|&p| (p, true)).collect();
-        Self::new(dom, order, D::Window::default())
+        Self::new(dom, order)
     }
 
     /// Walks the candidates to the next accepted one. `deadline` is polled once per
@@ -138,11 +138,6 @@ impl<D: Dominance> Scan<D> {
     /// True once every candidate has been examined: no further row can be yielded.
     pub fn is_exhausted(&self) -> bool {
         self.pos >= self.order.len()
-    }
-
-    /// Consumes the scan, handing back its candidate and window buffers for reuse.
-    pub fn into_buffers(self) -> (Vec<(PointId, bool)>, D::Window) {
-        (self.order, self.window)
     }
 }
 
@@ -271,10 +266,9 @@ mod tests {
         // flags only rows that can dominate.
         let data = vacation_data();
         let (ctx, _) = sorted_for(&data, "*");
-        let flagged: Vec<PointId> =
-            Scan::new(&ctx, vec![(0, true), (1, true)], Vec::new()).collect();
+        let flagged: Vec<PointId> = Scan::new(&ctx, vec![(0, true), (1, true)]).collect();
         assert_eq!(flagged, vec![0]);
-        let mut scan = Scan::new(&ctx, vec![(0, false), (1, true)], Vec::new());
+        let mut scan = Scan::new(&ctx, vec![(0, false), (1, true)]);
         assert_eq!(scan.by_ref().collect::<Vec<_>>(), vec![0, 1]);
         // Neither accept was tested: the window was still empty both times.
         assert_eq!(scan.work.dominance_tests, 0);

@@ -183,9 +183,7 @@ impl CompiledOrder {
 /// indirection, no strided loads. A window of at most 16 rows is tested pairwise instead
 /// (`PAIRWISE_WINDOW`). Nominal cells are stored as `(value id, layered rank)`
 /// pairs: for ranked (weak) orders the dominance test is then integer compares, with no
-/// closure-probe loads at all. Windows are reusable scratch: [`Dominance::reset_window`]
-/// keeps the allocations, so a worker thread serving thousands of queries re-runs its scans
-/// allocation-free.
+/// closure-probe loads at all. Each scan owns its window, starting empty.
 #[derive(Debug, Clone, Default)]
 pub struct DenseWindow {
     /// Per-call scratch holding the candidate point's `(id, rank)` pairs.

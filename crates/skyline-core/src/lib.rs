@@ -55,7 +55,7 @@ pub use dataset::{Dataset, DatasetBuilder, DatasetEpoch, RowIdRemap, RowValue};
 pub use deadline::{CancelToken, Deadline, DEADLINE_CHECK_INTERVAL};
 pub use dominance::{Dominance, DominanceContext};
 pub use error::{Result, SkylineError};
-pub use kernel::{kernel_mode, CompiledOrder, CompiledRelation, DenseWindow, KernelMode};
+pub use kernel::{kernel_mode, CompiledOrder, CompiledRelation, KernelMode};
 pub use order::{CanonicalPreference, ImplicitPreference, PartialOrder, Preference, Template};
 pub use schema::{Dimension, DimensionKind, Schema};
 pub use snapshot::{SnapshotBuilder, SnapshotError, SnapshotView};

@@ -18,7 +18,7 @@
 use crate::bitset::BitSet;
 use crate::dataset::Dataset;
 use crate::kernel::{CompiledOrder, CompiledRelation};
-use crate::order::{PartialOrder, Preference};
+use crate::order::Preference;
 use crate::value::{PointId, ValueId};
 use std::ops::Deref;
 
@@ -105,13 +105,6 @@ impl Mdc {
                 },
             }
         })
-    }
-
-    /// True when every pair of the condition is contained in the given per-dimension orders.
-    pub fn implied_by_orders(&self, orders: &[PartialOrder]) -> bool {
-        self.pairs
-            .iter()
-            .all(|pair| orders[pair.dim as usize].strictly_preferred(pair.better, pair.worse))
     }
 
     /// Approximate heap footprint in bytes.
@@ -345,7 +338,7 @@ mod tests {
     use crate::algo::bnl;
     use crate::dataset::{DatasetBuilder, RowValue};
     use crate::dominance::DominanceContext;
-    use crate::order::{ImplicitPreference, Template};
+    use crate::order::{ImplicitPreference, PartialOrder, Template};
     use crate::schema::{Dimension, Schema};
     use crate::value::NominalDomain;
 

@@ -9,40 +9,25 @@
 use std::sync::{mpsc, Mutex};
 use std::thread;
 
-/// Applies `f` to every item of `items` on a pool of `workers` threads, returning the results
-/// in input order. Every worker owns one scratch value created by `init`, reused across all
-/// tasks that worker processes.
+/// Applies `f` to every item of `items` (with its index) on a pool of `workers` threads,
+/// returning the results in input order.
 ///
 /// `workers` is clamped to `1..=items.len()`; with one worker (or one item) the pool is
-/// skipped entirely and the batch runs inline on the caller's thread (still with exactly one
-/// scratch). Otherwise the caller is one of the workers — it works its share instead of
-/// sleeping on the result channel, so a 2-shard scatter spawns one thread, not two. The
-/// per-worker scratch is how the service avoids per-query allocations: a worker drains
-/// hundreds of queries with a single set of candidate/kernel buffers instead of allocating
-/// fresh ones per task.
-pub(crate) fn run_indexed_scratch<T, R, S, I, F>(
-    items: &[T],
-    workers: usize,
-    init: I,
-    f: F,
-) -> Vec<R>
+/// skipped entirely and the batch runs inline on the caller's thread. Otherwise the caller is
+/// one of the workers — it works its share instead of sleeping on the result channel, so a
+/// 2-shard scatter spawns one thread, not two.
+pub(crate) fn run_indexed<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(usize, &T, &mut S) -> R + Sync,
+    F: Fn(usize, &T) -> R + Sync,
 {
     if items.is_empty() {
         return Vec::new();
     }
     let workers = workers.clamp(1, items.len());
     if workers == 1 {
-        let mut scratch = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t, &mut scratch))
-            .collect();
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
 
     let (task_tx, task_rx) = mpsc::channel::<usize>();
@@ -57,7 +42,6 @@ where
     let task_rx = Mutex::new(task_rx);
     let (result_tx, result_rx) = mpsc::channel::<(usize, R)>();
     let work = |result_tx: mpsc::Sender<(usize, R)>| {
-        let mut scratch = init();
         loop {
             // Recovered rather than propagated: `recv` holds no shared mutable state a panic
             // could tear, and one worker dying (a panicking task closure caught further up)
@@ -70,7 +54,7 @@ where
                 })
                 .recv();
             let Ok(i) = next else { break };
-            if result_tx.send((i, f(i, &items[i], &mut scratch))).is_err() {
+            if result_tx.send((i, f(i, &items[i]))).is_err() {
                 break; // Receiver gone: the batch was abandoned.
             }
         }
@@ -101,22 +85,17 @@ mod tests {
     #[test]
     fn results_come_back_in_input_order() {
         let items: Vec<usize> = (0..100).collect();
-        let out = run_indexed_scratch(
-            &items,
-            8,
-            || (),
-            |i, &x, ()| {
-                // Stagger completion so out-of-order finishes are likely.
-                std::thread::sleep(std::time::Duration::from_micros((100 - i as u64) % 7));
-                x * 2
-            },
-        );
+        let out = run_indexed(&items, 8, |i, &x| {
+            // Stagger completion so out-of-order finishes are likely.
+            std::thread::sleep(std::time::Duration::from_micros((100 - i as u64) % 7));
+            x * 2
+        });
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_batch_returns_empty() {
-        let out: Vec<u32> = run_indexed_scratch(&[] as &[u32], 4, || (), |_, &x, ()| x);
+        let out: Vec<u32> = run_indexed(&[] as &[u32], 4, |_, &x| x);
         assert!(out.is_empty());
     }
 
@@ -124,15 +103,10 @@ mod tests {
     fn single_worker_runs_inline() {
         let calls = AtomicUsize::new(0);
         let items = [1, 2, 3];
-        let out = run_indexed_scratch(
-            &items,
-            1,
-            || (),
-            |i, &x, ()| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                x + i
-            },
-        );
+        let out = run_indexed(&items, 1, |i, &x| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            x + i
+        });
         assert_eq!(out, vec![1, 3, 5]);
         assert_eq!(calls.load(Ordering::Relaxed), 3);
     }
@@ -140,35 +114,8 @@ mod tests {
     #[test]
     fn oversized_worker_count_is_clamped() {
         let items = [10, 20];
-        let out = run_indexed_scratch(&items, 64, || (), |_, &x, ()| x);
+        let out = run_indexed(&items, 64, |_, &x| x);
         assert_eq!(out, vec![10, 20]);
-    }
-
-    #[test]
-    fn scratch_is_created_once_per_worker_and_reused() {
-        let inits = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..64).collect();
-        let out = run_indexed_scratch(
-            &items,
-            4,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                Vec::<usize>::new()
-            },
-            |_, &x, buf| {
-                buf.push(x);
-                buf.len()
-            },
-        );
-        assert_eq!(out.len(), 64);
-        assert!(
-            inits.load(Ordering::Relaxed) <= 4,
-            "at most one scratch per worker"
-        );
-        assert!(
-            out.iter().any(|&n| n > 1),
-            "some worker must reuse its scratch across tasks"
-        );
     }
 
     #[test]
@@ -180,19 +127,14 @@ mod tests {
         let rendezvous = Barrier::new(2);
         let threads = Mutex::new(HashSet::new());
         let items: Vec<usize> = (0..16).collect();
-        let out = run_indexed_scratch(
-            &items,
-            2,
-            || (),
-            |i, &x, ()| {
-                threads.lock().unwrap().insert(thread::current().id());
-                if i < 2 {
-                    rendezvous.wait();
-                }
-                std::thread::sleep(std::time::Duration::from_micros(50));
-                x + 1
-            },
-        );
+        let out = run_indexed(&items, 2, |i, &x| {
+            threads.lock().unwrap().insert(thread::current().id());
+            if i < 2 {
+                rendezvous.wait();
+            }
+            std::thread::sleep(std::time::Duration::from_micros(50));
+            x + 1
+        });
         assert_eq!(out, (1..=16).collect::<Vec<_>>());
         let threads = threads.into_inner().unwrap();
         assert_eq!(threads.len(), 2, "workers = 2 runs on exactly two threads");
@@ -200,25 +142,5 @@ mod tests {
             threads.contains(&thread::current().id()),
             "the calling thread is one of the workers"
         );
-    }
-
-    #[test]
-    fn inline_path_uses_a_single_scratch() {
-        let inits = AtomicUsize::new(0);
-        let items = [1, 2, 3];
-        let out = run_indexed_scratch(
-            &items,
-            1,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                0usize
-            },
-            |_, &x, acc| {
-                *acc += x;
-                *acc
-            },
-        );
-        assert_eq!(out, vec![1, 3, 6]);
-        assert_eq!(inits.load(Ordering::Relaxed), 1);
     }
 }

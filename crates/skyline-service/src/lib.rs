@@ -87,7 +87,7 @@ pub use cache::ResultCache;
 pub use faults::FaultInjector;
 pub use flight::{FlightGuard, FlightRole, SingleFlight};
 pub use sharded::{
-    DegradePolicy, GlobalRowId, PartialSkyline, RecoveryPolicy, ShardPartition, ShardedConfig,
-    ShardedOutcome, ShardedServed, ShardedService, ShardedStream,
+    DegradePolicy, GlobalRowId, RecoveryPolicy, ShardPartition, ShardedConfig, ShardedOutcome,
+    ShardedServed, ShardedService, ShardedStream,
 };
 pub use stats::{ServiceMetrics, StatsSnapshot};

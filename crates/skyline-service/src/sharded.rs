@@ -11,10 +11,9 @@
 //! more shards the first miss at a new skyline-epoch vector (below) builds `G` from them,
 //! once:
 //!
-//! 1. every healthy shard's template skyline is read through the per-shard scatter, which
-//!    contains panics, fires the failpoints and applies the deadline and the
-//!    [`DegradePolicy`]. An Adaptive-SFS shard hands in its sorted list; an SFS-D shard keeps
-//!    none and computes `SKY_R(D_s)` with one presorted scan over its live rows;
+//! 1. every healthy shard's sorted list — its `SKY_R(D_s)` — is read through the per-shard
+//!    scatter, which contains panics, fires the failpoints and applies the deadline and the
+//!    [`DegradePolicy`];
 //! 2. one [`SkylineMerger`] pass under the template's orders finds `G`'s members — sound
 //!    because each list is exactly its shard's `SKY_R(D_s)` (the merger's precondition) and
 //!    the union property gives `G ⊆ ∪ SKY_R(D_s)`;
@@ -37,9 +36,8 @@
 //! skyline changes `G` and every refinement's answer are the same [`GlobalRowId`]s: a
 //! dominated insert or a non-member delete keeps the result cache and `G`. A write that
 //! changes a shard's skyline moves the vector, and so does every swap, which also renumbers
-//! rows. Deleting a member always moves it, so a cache hit never names a dead row. An SFS-D
-//! shard keeps no template skyline and reports its dataset epoch, so every write on it moves
-//! the vector. Answers still report the dataset epochs ([`ShardedServed::epochs`]).
+//! rows. Deleting a member always moves it, so a cache hit never names a dead row. Answers
+//! still report the dataset epochs ([`ShardedServed::epochs`]).
 //!
 //! One slot keeps the last complete `G`, keyed by its skyline-epoch vector. Concurrent
 //! misses at a new vector build once — they join one [`SingleFlight`] keyed by the vector,
@@ -52,7 +50,8 @@
 //!
 //! A hybrid shard still builds and snapshots its IPO tree, but with two or more shards no
 //! read consults it. A service of two or more shards needs a template with an implicit form:
-//! it is the ranking `G`'s sorted list is ordered by.
+//! it is the ranking `G`'s sorted list is ordered by. Every shard must keep a sorted list, so
+//! a service refuses [`EngineConfig::SfsD`] engines, which keep none.
 //!
 //! The pieces:
 //!
@@ -75,9 +74,10 @@
 //! # One shard: the single-engine service
 //!
 //! At one partition the engine's own tree or sorted list already is `G`: a miss is one engine
-//! query, run inline on the caller's thread through the same scatter (so panics, failpoints
-//! and deadlines behave as with N shards), and a one-shard service costs what its engine
-//! costs. Build it with `shards: 1`, or wrap an engine that already exists with
+//! stream — drained for a batch answer, pulled for a streaming one — opened inline on the
+//! caller's thread through the same scatter (so panics, failpoints and deadlines behave as
+//! with N shards), and a one-shard service costs what its engine costs. Build it with
+//! `shards: 1`, or wrap an engine that already exists with
 //! [`ShardedService::from_engines`]. Answers are [`ShardedServed`]s whose rows are
 //! `GlobalRowId { shard: 0, row }` (`row` is the engine's own id), the engine is
 //! [`ShardedService::shard`]`(0)`, a rebuild is [`ShardedService::force_rebuild_shard`]`(0)`.
@@ -110,10 +110,9 @@ use crate::faults::FaultInjector;
 use crate::flight::{FlightRole, SingleFlight};
 use crate::maintenance::Scheduler;
 use crate::stats::{ServiceMetrics, StatsSnapshot};
-use skyline::adaptive::{AdaptiveSfs, QueryScratch, ScanMode, ScoredEntry};
+use skyline::adaptive::{AdaptiveSfs, ScanMode, ScoredEntry};
 use skyline::{
-    EngineConfig, EngineScratch, EngineStream, MaintenancePolicy, MethodUsed, SharedEngine,
-    SkylineEngine,
+    EngineConfig, EngineStream, MaintenancePolicy, MethodUsed, SharedEngine, SkylineEngine,
 };
 use skyline_core::algo::sfs::Scan;
 use skyline_core::score::ScoreFn;
@@ -121,7 +120,6 @@ use skyline_core::{
     CanonicalPreference, CompiledOrder, CompiledRelation, Dataset, DatasetEpoch, Deadline, PointId,
     Preference, Result, Schema, SkylineError, SkylineMerger, Template, ValueId,
 };
-use std::borrow::Cow;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -217,25 +215,6 @@ impl ShardedServed {
     pub fn is_degraded(&self) -> bool {
         !self.degraded_shards.is_empty()
     }
-
-    /// The degraded view — the healthy shards' skyline plus exactly which shards are
-    /// missing — or `None` for a complete answer.
-    pub fn partial(&self) -> Option<PartialSkyline> {
-        self.is_degraded().then(|| PartialSkyline {
-            rows: self.outcome.skyline.clone(),
-            degraded_shards: self.degraded_shards.clone(),
-        })
-    }
-}
-
-/// A degraded answer: the skyline of the healthy shards' rows, flagged with exactly the
-/// shards it is missing. Obtained via [`ShardedServed::partial`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartialSkyline {
-    /// The skyline of the union of the healthy shards' slices.
-    pub rows: Vec<GlobalRowId>,
-    /// Shards missing from the answer, ascending.
-    pub degraded_shards: Vec<usize>,
 }
 
 /// What a request does when some shards cannot answer — quarantined after a panic, or past
@@ -730,10 +709,10 @@ impl ShardedService {
         Ok(paths)
     }
 
-    /// The common wiring behind [`ShardedService::build`] and
-    /// [`ShardedService::from_snapshots`]: fault injection, quarantine, the build threads
-    /// (when [`ShardedConfig::maintenance`] is set), caches and admission control. Two or
-    /// more shards need a template with an implicit form (module docs).
+    /// The common wiring behind every constructor: fault injection, quarantine, the build
+    /// threads (when [`ShardedConfig::maintenance`] is set), caches and admission control.
+    /// Every shard must keep a sorted list, so [`EngineConfig::SfsD`] engines are refused,
+    /// and two or more shards need a template with an implicit form (module docs).
     fn assemble(
         engines: Vec<SharedEngine>,
         schema: Schema,
@@ -741,6 +720,16 @@ impl ShardedService {
         config: ShardedConfig,
         metrics: ServiceMetrics,
     ) -> Result<Self> {
+        if engines
+            .iter()
+            .any(|e| e.read().config() == EngineConfig::SfsD)
+        {
+            return Err(SkylineError::InvalidArgument(
+                "a service serves from every shard's template skyline, which an SFS-D engine \
+                 does not keep"
+                    .into(),
+            ));
+        }
         if engines.len() > 1 && template.implicit().is_none() {
             return Err(SkylineError::InvalidArgument(
                 "a service of two or more shards needs a template with an implicit form".into(),
@@ -1160,7 +1149,7 @@ impl ShardedService {
                 let global = self.global_skyline(&front, &deadline)?;
                 let scan = global
                     .asfs
-                    .query_scan(pref, ScanMode::default(), &mut QueryScratch::default())
+                    .query_scan(pref, ScanMode::default())
                     .inspect_err(|_| self.metrics.record_error())?;
                 let (methods, degraded) = global.provenance(self.shard_count());
                 let scan = Box::new(scan);
@@ -1212,26 +1201,10 @@ impl ShardedService {
         Ok(scored.into_iter().map(|(_, g)| g).collect())
     }
 
-    /// Answers a batch of queries on the worker pool, preserving input order.
+    /// Answers a batch of queries on the worker pool with [`ShardedService::serve`],
+    /// preserving input order.
     pub fn serve_batch(&self, prefs: &[Preference]) -> Vec<Result<ShardedServed>> {
-        self.serve_batch_deadline(prefs, &Deadline::none())
-    }
-
-    /// Like [`ShardedService::serve_batch`] under one shared per-request [`Deadline`]: each
-    /// item is served with the same budget (and cancel token), so expiry or cancellation
-    /// drains the rest of the batch within one scan block each instead of grinding out
-    /// answers nobody is waiting for.
-    pub fn serve_batch_deadline(
-        &self,
-        prefs: &[Preference],
-        deadline: &Deadline,
-    ) -> Vec<Result<ShardedServed>> {
-        executor::run_indexed_scratch(
-            prefs,
-            self.workers,
-            || (),
-            |_, pref, ()| self.serve_deadline(pref, deadline),
-        )
+        executor::run_indexed(prefs, self.workers, |_, pref| self.serve(pref))
     }
 
     /// Shards currently quarantined (panicked and not yet recovered), ascending.
@@ -1294,17 +1267,12 @@ impl ShardedService {
             .filter(|s| !front.quarantined.contains(s))
             .collect();
         let scatter_victim = self.shards.faults.begin_scatter();
-        let results = executor::run_indexed_scratch(
-            &healthy,
-            self.workers,
-            || (),
-            |_, &s, ()| {
-                catch_unwind(AssertUnwindSafe(|| {
-                    self.shards.faults.before_shard_query(s, scatter_victim);
-                    leg(&front.guards[s], s)
-                }))
-            },
-        );
+        let results = executor::run_indexed(&healthy, self.workers, |_, &s| {
+            catch_unwind(AssertUnwindSafe(|| {
+                self.shards.faults.before_shard_query(s, scatter_victim);
+                leg(&front.guards[s], s)
+            }))
+        });
         let mut answered = Vec::with_capacity(healthy.len());
         let (mut panicked, mut missed) = (Vec::new(), Vec::new());
         for (&s, result) in healthy.iter().zip(results) {
@@ -1381,13 +1349,12 @@ impl ShardedService {
         front: &Admitted<'_>,
         deadline: &Deadline,
     ) -> Result<Arc<GlobalSkyline>> {
-        let ranking = self
-            .template
-            .implicit()
-            .expect("assembly rejects templates without an implicit form at two or more shards");
-        let score = ScoreFn::for_preference(&self.schema, ranking)?;
         let (answered, degraded) = self.scatter(front, |engine, _| {
-            template_skyline(engine, &score, deadline)
+            deadline.check()?;
+            Ok(engine
+                .adaptive()
+                .expect("assembly refuses engines without a sorted list")
+                .sorted_entries())
         })?;
         let orders = self.template.orders().iter().map(CompiledOrder::compile);
         let mut merger = SkylineMerger::new(orders.collect(), self.schema.numeric_count());
@@ -1395,7 +1362,7 @@ impl ShardedService {
         let mut candidates: Vec<(f64, GlobalRowId)> = Vec::new();
         for (shard, list) in &answered {
             let data = front.guards[*shard].dataset();
-            for &ScoredEntry { score, point: row } in list.iter() {
+            for &ScoredEntry { score, point: row } in *list {
                 let id = candidates.len() as PointId;
                 merger.push(*shard, id, data.numeric_row(row), data.nominal_row(row))?;
                 candidates.push((score, GlobalRowId { shard: *shard, row }));
@@ -1431,9 +1398,12 @@ impl ShardedService {
         deadline: &Deadline,
     ) -> Result<ShardedServed> {
         let (skyline, methods, degraded) = if self.shard_count() == 1 {
+            // The drained stream, inside the scatter: a panic or a deadline there degrades or
+            // fails the request like any leg.
             let (answered, degraded) = self.scatter(&front, |engine, s| {
-                let scratch = &mut EngineScratch::default();
-                engine.query_at_deadline(pref, front.epochs[s], deadline, scratch)
+                engine
+                    .query_streaming_at(pref, front.epochs[s], deadline.clone())?
+                    .collect_outcome()
             })?;
             let (mut skyline, mut methods) = (Vec::new(), Vec::new());
             for (shard, outcome) in answered {
@@ -1455,11 +1425,11 @@ impl ShardedService {
             } else {
                 Deadline::none()
             };
-            let mut scratch = QueryScratch::default();
-            let (rows, _) = global
+            let mut rows = Vec::new();
+            global
                 .asfs
-                .query_scan(pref, ScanMode::default(), &mut scratch)
-                .and_then(|scan| scratch.drain(scan, &deadline))
+                .query_scan(pref, ScanMode::default())
+                .and_then(|mut scan| scan.drain_into(&mut rows, &deadline))
                 .inspect_err(|_| self.metrics.record_error())?;
             let mut skyline: Vec<GlobalRowId> =
                 rows.iter().map(|&p| global.ids[p as usize]).collect();
@@ -1483,31 +1453,6 @@ impl ShardedService {
             latency,
         })
     }
-}
-
-/// A shard's leg of a `G` build: its template skyline `SKY_R(D_s)` as sorted-list entries in
-/// ascending `(score, row)` order — the Adaptive-SFS sorted list itself, or, on an SFS-D
-/// shard, which keeps none, one presorted scan over its live rows, as
-/// [`AdaptiveSfs::build`] runs.
-fn template_skyline<'e>(
-    engine: &'e SkylineEngine,
-    score: &ScoreFn,
-    deadline: &Deadline,
-) -> Result<Cow<'e, [ScoredEntry]>> {
-    deadline.check()?;
-    if let Some(asfs) = engine.adaptive() {
-        return Ok(Cow::Borrowed(asfs.sorted_entries()));
-    }
-    let data = engine.dataset();
-    let relation = CompiledRelation::for_template(data, engine.template())?;
-    let live: Vec<PointId> = data.live_ids().collect();
-    let mut members = Vec::new();
-    Scan::presorted(&relation, &score.sort_by_score(data, &live))
-        .drain_into(&mut members, deadline)?;
-    let entries = members
-        .into_iter()
-        .map(|p| ScoredEntry::new(p, score.score(data, p)));
-    Ok(Cow::Owned(entries.collect()))
 }
 
 /// A request past the front end both paths share: its admission permit, read guards on every
@@ -2063,11 +2008,8 @@ mod tests {
             merge_of_shards(&service, &[0, 2], &pref),
             "degraded answer is exactly the healthy shards' merge"
         );
-        let partial = degraded.partial().unwrap();
-        assert_eq!(partial.degraded_shards, vec![1]);
-        assert_eq!(partial.rows, degraded.outcome.skyline);
         assert!(
-            partial.rows.iter().all(|g| g.shard != 1),
+            degraded.outcome.skyline.iter().all(|g| g.shard != 1),
             "no row of a quarantined shard in a partial answer"
         );
         assert_eq!(service.cache_len(), 0, "partial answers are never cached");
@@ -2692,7 +2634,7 @@ mod tests {
 
         for bad in [
             vec![],
-            vec![engine.clone(), build(EngineConfig::SfsD)],
+            vec![engine.clone(), build(EngineConfig::Hybrid { top_k: 3 })],
             vec![
                 engine.clone(),
                 SharedEngine::new(
@@ -2719,6 +2661,47 @@ mod tests {
             },
         )
         .is_err());
+    }
+
+    /// Every constructor refuses an SFS-D shard: it keeps no template skyline to serve from.
+    #[test]
+    fn every_constructor_refuses_sfs_d_shards() {
+        let (data, template) = experiment(120, 5);
+        let refused = |built: Result<ShardedService>| {
+            let Err(SkylineError::InvalidArgument(why)) = built else {
+                panic!("an SFS-D shard must be refused");
+            };
+            assert!(why.contains("SFS-D"), "{why}");
+        };
+        for shards in [1, 2] {
+            let config = ShardedConfig {
+                shards,
+                ..ShardedConfig::default()
+            };
+            refused(ShardedService::build(
+                &data,
+                template.clone(),
+                EngineConfig::SfsD,
+                config.clone(),
+            ));
+            let engines: Vec<SkylineEngine> = (0..shards)
+                .map(|_| {
+                    SkylineEngine::build(data.clone(), template.clone(), EngineConfig::SfsD)
+                        .unwrap()
+                })
+                .collect();
+            let dir = scratch_dir(&format!("sfs-d-{shards}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            for (s, engine) in engines.iter().enumerate() {
+                engine
+                    .write_snapshot_file(&shard_snapshot_path(&dir, s))
+                    .unwrap();
+            }
+            refused(ShardedService::from_snapshots(&dir, config.clone()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let shared = engines.into_iter().map(SharedEngine::new).collect();
+            refused(ShardedService::from_engines(shared, config));
+        }
     }
 
     #[test]
@@ -2965,11 +2948,7 @@ mod tests {
         )
         .unwrap();
         let template = Template::from_preference(&schema, listing(&[0])).unwrap();
-        for config in [
-            EngineConfig::SfsD,
-            EngineConfig::AdaptiveSfs,
-            EngineConfig::Hybrid { top_k: 2 },
-        ] {
+        for config in [EngineConfig::AdaptiveSfs, EngineConfig::Hybrid { top_k: 2 }] {
             let service = ShardedService::build(
                 &data,
                 template.clone(),
@@ -3023,11 +3002,7 @@ mod tests {
             .filter(|p| seen.insert(CanonicalPreference::new(data.schema(), p).unwrap()))
             .collect();
         for shards in 2..=4 {
-            for config in [
-                EngineConfig::SfsD,
-                EngineConfig::AdaptiveSfs,
-                EngineConfig::Hybrid { top_k: 3 },
-            ] {
+            for config in [EngineConfig::AdaptiveSfs, EngineConfig::Hybrid { top_k: 3 }] {
                 let service = ShardedService::build(
                     &data,
                     template.clone(),

@@ -123,7 +123,6 @@ fn hammer<T: PartialEq + Debug + Sync>(
 fn threaded_service_matches_serial_engine_for_every_config() {
     // One shard over the engine itself: ids compared one to one with the bare engine's.
     let configs = [
-        EngineConfig::SfsD,
         EngineConfig::AdaptiveSfs,
         EngineConfig::Hybrid { top_k: usize::MAX },
         EngineConfig::Hybrid { top_k: 3 },
@@ -159,7 +158,6 @@ fn threaded_scatter_gather_matches_the_live_oracle() {
     // template skyline, under the batch pool and the user threads, and single-flight
     // collapses the identical cold misses.
     for config in [
-        EngineConfig::SfsD,
         EngineConfig::AdaptiveSfs,
         EngineConfig::Hybrid { top_k: usize::MAX },
         EngineConfig::Hybrid { top_k: 3 },

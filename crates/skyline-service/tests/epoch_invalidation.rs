@@ -275,11 +275,7 @@ proptest! {
         for (x, y, g) in [(1.0, 4.0, 0), (2.0, 3.0, 1), (3.0, 2.0, 2), (4.0, 1.0, 0)] {
             data.push_row_ids(&[x, y], &[g]).unwrap();
         }
-        let configs = [
-            EngineConfig::SfsD,
-            EngineConfig::AdaptiveSfs,
-            EngineConfig::Hybrid { top_k: 3 },
-        ];
+        let configs = [EngineConfig::AdaptiveSfs, EngineConfig::Hybrid { top_k: 3 }];
         for (shards, engine) in (1..=3).flat_map(|s| configs.map(|c| (s, c))) {
             let config = ShardedConfig {
                 shards,

@@ -95,8 +95,6 @@ fn injected_delay_degrades_tolerant_service_without_quarantine() {
     assert!(served.degraded_shards.contains(&0));
     assert_eq!(service.cache_len(), 0, "partial answers are never cached");
     assert!(service.quarantined_shards().is_empty());
-    let partial = served.partial().unwrap();
-    assert_eq!(partial.degraded_shards, served.degraded_shards);
 
     service.fault_injector().clear();
     let complete = service.serve(&prefs[0]).unwrap();

@@ -135,11 +135,7 @@ proptest! {
         let (template, pref) = template_and_refinement(data.schema(), listed, query_choices);
         let partition = ShardPartition::HashNominal { dim: 0 };
 
-        for config in [
-            EngineConfig::SfsD,
-            EngineConfig::AdaptiveSfs,
-            EngineConfig::Hybrid { top_k: 2 },
-        ] {
+        for config in [EngineConfig::AdaptiveSfs, EngineConfig::Hybrid { top_k: 2 }] {
             let reference = SharedEngine::new(
                 SkylineEngine::build(data.clone(), template.clone(), config).unwrap(),
             );

@@ -13,11 +13,10 @@ use std::sync::Arc;
 
 const CARD: usize = 3;
 
-/// Every engine configuration the snapshot format must carry: the full tree, a truncated
-/// one (some preferences tree-served, the rest answered by the fallback), and the two
-/// tree-less configurations.
-const CONFIGS: [EngineConfig; 4] = [
-    EngineConfig::SfsD,
+/// Every engine configuration a service serves, which its snapshots must carry: the full
+/// tree, a truncated one (some preferences tree-served, the rest answered by the fallback),
+/// and the tree-less Adaptive SFS.
+const CONFIGS: [EngineConfig; 3] = [
     EngineConfig::AdaptiveSfs,
     EngineConfig::Hybrid { top_k: usize::MAX },
     EngineConfig::Hybrid { top_k: 2 },

@@ -94,11 +94,7 @@ proptest! {
         let (template, pref) = template_and_refinement(data.schema(), listed, query_choices);
         let score = ScoreFn::for_preference(data.schema(), &pref).unwrap();
 
-        for config in [
-            EngineConfig::SfsD,
-            EngineConfig::AdaptiveSfs,
-            EngineConfig::Hybrid { top_k: 2 },
-        ] {
+        for config in [EngineConfig::AdaptiveSfs, EngineConfig::Hybrid { top_k: 2 }] {
             // The ground truth at the initial generation, in the initial id space.
             let reference =
                 SkylineEngine::build(data.clone(), template.clone(), config).unwrap();

@@ -11,7 +11,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use skyline::adaptive::{QueryScratch, ScanMode};
+use skyline::adaptive::ScanMode;
 use skyline::prelude::*;
 
 const REGIONS: [&str; 6] = [
@@ -122,11 +122,7 @@ fn main() -> Result<()> {
             outcome.skyline.len(),
             outcome.method
         );
-        let mut scratch = QueryScratch::new();
-        for p in asfs
-            .query_scan(&pref, ScanMode::default(), &mut scratch)?
-            .take(5)
-        {
+        for p in asfs.query_scan(&pref, ScanMode::default())?.take(5) {
             println!(
                 "     #{p:<6} {:>7.0} kEUR  {:>4.0} min  {:12} {}",
                 data.numeric(p, 0),

@@ -5,7 +5,7 @@
 //! re-materialization — constructs the *next* generation off the live rows without blocking
 //! readers, replays mutations that arrived mid-build, and swaps it in atomically.
 
-use skyline_adaptive::{AdaptiveSfs, MaintenanceStats, QueryScratch, ScanMode};
+use skyline_adaptive::{AdaptiveSfs, MaintenanceStats, ScanMode};
 use skyline_core::algo::sfs::Scan;
 use skyline_core::score::ScoreFn;
 use skyline_core::{
@@ -313,7 +313,7 @@ impl PendingGeneration {
 ///
 /// [`SkylineEngine::insert_row`] and [`SkylineEngine::delete_row`] mutate the bound dataset in
 /// place (`&mut self`) and return the new [`DatasetEpoch`]; every answered query is implicitly
-/// relative to the epoch it ran at, and [`SkylineEngine::query_at_deadline`] rejects a stale
+/// relative to the epoch it ran at, and [`SkylineEngine::query_streaming_at`] rejects a stale
 /// expectation with [`SkylineError::EpochMismatch`]. Every configuration accepts
 /// mutations. The hybrid configuration stays fully servable: after a write that changes its
 /// template skyline ([`SkylineEngine::skyline_epoch`]) its tree is stale, so every query
@@ -448,22 +448,6 @@ impl SharedEngine {
 impl From<SkylineEngine> for SharedEngine {
     fn from(engine: SkylineEngine) -> Self {
         Self::new(engine)
-    }
-}
-
-/// Reusable per-thread buffers for [`SkylineEngine::query_at_deadline`].
-///
-/// A worker thread serving many queries hands the same scratch to every call so the
-/// per-query candidate and elimination buffers are reused instead of reallocated.
-#[derive(Debug, Default)]
-pub struct EngineScratch {
-    asfs: QueryScratch,
-}
-
-impl EngineScratch {
-    /// Creates an empty scratch (equivalent to [`EngineScratch::default`]).
-    pub fn new() -> Self {
-        Self::default()
     }
 }
 
@@ -675,10 +659,10 @@ impl SkylineEngine {
     }
 
     /// The tree that answers `pref` right now, if any — the one routing decision behind
-    /// [`SkylineEngine::serves_from_tree`], the batch path and the stream path. It consults
-    /// the same [`Materialization`] predicate the tree's own query rejection uses (Section
-    /// 5.3): popular (fully materialized) preferences go to the IPO tree, everything else to
-    /// Adaptive SFS. The tree was materialized at the generation's `tree_epoch` and answers
+    /// [`SkylineEngine::serves_from_tree`] and [`SkylineEngine::query_streaming_at`]. It
+    /// consults the same [`Materialization`] predicate the tree's own query rejection uses
+    /// (Section 5.3): popular (fully materialized) preferences go to the IPO tree, everything
+    /// else to Adaptive SFS. The tree was materialized at the generation's `tree_epoch` and answers
     /// from `SKY_R(D)` as it was then; a write that leaves the template skyline unchanged
     /// changes no answer (`SKY_{R′}(D) = SKY_{R′}(SKY_R(D))`), so the tree keeps serving. Once
     /// the skyline epoch moves past `tree_epoch`, every query routes to the incrementally
@@ -831,59 +815,20 @@ impl SkylineEngine {
         }
     }
 
-    /// Answers an implicit-preference query at the engine's current epoch, without a deadline
-    /// — sugar over [`SkylineEngine::query_at_deadline`] with a throwaway scratch.
+    /// Answers an implicit-preference query at the engine's current epoch, without a deadline:
+    /// the drained [`SkylineEngine::query_streaming_at`] stream, as sorted point ids.
     pub fn query(&self, pref: &Preference) -> Result<QueryOutcome> {
-        self.query_at_deadline(
-            pref,
-            self.epoch(),
-            &Deadline::none(),
-            &mut EngineScratch::default(),
-        )
+        self.query_streaming_at(pref, self.epoch(), Deadline::none())?
+            .collect_outcome()
     }
 
-    /// The batch primitive: validates that the engine is still at `epoch` — the answer is
-    /// computed against exactly that dataset version or the call fails with
-    /// [`SkylineError::EpochMismatch`] — then answers `pref` under a request [`Deadline`],
-    /// reusing the caller-owned `scratch` buffers (threads that answer many queries keep one
-    /// [`EngineScratch`] each so the per-query merge and elimination buffers are recycled).
-    ///
-    /// The Adaptive-SFS and SFS-D elimination scans poll the deadline at block granularity
-    /// and fail with [`SkylineError::DeadlineExceeded`] once the budget is spent — releasing
-    /// the worker instead of finishing an answer nobody is waiting for; the IPO tree path
-    /// (set operations, orders of magnitude cheaper than a scan) checks it once up front.
-    pub fn query_at_deadline(
-        &self,
-        pref: &Preference,
-        epoch: DatasetEpoch,
-        deadline: &Deadline,
-        scratch: &mut EngineScratch,
-    ) -> Result<QueryOutcome> {
-        self.ensure_epoch(epoch)?;
-        deadline.check()?;
-        if let Some(tree) = self.serving_tree(pref) {
-            return Ok(QueryOutcome {
-                skyline: tree.query(self.dataset(), pref)?,
-                method: MethodUsed::IpoTree,
-            });
-        }
-        let (scan, method) = self.open_scan(pref, &mut scratch.asfs)?;
-        let (skyline, _) = scratch.asfs.drain(scan, deadline)?;
-        Ok(QueryOutcome { skyline, method })
-    }
-
-    /// The elimination scan that answers `pref` when the tree does not; the batch path drains
-    /// it, the stream path keeps it. Adaptive SFS re-ranks AFFECT into its template skyline
-    /// on `scratch`'s buffers. SFS-D score-sorts the live rows with the query ranking over the
-    /// engine's shared dataset: tombstoned rows never enter the candidate list, so the scan
-    /// skips them without any rebuild.
-    fn open_scan(
-        &self,
-        pref: &Preference,
-        scratch: &mut QueryScratch,
-    ) -> Result<(Scan<CompiledRelation>, MethodUsed)> {
+    /// The elimination scan that answers `pref` when the tree does not. Adaptive SFS re-ranks
+    /// AFFECT into its template skyline. SFS-D score-sorts the live rows with the query
+    /// ranking over the engine's shared dataset: tombstoned rows never enter the candidate
+    /// list, so the scan skips them without any rebuild.
+    fn open_scan(&self, pref: &Preference) -> Result<(Scan<CompiledRelation>, MethodUsed)> {
         if let Some(asfs) = &self.generation.asfs {
-            let scan = asfs.query_scan(pref, ScanMode::default(), scratch)?;
+            let scan = asfs.query_scan(pref, ScanMode::default())?;
             return Ok((scan, MethodUsed::AdaptiveSfs));
         }
         let data = self.dataset_arc();
@@ -894,10 +839,12 @@ impl SkylineEngine {
         Ok((scan, MethodUsed::SfsD))
     }
 
-    /// The stream primitive — progressive evaluation: validates that the engine is still at
-    /// `epoch` (see [`SkylineEngine::query_at_deadline`]), then returns an [`EngineStream`]
-    /// that yields confirmed skyline members one at a time, in ascending query-score order,
-    /// for **every** configuration.
+    /// The engine's one query primitive — progressive evaluation: validates that the engine is
+    /// still at `epoch` — the answer is computed against exactly that dataset version or the
+    /// call fails with [`SkylineError::EpochMismatch`] — then returns an [`EngineStream`] that
+    /// yields confirmed skyline members one at a time, in ascending query-score order, for
+    /// **every** configuration. A batch answer is the drained stream
+    /// ([`EngineStream::collect_outcome`]).
     ///
     /// * [`EngineConfig::AdaptiveSfs`] (and the hybrid's fallback side) drive the
     ///   Adaptive-SFS progressive scan — the first member is typically available after a
@@ -905,16 +852,16 @@ impl SkylineEngine {
     /// * [`EngineConfig::SfsD`] streams its presorted elimination scan: each accepted point
     ///   is final the moment it is accepted (the monotone sort guarantees no retraction).
     /// * Tree-served preferences ([`SkylineEngine::serves_from_tree`]) compute the full answer
-    ///   up front (set operations, orders of magnitude cheaper than a scan) and replay it
-    ///   in score order, so stream consumers see one uniform contract regardless of the
-    ///   serving method.
+    ///   up front (set operations, orders of magnitude cheaper than a scan) and keep it in id
+    ///   order; the first pull sorts it into score order, so stream consumers see one uniform
+    ///   contract regardless of the serving method and a drained stream never sorts.
     ///
-    /// The stream owns what it reads (a scan holds a shared handle to the generation's
-    /// dataset; a tree-served answer is computed up front), so it stays valid — pinned to the
-    /// snapshot it was created from — across later engine mutations, generation swaps, or
-    /// dropping the engine guard that created it. `deadline` is polled
-    /// at block granularity inside [`EngineStream::next_row`]; an expired deadline aborts the
-    /// *pull*, not the stream — pulling again after replacing the deadline resumes.
+    /// The stream owns what it reads (a shared handle to the generation's dataset, plus a
+    /// scan or the tree's answer), so it stays valid — pinned to the snapshot it was created
+    /// from — across later engine mutations, generation swaps, or dropping the engine guard
+    /// that created it. `deadline` is polled at block granularity inside the scans; an
+    /// expired deadline aborts the *pull*, not the stream — pulling again after replacing
+    /// the deadline resumes.
     pub fn query_streaming_at(
         &self,
         pref: &Preference,
@@ -924,15 +871,15 @@ impl SkylineEngine {
         self.ensure_epoch(epoch)?;
         deadline.check()?;
         let (inner, method) = if let Some(tree) = self.serving_tree(pref) {
-            let data = self.dataset();
-            let ids = tree.query(data, pref)?;
-            let ordered = ScoreFn::for_preference(data.schema(), pref)?.sort_by_score(data, &ids);
-            (
-                StreamInner::Materialized(ordered.into_iter()),
-                MethodUsed::IpoTree,
-            )
+            let data = self.dataset_arc();
+            let tree_rows = TreeRows {
+                rows: tree.query(data, pref)?,
+                pulled: 0,
+                unsorted: Some((data.clone(), ScoreFn::for_preference(data.schema(), pref)?)),
+            };
+            (StreamInner::Tree(tree_rows), MethodUsed::IpoTree)
         } else {
-            let (scan, method) = self.open_scan(pref, &mut QueryScratch::default())?;
+            let (scan, method) = self.open_scan(pref)?;
             (StreamInner::Scan(Box::new(scan)), method)
         };
         Ok(EngineStream {
@@ -950,8 +897,39 @@ enum StreamInner {
     /// The Adaptive-SFS or SFS-D elimination scan (owns its compiled kernel and candidate
     /// order), driven lazily.
     Scan(Box<Scan<CompiledRelation>>),
-    /// A fully materialized answer (IPO-tree-served), replayed in score order.
-    Materialized(std::vec::IntoIter<PointId>),
+    /// An IPO-tree-served answer, computed up front.
+    Tree(TreeRows),
+}
+
+/// A tree-served answer: in id order until the first pull sorts it into score order, so a
+/// stream that is only drained — the batch path — never sorts.
+#[derive(Debug)]
+struct TreeRows {
+    rows: Vec<PointId>,
+    /// Rows handed out so far.
+    pulled: usize,
+    /// The rows and ranking the first pull sorts by; `None` once sorted.
+    unsorted: Option<(Arc<Dataset>, ScoreFn)>,
+}
+
+impl TreeRows {
+    fn next(&mut self) -> Option<PointId> {
+        if let Some((data, score)) = self.unsorted.take() {
+            self.rows = score.sort_by_score(&data, &self.rows);
+        }
+        let p = self.rows.get(self.pulled).copied();
+        self.pulled += usize::from(p.is_some());
+        p
+    }
+
+    /// The rows not yet handed out, in id order.
+    fn into_rest(mut self) -> Vec<PointId> {
+        if self.unsorted.is_none() {
+            self.rows.drain(..self.pulled);
+            self.rows.sort_unstable();
+        }
+        self.rows
+    }
 }
 
 /// A progressive skyline result: confirmed members, one per [`EngineStream::next_row`] call,
@@ -980,7 +958,7 @@ impl EngineStream {
         self.deadline.check()?;
         match &mut self.inner {
             StreamInner::Scan(scan) => scan.next_row(&self.deadline),
-            StreamInner::Materialized(iter) => Ok(iter.next()),
+            StreamInner::Tree(tree) => Ok(tree.next()),
         }
     }
 
@@ -1000,14 +978,20 @@ impl EngineStream {
         self.method
     }
 
-    /// Drains the rest of the stream into a sorted-id batch answer (the streaming core of
-    /// [`SkylineEngine::query`]-compatible results).
-    pub fn collect_outcome(mut self) -> Result<QueryOutcome> {
-        let mut skyline = Vec::new();
-        while let Some(p) = self.next_row()? {
-            skyline.push(p);
-        }
-        skyline.sort_unstable();
+    /// Drains the rest of the stream into a sorted-id batch answer — what
+    /// [`SkylineEngine::query`] returns. A scan polls the deadline once per block, as a pull
+    /// does; an unpulled tree-served answer comes back as computed, without a sort.
+    pub fn collect_outcome(self) -> Result<QueryOutcome> {
+        self.deadline.check()?;
+        let skyline = match self.inner {
+            StreamInner::Scan(mut scan) => {
+                let mut rows = Vec::new();
+                scan.drain_into(&mut rows, &self.deadline)?;
+                rows.sort_unstable();
+                rows
+            }
+            StreamInner::Tree(tree) => tree.into_rest(),
+        };
         Ok(QueryOutcome {
             skyline,
             method: self.method,
@@ -1159,29 +1143,6 @@ mod tests {
     }
 
     #[test]
-    fn query_at_rejects_stale_epochs() {
-        let data = table3_data();
-        let schema = data.schema().clone();
-        let template = Template::empty(&schema);
-        let mut engine = SkylineEngine::build(data, template, EngineConfig::AdaptiveSfs).unwrap();
-        let pref = Preference::parse(&schema, [("hotel-group", "M < *")]).unwrap();
-        let mut scratch = EngineScratch::default();
-        let none = Deadline::none();
-        let epoch = engine.epoch();
-        assert!(engine
-            .query_at_deadline(&pref, epoch, &none, &mut scratch)
-            .is_ok());
-        engine.insert_row(&[1.0, 1.0], &[0, 0]).unwrap();
-        assert!(matches!(
-            engine.query_at_deadline(&pref, epoch, &none, &mut scratch),
-            Err(SkylineError::EpochMismatch { .. })
-        ));
-        assert!(engine
-            .query_at_deadline(&pref, engine.epoch(), &none, &mut scratch)
-            .is_ok());
-    }
-
-    #[test]
     fn shared_engine_mutations_are_visible_to_every_clone() {
         let data = table3_data();
         let schema = data.schema().clone();
@@ -1277,21 +1238,88 @@ mod tests {
         }
     }
 
+    /// The batch answer is the drained stream, so its reference is the BNL oracle, under
+    /// every configuration.
     #[test]
     fn collect_outcome_reproduces_the_batch_answer() {
         let data = table3_data();
         let schema = data.schema().clone();
         let template = Template::empty(&schema);
-        let engine =
-            SkylineEngine::build(data, template, EngineConfig::Hybrid { top_k: 2 }).unwrap();
-        let pref = Preference::parse(&schema, [("airline", "W < *")]).unwrap();
-        let batch = engine.query(&pref).unwrap();
-        let outcome = engine
-            .query_streaming_at(&pref, engine.epoch(), Deadline::none())
-            .unwrap()
-            .collect_outcome()
-            .unwrap();
-        assert_eq!(outcome, batch);
+        let specs: Vec<Vec<(&str, &str)>> = vec![
+            vec![("airline", "W < *")],
+            vec![("hotel-group", "M < H < *"), ("airline", "G < R < *")],
+            vec![],
+        ];
+        for config in [
+            EngineConfig::SfsD,
+            EngineConfig::AdaptiveSfs,
+            EngineConfig::Hybrid { top_k: usize::MAX },
+            EngineConfig::Hybrid { top_k: 2 },
+        ] {
+            let engine = SkylineEngine::build(data.clone(), template.clone(), config).unwrap();
+            for spec in &specs {
+                let pref = Preference::parse(&schema, spec.clone()).unwrap();
+                let ctx = DominanceContext::for_query(&data, &template, &pref).unwrap();
+                let outcome = engine
+                    .query_streaming_at(&pref, engine.epoch(), Deadline::none())
+                    .unwrap()
+                    .collect_outcome()
+                    .unwrap();
+                assert_eq!(
+                    outcome.skyline,
+                    bnl::skyline(&ctx),
+                    "config {config:?}, spec {spec:?}"
+                );
+            }
+        }
+    }
+
+    /// A tree-served stream keeps the tree's answer in id order until it is pulled: drained
+    /// unpulled it is exactly `IpoTree::query`; pulled, it comes in ascending score order,
+    /// and draining then returns exactly the rows not yet handed out.
+    #[test]
+    fn a_tree_served_stream_sorts_on_its_first_pull_and_drains_the_rest() {
+        let data = table3_data();
+        let schema = data.schema().clone();
+        let template = Template::empty(&schema);
+        let engine = SkylineEngine::build(
+            data.clone(),
+            template,
+            EngineConfig::Hybrid { top_k: usize::MAX },
+        )
+        .unwrap();
+        let pref = Preference::parse(&schema, [("hotel-group", "M < *")]).unwrap();
+        let open = || {
+            engine
+                .query_streaming_at(&pref, engine.epoch(), Deadline::none())
+                .unwrap()
+        };
+        let expected = engine.ipo_tree().unwrap().query(&data, &pref).unwrap();
+        assert!(expected.len() >= 3);
+        let unpulled = open();
+        assert_eq!(unpulled.method(), MethodUsed::IpoTree);
+        assert_eq!(unpulled.collect_outcome().unwrap().skyline, expected);
+
+        let score = ScoreFn::for_preference(&schema, &pref).unwrap();
+        for k in 1..=expected.len() {
+            let mut stream = open();
+            let pulled: Vec<PointId> = (0..k)
+                .map(|_| stream.next_row().unwrap().unwrap())
+                .collect();
+            assert_eq!(
+                pulled,
+                score.sort_by_score(&data, &expected)[..k],
+                "k = {k}"
+            );
+            let rest = stream.collect_outcome().unwrap().skyline;
+            let mut all = [pulled, rest.clone()].concat();
+            all.sort_unstable();
+            assert_eq!(all, expected, "k = {k}");
+            assert!(
+                rest.windows(2).all(|w| w[0] < w[1]),
+                "k = {k}: rest in id order"
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! return exactly the same skyline.
 
 use proptest::prelude::*;
-use skyline::adaptive::{QueryScratch, ScanMode};
+use skyline::adaptive::ScanMode;
 use skyline::ipo::build::direct_disqualified;
 use skyline::prelude::*;
 use skyline_core::algo::bnl;
@@ -145,7 +145,7 @@ proptest! {
         prop_assert_eq!(&full, &expected);
         // Progressive iterator yields the same members.
         let mut streamed: Vec<PointId> = asfs
-            .query_scan(&query, ScanMode::default(), &mut QueryScratch::new())
+            .query_scan(&query, ScanMode::default())
             .unwrap()
             .collect();
         streamed.sort_unstable();

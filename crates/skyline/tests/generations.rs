@@ -404,7 +404,7 @@ fn replayed_mutations_are_counted_once_in_maintenance_stats() {
 ///
 /// The writer inserts dominated rows (never skyline members) and deletes them again, with
 /// rebuilds interleaved, so the skyline's *values* are invariant throughout while row ids
-/// renumber under the readers. Every read validates its own epoch via `query_at_deadline`
+/// renumber under the readers. Every read validates its own epoch via `query_streaming_at`
 /// under one read guard and checks the returned rows' values against the invariant.
 #[test]
 fn queries_during_swaps_are_never_torn_or_stale() {
@@ -436,13 +436,13 @@ fn queries_during_swaps_are_never_torn_or_stale() {
         let pref_ref = &pref;
         for _ in 0..3 {
             scope.spawn(move || {
-                let mut scratch = EngineScratch::default();
                 while !done_ref.load(Ordering::Relaxed) {
                     let engine = shared_ref.read();
                     let epoch = engine.epoch();
                     // Never EpochMismatch: epoch and query run under one guard.
                     let outcome = engine
-                        .query_at_deadline(pref_ref, epoch, &Deadline::none(), &mut scratch)
+                        .query_streaming_at(pref_ref, epoch, Deadline::none())
+                        .and_then(EngineStream::collect_outcome)
                         .unwrap();
                     let mut values: Vec<(i64, ValueId)> = outcome
                         .skyline

@@ -70,9 +70,8 @@ proptest! {
 
         let mut seen = std::collections::HashSet::new();
         let mut last_score = f64::NEG_INFINITY;
-        let mut scratch = skyline::adaptive::QueryScratch::new();
         let mode = skyline::adaptive::ScanMode::default();
-        for p in asfs.query_scan(&pref, mode, &mut scratch).unwrap() {
+        for p in asfs.query_scan(&pref, mode).unwrap() {
             prop_assert!(full.contains(&p), "streamed point {p} is not in the final skyline");
             prop_assert!(seen.insert(p), "point {p} streamed twice");
             let s = score.score(&data, p);

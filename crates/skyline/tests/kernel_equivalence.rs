@@ -11,7 +11,7 @@
 //!    dimensions, ragged window lengths straddling the 64/128 lane-block boundaries, and
 //!    both all-ranked and mixed ranked/unranked nominal orders.
 //! 3. Engines of every [`EngineConfig`] answer queries exactly like BNL under the reference
-//!    context, also when one reused scratch serves the query twice.
+//!    context, drained as a batch and pulled row by row.
 
 use proptest::prelude::*;
 use skyline::prelude::*;
@@ -160,18 +160,16 @@ proptest! {
                 &expected,
                 "config {:?}", config
             );
-            // Scratch reuse must not change answers: ask twice through one scratch.
-            let mut scratch = EngineScratch::new();
-            for pass in ["first", "second"] {
-                prop_assert_eq!(
-                    &engine
-                        .query_at_deadline(&query, engine.epoch(), &Deadline::none(), &mut scratch)
-                        .unwrap()
-                        .skyline,
-                    &expected,
-                    "scratch {} pass, config {:?}", pass, config
-                );
+            // Pulled row by row, the stream hands out the same set.
+            let mut stream = engine
+                .query_streaming_at(&query, engine.epoch(), Deadline::none())
+                .unwrap();
+            let mut pulled = Vec::new();
+            while let Some(p) = stream.next_row().unwrap() {
+                pulled.push(p);
             }
+            pulled.sort_unstable();
+            prop_assert_eq!(&pulled, &expected, "pulled, config {:?}", config);
         }
     }
 }

@@ -148,15 +148,13 @@ proptest! {
                     .collect();
                 prop_assert_eq!(asfs.template_skyline(), bnl::skyline_of(&ctx, &live));
             }
-            // query_at_deadline: the current epoch is accepted, a stale one is rejected.
-            let mut scratch = EngineScratch::default();
-            let none = Deadline::none();
+            // query_streaming_at: the current epoch is accepted, a stale one is rejected.
             prop_assert!(engine
-                .query_at_deadline(&pref, engine.epoch(), &none, &mut scratch)
+                .query_streaming_at(&pref, engine.epoch(), Deadline::none())
                 .is_ok());
             engine.insert_row(&[0.0, 0.0], &[0]).unwrap();
             prop_assert!(matches!(
-                engine.query_at_deadline(&pref, epoch, &none, &mut scratch),
+                engine.query_streaming_at(&pref, epoch, Deadline::none()),
                 Err(SkylineError::EpochMismatch { .. })
             ));
         }

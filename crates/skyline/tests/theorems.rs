@@ -8,7 +8,7 @@
 //!   rows carrying a value listed *beyond the template's prefix* move or gain a dominator.
 
 use proptest::prelude::*;
-use skyline::adaptive::{QueryScratch, ScanMode};
+use skyline::adaptive::ScanMode;
 use skyline::prelude::*;
 use skyline_core::algo::bnl;
 use skyline_core::score::ScoreFn;
@@ -114,7 +114,7 @@ fn assert_adaptive_paths_agree(asfs: &AdaptiveSfs, query: &Preference) -> skylin
     prop_assert_eq!(stats.affected, full_stats.affected);
     prop_assert!(stats.dominance_tests <= full_stats.dominance_tests);
     let mut streamed: Vec<PointId> = asfs
-        .query_scan(query, ScanMode::default(), &mut QueryScratch::new())
+        .query_scan(query, ScanMode::default())
         .unwrap()
         .collect();
     streamed.sort_unstable();
