@@ -173,6 +173,20 @@ fn run_fig4(options: &Options) -> (String, Vec<CellResult>) {
         .iter()
         .map(|cell| (preprocess(cell, "SFS-A"), preprocess(cell, "IPO Tree-10")))
         .collect();
+    // The truncated tree's build by phase: the waterfall README's phase table quotes.
+    println!("  IPO Tree-10 build [ms]: SKY(∅) / SKY(R) / mining / node sets, of the total");
+    for cell in &cells {
+        let b = &cell.ipo_10_build;
+        println!(
+            "    {:>5}K  {:.1} / {:.1} / {:.1} / {:.1}, of {:.1}",
+            cell.label,
+            b.base_skyline_seconds * 1e3,
+            b.template_skyline_seconds * 1e3,
+            b.mining_seconds * 1e3,
+            b.node_sets_seconds * 1e3,
+            b.build_seconds * 1e3,
+        );
+    }
     let below = pairs.iter().all(|&(sfs_a, ipo_10)| sfs_a < ipo_10);
     let seconds: Vec<String> = pairs
         .iter()

@@ -5,7 +5,7 @@ use skyline::prelude::*;
 use skyline_adaptive::AdaptiveSfs;
 use skyline_core::stats;
 use skyline_ipo::storage;
-use skyline_ipo::IpoTreeBuilder;
+use skyline_ipo::{BuildStats, IpoTreeBuilder};
 use std::time::Instant;
 
 /// Measurements for one evaluated method in one cell.
@@ -47,6 +47,8 @@ pub struct CellResult {
     pub dataset_size: usize,
     /// Template skyline size.
     pub template_skyline_size: usize,
+    /// The IPO Tree-10 build's statistics, with its seconds per phase.
+    pub ipo_10_build: BuildStats,
 }
 
 impl CellResult {
@@ -134,9 +136,9 @@ fn run_cell_on(
 
     // --- IPO Tree-10 (truncated to the most frequent values). ------------------------------
     let started = Instant::now();
-    let ipo_10 = IpoTreeBuilder::new()
+    let (ipo_10, ipo_10_stats) = IpoTreeBuilder::new()
         .top_k_values(TOP_K)
-        .build(&data, &template)
+        .build_with_stats(&data, &template)
         .expect("truncated tree builds");
     let ipo_10_build = started.elapsed().as_secs_f64();
     let ipo_10_storage = storage::ipo_tree_storage(&ipo_10).total_bytes();
@@ -216,6 +218,7 @@ fn run_cell_on(
         ratios,
         dataset_size: data.len(),
         template_skyline_size: template_skyline.len(),
+        ipo_10_build: ipo_10_stats,
     }
 }
 

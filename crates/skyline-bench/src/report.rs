@@ -142,6 +142,7 @@ mod tests {
             },
             dataset_size: 1000,
             template_skyline_size: 125,
+            ipo_10_build: skyline_ipo::BuildStats::default(),
         }
     }
 

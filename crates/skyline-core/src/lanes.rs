@@ -2,7 +2,8 @@
 //!
 //! The compiled kernel's pairwise test ([`crate::kernel::CompiledRelation::dominates`]) is
 //! contiguous loads and integer compares, but answers for **one row at a time**. Every
-//! window the kernel scans — SFS, BNL, the cross-source merges — is instead laid out in
+//! window the kernel scans — SFS, BNL, the cross-source merges, the MDC miner's witness
+//! walk ([`PackedLanes::numeric_not_worse`]) — is instead laid out in
 //! 64-row **blocks with one lane per row**, so a single pass over a block answers the
 //! dominance question for all 64 rows at once as plain `u64` mask algebra:
 //!
@@ -95,6 +96,16 @@ impl PackedLanes {
         self.zone_min.clear();
         self.zone_vals.clear();
         self.len = 0;
+    }
+
+    /// Reserves room for `rows` more lanes' numeric values, validity masks and numeric zone
+    /// minima, so a caller that knows its row count allocates them once.
+    pub fn reserve(&mut self, rows: usize) {
+        let blocks = (self.len + rows).div_ceil(LANE_COUNT) - self.valid.len();
+        self.nums
+            .reserve_exact(blocks * self.numeric_dims * LANE_COUNT);
+        self.valid.reserve_exact(blocks);
+        self.zone_min.reserve_exact(blocks * self.numeric_dims);
     }
 
     /// Lanes allocated so far (including evicted ones).
@@ -215,6 +226,32 @@ impl PackedLanes {
             }
         }
         None
+    }
+
+    /// Blocks allocated so far.
+    pub fn blocks(&self) -> usize {
+        self.valid.len()
+    }
+
+    /// Block `b`'s zone minimum on numeric dimension `j` (`−∞` once a NaN was pushed).
+    pub fn block_min(&self, b: usize, j: usize) -> f64 {
+        self.zone_min[b * self.numeric_dims + j]
+    }
+
+    /// The valid lanes of block `b` not worse than `pn` on every numeric dimension — the
+    /// `not_worse` half of [`PackedLanes::first_dominator`]'s numeric passes, so a NaN on
+    /// either side neither blocks nor helps — or 0 once a zone minimum rules the block out.
+    /// The nominal lanes are not read.
+    pub fn numeric_not_worse(&self, b: usize, pn: &[f64]) -> u64 {
+        let mut nw = self.valid[b];
+        let mins = &self.zone_min[b * self.numeric_dims..][..self.numeric_dims];
+        for (j, &pv) in pn.iter().enumerate() {
+            if nw == 0 || mins[j] > pv {
+                return 0;
+            }
+            nw &= numeric_masks(self.numeric_lane(b, j), pv).0;
+        }
+        nw
     }
 
     /// Evicts every valid lane whose row is dominated *by* the probe: the reverse direction

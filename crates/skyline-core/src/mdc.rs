@@ -5,8 +5,13 @@
 //! dominate `p`. A **minimal** disqualifying condition (MDC) is one with no proper subset that
 //! already disqualifies `p`. The concept comes from the authors' earlier "Mining favorable
 //! facets" work (\[20\]) and is used here the way Section 3.1 describes: during IPO-tree
-//! construction, a node's disqualified set `A` is found by checking, for every template skyline
-//! point, whether one of its MDCs is contained in the node's first-order choices.
+//! construction, a node's disqualified set `A` is the set of template skyline points one of
+//! whose MDCs is implied by the node's first-order choices (the builder reads it off an index
+//! of the conditions keyed by their `(dim, better)` pairs).
+//!
+//! The miner finds a point's dominators by their numeric witnesses: one walk over the
+//! dominators' numeric columns, packed 64 rows to a block, answers `!(q > p)` for a whole block
+//! at once (see [`compute_mdcs_with_dominators`]).
 //!
 //! The base relation is whatever the miner's [`CompiledRelation`] compiles. The IPO-tree
 //! builder mines against the **empty** relation of `SKY(∅)`, not the template: a node
@@ -18,6 +23,7 @@
 use crate::bitset::BitSet;
 use crate::dataset::Dataset;
 use crate::kernel::{CompiledOrder, CompiledRelation};
+use crate::lanes::{PackedLanes, LANE_COUNT};
 use crate::order::Preference;
 use crate::value::{PointId, ValueId};
 use std::ops::Deref;
@@ -196,12 +202,14 @@ impl MdcIndex {
 /// numeric dimension (`!(q > p)`, so a NaN neither blocks nor helps) and never *worse* than
 /// `p` on a nominal dimension under those orders.
 ///
-/// The condition depends only on `q`'s nominal tuple, so the miner probes once per dominator
-/// **tuple**: it groups the dominators by tuple, decides the tuple's pairs (or conflict) first,
-/// and only then scans the group for a numeric witness. A group keeps its numeric rows
-/// contiguous, sorted on numeric dimension 0 with NaN counted as `−∞` (the zone rule of the
-/// packed lanes), so the scan stops at the first row with `q₀ > p₀`. Each point then gets
-/// at most one candidate per dominator tuple, and only the minimal ones are kept.
+/// The condition depends only on `q`'s nominal tuple, so the miner first finds the tuples
+/// that hold a **numeric witness** for `p` — a dominator not worse than `p` on every numeric
+/// dimension — and then forms one candidate per distinct witness tuple. The witnesses come
+/// from one walk over the dominators' numeric columns, packed 64 rows to a block and sorted on
+/// numeric dimension 0 with NaN first (the zone rule of the packed lanes): each block answers
+/// `!(q > p)` for all 64 lanes at once, a block whose zone minimum exceeds `p` on some
+/// dimension is skipped, and the walk stops at the first block past `p₀`. With no numeric
+/// dimension every dominator is a witness. Only the minimal candidates are kept.
 ///
 /// `ctx`'s orders fix what a node's set means. The IPO-tree builder mines against the *empty*
 /// relation of `SKY(∅)`, with `SKY(∅)` as the dominators: a node disqualifies `p` when some
@@ -220,35 +228,63 @@ pub fn compute_mdcs_with_dominators<R: Deref<Target = Dataset>>(
         Some(v) if !v.is_nan() => *v,
         _ => f64::NEG_INFINITY,
     };
-    let mut sorted = dominators.to_vec();
-    sorted.sort_unstable_by(|&a, &b| {
-        data.nominal_row(a)
-            .cmp(data.nominal_row(b))
-            .then(zone(a).total_cmp(&zone(b)))
-    });
-    // Flat group buffers: one tuple per group in `tuples`; group `g`'s numeric rows are
-    // `nums[ends[g - 1]..ends[g]]`.
-    let (mut tuples, mut nums, mut ends) = (Vec::new(), Vec::new(), Vec::new());
-    for group in sorted.chunk_by(|&a, &b| data.nominal_row(a) == data.nominal_row(b)) {
-        tuples.extend_from_slice(data.nominal_row(group[0]));
-        nums.extend(group.iter().flat_map(|&q| data.numeric_row(q)));
-        ends.push(nums.len());
+    // The distinct dominator tuples, in tuple order: the order candidates are formed in.
+    let mut rows = dominators.to_vec();
+    rows.sort_unstable_by(|&a, &b| data.nominal_row(a).cmp(data.nominal_row(b)));
+    let mut tuples: Vec<&[ValueId]> = Vec::new();
+    for &q in &rows {
+        let tuple = data.nominal_row(q);
+        if tuples.last() != Some(&tuple) {
+            tuples.push(tuple);
+        }
     }
+    // The dominators' numeric columns packed in zone order, each lane with its tuple's index.
+    rows.sort_unstable_by(|&a, &b| zone(a).total_cmp(&zone(b)));
+    let lane_tuple: Vec<u32> = rows
+        .iter()
+        .map(|&q| tuples.partition_point(|&t| t < data.nominal_row(q)) as u32)
+        .collect();
+    let mut lanes = PackedLanes::default();
+    lanes.reset(nd, 0);
+    lanes.reserve(rows.len());
+    for &q in &rows {
+        lanes.push(data.numeric_row(q), &[]);
+    }
+    // Only the lanes are read from here on; the row list goes before the conditions grow.
+    drop(rows);
 
+    // `seen[t]` is the index of the last point that found a witness in tuple `t`.
+    let mut seen = vec![usize::MAX; tuples.len()];
+    let mut witnesses: Vec<u32> = Vec::new();
     let mut pairs: Vec<MdcPair> = Vec::with_capacity(md);
     let mdcs = skyline
         .iter()
-        .map(|&p| {
+        .enumerate()
+        .map(|(i, &p)| {
             let (pn, pm) = (data.numeric_row(p), data.nominal_row(p));
-            let mut candidates: Vec<Mdc> = Vec::new();
-            let mut start = 0;
-            // `max(1)`: with no nominal dimension `tuples` is empty and there is no group.
-            for (tuple, &end) in tuples.chunks(md.max(1)).zip(&ends) {
-                let rows = &nums[start..end];
-                start = end;
-                if tuple_pairs(ctx.orders(), tuple, pm, &mut pairs)
-                    && has_numeric_witness(rows, nd, pn)
-                {
+            witnesses.clear();
+            if nd == 0 {
+                witnesses.extend(0..tuples.len() as u32);
+            } else {
+                for b in 0..lanes.blocks() {
+                    if lanes.block_min(b, 0) > pn[0] {
+                        break;
+                    }
+                    let mut mask = lanes.numeric_not_worse(b, pn);
+                    while mask != 0 {
+                        let t = lane_tuple[b * LANE_COUNT + mask.trailing_zeros() as usize];
+                        mask &= mask - 1;
+                        if seen[t as usize] != i {
+                            seen[t as usize] = i;
+                            witnesses.push(t);
+                        }
+                    }
+                }
+                witnesses.sort_unstable();
+            }
+            let mut candidates = Vec::new();
+            for &t in &witnesses {
+                if tuple_pairs(ctx.orders(), tuples[t as usize], pm, &mut pairs) {
                     candidates.push(Mdc::new(pairs.clone()));
                 }
             }
@@ -287,19 +323,6 @@ fn tuple_pairs(
         });
     }
     !pairs.is_empty()
-}
-
-/// True when some row of `rows` (`nd` values each, sorted on dimension 0 with NaN first) is
-/// not worse than `p` on every numeric dimension; the scan stops at the first `q₀ > p₀`. With
-/// no numeric dimension every row of a (never empty) group is a witness.
-// `!(q > p)` is deliberate, not `q <= p`: NaN must neither block nor establish a witness.
-#[allow(clippy::neg_cmp_op_on_partial_ord)]
-fn has_numeric_witness(rows: &[f64], nd: usize, p: &[f64]) -> bool {
-    nd == 0
-        || rows
-            .chunks_exact(nd)
-            .take_while(|q| !(q[0] > p[0]))
-            .any(|q| q.iter().zip(p).all(|(qv, pv)| !(qv > pv)))
 }
 
 /// Removes duplicate conditions and prunes conditions that strictly contain a kept single-pair
@@ -509,49 +532,110 @@ mod tests {
         let mut rng = Rng(0x5eed);
         for case in 0..600 {
             let data = adversarial_data(&mut rng, case % 3);
-            let orders = random_orders(&mut rng, &data, case % 2 == 0);
-            let ctx = DominanceContext::new(&data, orders.clone()).unwrap();
-            let rel = CompiledRelation::new(&data, &orders).unwrap();
-            let all: Vec<PointId> = data.point_ids().collect();
-            let some: Vec<PointId> = all.iter().copied().filter(|_| rng.below(3) > 0).collect();
-            for dominators in [&all, &some] {
-                let got = compute_mdcs_with_dominators(&rel, &all, dominators);
-                let want = pairwise_oracle(&ctx, &all, dominators);
-                let sets = |index: &MdcIndex, i: usize| {
-                    let mut set: Vec<Vec<MdcPair>> = index
-                        .mdcs_of_index(i)
-                        .iter()
-                        .map(|m| m.pairs().to_vec())
-                        .collect();
-                    set.sort();
-                    set
-                };
-                for i in 0..all.len() {
-                    assert_eq!(sets(&got, i), sets(&want, i), "case {case}, point {i}");
-                }
-                assert_eq!(got.condition_count(), want.condition_count(), "case {case}");
-                for path in first_order_paths(&data) {
-                    assert_eq!(
-                        got.disqualified_by_first_order(&path),
-                        want.disqualified_by_first_order(&path),
-                        "case {case}, path {path:?}"
-                    );
-                }
-                for _ in 0..4 {
-                    let dims = (0..data.schema().nominal_count())
-                        .map(|j| {
-                            let mut values = shuffled(&mut rng, &data, j);
-                            values.truncate(rng.below(values.len() + 1));
-                            ImplicitPreference::new(values).unwrap()
-                        })
-                        .collect();
-                    let pref = Preference::from_dims(dims);
-                    assert_eq!(
-                        got.disqualified_by_preference(&pref),
-                        want.disqualified_by_preference(&pref),
-                        "case {case}, preference {pref:?}"
-                    );
-                }
+            assert_matches_the_pairwise_oracle(&mut rng, case, &data, case % 2 == 0);
+        }
+    }
+
+    /// A dataset of 65–300 rows, so the packed witness walk crosses at least one 64-row
+    /// block: numeric dimension 0 drawn from {NaN, 0, 1, 2}, so runs of ties and of NaN
+    /// straddle the block boundaries once the rows are sorted, NaN cells elsewhere too, and
+    /// about one row in four a whole-row duplicate of an earlier one. `shape` picks the
+    /// dimensions: 0 no numeric dimension, 1 one to three numeric and one or two nominal,
+    /// 2 one to three numeric and three nominal.
+    fn block_crossing_data(rng: &mut Rng, shape: usize) -> Dataset {
+        let nd = if shape == 0 { 0 } else { 1 + rng.below(3) };
+        let (md, card) = if shape == 2 {
+            (3, 2 + rng.below(2))
+        } else {
+            (1 + rng.below(2), 2 + rng.below(3))
+        };
+        let mut dims: Vec<Dimension> = (0..nd)
+            .map(|i| Dimension::numeric(format!("x{i}")))
+            .collect();
+        dims.extend(
+            (0..md).map(|j| Dimension::nominal(format!("g{j}"), NominalDomain::anonymous(card))),
+        );
+        let mut data = Dataset::empty(Schema::new(dims).unwrap());
+        for i in 0..65 + rng.below(236) {
+            if i > 0 && rng.below(4) == 0 {
+                let src = rng.below(i) as PointId;
+                let nums: Vec<f64> = (0..nd).map(|j| data.numeric(src, j)).collect();
+                let noms: Vec<ValueId> = (0..md).map(|j| data.nominal(src, j)).collect();
+                data.push_row_ids(&nums, &noms).unwrap();
+                continue;
+            }
+            let nums: Vec<f64> = (0..nd)
+                .map(|j| match (j, rng.below(if j == 0 { 4 } else { 8 })) {
+                    (_, 0) => f64::NAN,
+                    (0, v) => (v - 1) as f64,
+                    (_, v) => (v % 5) as f64,
+                })
+                .collect();
+            let noms: Vec<ValueId> = (0..md).map(|_| rng.below(card) as ValueId).collect();
+            data.push_row_ids(&nums, &noms).unwrap();
+        }
+        data
+    }
+
+    /// The packed witness walk ≡ the pairwise oracle on inputs that fill more than one
+    /// 64-row block, with the same assertions as the small adversarial cases.
+    #[test]
+    fn packed_miner_matches_the_pairwise_oracle_across_lane_blocks() {
+        let mut rng = Rng(0xb10c);
+        for case in 0..30 {
+            let data = block_crossing_data(&mut rng, case % 3);
+            assert!(data.len() > 64);
+            assert_matches_the_pairwise_oracle(&mut rng, case, &data, case / 3 % 2 == 0);
+        }
+    }
+
+    /// Mines `data` (every row a skyline point) under the empty relation or random orders,
+    /// with all rows and with a random subset as dominators, and checks the result against
+    /// the pairwise oracle: the same conditions per point (as sets), the same count, and the
+    /// same disqualified sets for every first-order path and for random implicit preferences.
+    fn assert_matches_the_pairwise_oracle(rng: &mut Rng, case: usize, data: &Dataset, empty: bool) {
+        let orders = random_orders(rng, data, empty);
+        let ctx = DominanceContext::new(data, orders.clone()).unwrap();
+        let rel = CompiledRelation::new(data, &orders).unwrap();
+        let all: Vec<PointId> = data.point_ids().collect();
+        let some: Vec<PointId> = all.iter().copied().filter(|_| rng.below(3) > 0).collect();
+        for dominators in [&all, &some] {
+            let got = compute_mdcs_with_dominators(&rel, &all, dominators);
+            let want = pairwise_oracle(&ctx, &all, dominators);
+            let sets = |index: &MdcIndex, i: usize| {
+                let mut set: Vec<Vec<MdcPair>> = index
+                    .mdcs_of_index(i)
+                    .iter()
+                    .map(|m| m.pairs().to_vec())
+                    .collect();
+                set.sort();
+                set
+            };
+            for i in 0..all.len() {
+                assert_eq!(sets(&got, i), sets(&want, i), "case {case}, point {i}");
+            }
+            assert_eq!(got.condition_count(), want.condition_count(), "case {case}");
+            for path in first_order_paths(data) {
+                assert_eq!(
+                    got.disqualified_by_first_order(&path),
+                    want.disqualified_by_first_order(&path),
+                    "case {case}, path {path:?}"
+                );
+            }
+            for _ in 0..4 {
+                let dims = (0..data.schema().nominal_count())
+                    .map(|j| {
+                        let mut values = shuffled(rng, data, j);
+                        values.truncate(rng.below(values.len() + 1));
+                        ImplicitPreference::new(values).unwrap()
+                    })
+                    .collect();
+                let pref = Preference::from_dims(dims);
+                assert_eq!(
+                    got.disqualified_by_preference(&pref),
+                    want.disqualified_by_preference(&pref),
+                    "case {case}, preference {pref:?}"
+                );
             }
         }
     }

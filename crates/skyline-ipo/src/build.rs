@@ -1,37 +1,43 @@
 //! IPO-tree construction (Section 3.1).
 //!
 //! The builder runs four phases over the dataset's live rows, reading them in place through a
-//! borrowed [`CompiledRelation`]. The costs are for the paper-default corpus at n = 100 000
-//! (3 numeric + 2 nominal dimensions of cardinality 20, anti-correlated; `|SKY(∅)|` = 24 542,
-//! `|SKY(R)|` = 3 369) on a 2-core Xeon @ 2.1 GHz (AVX2):
+//! borrowed [`CompiledRelation`], and records each phase's seconds in [`BuildStats`]. The costs
+//! are for the top-10 tree over the paper-default corpus at n = 100 000 (3 numeric + 2 nominal
+//! dimensions of cardinality 20, anti-correlated; `|SKY(∅)|` = 24 542, `|SKY(R)|` = 3 369,
+//! 20 528 conditions) on a 2-core Xeon @ 2.1 GHz (AVX2):
 //!
-//! 1. **`SKY(∅)` per nominal tuple** (33–37 ms). Under the empty relation two rows are
+//! 1. **`SKY(∅)` per nominal tuple** (40–49 ms). Under the empty relation two rows are
 //!    comparable only when their nominal tuples are equal, so the base skyline is the union of
 //!    one SFS scan per tuple, each over the tuple's rows in default-ranking order.
-//! 2. **Template skyline `SKY(R)`** (80–115 ms): packed BNL over `SKY(∅)` under the template's
-//!    compiled relation. This is what the root stores.
-//! 3. **Minimal disqualifying conditions** (209–231 ms):
+//! 2. **Template skyline `SKY(R)`** (12–17 ms): one [`Scan::presorted`] drain over `SKY(∅)` in
+//!    the template's score order — the loop `AdaptiveSfs::build` drains over all rows — sorted
+//!    by id afterwards. This is what the root stores. (A NaN cell makes dominance
+//!    non-transitive; the scan then keeps what SFS keeps, as phase 1 does.)
+//! 3. **Minimal disqualifying conditions** (34–42 ms):
 //!    [`skyline_core::mdc::compute_mdcs_with_dominators`] mines every `SKY(R)` point against
-//!    `SKY(∅)` under the empty relation, with one probe per dominator tuple.
-//! 4. **Node sets** (10–32 ms). One node per combination of at most one first-order choice per
+//!    `SKY(∅)` under the empty relation: one packed walk over the dominators' numeric columns
+//!    finds the point's numeric witnesses, and each distinct witness tuple gives one candidate.
+//! 4. **Node sets** (2–3 ms). One node per combination of at most one first-order choice per
 //!    materialized dimension — all values (full **IPO Tree**) or the `K` most frequent
 //!    (**IPO Tree-K**, the paper's *IPO Tree-10*). A node's disqualified set `A` is read off
-//!    the mined conditions (the paper's approach). [`direct_disqualified`] recomputes one
-//!    node's set straight from the definition; the equivalence suites check every labelled
-//!    node against it.
+//!    the mined conditions (the paper's approach), through an index keyed by each condition's
+//!    `(dim, better)` pairs, so a node looks up only the conditions its path can imply.
+//!    [`direct_disqualified`] recomputes one node's set straight from the definition; the
+//!    equivalence suites check every labelled node against it.
 //!
-//! The whole build takes 0.34–0.38 s. Construction is single-threaded, which is what the
+//! The whole build takes 87–111 ms (0.40–0.47 s with a packed BNL for `SKY(R)` and a scalar
+//! witness scan per dominator tuple). Construction is single-threaded, which is what the
 //! paper's preprocessing-time figures measure.
 
 use crate::tree::{IpoNode, IpoTree, Materialization};
-use skyline_core::algo::bnl;
 use skyline_core::algo::sfs::Scan;
-use skyline_core::mdc::compute_mdcs_with_dominators;
+use skyline_core::mdc::{compute_mdcs_with_dominators, MdcIndex};
 use skyline_core::score::ScoreFn;
 use skyline_core::{
     CompiledRelation, Dataset, DominanceContext, ImplicitPreference, PartialOrder, PointId,
     Preference, Result, SkylineError, Template, ValueId,
 };
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Statistics recorded while building a tree (reported by the benchmark harness).
@@ -47,6 +53,14 @@ pub struct BuildStats {
     pub mdc_conditions: usize,
     /// Wall-clock seconds spent in construction.
     pub build_seconds: f64,
+    /// Seconds of phase 1, `SKY(∅)` per nominal tuple.
+    pub base_skyline_seconds: f64,
+    /// Seconds of phase 2, the template skyline `SKY(R)`.
+    pub template_skyline_seconds: f64,
+    /// Seconds of phase 3, mining the minimal disqualifying conditions.
+    pub mining_seconds: f64,
+    /// Seconds of phase 4, the node sets.
+    pub node_sets_seconds: f64,
 }
 
 /// Configurable IPO-tree builder.
@@ -95,11 +109,11 @@ impl IpoTreeBuilder {
     ) -> Result<(IpoTree, BuildStats)> {
         let started = Instant::now();
         let schema = data.schema();
-        if template.implicit().is_none() {
+        let Some(template_pref) = template.implicit() else {
             return Err(SkylineError::InvalidArgument(
                 "IPO-tree construction requires a template with an implicit form".into(),
             ));
-        }
+        };
         let cards = schema.nominal_cardinalities();
         let template_cards: Vec<usize> =
             template.orders().iter().map(|o| o.cardinality()).collect();
@@ -110,22 +124,7 @@ impl IpoTreeBuilder {
             )));
         }
 
-        // 1. Base skyline SKY(∅): dominator pool for every node computation.
-        let empty_orders: Vec<PartialOrder> = cards.into_iter().map(PartialOrder::empty).collect();
-        let base = CompiledRelation::new(data, &empty_orders)?;
-        let base_skyline = base_skyline(&base);
-
-        // 2. Template skyline SKY(R) ⊆ SKY(∅): what the root stores.
-        let skyline = if template.is_empty() {
-            base_skyline.clone()
-        } else {
-            bnl::skyline_of(
-                &CompiledRelation::for_template(data, template)?,
-                &base_skyline,
-            )
-        };
-
-        // 3. Values to materialize, per dimension (most frequent first).
+        // Values to materialize, per dimension (most frequent first).
         let materialized: Vec<Vec<ValueId>> = match &self.explicit {
             Some(sets) => {
                 if sets.len() != schema.nominal_count() {
@@ -143,6 +142,13 @@ impl IpoTreeBuilder {
                             "value {v} is outside nominal dimension {j}'s domain of {card}"
                         )));
                     }
+                    if let Some((_, &v)) =
+                        set.iter().enumerate().find(|&(i, v)| set[..i].contains(v))
+                    {
+                        return Err(SkylineError::InvalidArgument(format!(
+                            "value {v} is materialized twice on nominal dimension {j}"
+                        )));
+                    }
                 }
                 sets.clone()
             }
@@ -157,10 +163,36 @@ impl IpoTreeBuilder {
                 .collect(),
         };
 
-        // 4. Mine the minimal disqualifying conditions every node set is evaluated from.
-        let mdc_index = compute_mdcs_with_dominators(&base, &skyline, &base_skyline);
+        // 1. Base skyline SKY(∅): dominator pool for every node computation.
+        let phase = Instant::now();
+        let empty_orders: Vec<PartialOrder> = cards.into_iter().map(PartialOrder::empty).collect();
+        let base = CompiledRelation::new(data, &empty_orders)?;
+        let base_skyline = base_skyline(&base);
+        let base_skyline_seconds = phase.elapsed().as_secs_f64();
 
-        // 5. Enumerate nodes breadth-first and compute disqualified sets.
+        // 2. Template skyline SKY(R) ⊆ SKY(∅): what the root stores, in id order.
+        let phase = Instant::now();
+        let skyline = if template.is_empty() {
+            base_skyline.clone()
+        } else {
+            let score = ScoreFn::for_preference(schema, template_pref)?;
+            let sorted = score.sort_by_score(data, &base_skyline);
+            let mut skyline: Vec<PointId> =
+                Scan::presorted(&CompiledRelation::for_template(data, template)?, &sorted)
+                    .collect();
+            skyline.sort_unstable();
+            skyline
+        };
+        let template_skyline_seconds = phase.elapsed().as_secs_f64();
+
+        // 3. Mine the minimal disqualifying conditions every node set is evaluated from.
+        let phase = Instant::now();
+        let mdc_index = compute_mdcs_with_dominators(&base, &skyline, &base_skyline);
+        let mining_seconds = phase.elapsed().as_secs_f64();
+
+        // 4. Enumerate nodes breadth-first and read the disqualified sets off the conditions.
+        let phase = Instant::now();
+        let conditions = ConditionIndex::new(&mdc_index);
         let mut nodes = vec![IpoNode {
             dim: usize::MAX,
             label: None,
@@ -172,7 +204,7 @@ impl IpoTreeBuilder {
         for (dim, dim_values) in materialized.iter().enumerate().take(schema.nominal_count()) {
             let mut next_frontier = Vec::with_capacity(frontier.len() * (dim_values.len() + 1));
             // Create children (φ first, then the materialized values) for every frontier node;
-            // a labelled child's disqualified set is evaluated from the mined conditions.
+            // a labelled child's disqualified set is read off the condition index.
             for (parent, path) in &frontier {
                 let mut labels: Vec<Option<ValueId>> = Vec::with_capacity(dim_values.len() + 1);
                 labels.push(None);
@@ -182,10 +214,11 @@ impl IpoTreeBuilder {
                     let mut child_path = path.clone();
                     child_path.push(label);
                     let disqualified = match label {
-                        Some(_) => {
-                            let bits = mdc_index.disqualified_by_first_order(&child_path);
-                            bits.iter().map(|i| mdc_index.skyline()[i]).collect()
-                        }
+                        Some(_) => conditions
+                            .disqualified(&child_path)
+                            .into_iter()
+                            .map(|i| skyline[i as usize])
+                            .collect(),
                         None => Vec::new(),
                     };
                     nodes.push(IpoNode {
@@ -201,6 +234,7 @@ impl IpoTreeBuilder {
             }
             frontier = next_frontier;
         }
+        let node_sets_seconds = phase.elapsed().as_secs_f64();
 
         let stats = BuildStats {
             base_skyline_size: base_skyline.len(),
@@ -208,6 +242,10 @@ impl IpoTreeBuilder {
             node_count: nodes.len(),
             mdc_conditions: mdc_index.condition_count(),
             build_seconds: started.elapsed().as_secs_f64(),
+            base_skyline_seconds,
+            template_skyline_seconds,
+            mining_seconds,
+            node_sets_seconds,
         };
         let tree = IpoTree {
             template: template.clone(),
@@ -244,6 +282,63 @@ fn base_skyline(base: &CompiledRelation<&Dataset>) -> Vec<PointId> {
         .collect();
     skyline.sort_unstable();
     skyline
+}
+
+/// The mined conditions keyed by their first-order signature — the `(dim, better)` pairs a
+/// path must choose to imply the condition — each with the skyline indexes (ascending) of the
+/// points it disqualifies.
+struct ConditionIndex(HashMap<Vec<(u16, ValueId)>, Vec<u32>>);
+
+impl ConditionIndex {
+    fn new(mdcs: &MdcIndex) -> Self {
+        let mut by_signature: HashMap<Vec<(u16, ValueId)>, Vec<u32>> = HashMap::new();
+        let mut signature = Vec::new();
+        for i in 0..mdcs.len() as u32 {
+            for mdc in mdcs.mdcs_of_index(i as usize) {
+                signature.clear();
+                signature.extend(mdc.pairs().iter().map(|p| (p.dim, p.better)));
+                signature.dedup();
+                match by_signature.get_mut(signature.as_slice()) {
+                    Some(points) if points.last() == Some(&i) => {}
+                    Some(points) => points.push(i),
+                    None => {
+                        by_signature.insert(signature.clone(), vec![i]);
+                    }
+                }
+            }
+        }
+        Self(by_signature)
+    }
+
+    /// Skyline indexes (ascending) of the points the first-order choices of `path` disqualify
+    /// (`path[j] = Some(v)` ⇔ `v ≺ ∗` on dimension `j`): a condition is implied exactly when
+    /// its signature is a nonempty subset of the path's choices, so the set is the union of
+    /// the index entries of those subsets.
+    fn disqualified(&self, path: &[Option<ValueId>]) -> Vec<u32> {
+        let chosen: Vec<(u16, ValueId)> = path
+            .iter()
+            .enumerate()
+            .filter_map(|(j, c)| c.map(|v| (j as u16, v)))
+            .collect();
+        let mut out = Vec::new();
+        let mut signature = Vec::with_capacity(chosen.len());
+        for subset in 1..1usize << chosen.len() {
+            signature.clear();
+            signature.extend(
+                chosen
+                    .iter()
+                    .enumerate()
+                    .filter(|&(k, _)| subset >> k & 1 != 0)
+                    .map(|(_, &c)| c),
+            );
+            if let Some(points) = self.0.get(&signature) {
+                out.extend_from_slice(points);
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
 }
 
 /// Direct recomputation of a node's disqualified set: a template-skyline point is disqualified
@@ -294,7 +389,7 @@ pub fn first_order_preference(nominal_count: usize, path: &[Option<ValueId>]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skyline_core::algo::sfs;
+    use skyline_core::algo::{bnl, sfs};
     use skyline_core::{DatasetBuilder, Dimension, RowValue, Schema};
 
     /// Table 3 of the paper: two nominal attributes (Hotel-group and Airline).
@@ -513,6 +608,13 @@ mod tests {
                 .build(&data, &template),
             Err(SkylineError::InvalidArgument(_))
         ));
+        // A repeated value: the snapshot decoder refuses such a tree, so it is never built.
+        assert!(matches!(
+            IpoTreeBuilder::new()
+                .materialize_values(vec![vec![1, 2, 1], vec![0]])
+                .build(&data, &template),
+            Err(SkylineError::InvalidArgument(_))
+        ));
         // A valid explicit set is honored verbatim.
         let tree = IpoTreeBuilder::new()
             .top_k_values(1)
@@ -642,70 +744,141 @@ mod tests {
     /// [`direct_disqualified`].
     #[test]
     fn grouped_phases_match_the_reference_on_adversarial_inputs() {
-        let mut state = 0x5eed_u64;
-        let mut below = move |n: usize| {
+        let mut below = lcg(0x5eed);
+        for case in 0..900 {
+            let nan = case % 2 == 0;
+            let data = adversarial_data(&mut below, case, nan);
+            assert_phases_match_the_reference(&mut below, case, nan, &data);
+        }
+    }
+
+    /// A linear congruential stream: `below(n)` draws from `0..n`.
+    fn lcg(mut state: u64) -> impl FnMut(usize) -> usize {
+        move |n: usize| {
             state = state
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
             ((state >> 33) % n as u64) as usize
+        }
+    }
+
+    /// 65–300 rows, so every phase crosses a 64-row lane block: numeric dimension 0 drawn
+    /// from {0, 1, 2} (plus NaN when `nan`), so runs of ties and of NaN straddle the block
+    /// boundaries once the rows are sorted, and about one row in four a whole-row duplicate.
+    /// `case % 3` picks the dimensions: no numeric dimension, one to three numeric and one or
+    /// two nominal, or one to three numeric and three nominal.
+    fn block_crossing_data(
+        below: &mut impl FnMut(usize) -> usize,
+        case: usize,
+        nan: bool,
+    ) -> Dataset {
+        let nd = if case.is_multiple_of(3) {
+            0
+        } else {
+            1 + below(3)
         };
-        for case in 0..900 {
-            let nan = case % 2 == 0;
-            let data = adversarial_data(&mut below, case, nan);
-            let schema = data.schema();
-            let empty = Template::empty(schema);
-            let ctx = DominanceContext::for_template(&data, &empty).unwrap();
-            let all: Vec<PointId> = data.point_ids().collect();
-            let (mut global, _) =
-                sfs::skyline_sorted_with_stats(&ctx, &ScoreFn::default_ranking(schema), &all);
-            global.sort_unstable();
-            let orders: Vec<PartialOrder> = schema
-                .nominal_cardinalities()
-                .into_iter()
-                .map(PartialOrder::empty)
-                .collect();
-            let base = CompiledRelation::new(&data, &orders).unwrap();
-            let grouped = base_skyline(&base);
-            assert_eq!(grouped, global, "case {case}");
-            if nan {
+        let (md, card) = if case % 3 == 2 {
+            (3, 2 + below(2))
+        } else {
+            (1 + below(2), 2 + below(3))
+        };
+        let schema = skyline_datagen::synthetic::synthetic_schema(nd, md, card);
+        let mut data = Dataset::empty(schema);
+        for i in 0..65 + below(236) {
+            if i > 0 && below(4) == 0 {
+                let src = below(i) as PointId;
+                let nums: Vec<f64> = (0..nd).map(|j| data.numeric(src, j)).collect();
+                let noms: Vec<ValueId> = (0..md).map(|j| data.nominal(src, j)).collect();
+                data.push_row_ids(&nums, &noms).unwrap();
                 continue;
             }
-            assert_eq!(grouped, bnl::skyline(&ctx), "case {case}");
+            let nums: Vec<f64> = (0..nd)
+                .map(|j| match below(if j == 0 { 4 } else { 8 }) {
+                    0 if nan => f64::NAN,
+                    v if j == 0 => (v % 3) as f64,
+                    v => (v % 5) as f64,
+                })
+                .collect();
+            let noms: Vec<ValueId> = (0..md).map(|_| below(card) as ValueId).collect();
+            data.push_row_ids(&nums, &noms).unwrap();
+        }
+        data
+    }
 
-            let cards = schema.nominal_cardinalities();
-            let pref = Preference::from_dims(
-                cards
-                    .iter()
-                    .map(|&c| match below(c + 1) {
-                        0 => ImplicitPreference::none(),
-                        v => ImplicitPreference::first_order(v as ValueId - 1),
-                    })
-                    .collect(),
-            );
-            let template = Template::from_preference(schema, pref).unwrap();
-            let tree = IpoTreeBuilder::new().build(&data, &template).unwrap();
-            let template_ctx = DominanceContext::for_template(&data, &template).unwrap();
-            assert_eq!(
-                tree.skyline(),
-                bnl::skyline_of(&template_ctx, &global),
-                "case {case}"
-            );
-            let paths: usize = cards.iter().map(|c| c + 1).product();
-            for code in 0..paths {
-                let mut rest = code;
-                let path: Vec<Option<ValueId>> = cards
-                    .iter()
-                    .map(|&c| {
-                        let digit = rest % (c + 1);
-                        rest /= c + 1;
-                        digit.checked_sub(1).map(|v| v as ValueId)
-                    })
-                    .collect();
-                let node = tree.node(tree.node_for_choices(&path).unwrap());
-                if node.label().is_some() {
-                    let direct = direct_disqualified(&data, tree.skyline(), &global, &path);
-                    assert_eq!(node.disqualified(), direct, "case {case}, path {path:?}");
-                }
+    /// The same references on inputs that fill more than one lane block.
+    #[test]
+    fn phases_match_the_reference_across_lane_blocks() {
+        let mut below = lcg(0xb10c);
+        for case in 0..24 {
+            let nan = case / 3 % 2 == 0;
+            let data = block_crossing_data(&mut below, case, nan);
+            assert!(data.len() > 64);
+            assert_phases_match_the_reference(&mut below, case, nan, &data);
+        }
+    }
+
+    /// Checks the phases on `data` against their references (as listed above
+    /// `grouped_phases_match_the_reference_on_adversarial_inputs`); the whole tree only when
+    /// `data` holds no NaN.
+    fn assert_phases_match_the_reference(
+        below: &mut impl FnMut(usize) -> usize,
+        case: usize,
+        nan: bool,
+        data: &Dataset,
+    ) {
+        let schema = data.schema();
+        let empty = Template::empty(schema);
+        let ctx = DominanceContext::for_template(data, &empty).unwrap();
+        let all: Vec<PointId> = data.point_ids().collect();
+        let (mut global, _) =
+            sfs::skyline_sorted_with_stats(&ctx, &ScoreFn::default_ranking(schema), &all);
+        global.sort_unstable();
+        let orders: Vec<PartialOrder> = schema
+            .nominal_cardinalities()
+            .into_iter()
+            .map(PartialOrder::empty)
+            .collect();
+        let base = CompiledRelation::new(data, &orders).unwrap();
+        let grouped = base_skyline(&base);
+        assert_eq!(grouped, global, "case {case}");
+        if nan {
+            return;
+        }
+        assert_eq!(grouped, bnl::skyline(&ctx), "case {case}");
+
+        let cards = schema.nominal_cardinalities();
+        let pref = Preference::from_dims(
+            cards
+                .iter()
+                .map(|&c| match below(c + 1) {
+                    0 => ImplicitPreference::none(),
+                    v => ImplicitPreference::first_order(v as ValueId - 1),
+                })
+                .collect(),
+        );
+        let template = Template::from_preference(schema, pref).unwrap();
+        let tree = IpoTreeBuilder::new().build(data, &template).unwrap();
+        let template_ctx = DominanceContext::for_template(data, &template).unwrap();
+        assert_eq!(
+            tree.skyline(),
+            bnl::skyline_of(&template_ctx, &global),
+            "case {case}"
+        );
+        let paths: usize = cards.iter().map(|c| c + 1).product();
+        for code in 0..paths {
+            let mut rest = code;
+            let path: Vec<Option<ValueId>> = cards
+                .iter()
+                .map(|&c| {
+                    let digit = rest % (c + 1);
+                    rest /= c + 1;
+                    digit.checked_sub(1).map(|v| v as ValueId)
+                })
+                .collect();
+            let node = tree.node(tree.node_for_choices(&path).unwrap());
+            if node.label().is_some() {
+                let direct = direct_disqualified(data, tree.skyline(), &global, &path);
+                assert_eq!(node.disqualified(), direct, "case {case}, path {path:?}");
             }
         }
     }
