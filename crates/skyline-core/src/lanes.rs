@@ -3,9 +3,9 @@
 //! The compiled kernel's pairwise test ([`crate::kernel::CompiledRelation::dominates`]) is
 //! contiguous loads and integer compares, but answers for **one row at a time**. Every
 //! window the kernel scans — SFS, BNL, the cross-source merges, the MDC miner's witness
-//! walk ([`PackedLanes::numeric_not_worse`]) — is instead laid out in
-//! 64-row **blocks with one lane per row**, so a single pass over a block answers the
-//! dominance question for all 64 rows at once as plain `u64` mask algebra:
+//! walk ([`PackedLanes::for_each_numeric_not_worse`]) — is instead laid out in 64-row
+//! **blocks with one lane per row**, so a single pass over a block answers the dominance
+//! question for all 64 rows at once as plain `u64` mask algebra:
 //!
 //! * values are stored **block-major, dimension-major**: lane `l` of dimension `j` in block
 //!   `b` lives at `(b * dims + j) * 64 + l`. A per-dimension mask kernel streams 64
@@ -228,30 +228,34 @@ impl PackedLanes {
         None
     }
 
-    /// Blocks allocated so far.
-    pub fn blocks(&self) -> usize {
-        self.valid.len()
-    }
-
-    /// Block `b`'s zone minimum on numeric dimension `j` (`−∞` once a NaN was pushed).
-    pub fn block_min(&self, b: usize, j: usize) -> f64 {
-        self.zone_min[b * self.numeric_dims + j]
-    }
-
-    /// The valid lanes of block `b` not worse than `pn` on every numeric dimension — the
-    /// `not_worse` half of [`PackedLanes::first_dominator`]'s numeric passes, so a NaN on
-    /// either side neither blocks nor helps — or 0 once a zone minimum rules the block out.
-    /// The nominal lanes are not read.
-    pub fn numeric_not_worse(&self, b: usize, pn: &[f64]) -> u64 {
-        let mut nw = self.valid[b];
-        let mins = &self.zone_min[b * self.numeric_dims..][..self.numeric_dims];
-        for (j, &pv) in pn.iter().enumerate() {
-            if nw == 0 || mins[j] > pv {
-                return 0;
+    /// Calls `f` with every valid lane (in push order) not worse than `pn` on every numeric
+    /// dimension — the `not_worse` half of [`PackedLanes::first_dominator`]'s numeric passes,
+    /// so a NaN on either side neither blocks nor helps. The nominal lanes are not read.
+    ///
+    /// The lanes must have been pushed in ascending order of numeric dimension 0, NaN first:
+    /// the walk stops at the first block whose zone minimum there exceeds `pn[0]`, and skips a
+    /// block whose zone minimum exceeds the probe on another dimension.
+    pub fn for_each_numeric_not_worse(&self, pn: &[f64], mut f: impl FnMut(usize)) {
+        'blocks: for (b, &valid) in self.valid.iter().enumerate() {
+            let mut nw = valid;
+            let mins = &self.zone_min[b * self.numeric_dims..][..self.numeric_dims];
+            for (j, &pv) in pn.iter().enumerate() {
+                if mins[j] > pv {
+                    if j == 0 {
+                        return;
+                    }
+                    continue 'blocks;
+                }
+                if nw == 0 {
+                    continue 'blocks;
+                }
+                nw &= numeric_masks(self.numeric_lane(b, j), pv).0;
             }
-            nw &= numeric_masks(self.numeric_lane(b, j), pv).0;
+            while nw != 0 {
+                f(b * LANE_COUNT + nw.trailing_zeros() as usize);
+                nw &= nw - 1;
+            }
         }
-        nw
     }
 
     /// Evicts every valid lane whose row is dominated *by* the probe: the reverse direction

@@ -6,8 +6,9 @@
 //! already disqualifies `p`. The concept comes from the authors' earlier "Mining favorable
 //! facets" work (\[20\]) and is used here the way Section 3.1 describes: during IPO-tree
 //! construction, a node's disqualified set `A` is the set of template skyline points one of
-//! whose MDCs is implied by the node's first-order choices (the builder reads it off an index
-//! of the conditions keyed by their `(dim, better)` pairs).
+//! whose MDCs is implied by the node's first-order choices
+//! ([`MdcIndex::disqualified_by_first_order`] reads it off the conditions keyed by their
+//! `(dim, better)` pairs).
 //!
 //! The miner finds a point's dominators by their numeric witnesses: one walk over the
 //! dominators' numeric columns, packed 64 rows to a block, answers `!(q > p)` for a whole block
@@ -23,9 +24,10 @@
 use crate::bitset::BitSet;
 use crate::dataset::Dataset;
 use crate::kernel::{CompiledOrder, CompiledRelation};
-use crate::lanes::{PackedLanes, LANE_COUNT};
+use crate::lanes::PackedLanes;
 use crate::order::Preference;
 use crate::value::{PointId, ValueId};
+use std::collections::HashMap;
 use std::ops::Deref;
 
 /// One required binary order `(better ≺ worse)` on a nominal dimension.
@@ -90,7 +92,9 @@ impl Mdc {
 
     /// True when every pair of the condition is implied by a *first-order* choice per
     /// dimension: `choices[dim] = Some(v)` represents the preference `v ≺ ∗` on that
-    /// dimension, which implies `(v, w)` for every `w ≠ v`.
+    /// dimension, which implies `(v, w)` for every `w ≠ v`. (The definition
+    /// [`MdcIndex::disqualified_by_first_order`] answers through its signature index.)
+    #[cfg(test)]
     pub fn implied_by_first_order(&self, choices: &[Option<ValueId>]) -> bool {
         self.pairs
             .iter()
@@ -119,14 +123,45 @@ impl Mdc {
     }
 }
 
+/// The `(dim, better)` pairs a path of first-order choices must make to imply a condition.
+type Signature = Vec<(u16, ValueId)>;
+
 /// The MDCs of every point of a template skyline.
 #[derive(Debug, Clone, Default)]
 pub struct MdcIndex {
     skyline: Vec<PointId>,
     mdcs: Vec<Vec<Mdc>>,
+    /// The conditions keyed by their first-order [`Signature`], each with the skyline indexes
+    /// (ascending) of the points one of whose conditions has it.
+    by_signature: HashMap<Signature, Vec<u32>>,
 }
 
 impl MdcIndex {
+    fn new(skyline: Vec<PointId>, mdcs: Vec<Vec<Mdc>>) -> Self {
+        let mut by_signature: HashMap<Signature, Vec<u32>> = HashMap::new();
+        let mut signature = Vec::new();
+        for (i, point_mdcs) in mdcs.iter().enumerate() {
+            let i = i as u32;
+            for mdc in point_mdcs {
+                signature.clear();
+                signature.extend(mdc.pairs().iter().map(|p| (p.dim, p.better)));
+                signature.dedup();
+                match by_signature.get_mut(signature.as_slice()) {
+                    Some(points) if points.last() == Some(&i) => {}
+                    Some(points) => points.push(i),
+                    None => {
+                        by_signature.insert(signature.clone(), vec![i]);
+                    }
+                }
+            }
+        }
+        Self {
+            skyline,
+            mdcs,
+            by_signature,
+        }
+    }
+
     /// The template skyline the index was built for (same order as [`MdcIndex::mdcs_of_index`]).
     pub fn skyline(&self) -> &[PointId] {
         &self.skyline
@@ -157,11 +192,43 @@ impl MdcIndex {
 
     /// Indexes (into the skyline ordering) of the points disqualified by a combination of
     /// first-order choices (`choices[dim] = Some(v)` ⇔ the node applies `v ≺ ∗` on `dim`).
+    ///
+    /// A condition is implied exactly when its signature is a subset of the choices, so the
+    /// set is the union of the index entries of those subsets: looked up one subset at a time,
+    /// or, when the choices have more subsets than the index has signatures, by testing every
+    /// signature. Either way a call makes at most one probe per signature instead of a pass
+    /// over every point's conditions.
     pub fn disqualified_by_first_order(&self, choices: &[Option<ValueId>]) -> BitSet {
+        let chosen: Signature = choices
+            .iter()
+            .enumerate()
+            .filter_map(|(j, c)| c.map(|v| (j as u16, v)))
+            .collect();
         let mut out = BitSet::new(self.skyline.len());
-        for (i, mdcs) in self.mdcs.iter().enumerate() {
-            if mdcs.iter().any(|m| m.implied_by_first_order(choices)) {
-                out.insert(i);
+        let mut union = |points: &[u32]| points.iter().for_each(|&i| out.insert(i as usize));
+        if chosen.len() < usize::BITS as usize && 1 << chosen.len() <= self.by_signature.len() {
+            let mut signature = Vec::with_capacity(chosen.len());
+            for subset in 0..1usize << chosen.len() {
+                signature.clear();
+                signature.extend(
+                    chosen
+                        .iter()
+                        .enumerate()
+                        .filter(|&(k, _)| subset >> k & 1 != 0)
+                        .map(|(_, &c)| c),
+                );
+                if let Some(points) = self.by_signature.get(&signature) {
+                    union(points);
+                }
+            }
+        } else {
+            for (signature, points) in &self.by_signature {
+                let implied = signature
+                    .iter()
+                    .all(|&(dim, v)| choices.get(dim as usize).copied().flatten() == Some(v));
+                if implied {
+                    union(points);
+                }
             }
         }
         out
@@ -189,6 +256,14 @@ impl MdcIndex {
                 .mdcs
                 .iter()
                 .flat_map(|v| v.iter().map(Mdc::approximate_bytes))
+                .sum::<usize>()
+            + self
+                .by_signature
+                .iter()
+                .map(|(s, points)| {
+                    s.len() * std::mem::size_of::<(u16, ValueId)>()
+                        + points.len() * std::mem::size_of::<u32>()
+                })
                 .sum::<usize>()
     }
 }
@@ -266,20 +341,13 @@ pub fn compute_mdcs_with_dominators<R: Deref<Target = Dataset>>(
             if nd == 0 {
                 witnesses.extend(0..tuples.len() as u32);
             } else {
-                for b in 0..lanes.blocks() {
-                    if lanes.block_min(b, 0) > pn[0] {
-                        break;
+                lanes.for_each_numeric_not_worse(pn, |l| {
+                    let t = lane_tuple[l];
+                    if seen[t as usize] != i {
+                        seen[t as usize] = i;
+                        witnesses.push(t);
                     }
-                    let mut mask = lanes.numeric_not_worse(b, pn);
-                    while mask != 0 {
-                        let t = lane_tuple[b * LANE_COUNT + mask.trailing_zeros() as usize];
-                        mask &= mask - 1;
-                        if seen[t as usize] != i {
-                            seen[t as usize] = i;
-                            witnesses.push(t);
-                        }
-                    }
-                }
+                });
                 witnesses.sort_unstable();
             }
             let mut candidates = Vec::new();
@@ -291,10 +359,7 @@ pub fn compute_mdcs_with_dominators<R: Deref<Target = Dataset>>(
             minimalize(candidates)
         })
         .collect();
-    MdcIndex {
-        skyline: skyline.to_vec(),
-        mdcs,
-    }
+    MdcIndex::new(skyline.to_vec(), mdcs)
 }
 
 /// Fills `pairs` with the condition a dominator tuple `q` induces on a point with tuple `p`:
@@ -413,10 +478,7 @@ mod tests {
             }
             mdcs.push(minimalize(candidates));
         }
-        MdcIndex {
-            skyline: skyline.to_vec(),
-            mdcs,
-        }
+        MdcIndex::new(skyline.to_vec(), mdcs)
     }
 
     /// SplitMix64: a dependency-free deterministic stream for the adversarial generator.
@@ -619,6 +681,21 @@ mod tests {
                 assert_eq!(
                     got.disqualified_by_first_order(&path),
                     want.disqualified_by_first_order(&path),
+                    "case {case}, path {path:?}"
+                );
+                // The signature index against the definition, condition by condition.
+                let implied: Vec<usize> = (0..all.len())
+                    .filter(|&i| {
+                        want.mdcs_of_index(i)
+                            .iter()
+                            .any(|m| m.implied_by_first_order(&path))
+                    })
+                    .collect();
+                assert_eq!(
+                    got.disqualified_by_first_order(&path)
+                        .iter()
+                        .collect::<Vec<_>>(),
+                    implied,
                     "case {case}, path {path:?}"
                 );
             }

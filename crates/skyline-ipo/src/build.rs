@@ -11,17 +11,21 @@
 //!    one SFS scan per tuple, each over the tuple's rows in default-ranking order.
 //! 2. **Template skyline `SKY(R)`** (12–17 ms): one [`Scan::presorted`] drain over `SKY(∅)` in
 //!    the template's score order — the loop `AdaptiveSfs::build` drains over all rows — sorted
-//!    by id afterwards. This is what the root stores. (A NaN cell makes dominance
-//!    non-transitive; the scan then keeps what SFS keeps, as phase 1 does.)
-//! 3. **Minimal disqualifying conditions** (34–42 ms):
+//!    by id afterwards. This is what the root stores. On NaN-free data it is bit-identical to
+//!    the packed BNL this phase used to run. A NaN cell makes dominance non-transitive; the
+//!    scan then keeps what SFS keeps, as phase 1 does, where BNL could keep another set.
+//! 3. **Minimal disqualifying conditions** (34–42 ms, and about 2 ms more for the index):
 //!    [`skyline_core::mdc::compute_mdcs_with_dominators`] mines every `SKY(R)` point against
 //!    `SKY(∅)` under the empty relation: one packed walk over the dominators' numeric columns
 //!    finds the point's numeric witnesses, and each distinct witness tuple gives one candidate.
-//! 4. **Node sets** (2–3 ms). One node per combination of at most one first-order choice per
+//!    The returned [`MdcIndex`](skyline_core::mdc::MdcIndex) keys the conditions by their
+//!    `(dim, better)` pairs.
+//! 4. **Node sets** (0.4–0.6 ms). One node per combination of at most one first-order choice per
 //!    materialized dimension — all values (full **IPO Tree**) or the `K` most frequent
 //!    (**IPO Tree-K**, the paper's *IPO Tree-10*). A node's disqualified set `A` is read off
-//!    the mined conditions (the paper's approach), through an index keyed by each condition's
-//!    `(dim, better)` pairs, so a node looks up only the conditions its path can imply.
+//!    the mined conditions (the paper's approach) by
+//!    [`MdcIndex::disqualified_by_first_order`](skyline_core::mdc::MdcIndex::disqualified_by_first_order),
+//!    which looks up only the conditions the node's path can imply.
 //!    [`direct_disqualified`] recomputes one node's set straight from the definition; the
 //!    equivalence suites check every labelled node against it.
 //!
@@ -31,13 +35,12 @@
 
 use crate::tree::{IpoNode, IpoTree, Materialization};
 use skyline_core::algo::sfs::Scan;
-use skyline_core::mdc::{compute_mdcs_with_dominators, MdcIndex};
+use skyline_core::mdc::compute_mdcs_with_dominators;
 use skyline_core::score::ScoreFn;
 use skyline_core::{
     CompiledRelation, Dataset, DominanceContext, ImplicitPreference, PartialOrder, PointId,
     Preference, Result, SkylineError, Template, ValueId,
 };
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Statistics recorded while building a tree (reported by the benchmark harness).
@@ -192,7 +195,6 @@ impl IpoTreeBuilder {
 
         // 4. Enumerate nodes breadth-first and read the disqualified sets off the conditions.
         let phase = Instant::now();
-        let conditions = ConditionIndex::new(&mdc_index);
         let mut nodes = vec![IpoNode {
             dim: usize::MAX,
             label: None,
@@ -204,7 +206,7 @@ impl IpoTreeBuilder {
         for (dim, dim_values) in materialized.iter().enumerate().take(schema.nominal_count()) {
             let mut next_frontier = Vec::with_capacity(frontier.len() * (dim_values.len() + 1));
             // Create children (φ first, then the materialized values) for every frontier node;
-            // a labelled child's disqualified set is read off the condition index.
+            // a labelled child's disqualified set is read off the mined conditions.
             for (parent, path) in &frontier {
                 let mut labels: Vec<Option<ValueId>> = Vec::with_capacity(dim_values.len() + 1);
                 labels.push(None);
@@ -214,10 +216,10 @@ impl IpoTreeBuilder {
                     let mut child_path = path.clone();
                     child_path.push(label);
                     let disqualified = match label {
-                        Some(_) => conditions
-                            .disqualified(&child_path)
-                            .into_iter()
-                            .map(|i| skyline[i as usize])
+                        Some(_) => mdc_index
+                            .disqualified_by_first_order(&child_path)
+                            .iter()
+                            .map(|i| skyline[i])
                             .collect(),
                         None => Vec::new(),
                     };
@@ -282,63 +284,6 @@ fn base_skyline(base: &CompiledRelation<&Dataset>) -> Vec<PointId> {
         .collect();
     skyline.sort_unstable();
     skyline
-}
-
-/// The mined conditions keyed by their first-order signature — the `(dim, better)` pairs a
-/// path must choose to imply the condition — each with the skyline indexes (ascending) of the
-/// points it disqualifies.
-struct ConditionIndex(HashMap<Vec<(u16, ValueId)>, Vec<u32>>);
-
-impl ConditionIndex {
-    fn new(mdcs: &MdcIndex) -> Self {
-        let mut by_signature: HashMap<Vec<(u16, ValueId)>, Vec<u32>> = HashMap::new();
-        let mut signature = Vec::new();
-        for i in 0..mdcs.len() as u32 {
-            for mdc in mdcs.mdcs_of_index(i as usize) {
-                signature.clear();
-                signature.extend(mdc.pairs().iter().map(|p| (p.dim, p.better)));
-                signature.dedup();
-                match by_signature.get_mut(signature.as_slice()) {
-                    Some(points) if points.last() == Some(&i) => {}
-                    Some(points) => points.push(i),
-                    None => {
-                        by_signature.insert(signature.clone(), vec![i]);
-                    }
-                }
-            }
-        }
-        Self(by_signature)
-    }
-
-    /// Skyline indexes (ascending) of the points the first-order choices of `path` disqualify
-    /// (`path[j] = Some(v)` ⇔ `v ≺ ∗` on dimension `j`): a condition is implied exactly when
-    /// its signature is a nonempty subset of the path's choices, so the set is the union of
-    /// the index entries of those subsets.
-    fn disqualified(&self, path: &[Option<ValueId>]) -> Vec<u32> {
-        let chosen: Vec<(u16, ValueId)> = path
-            .iter()
-            .enumerate()
-            .filter_map(|(j, c)| c.map(|v| (j as u16, v)))
-            .collect();
-        let mut out = Vec::new();
-        let mut signature = Vec::with_capacity(chosen.len());
-        for subset in 1..1usize << chosen.len() {
-            signature.clear();
-            signature.extend(
-                chosen
-                    .iter()
-                    .enumerate()
-                    .filter(|&(k, _)| subset >> k & 1 != 0)
-                    .map(|(_, &c)| c),
-            );
-            if let Some(points) = self.0.get(&signature) {
-                out.extend_from_slice(points);
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
 /// Direct recomputation of a node's disqualified set: a template-skyline point is disqualified
@@ -841,22 +786,36 @@ mod tests {
         let base = CompiledRelation::new(data, &orders).unwrap();
         let grouped = base_skyline(&base);
         assert_eq!(grouped, global, "case {case}");
+        let cards = schema.nominal_cardinalities();
+        // Choice `v` on a dimension is the template's `v − 1 ≺ ∗` there; 0 leaves it empty.
+        let template_of = |choices: Vec<usize>| {
+            let pref = Preference::from_dims(
+                choices
+                    .into_iter()
+                    .map(|v| match v {
+                        0 => ImplicitPreference::none(),
+                        v => ImplicitPreference::first_order(v as ValueId - 1),
+                    })
+                    .collect(),
+            );
+            Template::from_preference(schema, pref).unwrap()
+        };
         if nan {
+            // A NaN cell makes dominance non-transitive, so `SKY(R)` is whatever SFS keeps of
+            // `SKY(∅)` in template-score order. The template follows the case number, so the
+            // later cases draw what they always drew.
+            let template = template_of(cards.iter().map(|&c| case % (c + 1)).collect());
+            let tree = IpoTreeBuilder::new().build(data, &template).unwrap();
+            let template_ctx = DominanceContext::for_template(data, &template).unwrap();
+            let score = ScoreFn::for_preference(schema, template.implicit().unwrap()).unwrap();
+            let (mut want, _) = sfs::skyline_sorted_with_stats(&template_ctx, &score, &global);
+            want.sort_unstable();
+            assert_eq!(tree.skyline(), want, "case {case}");
             return;
         }
         assert_eq!(grouped, bnl::skyline(&ctx), "case {case}");
 
-        let cards = schema.nominal_cardinalities();
-        let pref = Preference::from_dims(
-            cards
-                .iter()
-                .map(|&c| match below(c + 1) {
-                    0 => ImplicitPreference::none(),
-                    v => ImplicitPreference::first_order(v as ValueId - 1),
-                })
-                .collect(),
-        );
-        let template = Template::from_preference(schema, pref).unwrap();
+        let template = template_of(cards.iter().map(|&c| below(c + 1)).collect());
         let tree = IpoTreeBuilder::new().build(data, &template).unwrap();
         let template_ctx = DominanceContext::for_template(data, &template).unwrap();
         assert_eq!(
