@@ -270,14 +270,19 @@ impl IpoTreeBuilder {
 /// `SKY(∅)` of the live rows, sorted by id, under `base` (the empty relation over the data).
 ///
 /// Under the empty relation two rows are comparable only when their nominal tuples are equal,
-/// so the global SFS scan only ever tests a row against earlier rows of its own tuple. Sorting
-/// once by the default ranking, splitting the order stably by tuple and scanning each group
-/// on its own therefore accepts exactly the rows the global scan accepts.
+/// so the global SFS scan only ever tests a row against earlier rows of its own tuple. One
+/// sort by (tuple, default-ranking score, id) puts every tuple's rows in the global scan's
+/// order (score by `total_cmp`, ties by id), so scanning each tuple's run on its own accepts
+/// exactly the rows the global scan accepts.
 fn base_skyline(base: &CompiledRelation<&Dataset>) -> Vec<PointId> {
     let data = base.dataset();
     let live: Vec<PointId> = data.live_ids().collect();
-    let mut sorted = ScoreFn::default_ranking(data.schema()).sort_by_score(data, &live);
-    sorted.sort_by(|&a, &b| data.nominal_row(a).cmp(data.nominal_row(b)));
+    let mut scored = ScoreFn::default_ranking(data.schema()).score_subset(data, &live);
+    scored.sort_unstable_by(|&(a, sa), &(b, sb)| {
+        let tuple = data.nominal_row(a).cmp(data.nominal_row(b));
+        tuple.then(sa.total_cmp(&sb)).then(a.cmp(&b))
+    });
+    let sorted: Vec<PointId> = scored.into_iter().map(|(p, _)| p).collect();
     let mut skyline: Vec<PointId> = sorted
         .chunk_by(|&a, &b| data.nominal_row(a) == data.nominal_row(b))
         .flat_map(|group| Scan::presorted(base, group))

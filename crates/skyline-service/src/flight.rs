@@ -1,31 +1,25 @@
-//! Per-key single-flight latch for cache misses.
+//! Per-key single-flight latch for the build of the global template skyline `G`.
 //!
-//! Right after a template-skyline change (or a generation swap) empties the epoch-tagged
-//! cache, a popular
-//! preference's next wave of queries all miss at once; without coordination each of them runs
-//! the engine for the same answer. The latch collapses the wave: the first thread to miss a
-//! key becomes the **leader** and computes, the rest become **followers** and block until the
-//! leader finishes, then re-check the cache — in the normal case hitting the entry the leader
-//! just inserted. The service runs two registries: answers fly per `(canonical key,
-//! skyline-epoch vector)`, and the global template skyline every miss is served from flies
-//! per skyline-epoch vector, so misses of *different* preferences at a new vector build it
-//! once.
+//! Right after a template-skyline change (or a generation swap) moves the skyline-epoch
+//! vector, the next wave of misses all need a `G` at the new vector; without coordination
+//! each of them would build it. The latch collapses the wave: the first thread to miss a
+//! vector becomes the **leader** and builds, the rest become **followers** and block until
+//! the leader finishes, then re-check the slot `G` lives in — in the normal case finding the
+//! build the leader just stored. Misses of *different* preferences at a new vector therefore
+//! build `G` once. The key is the skyline-epoch vector, so flights for different skyline
+//! versions never interfere.
 //!
-//! Followers block while holding the engine's *read* lock, which is safe: the leader also
-//! only holds a read lock, so it always makes progress and wakes them. Keys carry the epoch,
-//! so flights for different skyline versions never interfere. A leader that
-//! fails (query error) still releases and wakes its followers, who then compute individually
-//! — single-flight is an optimization of the success path, never a correctness gate.
-//!
-//! Only the batch path joins answer flights. A stream is paced by its caller, so a streaming
-//! leader would hold its latch for as long as its consumer cares to idle; streams therefore
-//! never take one (see `ShardedService::serve_streaming`). Both paths join the global
-//! template skyline's flight: that build ends before a stream is handed out.
+//! Followers block while holding the engines' *read* locks, which is safe: the leader also
+//! only holds read locks, so it always makes progress and wakes them. A leader that fails
+//! (or builds a degraded `G`, which is never stored) still releases and wakes its followers,
+//! who then build individually — single-flight is an optimization of the success path,
+//! never a correctness gate. The build ends before any answer row is handed out, so a
+//! caller-paced stream never holds the latch.
 
 use skyline_core::{Deadline, Result};
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// How often a blocked follower re-polls a cancel token that has no time bound attached
@@ -40,7 +34,8 @@ struct Latch {
 
 /// Every critical section in this module is a single map or flag update — no invariant can
 /// be left torn by a panic inside one — so a poisoned mutex (a fault-injected panic
-/// elsewhere on the thread's stack) is recovered, not propagated to every later serve.
+/// elsewhere on the thread's stack) is recovered, not propagated to every later serve. A
+/// condvar wait keeps the poison flag, and the next lock here clears it.
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| {
         m.clear_poison();
@@ -50,32 +45,24 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The in-flight registry, generic over the flight key `K`.
 #[derive(Debug)]
-pub struct SingleFlight<K> {
+pub(crate) struct SingleFlight<K> {
     inflight: Mutex<HashMap<K, Arc<Latch>>>,
 }
 
-impl<K> Default for SingleFlight<K> {
-    fn default() -> Self {
-        Self {
-            inflight: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
-/// What `join` decided for the calling thread.
+/// What `join_deadline` decided for the calling thread.
 #[derive(Debug)]
-pub enum FlightRole<'a, K: Hash + Eq> {
+pub(crate) enum FlightRole<'a, K: Hash + Eq> {
     /// This thread computes; dropping the guard (success, error or panic) releases the latch
     /// and wakes every follower.
     Leader(FlightGuard<'a, K>),
     /// Another thread was already computing this key; it has since finished.
-    /// Re-check the cache — and on a second miss (the leader failed), compute directly.
+    /// Re-check for its result — and when there is none (the leader failed), compute directly.
     Followed,
 }
 
 /// Leader's release-on-drop guard.
 #[derive(Debug)]
-pub struct FlightGuard<'a, K: Hash + Eq> {
+pub(crate) struct FlightGuard<'a, K: Hash + Eq> {
     flight: &'a SingleFlight<K>,
     key: K,
     latch: Arc<Latch>,
@@ -83,25 +70,21 @@ pub struct FlightGuard<'a, K: Hash + Eq> {
 
 impl<K: Hash + Eq + Clone> SingleFlight<K> {
     /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
+    pub(crate) fn new() -> Self {
+        Self {
+            inflight: Mutex::new(HashMap::new()),
+        }
     }
 
     /// Joins the flight for `key`: returns [`FlightRole::Leader`] when this thread should
     /// compute, or — after having **blocked until the current leader finished** —
-    /// [`FlightRole::Followed`].
-    pub fn join(&self, key: K) -> FlightRole<'_, K> {
-        self.join_deadline(key, &Deadline::none())
-            .expect("an unbounded deadline never expires")
-    }
-
-    /// [`SingleFlight::join`] under a request [`Deadline`]: a follower waits for its leader
-    /// at most until expiry, then gets [`skyline_core::SkylineError::DeadlineExceeded`] —
+    /// [`FlightRole::Followed`]. A follower waits for its leader at most until `deadline`
+    /// expires, then gets [`skyline_core::SkylineError::DeadlineExceeded`] —
     /// **without touching the latch**. The leader is unaffected (it finishes, wakes the
-    /// surviving followers and caches its answer as usual), and a leader's own expiry is
+    /// surviving followers and stores its result as usual), and a leader's own expiry is
     /// handled by its computation erroring out, after which `FlightGuard`'s drop releases
     /// the latch on the ordinary error path.
-    pub fn join_deadline(&self, key: K, deadline: &Deadline) -> Result<FlightRole<'_, K>> {
+    pub(crate) fn join_deadline(&self, key: K, deadline: &Deadline) -> Result<FlightRole<'_, K>> {
         let latch = match self.claim(key) {
             Ok(guard) => return Ok(FlightRole::Leader(guard)),
             Err(latch) => latch,
@@ -146,22 +129,11 @@ impl<K: Hash + Eq + Clone> SingleFlight<K> {
             Ok(latch
                 .cv
                 .wait_timeout(done, wait)
-                .unwrap_or_else(|poisoned| {
-                    latch.done.clear_poison();
-                    poisoned.into_inner()
-                })
+                .unwrap_or_else(PoisonError::into_inner)
                 .0)
         } else {
-            Ok(latch.cv.wait(done).unwrap_or_else(|poisoned| {
-                latch.done.clear_poison();
-                poisoned.into_inner()
-            }))
+            Ok(latch.cv.wait(done).unwrap_or_else(PoisonError::into_inner))
         }
-    }
-
-    /// Number of flights currently in progress (diagnostics).
-    pub fn in_flight(&self) -> usize {
-        lock_recover(&self.inflight).len()
     }
 }
 
@@ -183,6 +155,13 @@ mod tests {
     };
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
+
+    impl<K> SingleFlight<K> {
+        /// Number of flights currently in progress.
+        fn in_flight(&self) -> usize {
+            lock_recover(&self.inflight).len()
+        }
+    }
 
     fn key(v: u16) -> CanonicalPreference {
         let schema = Schema::new(vec![
@@ -206,7 +185,10 @@ mod tests {
             for _ in 0..THREADS {
                 scope.spawn(|| {
                     barrier.wait();
-                    match flight.join((k.clone(), DatasetEpoch::INITIAL)) {
+                    match flight
+                        .join_deadline((k.clone(), DatasetEpoch::INITIAL), &Deadline::none())
+                        .unwrap()
+                    {
                         FlightRole::Leader(_guard) => {
                             // Hold the flight long enough that the others pile up behind it.
                             std::thread::sleep(std::time::Duration::from_millis(50));
@@ -230,7 +212,9 @@ mod tests {
     fn follower_deadline_expires_without_touching_the_latch() {
         let flight = SingleFlight::<(CanonicalPreference, DatasetEpoch)>::new();
         let k = key(1);
-        let leader = flight.join((k.clone(), DatasetEpoch::INITIAL));
+        let leader = flight
+            .join_deadline((k.clone(), DatasetEpoch::INITIAL), &Deadline::none())
+            .unwrap();
         assert!(matches!(leader, FlightRole::Leader(_)));
         // A bounded follower gives up at expiry...
         let err = flight
@@ -254,7 +238,9 @@ mod tests {
         drop(leader);
         assert_eq!(flight.in_flight(), 0);
         assert!(matches!(
-            flight.join((k.clone(), DatasetEpoch::INITIAL)),
+            flight
+                .join_deadline((k.clone(), DatasetEpoch::INITIAL), &Deadline::none())
+                .unwrap(),
             FlightRole::Leader(_)
         ));
     }
@@ -262,8 +248,12 @@ mod tests {
     #[test]
     fn distinct_keys_and_epochs_fly_separately() {
         let flight = SingleFlight::<(CanonicalPreference, DatasetEpoch)>::new();
-        let a = flight.join((key(1), DatasetEpoch::INITIAL));
-        let b = flight.join((key(2), DatasetEpoch::INITIAL));
+        let a = flight
+            .join_deadline((key(1), DatasetEpoch::INITIAL), &Deadline::none())
+            .unwrap();
+        let b = flight
+            .join_deadline((key(2), DatasetEpoch::INITIAL), &Deadline::none())
+            .unwrap();
         assert!(matches!(a, FlightRole::Leader(_)));
         assert!(matches!(b, FlightRole::Leader(_)));
         assert_eq!(flight.in_flight(), 2);
@@ -278,7 +268,9 @@ mod tests {
         .unwrap();
         data.tombstone(0).unwrap();
         let later = data.epoch();
-        let c = flight.join((key(1), later));
+        let c = flight
+            .join_deadline((key(1), later), &Deadline::none())
+            .unwrap();
         assert!(matches!(c, FlightRole::Leader(_)));
     }
 }

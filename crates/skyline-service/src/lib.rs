@@ -38,10 +38,9 @@
 //! let data = builder.build().unwrap();
 //! let template = Template::empty(&schema);
 //! let engine = SkylineEngine::build(data, template, EngineConfig::Hybrid { top_k: 10 }).unwrap();
-//! // One engine = one shard. One worker keeps the miss count exactly 1 for this example.
-//! // With a pool, the per-key single-flight latch collapses concurrent cold misses onto one
-//! // engine run — but a worker that misses just after the leader released can still
-//! // recompute, so the count is "very few", not "one".
+//! // One engine = one shard. One worker serves the batch in order, so the first query
+//! // misses and the other 99 hit its cached answer. With a pool, concurrent identical misses
+//! // each run the engine, so the miss count is "up to the worker count", not "one".
 //! let service = ShardedService::from_engines(
 //!     vec![engine.into()],
 //!     ShardedConfig { workers: 1, ..ShardedConfig::default() },
@@ -77,7 +76,7 @@ pub mod admission;
 pub mod cache;
 mod executor;
 pub mod faults;
-pub mod flight;
+mod flight;
 mod maintenance;
 pub mod sharded;
 pub mod stats;
@@ -85,7 +84,6 @@ pub mod stats;
 pub use admission::{AdmissionPermit, AdmissionQueue};
 pub use cache::ResultCache;
 pub use faults::FaultInjector;
-pub use flight::{FlightGuard, FlightRole, SingleFlight};
 pub use sharded::{
     DegradePolicy, GlobalRowId, RecoveryPolicy, ShardPartition, ShardedConfig, ShardedOutcome,
     ShardedServed, ShardedService, ShardedStream,

@@ -59,12 +59,12 @@
 //!   Mutations route to their owning shard and touch only that engine's lock.
 //! * [`ShardedService`] — the facade: queries with a result cache tagged by the
 //!   skyline-epoch **vector** (a write invalidates exactly the answers whose shard skyline it
-//!   changed: all of them, or none), per-key single-flight, and remap-aware salvage: when only
-//!   generation swaps moved a shard's skyline epoch, the cached global skyline is translated
-//!   through that shard's remap chain instead of dropped. The batch and the streaming path
-//!   share one front end (admission, deadline, guards, key, cache lookup, quarantine policy)
-//!   and one source of rows — `G`, or the engine at one shard; they differ only in draining
-//!   it at once or row by row.
+//!   changed: all of them, or none) and remap-aware salvage: when only generation swaps moved
+//!   a shard's skyline epoch, the cached global skyline is translated through that shard's
+//!   remap chain instead of dropped. The batch and the streaming path share one miss path:
+//!   one front end (admission, deadline, guards, key, cache lookup, quarantine policy), one
+//!   open of the rows — `G`'s scan, or the engine's stream at one shard — and one finish
+//!   that caches a complete answer. A batch answer is the stream drained at once.
 //! * one rebuild path: the build threads of [`ShardedConfig::maintenance`] (a few threads
 //!   shared by every shard under a global in-flight cap),
 //!   [`ShardedService::force_rebuild_shard`] and quarantine recovery all run the same
@@ -86,7 +86,7 @@
 //! [`DegradePolicy::FailClosed`], healed by the [`RecoveryPolicy`] or any rebuild that
 //! installs) instead of unwinding into the caller; [`ShardedService::insert_row`] returns
 //! the new row's [`GlobalRowId`] and [`ShardedService::delete_row`] takes one and returns
-//! whether the row was live; and concurrent identical streams each run their own scan.
+//! whether the row was live; and concurrent identical misses each run their own query.
 //!
 //! # Fault isolation
 //!
@@ -561,15 +561,6 @@ struct GlobalSkyline {
     degraded: Vec<usize>,
 }
 
-impl GlobalSkyline {
-    /// The [`ShardedOutcome::methods`] and degraded shards of an answer from `G`: one
-    /// Adaptive-SFS entry per shard `G` was built from.
-    fn provenance(&self, shards: usize) -> (Vec<MethodUsed>, Vec<usize>) {
-        let methods = vec![MethodUsed::AdaptiveSfs; shards - self.degraded.len()];
-        (methods, self.degraded.clone())
-    }
-}
-
 /// A concurrent skyline service over N independently maintained dataset shards (see the
 /// module docs).
 #[derive(Debug)]
@@ -579,7 +570,6 @@ pub struct ShardedService {
     schema: Schema,
     template: Template,
     cache: ResultCache<EpochVector, ShardedOutcome>,
-    flight: SingleFlight<(CanonicalPreference, EpochVector)>,
     metrics: ServiceMetrics,
     degrade: DegradePolicy,
     admission: AdmissionQueue,
@@ -757,7 +747,6 @@ impl ShardedService {
             schema,
             template,
             cache: ResultCache::new(config.cache_capacity, config.cache_shards),
-            flight: SingleFlight::new(),
             metrics,
             degrade: config.degrade,
             admission: AdmissionQueue::new(config.admission_depth),
@@ -954,47 +943,22 @@ impl ShardedService {
     /// control in front: a request past the admission bound is shed immediately with
     /// [`SkylineError::Overloaded`], and an admitted one fails with
     /// [`SkylineError::DeadlineExceeded`] once its budget is spent — the elimination scans
-    /// poll the deadline at block granularity, a follower waiting on an identical in-flight
-    /// query or on a build of `G` gives up at expiry without touching the latch, and nothing
-    /// partial or cancelled ever reaches the cache. A shard left out of a tolerated `G` build
-    /// on the deadline degrades the answer; the query over the rows in hand then runs to
-    /// completion, as late as the tolerant policy allows.
+    /// poll the deadline at block granularity, a miss waiting on another request's build of
+    /// `G` gives up at expiry without touching the latch, and nothing partial or cancelled
+    /// ever reaches the cache. A shard left out of a tolerated `G` build on the deadline
+    /// degrades the answer; the query over the rows in hand then runs to completion, as late
+    /// as the tolerant policy allows.
+    ///
+    /// A miss is the stream [`ShardedService::serve_streaming_deadline`] would hand out,
+    /// drained at once.
     pub fn serve_deadline(&self, pref: &Preference, deadline: &Deadline) -> Result<ShardedServed> {
-        let result = self.serve_admitted(pref, deadline);
+        let result = self
+            .front_end(pref, deadline)
+            .and_then(|mut front| match front.hit.take() {
+                Some(outcome) => Ok(self.served_hit(outcome, &front)),
+                None => self.open(front, pref, deadline.clone())?.drain(),
+            });
         self.count_deadline_miss(result)
-    }
-
-    /// The batch path behind [`ShardedService::serve_deadline`]: the shared front end, then
-    /// single-flight around the miss.
-    fn serve_admitted(&self, pref: &Preference, deadline: &Deadline) -> Result<ShardedServed> {
-        let front = self.front_end(pref, deadline)?;
-        if let Some(outcome) = &front.hit {
-            return Ok(self.served_hit(outcome.clone(), &front));
-        }
-        if !front.quarantined.is_empty() {
-            // Known-degraded before the scatter. Partial answers are never cached, so
-            // single-flight — whose followers expect to find the leader's cache entry — is
-            // skipped: every caller answers from the healthy shards itself.
-            return self.serve_miss(front, pref, deadline);
-        }
-        match self
-            .flight
-            .join_deadline((front.key.clone(), front.tags.clone()), deadline)
-            .inspect_err(|_| self.metrics.record_error())?
-        {
-            FlightRole::Leader(flight_guard) => {
-                let served = self.serve_miss(front, pref, deadline);
-                drop(flight_guard); // wakes followers (also on the error path)
-                served
-            }
-            FlightRole::Followed => {
-                self.metrics.record_coalesced();
-                match self.cache.get(&front.key, front.tags.clone()) {
-                    Some(outcome) => Ok(self.served_hit(outcome, &front)),
-                    None => self.serve_miss(front, pref, deadline),
-                }
-            }
-        }
     }
 
     /// Counts a request that failed on its deadline — on either path, at any stage.
@@ -1094,12 +1058,11 @@ impl ShardedService {
     /// one shard — is handled as there, and a panic in a later pull of the single shard's
     /// stream quarantines it. A degraded stream's final answer is never cached. A finished
     /// complete stream caches its answer, so the batch and streaming paths warm each other.
-    /// Unlike the batch path, concurrent identical streaming misses do **not** coalesce —
-    /// each request drives its own scan. A stream is pull-paced by its caller: a streaming
-    /// leader would hold the single-flight latch for as long as its consumer idles, an
-    /// identical batch `serve` would park on that latch *holding the shard read locks*, the
-    /// next writer would queue behind that reader and every later reader behind the writer —
-    /// one slow consumer wedging the whole service.
+    /// Concurrent identical misses, streamed or batch, do **not** coalesce: each request
+    /// drives its own scan, and only a build of `G` is shared. A stream is pull-paced by its
+    /// caller, so a latch held for its life would park an identical `serve` *holding the
+    /// shard read locks*, queue the next writer behind that reader and every later reader
+    /// behind the writer — one slow consumer wedging the whole service.
     pub fn serve_streaming(&self, pref: &Preference) -> Result<ShardedStream<'_>> {
         self.serve_streaming_deadline(pref, Deadline::none())
     }
@@ -1114,22 +1077,30 @@ impl ShardedService {
     /// tolerant [`DegradePolicy`] the stream opens without it (flagged in
     /// [`ShardedStream::degraded_shards`], never cached), under
     /// [`DegradePolicy::FailClosed`] the open fails with [`SkylineError::DeadlineExceeded`].
+    /// The scan over a degraded `G` then runs to completion, as a drained one does.
     pub fn serve_streaming_deadline(
         &self,
         pref: &Preference,
         deadline: Deadline,
     ) -> Result<ShardedStream<'_>> {
-        let result = self.open_stream(pref, deadline);
+        let result = self
+            .front_end(pref, &deadline)
+            .and_then(|front| self.open(front, pref, deadline))
+            .inspect(|_| self.metrics.record_stream_started());
         self.count_deadline_miss(result)
     }
 
-    /// The streaming path behind [`ShardedService::serve_streaming_deadline`]: the shared
-    /// front end, then a replay of the cached answer or a scan opened over `G` (the engine's
-    /// stream at one shard). The read guards are released on return — the scan owns shared
-    /// handles to its rows, so the caller can pace its pulls for as long as it likes without
-    /// blocking writers.
-    fn open_stream(&self, pref: &Preference, deadline: Deadline) -> Result<ShardedStream<'_>> {
-        let front = self.front_end(pref, &deadline)?;
+    /// Opens a request's rows past the front end, for both paths: a cache hit replays its
+    /// answer in score order; a miss opens the engine's stream at one shard (through the
+    /// scatter) or the Adaptive-SFS scan over `G` at two or more. The read guards are released
+    /// on return — the scan owns shared handles to its rows, so a caller can pace its pulls
+    /// for as long as it likes, or drain them at once, without blocking writers.
+    fn open(
+        &self,
+        front: Admitted<'_>,
+        pref: &Preference,
+        deadline: Deadline,
+    ) -> Result<ShardedStream<'_>> {
         let (state, degraded) = if let Some(outcome) = &front.hit {
             let ids = self
                 .score_ordered_global(&front.guards, pref, &outcome.skyline)?
@@ -1137,7 +1108,7 @@ impl ShardedService {
             self.metrics.record(true, front.started.elapsed());
             (ShardedStreamState::Replay { ids }, Vec::new())
         } else {
-            // Re-ranking happens here; the elimination scan runs lazily in the pulls.
+            // Re-ranking happens here; the elimination scan runs in the pulls or the drain.
             let (rows, methods, degraded) = if self.shard_count() == 1 {
                 let (answered, degraded) = self.scatter(&front, |engine, s| {
                     engine.query_streaming_at(pref, front.epochs[s], deadline.clone())
@@ -1151,17 +1122,22 @@ impl ShardedService {
                     .asfs
                     .query_scan(pref, ScanMode::default())
                     .inspect_err(|_| self.metrics.record_error())?;
-                let (methods, degraded) = global.provenance(self.shard_count());
+                let degraded = global.degraded.clone();
+                let methods = vec![MethodUsed::AdaptiveSfs; self.shard_count() - degraded.len()];
+                // A degraded build already spent what the tolerant policy allows on the
+                // missing shards; the query over the rows in hand runs to completion.
+                let deadline = if degraded.is_empty() {
+                    deadline
+                } else {
+                    Deadline::none()
+                };
                 let scan = Box::new(scan);
-                (
-                    LiveRows::Global {
-                        scan,
-                        global,
-                        deadline,
-                    },
-                    methods,
-                    degraded,
-                )
+                let rows = LiveRows::Global {
+                    scan,
+                    global,
+                    deadline,
+                };
+                (rows, methods, degraded)
             };
             let live = LiveStream {
                 rows,
@@ -1171,7 +1147,6 @@ impl ShardedService {
             };
             (ShardedStreamState::Live(Box::new(live)), degraded)
         };
-        self.metrics.record_stream_started();
         Ok(ShardedStream {
             service: self,
             _permit: front.permit,
@@ -1255,9 +1230,8 @@ impl ShardedService {
     /// quarantined, under its read guard, on the worker pool — the legs of a `G` build, or
     /// the engine leg at one shard. Each leg runs inside `catch_unwind`: a panicking shard (a
     /// bug in one engine, or an injected fault) is quarantined instead of unwinding through
-    /// the pool and taking the request down. A panicked leg and a leg past the deadline
-    /// degrade the answer exactly like a quarantined shard — through one policy check — and
-    /// any other leg error fails the request.
+    /// the pool and taking the request down. The results are settled by
+    /// [`ShardedService::settle`].
     fn scatter<'f, T: Send>(
         &self,
         front: &'f Admitted<'_>,
@@ -1273,9 +1247,21 @@ impl ShardedService {
                 leg(&front.guards[s], s)
             }))
         });
-        let mut answered = Vec::with_capacity(healthy.len());
+        self.settle(&front.quarantined, healthy.into_iter().zip(results))
+    }
+
+    /// Settles per-shard results, each caught by `catch_unwind`, beside the shards already
+    /// `quarantined`: a panicked shard is quarantined, a panicked leg and a leg past the
+    /// deadline degrade the answer exactly like a quarantined shard — through one policy
+    /// check — and any other leg error fails the request.
+    fn settle<T>(
+        &self,
+        quarantined: &[usize],
+        results: impl IntoIterator<Item = (usize, std::thread::Result<Result<T>>)>,
+    ) -> Result<Scattered<T>> {
+        let mut answered = Vec::new();
         let (mut panicked, mut missed) = (Vec::new(), Vec::new());
-        for (&s, result) in healthy.iter().zip(results) {
+        for (s, result) in results {
             match result {
                 Ok(Ok(answer)) => answered.push((s, answer)),
                 Ok(Err(SkylineError::DeadlineExceeded)) => missed.push(s),
@@ -1289,13 +1275,13 @@ impl ShardedService {
                 }
             }
         }
-        let mut degraded = [front.quarantined.as_slice(), &panicked, &missed].concat();
+        let mut degraded = [quarantined, &panicked, &missed].concat();
         degraded.sort_unstable();
         if !degraded.is_empty() {
             // Deadline misses are the request's fault, so they only fail the request as
             // `DeadlineExceeded`; a panicked (or already-quarantined) shard is named.
             self.check_policy(
-                panicked.first().or(front.quarantined.first()).copied(),
+                panicked.first().or(quarantined.first()).copied(),
                 degraded.len(),
             )?;
         }
@@ -1328,6 +1314,9 @@ impl ShardedService {
             .global_flight
             .join_deadline(front.tags.clone(), deadline)
             .inspect_err(|_| self.metrics.record_error())?;
+        if matches!(flight, FlightRole::Followed) {
+            self.metrics.record_coalesced();
+        }
         // A leader may follow a flight that filled the slot since the look above; a follower
         // finds its leader's build, or builds alone when the leader failed or degraded.
         if let Some(global) = cached() {
@@ -1387,72 +1376,6 @@ impl ShardedService {
             degraded,
         }))
     }
-
-    /// The batch miss path: one Adaptive-SFS query over `G` with two or more shards, the
-    /// engine leg at one. Complete answers are cached at the skyline-epoch vector; a degraded
-    /// answer is flagged and **never cached**.
-    fn serve_miss(
-        &self,
-        front: Admitted<'_>,
-        pref: &Preference,
-        deadline: &Deadline,
-    ) -> Result<ShardedServed> {
-        let (skyline, methods, degraded) = if self.shard_count() == 1 {
-            // The drained stream, inside the scatter: a panic or a deadline there degrades or
-            // fails the request like any leg.
-            let (answered, degraded) = self.scatter(&front, |engine, s| {
-                engine
-                    .query_streaming_at(pref, front.epochs[s], deadline.clone())?
-                    .collect_outcome()
-            })?;
-            let (mut skyline, mut methods) = (Vec::new(), Vec::new());
-            for (shard, outcome) in answered {
-                skyline.extend(
-                    outcome
-                        .skyline
-                        .into_iter()
-                        .map(|row| GlobalRowId { shard, row }),
-                );
-                methods.push(outcome.method);
-            }
-            (skyline, methods, degraded)
-        } else {
-            let global = self.global_skyline(&front, deadline)?;
-            // A degraded build already spent what the tolerant policy allows on the missing
-            // shards; the query over the rows in hand runs to completion.
-            let deadline = if global.degraded.is_empty() {
-                deadline.clone()
-            } else {
-                Deadline::none()
-            };
-            let mut rows = Vec::new();
-            global
-                .asfs
-                .query_scan(pref, ScanMode::default())
-                .and_then(|mut scan| scan.drain_into(&mut rows, &deadline))
-                .inspect_err(|_| self.metrics.record_error())?;
-            let mut skyline: Vec<GlobalRowId> =
-                rows.iter().map(|&p| global.ids[p as usize]).collect();
-            skyline.sort_unstable();
-            let (methods, degraded) = global.provenance(self.shard_count());
-            (skyline, methods, degraded)
-        };
-        let value = Arc::new(ShardedOutcome { skyline, methods });
-        if degraded.is_empty() {
-            self.cache.insert(front.key, front.tags, value.clone());
-        } else {
-            self.metrics.record_degraded();
-        }
-        let latency = front.started.elapsed();
-        self.metrics.record(false, latency);
-        Ok(ShardedServed {
-            outcome: value,
-            cache_hit: false,
-            epochs: front.epochs,
-            degraded_shards: degraded,
-            latency,
-        })
-    }
 }
 
 /// A request past the front end both paths share: its admission permit, read guards on every
@@ -1463,8 +1386,8 @@ struct Admitted<'s> {
     guards: Vec<parking_lot_free::Guard<'s>>,
     /// Every shard's dataset epoch: what an answer reports and an engine query checks.
     epochs: EpochVector,
-    /// Every shard's [`SkylineEngine::skyline_epoch`]: what the result cache, the answer
-    /// flight and `G` are keyed by (module docs).
+    /// Every shard's [`SkylineEngine::skyline_epoch`]: what the result cache and `G` are
+    /// keyed by (module docs).
     tags: EpochVector,
     key: CanonicalPreference,
     started: Instant,
@@ -1604,30 +1527,7 @@ impl ShardedStream<'_> {
                 Ok(Some(g))
             }
             Ok(None) => {
-                // Terminal bookkeeping: a finished complete live stream caches its answer —
-                // the emitted rows sorted, exactly the batch [`ShardedOutcome`] layout, so the
-                // entry is shared with the batch path — and every finished live stream counts
-                // as one miss served.
-                let done = std::mem::replace(&mut self.state, ShardedStreamState::Done);
-                if let ShardedStreamState::Live(live) = done {
-                    let LiveStream {
-                        mut emitted,
-                        methods,
-                        key,
-                        ..
-                    } = *live;
-                    emitted.sort_unstable();
-                    let outcome = Arc::new(ShardedOutcome {
-                        skyline: emitted,
-                        methods,
-                    });
-                    if self.degraded.is_empty() {
-                        self.service.cache.insert(key, self.tags.clone(), outcome);
-                    } else {
-                        self.service.metrics.record_degraded();
-                    }
-                    self.service.metrics.record(false, self.started.elapsed());
-                }
+                self.finish();
                 Ok(None)
             }
             Err(e) => {
@@ -1637,6 +1537,77 @@ impl ShardedStream<'_> {
                 self.service.count_deadline_miss(Err(e))
             }
         }
+    }
+
+    /// Drains a live stream at once into its batch answer. The engine's stream drains through
+    /// [`EngineStream::collect_outcome`], so a tree-served answer is never score-sorted, and
+    /// a panic or deadline there is settled as a scatter leg's would be.
+    fn drain(mut self) -> Result<ShardedServed> {
+        if let ShardedStreamState::Live(live) = &mut self.state {
+            match std::mem::replace(&mut live.rows, LiveRows::Engine(None)) {
+                LiveRows::Engine(None) => {}
+                LiveRows::Engine(Some(stream)) => {
+                    let drained = catch_unwind(AssertUnwindSafe(|| stream.collect_outcome()));
+                    let (answered, missing) = self.service.settle(&[], [(0, drained)])?;
+                    if let Some((_, outcome)) = answered.into_iter().next() {
+                        let rows = outcome.skyline.into_iter();
+                        live.emitted = rows.map(|row| GlobalRowId { shard: 0, row }).collect();
+                    } else {
+                        live.methods.clear();
+                        self.degraded = missing;
+                    }
+                }
+                LiveRows::Global {
+                    mut scan,
+                    global,
+                    deadline,
+                } => {
+                    let mut rows = Vec::new();
+                    scan.drain_into(&mut rows, &deadline)
+                        .inspect_err(|_| self.service.metrics.record_error())?;
+                    live.emitted = rows.iter().map(|&p| global.ids[p as usize]).collect();
+                }
+            }
+        }
+        let (outcome, latency) = self.finish().expect("a miss opens a live stream");
+        Ok(ShardedServed {
+            outcome,
+            cache_hit: false,
+            epochs: self.epochs,
+            degraded_shards: self.degraded,
+            latency,
+        })
+    }
+
+    /// Ends a live stream's miss, drained or pulled to its end: the rows sorted by global id
+    /// (the layout of every cached answer), a complete answer cached at the skyline-epoch
+    /// vector, a degraded one counted and **never cached**, and the miss recorded with its
+    /// latency. `None` for a replayed hit, which was recorded at open.
+    fn finish(&mut self) -> Option<(Arc<ShardedOutcome>, Duration)> {
+        let done = std::mem::replace(&mut self.state, ShardedStreamState::Done);
+        let ShardedStreamState::Live(live) = done else {
+            return None;
+        };
+        let LiveStream {
+            mut emitted,
+            methods,
+            key,
+            ..
+        } = *live;
+        emitted.sort_unstable();
+        let outcome = Arc::new(ShardedOutcome {
+            skyline: emitted,
+            methods,
+        });
+        if self.degraded.is_empty() {
+            let tags = self.tags.clone();
+            self.service.cache.insert(key, tags, outcome.clone());
+        } else {
+            self.service.metrics.record_degraded();
+        }
+        let latency = self.started.elapsed();
+        self.service.metrics.record(false, latency);
+        Some((outcome, latency))
     }
 
     /// Drains the rest of the stream, returning the remaining rows in emission (ascending
@@ -2549,11 +2520,10 @@ mod tests {
         let tolerant = build(DegradePolicy::Tolerate { max_degraded: 1 });
         let served = tolerant.serve_deadline(&pref, &deadline()).unwrap();
         assert_eq!(served.degraded_shards, vec![1]);
-        let mut stream = tolerant
+        let stream = tolerant
             .serve_streaming_deadline(&pref, deadline())
             .unwrap();
         assert_eq!(stream.degraded_shards(), &[1]);
-        stream.set_deadline(Deadline::none());
         let rows = stream.collect_rows().unwrap();
         assert_eq!(
             stream_values(&tolerant, &rows),
@@ -2583,6 +2553,52 @@ mod tests {
         );
         assert_eq!(closed.stats().deadline_misses, 2);
         assert!(closed.quarantined_shards().is_empty());
+    }
+
+    /// At one shard a batch miss drains the engine's stream after the scatter opened it. A
+    /// deadline that expires in between is settled as the leg's would be: the answer degrades
+    /// by shard 0 under a tolerant policy (not quarantined, never cached), and the request
+    /// fails with `DeadlineExceeded` under fail-closed.
+    #[test]
+    fn a_deadline_past_in_the_drain_is_settled_as_a_legs() {
+        let (data, template) = experiment(300, 109);
+        let pref = QueryGenerator::new(113).random_preference(data.schema(), &template, 2, None);
+        for degrade in [
+            DegradePolicy::Tolerate { max_degraded: 1 },
+            DegradePolicy::FailClosed,
+        ] {
+            let service = ShardedService::build(
+                &data,
+                template.clone(),
+                EngineConfig::AdaptiveSfs,
+                ShardedConfig {
+                    shards: 1,
+                    degrade,
+                    ..ShardedConfig::default()
+                },
+            )
+            .unwrap();
+            let token = skyline_core::CancelToken::new();
+            let deadline = Deadline::none().with_cancel(token.clone());
+            let front = service.front_end(&pref, &deadline).unwrap();
+            let stream = service.open(front, &pref, deadline).unwrap();
+            token.cancel();
+            let drained = stream.drain();
+            if degrade == DegradePolicy::FailClosed {
+                assert_eq!(drained.unwrap_err(), SkylineError::DeadlineExceeded);
+            } else {
+                let served = drained.unwrap();
+                assert_eq!(served.degraded_shards, vec![0]);
+                assert!(served.outcome.skyline.is_empty());
+                assert!(served.outcome.methods.is_empty());
+                assert_eq!(service.cache_len(), 0, "degraded answers are never cached");
+                assert_eq!(service.stats().degraded, 1);
+            }
+            assert!(
+                service.quarantined_shards().is_empty(),
+                "a deadline is no fault"
+            );
+        }
     }
 
     // ---- One shard: the single-engine service ----

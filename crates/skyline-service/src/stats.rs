@@ -91,8 +91,8 @@ impl ServiceMetrics {
         self.remapped_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a query that waited on another thread's in-flight computation of the same
-    /// canonical key instead of running the engine itself (single-flight).
+    /// Records a miss that waited on another request's in-flight build of the global
+    /// template skyline at the same skyline-epoch vector instead of starting its own.
     pub fn record_coalesced(&self) {
         self.coalesced.fetch_add(1, Ordering::Relaxed);
     }
@@ -245,8 +245,9 @@ pub struct StatsSnapshot {
     /// Cache hits served by translating a pre-swap entry's row ids through the generation
     /// remap (a subset of `hits`): how much of the cache a compaction swap *kept* warm.
     pub remapped_hits: u64,
-    /// Queries that waited on another thread's identical in-flight computation instead of
-    /// running the engine themselves (single-flight collapses of concurrent cold misses).
+    /// Misses that waited on another request's in-flight build of the global template
+    /// skyline at the same skyline-epoch vector instead of starting their own (the build's
+    /// single-flight; only services of two or more shards build one).
     pub coalesced: u64,
     /// Requests rejected by admission control: the bounded queue was full and the request was
     /// shed with `Overloaded` before touching the engine (reject-newest).

@@ -1,6 +1,5 @@
-//! Service-level lifecycle behavior: the shared build pool, the remap-aware result cache,
-//! the single-flight miss latch, and the surfaced lifecycle metrics — at one shard (the
-//! single-engine case) and at two.
+//! Service-level lifecycle behavior: the shared build pool, the remap-aware result cache and
+//! the surfaced lifecycle metrics — at one shard (the single-engine case) and at two.
 
 use skyline::prelude::*;
 use skyline_service::{GlobalRowId, ShardedConfig, ShardedService};
@@ -73,57 +72,6 @@ fn generation_swaps_keep_the_cache_warm_via_the_remap() {
         // A later *mutation* invalidates as usual — translation never bridges real changes.
         service.insert_row(&[0.1], &[0]).unwrap();
         assert!(!service.serve(&pref).unwrap().cache_hit);
-    }
-}
-
-/// Concurrent cold misses for the same canonical key run the scatter once: the single-flight
-/// latch makes the rest wait and hit the leader's freshly cached entry.
-#[test]
-fn concurrent_cold_misses_are_collapsed_to_one_engine_run() {
-    const THREADS: usize = 8;
-    let config = ExperimentConfig {
-        n: 2_000,
-        ..ExperimentConfig::paper_default()
-    };
-    let data = config.generate_dataset();
-    let template = config.template(&data);
-    let mut generator = config.query_generator();
-    let pref = generator.random_preference(data.schema(), &template, 3, None);
-    for shards in [1, 2] {
-        let service = ShardedService::build(
-            &data,
-            template.clone(),
-            EngineConfig::AdaptiveSfs,
-            ShardedConfig {
-                shards,
-                ..ShardedConfig::default()
-            },
-        )
-        .unwrap();
-        // The leader's scatter visibly outlasts the followers' join: whoever misses first
-        // holds the flight for 100 ms, everyone else released by the barrier piles onto it.
-        service
-            .fault_injector()
-            .delay_shard_query(0, Duration::from_millis(100));
-
-        let barrier = std::sync::Barrier::new(THREADS);
-        std::thread::scope(|scope| {
-            for _ in 0..THREADS {
-                scope.spawn(|| {
-                    barrier.wait();
-                    let served = service.serve(&pref).unwrap();
-                    assert_eq!(*served.epochs, vec![DatasetEpoch::INITIAL; shards]);
-                });
-            }
-        });
-        let stats = service.stats();
-        assert_eq!(stats.served(), THREADS as u64);
-        assert_eq!(stats.misses, 1, "one scatter for the whole wave");
-        assert_eq!(stats.hits, THREADS as u64 - 1);
-        assert!(
-            stats.coalesced >= 1,
-            "at least one thread must have waited on the flight"
-        );
     }
 }
 

@@ -155,8 +155,8 @@ fn threaded_service_matches_serial_engine_for_every_config() {
 #[test]
 fn threaded_scatter_gather_matches_the_live_oracle() {
     // Two shards: the first miss scatters to a real worker per shard to build the global
-    // template skyline, under the batch pool and the user threads, and single-flight
-    // collapses the identical cold misses.
+    // template skyline, under the batch pool and the user threads, and the concurrent misses
+    // at that vector share the one build.
     for config in [
         EngineConfig::AdaptiveSfs,
         EngineConfig::Hybrid { top_k: usize::MAX },
@@ -245,9 +245,9 @@ fn distinct_prefs(service: &ShardedService, seed: u64, count: usize) -> Vec<Pref
 
 #[test]
 fn concurrent_misses_at_a_new_vector_build_the_global_skyline_once() {
-    // Different preferences, so the answer flights do not collapse them: only the build of
-    // the global template skyline is shared. The delay keeps the build open while every
-    // thread arrives; half the threads stream.
+    // Different preferences, so only the build of the global template skyline is shared.
+    // The delay keeps the build open while every thread arrives, so the others wait on the
+    // first one's build; half the threads stream.
     const THREADS: usize = 8;
     for config in [EngineConfig::AdaptiveSfs, EngineConfig::Hybrid { top_k: 3 }] {
         let service = build_service(
@@ -295,6 +295,7 @@ fn concurrent_misses_at_a_new_vector_build_the_global_skyline_once() {
             let stats = service.stats();
             assert_eq!(stats.template_skyline_builds, round + 1, "{config:?}");
             assert_eq!(stats.misses, (round + 1) * THREADS as u64);
+            assert!(stats.coalesced >= 1, "a miss must have waited on the build");
         }
     }
 }

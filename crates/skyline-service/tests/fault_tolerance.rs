@@ -611,8 +611,7 @@ fn tolerated_answers_keep_rows_dominated_only_on_the_missing_shard() {
                 assert_eq!(served.degraded_shards, vec![1]);
                 assert_eq!(served.outcome.skyline, healthy_row);
             }
-            for mut stream in [stream.unwrap(), quarantined.unwrap()] {
-                stream.set_deadline(Deadline::none());
+            for stream in [stream.unwrap(), quarantined.unwrap()] {
                 assert_eq!(stream.degraded_shards(), [1]);
                 assert_eq!(stream.collect_rows().unwrap(), healthy_row);
             }

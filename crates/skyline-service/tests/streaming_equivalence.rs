@@ -18,8 +18,8 @@
 //! row on another shard, so only then does the global template skyline the stream scans drop
 //! rows of one shard's template skyline for another shard's.
 //!
-//! A fifth, deterministic scenario pins the reason streams never join a single-flight latch:
-//! a stream whose consumer stops pulling must not block batch serves or writers.
+//! A fifth, deterministic scenario pins the reason an open stream holds no latch and no shard
+//! lock: a stream whose consumer stops pulling must not block batch serves or writers.
 
 use proptest::prelude::*;
 use skyline::prelude::*;
@@ -200,10 +200,10 @@ fn completes<T: Send + 'static>(what: &str, step: impl FnOnce() -> T + Send + 's
         .unwrap_or_else(|_| panic!("{what} did not complete while the stream was open"))
 }
 
-/// The wedge: were a stream to hold the single-flight latch for its caller-paced life, a
-/// batch serve of the same preference would park on it holding the shard read locks, the
-/// next writer would queue behind that reader and every later reader behind the writer.
-/// Streams take no latch, so all three complete while the consumer idles.
+/// The wedge: were a stream to hold a latch or a shard read lock for its caller-paced life, a
+/// batch serve of the same preference could park on it holding the shard read locks, the
+/// next writer would queue behind that reader and every later reader behind the writer. An
+/// open stream holds neither, so all three complete while the consumer idles.
 #[test]
 fn an_idle_stream_blocks_neither_batch_serves_nor_writers() {
     let config = ExperimentConfig {
