@@ -14,7 +14,7 @@
 //! template's list is a prefix of the query's, [`Template::check_refinement`]). A value is
 //! *newly listed* on `j` when it sits at a position `> t_j` of the query's list; a member of
 //! `SKY(R)` is **affected** when it carries a newly listed value on some dimension, and AFFECT
-//! is the set of affected members ([`SkylineValueIndex::affected_by`], counted in
+//! is the set of affected members ([`ValueIndex::affected_by`], counted in
 //! [`Work::affected`]). This is narrower than the paper's Figure (d) ratio
 //! [`skyline_core::stats::affected_points`], which counts every *listed* value — including
 //! the template's own prefix, whose rows keep their score and every relation among them.
@@ -37,7 +37,7 @@
 //! [`AdaptiveSfs::query_scan`] opens the scan, which allocates and owns its candidate list
 //! and window, and a batch answer ([`AdaptiveSfs::query_with_stats`]) is that scan drained.
 
-use crate::index::{LiveRowIndex, SkylineValueIndex};
+use crate::index::ValueIndex;
 use crate::sorted_list::ScoredEntry;
 use skyline_core::algo::sfs::Scan;
 use skyline_core::kernel::{CompiledOrder, CompiledRelation};
@@ -140,10 +140,10 @@ pub struct AdaptiveSfs {
     entries: Vec<ScoredEntry>,
     /// The dataset epoch at which `entries` last changed membership (or was built).
     skyline_epoch: DatasetEpoch,
-    index: SkylineValueIndex,
+    index: ValueIndex,
     /// Value → live-row index over the whole dataset; built lazily by the first deletion and
     /// maintained incrementally afterwards.
-    row_index: Option<LiveRowIndex>,
+    row_index: Option<ValueIndex>,
     maintenance: MaintenanceStats,
     stats: PreprocessStats,
 }
@@ -251,8 +251,7 @@ impl AdaptiveSfs {
             .iter()
             .map(CompiledOrder::compile)
             .collect();
-        let skyline: Vec<PointId> = entries.iter().map(|e| e.point).collect();
-        let index = SkylineValueIndex::build(&data, &skyline);
+        let index = ValueIndex::build(&data, entries.iter().map(|e| e.point));
         let stats = PreprocessStats {
             dataset_size: data.len(),
             template_skyline_size: entries.len(),
@@ -560,7 +559,7 @@ impl AdaptiveSfs {
 
     fn ensure_row_index(&mut self) {
         if self.row_index.is_none() {
-            self.row_index = Some(LiveRowIndex::build(&self.data));
+            self.row_index = Some(ValueIndex::build(&self.data, self.data.live_ids()));
         }
     }
 }

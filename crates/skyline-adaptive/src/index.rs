@@ -1,53 +1,57 @@
-//! Per-dimension value index over the template skyline.
+//! Per-dimension value index: `(nominal dimension, value id) → ids`.
 //!
 //! Algorithm 4 (step 2) needs "an index for each nominal dimension" so that the data points of
 //! `SKY(R̃)` carrying a particular value can be found without scanning the whole sorted list.
-//! [`SkylineValueIndex`] is that index: `(nominal dimension, value id) → point ids`. A query
-//! walks only the values it lists *beyond the template's prefix*
-//! ([`SkylineValueIndex::affected_by`]): by the lemma in [`crate::asfs`], rows without such a
-//! value neither move in the sorted list nor gain a dominator.
+//! [`ValueIndex`] built over the template skyline's members is that index. A query walks only
+//! the values it lists *beyond the template's prefix* ([`ValueIndex::affected_by`]): by the
+//! lemma in [`crate::asfs`], rows without such a value neither move in the sorted list nor
+//! gain a dominator.
 //!
-//! [`LiveRowIndex`] is the same shape over **all live rows** (not just the skyline). The
-//! incremental-maintenance delete path uses it to restrict the resurface scan to the deleted
-//! member's dominance region instead of rescanning every live row.
+//! Built over **all live rows** instead, the same index serves the incremental-maintenance
+//! delete path: [`ValueIndex::dominance_region_candidates`] restricts the resurface scan to
+//! the deleted member's dominance region instead of rescanning every live row.
 
 use skyline_core::kernel::CompiledOrder;
 use skyline_core::{Dataset, PointId, Preference, ValueId};
 
-/// Value → skyline-point lookup for every nominal dimension.
+/// Value → id lookup for every nominal dimension, over the ids it was built from.
+///
+/// Updated per id with a binary search plus an in-place `Vec` insert/remove — O(log n) to
+/// locate, O(k) element shifting within the touched value's list (k can approach n on
+/// heavily skewed dimensions; acceptable because deletes already pay a resurface scan, and
+/// fresh inserts append at the tail).
 #[derive(Debug, Clone, Default)]
-pub struct SkylineValueIndex {
-    /// `lists[j][v]` = skyline points whose value on nominal dimension `j` is `v` (ascending).
+pub struct ValueIndex {
+    /// `lists[j][v]` = covered ids whose value on nominal dimension `j` is `v` (ascending).
     lists: Vec<Vec<Vec<PointId>>>,
 }
 
-impl SkylineValueIndex {
-    /// Builds the index for the given skyline members (in any order; the per-value lists are
-    /// kept sorted by point id so later insertions and removals can binary-search).
-    pub fn build(data: &Dataset, skyline: &[PointId]) -> Self {
+impl ValueIndex {
+    /// Builds the index over `ids` (in any order; the per-value lists are kept sorted by id
+    /// so later insertions and removals can binary-search).
+    pub fn build(data: &Dataset, ids: impl IntoIterator<Item = PointId>) -> Self {
         let schema = data.schema();
-        let mut lists = Vec::with_capacity(schema.nominal_count());
-        for j in 0..schema.nominal_count() {
-            let cardinality = schema.nominal_domain(j).map_or(0, |d| d.cardinality());
-            let mut per_value = vec![Vec::new(); cardinality];
-            for &p in skyline {
-                per_value[data.nominal(p, j) as usize].push(p);
+        let mut lists: Vec<Vec<Vec<PointId>>> = (0..schema.nominal_count())
+            .map(|j| vec![Vec::new(); schema.nominal_domain(j).map_or(0, |d| d.cardinality())])
+            .collect();
+        for p in ids {
+            for (per_value, &v) in lists.iter_mut().zip(data.nominal_row(p)) {
+                per_value[v as usize].push(p);
             }
-            for list in &mut per_value {
-                list.sort_unstable();
-                list.dedup();
-            }
-            lists.push(per_value);
+        }
+        for list in lists.iter_mut().flatten() {
+            list.sort_unstable();
+            list.dedup();
         }
         Self { lists }
     }
 
-    /// Skyline points carrying value `v` on nominal dimension `j`.
-    pub fn points_with(&self, nominal_index: usize, v: ValueId) -> &[PointId] {
+    /// Covered ids carrying value `v` on nominal dimension `j`.
+    pub fn ids_with(&self, nominal_index: usize, v: ValueId) -> &[PointId] {
         &self.lists[nominal_index][v as usize]
     }
 
-    /// The skyline points affected by `pref` over a template listing `template`: those
+    /// The covered points affected by `pref` over a template listing `template`: those
     /// carrying a value `pref` lists *beyond the template's prefix* on some dimension (the
     /// AFFECT of the [`crate::asfs`] lemma — rows with only prefix values keep their score and
     /// every relation among them). A point is yielded once per dimension it qualifies on.
@@ -70,93 +74,20 @@ impl SkylineValueIndex {
         })
     }
 
-    /// Adds one point to the index (used by incremental maintenance).
+    /// Adds one id (used by incremental maintenance).
     pub fn insert(&mut self, data: &Dataset, p: PointId) {
-        for (j, lists) in self.lists.iter_mut().enumerate() {
-            let v = data.nominal(p, j) as usize;
-            let list = &mut lists[v];
+        for (lists, &v) in self.lists.iter_mut().zip(data.nominal_row(p)) {
+            let list = &mut lists[v as usize];
             if let Err(pos) = list.binary_search(&p) {
                 list.insert(pos, p);
             }
         }
     }
 
-    /// Removes one point from the index (used by incremental maintenance).
+    /// Removes one id (used by incremental maintenance).
     pub fn remove(&mut self, data: &Dataset, p: PointId) {
-        for (j, lists) in self.lists.iter_mut().enumerate() {
-            let v = data.nominal(p, j) as usize;
-            let list = &mut lists[v];
-            if let Ok(pos) = list.binary_search(&p) {
-                list.remove(pos);
-            }
-        }
-    }
-
-    /// Approximate heap footprint in bytes.
-    pub fn approximate_bytes(&self) -> usize {
-        self.lists
-            .iter()
-            .flat_map(|per_value| {
-                per_value
-                    .iter()
-                    .map(|l| l.len() * std::mem::size_of::<PointId>())
-            })
-            .sum()
-    }
-}
-
-/// Value → live-row lookup for every nominal dimension, over the **whole dataset**.
-///
-/// Built lazily by the incremental-maintenance mode on its first mutation (a one-off O(n·m')
-/// pass) and updated per row afterwards with a binary search plus an in-place `Vec`
-/// insert/remove — O(log n) to locate, O(k) element shifting within the touched value's list
-/// (k can approach n on heavily skewed dimensions; acceptable because deletes already pay a
-/// resurface scan, and fresh inserts append at the tail). When a skyline member is deleted, only
-/// rows inside its *dominance region* can resurface — on each nominal dimension they must
-/// carry the deleted member's value or one the template order ranks strictly worse. The index
-/// makes that candidate set enumerable per dimension, so the resurface pass scans the most
-/// selective dimension's list instead of every live row.
-#[derive(Debug, Clone, Default)]
-pub struct LiveRowIndex {
-    /// `lists[j][v]` = live rows whose value on nominal dimension `j` is `v` (ascending ids).
-    lists: Vec<Vec<Vec<PointId>>>,
-}
-
-impl LiveRowIndex {
-    /// Builds the index over the dataset's live rows.
-    pub fn build(data: &Dataset) -> Self {
-        let schema = data.schema();
-        let mut lists = Vec::with_capacity(schema.nominal_count());
-        for j in 0..schema.nominal_count() {
-            let cardinality = schema.nominal_domain(j).map_or(0, |d| d.cardinality());
-            let mut per_value = vec![Vec::new(); cardinality];
-            for p in data.live_ids() {
-                per_value[data.nominal(p, j) as usize].push(p);
-            }
-            lists.push(per_value);
-        }
-        Self { lists }
-    }
-
-    /// Live rows carrying value `v` on nominal dimension `j`.
-    pub fn rows_with(&self, nominal_index: usize, v: ValueId) -> &[PointId] {
-        &self.lists[nominal_index][v as usize]
-    }
-
-    /// Adds one (newly live) row.
-    pub fn insert(&mut self, data: &Dataset, p: PointId) {
-        for (j, lists) in self.lists.iter_mut().enumerate() {
-            let list = &mut lists[data.nominal(p, j) as usize];
-            if let Err(pos) = list.binary_search(&p) {
-                list.insert(pos, p);
-            }
-        }
-    }
-
-    /// Removes one (tombstoned) row.
-    pub fn remove(&mut self, data: &Dataset, p: PointId) {
-        for (j, lists) in self.lists.iter_mut().enumerate() {
-            let list = &mut lists[data.nominal(p, j) as usize];
+        for (lists, &v) in self.lists.iter_mut().zip(data.nominal_row(p)) {
+            let list = &mut lists[v as usize];
             if let Ok(pos) = list.binary_search(&p) {
                 list.remove(pos);
             }
@@ -168,9 +99,9 @@ impl LiveRowIndex {
     ///
     /// A row `q` dominated by `p` must, on every nominal dimension `j`, carry `p`'s value or
     /// one strictly worse under the template order. This returns the per-dimension candidate
-    /// union for whichever dimension yields the fewest rows — a superset of the dominance
-    /// region, so callers still run the full pairwise test on each candidate. With no nominal
-    /// dimensions the caller falls back to the full live scan.
+    /// union for whichever dimension yields the fewest covered rows — a superset of the
+    /// dominance region among them, so callers still run the full pairwise test on each
+    /// candidate. With no nominal dimensions the caller falls back to the full live scan.
     pub fn dominance_region_candidates(
         &self,
         data: &Dataset,
@@ -183,7 +114,7 @@ impl LiveRowIndex {
             let worse: Vec<ValueId> = (0..order.cardinality() as ValueId)
                 .filter(|&v| v == pv || order.strictly_preferred(pv, v))
                 .collect();
-            let count: usize = worse.iter().map(|&v| self.rows_with(j, v).len()).sum();
+            let count: usize = worse.iter().map(|&v| self.ids_with(j, v).len()).sum();
             if best.as_ref().is_none_or(|(c, _, _)| count < *c) {
                 best = Some((count, j, worse));
             }
@@ -191,7 +122,7 @@ impl LiveRowIndex {
         let (_, dim, worse) = best?;
         let mut candidates: Vec<PointId> = worse
             .iter()
-            .flat_map(|&v| self.rows_with(dim, v).iter().copied())
+            .flat_map(|&v| self.ids_with(dim, v).iter().copied())
             .collect();
         candidates.sort_unstable();
         Some(candidates)
@@ -201,11 +132,8 @@ impl LiveRowIndex {
     pub fn approximate_bytes(&self) -> usize {
         self.lists
             .iter()
-            .flat_map(|per_value| {
-                per_value
-                    .iter()
-                    .map(|l| l.len() * std::mem::size_of::<PointId>())
-            })
+            .flatten()
+            .map(|l| l.len() * std::mem::size_of::<PointId>())
             .sum()
     }
 }
@@ -234,19 +162,15 @@ mod tests {
     fn lookup_by_value() {
         let data = data();
         // Build from a score-ordered (non id-sorted) skyline: lists must still come out sorted.
-        let index = SkylineValueIndex::build(&data, &[3, 0, 1]);
-        assert_eq!(index.points_with(0, 0), &[0, 3]);
-        assert_eq!(index.points_with(0, 1), &[1]);
-        assert_eq!(index.points_with(0, 2), &[] as &[PointId]);
-        assert_eq!(index.points_with(1, 1), &[1, 3]);
+        let index = ValueIndex::build(&data, [3, 0, 1]);
+        assert_eq!(index.ids_with(0, 0), &[0, 3]);
+        assert_eq!(index.ids_with(0, 1), &[1]);
+        assert_eq!(index.ids_with(0, 2), &[] as &[PointId]);
+        assert_eq!(index.ids_with(1, 1), &[1, 3]);
         assert!(index.approximate_bytes() > 0);
     }
 
-    fn affected(
-        index: &SkylineValueIndex,
-        template: &Preference,
-        pref: &Preference,
-    ) -> Vec<PointId> {
+    fn affected(index: &ValueIndex, template: &Preference, pref: &Preference) -> Vec<PointId> {
         let mut out: Vec<PointId> = index.affected_by(template, pref).collect();
         out.sort_unstable();
         out.dedup();
@@ -256,7 +180,7 @@ mod tests {
     #[test]
     fn affected_by_unions_dimensions() {
         let data = data();
-        let index = SkylineValueIndex::build(&data, &[0, 1, 2, 3]);
+        let index = ValueIndex::build(&data, 0..4);
         let none = Preference::none(2);
         let pref = Preference::from_dims(vec![
             ImplicitPreference::new([2]).unwrap(),
@@ -276,7 +200,7 @@ mod tests {
     #[test]
     fn affected_by_skips_the_template_prefix_per_dimension() {
         let data = data();
-        let index = SkylineValueIndex::build(&data, &[0, 1, 2, 3]);
+        let index = ValueIndex::build(&data, 0..4);
         // Template: a ≺ * on g (prefix length 1), nothing on h (prefix length 0).
         let template = Preference::from_dims(vec![
             ImplicitPreference::new([0]).unwrap(),
@@ -331,28 +255,28 @@ mod tests {
     #[test]
     fn insert_and_remove_maintain_sorted_lists() {
         let data = data();
-        let mut index = SkylineValueIndex::build(&data, &[1]);
+        let mut index = ValueIndex::build(&data, [1]);
         index.insert(&data, 3);
         index.insert(&data, 0);
         index.insert(&data, 0); // duplicate insert is a no-op
-        assert_eq!(index.points_with(0, 0), &[0, 3]);
+        assert_eq!(index.ids_with(0, 0), &[0, 3]);
         index.remove(&data, 0);
         index.remove(&data, 0);
-        assert_eq!(index.points_with(0, 0), &[3]);
-        assert_eq!(index.points_with(0, 1), &[1]);
+        assert_eq!(index.ids_with(0, 0), &[3]);
+        assert_eq!(index.ids_with(0, 1), &[1]);
     }
 
     #[test]
     fn live_row_index_tracks_all_live_rows() {
         let mut data = data();
         data.tombstone(2).unwrap();
-        let mut index = LiveRowIndex::build(&data);
-        assert_eq!(index.rows_with(0, 0), &[0, 3]);
-        assert_eq!(index.rows_with(0, 2), &[] as &[PointId]);
+        let mut index = ValueIndex::build(&data, data.live_ids());
+        assert_eq!(index.ids_with(0, 0), &[0, 3]);
+        assert_eq!(index.ids_with(0, 2), &[] as &[PointId]);
         index.insert(&data, 2);
-        assert_eq!(index.rows_with(0, 2), &[2]);
+        assert_eq!(index.ids_with(0, 2), &[2]);
         index.remove(&data, 3);
-        assert_eq!(index.rows_with(0, 0), &[0]);
+        assert_eq!(index.ids_with(0, 0), &[0]);
         assert!(index.approximate_bytes() > 0);
     }
 
@@ -360,7 +284,7 @@ mod tests {
     fn dominance_region_picks_the_most_selective_dimension() {
         use skyline_core::PartialOrder;
         let data = data();
-        let index = LiveRowIndex::build(&data);
+        let index = ValueIndex::build(&data, data.live_ids());
         // Empty template orders: the region of a value is the value itself.
         let empty = [
             CompiledOrder::compile(&PartialOrder::empty(3)),
@@ -382,7 +306,7 @@ mod tests {
         // No nominal dimensions → no restriction possible.
         let numeric_only = Schema::new(vec![Dimension::numeric("x")]).unwrap();
         let tiny = Dataset::from_columns(numeric_only, vec![vec![1.0]], vec![]).unwrap();
-        let bare = LiveRowIndex::build(&tiny);
+        let bare = ValueIndex::build(&tiny, tiny.live_ids());
         assert!(bare.dominance_region_candidates(&tiny, &[], 0).is_none());
     }
 }

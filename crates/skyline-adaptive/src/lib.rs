@@ -20,10 +20,10 @@
 //!   the preprocessing; reclaiming tombstoned rows is the engine's generation rebuild, which
 //!   builds a fresh structure with [`AdaptiveSfs::build`] over the compacted dataset.
 //! * [`sorted_list`] — the scored entries behind the sorted list.
-//! * [`index::SkylineValueIndex`] — per-dimension value → skyline-point lookup used to find
-//!   the affected points (newly listed values only) without scanning the whole list.
-//! * [`index::LiveRowIndex`] — value → live-row lookup over the whole dataset, which lets the
-//!   delete path restrict its resurface scan to the deleted member's dominance region.
+//! * [`index::ValueIndex`] — per-dimension value → id lookup. Over the template skyline it
+//!   finds the affected points (newly listed values only) without scanning the whole list;
+//!   over every live row it lets the delete path restrict its resurface scan to the deleted
+//!   member's dominance region.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,5 +34,5 @@ pub mod snapshot;
 pub mod sorted_list;
 
 pub use asfs::{AdaptiveSfs, MaintenanceStats, PreprocessStats, ScanMode};
-pub use index::{LiveRowIndex, SkylineValueIndex};
+pub use index::ValueIndex;
 pub use sorted_list::ScoredEntry;

@@ -8,7 +8,8 @@
 //! variant keeps the whole window resident, which is the setting of the paper's experiments
 //! (the data fits in RAM). BNL makes no assumption about the order of the input, so it works
 //! for any [`DominanceContext`], and it is the oracle the property-based tests compare every
-//! other algorithm against.
+//! other algorithm against. No served path runs it: the engines compute skylines with the
+//! presorted SFS scan ([`crate::algo::sfs::Scan`]) over the compiled kernel's packed window.
 
 use crate::dominance::{Dominance, DominanceContext};
 use crate::value::PointId;
@@ -19,13 +20,37 @@ pub fn skyline(ctx: &DominanceContext<'_>) -> Vec<PointId> {
     skyline_of(ctx, &points)
 }
 
-/// Computes the skyline of an arbitrary subset of points under any [`Dominance`]
-/// implementation (the reference context or the compiled kernel).
+/// Computes the skyline of an arbitrary subset of points (sorted ascending by id) under any
+/// [`Dominance`] implementation, through its pairwise [`Dominance::dominates`] alone: on the
+/// compiled kernel this checks the kernel's pairwise test against the reference.
 ///
-/// Dispatches through [`Dominance::bnl_skyline`], so the compiled kernel runs its
-/// bit-parallel packed window here.
+/// The classic loop: each candidate is dropped at its first dominator, otherwise evicts
+/// every window member it dominates and joins the window.
 pub fn skyline_of<D: Dominance + ?Sized>(ctx: &D, points: &[PointId]) -> Vec<PointId> {
-    ctx.bnl_skyline(points)
+    let mut window: Vec<PointId> = Vec::new();
+    for &p in points {
+        let mut dominated = false;
+        let mut evict = Vec::new();
+        for (i, &w) in window.iter().enumerate() {
+            if ctx.dominates(w, p) {
+                dominated = true;
+                break;
+            }
+            if ctx.dominates(p, w) {
+                evict.push(i);
+            }
+        }
+        if dominated {
+            continue;
+        }
+        // Remove evicted window entries from the back so indexes stay valid.
+        for &i in evict.iter().rev() {
+            window.swap_remove(i);
+        }
+        window.push(p);
+    }
+    window.sort_unstable();
+    window
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! These are the reference algorithms the paper builds on and compares against:
 //!
 //! * [`bnl`] — Block-Nested-Loop (Börzsönyi et al. \[1\]), the simplest correct algorithm;
-//!   used in this workspace mainly as a test oracle.
+//!   used in this workspace only as the test oracle.
 //! * [`sfs`] — Sort-First Skyline (Chomicki et al. \[7\]): presort by a monotone preference
 //!   function, then a single elimination scan, [`sfs::Scan`]. Run over the full dataset with
 //!   the query's ranking it is exactly the paper's **SFS-D** baseline; over the re-ranked

@@ -10,7 +10,7 @@
 //!
 //! Cancellation is *cooperative*: an expired deadline makes the next poll return
 //! [`SkylineError::DeadlineExceeded`], the scan unwinds normally via `?`, and every
-//! invariant (caches, single-flight latches, locks) is released on the ordinary error path —
+//! invariant (caches, build latches, locks) is released on the ordinary error path —
 //! nothing is poisoned, nothing partial is published.
 
 use crate::error::{Result, SkylineError};
@@ -117,8 +117,8 @@ impl Deadline {
     }
 
     /// Time left before expiry: `None` for an unbounded deadline, `Some(ZERO)` once expired
-    /// (also when only the cancel token fired). The single-flight latch uses this to bound
-    /// how long a follower may wait for its leader.
+    /// (also when only the cancel token fired). The service uses this to bound how long a
+    /// miss may wait on another's build of its global template skyline.
     pub fn remaining(&self) -> Option<Duration> {
         if let Some(cancel) = &self.cancel {
             if cancel.is_cancelled() {

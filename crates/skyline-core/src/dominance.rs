@@ -8,10 +8,11 @@ use crate::value::PointId;
 /// Pairwise dominance testing, implemented by both the reference [`DominanceContext`] and the
 /// compiled kernel ([`crate::kernel::CompiledRelation`]).
 ///
-/// The skyline algorithms ([`crate::algo::bnl`], [`crate::algo::sfs::Scan`]) are generic over
-/// this trait, so the same elimination loops run against either implementation: the context is the
-/// executable specification, the kernel is the fast path, and the `kernel_equivalence`
-/// property suite holds the two together.
+/// The skyline algorithms are generic over this trait, so the same elimination loops run
+/// against either implementation: [`crate::algo::sfs::Scan`] through the window methods,
+/// [`crate::algo::bnl`] — the test oracle — through [`Dominance::dominates`] alone. The
+/// context is the executable specification, the kernel is the fast path, and the
+/// `kernel_equivalence` property suite holds the two together.
 pub trait Dominance {
     /// Accumulator for the accepted window of an elimination scan.
     ///
@@ -37,47 +38,10 @@ pub trait Dominance {
 
     /// True when `p` dominates `q`: `p ⪯ q` on every dimension and `p ≺ q` on at least one.
     fn dominates(&self, p: PointId, q: PointId) -> bool;
-
-    /// Computes the BNL skyline of `points` (sorted ascending by id).
-    ///
-    /// The default is the classic window loop over [`Dominance::dominates`]; the compiled
-    /// kernel overrides it with the bit-parallel packed window, whose eviction step needs
-    /// validity masks the generic [`Dominance::Window`] API does not expose. Algorithms call
-    /// this through [`crate::algo::bnl::skyline_of`], so every caller gets whichever inner
-    /// loop the implementation provides.
-    ///
-    /// The classic loop: each candidate is dropped at its first dominator, otherwise evicts
-    /// every window member it dominates and joins the window.
-    fn bnl_skyline(&self, points: &[PointId]) -> Vec<PointId> {
-        let mut window: Vec<PointId> = Vec::new();
-        for &p in points {
-            let mut dominated = false;
-            let mut evict = Vec::new();
-            for (i, &w) in window.iter().enumerate() {
-                if self.dominates(w, p) {
-                    dominated = true;
-                    break;
-                }
-                if self.dominates(p, w) {
-                    evict.push(i);
-                }
-            }
-            if dominated {
-                continue;
-            }
-            // Remove evicted window entries from the back so indexes stay valid.
-            for &i in evict.iter().rev() {
-                window.swap_remove(i);
-            }
-            window.push(p);
-        }
-        window.sort_unstable();
-        window
-    }
 }
 
 /// A borrowed relation is a relation: batch scans run on `&D` and owning scans on `D`, with
-/// the same monomorphized loop. Every method forwards, so the kernel's overrides still apply.
+/// the same monomorphized loop. Every method forwards.
 impl<D: Dominance + ?Sized> Dominance for &D {
     type Window = D::Window;
 
@@ -95,10 +59,6 @@ impl<D: Dominance + ?Sized> Dominance for &D {
 
     fn dominates(&self, p: PointId, q: PointId) -> bool {
         D::dominates(self, p, q)
-    }
-
-    fn bnl_skyline(&self, points: &[PointId]) -> Vec<PointId> {
-        D::bnl_skyline(self, points)
     }
 }
 

@@ -424,48 +424,6 @@ impl<R: Deref<Target = Dataset>> Dominance for CompiledRelation<R> {
     fn dominates(&self, p: PointId, q: PointId) -> bool {
         CompiledRelation::dominates(self, p, q)
     }
-
-    /// BNL over the packed window: candidates stream through 64-lane blocks, the dominator
-    /// probe (pairwise while the window is short, see `PAIRWISE_WINDOW`) and the eviction
-    /// sweep are both one pass of mask algebra per block, and evicted
-    /// rows just lose their validity bit (lanes are never reused, so a lane index stays
-    /// aligned with the side list of member ids).
-    fn bnl_skyline(&self, points: &[PointId]) -> Vec<PointId> {
-        let schema = self.data.schema();
-        let mut lanes = PackedLanes::default();
-        lanes.reset(schema.numeric_count(), schema.nominal_count());
-        let mut members: Vec<PointId> = Vec::new();
-        let mut probe: Vec<u16> = Vec::with_capacity(schema.nominal_count() * 2);
-        for &p in points {
-            probe.clear();
-            self.extend_nominal_keys(&mut probe, p);
-            let pn = self.data.numeric_row(p);
-            // Window members are mutually undominated, so when one dominates `p`, none can
-            // be dominated by `p` (transitivity) — probing before evicting loses nothing.
-            let dominated = if members.len() <= PAIRWISE_WINDOW {
-                members
-                    .iter()
-                    .enumerate()
-                    .any(|(l, &m)| lanes.is_valid(l) && CompiledRelation::dominates(self, m, p))
-            } else {
-                lanes.first_dominator(&self.orders, pn, &probe).is_some()
-            };
-            if dominated {
-                continue;
-            }
-            lanes.clear_dominated_by(&self.orders, pn, &probe);
-            lanes.push(pn, &probe);
-            members.push(p);
-        }
-        let mut skyline: Vec<PointId> = members
-            .iter()
-            .enumerate()
-            .filter(|&(l, _)| lanes.is_valid(l))
-            .map(|(_, &p)| p)
-            .collect();
-        skyline.sort_unstable();
-        skyline
-    }
 }
 
 #[cfg(test)]
@@ -787,7 +745,7 @@ mod tests {
         data
     }
 
-    /// The kernel scan and BNL emit the reference context's skylines, and the scan reports
+    /// The kernel scan emits the reference context's skylines, and the scan reports
     /// the reference scan's `Work`: the pairwise test of a short window and the packed walk
     /// both return the first dominator, so the kill index, and with it `dominance_tests`,
     /// match. The first 20 rows keep the window short enough for the pairwise test; all
@@ -824,7 +782,6 @@ mod tests {
             assert_eq!(packed.work, reference.work);
             assert_eq!(reference.work.candidates, n as u64);
             assert_eq!(reference.work.rows_emitted, window.len() as u64);
-            assert_eq!(kernel.bnl_skyline(&points), ctx.bnl_skyline(&points));
         }
         assert!(kills.iter().any(|&(len, _)| len <= PAIRWISE_WINDOW));
         assert!(kills.iter().any(|&(len, _)| len > PAIRWISE_WINDOW));

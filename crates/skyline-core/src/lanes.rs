@@ -2,8 +2,8 @@
 //!
 //! The compiled kernel's pairwise test ([`crate::kernel::CompiledRelation::dominates`]) is
 //! contiguous loads and integer compares, but answers for **one row at a time**. Every
-//! window the kernel scans — SFS, BNL, the cross-source merges, the MDC miner's witness
-//! walk ([`PackedLanes::for_each_numeric_not_worse`]) — is instead laid out in 64-row
+//! window the kernel scans — SFS, the cross-source merges, the MDC miner's witness walk
+//! ([`PackedLanes::for_each_numeric_not_worse`]) — is instead laid out in 64-row
 //! **blocks with one lane per row**, so a single pass over a block answers the dominance
 //! question for all 64 rows at once as plain `u64` mask algebra:
 //!
@@ -15,9 +15,8 @@
 //!   block's **validity mask**, so tail padding and evicted rows can never produce a false
 //!   dominator) and a `strict` mask is accumulated; `not_worse & strict` is the set of lanes
 //!   dominating the probe, and `trailing_zeros` recovers the first one in push order;
-//! * the same algebra run with the operands swapped yields the set of lanes the probe
-//!   dominates — BNL eviction clears those validity bits without touching the stored values
-//!   (lanes are never reused).
+//! * a lane is evicted by clearing its validity bit ([`PackedLanes::clear_valid`], the
+//!   cross-source merge's step), leaving the stored values in place: lanes are never reused.
 //!
 //! Nominal dimensions store `(value id, layered rank)` lanes: ranked (weak) orders compare
 //! ranks with pure integer masks, general partial orders probe the compiled closure per
@@ -115,6 +114,7 @@ impl PackedLanes {
     }
 
     /// True when lane `l` is allocated and has not been evicted.
+    #[cfg(test)]
     pub fn is_valid(&self, l: usize) -> bool {
         l < self.len && self.valid[l / LANE_COUNT] >> (l % LANE_COUNT) & 1 != 0
     }
@@ -258,43 +258,6 @@ impl PackedLanes {
         }
     }
 
-    /// Evicts every valid lane whose row is dominated *by* the probe: the reverse direction
-    /// of [`PackedLanes::first_dominator`], used by BNL window eviction. Stored values stay
-    /// in place; only validity bits are cleared.
-    pub fn clear_dominated_by(&mut self, orders: &[CompiledOrder], pn: &[f64], probe: &[u16]) {
-        'blocks: for b in 0..self.valid.len() {
-            let mut nw = self.valid[b];
-            if nw == 0 {
-                continue;
-            }
-            let mut st = 0u64;
-            for (j, &pv) in pn.iter().enumerate() {
-                let lane = self.numeric_lane(b, j);
-                let (not_worse, strict) = numeric_masks_rev(lane, pv);
-                nw &= not_worse;
-                st |= strict;
-                if nw == 0 {
-                    continue 'blocks;
-                }
-            }
-            for (j, order) in orders.iter().enumerate() {
-                let vals = self.value_lane(b, j);
-                let (pvv, pvr) = (probe[2 * j], probe[2 * j + 1]);
-                let (not_worse, strict) = if order.is_ranked() {
-                    ranked_masks_rev(vals, self.rank_lane(b, j), pvv, pvr)
-                } else {
-                    closure_masks_rev(order, vals, pvv)
-                };
-                nw &= not_worse;
-                st |= strict;
-                if nw == 0 {
-                    continue 'blocks;
-                }
-            }
-            self.valid[b] &= !(nw & st);
-        }
-    }
-
     #[inline]
     fn numeric_lane(&self, b: usize, j: usize) -> &[f64] {
         let start = (b * self.numeric_dims + j) * LANE_COUNT;
@@ -330,19 +293,6 @@ fn numeric_masks(lane: &[f64], pv: f64) -> (u64, u64) {
     (not_worse, strict)
 }
 
-/// Numeric movemask, probe-dominates-lane direction.
-#[allow(clippy::neg_cmp_op_on_partial_ord)]
-#[inline]
-fn numeric_masks_rev(lane: &[f64], pv: f64) -> (u64, u64) {
-    let mut not_worse = 0u64;
-    let mut strict = 0u64;
-    for (l, &qv) in lane.iter().enumerate() {
-        not_worse |= u64::from(!(pv > qv)) << l;
-        strict |= u64::from(pv < qv) << l;
-    }
-    (not_worse, strict)
-}
-
 /// Ranked (weak-order) nominal movemask, lane-dominates-probe direction: `q ⪯ p ⟺ q = p ∨
 /// rank(q) < rank(p)`, strict exactly on the rank compare.
 #[inline]
@@ -351,19 +301,6 @@ fn ranked_masks(vals: &[u16], ranks: &[u16], pvv: u16, pvr: u16) -> (u64, u64) {
     let mut strict = 0u64;
     for l in 0..LANE_COUNT {
         let better = ranks[l] < pvr;
-        not_worse |= u64::from((vals[l] == pvv) | better) << l;
-        strict |= u64::from(better) << l;
-    }
-    (not_worse, strict)
-}
-
-/// Ranked nominal movemask, probe-dominates-lane direction.
-#[inline]
-fn ranked_masks_rev(vals: &[u16], ranks: &[u16], pvv: u16, pvr: u16) -> (u64, u64) {
-    let mut not_worse = 0u64;
-    let mut strict = 0u64;
-    for l in 0..LANE_COUNT {
-        let better = pvr < ranks[l];
         not_worse |= u64::from((vals[l] == pvv) | better) << l;
         strict |= u64::from(better) << l;
     }
@@ -379,19 +316,6 @@ fn closure_masks(order: &CompiledOrder, vals: &[u16], pvv: u16) -> (u64, u64) {
     let mut strict = 0u64;
     for (l, &qv) in vals.iter().enumerate() {
         let preferred = order.strictly_preferred(qv, pvv);
-        not_worse |= u64::from((qv == pvv) | preferred) << l;
-        strict |= u64::from(preferred) << l;
-    }
-    (not_worse, strict)
-}
-
-/// General partial-order nominal mask, probe-dominates-lane direction.
-#[inline]
-fn closure_masks_rev(order: &CompiledOrder, vals: &[u16], pvv: u16) -> (u64, u64) {
-    let mut not_worse = 0u64;
-    let mut strict = 0u64;
-    for (l, &qv) in vals.iter().enumerate() {
-        let preferred = order.strictly_preferred(pvv, qv);
         not_worse |= u64::from((qv == pvv) | preferred) << l;
         strict |= u64::from(preferred) << l;
     }
@@ -464,23 +388,6 @@ mod tests {
         // strict edge itself.
         assert_eq!(lanes.first_dominator(&[], &[f64::NAN, 6.0], &[]), Some(64));
         assert_eq!(lanes.first_dominator(&[], &[f64::NAN, 5.0], &[]), None);
-    }
-
-    #[test]
-    fn clear_dominated_by_evicts_exactly_the_dominated_lanes() {
-        let mut lanes = PackedLanes::default();
-        let orders = vec![ranked_order(3, &[0, 1])];
-        lanes.reset(1, 1);
-        // Probe (2.0, value 0). Lane 0: strictly better numeric — survives. Lane 1: equal
-        // row — survives (no strict edge). Lanes 2–4: worse numeric, worse nominal
-        // (0 ≺ 1), or both — all dominated.
-        for (num, val) in [(1.0, 0), (2.0, 0), (3.0, 0), (2.0, 1), (3.0, 1)] {
-            lanes.push(&[num], &pairs_for(&orders, &[val]));
-        }
-        let probe = pairs_for(&orders, &[0]);
-        lanes.clear_dominated_by(&orders, &[2.0], &probe);
-        let survivors: Vec<usize> = (0..lanes.len()).filter(|&l| lanes.is_valid(l)).collect();
-        assert_eq!(survivors, vec![0, 1], "lanes 2, 3 and 4 are dominated");
     }
 
     /// Lane-dominates-probe on raw, NaN-free `(numeric, value)` rows.
@@ -598,7 +505,7 @@ mod tests {
     #[test]
     fn unranked_orders_take_the_closure_path_and_match_a_scalar_oracle() {
         // 0 ≺ 2 ≺ 1 plus the island 3 ≺ 4: not a weak order, so every mask must come from
-        // the closure probes. Check both directions against a scalar re-derivation.
+        // the closure probes. Check them against a scalar re-derivation.
         let order =
             CompiledOrder::compile(&PartialOrder::from_pairs(5, [(0, 2), (2, 1), (3, 4)]).unwrap());
         assert!(!order.is_ranked());
@@ -621,16 +528,6 @@ mod tests {
                     expected,
                     "probe ({pn}, {pv})"
                 );
-                // Reverse direction: eviction must clear exactly the dominated lanes.
-                let mut scratch = lanes.clone();
-                scratch.clear_dominated_by(orders, &[p.0], &probe);
-                for (l, &q) in lane_rows.iter().enumerate() {
-                    assert_eq!(
-                        scratch.is_valid(l),
-                        !dominates(p, q),
-                        "probe ({pn}, {pv}), lane {l}"
-                    );
-                }
             }
         }
     }

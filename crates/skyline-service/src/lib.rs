@@ -76,7 +76,6 @@ pub mod admission;
 pub mod cache;
 mod executor;
 pub mod faults;
-mod flight;
 mod maintenance;
 pub mod sharded;
 pub mod stats;

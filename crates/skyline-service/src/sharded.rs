@@ -39,14 +39,19 @@
 //! rows. Deleting a member always moves it, so a cache hit never names a dead row. Answers
 //! still report the dataset epochs ([`ShardedServed::epochs`]).
 //!
-//! One slot keeps the last complete `G`, keyed by its skyline-epoch vector. Concurrent
-//! misses at a new vector build once — they join one [`SingleFlight`] keyed by the vector,
-//! each waiting no longer than its own deadline. A build that misses a shard (quarantined,
-//! panicked or past the deadline, under a tolerant [`DegradePolicy`]) is `SKY_R(H)` of the
-//! healthy shards' rows `H`; it serves its one request and is never cached. Since
-//! `SKY_{R′}(SKY_R(H)) = SKY_{R′}(H)`, its answer is the skyline of the healthy shards' rows
-//! — the partial-answer contract. [`StatsSnapshot::template_skyline_builds`] counts the
-//! complete builds and [`StatsSnapshot::global_skyline_rows`] reports `|G|`.
+//! One slot keeps the last complete `G`, keyed by its skyline-epoch vector, and a flag that
+//! is up while a build runs. Concurrent misses at a new vector build once: the first raises
+//! the flag and builds, the rest wait on the slot, each no longer than its own deadline, and
+//! a waiter that finds no complete `G` when the flag drops builds alone. One flag suffices
+//! because only one vector can be missed at a time: every miss holds a read guard on every
+//! shard while it looks, waits and builds, so no write or swap moves the vector meanwhile.
+//!
+//! A build that misses a shard (quarantined, panicked or past the deadline, under a tolerant
+//! [`DegradePolicy`]) is `SKY_R(H)` of the healthy shards' rows `H`; it serves its one
+//! request and is never cached. Since `SKY_{R′}(SKY_R(H)) = SKY_{R′}(H)`, its answer is the
+//! skyline of the healthy shards' rows — the partial-answer contract.
+//! [`StatsSnapshot::template_skyline_builds`] counts the complete builds and
+//! [`StatsSnapshot::global_skyline_rows`] reports `|G|`.
 //!
 //! A hybrid shard still builds and snapshots its IPO tree, but with two or more shards no
 //! read consults it. A service of two or more shards needs a template with an implicit form:
@@ -107,7 +112,6 @@ use crate::admission::{AdmissionPermit, AdmissionQueue};
 use crate::cache::{translate_through_chain, ResultCache, Salvage, TranslateFailure};
 use crate::executor;
 use crate::faults::FaultInjector;
-use crate::flight::{FlightRole, SingleFlight};
 use crate::maintenance::Scheduler;
 use crate::stats::{ServiceMetrics, StatsSnapshot};
 use skyline::adaptive::{AdaptiveSfs, ScanMode, ScoredEntry};
@@ -124,7 +128,7 @@ use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How rows are assigned to shards. The assignment is a pure function of a row's nominal
@@ -561,6 +565,69 @@ struct GlobalSkyline {
     degraded: Vec<usize>,
 }
 
+/// How often a miss waiting on a build of `G` re-checks the build and its deadline when no
+/// expiry comes sooner.
+const FOLLOWER_POLL: Duration = Duration::from_millis(10);
+
+/// The slot `G` lives in (module docs): the last complete build, with the skyline-epoch
+/// vector it was built at, and whether a build is running. Every critical section is one
+/// field read or write, so a poisoned lock is recovered rather than propagated.
+#[derive(Debug, Default)]
+struct GlobalSlot {
+    state: Mutex<SlotState>,
+    built: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct SlotState {
+    last: Option<(EpochVector, Arc<GlobalSkyline>)>,
+    building: bool,
+}
+
+impl SlotState {
+    fn built_at(&self, tags: &EpochVector) -> Option<Arc<GlobalSkyline>> {
+        self.last
+            .as_ref()
+            .filter(|(at, _)| at == tags)
+            .map(|(_, global)| global.clone())
+    }
+}
+
+impl GlobalSlot {
+    fn lock(&self) -> MutexGuard<'_, SlotState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// One wait for the running build to end, bounded by `deadline`: it wakes at the
+    /// deadline's expiry, and polls a cancel token (or nothing) every `FOLLOWER_POLL`.
+    fn wait<'s>(
+        &'s self,
+        state: MutexGuard<'s, SlotState>,
+        deadline: &Deadline,
+    ) -> Result<MutexGuard<'s, SlotState>> {
+        deadline.check()?;
+        let wait = deadline
+            .remaining()
+            .map_or(FOLLOWER_POLL, |rem| rem.min(FOLLOWER_POLL));
+        let (state, _) = self
+            .built
+            .wait_timeout(state, wait)
+            .unwrap_or_else(PoisonError::into_inner);
+        Ok(state)
+    }
+}
+
+/// The raised build flag of a [`GlobalSlot`]: dropping it — after a build, an error or a
+/// panic — lowers the flag and wakes every waiter.
+struct Building<'s>(&'s GlobalSlot);
+
+impl Drop for Building<'_> {
+    fn drop(&mut self) {
+        self.0.lock().building = false;
+        self.0.built.notify_all();
+    }
+}
+
 /// A concurrent skyline service over N independently maintained dataset shards (see the
 /// module docs).
 #[derive(Debug)]
@@ -576,11 +643,8 @@ pub struct ShardedService {
     /// The build threads, when [`ShardedConfig::maintenance`] is set.
     scheduler: Option<Scheduler>,
     workers: usize,
-    /// The last complete global template skyline, with the skyline-epoch vector it was
-    /// built at.
-    global: Mutex<Option<(EpochVector, Arc<GlobalSkyline>)>>,
-    /// Misses at a new skyline-epoch vector join one build of `G`.
-    global_flight: SingleFlight<EpochVector>,
+    /// The one home of the global template skyline `G`.
+    global: GlobalSlot,
 }
 
 impl ShardedService {
@@ -752,8 +816,7 @@ impl ShardedService {
             admission: AdmissionQueue::new(config.admission_depth),
             scheduler,
             workers,
-            global: Mutex::new(None),
-            global_flight: SingleFlight::new(),
+            global: GlobalSlot::default(),
         })
     }
 
@@ -1289,10 +1352,11 @@ impl ShardedService {
     }
 
     /// The global template skyline `G` at the front end's skyline-epoch vector (module
-    /// docs): the slot's complete build, or a new one. Misses at a new vector join one flight
-    /// keyed by it, each waiting no longer than its own deadline; only a complete build fills
-    /// the slot. With shards quarantined before the miss the build cannot be complete, so it
-    /// goes straight to the healthy shards.
+    /// docs): the slot's complete build, or a new one. The first miss at a new vector raises
+    /// the slot's flag and builds; a miss that finds the flag up waits for the build, no
+    /// longer than its own deadline, and builds alone when none was stored. Only a complete
+    /// build fills the slot. With shards quarantined before the miss the build cannot be
+    /// complete, so it goes straight to the healthy shards.
     fn global_skyline(
         &self,
         front: &Admitted<'_>,
@@ -1301,34 +1365,33 @@ impl ShardedService {
         if !front.quarantined.is_empty() {
             return self.build_global(front, deadline);
         }
-        let cached = || {
-            let slot = self.global.lock().unwrap_or_else(PoisonError::into_inner);
-            slot.as_ref()
-                .filter(|(tags, _)| *tags == front.tags)
-                .map(|(_, global)| global.clone())
-        };
-        if let Some(global) = cached() {
+        let mut state = self.global.lock();
+        if let Some(global) = state.built_at(&front.tags) {
             return Ok(global);
         }
-        let flight = self
-            .global_flight
-            .join_deadline(front.tags.clone(), deadline)
-            .inspect_err(|_| self.metrics.record_error())?;
-        if matches!(flight, FlightRole::Followed) {
+        let building = if state.building {
+            while state.building {
+                state = self
+                    .global
+                    .wait(state, deadline)
+                    .inspect_err(|_| self.metrics.record_error())?;
+            }
             self.metrics.record_coalesced();
-        }
-        // A leader may follow a flight that filled the slot since the look above; a follower
-        // finds its leader's build, or builds alone when the leader failed or degraded.
-        if let Some(global) = cached() {
-            return Ok(global);
-        }
+            if let Some(global) = state.built_at(&front.tags) {
+                return Ok(global);
+            }
+            None
+        } else {
+            state.building = true;
+            Some(Building(&self.global))
+        };
+        drop(state);
         let global = self.build_global(front, deadline)?;
         if global.degraded.is_empty() {
-            *self.global.lock().unwrap_or_else(PoisonError::into_inner) =
-                Some((front.tags.clone(), global.clone()));
+            self.global.lock().last = Some((front.tags.clone(), global.clone()));
             self.metrics.record_template_skyline_build(global.ids.len());
         }
-        drop(flight); // wakes followers once the slot is filled
+        drop(building); // wakes the waiters once the slot is filled
         Ok(global)
     }
 
@@ -2908,8 +2971,9 @@ mod tests {
 
     /// The members of the cached `G`, ascending.
     fn global_members(service: &ShardedService) -> Vec<GlobalRowId> {
-        let slot = service.global.lock().unwrap();
-        let mut ids = slot.as_ref().expect("a complete G is cached").1.ids.clone();
+        let slot = service.global.lock();
+        let (_, global) = slot.last.as_ref().expect("a complete G is cached");
+        let mut ids = global.ids.clone();
         ids.sort_unstable();
         ids
     }
@@ -3004,6 +3068,113 @@ mod tests {
             assert!(service.force_rebuild_shard(1).unwrap());
             misses(&service);
         }
+    }
+
+    /// Two shards over generated data and two refinements never asked before.
+    fn slot_service(seed: u64) -> (ShardedService, Vec<Preference>) {
+        let (data, template) = experiment(400, seed);
+        let mut seen = std::collections::HashSet::new();
+        let prefs: Vec<Preference> = QueryGenerator::new(seed)
+            .random_preferences(data.schema(), &template, 2, 20, None)
+            .into_iter()
+            .filter(|p| seen.insert(CanonicalPreference::new(data.schema(), p).unwrap()))
+            .take(2)
+            .collect();
+        assert_eq!(prefs.len(), 2);
+        let service = ShardedService::build(
+            &data,
+            template,
+            EngineConfig::AdaptiveSfs,
+            ShardedConfig {
+                shards: 2,
+                workers: 2,
+                ..ShardedConfig::default()
+            },
+        )
+        .unwrap();
+        (service, prefs)
+    }
+
+    /// Returns once some request has raised the slot's build flag.
+    fn until_building(service: &ShardedService) {
+        let started = Instant::now();
+        while !service.global.lock().building {
+            assert!(
+                started.elapsed() < Duration::from_secs(10),
+                "no build of G began"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// A miss waiting on a build of `G` under a cancel-only deadline gives up on the poll
+    /// after its token fires, while the build runs on and still fills the slot.
+    #[test]
+    fn a_cancelled_waiter_gives_up_while_the_build_fills_the_slot() {
+        let (service, prefs) = slot_service(151);
+        service
+            .fault_injector()
+            .delay_shard_query(0, Duration::from_millis(300));
+        let token = skyline_core::CancelToken::new();
+        let deadline = Deadline::none().with_cancel(token.clone());
+        std::thread::scope(|scope| {
+            let builder = scope.spawn(|| service.serve(&prefs[0]));
+            until_building(&service);
+            let waiter = scope.spawn(|| service.serve_deadline(&prefs[1], &deadline));
+            // Time for the waiter to reach its wait; cancelled earlier, it fails the same way.
+            std::thread::sleep(Duration::from_millis(30));
+            let cancelled = Instant::now();
+            token.cancel();
+            assert_eq!(
+                waiter.join().unwrap().unwrap_err(),
+                SkylineError::DeadlineExceeded
+            );
+            assert!(
+                cancelled.elapsed() < Duration::from_millis(150),
+                "the waiter gave up on its next poll, not at the end of the build"
+            );
+            assert!(service.global.lock().building, "the build runs on");
+            assert!(!builder.join().unwrap().unwrap().is_degraded());
+        });
+        service.fault_injector().clear();
+        assert!(!service.global.lock().building);
+        let template = service.template().implicit().unwrap().clone();
+        assert_eq!(global_members(&service), live_oracle(&service, &template));
+        let stats = service.stats();
+        assert_eq!(stats.template_skyline_builds, 1);
+        assert_eq!(stats.coalesced, 0, "a waiter that gave up is not counted");
+    }
+
+    /// A leader whose build fails — its leg on shard 0 panics under `FailClosed` — wakes its
+    /// waiter, which builds alone and answers like the live oracle.
+    #[test]
+    fn a_failed_build_wakes_its_waiter_to_build_alone() {
+        let (service, prefs) = slot_service(157);
+        service
+            .fault_injector()
+            .delay_shard_query(0, Duration::from_millis(100));
+        service.fault_injector().panic_on_shard_query(0, 1);
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| service.serve(&prefs[0]));
+            // The leader's leg sleeps 100 ms before it panics: the waiter arrives first.
+            until_building(&service);
+            let waited = service.serve(&prefs[1]);
+            assert_eq!(
+                leader.join().unwrap().unwrap_err(),
+                SkylineError::ShardUnavailable { shard: 0 }
+            );
+            let waited = waited.unwrap();
+            assert!(!waited.is_degraded());
+            assert_eq!(waited.outcome.skyline, live_oracle(&service, &prefs[1]));
+        });
+        service.fault_injector().clear();
+        let stats = service.stats();
+        assert_eq!(stats.coalesced, 1);
+        assert_eq!(
+            stats.template_skyline_builds, 1,
+            "the waiter's build is stored"
+        );
+        assert!(!service.global.lock().building);
     }
 
     /// The same checks on generated data at two to four shards, for every engine shape, after

@@ -246,8 +246,8 @@ pub struct StatsSnapshot {
     /// remap (a subset of `hits`): how much of the cache a compaction swap *kept* warm.
     pub remapped_hits: u64,
     /// Misses that waited on another request's in-flight build of the global template
-    /// skyline at the same skyline-epoch vector instead of starting their own (the build's
-    /// single-flight; only services of two or more shards build one).
+    /// skyline at the same skyline-epoch vector instead of starting their own (only services
+    /// of two or more shards build one).
     pub coalesced: u64,
     /// Requests rejected by admission control: the bounded queue was full and the request was
     /// shed with `Overloaded` before touching the engine (reject-newest).

@@ -8,12 +8,18 @@
 //! reassemble, which is what makes a snapshot cold start at `n = 100k` an order of magnitude
 //! faster than [`SkylineEngine::build`] (hard-asserted by `bench_snapshot`).
 //!
-//! Continuity: the generation [`Generation::id`], the dataset's [`DatasetEpoch`] and the
-//! [`Generation::tree_epoch`] all survive the round trip, so epoch-tagged artifacts (result
-//! caches, remap-chain translations) built before a process restart keep validating against
-//! the reloaded engine exactly as they would across a generation swap. The skyline epoch is
-//! not persisted: a loaded engine's [`SkylineEngine::skyline_epoch`] is its dataset epoch, so
-//! answers tagged with an earlier skyline epoch miss once.
+//! Continuity: the generation [`Generation::id`] and the dataset's [`DatasetEpoch`] survive
+//! the round trip, so epoch-tagged artifacts (result caches, remap-chain translations) built
+//! before a process restart keep validating against the reloaded engine exactly as they
+//! would across a generation swap. The skyline epoch is not persisted: a loaded engine's
+//! [`SkylineEngine::skyline_epoch`] is its dataset epoch, so answers tagged with an earlier
+//! skyline epoch miss once.
+//!
+//! The hybrid's [`Generation::tree_epoch`] is settled at load by the tree's members. A tree
+//! whose template skyline is the sorted list's describes the loaded `SKY_R(D)`, so it loads
+//! current: its tree epoch becomes the dataset epoch, and a tree that was still serving
+//! before the write keeps serving after the load. A tree with other members keeps its
+//! written epoch and loads stale; written at the dataset epoch, it is corruption.
 //!
 //! Failure model: any parse or validation problem — bad magic, checksum mismatch, truncated
 //! or structurally inconsistent payloads — surfaces as [`SkylineError::Snapshot`]. The caller
@@ -129,7 +135,7 @@ impl SkylineEngine {
             }
         };
         let generation_id = meta.get_u64()?;
-        let tree_epoch = DatasetEpoch::from_raw(meta.get_u64()?);
+        let mut tree_epoch = DatasetEpoch::from_raw(meta.get_u64()?);
         meta.expect_end()?;
 
         // The section set must be exactly what this configuration writes — a present-but-
@@ -192,21 +198,21 @@ impl SkylineEngine {
                     )));
                 }
                 let asfs = decode_asfs(data)?;
-                // A current tree and the sorted list describe the same template skyline; a
-                // stale tree (dataset mutated since materialization, `tree_epoch` behind)
-                // legitimately drifts from the incrementally maintained list and is never
-                // consulted until a rebuild.
-                if tree_epoch == data_epoch {
-                    let mut list_ids: Vec<PointId> =
-                        asfs.sorted_entries().iter().map(|e| e.point).collect();
-                    list_ids.sort_unstable();
-                    if list_ids != tree.skyline() {
-                        return Err(SkylineError::Snapshot(
-                            "current hybrid tree and sorted list disagree on the template \
-                             skyline"
-                                .into(),
-                        ));
-                    }
+                // A tree holding the sorted list's members describes the loaded `SKY_R(D)`,
+                // and with it every refinement's answer (`SKY_{R′}(D) = SKY_{R′}(SKY_R(D))`),
+                // so it is current at the loaded epoch. A tree with other members is stale —
+                // the list was maintained past it, so `tree_epoch` must be behind — and is
+                // never consulted until a rebuild.
+                let mut list_ids: Vec<PointId> =
+                    asfs.sorted_entries().iter().map(|e| e.point).collect();
+                list_ids.sort_unstable();
+                if list_ids == tree.skyline() {
+                    tree_epoch = data_epoch;
+                } else if tree_epoch == data_epoch {
+                    return Err(SkylineError::Snapshot(
+                        "current hybrid tree and sorted list disagree on the template skyline"
+                            .into(),
+                    ));
                 }
                 Generation::adaptive(asfs, Some(tree))
             }
@@ -366,6 +372,53 @@ mod tests {
             assert!(!loaded.serves_from_tree(&pref));
             assert_eq!(loaded.query(&pref).unwrap(), engine.query(&pref).unwrap());
         }
+    }
+
+    /// A write that leaves the template skyline alone keeps the hybrid's tree serving, and
+    /// so does a snapshot round trip: the loaded tree holds the loaded sorted list's members,
+    /// so it loads current at the loaded epoch instead of behind it.
+    #[test]
+    fn a_current_hybrid_tree_keeps_serving_across_a_round_trip() {
+        use skyline_datagen::workload::top_k_values;
+        use skyline_datagen::{Distribution, ExperimentConfig, QueryGenerator};
+        let config = ExperimentConfig {
+            n: 1_500,
+            numeric_dims: 2,
+            nominal_dims: 2,
+            cardinality: 8,
+            theta: 1.0,
+            pref_order: 2,
+            distribution: Distribution::AntiCorrelated,
+            seed: 7,
+        };
+        let data = Arc::new(config.generate_dataset());
+        let template = config.template(&data);
+        let mut engine = SkylineEngine::build(
+            data.clone(),
+            template.clone(),
+            EngineConfig::Hybrid { top_k: 3 },
+        )
+        .unwrap();
+        let allowed = top_k_values(&data, 3);
+        let mut generator = QueryGenerator::new(31);
+        let pref = std::iter::repeat_with(|| {
+            generator.random_preference(data.schema(), &template, 2, Some(&allowed))
+        })
+        .find(|pref| engine.serves_from_tree(pref))
+        .unwrap();
+        // Row 0's nominal values with numerics above every row's: row 0 dominates it.
+        let nominal = data.nominal_row(0).to_vec();
+        engine.insert_row(&[2.0, 2.0], &nominal).unwrap();
+        assert!(engine.skyline_epoch() < engine.epoch());
+        assert!(engine.serves_from_tree(&pref));
+
+        let loaded = SkylineEngine::from_snapshot(&engine.write_snapshot().unwrap()).unwrap();
+        assert_eq!(loaded.epoch(), engine.epoch());
+        assert_eq!(loaded.generation().tree_epoch(), loaded.epoch());
+        assert!(loaded.serves_from_tree(&pref), "the loaded tree is current");
+        let answer = loaded.query(&pref).unwrap();
+        assert_eq!(answer.method, crate::MethodUsed::IpoTree);
+        assert_eq!(answer.skyline, engine.query(&pref).unwrap().skyline);
     }
 
     #[test]

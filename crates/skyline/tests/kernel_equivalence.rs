@@ -6,8 +6,9 @@
 //! 1. [`CompiledRelation`] ≡ [`DominanceContext`]: `dominates` agrees on every point pair,
 //!    for random datasets, templates and query preferences.
 //! 2. Packed ≡ reference on every path that scans a window: the bit-parallel 64-lane
-//!    kernel and the reference context produce identical skylines through BNL, the SFS
-//!    window scan, and the cross-fragment `merge_skylines` operator — across 2–8 total
+//!    kernel and the reference context produce identical skylines through the SFS window
+//!    scan and the cross-fragment `merge_skylines` operator, and through BNL over the
+//!    kernel's pairwise test — across 2–8 total
 //!    dimensions, ragged window lengths straddling the 64/128 lane-block boundaries, and
 //!    both all-ranked and mixed ranked/unranked nominal orders.
 //! 3. Engines of every [`EngineConfig`] answer queries exactly like BNL under the reference
@@ -256,11 +257,12 @@ fn build_wide_dataset(instance: &WideInstance) -> std::sync::Arc<Dataset> {
     )
 }
 
-/// Pins packed ≡ reference on both window walks: BNL against the reference BNL skyline
-/// (`expected`), and the SFS presorted scan against the reference context's scan over the
-/// same `sorted` order. The scan is compared scan-to-scan, not scan-to-BNL: a score that is
-/// merely weakly monotone (ties broken by id) makes SFS output order-dependent, and both
-/// implementations must be order-dependent *identically*.
+/// Pins kernel ≡ reference: BNL through the kernel's pairwise `dominates` against the
+/// reference BNL skyline (`expected`), and the packed SFS presorted scan against the
+/// reference context's scan over the same `sorted` order. The scan is compared
+/// scan-to-scan, not scan-to-BNL: a score that is merely weakly monotone (ties broken by id)
+/// makes SFS output order-dependent, and both implementations must be order-dependent
+/// *identically*.
 fn assert_all_paths_match<D: Dominance>(
     dom: &D,
     sorted: &[PointId],
@@ -272,7 +274,7 @@ fn assert_all_paths_match<D: Dominance>(
     assert_eq!(
         &bnl::skyline_of(dom, all),
         expected,
-        "packed bnl vs reference ({what})"
+        "bnl over the kernel's pairwise test vs reference ({what})"
     );
     assert_eq!(
         &Scan::presorted(dom, sorted).collect::<Vec<_>>(),
@@ -285,8 +287,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
 
     /// Packed ≡ reference under **general partial-order templates** (mixed ranked/unranked
-    /// dimensions) on wide schemas and lane-boundary window lengths, for the BNL window, the
-    /// SFS window scan, and the cross-fragment merge.
+    /// dimensions) on wide schemas and lane-boundary window lengths, for the pairwise test
+    /// under BNL, the SFS window scan, and the cross-fragment merge.
     #[test]
     fn packed_and_reference_agree_on_wide_templates(
         instance in wide_instance_strategy()
