@@ -3,12 +3,13 @@
 //!
 //! The snapshot format exists for exactly one reason — a restarted server should start
 //! answering in the time it takes to read, checksum and index a few column blobs, not in
-//! the time it takes to re-run preprocessing (template scoring, the Adaptive-SFS sort and
-//! the IPO-tree construction). The criterion arms measure the two cold-start endpoints on
-//! the paper-default hybrid configuration, sharded two ways:
+//! the time it takes to re-run preprocessing (template scoring and the Adaptive-SFS sort).
+//! The criterion arms measure the two cold-start endpoints on the paper-default dataset,
+//! sharded two ways. A service of two or more shards answers every miss from the global
+//! template skyline and holds Adaptive-SFS shards only, so no IPO tree is built or loaded:
 //!
 //! * `preprocess_build` — `ShardedService::build` from the raw dataset (partition, score,
-//!   sort, build the IPO tree per shard);
+//!   sort per shard);
 //! * `snapshot_load` — `ShardedService::from_snapshots` over `shard-NNNN.snap` files
 //!   written once in setup (parse, checksum, rehydrate without re-sorting).
 //!
@@ -64,7 +65,7 @@ fn setup() -> Setup {
     let built = ShardedService::build(
         &data,
         template.clone(),
-        EngineConfig::Hybrid { top_k: 10 },
+        EngineConfig::AdaptiveSfs,
         sharded_config(),
     )
     .expect("sharded service builds");
@@ -100,7 +101,7 @@ fn build(s: &Setup) -> ShardedService {
     ShardedService::build(
         &s.data,
         s.template.clone(),
-        EngineConfig::Hybrid { top_k: 10 },
+        EngineConfig::AdaptiveSfs,
         s.sharded.clone(),
     )
     .expect("sharded service builds")
@@ -146,7 +147,7 @@ fn bench_snapshot(c: &mut Criterion) {
     }
     let speedup = best_build.as_secs_f64() / best_load.as_secs_f64();
     println!(
-        "  summary: cold start at n={} ({SHARDS} shards, hybrid top-10) — rebuild {:.2}ms \
+        "  summary: cold start at n={} ({SHARDS} Adaptive-SFS shards) — rebuild {:.2}ms \
          vs snapshot load {:.2}ms ({speedup:.1}x)",
         s.tuples,
         best_build.as_secs_f64() * 1e3,

@@ -53,10 +53,13 @@
 //! [`StatsSnapshot::template_skyline_builds`] counts the complete builds and
 //! [`StatsSnapshot::global_skyline_rows`] reports `|G|`.
 //!
-//! A hybrid shard still builds and snapshots its IPO tree, but with two or more shards no
-//! read consults it. A service of two or more shards needs a template with an implicit form:
-//! it is the ranking `G`'s sorted list is ordered by. Every shard must keep a sorted list, so
-//! a service refuses [`EngineConfig::SfsD`] engines, which keep none.
+//! With two or more shards no read consults a shard's IPO tree, so such a service holds only
+//! [`EngineConfig::AdaptiveSfs`] engines: [`ShardedService::build`] builds them for a
+//! [`EngineConfig::Hybrid`] config, and every constructor refuses any other engine. No
+//! build, rebuild, snapshot or cold start pays for a tree. A service of two or more shards
+//! also needs a template with an implicit form: it is the ranking `G`'s sorted list is
+//! ordered by. Every shard must keep a sorted list, so a service refuses
+//! [`EngineConfig::SfsD`] engines, which keep none.
 //!
 //! The pieces:
 //!
@@ -549,6 +552,24 @@ fn shared_shape<'a>(
     Ok((first.dataset().schema().clone(), first.template().clone()))
 }
 
+/// Refuses an engine configuration no shard of a `shards`-shard service may hold: SFS-D keeps
+/// no sorted list to serve from, and at two or more shards every miss is answered from `G`,
+/// so a hybrid shard's IPO tree would be built, rebuilt and snapshotted for no read.
+fn check_shard_config(config: EngineConfig, shards: usize) -> Result<()> {
+    let why = match config {
+        EngineConfig::SfsD => {
+            "a service serves from every shard's template skyline, which an SFS-D engine does \
+             not keep"
+        }
+        EngineConfig::Hybrid { .. } if shards > 1 => {
+            "a service of two or more shards answers every miss from the global template \
+             skyline and never reads a hybrid shard's IPO tree; its shards must be AdaptiveSfs"
+        }
+        _ => return Ok(()),
+    };
+    Err(SkylineError::InvalidArgument(why.into()))
+}
+
 type EpochVector = Arc<[DatasetEpoch]>;
 
 /// What a scatter returns: every answering shard's leg, ascending by shard, and the shards
@@ -650,6 +671,9 @@ pub struct ShardedService {
 impl ShardedService {
     /// Partitions `data` under `config.partition`, builds one engine per shard with the
     /// given `engine` configuration and shared `template`, and wires the serving machinery.
+    /// At two or more shards a [`EngineConfig::Hybrid`] builds [`EngineConfig::AdaptiveSfs`]
+    /// shards: every miss is answered from `G`, so a shard's tree would serve no read.
+    /// [`EngineConfig::SfsD`] is refused before any shard is built.
     ///
     /// Row `p` of `data` becomes row `i` of its shard, where `i` counts the rows of `data`
     /// routed to that shard before `p` — the deterministic order
@@ -661,6 +685,11 @@ impl ShardedService {
         config: ShardedConfig,
     ) -> Result<Self> {
         let shard_count = config.shards.max(1);
+        let engine = match engine {
+            EngineConfig::Hybrid { .. } if shard_count > 1 => EngineConfig::AdaptiveSfs,
+            other => other,
+        };
+        check_shard_config(engine, shard_count)?;
         let schema = data.schema().clone();
         config.partition.validate(&schema)?;
 
@@ -686,12 +715,14 @@ impl ShardedService {
     /// [`ShardedService::write_snapshots`] (or the post-swap hooks of
     /// [`ShardedConfig::snapshot_dir`]) left in `dir` — `shard-0000.snap` through
     /// `shard-NNNN.snap`, one per configured shard — skipping preprocessing entirely: each
-    /// shard's sorted list, IPO tree and columns rehydrate from the checksummed bytes with
-    /// their generation ids and epochs intact, so caches, remap chains and maintenance
-    /// resume exactly where the snapshotting service stopped.
+    /// shard's sorted list and columns (and, at one shard, its IPO tree) rehydrate from the
+    /// checksummed bytes with their generation ids and epochs intact, so caches, remap chains
+    /// and maintenance resume exactly where the snapshotting service stopped.
     ///
     /// Every shard must carry the same schema, template and engine configuration (they were
-    /// written by one service); the shard *count* and partition come from `config` and must
+    /// written by one service), and two or more shards must be
+    /// [`EngineConfig::AdaptiveSfs`]: files holding hybrid shards, which earlier versions
+    /// wrote, are refused. The shard *count* and partition come from `config` and must
     /// match the directory's files. A directory that also holds `shard-{count}.snap` was
     /// written by a larger service and is refused: loading a prefix of it would drop rows and
     /// route later inserts by the wrong shard count. The load is recorded in
@@ -726,8 +757,9 @@ impl ShardedService {
     /// handles to the shard: a fresh cold-cache service over one prebuilt engine costs no
     /// preprocessing.
     ///
-    /// Every engine must carry the same schema, template and engine configuration (the
-    /// checks [`ShardedService::from_snapshots`] runs), and — as there — `config.partition`
+    /// Every engine must carry the same schema, template and engine configuration, and two or
+    /// more engines must be [`EngineConfig::AdaptiveSfs`] (the checks
+    /// [`ShardedService::from_snapshots`] runs), and — as there — `config.partition`
     /// must be the one the engines' rows were placed under: later inserts are routed by it.
     pub fn from_engines(engines: Vec<SharedEngine>, config: ShardedConfig) -> Result<Self> {
         if engines.is_empty() {
@@ -765,8 +797,10 @@ impl ShardedService {
 
     /// The common wiring behind every constructor: fault injection, quarantine, the build
     /// threads (when [`ShardedConfig::maintenance`] is set), caches and admission control.
-    /// Every shard must keep a sorted list, so [`EngineConfig::SfsD`] engines are refused,
-    /// and two or more shards need a template with an implicit form (module docs).
+    /// Every shard must keep a sorted list, so [`EngineConfig::SfsD`] engines are refused; two
+    /// or more shards must be [`EngineConfig::AdaptiveSfs`] engines — a hybrid shard's tree
+    /// would be rebuilt on every swap and never read — and need a template with an implicit
+    /// form (module docs).
     fn assemble(
         engines: Vec<SharedEngine>,
         schema: Schema,
@@ -774,15 +808,8 @@ impl ShardedService {
         config: ShardedConfig,
         metrics: ServiceMetrics,
     ) -> Result<Self> {
-        if engines
-            .iter()
-            .any(|e| e.read().config() == EngineConfig::SfsD)
-        {
-            return Err(SkylineError::InvalidArgument(
-                "a service serves from every shard's template skyline, which an SFS-D engine \
-                 does not keep"
-                    .into(),
-            ));
+        for engine in &engines {
+            check_shard_config(engine.read().config(), engines.len())?;
         }
         if engines.len() > 1 && template.implicit().is_none() {
             return Err(SkylineError::InvalidArgument(
@@ -2783,6 +2810,90 @@ mod tests {
         }
     }
 
+    /// At two shards a hybrid config builds Adaptive-SFS shards, which serve and snapshot
+    /// exactly like an Adaptive-SFS build, and no constructor assembles two hybrid engines.
+    /// One hybrid shard keeps its tree: every constructor accepts it and it serves.
+    #[test]
+    fn multi_shard_services_hold_no_ipo_tree() {
+        let (data, template) = experiment(300, 5);
+        let hybrid = EngineConfig::Hybrid { top_k: 3 };
+        let sharded = |shards| ShardedConfig {
+            shards,
+            workers: 2,
+            ..ShardedConfig::default()
+        };
+        let prefs =
+            QueryGenerator::new(5).random_preferences(data.schema(), &template, 2, 64, None);
+
+        let service = ShardedService::build(&data, template.clone(), hybrid, sharded(2)).unwrap();
+        for s in 0..2 {
+            assert_eq!(service.shard(s).read().config(), EngineConfig::AdaptiveSfs);
+        }
+        for pref in &prefs {
+            assert!((0..2).all(|s| !service.shard(s).read().serves_from_tree(pref)));
+            let served = service.serve(pref).unwrap();
+            assert!(!served.outcome.methods.contains(&MethodUsed::IpoTree));
+            assert_eq!(served.outcome.skyline, live_oracle(&service, pref));
+        }
+        let adaptive = ShardedService::build(
+            &data,
+            template.clone(),
+            EngineConfig::AdaptiveSfs,
+            sharded(2),
+        )
+        .unwrap();
+        let (dir, adaptive_dir) = (scratch_dir("hybrid-2"), scratch_dir("adaptive-2"));
+        let written = service.write_snapshots(&dir).unwrap();
+        for (a, b) in written
+            .iter()
+            .zip(adaptive.write_snapshots(&adaptive_dir).unwrap())
+        {
+            assert_eq!(std::fs::read(a).unwrap(), std::fs::read(b).unwrap());
+        }
+
+        // Two hybrid engines, handed over or loaded from files, are refused.
+        let refused = |built: Result<ShardedService>| {
+            let Err(SkylineError::InvalidArgument(why)) = built else {
+                panic!("two hybrid shards must be refused");
+            };
+            assert!(why.contains("IPO tree"), "{why}");
+        };
+        let engines: Vec<SkylineEngine> = (0..2)
+            .map(|_| SkylineEngine::build(data.clone(), template.clone(), hybrid).unwrap())
+            .collect();
+        for (s, engine) in engines.iter().enumerate() {
+            engine
+                .write_snapshot_file(&shard_snapshot_path(&dir, s))
+                .unwrap();
+        }
+        refused(ShardedService::from_snapshots(&dir, sharded(2)));
+        let shared = engines.into_iter().map(SharedEngine::new).collect();
+        refused(ShardedService::from_engines(shared, sharded(2)));
+
+        // One shard: the engine's own tree is `G`.
+        let one_dir = scratch_dir("hybrid-1");
+        let built = ShardedService::build(&data, template.clone(), hybrid, sharded(1)).unwrap();
+        built.write_snapshots(&one_dir).unwrap();
+        let engine = SkylineEngine::build(data.clone(), template.clone(), hybrid).unwrap();
+        let popular = prefs
+            .iter()
+            .find(|p| engine.serves_from_tree(p))
+            .expect("some preference lists only materialized values");
+        for service in [
+            built,
+            ShardedService::from_snapshots(&one_dir, sharded(1)).unwrap(),
+            ShardedService::from_engines(vec![engine.into()], sharded(1)).unwrap(),
+        ] {
+            assert_eq!(service.shard(0).read().config(), hybrid);
+            let served = service.serve(popular).unwrap();
+            assert_eq!(served.outcome.methods, vec![MethodUsed::IpoTree]);
+            assert_eq!(served.outcome.skyline, live_oracle(&service, popular));
+        }
+        for dir in [dir, adaptive_dir, one_dir] {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
     #[test]
     fn errors_pass_through_and_are_counted() {
         let (data, template) = experiment(100, 5);
@@ -3011,8 +3122,7 @@ mod tests {
     /// Template `0 ≺ *` over two shards: `d = (1, 1, 0)` on shard 0 is the only template
     /// dominator of `r = (2, 2, 1)` on shard 1, beside `r`'s incomparable shard-mate
     /// `s = (0, 5, 1)`. `G` leaves `r` out while `d` lives, takes it back when `d` goes, and
-    /// leaves it out again under a new dominator — for every engine shape, across rebuilds
-    /// that renumber rows.
+    /// leaves it out again under a new dominator, across rebuilds that renumber rows.
     #[test]
     fn global_template_skyline_follows_the_data() {
         let schema = Schema::new(vec![
@@ -3028,46 +3138,44 @@ mod tests {
         )
         .unwrap();
         let template = Template::from_preference(&schema, listing(&[0])).unwrap();
-        for config in [EngineConfig::AdaptiveSfs, EngineConfig::Hybrid { top_k: 2 }] {
-            let service = ShardedService::build(
-                &data,
-                template.clone(),
-                config,
-                ShardedConfig {
-                    shards: 2,
-                    workers: 2,
-                    ..ShardedConfig::default()
-                },
-            )
-            .unwrap();
-            let placed = ShardedService::partition_rows(service.partition(), 2, &data);
-            let (d, r) = (placed[0], placed[1]);
-            assert_eq!(
-                (d.shard, r.shard),
-                (0, 1),
-                "d and r sit on different shards"
-            );
-            // Refinements not asked before, one pair per vector.
-            let mut k = 0;
-            let mut misses = |service: &ShardedService| {
-                k += 1;
-                check_global(service, [&listing(&[0, k]), &listing(&[0, k % 5 + 1, k])])
-            };
+        let service = ShardedService::build(
+            &data,
+            template,
+            EngineConfig::AdaptiveSfs,
+            ShardedConfig {
+                shards: 2,
+                workers: 2,
+                ..ShardedConfig::default()
+            },
+        )
+        .unwrap();
+        let placed = ShardedService::partition_rows(service.partition(), 2, &data);
+        let (d, r) = (placed[0], placed[1]);
+        assert_eq!(
+            (d.shard, r.shard),
+            (0, 1),
+            "d and r sit on different shards"
+        );
+        // Refinements not asked before, one pair per vector.
+        let mut k = 0;
+        let mut misses = |service: &ShardedService| {
+            k += 1;
+            check_global(service, [&listing(&[0, k]), &listing(&[0, k % 5 + 1, k])])
+        };
 
-            assert!(!misses(&service).contains(&r), "{config:?}");
-            assert!(!global_members(&service).contains(&r));
-            assert!(service.delete_row(d).unwrap());
-            assert!(misses(&service).contains(&r));
-            assert!(global_members(&service).contains(&r));
-            let d2 = service.insert_row(&[0.5, 0.5], &[0]).unwrap();
-            assert_eq!(d2, GlobalRowId { shard: 0, row: 1 });
-            assert!(!misses(&service).contains(&r));
-            // The rebuild reclaims `d` and renumbers `d2` to row 0.
-            assert!(service.force_rebuild_shard(0).unwrap());
-            assert!(misses(&service).contains(&GlobalRowId { shard: 0, row: 0 }));
-            assert!(service.force_rebuild_shard(1).unwrap());
-            misses(&service);
-        }
+        assert!(!misses(&service).contains(&r));
+        assert!(!global_members(&service).contains(&r));
+        assert!(service.delete_row(d).unwrap());
+        assert!(misses(&service).contains(&r));
+        assert!(global_members(&service).contains(&r));
+        let d2 = service.insert_row(&[0.5, 0.5], &[0]).unwrap();
+        assert_eq!(d2, GlobalRowId { shard: 0, row: 1 });
+        assert!(!misses(&service).contains(&r));
+        // The rebuild reclaims `d` and renumbers `d2` to row 0.
+        assert!(service.force_rebuild_shard(0).unwrap());
+        assert!(misses(&service).contains(&GlobalRowId { shard: 0, row: 0 }));
+        assert!(service.force_rebuild_shard(1).unwrap());
+        misses(&service);
     }
 
     /// Two shards over generated data and two refinements never asked before.
@@ -3177,8 +3285,8 @@ mod tests {
         assert!(!service.global.lock().building);
     }
 
-    /// The same checks on generated data at two to four shards, for every engine shape, after
-    /// every insert, delete of a `G` member and forced rebuild.
+    /// The same checks on generated data at two to four shards, after every insert, delete of
+    /// a `G` member and forced rebuild.
     #[test]
     fn global_template_skyline_follows_generated_data_at_every_shard_count() {
         let (data, template) = experiment(160, 131);
@@ -3189,44 +3297,42 @@ mod tests {
             .filter(|p| seen.insert(CanonicalPreference::new(data.schema(), p).unwrap()))
             .collect();
         for shards in 2..=4 {
-            for config in [EngineConfig::AdaptiveSfs, EngineConfig::Hybrid { top_k: 3 }] {
-                let service = ShardedService::build(
-                    &data,
-                    template.clone(),
-                    config,
-                    ShardedConfig {
-                        shards,
-                        workers: 2,
-                        ..ShardedConfig::default()
-                    },
-                )
-                .unwrap();
-                let mut fresh = prefs.chunks_exact(2).cycle();
-                let mut check = |service: &ShardedService| {
-                    let pair = fresh.next().unwrap();
-                    check_global(service, [&pair[0], &pair[1]]);
-                };
-                check(&service);
-                for step in 0..6u16 {
-                    match step % 3 {
-                        0 => {
-                            let x = 0.05 * f64::from(step);
-                            service
-                                .insert_row(&[x, 0.1], &[step % 8, 7 - step % 8])
-                                .unwrap();
-                        }
-                        1 => {
-                            let member = global_members(&service)[usize::from(step) % 3];
-                            assert!(service.delete_row(member).unwrap());
-                        }
-                        _ => {
-                            assert!(service
-                                .force_rebuild_shard(usize::from(step) % shards)
-                                .unwrap());
-                        }
+            let service = ShardedService::build(
+                &data,
+                template.clone(),
+                EngineConfig::AdaptiveSfs,
+                ShardedConfig {
+                    shards,
+                    workers: 2,
+                    ..ShardedConfig::default()
+                },
+            )
+            .unwrap();
+            let mut fresh = prefs.chunks_exact(2).cycle();
+            let mut check = |service: &ShardedService| {
+                let pair = fresh.next().unwrap();
+                check_global(service, [&pair[0], &pair[1]]);
+            };
+            check(&service);
+            for step in 0..6u16 {
+                match step % 3 {
+                    0 => {
+                        let x = 0.05 * f64::from(step);
+                        service
+                            .insert_row(&[x, 0.1], &[step % 8, 7 - step % 8])
+                            .unwrap();
                     }
-                    check(&service);
+                    1 => {
+                        let member = global_members(&service)[usize::from(step) % 3];
+                        assert!(service.delete_row(member).unwrap());
+                    }
+                    _ => {
+                        assert!(service
+                            .force_rebuild_shard(usize::from(step) % shards)
+                            .unwrap());
+                    }
                 }
+                check(&service);
             }
         }
     }

@@ -60,9 +60,9 @@ fn instance_strategy() -> impl Strategy<Value = StreamInstance> {
     })
 }
 
-/// The instance's dataset behind a `shards`-shard service. Hybrid with a small top_k: the
-/// stream exercises both the tree and the fallback (which also absorbs per-shard top-k sets
-/// that differ at two shards).
+/// The instance's dataset behind a `shards`-shard service. Hybrid with a small top_k: at one
+/// shard the stream exercises both the tree and the fallback; at two or more the service
+/// builds Adaptive-SFS shards.
 fn build_service(
     instance: &StreamInstance,
     shards: usize,

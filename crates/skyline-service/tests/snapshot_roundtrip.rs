@@ -13,9 +13,10 @@ use std::sync::Arc;
 
 const CARD: usize = 3;
 
-/// Every engine configuration a service serves, which its snapshots must carry: the full
-/// tree, a truncated one (some preferences tree-served, the rest answered by the fallback),
-/// and the tree-less Adaptive SFS.
+/// Every engine configuration a service is built with: the full tree, a truncated one (some
+/// preferences tree-served, the rest answered by the fallback), and the tree-less Adaptive
+/// SFS. Only a one-shard service keeps a tree; at two or more shards a hybrid config builds
+/// Adaptive-SFS shards.
 const CONFIGS: [EngineConfig; 3] = [
     EngineConfig::AdaptiveSfs,
     EngineConfig::Hybrid { top_k: usize::MAX },
@@ -239,29 +240,19 @@ fn mixed_config_shard_files_are_refused() {
     )
     .unwrap();
     adaptive.write_snapshots(&dir).unwrap();
-    let hybrid_dir = scratch_dir("mixed-config-hybrid");
-    let hybrid = ShardedService::build(
-        &data,
-        template,
-        EngineConfig::Hybrid { top_k: 2 },
-        sharded.clone(),
-    )
-    .unwrap();
-    hybrid.write_snapshots(&hybrid_dir).unwrap();
 
-    // Replace shard 1's file with the hybrid service's shard 1: configs now disagree.
-    std::fs::copy(
-        hybrid_dir.join("shard-0001.snap"),
-        dir.join("shard-0001.snap"),
-    )
-    .unwrap();
+    // Replace shard 1's file with a hybrid engine over the same rows: configs now disagree.
+    let rows = adaptive.shard(1).read().dataset_arc().clone();
+    SkylineEngine::build(rows, template, EngineConfig::Hybrid { top_k: 2 })
+        .unwrap()
+        .write_snapshot_file(&dir.join("shard-0001.snap"))
+        .unwrap();
     let err = ShardedService::from_snapshots(&dir, sharded);
     assert!(
         matches!(err, Err(SkylineError::Snapshot(_))),
         "mixed-config shard files must be a structured snapshot error, got {err:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&hybrid_dir);
 }
 
 /// `from_snapshots` refuses a directory written by a service with more shards than the
