@@ -64,8 +64,7 @@ fn stage_probe(orders: &[CompiledOrder], nominal: &[ValueId], probe: &mut Vec<u1
 /// Clusters a source's candidates by nominal tuple, then first numeric value, so that its
 /// 64-row lane blocks come out value-homogeneous and the lanes' zone maps rule most of them
 /// out unopened. Only the blocks' composition depends on the key — any packing order gives
-/// the same survivors — so the leading four nominal dimensions and an arbitrary place for
-/// NaN are enough.
+/// the same survivors — so the leading four nominal dimensions are enough.
 fn cluster_key((pn, pm): Row<'_>) -> (u64, u64) {
     let nominal = pm.iter().take(4).fold(0, |k, &v| k << 16 | u64::from(v));
     let numeric = pn.first().map_or(0, |v| {
@@ -173,8 +172,8 @@ pub fn merge_skylines<R: Deref<Target = Dataset>>(
 /// source-mate would survive (module header); push order across sources is free.
 ///
 /// Dominance matches [`CompiledRelation::dominates`] exactly — numeric smaller-is-better
-/// with NaN neither blocking nor establishing dominance, nominal strict preference through
-/// the compiled closures, and value-identical candidates co-existing.
+/// over the finite cells a [`Dataset`] holds, nominal strict preference through the
+/// compiled closures, and value-identical candidates co-existing.
 #[derive(Debug, Clone)]
 pub struct SkylineMerger {
     orders: Vec<CompiledOrder>,
@@ -209,8 +208,9 @@ impl SkylineMerger {
     }
 
     /// Pushes one candidate: its source index, its id within that source, and its raw values
-    /// in dimension-index order. Values must match the merger's dimensionality, and every
-    /// nominal value must be inside its compiled order's domain.
+    /// in dimension-index order — a [`Dataset`] row's, so the numeric cells are finite. Values
+    /// must match the merger's dimensionality, and every nominal value must be inside its
+    /// compiled order's domain.
     pub fn push(
         &mut self,
         source: usize,
@@ -438,16 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn nan_values_neither_block_nor_establish_dominance() {
-        let orders: Vec<CompiledOrder> = Vec::new();
-        let mut merger = SkylineMerger::new(orders, 2);
-        // (NaN, 1) vs (2, 1): no strict edge either way — both survive.
-        merger.push(0, 0, &[f64::NAN, 1.0], &[]).unwrap();
-        merger.push(1, 1, &[2.0, 1.0], &[]).unwrap();
-        assert_eq!(merger.merge(), vec![(0, 0), (1, 1)]);
-    }
-
-    #[test]
     fn rows_are_tested_against_the_other_sources_only() {
         // (1) ≺ (2) ≺ (3). Handing (1) and (2) in as one source breaks the "each source is
         // its own skyline" contract: (2) is never tested against its source-mate and
@@ -459,8 +449,8 @@ mod tests {
         assert_eq!(merger.merge(), vec![(0, 1), (0, 2)]);
     }
 
-    /// Brute-force `p ≺ q` on raw rows (no NaN here): not worse on every dimension, and
-    /// the rows differ somewhere.
+    /// Brute-force `p ≺ q` on raw rows: not worse on every dimension, and the rows differ
+    /// somewhere.
     fn row_dominates(orders: &[CompiledOrder], (pn, pm): Row<'_>, (qn, qm): Row<'_>) -> bool {
         pn.iter().zip(qn).all(|(p, q)| p <= q)
             && orders

@@ -23,9 +23,6 @@ pub mod sfs;
 
 pub use merge::{merge_skylines, SkylineMerger};
 
-use crate::dominance::Dominance;
-use crate::value::PointId;
-
 /// The work one query, scan or lookup did, in machine-neutral units: every field is a plain
 /// count that repeats exactly on any host and thread count. The paper reports wall-clock
 /// times; Kalyvas & Tzouramanis compare skyline algorithms by dominance-test count, which
@@ -47,64 +44,4 @@ pub struct Work {
     pub set_operations: u64,
     /// IPO tree: leaf-level partial results produced.
     pub leaf_results: u64,
-}
-
-/// Verifies that `skyline` is exactly the skyline of `points` under `ctx`.
-///
-/// This is an O(|points|·|skyline|) brute-force check intended for tests and debug assertions,
-/// not for production use.
-pub fn verify_skyline<D: Dominance + ?Sized>(
-    ctx: &D,
-    points: &[PointId],
-    skyline: &[PointId],
-) -> bool {
-    use std::collections::HashSet;
-    let skyline_set: HashSet<PointId> = skyline.iter().copied().collect();
-    // Every skyline member must be non-dominated; every non-member must be dominated by someone.
-    for &p in points {
-        let dominated = points.iter().any(|&q| ctx.dominates(q, p));
-        if skyline_set.contains(&p) && dominated {
-            return false;
-        }
-        if !skyline_set.contains(&p) && !dominated {
-            return false;
-        }
-    }
-    true
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::dataset::Dataset;
-    use crate::dominance::DominanceContext;
-    use crate::order::Template;
-    use crate::schema::{Dimension, Schema};
-
-    #[test]
-    fn verify_skyline_accepts_correct_and_rejects_wrong() {
-        let schema = Schema::new(vec![Dimension::numeric("x"), Dimension::numeric("y")]).unwrap();
-        let data = Dataset::from_columns(
-            schema,
-            vec![vec![1.0, 2.0, 3.0], vec![3.0, 2.0, 1.0]],
-            vec![],
-        )
-        .unwrap();
-        let template = Template::empty(data.schema());
-        let ctx = DominanceContext::for_template(&data, &template).unwrap();
-        let all: Vec<u32> = (0..3).collect();
-        assert!(verify_skyline(&ctx, &all, &[0, 1, 2]));
-        assert!(!verify_skyline(&ctx, &all, &[0, 1]));
-
-        let dominated = Dataset::from_columns(
-            data.schema().clone(),
-            vec![vec![1.0, 2.0], vec![1.0, 2.0]],
-            vec![],
-        )
-        .unwrap();
-        let t2 = Template::empty(dominated.schema());
-        let ctx2 = DominanceContext::for_template(&dominated, &t2).unwrap();
-        assert!(verify_skyline(&ctx2, &[0, 1], &[0]));
-        assert!(!verify_skyline(&ctx2, &[0, 1], &[0, 1]));
-    }
 }

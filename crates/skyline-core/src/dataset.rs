@@ -170,7 +170,9 @@ impl RowIdRemap {
 /// dominance test — the innermost loop of every algorithm here — reads two short contiguous
 /// runs instead of one strided cell per column. Numeric values are indexed by the *numeric
 /// index* (position among numeric dimensions) and nominal values by the *nominal index*
-/// (position among nominal dimensions), mirroring [`Schema`].
+/// (position among nominal dimensions), mirroring [`Schema`]. Every numeric cell is a
+/// finite `f64`: [`Dataset::push_row_ids`], which every ingest path goes through, refuses NaN
+/// and `±∞`.
 ///
 /// A dataset is also **mutable in place**: [`Dataset::append_row`] adds a row at the end and
 /// [`Dataset::tombstone`] logically deletes one, and both bump the [`DatasetEpoch`].
@@ -313,6 +315,11 @@ impl Dataset {
     /// Appends a row given values for the numeric dimensions (in numeric-index order) and
     /// value ids for the nominal dimensions (in nominal-index order), validated against the
     /// schema. Returns the new row id. This is ingest: the epoch is left unchanged.
+    ///
+    /// Every way a row enters a dataset goes through here, so this is where a numeric cell
+    /// is made finite: NaN, `+∞` and `−∞` are refused with
+    /// [`SkylineError::InvalidArgument`]. Numeric domains are then totally ordered by `<`,
+    /// and dominance is a strict partial order.
     pub fn push_row_ids(&mut self, numeric: &[f64], nominal: &[ValueId]) -> Result<PointId> {
         if numeric.len() != self.schema.numeric_count()
             || nominal.len() != self.schema.nominal_count()
@@ -321,6 +328,9 @@ impl Dataset {
                 expected: self.schema.arity(),
                 got: numeric.len() + nominal.len(),
             });
+        }
+        if let Some(j) = numeric.iter().position(|v| !v.is_finite()) {
+            return Err(non_finite(&self.schema, j, numeric[j]));
         }
         for (j, &v) in nominal.iter().enumerate() {
             let card = self.schema.nominal_domain(j).map_or(0, |d| d.cardinality());
@@ -524,6 +534,17 @@ pub(crate) fn out_of_domain(schema: &Schema, j: usize, v: ValueId) -> SkylineErr
         value: v as u32,
         cardinality: schema.nominal_domain(j).map_or(0, |d| d.cardinality()),
     }
+}
+
+/// The error for the non-finite cell `v` of numeric dimension `j` of `schema`.
+pub(crate) fn non_finite(schema: &Schema, j: usize, v: f64) -> SkylineError {
+    let name = schema
+        .dimension(schema.numeric_dims()[j])
+        .map(|d| d.name().to_string())
+        .unwrap_or_default();
+    SkylineError::InvalidArgument(format!(
+        "numeric dimension `{name}` holds {v}: numeric cells must be finite"
+    ))
 }
 
 /// Row-oriented builder that accepts labels and interns them into the schema domains.
@@ -740,7 +761,67 @@ mod tests {
         assert_eq!(d.append_row(&[3.0], &[1]).unwrap(), 2);
         assert_eq!(d.epoch().get(), 1, "a served insert bumps it");
         assert!(d.append_row(&[3.0], &[2]).is_err());
+        for v in NON_FINITE {
+            assert!(matches!(
+                d.append_row(&[v], &[1]),
+                Err(SkylineError::InvalidArgument(_))
+            ));
+        }
+        assert_eq!(d.len(), 3);
         assert_eq!(d.epoch().get(), 1, "a rejected insert does not");
+    }
+
+    const NON_FINITE: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+    fn two_numeric() -> Schema {
+        Schema::new(vec![Dimension::numeric("x"), Dimension::numeric("y")]).unwrap()
+    }
+
+    /// Refused among others: rows on which non-finite cells break the skyline methods. On
+    /// `(−∞, 1)` and `(−∞, 0)` the score-sorted engines keep both rows and BNL one; on
+    /// `(5, 0)`, `(NaN, 1)` and `(1, 2)` every method keeps rows 0 and 2 although row 1
+    /// dominates row 2.
+    #[test]
+    fn from_columns_refuses_non_finite_cells() {
+        for (x, y) in [
+            (vec![f64::NEG_INFINITY, f64::NEG_INFINITY], vec![1.0, 0.0]),
+            (vec![5.0, f64::NAN, 1.0], vec![0.0, 1.0, 2.0]),
+        ] {
+            let err = Dataset::from_columns(two_numeric(), vec![x, y], vec![]).unwrap_err();
+            assert!(matches!(err, SkylineError::InvalidArgument(_)), "{err:?}");
+        }
+        for v in NON_FINITE {
+            let err =
+                Dataset::from_columns(two_numeric(), vec![vec![1.0], vec![v]], vec![]).unwrap_err();
+            assert!(matches!(err, SkylineError::InvalidArgument(_)), "{v}");
+            assert!(err.to_string().contains("`y`"), "{err}");
+        }
+        let finite = [f64::MIN, -0.0, f64::MIN_POSITIVE / 2.0, f64::MAX];
+        let d = Dataset::from_columns(two_numeric(), vec![finite.to_vec(); 2], vec![]).unwrap();
+        assert_eq!(d.len(), 4);
+    }
+
+    #[test]
+    fn builder_refuses_non_finite_cells() {
+        for v in NON_FINITE {
+            let mut b = DatasetBuilder::new(schema());
+            b.push_row([
+                RowValue::Num(1.0),
+                RowValue::Num(1.0),
+                RowValue::Label("T".into()),
+            ])
+            .unwrap();
+            b.push_row([
+                RowValue::Num(v),
+                RowValue::Num(1.0),
+                RowValue::Label("T".into()),
+            ])
+            .unwrap();
+            assert!(
+                matches!(b.build(), Err(SkylineError::InvalidArgument(_))),
+                "{v}"
+            );
+        }
     }
 
     #[test]

@@ -336,9 +336,6 @@ impl<R: Deref<Target = Dataset>> CompiledRelation<R> {
 
     /// Index into `candidates` of the first point dominating `p`, with `p`'s rows hoisted out
     /// of the candidate loop and a branchless per-candidate evaluation.
-    // `!(qv > pv)` is deliberate, not `qv <= pv`: NaN must neither block nor establish
-    // dominance, exactly mirroring the reference `if pv > qv { return false }`.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn first_dominator(&self, p: PointId, candidates: &[PointId]) -> Option<usize> {
         let pn = self.data.numeric_row(p);
         let pm = self.data.nominal_row(p);
@@ -349,7 +346,7 @@ impl<R: Deref<Target = Dataset>> CompiledRelation<R> {
             let mut not_worse = true;
             let mut strict = false;
             for (qv, pv) in self.data.numeric_row(q).iter().zip(pn) {
-                not_worse &= !(qv > pv);
+                not_worse &= qv <= pv;
                 strict |= qv < pv;
             }
             for (order, (&qv, &pv)) in self

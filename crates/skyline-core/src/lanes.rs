@@ -20,9 +20,7 @@
 //!
 //! Nominal dimensions store `(value id, layered rank)` lanes: ranked (weak) orders compare
 //! ranks with pure integer masks, general partial orders probe the compiled closure per
-//! lane (the closure table is a few hundred bytes, L1-resident). NaN semantics mirror the
-//! pairwise test exactly: a NaN neither blocks nor establishes dominance, because every
-//! mask is built from the same `!(a > b)` / `a < b` comparisons the pairwise test uses.
+//! lane (the closure table is a few hundred bytes, L1-resident).
 //!
 //! # Zone maps
 //!
@@ -37,12 +35,11 @@
 //!   `{u : u = v ∨ u ≺ v}`. Folding only ever merges bits, so an empty folded intersection
 //!   implies an empty true one: exact up to cardinality 64, conservative above. Tested first,
 //!   before any lane is read: on value-clustered blocks this is the test that fires;
-//! * per numeric dimension the **minimum** lane value, a NaN lane counting as `−∞` (a NaN is
-//!   never worse than anything). The block is left when `min > probe`: then `lane > probe`
-//!   on all 64 lanes. A NaN probe never skips, because `min > NaN` is false — exactly the
-//!   kernel's `!(a > b)`. Tested per dimension, right before that dimension's mask pass, so
-//!   a score-sorted window scan — whose blocks mostly die on their first numeric pass and
-//!   are never value-clustered — pays one compare per pass it would have run anyway.
+//! * per numeric dimension the **minimum** lane value. The block is left when
+//!   `min > probe`: then `lane > probe` on all 64 lanes. Tested per dimension, right before
+//!   that dimension's mask pass, so a score-sorted window scan — whose blocks mostly die on
+//!   their first numeric pass and are never value-clustered — pays one compare per pass it
+//!   would have run anyway.
 //!
 //! The summaries cover every lane ever pushed into the block, evicted or not — a superset of
 //! the live lanes, so eviction can only make a skip rarer, never wrong. Padding lanes are in
@@ -73,8 +70,7 @@ pub(crate) struct PackedLanes {
     ranks: Vec<u16>,
     /// One validity mask per block; bit `l` set when lane `l` holds a live row.
     valid: Vec<u64>,
-    /// Numeric zone map: cell `b * numeric_dims + j` is block `b`'s minimum on dimension `j`
-    /// (`−∞` once a NaN was pushed).
+    /// Numeric zone map: cell `b * numeric_dims + j` is block `b`'s minimum on dimension `j`.
     zone_min: Vec<f64>,
     /// Nominal zone map: cell `b * nominal_dims + j` is the set of value ids block `b` holds
     /// on dimension `j`, folded to bit `v mod 64`.
@@ -151,11 +147,7 @@ impl PackedLanes {
         for (j, &v) in nums_row.iter().enumerate() {
             self.nums[(b * self.numeric_dims + j) * LANE_COUNT + lane] = v;
             let zone = &mut self.zone_min[b * self.numeric_dims + j];
-            *zone = if v.is_nan() {
-                f64::NEG_INFINITY
-            } else {
-                zone.min(v)
-            };
+            *zone = zone.min(v);
         }
         for j in 0..self.nominal_dims {
             self.vals[(b * self.nominal_dims + j) * LANE_COUNT + lane] = noms_pairs[2 * j];
@@ -229,10 +221,10 @@ impl PackedLanes {
     }
 
     /// Calls `f` with every valid lane (in push order) not worse than `pn` on every numeric
-    /// dimension — the `not_worse` half of [`PackedLanes::first_dominator`]'s numeric passes,
-    /// so a NaN on either side neither blocks nor helps. The nominal lanes are not read.
+    /// dimension — the `not_worse` half of [`PackedLanes::first_dominator`]'s numeric passes.
+    /// The nominal lanes are not read.
     ///
-    /// The lanes must have been pushed in ascending order of numeric dimension 0, NaN first:
+    /// The lanes must have been pushed in ascending order of numeric dimension 0:
     /// the walk stops at the first block whose zone minimum there exceeds `pn[0]`, and skips a
     /// block whose zone minimum exceeds the probe on another dimension.
     pub fn for_each_numeric_not_worse(&self, pn: &[f64], mut f: impl FnMut(usize)) {
@@ -279,15 +271,12 @@ impl PackedLanes {
 
 /// Numeric movemask, lane-dominates-probe direction: bit `l` of `not_worse` when lane `l`'s
 /// value is not worse than (not greater than) `pv`, of `strict` when it is strictly better.
-// `!(qv > pv)` is deliberate, not `qv <= pv`: NaN must neither block nor establish
-// dominance, exactly mirroring the pairwise `CompiledRelation::dominates`.
-#[allow(clippy::neg_cmp_op_on_partial_ord)]
 #[inline]
 fn numeric_masks(lane: &[f64], pv: f64) -> (u64, u64) {
     let mut not_worse = 0u64;
     let mut strict = 0u64;
     for (l, &qv) in lane.iter().enumerate() {
-        not_worse |= u64::from(!(qv > pv)) << l;
+        not_worse |= u64::from(qv <= pv) << l;
         strict |= u64::from(qv < pv) << l;
     }
     (not_worse, strict)
@@ -383,14 +372,9 @@ mod tests {
         assert_eq!(lanes.first_dominator(&[], &[6.0, 6.0], &[]), Some(64));
         // Equal rows never dominate (no strict dimension).
         assert_eq!(lanes.first_dominator(&[], &[5.0, 5.0], &[]), None);
-        // A NaN probe cell is indifferent (neither blocks nor establishes dominance), so
-        // the lanes still dominate via the second dimension — and a NaN can never be the
-        // strict edge itself.
-        assert_eq!(lanes.first_dominator(&[], &[f64::NAN, 6.0], &[]), Some(64));
-        assert_eq!(lanes.first_dominator(&[], &[f64::NAN, 5.0], &[]), None);
     }
 
-    /// Lane-dominates-probe on raw, NaN-free `(numeric, value)` rows.
+    /// Lane-dominates-probe on raw `(numeric, value)` rows.
     fn scalar_dominates(order: &CompiledOrder, q: (f64, u16), p: (f64, u16)) -> bool {
         let preferred = order.strictly_preferred(q.1, p.1);
         q.0 <= p.0 && (q.1 == p.1 || preferred) && (q.0 < p.0 || preferred)
@@ -431,39 +415,6 @@ mod tests {
         let best = pairs_for(&orders, &[0]);
         assert!(lanes.nominal_zone_excludes(0, &orders, &best));
         assert_eq!(lanes.first_dominator(&orders, &[9.0], &best), None);
-    }
-
-    #[test]
-    fn nan_lanes_and_nan_probes_are_never_skipped() {
-        let orders = vec![ranked_order(3, &[0, 1])];
-        let mut lanes = PackedLanes::default();
-        lanes.reset(2, 1);
-        // Every lane's first numeric is far above the probe's, except lane 40's NaN — which
-        // is "not worse" — and lane 40 is strictly better on the rest.
-        for l in 0..64 {
-            let first = if l == 40 { f64::NAN } else { 100.0 };
-            lanes.push(&[first, 1.0], &pairs_for(&orders, &[0]));
-        }
-        let probe = pairs_for(&orders, &[1]);
-        assert_eq!(lanes.zone_min[0], f64::NEG_INFINITY);
-        assert_eq!(
-            lanes.first_dominator(&orders, &[5.0, 2.0], &probe),
-            Some(40)
-        );
-        // Without the NaN lane the same block is ruled out by its minimum alone …
-        let mut plain = PackedLanes::default();
-        plain.reset(2, 1);
-        for _ in 0..64 {
-            plain.push(&[100.0, 1.0], &pairs_for(&orders, &[0]));
-        }
-        assert_eq!(plain.zone_min[0], 100.0);
-        assert_eq!(plain.first_dominator(&orders, &[5.0, 2.0], &probe), None);
-        // … unless the probe's cell is the NaN: `min > NaN` is false, the block is opened,
-        // and every lane dominates through the other dimensions.
-        assert_eq!(
-            plain.first_dominator(&orders, &[f64::NAN, 2.0], &probe),
-            Some(0)
-        );
     }
 
     #[test]

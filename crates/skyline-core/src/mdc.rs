@@ -274,17 +274,17 @@ impl MdcIndex {
 /// For a skyline point `p` and a dominator `q`, the candidate condition is the set of pairs
 /// `(q.Dᵢ, p.Dᵢ)` on the nominal dimensions where the two values are distinct and not yet
 /// related by `ctx`'s orders. It is feasible when `q` is at least as good as `p` on every
-/// numeric dimension (`!(q > p)`, so a NaN neither blocks nor helps) and never *worse* than
-/// `p` on a nominal dimension under those orders.
+/// numeric dimension (`q ≤ p`) and never *worse* than `p` on a nominal dimension under those
+/// orders.
 ///
 /// The condition depends only on `q`'s nominal tuple, so the miner first finds the tuples
 /// that hold a **numeric witness** for `p` — a dominator not worse than `p` on every numeric
 /// dimension — and then forms one candidate per distinct witness tuple. The witnesses come
 /// from one walk over the dominators' numeric columns, packed 64 rows to a block and sorted on
-/// numeric dimension 0 with NaN first (the zone rule of the packed lanes): each block answers
-/// `!(q > p)` for all 64 lanes at once, a block whose zone minimum exceeds `p` on some
-/// dimension is skipped, and the walk stops at the first block past `p₀`. With no numeric
-/// dimension every dominator is a witness. Only the minimal candidates are kept.
+/// numeric dimension 0: each block answers `q ≤ p` for all 64 lanes at once, a block whose
+/// zone minimum exceeds `p` on some dimension is skipped, and the walk stops at the first
+/// block past `p₀`. With no numeric dimension every dominator is a witness. Only the minimal
+/// candidates are kept.
 ///
 /// `ctx`'s orders fix what a node's set means. The IPO-tree builder mines against the *empty*
 /// relation of `SKY(∅)`, with `SKY(∅)` as the dominators: a node disqualifies `p` when some
@@ -299,10 +299,7 @@ pub fn compute_mdcs_with_dominators<R: Deref<Target = Dataset>>(
 ) -> MdcIndex {
     let data = ctx.dataset();
     let (nd, md) = (data.schema().numeric_count(), data.schema().nominal_count());
-    let zone = |q: PointId| match data.numeric_row(q).first() {
-        Some(v) if !v.is_nan() => *v,
-        _ => f64::NEG_INFINITY,
-    };
+    let zone = |q: PointId| data.numeric_row(q).first().copied().unwrap_or_default();
     // The distinct dominator tuples, in tuple order: the order candidates are formed in.
     let mut rows = dominators.to_vec();
     rows.sort_unstable_by(|&a, &b| data.nominal_row(a).cmp(data.nominal_row(b)));
@@ -495,9 +492,9 @@ mod tests {
     }
 
     /// A small adversarial dataset: values from {0, 1, 2, 3} (ties on every dimension,
-    /// dimension 0 included), about one NaN cell in six, whole-row duplicates and rows that
-    /// repeat an earlier row's numerics under a fresh tuple. `tuples` picks the nominal
-    /// layout: 0 random, 1 a single tuple, 2 every row in its own tuple.
+    /// dimension 0 included), whole-row duplicates and rows that repeat an earlier row's
+    /// numerics under a fresh tuple. `tuples` picks the nominal layout: 0 random, 1 a single
+    /// tuple, 2 every row in its own tuple.
     fn adversarial_data(rng: &mut Rng, tuples: usize) -> Dataset {
         let (nd, md, card) = (rng.below(3), 1 + rng.below(2), 2 + rng.below(3));
         let mut dims: Vec<Dimension> = (0..nd)
@@ -513,12 +510,7 @@ mod tests {
             usize::MAX
         });
         for i in 0..n {
-            let mut nums: Vec<f64> = (0..nd)
-                .map(|_| match rng.below(6) {
-                    0 => f64::NAN,
-                    v => (v % 4) as f64,
-                })
-                .collect();
+            let mut nums: Vec<f64> = (0..nd).map(|_| rng.below(4) as f64).collect();
             let mut noms: Vec<ValueId> = match tuples {
                 0 => (0..md).map(|_| rng.below(card) as ValueId).collect(),
                 1 => vec![1; md],
@@ -599,11 +591,11 @@ mod tests {
     }
 
     /// A dataset of 65–300 rows, so the packed witness walk crosses at least one 64-row
-    /// block: numeric dimension 0 drawn from {NaN, 0, 1, 2}, so runs of ties and of NaN
-    /// straddle the block boundaries once the rows are sorted, NaN cells elsewhere too, and
-    /// about one row in four a whole-row duplicate of an earlier one. `shape` picks the
-    /// dimensions: 0 no numeric dimension, 1 one to three numeric and one or two nominal,
-    /// 2 one to three numeric and three nominal.
+    /// block: numeric dimension 0 drawn from {−1, 0, 1, 2}, so runs of ties straddle the
+    /// block boundaries once the rows are sorted, and about one row in four a whole-row
+    /// duplicate of an earlier one. `shape` picks the dimensions: 0 no numeric dimension,
+    /// 1 one to three numeric and one or two nominal, 2 one to three numeric and three
+    /// nominal.
     fn block_crossing_data(rng: &mut Rng, shape: usize) -> Dataset {
         let nd = if shape == 0 { 0 } else { 1 + rng.below(3) };
         let (md, card) = if shape == 2 {
@@ -627,10 +619,9 @@ mod tests {
                 continue;
             }
             let nums: Vec<f64> = (0..nd)
-                .map(|j| match (j, rng.below(if j == 0 { 4 } else { 8 })) {
-                    (_, 0) => f64::NAN,
-                    (0, v) => (v - 1) as f64,
-                    (_, v) => (v % 5) as f64,
+                .map(|j| match j {
+                    0 => rng.below(4) as f64 - 1.0,
+                    _ => rng.below(5) as f64,
                 })
                 .collect();
             let noms: Vec<ValueId> = (0..md).map(|_| rng.below(card) as ValueId).collect();

@@ -69,20 +69,13 @@ impl ScoreFn {
         total
     }
 
-    /// Scores every point of the dataset (index = point id).
-    pub fn score_all(&self, data: &Dataset) -> Vec<f64> {
-        data.point_ids().map(|p| self.score(data, p)).collect()
-    }
-
     /// Scores the given subset of points, returning `(point, score)` pairs.
     pub fn score_subset(&self, data: &Dataset, points: &[PointId]) -> Vec<(PointId, f64)> {
         points.iter().map(|&p| (p, self.score(data, p))).collect()
     }
 
     /// Returns the point ids of `points` sorted by ascending score, ties by point id: the
-    /// total `(score.total_cmp, point)` order of Adaptive SFS's sorted list, so a NaN score
-    /// (from a NaN numeric cell) has a fixed place instead of making the comparator
-    /// inconsistent — which `sort_by` may panic on.
+    /// `(score.total_cmp, point)` order of Adaptive SFS's sorted list.
     pub fn sort_by_score(&self, data: &Dataset, points: &[PointId]) -> Vec<PointId> {
         let mut scored = self.score_subset(data, points);
         scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
@@ -141,7 +134,6 @@ mod tests {
         assert_eq!(f.score(&data, 0), 13.0);
         // point 2: price 5, group M (rank 1) => 6
         assert_eq!(f.score(&data, 2), 6.0);
-        assert_eq!(f.score_all(&data), vec![13.0, 22.0, 6.0, 8.0]);
     }
 
     #[test]
@@ -153,32 +145,6 @@ mod tests {
         assert_eq!(order, vec![2, 3, 0, 1]);
         let subset = f.score_subset(&data, &[1, 0]);
         assert_eq!(subset, vec![(1, 23.0), (0, 13.0)]);
-    }
-
-    #[test]
-    fn a_mixed_nan_column_sorts_totally() {
-        // NaN cells scattered through the column: under the former
-        // `partial_cmp(..).unwrap_or(Equal)` every NaN compared equal to everything, which is
-        // not transitive — `sort_by` may panic on such a comparator.
-        let rows = 64;
-        let xs: Vec<f64> = (0..rows)
-            .map(|i| match i % 3 {
-                0 => f64::NAN,
-                _ => ((i * 7) % 11) as f64,
-            })
-            .collect();
-        let data = Dataset::from_columns(schema(), vec![xs], vec![vec![0; rows]]).unwrap();
-        let f = ScoreFn::default_ranking(data.schema());
-        let ids: Vec<PointId> = data.point_ids().collect();
-        let order = f.sort_by_score(&data, &ids);
-        // Non-NaN scores ascend (ties by id), then every NaN score by id.
-        let nan_from = rows - rows.div_ceil(3);
-        let key = |p: PointId| (f.score(&data, p), p);
-        assert!(order[..nan_from].windows(2).all(|w| key(w[0]) < key(w[1])));
-        assert!(order[nan_from..]
-            .iter()
-            .all(|&p| f.score(&data, p).is_nan()));
-        assert!(order[nan_from..].windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

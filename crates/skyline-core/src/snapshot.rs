@@ -38,7 +38,7 @@
 //! the sorted list ([`SECTION_ASFS_ENTRIES`]), and the `skyline` engine the generation
 //! metadata ([`SECTION_ENGINE_META`]) tying them together.
 
-use crate::dataset::{out_of_domain, Dataset};
+use crate::dataset::{non_finite, out_of_domain, Dataset};
 use crate::error::SkylineError;
 use crate::order::{ImplicitPreference, PartialOrder, Preference, Template};
 use crate::schema::{Dimension, Schema};
@@ -391,11 +391,6 @@ impl<'a> SnapshotView<'a> {
             .ok_or(SnapshotError::MissingSection(id))
     }
 
-    /// True when section `id` is present.
-    pub fn has_section(&self, id: u32) -> bool {
-        self.table.iter().any(|(existing, _, _)| *existing == id)
-    }
-
     /// The section ids present, in table order.
     pub fn section_ids(&self) -> Vec<u32> {
         self.table.iter().map(|&(id, _, _)| id).collect()
@@ -557,13 +552,6 @@ impl<'a> ByteReader<'a> {
     /// Reads a `u64` LE.
     pub fn get_u64(&mut self) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8-byte slice"),
-        ))
-    }
-
-    /// Reads an `f64` LE.
-    pub fn get_f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_le_bytes(
             self.take(8)?.try_into().expect("8-byte slice"),
         ))
     }
@@ -880,8 +868,8 @@ pub fn write_dataset_sections(data: &Dataset, builder: &mut SnapshotBuilder) {
 
 /// Reconstructs a [`Dataset`] of `schema` from the sections written by
 /// [`write_dataset_sections`], restoring its [`crate::DatasetEpoch`] so epoch-tagged artifacts
-/// keep composing. Rejects rows whose dimensions do not match `schema` and nominal value ids
-/// outside its domains.
+/// keep composing. Rejects rows whose dimensions do not match `schema`, numeric cells that
+/// are not finite (which ingest refuses) and nominal value ids outside its domains.
 pub fn read_dataset(view: &SnapshotView<'_>, schema: &Schema) -> Result<Dataset, SnapshotError> {
     let mut header = ByteReader::new(view.section(SECTION_BLOCK_HEADER)?);
     let len = header.get_u64()? as usize;
@@ -926,6 +914,9 @@ pub fn read_dataset(view: &SnapshotView<'_>, schema: &Schema) -> Result<Dataset,
             .ok_or(SnapshotError::Corrupt("numeric array overflows".into()))?,
     )?;
     let nums = decode_f64_slice(nums_bytes);
+    if let Some(i) = nums.iter().position(|v| !v.is_finite()) {
+        return Err(non_finite(schema, i % numeric_dims, nums[i]).into());
+    }
 
     let noms_bytes = view.section(SECTION_BLOCK_NOMINALS)?;
     expect(
@@ -1078,8 +1069,6 @@ mod tests {
         assert_eq!(view.section(7).unwrap(), &[1, 2, 3]);
         assert_eq!(view.section(9).unwrap(), &[4; 13]);
         assert_eq!(view.section_ids(), vec![7, 9]);
-        assert!(view.has_section(7));
-        assert!(!view.has_section(8));
         assert_eq!(view.section(8), Err(SnapshotError::MissingSection(8)));
     }
 
@@ -1248,6 +1237,42 @@ mod tests {
             read_dataset(&view, &narrow),
             Err(SnapshotError::Corrupt(_))
         ));
+    }
+
+    /// A numeric section that holds NaN or `±∞` is a corruption report even under valid
+    /// CRCs: ingest refuses such a cell, so no dataset holds one.
+    #[test]
+    fn read_dataset_refuses_a_non_finite_numeric_cell() {
+        let schema = sample_schema();
+        let mut data = Dataset::empty(schema.clone());
+        data.push_row_ids(&[1.0], &[0, 0]).unwrap();
+        data.push_row_ids(&[2.0], &[1, 1]).unwrap();
+        let mut b = SnapshotBuilder::new();
+        write_dataset_sections(&data, &mut b);
+        let buf = b.finish();
+        let view = SnapshotView::parse(&buf).unwrap();
+        for cell in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut b = SnapshotBuilder::new();
+            for id in view.section_ids() {
+                let payload = if id == SECTION_BLOCK_NUMERICS {
+                    let mut w = ByteWriter::new();
+                    w.put_f64_slice(&[1.0, cell]);
+                    w.into_inner()
+                } else {
+                    view.section(id).unwrap().to_vec()
+                };
+                b.section(id, payload);
+            }
+            let buf = b.finish();
+            let tampered = SnapshotView::parse(&buf).unwrap();
+            assert!(
+                matches!(
+                    read_dataset(&tampered, &schema),
+                    Err(SnapshotError::Corrupt(_))
+                ),
+                "{cell}"
+            );
+        }
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //!    one SFS scan per tuple, each over the tuple's rows in default-ranking order.
 //! 2. **Template skyline `SKY(R)`** (12–17 ms): one [`Scan::presorted`] drain over `SKY(∅)` in
 //!    the template's score order — the loop `AdaptiveSfs::build` drains over all rows — sorted
-//!    by id afterwards. This is what the root stores. On NaN-free data it is bit-identical to
-//!    the packed BNL this phase used to run. A NaN cell makes dominance non-transitive; the
-//!    scan then keeps what SFS keeps, as phase 1 does, where BNL could keep another set.
+//!    by id afterwards. This is what the root stores, bit-identical to the packed BNL this
+//!    phase used to run.
 //! 3. **Minimal disqualifying conditions** (34–42 ms, and about 2 ms more for the index):
 //!    [`skyline_core::mdc::compute_mdcs_with_dominators`] mines every `SKY(R)` point against
 //!    `SKY(∅)` under the empty relation: one packed walk over the dominators' numeric columns
@@ -650,9 +649,9 @@ mod tests {
     }
 
     /// Small adversarial datasets for the grouped phases: values from {0, 1, 2, 3} (ties on
-    /// every dimension), optional NaN cells (dimension 0 included), whole-row duplicates, and a
-    /// nominal layout per `case % 3` — random tuples, one tuple, every row in its own tuple.
-    fn adversarial_data(below: &mut impl FnMut(usize) -> usize, case: usize, nan: bool) -> Dataset {
+    /// every dimension), whole-row duplicates, and a nominal layout per `case % 3` — random
+    /// tuples, one tuple, every row in its own tuple.
+    fn adversarial_data(below: &mut impl FnMut(usize) -> usize, case: usize) -> Dataset {
         let (nd, md, card) = (below(3), 1 + below(2), 2 + below(3));
         let schema = skyline_datagen::synthetic::synthetic_schema(nd, md, card);
         let mut data = Dataset::empty(schema);
@@ -668,12 +667,7 @@ mod tests {
                 data.push_row_ids(&nums, &noms).unwrap();
                 continue;
             }
-            let nums: Vec<f64> = (0..nd)
-                .map(|_| match below(6) {
-                    0 if nan => f64::NAN,
-                    v => (v % 4) as f64,
-                })
-                .collect();
+            let nums: Vec<f64> = (0..nd).map(|_| below(4) as f64).collect();
             let noms: Vec<ValueId> = (0..md)
                 .map(|j| match case % 3 {
                     0 => below(card) as ValueId,
@@ -686,19 +680,16 @@ mod tests {
         data
     }
 
-    /// The grouped `SKY(∅)` ≡ the global SFS scan on the reference context it replaced (on
-    /// every input, NaN included) ≡ BNL under the empty-order `DominanceContext` (on NaN-free
-    /// inputs: a NaN cell makes dominance non-transitive, and BNL and SFS may then keep
-    /// different rows). On NaN-free inputs the whole tree is checked too: the packed template
-    /// skyline equals BNL on the reference context, and every labelled node equals
+    /// The grouped `SKY(∅)` ≡ the global SFS scan on the reference context it replaced ≡
+    /// BNL under the empty-order `DominanceContext`. The whole tree is checked too: the packed
+    /// template skyline equals BNL on the reference context, and every labelled node equals
     /// [`direct_disqualified`].
     #[test]
     fn grouped_phases_match_the_reference_on_adversarial_inputs() {
         let mut below = lcg(0x5eed);
         for case in 0..900 {
-            let nan = case % 2 == 0;
-            let data = adversarial_data(&mut below, case, nan);
-            assert_phases_match_the_reference(&mut below, case, nan, &data);
+            let data = adversarial_data(&mut below, case);
+            assert_phases_match_the_reference(&mut below, case, &data);
         }
     }
 
@@ -713,15 +704,11 @@ mod tests {
     }
 
     /// 65–300 rows, so every phase crosses a 64-row lane block: numeric dimension 0 drawn
-    /// from {0, 1, 2} (plus NaN when `nan`), so runs of ties and of NaN straddle the block
-    /// boundaries once the rows are sorted, and about one row in four a whole-row duplicate.
+    /// from {0, 1, 2}, so runs of ties straddle the block boundaries once the rows are
+    /// sorted, and about one row in four a whole-row duplicate.
     /// `case % 3` picks the dimensions: no numeric dimension, one to three numeric and one or
     /// two nominal, or one to three numeric and three nominal.
-    fn block_crossing_data(
-        below: &mut impl FnMut(usize) -> usize,
-        case: usize,
-        nan: bool,
-    ) -> Dataset {
+    fn block_crossing_data(below: &mut impl FnMut(usize) -> usize, case: usize) -> Dataset {
         let nd = if case.is_multiple_of(3) {
             0
         } else {
@@ -743,11 +730,7 @@ mod tests {
                 continue;
             }
             let nums: Vec<f64> = (0..nd)
-                .map(|j| match below(if j == 0 { 4 } else { 8 }) {
-                    0 if nan => f64::NAN,
-                    v if j == 0 => (v % 3) as f64,
-                    v => (v % 5) as f64,
-                })
+                .map(|j| below(if j == 0 { 3 } else { 5 }) as f64)
                 .collect();
             let noms: Vec<ValueId> = (0..md).map(|_| below(card) as ValueId).collect();
             data.push_row_ids(&nums, &noms).unwrap();
@@ -760,20 +743,17 @@ mod tests {
     fn phases_match_the_reference_across_lane_blocks() {
         let mut below = lcg(0xb10c);
         for case in 0..24 {
-            let nan = case / 3 % 2 == 0;
-            let data = block_crossing_data(&mut below, case, nan);
+            let data = block_crossing_data(&mut below, case);
             assert!(data.len() > 64);
-            assert_phases_match_the_reference(&mut below, case, nan, &data);
+            assert_phases_match_the_reference(&mut below, case, &data);
         }
     }
 
     /// Checks the phases on `data` against their references (as listed above
-    /// `grouped_phases_match_the_reference_on_adversarial_inputs`); the whole tree only when
-    /// `data` holds no NaN.
+    /// `grouped_phases_match_the_reference_on_adversarial_inputs`).
     fn assert_phases_match_the_reference(
         below: &mut impl FnMut(usize) -> usize,
         case: usize,
-        nan: bool,
         data: &Dataset,
     ) {
         let schema = data.schema();
@@ -805,19 +785,6 @@ mod tests {
             );
             Template::from_preference(schema, pref).unwrap()
         };
-        if nan {
-            // A NaN cell makes dominance non-transitive, so `SKY(R)` is whatever SFS keeps of
-            // `SKY(∅)` in template-score order. The template follows the case number, so the
-            // later cases draw what they always drew.
-            let template = template_of(cards.iter().map(|&c| case % (c + 1)).collect());
-            let tree = IpoTreeBuilder::new().build(data, &template).unwrap();
-            let template_ctx = DominanceContext::for_template(data, &template).unwrap();
-            let score = ScoreFn::for_preference(schema, template.implicit().unwrap()).unwrap();
-            let (mut want, _) = sfs::skyline_sorted_with_stats(&template_ctx, &score, &global);
-            want.sort_unstable();
-            assert_eq!(tree.skyline(), want, "case {case}");
-            return;
-        }
         assert_eq!(grouped, bnl::skyline(&ctx), "case {case}");
 
         let template = template_of(cards.iter().map(|&c| below(c + 1)).collect());

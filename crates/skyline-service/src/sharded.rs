@@ -2943,6 +2943,56 @@ mod tests {
         assert_eq!(service.epochs()[0], service.shard(0).read().epoch());
     }
 
+    /// A non-finite cell is refused at the service's insert at one and at two shards and
+    /// counted as an error. It moves nothing: the epochs, the cached answers and the builds
+    /// of `G` stay, and the answers after it equal the live oracle.
+    #[test]
+    fn insert_row_refuses_non_finite_cells_at_one_and_two_shards() {
+        let (data, template) = experiment(200, 163);
+        let prefs =
+            QueryGenerator::new(167).random_preferences(data.schema(), &template, 2, 4, None);
+        for shards in 1..=2 {
+            let service = ShardedService::build(
+                &data,
+                template.clone(),
+                EngineConfig::AdaptiveSfs,
+                ShardedConfig {
+                    shards,
+                    workers: 2,
+                    ..ShardedConfig::default()
+                },
+            )
+            .unwrap();
+            for pref in &prefs {
+                service.serve(pref).unwrap();
+            }
+            let (epochs, cached, before) = (service.epochs(), service.cache_len(), service.stats());
+            for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                assert!(
+                    matches!(
+                        service.insert_row(&[0.5, v], &[0, 0]),
+                        Err(SkylineError::InvalidArgument(_))
+                    ),
+                    "{shards} shards, cell {v}"
+                );
+            }
+            let after = service.stats();
+            assert_eq!(service.epochs(), epochs);
+            assert_eq!(service.cache_len(), cached);
+            assert_eq!(after.errors, before.errors + 3);
+            assert_eq!(after.mutations, before.mutations);
+            assert_eq!(
+                after.template_skyline_builds,
+                before.template_skyline_builds
+            );
+            for pref in &prefs {
+                let served = service.serve(pref).unwrap();
+                assert!(served.cache_hit, "{shards} shards: the cached answer stays");
+                assert_eq!(served.outcome.skyline, live_oracle(&service, pref));
+            }
+        }
+    }
+
     #[test]
     fn non_refining_queries_error_even_after_an_equivalent_entry_was_cached() {
         // Template with the *full-domain* implicit list [0, 1] on a cardinality-2 dimension:

@@ -191,7 +191,7 @@ proptest! {
                         }
                         for s in 0..service.shard_count() {
                             prop_assert!(service.force_rebuild_shard(s).unwrap());
-                            let remap = service.shard(s).read().last_remap().unwrap().clone();
+                            let remap = service.shard(s).read().remap_chain().last().unwrap().clone();
                             for (_, g) in rows.iter_mut() {
                                 *g = g.and_then(|old| {
                                     if old.shard != s {

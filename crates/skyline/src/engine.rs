@@ -617,11 +617,6 @@ impl SkylineEngine {
         self.dataset().dead_count()
     }
 
-    /// The translation published by the most recent generation swap, when one has happened.
-    pub fn last_remap(&self) -> Option<&GenerationRemap> {
-        self.remap_history.last()
-    }
-
     /// The bounded chain of recent generation-swap translations, oldest first (at most
     /// [`REMAP_CHAIN_LIMIT`] entries). Consecutive entries compose — `chain[i].to ==
     /// chain[i + 1].from` whenever no write between the two swaps changed the template
@@ -1158,6 +1153,38 @@ mod tests {
         let after = shared.read().query(&pref).unwrap().skyline;
         assert_ne!(before, after, "clones must observe the mutation");
         assert!(after.contains(&6));
+    }
+
+    /// A non-finite cell is refused at the engine's insert under every configuration before
+    /// anything moves: the epochs, the row count and the answers stay as they were.
+    #[test]
+    fn insert_row_refuses_non_finite_cells_and_keeps_the_epoch() {
+        let data = table3_data();
+        let schema = data.schema().clone();
+        let template = Template::empty(&schema);
+        let pref = Preference::parse(&schema, [("hotel-group", "M < *")]).unwrap();
+        for config in [
+            EngineConfig::SfsD,
+            EngineConfig::AdaptiveSfs,
+            EngineConfig::Hybrid { top_k: 2 },
+        ] {
+            let mut engine = SkylineEngine::build(data.clone(), template.clone(), config).unwrap();
+            let before = engine.query(&pref).unwrap().skyline;
+            for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                assert!(
+                    matches!(
+                        engine.insert_row(&[v, -9.0], &[2, 0]),
+                        Err(SkylineError::InvalidArgument(_))
+                    ),
+                    "config {config:?}, cell {v}"
+                );
+                assert_eq!(engine.epoch(), DatasetEpoch::INITIAL);
+                assert_eq!(engine.skyline_epoch(), DatasetEpoch::INITIAL);
+                assert_eq!(engine.dataset().len(), 6);
+                assert_eq!(engine.mutations_since_rebuild(), 0);
+            }
+            assert_eq!(engine.query(&pref).unwrap().skyline, before);
+        }
     }
 
     /// One row store: every configuration serves from the very `Arc<Dataset>` it was built

@@ -1,7 +1,7 @@
 //! Property-based equivalence of the compiled dominance kernel, and of every engine
 //! configuration built on it, against the reference implementations.
 //!
-//! Three contracts are pinned here:
+//! Four contracts are pinned here:
 //!
 //! 1. [`CompiledRelation`] ≡ [`DominanceContext`]: `dominates` agrees on every point pair,
 //!    for random datasets, templates and query preferences.
@@ -13,6 +13,8 @@
 //!    both all-ranked and mixed ranked/unranked nominal orders.
 //! 3. Engines of every [`EngineConfig`] answer queries exactly like BNL under the reference
 //!    context, drained as a batch and pulled row by row.
+//! 4. Both implementations are strict partial orders — irreflexive and transitive — on every
+//!    instance the generators above draw.
 
 use proptest::prelude::*;
 use skyline::prelude::*;
@@ -379,5 +381,82 @@ proptest! {
         scan_sorted.sort_unstable();
         assert_eq!(&scan_sorted, &expected, "reference scan vs reference bnl");
         assert_all_paths_match(&kernel, &sorted, &all, &expected, &expected_scan, "query");
+    }
+}
+
+/// Asserts that `dom` is a strict partial order on `points`: irreflexive, and transitive —
+/// `a ≻ b ∧ b ≻ c ⇒ a ≻ c` (asymmetry follows from the two).
+fn assert_strict_partial_order<D: Dominance>(dom: &D, points: &[PointId], what: &str) {
+    let n = points.len();
+    let dominates: Vec<bool> = points
+        .iter()
+        .flat_map(|&a| points.iter().map(move |&b| dom.dominates(a, b)))
+        .collect();
+    for a in 0..n {
+        assert!(!dominates[a * n + a], "{what}: {} ≻ itself", points[a]);
+        for b in (0..n).filter(|&b| dominates[a * n + b]) {
+            for c in (0..n).filter(|&c| dominates[b * n + c]) {
+                assert!(
+                    dominates[a * n + c],
+                    "{what}: {} ≻ {} ≻ {} but not {} ≻ {}",
+                    points[a],
+                    points[b],
+                    points[c],
+                    points[a],
+                    points[c]
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+
+    /// Dominance is transitive on every instance both generators draw, for the reference
+    /// context and the compiled kernel, under the template and under the query. Numeric cells
+    /// are finite by construction, so the numeric dimensions are totally ordered; the
+    /// template skyline `SKY(R)` holding every refinement's skyline, the cross-shard build of
+    /// `G` and the MDC miner's restriction to skyline dominators all rest on this.
+    #[test]
+    fn dominance_is_transitive_on_every_instance(
+        instance in instance_strategy(),
+        wide in wide_instance_strategy(),
+    ) {
+        let data = build_dataset(&instance);
+        let all: Vec<PointId> = data.point_ids().collect();
+        let template = build_template(&data, &instance);
+        let query = build_query(&template, &instance);
+        let ctx = DominanceContext::for_template(&data, &template).unwrap();
+        assert_strict_partial_order(&ctx, &all, "reference, template");
+        let ctx = DominanceContext::for_query(&data, &template, &query).unwrap();
+        assert_strict_partial_order(&ctx, &all, "reference, query");
+        let kernel = CompiledRelation::for_template(data.clone(), &template).unwrap();
+        assert_strict_partial_order(&kernel, &all, "kernel, template");
+        let kernel = CompiledRelation::for_query(data.clone(), &template, &query).unwrap();
+        assert_strict_partial_order(&kernel, &all, "kernel, query");
+
+        let data = build_wide_dataset(&wide);
+        let all: Vec<PointId> = data.point_ids().collect();
+        let orders: Vec<PartialOrder> = wide
+            .cardinalities
+            .iter()
+            .zip(&wide.edges)
+            .map(|(&c, edges)| PartialOrder::from_pairs(c, edges.iter().copied()).unwrap())
+            .collect();
+        let template = Template::from_partial_orders(data.schema(), orders).unwrap();
+        let ctx = DominanceContext::for_template(&data, &template).unwrap();
+        assert_strict_partial_order(&ctx, &all, "reference, wide template");
+        let kernel = CompiledRelation::for_template(data.clone(), &template).unwrap();
+        assert_strict_partial_order(&kernel, &all, "kernel, wide template");
+        let empty = Template::empty(data.schema());
+        let mut query = Preference::none(wide.cardinalities.len());
+        for (j, choices) in wide.query_choices.iter().enumerate() {
+            query.set_dim(j, ImplicitPreference::new(choices.clone()).unwrap());
+        }
+        let ctx = DominanceContext::for_query(&data, &empty, &query).unwrap();
+        assert_strict_partial_order(&ctx, &all, "reference, wide query");
+        let kernel = CompiledRelation::for_query(data.clone(), &empty, &query).unwrap();
+        assert_strict_partial_order(&kernel, &all, "kernel, wide query");
     }
 }

@@ -7,11 +7,10 @@
 //! `SkylineMerger::merge` ≡ `merge_skylines` ≡ `bnl::skyline`
 //!
 //! with both preserving push order. The instances cover what the source-aware, zone-mapped
-//! elimination has to get right: empty sources, push order
-//! interleaved across sources, value-identical rows in different sources, a NaN numeric
-//! column, a nominal dimension of cardinality 70 whose values collide in the lanes' folded
-//! 64-bit value sets, general (non-ranked) partial orders, and per-source skylines that
-//! straddle the 64-row lane blocks.
+//! elimination has to get right: empty sources, push order interleaved across sources,
+//! value-identical rows in different sources, a nominal dimension of cardinality 70 whose
+//! values collide in the lanes' folded 64-bit value sets, general (non-ranked) partial
+//! orders, and per-source skylines that straddle the 64-row lane blocks.
 
 use proptest::prelude::*;
 use skyline::prelude::*;
@@ -27,9 +26,7 @@ const NARROW_CARD: usize = 4;
 
 #[derive(Debug, Clone)]
 struct Instance {
-    /// Three numeric columns; in half the instances the last is NaN throughout. NaN fills a
-    /// whole column or none of it: mixed, "a NaN is indifferent" stops being transitive, and
-    /// no two skyline algorithms — the reference BNL included — need agree.
+    /// Three numeric columns.
     numeric: Vec<Vec<f64>>,
     /// Two nominal columns: cardinality 4 and cardinality 70.
     nominal: Vec<Vec<ValueId>>,
@@ -68,8 +65,8 @@ fn instance_strategy() -> impl Strategy<Value = Instance> {
             proptest::sample::subsequence(pairs(WIDE_VALUES.to_vec()), 0..=8),
         );
         let source_of = proptest::collection::vec(0..sources, n);
-        (numeric, nominal, edges, source_of, any::<bool>()).prop_flat_map(
-            move |(mut numeric, (narrow, wide), (narrow_edges, wide_edges), mut source_of, nan)| {
+        (numeric, nominal, edges, source_of).prop_flat_map(
+            move |(mut numeric, (narrow, wide), (narrow_edges, wide_edges), mut source_of)| {
                 let mut nominal = vec![narrow, wide];
                 // Value-identical rows in a *different* source (when there is one): they
                 // never dominate each other, so both must survive every merge.
@@ -81,9 +78,6 @@ fn instance_strategy() -> impl Strategy<Value = Instance> {
                         column.push(column[i]);
                     }
                     source_of.push((source_of[i] + 1) % sources);
-                }
-                if nan {
-                    numeric[2].fill(f64::NAN);
                 }
                 let total = source_of.len();
                 let instance = Instance {
