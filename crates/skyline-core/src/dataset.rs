@@ -497,20 +497,22 @@ impl Dataset {
     }
 
     /// Reassembles a dataset from persisted parts (the snapshot load path). The caller —
-    /// [`crate::snapshot::read_dataset`] — has already validated array lengths, liveness,
-    /// the max-value invariant and the schema domains.
+    /// [`crate::snapshot::read_dataset`] — has already validated array lengths, liveness
+    /// (`live_len` is its count of live rows), the max-value invariant and the schema
+    /// domains.
     pub(crate) fn from_parts(
         schema: Schema,
         nums: Vec<f64>,
         noms: Vec<ValueId>,
         max_value: Vec<ValueId>,
         live: Vec<bool>,
+        live_len: usize,
         epoch: u64,
     ) -> Self {
         debug_assert_eq!(nums.len(), live.len() * schema.numeric_count());
         debug_assert_eq!(noms.len(), live.len() * schema.nominal_count());
         debug_assert_eq!(max_value.len(), schema.nominal_count());
-        let live_len = live.iter().filter(|&&l| l).count();
+        debug_assert_eq!(live_len, live.iter().filter(|&&l| l).count());
         Self {
             schema,
             nums,

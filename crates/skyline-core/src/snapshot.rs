@@ -178,7 +178,7 @@ impl From<SkylineError> for SnapshotError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected) — hand-rolled table so the format needs no deps.
+// CRC-32 (IEEE 802.3, reflected) — hand-rolled slicing-by-16 so the format needs no deps.
 // ---------------------------------------------------------------------------
 
 const fn crc32_table() -> [u32; 256] {
@@ -201,13 +201,56 @@ const fn crc32_table() -> [u32; 256] {
     table
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+/// `CRC32_TABLES[k][b]` is the CRC register contribution of byte `b` followed by `k` zero
+/// bytes, so 16 independent lookups advance the register by 16 input bytes at once.
+/// Table 0 is the classic bytewise table.
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
+    tables[0] = crc32_table();
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
 /// CRC-32 (IEEE) of `bytes` — the checksum every section and the table are covered by.
+/// Slicing-by-16: each step folds 16 bytes through 16 lookups that do not wait on one
+/// another; the tail shorter than 16 bytes goes through the bytewise loop.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let b: &[u8; 16] = block.try_into().expect("16-byte block");
+        let head = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[15][(head & 0xFF) as usize]
+            ^ t[14][((head >> 8) & 0xFF) as usize]
+            ^ t[13][((head >> 16) & 0xFF) as usize]
+            ^ t[12][(head >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -913,8 +956,22 @@ pub fn read_dataset(view: &SnapshotView<'_>, schema: &Schema) -> Result<Dataset,
             .and_then(|n| n.checked_mul(8))
             .ok_or(SnapshotError::Corrupt("numeric array overflows".into()))?,
     )?;
-    let nums = decode_f64_slice(nums_bytes);
-    if let Some(i) = nums.iter().position(|v| !v.is_finite()) {
+    // One pass decodes and checks finiteness; only a refusal scans again, to name the first
+    // non-finite cell in row order.
+    let mut finite = true;
+    let nums: Vec<f64> = nums_bytes
+        .chunks_exact(8)
+        .map(|c| {
+            let v = f64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+            finite &= v.is_finite();
+            v
+        })
+        .collect();
+    if !finite {
+        let i = nums
+            .iter()
+            .position(|v| !v.is_finite())
+            .expect("a non-finite cell was seen");
         return Err(non_finite(schema, i % numeric_dims, nums[i]).into());
     }
 
@@ -926,26 +983,36 @@ pub fn read_dataset(view: &SnapshotView<'_>, schema: &Schema) -> Result<Dataset,
             .and_then(|n| n.checked_mul(2))
             .ok_or(SnapshotError::Corrupt("nominal array overflows".into()))?,
     )?;
-    let noms = decode_u16_slice(noms_bytes);
-
     let max_bytes = view.section(SECTION_BLOCK_MAX_VALUES)?;
     expect("max-value", max_bytes.len(), nominal_dims * 2)?;
     let max_value = decode_u16_slice(max_bytes);
+    // The invariant: max_value[j] is the max over all physical rows. Compiled orders
+    // validate their cardinality against it, so an understated bound in a
+    // checksum-colliding payload could send a value id past an order's closure table.
+    // The decode recomputes it in the same pass, 1024 rows at a time: each block is decoded
+    // in bulk and folded into the maxima while it is still in L1. (Folding value by value
+    // as it is decoded keeps the compiler from vectorizing either half.)
+    let mut computed = vec![ValueId::default(); nominal_dims];
+    let mut noms = Vec::with_capacity(len * nominal_dims);
     if nominal_dims > 0 {
-        // The invariant: max_value[j] is the max over all physical rows. Compiled orders
-        // validate their cardinality against it, so an understated bound in a
-        // checksum-colliding payload could send a value id past an order's closure table.
-        let mut computed = vec![ValueId::default(); nominal_dims];
-        for row in noms.chunks_exact(nominal_dims) {
-            for (m, &v) in computed.iter_mut().zip(row) {
-                *m = (*m).max(v);
+        for block in noms_bytes.chunks(nominal_dims * 2 * 1024) {
+            let start = noms.len();
+            noms.extend(
+                block
+                    .chunks_exact(2)
+                    .map(|c| u16::from_le_bytes(c.try_into().expect("2-byte chunk"))),
+            );
+            for row in noms[start..].chunks_exact(nominal_dims) {
+                for (m, &v) in computed.iter_mut().zip(row) {
+                    *m = (*m).max(v);
+                }
             }
         }
-        if computed != max_value {
-            return Err(SnapshotError::Corrupt(
-                "per-dimension max-value bounds do not match the nominal array".into(),
-            ));
-        }
+    }
+    if computed != max_value {
+        return Err(SnapshotError::Corrupt(
+            "per-dimension max-value bounds do not match the nominal array".into(),
+        ));
     }
     if len > 0 {
         // With the bounds verified exact, checking each bound checks every value id.
@@ -959,6 +1026,7 @@ pub fn read_dataset(view: &SnapshotView<'_>, schema: &Schema) -> Result<Dataset,
     let live_bytes = view.section(SECTION_BLOCK_LIVENESS)?;
     expect("liveness", live_bytes.len(), len.div_ceil(64) * 8)?;
     let mut live = Vec::with_capacity(len);
+    let mut counted = 0;
     for (w, chunk) in live_bytes.chunks_exact(8).enumerate() {
         let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
         let bits = (len - w * 64).min(64);
@@ -967,11 +1035,9 @@ pub fn read_dataset(view: &SnapshotView<'_>, schema: &Schema) -> Result<Dataset,
                 "liveness bitset sets bits beyond the row count".into(),
             ));
         }
-        for b in 0..bits {
-            live.push(word & (1 << b) != 0);
-        }
+        counted += word.count_ones() as usize;
+        live.extend((0..bits).map(|b| (word >> b) & 1 != 0));
     }
-    let counted = live.iter().filter(|&&l| l).count();
     if counted != live_len {
         return Err(SnapshotError::Corrupt(format!(
             "liveness bitset counts {counted} live rows but the header claims {live_len}"
@@ -983,6 +1049,7 @@ pub fn read_dataset(view: &SnapshotView<'_>, schema: &Schema) -> Result<Dataset,
         noms,
         max_value,
         live,
+        live_len,
         epoch,
     ))
 }
@@ -1052,11 +1119,49 @@ mod tests {
         .unwrap()
     }
 
+    /// The bytewise table loop: the reference the sliced [`crc32`] must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// Slicing-by-16 equals the bytewise loop on every length 0–300 at every start offset
+    /// 0–15, so every split into 16-byte blocks and a tail is covered.
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_loop() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let random: Vec<u8> = (0..316)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 24) as u8
+            })
+            .collect();
+        let ones = vec![0xFFu8; 316];
+        for buf in [&random, &ones] {
+            for start in 0..16 {
+                for len in 0..=300 {
+                    let bytes = &buf[start..start + len];
+                    assert_eq!(
+                        crc32(bytes),
+                        crc32_bytewise(bytes),
+                        "start {start}, length {len}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1271,6 +1376,109 @@ mod tests {
                     Err(SnapshotError::Corrupt(_))
                 ),
                 "{cell}"
+            );
+        }
+    }
+
+    /// Three rows over numeric `price`, `weight` and nominal `group`.
+    fn two_numeric_dataset() -> Dataset {
+        let schema = Schema::new(vec![
+            Dimension::numeric("price"),
+            Dimension::numeric("weight"),
+            Dimension::nominal_with_labels("group", ["T", "H"]),
+        ])
+        .unwrap();
+        let mut data = Dataset::empty(schema);
+        for (p, w, g) in [(1.0, 5.0, 0), (2.0, 6.0, 1), (3.0, 7.0, 0)] {
+            data.push_row_ids(&[p, w], &[g]).unwrap();
+        }
+        data
+    }
+
+    /// Writes `data`'s sections with `replace` applied to them, under valid CRCs, and reads
+    /// the rows back.
+    fn read_tampered(
+        data: &Dataset,
+        replace: impl Fn(u32, &[u8]) -> Vec<u8>,
+    ) -> Result<Dataset, SnapshotError> {
+        let mut b = SnapshotBuilder::new();
+        write_dataset_sections(data, &mut b);
+        let buf = b.finish();
+        let view = SnapshotView::parse(&buf).unwrap();
+        let mut b = SnapshotBuilder::new();
+        for id in view.section_ids() {
+            b.section(id, replace(id, view.section(id).unwrap()));
+        }
+        let buf = b.finish();
+        read_dataset(&SnapshotView::parse(&buf).unwrap(), data.schema())
+    }
+
+    /// The numeric section with `cells` (flat row-major index, value) overwritten.
+    fn with_cells(nums: &[f64], cells: &[(usize, f64)]) -> Vec<u8> {
+        let mut nums = nums.to_vec();
+        for &(i, v) in cells {
+            nums[i] = v;
+        }
+        let mut w = ByteWriter::new();
+        w.put_f64_slice(&nums);
+        w.into_inner()
+    }
+
+    fn corrupt_message(result: Result<Dataset, SnapshotError>) -> String {
+        match result {
+            Err(SnapshotError::Corrupt(msg)) => msg,
+            other => panic!("expected a corruption report, got {other:?}"),
+        }
+    }
+
+    /// The fused decode still names the first non-finite cell in row order: in the last row
+    /// of the last dimension, in row 0, and the earlier of two.
+    #[test]
+    fn read_dataset_names_the_first_non_finite_cell_in_row_order() {
+        let data = two_numeric_dataset();
+        let nums = data.numeric_values().to_vec();
+        let refuse = |cells: &[(usize, f64)]| {
+            corrupt_message(read_tampered(&data, |id, payload| {
+                if id == SECTION_BLOCK_NUMERICS {
+                    with_cells(&nums, cells)
+                } else {
+                    payload.to_vec()
+                }
+            }))
+        };
+        // Row 2, `weight`: the very last cell.
+        let msg = refuse(&[(5, f64::NAN)]);
+        assert!(msg.contains("`weight` holds NaN"), "{msg}");
+        // Row 0, `price`.
+        let msg = refuse(&[(0, f64::INFINITY)]);
+        assert!(msg.contains("`price` holds inf"), "{msg}");
+        // Row 0 `weight` comes before row 1 `price` in row order.
+        let msg = refuse(&[(2, f64::NEG_INFINITY), (1, f64::NAN)]);
+        assert!(msg.contains("`weight` holds NaN"), "{msg}");
+        let msg = refuse(&[(4, f64::NAN), (3, f64::INFINITY)]);
+        assert!(msg.contains("`weight` holds inf"), "{msg}");
+    }
+
+    /// A liveness word whose set bits disagree with the header's live count is refused.
+    #[test]
+    fn read_dataset_refuses_a_liveness_count_the_header_denies() {
+        let mut data = two_numeric_dataset();
+        data.tombstone(1).unwrap();
+        assert!(read_tampered(&data, |_, payload| payload.to_vec()).is_ok());
+        for word in [0b111u64, 0b001, 0] {
+            let msg = corrupt_message(read_tampered(&data, |id, payload| {
+                if id == SECTION_BLOCK_LIVENESS {
+                    word.to_le_bytes().to_vec()
+                } else {
+                    payload.to_vec()
+                }
+            }));
+            assert!(
+                msg.contains(&format!(
+                    "counts {} live rows but the header claims 2",
+                    word.count_ones()
+                )),
+                "{msg}"
             );
         }
     }
