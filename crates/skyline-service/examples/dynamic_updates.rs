@@ -190,9 +190,9 @@ fn main() -> Result<()> {
 
     // Run one rebuild cycle right now: snapshot → compact + re-materialize with no lock
     // held (readers keep serving) → atomic swap.
-    assert!(service.force_rebuild_shard(0)?);
-    // The answer cached just before the swap survives it: the service translates its row ids
-    // through the published remap instead of recomputing.
+    assert!(service.force_rebuild_shard(0)?.is_some());
+    // The answer cached just before the swap survives it: the swap re-tagged the entry,
+    // translating its row ids through the published remap once, instead of dropping it.
     let served = service.serve(&popular)?;
     assert!(served.cache_hit, "the swap keeps the cache warm");
     // And the engine itself serves popular preferences from the re-materialized tree again
@@ -212,7 +212,7 @@ fn main() -> Result<()> {
         hybrid.read().dead_rows(),
     );
     println!(
-        "cache after the swap: {} entr{} translated through the row-id remap instead of dropped",
+        "cache after the swap: {} entr{} re-tagged into the new id space and hit, not dropped",
         stats.remapped_hits,
         if stats.remapped_hits == 1 { "y" } else { "ies" }
     );

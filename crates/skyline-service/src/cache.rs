@@ -14,12 +14,12 @@
 //! lazily, one by one, exactly when they are next touched or evicted by capacity. A write
 //! that leaves every template skyline unchanged changes no answer and keeps every entry.
 //!
-//! Staleness has one reprieve: when only generation swaps (id renumberings, not template
-//! skyline changes) separate an entry from the lookup, [`ResultCache::get_or_salvage`] lets the
-//! caller rewrite the entry into the current id space instead of dropping it —
-//! [`translate_through_chain`] composes an engine's bounded [`GenerationRemap`] chain, so
-//! even several back-to-back rebuilds keep the cache warm. Entries that fell off the bounded
-//! chain are unrecoverable and counted in [`ResultCache::remap_misses`].
+//! Staleness has one reprieve, granted by whoever performs a generation swap: a swap
+//! renumbers a shard's rows but changes no answer, so right after it installs, the caller walks
+//! the cache once with `ResultCache::retag` and rewrites every entry computed on the replaced
+//! generation into the new id space and the new tag. Nothing else knows about renumbering: a
+//! lookup compares tags, and an entry the walk did not rewrite expires as above. The first hit
+//! on a rewritten entry counts one remapped hit (`StatsSnapshot::remapped_hits`).
 //!
 //! The cache is split into independently locked shards so concurrent workers rarely contend;
 //! a key's shard is chosen from its stable fingerprint. Each shard runs the classic
@@ -27,17 +27,16 @@
 //! pops queue entries until one's stamp matches the live entry — amortized O(1), no linked
 //! lists, no unsafe.
 
-use skyline::GenerationRemap;
-use skyline_core::{CanonicalPreference, DatasetEpoch, PointId};
+use skyline_core::CanonicalPreference;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A poisoned shard lock is recovered, not propagated: the only caller-supplied code that
-/// runs under it is the salvage callback, which executes *before* the entry is touched, so
-/// a panic there (or anywhere else on a thread that happens to hold the lock) can at worst
-/// leave a dangling recency pair in the queue — a state the stamp-checked eviction already
-/// tolerates by design.
+/// runs under it is the [`ResultCache::retag`] callback, which executes *before* its entry is
+/// rewritten, so a panic there (or anywhere else on a thread that happens to hold the lock)
+/// can at worst leave a dangling recency pair in the queue — a state the stamp-checked
+/// eviction already tolerates by design.
 fn lock_shard<E, V>(shard: &Mutex<Shard<E, V>>) -> MutexGuard<'_, Shard<E, V>> {
     shard.lock().unwrap_or_else(|poisoned| {
         shard.clear_poison();
@@ -55,10 +54,8 @@ pub struct ResultCache<E, V> {
     capacity_per_shard: usize,
     /// Entries dropped because their epoch no longer matched the engine's (lazy expiry).
     stale_evictions: AtomicU64,
-    /// The subset of stale drops that were *unrecoverable remap misses*: the entry was only
-    /// generation swaps behind, but the swaps it needed had already fallen off the engine's
-    /// bounded remap chain.
-    remap_misses: AtomicU64,
+    /// First hits on entries a [`ResultCache::retag`] rewrote.
+    remapped_hits: AtomicU64,
 }
 
 #[derive(Debug)]
@@ -105,22 +102,11 @@ struct Entry<E, V> {
     stamp: u64,
     /// The epoch tag the value was computed at.
     epoch: E,
+    /// Set by [`ResultCache::retag`]; the next hit counts a remapped hit and clears it.
+    translated: bool,
 }
 
-/// What a [`ResultCache::get_or_salvage`] callback decided about an entry whose epoch tag no
-/// longer matches the lookup's.
-pub enum Salvage<V> {
-    /// The entry is semantically still correct and has been rewritten into the current id
-    /// space; cache the rewritten value re-tagged at the lookup epoch and return it.
-    Translated(V),
-    /// The entry predates real mutations and must expire (counted as a stale eviction).
-    Stale,
-    /// The entry was only generation swaps behind but the translations it needed are no
-    /// longer available — expire it and additionally count a [`ResultCache::remap_misses`].
-    RemapMiss,
-}
-
-impl<E: PartialEq + Clone, V> ResultCache<E, V> {
+impl<E: PartialEq, V> ResultCache<E, V> {
     /// Creates a cache holding at most `capacity` entries spread over `shards` locks.
     ///
     /// A `capacity` of 0 disables caching (every lookup misses, inserts are dropped); `shards`
@@ -137,7 +123,7 @@ impl<E: PartialEq + Clone, V> ResultCache<E, V> {
                 .collect(),
             capacity_per_shard,
             stale_evictions: AtomicU64::new(0),
-            remap_misses: AtomicU64::new(0),
+            remapped_hits: AtomicU64::new(0),
         }
     }
 
@@ -146,11 +132,10 @@ impl<E: PartialEq + Clone, V> ResultCache<E, V> {
         self.stale_evictions.load(Ordering::Relaxed)
     }
 
-    /// The subset of [`ResultCache::stale_evictions`] that were unrecoverable remap misses:
-    /// entries that were only generation swaps behind the lookup but whose translations had
-    /// already fallen off the engine's bounded remap chain.
-    pub fn remap_misses(&self) -> u64 {
-        self.remap_misses.load(Ordering::Relaxed)
+    /// Hits so far on entries a [`ResultCache::retag`] rewrote, each entry counted at its
+    /// first hit after the rewrite: how much of the cache the swaps kept warm.
+    pub(crate) fn remapped_hits(&self) -> u64 {
+        self.remapped_hits.load(Ordering::Relaxed)
     }
 
     /// Number of shards the key space is split over.
@@ -184,57 +169,42 @@ impl<E: PartialEq + Clone, V> ResultCache<E, V> {
     /// on a hit. An entry tagged with any other epoch is stale: it is dropped immediately,
     /// counted in [`ResultCache::stale_evictions`], and the lookup misses.
     pub fn get(&self, key: &CanonicalPreference, epoch: E) -> Option<Arc<V>> {
-        self.get_or_salvage(key, &epoch, |_, _| Salvage::Stale)
-            .map(|(v, _)| v)
-    }
-
-    /// Like [`ResultCache::get`], but giving the caller one chance to **salvage** an entry
-    /// whose epoch tag differs from the lookup's instead of dropping it.
-    ///
-    /// The callback receives the entry's tag and value and decides: translate the value into
-    /// the current id space (a generation swap renumbered rows but changed no data), expire
-    /// it as genuinely stale, or expire it as an unrecoverable [`Salvage::RemapMiss`].
-    /// Translated entries are cached back re-tagged at the lookup epoch, so the salvage cost
-    /// is paid once per entry per swap, not per hit. Returns the value plus whether a
-    /// translation happened.
-    pub fn get_or_salvage(
-        &self,
-        key: &CanonicalPreference,
-        epoch: &E,
-        salvage: impl FnOnce(&E, &V) -> Salvage<V>,
-    ) -> Option<(Arc<V>, bool)> {
         if self.capacity_per_shard == 0 {
             return None;
         }
         let mut shard = lock_shard(self.shard(key));
         let stamp = shard.bump_stamp();
         let entry = shard.map.get_mut(key)?;
-        if entry.epoch != *epoch {
-            match salvage(&entry.epoch, &entry.value) {
-                Salvage::Translated(value) => {
-                    entry.value = Arc::new(value);
-                    entry.epoch = epoch.clone();
-                    entry.stamp = stamp;
-                    let value = entry.value.clone();
-                    shard.queue.push_back((stamp, key.clone()));
-                    shard.compact_if_bloated();
-                    return Some((value, true));
-                }
-                verdict @ (Salvage::Stale | Salvage::RemapMiss) => {
-                    shard.map.remove(key);
-                    self.stale_evictions.fetch_add(1, Ordering::Relaxed);
-                    if matches!(verdict, Salvage::RemapMiss) {
-                        self.remap_misses.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return None;
-                }
-            }
+        if entry.epoch != epoch {
+            shard.map.remove(key);
+            self.stale_evictions.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        if std::mem::take(&mut entry.translated) {
+            self.remapped_hits.fetch_add(1, Ordering::Relaxed);
         }
         entry.stamp = stamp;
         let value = entry.value.clone();
         shard.queue.push_back((stamp, key.clone()));
         shard.compact_if_bloated();
-        Some((value, false))
+        Some(value)
+    }
+
+    /// Walks every entry once, one cache shard lock at a time, and replaces each one `rewrite`
+    /// returns a new tag and value for; `None` leaves the entry as it is. A generation swap
+    /// calls this right after it installs, to carry the entries computed on the replaced
+    /// generation into the new id space. A rewritten entry keeps its recency, and its next
+    /// hit counts one [`ResultCache::remapped_hits`].
+    pub(crate) fn retag(&self, mut rewrite: impl FnMut(&E, &V) -> Option<(E, V)>) {
+        for shard in &self.shards {
+            for entry in lock_shard(shard).map.values_mut() {
+                if let Some((epoch, value)) = rewrite(&entry.epoch, &entry.value) {
+                    entry.epoch = epoch;
+                    entry.value = Arc::new(value);
+                    entry.translated = true;
+                }
+            }
+        }
     }
 
     /// Inserts (or refreshes) a value computed at `epoch`, evicting least-recently-used
@@ -252,6 +222,7 @@ impl<E: PartialEq + Clone, V> ResultCache<E, V> {
                 value,
                 stamp,
                 epoch,
+                translated: false,
             },
         );
         while shard.map.len() > self.capacity_per_shard {
@@ -266,62 +237,11 @@ impl<E: PartialEq + Clone, V> ResultCache<E, V> {
     }
 }
 
-/// Why a remap-chain translation could not bridge an entry to the lookup epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TranslateFailure {
-    /// Real mutations separate the entry from the lookup (or the translation hit a row the
-    /// compaction reclaimed): the cached answer is semantically outdated.
-    Stale,
-    /// The entry is older than the oldest retained remap — only swaps separate it from the
-    /// lookup, but the translations it needs are gone (an unrecoverable remap miss).
-    ChainTruncated,
-}
-
-/// Rewrites `ids` from the id space of `entry_epoch` into the id space of `target` by
-/// composing consecutive links of `chain` (the engine's bounded remap history, oldest
-/// first). Succeeds only when the walk starts exactly at `entry_epoch`, every hop is
-/// contiguous (`link.from` equals the epoch reached so far — no template skyline change in
-/// between), and it lands exactly on `target`.
-pub fn translate_through_chain(
-    ids: &[PointId],
-    entry_epoch: DatasetEpoch,
-    target: DatasetEpoch,
-    chain: &[GenerationRemap],
-) -> Result<Vec<PointId>, TranslateFailure> {
-    let Some(start) = chain.iter().position(|r| r.from == entry_epoch) else {
-        // No link starts at the entry's epoch. If the retained chain begins *after* the
-        // entry, the swaps it needed have been forgotten — that is the unrecoverable case.
-        if chain.first().is_some_and(|r| entry_epoch < r.from) {
-            return Err(TranslateFailure::ChainTruncated);
-        }
-        return Err(TranslateFailure::Stale);
-    };
-    let mut current = ids.to_vec();
-    let mut at = entry_epoch;
-    for link in &chain[start..] {
-        if link.from != at {
-            // A mutation bumped the epoch between two swaps; the entry predates real changes.
-            return Err(TranslateFailure::Stale);
-        }
-        match link.remap.translate_ids(&current) {
-            Some(translated) => current = translated,
-            None => return Err(TranslateFailure::Stale),
-        }
-        at = link.to;
-        if at == target {
-            return Ok(current);
-        }
-    }
-    // The chain ended before reaching the lookup epoch: mutations happened after the last
-    // swap.
-    Err(TranslateFailure::Stale)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skyline::{MethodUsed, QueryOutcome};
-    use skyline_core::{Dimension, NominalDomain, Preference, Schema};
+    use skyline::{GenerationRemap, MethodUsed, QueryOutcome};
+    use skyline_core::{Dataset, DatasetEpoch, Dimension, NominalDomain, Preference, Schema};
 
     const E0: DatasetEpoch = DatasetEpoch::INITIAL;
 
@@ -344,31 +264,17 @@ mod tests {
     /// The single-engine instantiation the unit tests run on.
     type Cache = ResultCache<DatasetEpoch, QueryOutcome>;
 
-    /// Remap-aware lookup against one engine's chain: the pair production composes
-    /// ([`ResultCache::get_or_salvage`] + [`translate_through_chain`]).
-    fn lookup_through_chain(
-        cache: &Cache,
-        key: &CanonicalPreference,
-        epoch: DatasetEpoch,
-        chain: &[GenerationRemap],
-    ) -> Option<(Arc<QueryOutcome>, bool)> {
-        cache.get_or_salvage(
-            key,
-            &epoch,
-            |&entry_epoch, value| match translate_through_chain(
-                &value.skyline,
-                entry_epoch,
-                epoch,
-                chain,
-            ) {
-                Ok(skyline) => Salvage::Translated(QueryOutcome {
-                    skyline,
-                    method: value.method,
-                }),
-                Err(TranslateFailure::Stale) => Salvage::Stale,
-                Err(TranslateFailure::ChainTruncated) => Salvage::RemapMiss,
-            },
-        )
+    /// The walk a generation swap drives, on one engine's tag: an entry computed at exactly
+    /// the epoch the swap replaced is renumbered into the new id space and re-tagged.
+    fn retag_through(cache: &Cache, swap: &GenerationRemap) {
+        cache.retag(|&epoch, value| {
+            if epoch != swap.from {
+                return None;
+            }
+            let skyline = swap.remap.translate_ids(&value.skyline)?;
+            let method = value.method;
+            Some((swap.to, QueryOutcome { skyline, method }))
+        });
     }
 
     fn outcome(id: u32) -> Arc<QueryOutcome> {
@@ -465,8 +371,7 @@ mod tests {
         // The "mutation": lookups now run at a later epoch. Nothing is flushed eagerly…
         let bumped = {
             let mut data =
-                skyline_core::Dataset::from_columns(schema.clone(), vec![vec![1.0]], vec![vec![0]])
-                    .unwrap();
+                Dataset::from_columns(schema.clone(), vec![vec![1.0]], vec![vec![0]]).unwrap();
             data.tombstone(0).unwrap();
             data.epoch()
         };
@@ -484,149 +389,102 @@ mod tests {
         assert!(cache.get(&k2, E0).is_none(), "dropped, not resurrected");
     }
 
-    #[test]
-    fn generation_swaps_translate_entries_instead_of_dropping_them() {
-        use skyline_core::Dataset;
-
-        let schema = schema(8);
-        let cache = Cache::new(8, 2);
-        let k = key(&schema, &[1]);
-
-        // A dataset whose rows 0 and 2 are dead; the swap compacts it.
-        let data = Dataset::from_columns(
+    /// A dataset of rows 0..5 with rows 0 and 2 dead, so its compaction renumbers.
+    fn two_dead_rows(schema: &Schema) -> Dataset {
+        let mut data = Dataset::from_columns(
             schema.clone(),
             vec![vec![1.0, 2.0, 3.0, 4.0, 5.0]],
             vec![vec![0, 1, 2, 3, 4]],
         )
         .unwrap();
-        let mut data = data;
         data.tombstone(0).unwrap();
         data.tombstone(2).unwrap();
-        let from = data.epoch();
-        let (compact, remap) = data.compacted();
-        let swap = GenerationRemap {
-            remap: Arc::new(remap),
-            from,
-            to: compact.epoch(),
-        };
+        data
+    }
 
-        // An entry cached at exactly the pre-swap epoch, naming (live) rows 1, 3, 4.
-        cache.insert(
-            k.clone(),
-            from,
-            Arc::new(QueryOutcome {
-                skyline: vec![1, 3, 4],
-                method: MethodUsed::AdaptiveSfs,
-            }),
-        );
-        // Looked up at the post-swap epoch with the remap: translated, not dropped.
-        let (outcome, translated) =
-            lookup_through_chain(&cache, &k, swap.to, std::slice::from_ref(&swap)).unwrap();
-        assert!(translated);
+    /// The swap that compacts `data`, and the compacted dataset.
+    fn swap(data: &Dataset) -> (Dataset, GenerationRemap) {
+        let (compact, remap) = data.compacted();
+        let to = compact.epoch();
+        let from = data.epoch();
+        (compact, GenerationRemap { remap, from, to })
+    }
+
+    fn adaptive(skyline: Vec<u32>) -> Arc<QueryOutcome> {
+        Arc::new(QueryOutcome {
+            skyline,
+            method: MethodUsed::AdaptiveSfs,
+        })
+    }
+
+    #[test]
+    fn generation_swaps_translate_entries_instead_of_dropping_them() {
+        let schema = schema(8);
+        let cache = Cache::new(8, 2);
+        let (k, k2) = (key(&schema, &[1]), key(&schema, &[2]));
+        let data = two_dead_rows(&schema);
+        let (_, swap) = swap(&data);
+
+        // An entry cached at exactly the pre-swap epoch, naming (live) rows 1, 3, 4, and one
+        // from an older epoch, which predates changes the swap knows nothing about.
+        cache.insert(k.clone(), swap.from, adaptive(vec![1, 3, 4]));
+        cache.insert(k2.clone(), E0, outcome(1));
+        retag_through(&cache, &swap);
+
+        // Looked up at the post-swap epoch: translated by the walk, not dropped.
+        let outcome = cache.get(&k, swap.to).unwrap();
         assert_eq!(
             outcome.skyline,
             vec![0, 1, 2],
             "ids rewritten to the new space"
         );
         assert_eq!(outcome.method, MethodUsed::AdaptiveSfs);
+        assert_eq!(cache.remapped_hits(), 1);
+        // Only the first hit after the walk counts as remapped.
+        assert_eq!(cache.get(&k, swap.to).unwrap().skyline, vec![0, 1, 2]);
+        assert_eq!(cache.remapped_hits(), 1);
         assert_eq!(cache.stale_evictions(), 0);
-        // The entry is now re-tagged: a plain lookup at the new epoch hits without a remap.
-        let (again, translated) = lookup_through_chain(&cache, &k, swap.to, &[]).unwrap();
-        assert!(!translated);
-        assert_eq!(again.skyline, vec![0, 1, 2]);
 
-        // An entry from an *older* epoch is unrecoverable once its swaps left the chain.
-        let k2 = key(&schema, &[2]);
-        cache.insert(k2.clone(), E0, outcome.clone());
-        assert!(lookup_through_chain(&cache, &k2, swap.to, std::slice::from_ref(&swap)).is_none());
+        // The walk left the older entry alone; it expires at its next lookup.
+        assert!(cache.get(&k2, swap.to).is_none());
         assert_eq!(cache.stale_evictions(), 1);
-        assert_eq!(cache.remap_misses(), 1, "pre-chain entry is a remap miss");
+        assert_eq!(cache.remapped_hits(), 1);
     }
 
-    /// The satellite-2 regression: two back-to-back rebuilds used to silently drop every
-    /// entry that was one remap behind, because translation only looked at the latest swap.
+    /// Back-to-back swaps each walk the cache, so an entry follows any number of them.
     #[test]
-    fn back_to_back_swaps_compose_through_the_chain() {
-        use skyline_core::Dataset;
-
+    fn back_to_back_swaps_retag_the_entry_each_time() {
         let schema = schema(8);
         let cache = Cache::new(8, 2);
-        let k = key(&schema, &[1]);
-
-        let data = Dataset::from_columns(
-            schema.clone(),
-            vec![vec![1.0, 2.0, 3.0, 4.0, 5.0]],
-            vec![vec![0, 1, 2, 3, 4]],
-        )
-        .unwrap();
+        let (k, k2) = (key(&schema, &[1]), key(&schema, &[2]));
         // Swap 1 reclaims rows 0 and 2; swap 2 is a back-to-back rebuild with nothing to
-        // reclaim (identity renumbering) — but it still opens a fresh epoch, which is
-        // exactly what used to strand every pre-swap-1 entry.
-        let mut data = data;
-        data.tombstone(0).unwrap();
-        data.tombstone(2).unwrap();
-        let e1 = data.epoch();
-        let (compact1, remap1) = data.compacted();
-        let swap1 = GenerationRemap {
-            remap: Arc::new(remap1),
-            from: e1,
-            to: compact1.epoch(),
-        };
-        let (compact2, remap2) = compact1.compacted();
-        let swap2 = GenerationRemap {
-            remap: Arc::new(remap2),
-            from: compact1.epoch(),
-            to: compact2.epoch(),
-        };
+        // reclaim (identity renumbering), but it still opens a fresh epoch.
+        let data = two_dead_rows(&schema);
+        let (compact1, swap1) = swap(&data);
+        let (_, swap2) = swap(&compact1);
         assert_eq!(swap1.to, swap2.from, "no mutation between the swaps");
 
-        // Cached at the epoch swap 1 starts from, naming (live) old rows {1, 3, 4}.
-        cache.insert(
-            k.clone(),
-            e1,
-            Arc::new(QueryOutcome {
-                skyline: vec![1, 3, 4],
-                method: MethodUsed::AdaptiveSfs,
-            }),
-        );
+        // Cached at the epoch swap 1 starts from: live old rows {1, 3, 4}, and reclaimed row 0,
+        // which no walk can carry across its compaction.
+        cache.insert(k.clone(), swap1.from, adaptive(vec![1, 3, 4]));
+        cache.insert(k2.clone(), swap1.from, adaptive(vec![0]));
 
-        // With only the latest remap the walk cannot start at `e1`: the entry would be
-        // dropped (the old bug). Through the full chain it composes:
         // {1,3,4} → swap1 → {0,1,2} → swap2 (identity) → {0,1,2}.
-        let (outcome, translated) =
-            lookup_through_chain(&cache, &k, swap2.to, &[swap1.clone(), swap2.clone()]).unwrap();
-        assert!(translated);
-        assert_eq!(outcome.skyline, vec![0, 1, 2]);
+        retag_through(&cache, &swap1);
+        retag_through(&cache, &swap2);
+        assert_eq!(cache.get(&k, swap2.to).unwrap().skyline, vec![0, 1, 2]);
+        assert_eq!(cache.remapped_hits(), 1, "one entry, one first hit");
         assert_eq!(cache.stale_evictions(), 0);
-        assert_eq!(cache.remap_misses(), 0);
 
-        // Sanity on the raw composition helper.
-        assert_eq!(
-            translate_through_chain(&[1], e1, swap2.to, std::slice::from_ref(&swap2)),
-            Err(TranslateFailure::ChainTruncated),
-            "entry older than the retained chain"
-        );
-        assert_eq!(
-            translate_through_chain(&[1], swap1.from, swap2.to, std::slice::from_ref(&swap1)),
-            Err(TranslateFailure::Stale),
-            "chain ends before the lookup epoch"
-        );
-        // A reclaimed row cannot be carried across its compaction.
-        assert_eq!(
-            translate_through_chain(&[1, 3], e1, swap1.to, std::slice::from_ref(&swap1)),
-            Ok(vec![0, 1]),
-        );
-        assert_eq!(
-            translate_through_chain(&[0], e1, swap1.to, &[swap1]),
-            Err(TranslateFailure::Stale),
-            "reclaimed row cannot translate"
-        );
+        // The untranslatable entry kept its old tag, so it expires instead of serving.
+        assert!(cache.get(&k2, swap2.to).is_none());
+        assert_eq!(cache.stale_evictions(), 1);
     }
 
     #[test]
-    fn vector_epoch_tags_work_with_salvage() {
+    fn vector_epoch_tags_work_with_retag() {
         // The sharded service tags entries with per-shard epoch vectors; exercise the
-        // generic path with that tag type and a custom salvage decision.
+        // generic walk with that tag type and a custom rewrite.
         let schema = schema(8);
         let cache: ResultCache<Arc<[DatasetEpoch]>, Vec<u32>> = ResultCache::new(8, 2);
         let k = key(&schema, &[1]);
@@ -636,30 +494,25 @@ mod tests {
 
         let bumped = {
             let mut data =
-                skyline_core::Dataset::from_columns(schema.clone(), vec![vec![1.0]], vec![vec![0]])
-                    .unwrap();
+                Dataset::from_columns(schema.clone(), vec![vec![1.0]], vec![vec![0]]).unwrap();
             data.tombstone(0).unwrap();
             data.epoch()
         };
         let tag_b: Arc<[DatasetEpoch]> = Arc::from(vec![E0, bumped].into_boxed_slice());
-        // Salvage translates (here: trivially rewrites) instead of dropping.
-        let (v, translated) = cache
-            .get_or_salvage(&k, &tag_b, |old, value| {
-                assert_eq!(old, &tag_a);
-                Salvage::Translated(value.iter().map(|x| x + 10).collect())
-            })
-            .unwrap();
-        assert!(translated);
-        assert_eq!(*v, vec![11, 12]);
-        // Re-tagged: a plain get at the new tag now hits.
+        // The walk rewrites (here: trivially) the entries whose shard 1 was at E0.
+        cache.retag(|old, value| {
+            assert_eq!(old, &tag_a);
+            (old[1] == E0).then(|| (tag_b.clone(), value.iter().map(|x| x + 10).collect()))
+        });
+        // A walk that rewrites nothing leaves every entry as it is.
+        cache.retag(|_, _| None);
         assert_eq!(*cache.get(&k, tag_b.clone()).unwrap(), vec![11, 12]);
-        // And a remap-miss verdict is counted separately.
+        assert_eq!(cache.remapped_hits(), 1);
+        // A tag the walk did not reach expires as usual.
         let tag_c: Arc<[DatasetEpoch]> = Arc::from(vec![bumped, bumped].into_boxed_slice());
-        assert!(cache
-            .get_or_salvage(&k, &tag_c, |_, _| Salvage::RemapMiss)
-            .is_none());
+        assert!(cache.get(&k, tag_c).is_none());
         assert_eq!(cache.stale_evictions(), 1);
-        assert_eq!(cache.remap_misses(), 1);
+        assert!(cache.get(&k, tag_b).is_none(), "dropped, not resurrected");
     }
 
     #[test]

@@ -166,7 +166,13 @@ mod tests {
     }
 
     fn shard_set(engines: Vec<SharedEngine>) -> Arc<ShardSet> {
-        Arc::new(ShardSet::new(engines, RecoveryPolicy::default(), None))
+        let cache = crate::ResultCache::new(0, 1);
+        Arc::new(ShardSet::new(
+            engines,
+            RecoveryPolicy::default(),
+            None,
+            cache,
+        ))
     }
 
     /// Rebuilds once a `dead_row_ratio` of the rows are dead, polling every 5 ms.
@@ -195,7 +201,7 @@ mod tests {
         let shards = shard_set(vec![engine.clone()]);
         // A threshold the test never crosses: only the forced rebuild may run.
         let scheduler = Scheduler::new(shards.clone(), eager(1.0), 1, 1);
-        assert!(shards.rebuild_shard(0).unwrap());
+        assert!(shards.rebuild_shard(0).unwrap().is_some());
         {
             let engine = engine.read();
             let data = engine.dataset();
@@ -275,6 +281,6 @@ mod tests {
         assert_eq!(engine.read().dataset().dead_count(), 0);
         // Forced rebuilds keep working too.
         engine.write().delete_row(2).unwrap();
-        assert!(shards.rebuild_shard(0).unwrap());
+        assert!(shards.rebuild_shard(0).unwrap().is_some());
     }
 }

@@ -67,17 +67,34 @@
 //!   Mutations route to their owning shard and touch only that engine's lock.
 //! * [`ShardedService`] — the facade: queries with a result cache tagged by the
 //!   skyline-epoch **vector** (a write invalidates exactly the answers whose shard skyline it
-//!   changed: all of them, or none) and remap-aware salvage: when only generation swaps moved
-//!   a shard's skyline epoch, the cached global skyline is translated through that shard's
-//!   remap chain instead of dropped. The batch and the streaming path share one miss path:
-//!   one front end (admission, deadline, guards, key, cache lookup, quarantine policy), one
-//!   open of the rows — `G`'s scan, or the engine's stream at one shard — and one finish
-//!   that caches a complete answer. A batch answer is the stream drained at once.
+//!   changed: all of them, or none; a swap re-tags them, below). The batch and the streaming
+//!   path share one miss path: one front end (admission, deadline, guards, key, cache
+//!   lookup, quarantine policy), one open of the rows — `G`'s scan, or the engine's stream at
+//!   one shard — and one finish that caches a complete answer. A batch answer is the stream
+//!   drained at once.
 //! * one rebuild path: the build threads of [`ShardedConfig::maintenance`] (a few threads
 //!   shared by every shard under a global in-flight cap),
 //!   [`ShardedService::force_rebuild_shard`] and quarantine recovery all run the same
-//!   shard rebuild, which contains a panicking build, lifts a quarantine when it installs
-//!   and writes the shard's snapshot through to [`ShardedConfig::snapshot_dir`].
+//!   shard rebuild, which contains a panicking build and, when it installs, re-tags the
+//!   result cache, lifts a quarantine and writes the shard's snapshot through to
+//!   [`ShardedConfig::snapshot_dir`].
+//!
+//! # A swap re-tags the cache once
+//!
+//! A generation swap renumbers a shard's rows but changes no answer. So the one rebuild path
+//! (above) walks the result cache once, right after it installs a generation of shard `s`.
+//! An entry whose vector holds, at `s`, the skyline epoch the swap replaced was computed on
+//! the replaced generation, so the swap's [`GenerationRemap`] is exactly its id map: the
+//! entry's rows on shard `s` are renumbered (the map keeps their order, so the answer stays
+//! sorted) and its tag moves to the installed epoch. The first hit on it counts one
+//! [`StatsSnapshot::remapped_hits`]. Every other entry expires lazily. An entry follows any
+//! number of back-to-back swaps, and nothing else in the service knows about renumbering.
+//!
+//! Three cases miss once instead of being carried: a stream opened before the swap that
+//! caches its answer after the walk, a lookup that lands between the install and the walk,
+//! and a swap the service did not drive (a caller rebuilding an engine it handed to
+//! [`ShardedService::from_engines`]). Each such entry keeps the replaced epoch in its tag,
+//! which no lookup carries again, so it expires and answers stay correct.
 //!
 //! # One shard: the single-engine service
 //!
@@ -112,14 +129,15 @@
 //! no shard failpoint.
 
 use crate::admission::{AdmissionPermit, AdmissionQueue};
-use crate::cache::{translate_through_chain, ResultCache, Salvage, TranslateFailure};
+use crate::cache::ResultCache;
 use crate::executor;
 use crate::faults::FaultInjector;
 use crate::maintenance::Scheduler;
 use crate::stats::{ServiceMetrics, StatsSnapshot};
 use skyline::adaptive::{AdaptiveSfs, ScanMode, ScoredEntry};
 use skyline::{
-    EngineConfig, EngineStream, MaintenancePolicy, MethodUsed, SharedEngine, SkylineEngine,
+    EngineConfig, EngineStream, GenerationRemap, MaintenancePolicy, MethodUsed, SharedEngine,
+    SkylineEngine,
 };
 use skyline_core::algo::sfs::Scan;
 use skyline_core::score::ScoreFn;
@@ -175,7 +193,9 @@ impl ShardPartition {
 /// A row's global identity: which shard owns it and its row id *inside that shard's engine*.
 ///
 /// Shard-local ids are renumbered by that shard's generation swaps (compaction), exactly
-/// like a single engine's ids — translate through the shard's remap chain across rebuilds.
+/// like a single engine's ids. The service carries its cached answers across a swap (module
+/// docs); an id a caller holds is translated through the [`GenerationRemap`] the swap
+/// returns ([`ShardedService::force_rebuild_shard`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GlobalRowId {
     /// Index of the owning shard.
@@ -383,13 +403,15 @@ impl Quarantine {
 }
 
 /// The shard engines plus what a rebuild of one touches — its failpoints, its quarantine
-/// entry, its snapshot file — shared by the service and its build threads.
+/// entry, its snapshot file, the result cache it re-tags — shared by the service and its
+/// build threads.
 #[derive(Debug)]
 pub(crate) struct ShardSet {
     pub(crate) engines: Vec<SharedEngine>,
     pub(crate) faults: FaultInjector,
     quarantine: Quarantine,
     snapshot_dir: Option<PathBuf>,
+    cache: ResultCache<EpochVector, ShardedOutcome>,
 }
 
 impl ShardSet {
@@ -397,27 +419,30 @@ impl ShardSet {
         engines: Vec<SharedEngine>,
         recovery: RecoveryPolicy,
         snapshot_dir: Option<PathBuf>,
+        cache: ResultCache<EpochVector, ShardedOutcome>,
     ) -> Self {
         Self {
             quarantine: Quarantine::new(engines.len(), recovery),
             engines,
             faults: FaultInjector::from_env(),
             snapshot_dir,
+            cache,
         }
     }
 
     /// Rebuilds shard `s`'s generation on the calling thread — the one rebuild path behind
     /// the build threads' policy-driven cycles, [`ShardedService::force_rebuild_shard`] and
-    /// quarantine recovery. Returns whether a new generation was installed: `Ok(false)` when
-    /// a rebuild of `s` was already in flight.
+    /// quarantine recovery. Returns the installed generation's [`GenerationRemap`], or
+    /// `Ok(None)` when a rebuild of `s` was already in flight.
     ///
-    /// A full rebuild re-derives every serving structure from the shard's intact rows, so an
+    /// Right after the install the result cache is re-tagged ([`ShardSet::retag_cache`]). A
+    /// full rebuild re-derives every serving structure from the shard's intact rows, so an
     /// install is the proof of health that lifts a quarantine; it also writes the shard's
     /// snapshot through to [`ShardedConfig::snapshot_dir`]. The `panic-on-build` failpoint
     /// fires first. A panicking build is contained here: the torn rebuild is aborted, the
     /// shard quarantined and [`SkylineError::ShardUnavailable`] returned. A build error on a
     /// quarantined shard counts as a failed recovery attempt.
-    pub(crate) fn rebuild_shard(&self, s: usize) -> Result<bool> {
+    pub(crate) fn rebuild_shard(&self, s: usize) -> Result<Option<GenerationRemap>> {
         let engine = self.engines.get(s).ok_or_else(|| {
             SkylineError::InvalidArgument(format!(
                 "shard {s} does not exist ({} shards)",
@@ -431,7 +456,8 @@ impl ShardSet {
             engine.rebuild_now()
         }));
         match built {
-            Ok(Ok(Some(_))) => {
+            Ok(Ok(Some(swap))) => {
+                self.retag_cache(s, &swap);
                 self.quarantine.mark_recovered(s);
                 // Best-effort: a failed write keeps serving, and the next install retries.
                 if let Some(dir) = &self.snapshot_dir {
@@ -441,9 +467,9 @@ impl ShardSet {
                             .write_snapshot_file(&shard_snapshot_path(dir, s));
                     }
                 }
-                Ok(true)
+                Ok(Some(swap))
             }
-            Ok(Ok(None)) => Ok(false),
+            Ok(Ok(None)) => Ok(None),
             Ok(Err(e)) => {
                 if self.quarantine.is_quarantined(s) {
                     self.quarantine.quarantine(s);
@@ -461,6 +487,26 @@ impl ShardSet {
                 Err(SkylineError::ShardUnavailable { shard: s })
             }
         }
+    }
+
+    /// The walk that keeps the result cache warm across shard `s`'s `swap` (module docs): an
+    /// entry whose tag holds the skyline epoch the swap replaced gets shard `s`'s rows
+    /// renumbered — in order, so the answer stays sorted — and that epoch replaced by the
+    /// installed one. Every other entry is left to expire lazily.
+    fn retag_cache(&self, s: usize, swap: &GenerationRemap) {
+        self.cache.retag(|tags, outcome| {
+            if tags[s] != swap.from {
+                return None;
+            }
+            let mut skyline = outcome.skyline.clone();
+            for g in skyline.iter_mut().filter(|g| g.shard == s) {
+                g.row = swap.remap.new_id(g.row)?;
+            }
+            let mut tags = tags.to_vec();
+            tags[s] = swap.to;
+            let methods = outcome.methods.clone();
+            Some((tags.into(), ShardedOutcome { skyline, methods }))
+        });
     }
 }
 
@@ -657,7 +703,6 @@ pub struct ShardedService {
     partition: ShardPartition,
     schema: Schema,
     template: Template,
-    cache: ResultCache<EpochVector, ShardedOutcome>,
     metrics: ServiceMetrics,
     degrade: DegradePolicy,
     admission: AdmissionQueue,
@@ -716,8 +761,8 @@ impl ShardedService {
     /// [`ShardedConfig::snapshot_dir`]) left in `dir` — `shard-0000.snap` through
     /// `shard-NNNN.snap`, one per configured shard — skipping preprocessing entirely: each
     /// shard's sorted list and columns (and, at one shard, its IPO tree) rehydrate from the
-    /// checksummed bytes with their generation ids and epochs intact, so caches, remap chains
-    /// and maintenance resume exactly where the snapshotting service stopped.
+    /// checksummed bytes with their generation ids and epochs intact, so maintenance resumes
+    /// exactly where the snapshotting service stopped.
     ///
     /// Every shard must carry the same schema, template and engine configuration (they were
     /// written by one service), and two or more shards must be
@@ -816,7 +861,13 @@ impl ShardedService {
                 "a service of two or more shards needs a template with an implicit form".into(),
             ));
         }
-        let shards = Arc::new(ShardSet::new(engines, config.recovery, config.snapshot_dir));
+        let cache = ResultCache::new(config.cache_capacity, config.cache_shards);
+        let shards = Arc::new(ShardSet::new(
+            engines,
+            config.recovery,
+            config.snapshot_dir,
+            cache,
+        ));
         let scheduler = config.maintenance.map(|policy| {
             Scheduler::new(
                 shards.clone(),
@@ -837,7 +888,6 @@ impl ShardedService {
             partition: config.partition,
             schema,
             template,
-            cache: ResultCache::new(config.cache_capacity, config.cache_shards),
             metrics,
             degrade: config.degrade,
             admission: AdmissionQueue::new(config.admission_depth),
@@ -909,7 +959,7 @@ impl ShardedService {
 
     /// Current number of cached answers.
     pub fn cache_len(&self) -> usize {
-        self.cache.len()
+        self.shards.cache.len()
     }
 
     /// Every shard's current mutation epoch, in shard order.
@@ -934,8 +984,8 @@ impl ShardedService {
     /// aggregate over every shard's maintenance lifecycle.
     pub fn stats(&self) -> StatsSnapshot {
         let mut snapshot = self.metrics.snapshot();
-        snapshot.stale_evictions = self.cache.stale_evictions();
-        snapshot.remap_misses = self.cache.remap_misses();
+        snapshot.stale_evictions = self.shards.cache.stale_evictions();
+        snapshot.remapped_hits = self.shards.cache.remapped_hits();
         snapshot.queue_depth = self.admission.depth() as u64;
         for shard in &self.shards.engines {
             let maintenance = shard.read().maintenance_stats();
@@ -946,12 +996,13 @@ impl ShardedService {
     }
 
     /// Rebuilds shard `s`'s generation right now, on the calling thread, and waits for it;
-    /// returns whether a new generation was installed (`false` when a rebuild of `s` was
-    /// already in flight). An install lifts the shard's quarantine and writes its snapshot
-    /// through to [`ShardedConfig::snapshot_dir`]. A build that panics — the
+    /// returns the [`GenerationRemap`] the install published (`None` when a rebuild of `s`
+    /// was already in flight), as [`SharedEngine::rebuild_now`] does. An install re-tags the
+    /// result cache, lifts the shard's quarantine and writes its snapshot through to
+    /// [`ShardedConfig::snapshot_dir`]. A build that panics — the
     /// `panic-on-build` failpoint included — quarantines `s` and fails with
     /// [`SkylineError::ShardUnavailable`], the rule a panicking query leg follows.
-    pub fn force_rebuild_shard(&self, s: usize) -> Result<bool> {
+    pub fn force_rebuild_shard(&self, s: usize) -> Result<Option<GenerationRemap>> {
         self.shards.rebuild_shard(s)
     }
 
@@ -960,7 +1011,7 @@ impl ShardedService {
     pub fn force_rebuild_all(&self) -> Result<usize> {
         let mut installed = 0;
         for s in 0..self.shard_count() {
-            if self.force_rebuild_shard(s)? {
+            if self.force_rebuild_shard(s)?.is_some() {
                 installed += 1;
             }
         }
@@ -1061,8 +1112,8 @@ impl ShardedService {
 
     /// The front end both request paths share, up to the miss: admission, the upfront
     /// deadline check, opportunistic recovery, read guards on every shard with the epoch
-    /// vector they pin, the canonical key, every shard's servability check, the remap-aware
-    /// cache lookup and — on a miss — the policy check for shards already quarantined.
+    /// vector they pin, the canonical key, every shard's servability check, the cache lookup
+    /// and — on a miss — the policy check for shards already quarantined.
     fn front_end(&self, pref: &Preference, deadline: &Deadline) -> Result<Admitted<'_>> {
         let permit = self.admission.try_admit().inspect_err(|_| {
             self.metrics.record_shed();
@@ -1096,14 +1147,7 @@ impl ShardedService {
         }
         // Cached answers are complete by construction and the quarantined shards' data is
         // intact, so a hit keeps serving full answers right through a quarantine.
-        let hit = self
-            .lookup(&key, &tags, &guards)
-            .map(|(outcome, translated)| {
-                if translated {
-                    self.metrics.record_remapped_hit();
-                }
-                outcome
-            });
+        let hit = self.shards.cache.get(&key, tags.clone());
         let quarantined = match hit {
             Some(_) => Vec::new(),
             None => self.shards.quarantine.quarantined(),
@@ -1297,23 +1341,6 @@ impl ShardedService {
                 })
             }
         }
-    }
-
-    /// Remap-aware cache lookup: entries whose skyline-epoch vector differs only by swaps
-    /// are translated per shard through that shard's remap chain.
-    fn lookup(
-        &self,
-        key: &CanonicalPreference,
-        tags: &EpochVector,
-        guards: &[parking_lot_free::Guard<'_>],
-    ) -> Option<(Arc<ShardedOutcome>, bool)> {
-        self.cache.get_or_salvage(key, tags, |old, value| {
-            match translate_vector(old, tags, value, guards) {
-                Ok(translated) => Salvage::Translated(translated),
-                Err(TranslateFailure::Stale) => Salvage::Stale,
-                Err(TranslateFailure::ChainTruncated) => Salvage::RemapMiss,
-            }
-        })
     }
 
     /// The per-shard scatter: `leg` runs on every shard the front end did not find
@@ -1691,7 +1718,7 @@ impl ShardedStream<'_> {
         });
         if self.degraded.is_empty() {
             let tags = self.tags.clone();
-            self.service.cache.insert(key, tags, outcome.clone());
+            self.service.shards.cache.insert(key, tags, outcome.clone());
         } else {
             self.service.metrics.record_degraded();
         }
@@ -1709,53 +1736,6 @@ impl ShardedStream<'_> {
         }
         Ok(rows)
     }
-}
-
-/// Translates a cached outcome from skyline-epoch vector `old` to `new`, shard by shard,
-/// through each changed shard's remap chain. All-or-nothing: every changed shard must bridge
-/// entirely via swaps. A shard whose template skyline changed in between makes the entry
-/// [`TranslateFailure::Stale`]; when swaps alone separate the vectors but some shard's
-/// translations already fell off its bounded chain, the entry is an unrecoverable
-/// [`TranslateFailure::ChainTruncated`] (counted as a remap miss).
-fn translate_vector(
-    old: &EpochVector,
-    new: &EpochVector,
-    value: &ShardedOutcome,
-    guards: &[parking_lot_free::Guard<'_>],
-) -> std::result::Result<ShardedOutcome, TranslateFailure> {
-    if old.len() != new.len() {
-        return Err(TranslateFailure::Stale);
-    }
-    let mut skyline = value.skyline.clone();
-    let mut truncated = false;
-    for s in 0..new.len() {
-        if old[s] == new[s] {
-            continue;
-        }
-        let ids: Vec<PointId> = skyline
-            .iter()
-            .filter(|g| g.shard == s)
-            .map(|g| g.row)
-            .collect();
-        match translate_through_chain(&ids, old[s], new[s], guards[s].remap_chain()) {
-            Ok(translated) => {
-                let mut next = translated.into_iter();
-                for g in skyline.iter_mut().filter(|g| g.shard == s) {
-                    g.row = next.next().expect("one translated id per input id");
-                }
-            }
-            // Stale dominates: real mutations anywhere make the whole entry outdated.
-            Err(TranslateFailure::Stale) => return Err(TranslateFailure::Stale),
-            Err(TranslateFailure::ChainTruncated) => truncated = true,
-        }
-    }
-    if truncated {
-        return Err(TranslateFailure::ChainTruncated);
-    }
-    Ok(ShardedOutcome {
-        skyline,
-        methods: value.methods.clone(),
-    })
 }
 
 /// Local alias spelling out the guard type the scatter borrows (std's rwlock read guard over
@@ -1923,13 +1903,9 @@ mod tests {
         assert_eq!(service.force_rebuild_all().unwrap(), 2);
 
         let after = service.serve(&pref).unwrap();
-        assert!(
-            after.cache_hit,
-            "entry translated through both shards' chains"
-        );
+        assert!(after.cache_hit, "entry re-tagged at each of the four swaps");
         let stats = service.stats();
         assert_eq!(stats.remapped_hits, 1);
-        assert_eq!(stats.remap_misses, 0);
         assert_eq!(stats.rebuilds, 4);
         // The translated answer names the same rows: values match a fresh computation.
         let fresh = {
@@ -2132,7 +2108,7 @@ mod tests {
         assert_eq!(service.quarantined_shards(), vec![0]);
         assert_eq!(service.cache_len(), 0);
 
-        assert!(service.force_rebuild_shard(0).unwrap());
+        assert!(service.force_rebuild_shard(0).unwrap().is_some());
         assert!(service.quarantined_shards().is_empty());
         let served = service.serve(&pref).unwrap();
         assert!(!served.is_degraded());
@@ -2171,9 +2147,9 @@ mod tests {
 
         // Quarantine shard 1 via a different query's scatter panic. A miss at an unchanged
         // vector reads no shard (it is answered from the cached global template skyline), so
-        // a swap moves the vector first; the cached answer survives it by remap translation.
+        // a swap moves the vector first; the cached answer survives it, re-tagged by the swap.
         let other = generator.random_preference(data.schema(), &template, 1, None);
-        assert!(service.force_rebuild_shard(0).unwrap());
+        assert!(service.force_rebuild_shard(0).unwrap().is_some());
         service.fault_injector().panic_on_shard_query(1, 1);
         let _ = service.serve(&other);
         assert_eq!(service.quarantined_shards(), vec![1]);
@@ -2556,7 +2532,7 @@ mod tests {
                         row: 0
                     })
                     .unwrap()),
-                Driver::Forced => assert!(service.force_rebuild_shard(victim).unwrap()),
+                Driver::Forced => assert!(service.force_rebuild_shard(victim).unwrap().is_some()),
                 Driver::Recovery => assert!(!service.serve(&pref).unwrap().is_degraded()),
             }
             // The snapshot is written right after the install that lifted the quarantine.
@@ -3049,9 +3025,8 @@ mod tests {
         assert_eq!(first.outcome.skyline, second.outcome.skyline);
     }
 
-    /// Entries cached *before* two back-to-back generation rebuilds must compose through the
-    /// engine's remap chain and keep serving as hits; entries older than the bounded chain
-    /// are counted remap misses, never silent drops.
+    /// Entries cached *before* back-to-back generation rebuilds are re-tagged at every swap
+    /// and keep serving as hits, however many swaps pass.
     #[test]
     fn back_to_back_rebuilds_keep_pre_swap_entries_warm() {
         let (data, template) = experiment(300, 5);
@@ -3075,8 +3050,8 @@ mod tests {
 
         // Two back-to-back rebuilds: swap 1 compacts, swap 2 has nothing to reclaim but
         // still opens a fresh epoch.
-        assert!(service.force_rebuild_shard(0).unwrap());
-        assert!(service.force_rebuild_shard(0).unwrap());
+        assert!(service.force_rebuild_shard(0).unwrap().is_some());
+        assert!(service.force_rebuild_shard(0).unwrap().is_some());
         assert_eq!(service.stats().rebuilds, 2);
 
         // The entry is now two swaps behind — it must translate, not drop.
@@ -3093,19 +3068,63 @@ mod tests {
         );
         let stats = service.stats();
         assert_eq!(stats.remapped_hits, 1);
-        assert_eq!(stats.remap_misses, 0);
         assert_eq!(stats.stale_evictions, 0);
 
-        // Push the entry's swaps off the bounded chain: it becomes an unrecoverable
-        // (counted) remap miss instead of a silent drop.
+        // Nine more swaps in a row: the entry still serves, in the newest id space.
         let other = generator.random_preference(data.schema(), &template, 2, None);
         assert!(!service.serve(&other).unwrap().cache_hit);
-        for _ in 0..=skyline::REMAP_CHAIN_LIMIT {
-            service.force_rebuild_shard(0).unwrap();
+        for _ in 0..9 {
+            assert!(service.force_rebuild_shard(0).unwrap().is_some());
         }
-        let recomputed = service.serve(&other).unwrap();
-        assert!(!recomputed.cache_hit, "entry fell off the remap chain");
-        assert_eq!(service.stats().remap_misses, 1);
+        let after = service.serve(&other).unwrap();
+        assert!(
+            after.cache_hit,
+            "the entry survives nine back-to-back swaps"
+        );
+        let fresh = service.shard(0).read().query(&other).unwrap().skyline;
+        let fresh: Vec<GlobalRowId> = fresh
+            .into_iter()
+            .map(|row| GlobalRowId { shard: 0, row })
+            .collect();
+        assert_eq!(after.outcome.skyline, fresh);
+        assert_eq!(service.stats().remapped_hits, 2);
+        assert_eq!(service.stats().stale_evictions, 0);
+    }
+
+    /// A stream opened before a swap caches its answer after the re-tag walk: in the replaced
+    /// id space, under the replaced skyline epoch. That entry must expire, not serve — the
+    /// next `serve` equals a fresh evaluation in the new id space.
+    #[test]
+    fn a_stream_that_straddles_a_swap_never_serves_old_ids() {
+        let (data, template) = experiment(300, 13);
+        let mut generator = QueryGenerator::new(5);
+        let pref = generator.random_preference(data.schema(), &template, 2, None);
+        for shards in [1, 2] {
+            let config = ShardedConfig {
+                shards,
+                workers: 1,
+                ..ShardedConfig::default()
+            };
+            let service =
+                ShardedService::build(&data, template.clone(), EngineConfig::AdaptiveSfs, config)
+                    .unwrap();
+            // A dead row 0 makes the rebuild renumber every other row of shard 0.
+            assert!(service
+                .delete_row(GlobalRowId { shard: 0, row: 0 })
+                .unwrap());
+            let mut stream = service.serve_streaming(&pref).unwrap();
+            assert!(stream.next_row().unwrap().is_some());
+            assert!(service.force_rebuild_shard(0).unwrap().is_some());
+            stream.collect_rows().unwrap();
+
+            let served = service.serve(&pref).unwrap();
+            let fresh = live_oracle(&service, &pref);
+            assert!(
+                fresh.iter().any(|g| g.shard == 0),
+                "the answer names renumbered rows"
+            );
+            assert_eq!(served.outcome.skyline, fresh, "shards = {shards}");
+        }
     }
 
     // ---- The global template skyline ----
@@ -3222,9 +3241,9 @@ mod tests {
         assert_eq!(d2, GlobalRowId { shard: 0, row: 1 });
         assert!(!misses(&service).contains(&r));
         // The rebuild reclaims `d` and renumbers `d2` to row 0.
-        assert!(service.force_rebuild_shard(0).unwrap());
+        assert!(service.force_rebuild_shard(0).unwrap().is_some());
         assert!(misses(&service).contains(&GlobalRowId { shard: 0, row: 0 }));
-        assert!(service.force_rebuild_shard(1).unwrap());
+        assert!(service.force_rebuild_shard(1).unwrap().is_some());
         misses(&service);
     }
 
@@ -3379,7 +3398,8 @@ mod tests {
                     _ => {
                         assert!(service
                             .force_rebuild_shard(usize::from(step) % shards)
-                            .unwrap());
+                            .unwrap()
+                            .is_some());
                     }
                 }
                 check(&service);

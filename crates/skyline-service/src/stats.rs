@@ -18,7 +18,6 @@ pub struct ServiceMetrics {
     misses: AtomicU64,
     errors: AtomicU64,
     mutations: AtomicU64,
-    remapped_hits: AtomicU64,
     coalesced: AtomicU64,
     shed: AtomicU64,
     deadline_misses: AtomicU64,
@@ -40,7 +39,6 @@ impl Default for ServiceMetrics {
             misses: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             mutations: AtomicU64::new(0),
-            remapped_hits: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             deadline_misses: AtomicU64::new(0),
@@ -83,12 +81,6 @@ impl ServiceMetrics {
     /// Records one dataset mutation (an insert or a live delete that bumped the epoch).
     pub fn record_mutation(&self) {
         self.mutations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a cache hit served by translating a pre-swap entry through the generation
-    /// remap (already counted as a hit by [`ServiceMetrics::record`]).
-    pub fn record_remapped_hit(&self) {
-        self.remapped_hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a miss that waited on another request's in-flight build of the global
@@ -178,8 +170,7 @@ impl ServiceMetrics {
             errors,
             mutations: self.mutations.load(Ordering::Relaxed),
             stale_evictions: 0,
-            remap_misses: 0,
-            remapped_hits: self.remapped_hits.load(Ordering::Relaxed),
+            remapped_hits: 0,
             coalesced: self.coalesced.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
@@ -237,13 +228,10 @@ pub struct StatsSnapshot {
     /// Cached results dropped because a mutation made their epoch stale (lazy expiry; filled
     /// in from the result cache by `ShardedService::stats`).
     pub stale_evictions: u64,
-    /// The subset of `stale_evictions` that were *unrecoverable remap misses*: entries only
-    /// generation swaps behind the lookup whose translations had already fallen off the
-    /// engine's bounded remap chain (filled in from the result cache by
+    /// Cache hits on entries a generation swap re-tagged into its new id space, each entry
+    /// counted at its first hit after the swap (a subset of `hits`): how much of the cache a
+    /// compaction swap *kept* warm (filled in from the result cache by
     /// `ShardedService::stats`).
-    pub remap_misses: u64,
-    /// Cache hits served by translating a pre-swap entry's row ids through the generation
-    /// remap (a subset of `hits`): how much of the cache a compaction swap *kept* warm.
     pub remapped_hits: u64,
     /// Misses that waited on another request's in-flight build of the global template
     /// skyline at the same skyline-epoch vector instead of starting their own (only services

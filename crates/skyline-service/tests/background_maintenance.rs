@@ -1,8 +1,10 @@
-//! Service-level lifecycle behavior: the shared build pool, the remap-aware result cache and
-//! the surfaced lifecycle metrics — at one shard (the single-engine case) and at two.
+//! Service-level lifecycle behavior: the shared build pool, the result cache a swap re-tags
+//! and the surfaced lifecycle metrics — at one shard (the single-engine case) and at two.
 
 use skyline::prelude::*;
+use skyline_core::CanonicalPreference;
 use skyline_service::{GlobalRowId, ShardedConfig, ShardedService};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 mod common;
@@ -166,4 +168,133 @@ fn forced_rebuilds_preserve_answers() {
         let after: Vec<_> = prefs.iter().map(fingerprints).collect();
         assert_eq!(before, after, "the swap must not change any answer's rows");
     }
+}
+
+/// Swaps under a warm cache and concurrent readers: every answer served while the shards
+/// renumber names the same rows (by value) as before the swaps, and a swap with nothing
+/// racing it carries every cached entry across — the next serve of each is a remapped hit.
+#[test]
+fn concurrent_swaps_keep_answers_and_the_warm_cache() {
+    let experiment = ExperimentConfig {
+        n: 600,
+        numeric_dims: 2,
+        nominal_dims: 2,
+        cardinality: 8,
+        theta: 1.0,
+        pref_order: 2,
+        distribution: Distribution::AntiCorrelated,
+        seed: 29,
+    };
+    let data = experiment.generate_dataset();
+    let template = experiment.template(&data);
+    let config = ShardedConfig {
+        shards: 2,
+        workers: 1,
+        ..ShardedConfig::default()
+    };
+    let service =
+        ShardedService::build(&data, template.clone(), EngineConfig::AdaptiveSfs, config).unwrap();
+    for shard in 0..2 {
+        for row in 0..3 {
+            assert!(service.delete_row(GlobalRowId { shard, row }).unwrap());
+        }
+    }
+
+    // A pool of 16 preferences with distinct cache keys.
+    let mut generator = QueryGenerator::new(31);
+    let mut keys = std::collections::HashSet::new();
+    let mut pool = Vec::new();
+    while pool.len() < 16 {
+        let pref = generator.random_preference(data.schema(), &template, 2, None);
+        if keys.insert(CanonicalPreference::new(data.schema(), &pref).unwrap()) {
+            pool.push(pref);
+        }
+    }
+    let oracle: Vec<_> = pool
+        .iter()
+        .map(|pref| values_at(&service, &live_oracle(&service, pref), &service.epochs()).unwrap())
+        .collect();
+
+    let stop = AtomicBool::new(false);
+    let served_count = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..2)
+            .map(|t| {
+                let (service, pool, oracle) = (&service, &pool, &oracle);
+                let (stop, served_count) = (&stop, &served_count);
+                scope.spawn(move || {
+                    let mut checked = 0;
+                    let mut i = t;
+                    while !stop.load(Ordering::Relaxed) || checked < pool.len() {
+                        let k = i % pool.len();
+                        i += 1;
+                        let served = service.serve(&pool[k]).unwrap();
+                        served_count.fetch_add(1, Ordering::Relaxed);
+                        // Ids are only readable in the id space they were served in; an
+                        // answer a swap overtook before it could be read is skipped.
+                        let (ids, epochs) = (&served.outcome.skyline, &served.epochs);
+                        if let Some(values) = values_at(service, ids, epochs) {
+                            assert_eq!(values, oracle[k], "preference {k}");
+                            checked += 1;
+                        }
+                    }
+                })
+            })
+            .collect();
+        // Each swap waits until the readers have served another pool's worth.
+        for _ in 0..4 {
+            let seen = served_count.load(Ordering::Relaxed);
+            while served_count.load(Ordering::Relaxed) < seen + pool.len() {
+                std::thread::yield_now();
+            }
+            assert_eq!(service.force_rebuild_all().unwrap(), 2);
+        }
+        stop.store(true, Ordering::Relaxed);
+        for reader in readers {
+            reader.join().unwrap();
+        }
+    });
+
+    // A miss that raced a swap cached its answer under the replaced epochs, and that entry
+    // expires: one pass re-caches every preference at the current epochs.
+    for pref in &pool {
+        service.serve(pref).unwrap();
+    }
+    let remapped = service.stats().remapped_hits;
+    assert_eq!(service.force_rebuild_all().unwrap(), 2);
+    for (k, pref) in pool.iter().enumerate() {
+        let served = service.serve(pref).unwrap();
+        assert!(served.cache_hit, "preference {k} survives the swap");
+        let values = values_at(&service, &served.outcome.skyline, &served.epochs);
+        assert_eq!(values.unwrap(), oracle[k]);
+    }
+    assert_eq!(service.stats().remapped_hits, remapped + pool.len() as u64);
+}
+
+/// The sorted values of the rows an answer names.
+type RowValues = Vec<(Vec<u64>, Vec<ValueId>)>;
+
+/// The values of the rows `ids` names, read in the id space of the dataset `epochs`, or `None`
+/// when a swap has moved some shard past them.
+fn values_at(
+    service: &ShardedService,
+    ids: &[GlobalRowId],
+    epochs: &[DatasetEpoch],
+) -> Option<RowValues> {
+    let guards: Vec<_> = (0..service.shard_count())
+        .map(|s| service.shard(s).read())
+        .collect();
+    if guards.iter().zip(epochs).any(|(g, &e)| g.epoch() != e) {
+        return None;
+    }
+    let mut values: RowValues = ids
+        .iter()
+        .map(|g| {
+            let data = guards[g.shard].dataset();
+            let numeric = data.numeric_row(g.row).iter().map(|x| x.to_bits());
+            (numeric.collect(), data.nominal_row(g.row).to_vec())
+        })
+        .collect();
+    values.sort_unstable();
+    Some(values)
 }

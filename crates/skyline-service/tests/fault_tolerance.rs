@@ -318,7 +318,7 @@ proptest! {
         // twins converge back to identical complete answers.
         faulty.fault_injector().clear();
         for s in faulty.quarantined_shards() {
-            prop_assert!(faulty.force_rebuild_shard(s).unwrap());
+            prop_assert!(faulty.force_rebuild_shard(s).unwrap().is_some());
         }
         prop_assert!(faulty.quarantined_shards().is_empty());
         let pref = Preference::from_dims(vec![ImplicitPreference::new([0]).unwrap()]);
@@ -491,7 +491,7 @@ fn a_one_shard_service_contains_its_only_shards_panic() {
     assert!(hit.cache_hit && !hit.is_degraded());
     assert_eq!(hit.outcome.skyline, full.outcome.skyline);
 
-    assert!(service.force_rebuild_shard(0).unwrap());
+    assert!(service.force_rebuild_shard(0).unwrap().is_some());
     assert!(service.quarantined_shards().is_empty());
     let healed = service.serve(&pref).unwrap();
     assert!(!healed.cache_hit && !healed.is_degraded());
@@ -543,7 +543,7 @@ fn forced_rebuilds_honour_the_build_failpoint_and_contain_the_panic() {
     );
     assert_eq!(service.shard(1).read().generation().id(), generation);
 
-    assert!(service.force_rebuild_shard(1).unwrap());
+    assert!(service.force_rebuild_shard(1).unwrap().is_some());
     assert!(service.quarantined_shards().is_empty());
     assert_eq!(service.shard(1).read().generation().id(), generation + 1);
     let pref = Preference::from_dims(vec![ImplicitPreference::new([0]).unwrap()]);
@@ -619,7 +619,7 @@ fn tolerated_answers_keep_rows_dominated_only_on_the_missing_shard() {
             // global template skyline and answers `[(1, a)]`.
             for service in [&late, &broken] {
                 service.fault_injector().clear();
-                assert!(service.force_rebuild_shard(1).unwrap());
+                assert!(service.force_rebuild_shard(1).unwrap().is_some());
                 let healed = service.serve(&pref).unwrap();
                 assert!(!healed.is_degraded() && !healed.cache_hit);
                 assert_eq!(healed.outcome.skyline, [GlobalRowId { shard: 1, row: 0 }]);

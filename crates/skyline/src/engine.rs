@@ -180,17 +180,18 @@ impl Generation {
 /// The row-id translation published by a generation swap, bridging the skyline epochs on
 /// either side.
 ///
-/// Compaction renumbers rows, so every id minted before the swap is stale afterwards. Callers
-/// holding answers — result caches — translate them through [`GenerationRemap::remap`]
-/// **iff** their answer is tagged with exactly [`GenerationRemap::from`] (the engine's
-/// [`SkylineEngine::skyline_epoch`] right before the swap): the template skyline has not
-/// changed since that tag, so the answer's rows are still live members of it and the
-/// translation is lossless. Answers tagged earlier predate skyline changes the remap knows
-/// nothing about and must be discarded as usual.
+/// Compaction renumbers rows, so every id minted before the swap is stale afterwards. Whoever
+/// drives the swap and holds answers — a service's result cache — translates them through
+/// [`GenerationRemap::remap`] once, right after the install, **iff** an answer is tagged with
+/// exactly [`GenerationRemap::from`] (the engine's [`SkylineEngine::skyline_epoch`] right
+/// before the swap): the template skyline has not changed since that tag, so the answer's
+/// rows are still live members of it and the translation is lossless. Answers tagged earlier
+/// predate skyline changes the remap knows nothing about and must be discarded as usual. The
+/// engine keeps no remap once it has returned it.
 #[derive(Debug, Clone)]
 pub struct GenerationRemap {
     /// Old row ids → new row ids (order-preserving; reclaimed rows map to `None`).
-    pub remap: Arc<RowIdRemap>,
+    pub remap: RowIdRemap,
     /// The engine's skyline epoch immediately before the swap.
     pub from: DatasetEpoch,
     /// The installed generation's epoch, which is also its skyline epoch (strictly greater
@@ -332,8 +333,10 @@ impl PendingGeneration {
 /// 2. [`GenerationSnapshot::build_next`] (**no lock**) compacts, renumbers and
 ///    re-materializes the next generation;
 /// 3. [`SkylineEngine::install_generation`] (write lock) replays the logged mutations onto
-///    the new generation, swaps it in atomically, and publishes a [`GenerationRemap`] so
-///    callers can translate stale row ids.
+///    the new generation — translating logged deletes into the new id space — swaps it in
+///    atomically, and returns a [`GenerationRemap`]. The engine keeps none: the caller that
+///    drove the swap translates the ids it holds, once (a sharded service re-tags its result
+///    cache).
 ///
 /// [`SharedEngine::rebuild_now`] packages the three steps for synchronous use; a sharded
 /// service's build threads run it under a [`crate::maintenance::MaintenancePolicy`].
@@ -355,20 +358,7 @@ pub struct SkylineEngine {
     /// Mutation counters for [`EngineConfig::SfsD`], which has no maintained structure of its
     /// own to count them.
     pub(crate) sfsd_stats: MaintenanceStats,
-    /// The translations published by recent generation swaps, oldest first, bounded to
-    /// [`REMAP_CHAIN_LIMIT`] entries. Caches compose consecutive entries to translate
-    /// results that are more than one swap behind.
-    pub(crate) remap_history: Vec<GenerationRemap>,
 }
-
-/// How many published [`GenerationRemap`]s an engine retains for cache translation.
-///
-/// Back-to-back rebuilds (common once a shared build pool drives many shards) publish
-/// several remaps between two lookups of the same cached result; a cache that can only
-/// translate across the *latest* swap silently drops everything one swap behind. Eight
-/// generations of history cover any realistic rebuild cadence between cache touches while
-/// keeping the retained `RowIdRemap`s bounded.
-pub const REMAP_CHAIN_LIMIT: usize = 8;
 
 /// A skyline engine shared between readers and writers: `Arc<RwLock<SkylineEngine>>` with the
 /// lock handling folded in.
@@ -486,7 +476,6 @@ impl SkylineEngine {
             mutations_since_rebuild: 0,
             carried_stats: MaintenanceStats::default(),
             sfsd_stats: MaintenanceStats::default(),
-            remap_history: Vec::new(),
         })
     }
 
@@ -615,15 +604,6 @@ impl SkylineEngine {
     /// Tombstoned rows still physically occupying the engine's dataset.
     pub fn dead_rows(&self) -> usize {
         self.dataset().dead_count()
-    }
-
-    /// The bounded chain of recent generation-swap translations, oldest first (at most
-    /// [`REMAP_CHAIN_LIMIT`] entries). Consecutive entries compose — `chain[i].to ==
-    /// chain[i + 1].from` whenever no write between the two swaps changed the template
-    /// skyline — letting a cache translate results that are several swaps behind the serving
-    /// generation.
-    pub fn remap_chain(&self) -> &[GenerationRemap] {
-        &self.remap_history
     }
 
     /// True while a [`SkylineEngine::begin_rebuild`] snapshot is outstanding (mutations are
@@ -785,17 +765,7 @@ impl SkylineEngine {
         self.carried_stats.rebuilds += 1;
         self.carried_stats.reclaimed_rows += remap.reclaimed() as u64;
         self.mutations_since_rebuild = 0;
-        let published = GenerationRemap {
-            remap: Arc::new(remap),
-            from,
-            to,
-        };
-        self.remap_history.push(published.clone());
-        if self.remap_history.len() > REMAP_CHAIN_LIMIT {
-            let excess = self.remap_history.len() - REMAP_CHAIN_LIMIT;
-            self.remap_history.drain(..excess);
-        }
-        Ok(published)
+        Ok(GenerationRemap { remap, from, to })
     }
 
     fn ensure_epoch(&self, expected: DatasetEpoch) -> Result<()> {

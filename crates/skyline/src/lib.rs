@@ -53,7 +53,7 @@ pub mod snapshot;
 
 pub use engine::{
     EngineConfig, EngineStream, Generation, GenerationRemap, GenerationSnapshot, MethodUsed,
-    PendingGeneration, QueryOutcome, SharedEngine, SkylineEngine, REMAP_CHAIN_LIMIT,
+    PendingGeneration, QueryOutcome, SharedEngine, SkylineEngine,
 };
 pub use maintenance::MaintenancePolicy;
 

@@ -9,9 +9,8 @@
 //! faster than [`SkylineEngine::build`] (hard-asserted by `bench_snapshot`).
 //!
 //! Continuity: the generation [`Generation::id`] and the dataset's [`DatasetEpoch`] survive
-//! the round trip, so epoch-tagged artifacts (result caches, remap-chain translations) built
-//! before a process restart keep validating against the reloaded engine exactly as they
-//! would across a generation swap. The skyline epoch is not persisted: a loaded engine's
+//! the round trip, so epoch-tagged artifacts (result caches) built before a process restart
+//! keep validating against the reloaded engine. The skyline epoch is not persisted: a loaded engine's
 //! [`SkylineEngine::skyline_epoch`] is its dataset epoch, so answers tagged with an earlier
 //! skyline epoch miss once.
 //!
@@ -230,7 +229,6 @@ impl SkylineEngine {
             mutations_since_rebuild: 0,
             carried_stats: Default::default(),
             sfsd_stats: Default::default(),
-            remap_history: Vec::new(),
         })
     }
 
