@@ -84,29 +84,6 @@ pub struct MaintenanceStats {
     /// Candidate rows actually tested by delete resurface passes (the quantity the
     /// dominance-region restriction shrinks).
     pub resurface_candidates: u64,
-    /// Tombstoned rows physically reclaimed — dropped from the dataset — by
-    /// engine-level generation rebuilds.
-    pub reclaimed_rows: u64,
-    /// Generational rebuilds installed.
-    ///
-    /// This and `reclaimed_rows` are always 0 on a standalone structure (a rebuild
-    /// *replaces* the structure); the engine lifecycle layer counts them and merges them in
-    /// via [`MaintenanceStats::merged`].
-    pub rebuilds: u64,
-}
-
-impl MaintenanceStats {
-    /// Field-wise sum of two counter sets — how the engine lifecycle layer carries the
-    /// counters of a replaced generation's structure into the totals it reports.
-    pub fn merged(self, other: Self) -> Self {
-        Self {
-            inserts: self.inserts + other.inserts,
-            deletes: self.deletes + other.deletes,
-            resurface_candidates: self.resurface_candidates + other.resurface_candidates,
-            reclaimed_rows: self.reclaimed_rows + other.reclaimed_rows,
-            rebuilds: self.rebuilds + other.rebuilds,
-        }
-    }
 }
 
 /// The Adaptive SFS query structure.
@@ -337,7 +314,7 @@ impl AdaptiveSfs {
     /// Validates `pref` and re-ranks AFFECT into the merged candidate order; the scan owns
     /// that order and its window. A batch answer is the drained scan.
     pub fn query_scan(&self, pref: &Preference, mode: ScanMode) -> Result<Scan<CompiledRelation>> {
-        let (mut order, affected) = self.merged_order(pref)?;
+        let (mut order, affected) = self.reranked_order(pref)?;
         let full = mode == ScanMode::FullRescan;
         let dom = if full || affected > 0 {
             CompiledRelation::for_query(self.data.clone(), &self.template, pref)?
@@ -358,7 +335,7 @@ impl AdaptiveSfs {
 
     /// The query-score-ordered candidate list as `(point, is_affected)` pairs, with
     /// `|AFFECT|`. Cost is proportional to `|AFFECT|` plus one pass over the list.
-    fn merged_order(&self, pref: &Preference) -> Result<(Vec<(PointId, bool)>, usize)> {
+    fn reranked_order(&self, pref: &Preference) -> Result<(Vec<(PointId, bool)>, usize)> {
         let (data, schema) = (&*self.data, self.data.schema());
         // Refinement is checked before the index applies the template's prefix lengths.
         pref.validate(schema)?;
@@ -1001,32 +978,13 @@ mod tests {
         let fresh = AdaptiveSfs::build(asfs.dataset().retained(&live), &template).unwrap();
         assert_eq!(fresh.epoch(), DatasetEpoch::INITIAL);
         assert_eq!(rebased.sorted_entries(), fresh.sorted_entries());
-        // The rebuilt skyline is the maintained one translated through the remap.
-        let translated = remap.translate_ids(&asfs.template_skyline()).unwrap();
-        assert_eq!(rebased.template_skyline(), translated);
+        // The rebuilt skyline is the maintained one renumbered through the remap.
+        let renumbered = remap.translate_ids(&asfs.template_skyline()).unwrap();
+        assert_eq!(rebased.template_skyline(), renumbered);
         assert_eq!(
             rebased.preprocess_stats().dataset_size,
             fresh.preprocess_stats().dataset_size
         );
-    }
-
-    #[test]
-    fn maintenance_stats_merge_field_wise() {
-        let a = MaintenanceStats {
-            inserts: 1,
-            deletes: 2,
-            resurface_candidates: 3,
-            reclaimed_rows: 5,
-            rebuilds: 6,
-        };
-        let b = MaintenanceStats {
-            inserts: 10,
-            ..MaintenanceStats::default()
-        };
-        let m = a.merged(b);
-        assert_eq!(m.inserts, 11);
-        assert_eq!(m.deletes, 2);
-        assert_eq!(m.rebuilds, 6);
     }
 
     #[test]

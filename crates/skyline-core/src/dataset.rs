@@ -90,8 +90,8 @@ impl fmt::Display for DatasetEpoch {
 /// **order-preserving** — compaction keeps surviving rows in their original relative order and
 /// appends replayed rows at the end — so translating a sorted id list yields a sorted list.
 ///
-/// Serving layers hold the remap next to the epochs it bridges so derived artifacts (cached
-/// skylines, caller-held row handles) can be translated instead of discarded.
+/// A generation swap returns the remap, so a caller that holds row ids across the swap can
+/// renumber them ([`RowIdRemap::translate_ids`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowIdRemap {
     /// `forward[old]` = the row's id in the new space, `None` when it was reclaimed.

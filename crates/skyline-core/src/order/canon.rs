@@ -15,7 +15,8 @@
 //!   (so on a cardinality-1 domain, listing the single value is equivalent to `∗`).
 //! * **Edge-order independence.** Implicit choice lists are already a canonical edge listing
 //!   of their induced partial order, so no further work is needed; the derived
-//!   [`PartialOrder`] pair sets would compare equal in any listing order.
+//!   [`PartialOrder`](crate::order::PartialOrder) pair sets would compare equal in any
+//!   listing order.
 //!
 //! The 64-bit fingerprint is computed with FNV-1a over the normalized lists, so it is stable
 //! across processes, platforms and releases — safe to persist or shard on.

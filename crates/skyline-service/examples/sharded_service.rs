@@ -22,7 +22,13 @@ fn main() -> Result<()> {
     let schema = data.schema().clone();
 
     // Four shards, hash-partitioned on the first nominal dimension, per-shard Adaptive-SFS
-    // engines, and a shared two-thread build pool allowed one concurrent rebuild.
+    // engines, and a shared build pool allowed one concurrent rebuild (the service runs the
+    // smaller of `build_threads` and `max_in_flight_builds` threads: one).
+    let policy = MaintenancePolicy {
+        dead_row_ratio: 0.10,
+        max_mutations_since_rebuild: u64::MAX,
+        poll_interval: Duration::from_millis(10),
+    };
     let service = ShardedService::build(
         &data,
         template.clone(),
@@ -30,11 +36,7 @@ fn main() -> Result<()> {
         ShardedConfig {
             shards: 4,
             partition: ShardPartition::HashNominal { dim: 0 },
-            maintenance: Some(MaintenancePolicy {
-                dead_row_ratio: 0.10,
-                max_mutations_since_rebuild: u64::MAX,
-                poll_interval: Duration::from_millis(10),
-            }),
+            maintenance: Some(policy.clone()),
             build_threads: 2,
             max_in_flight_builds: 1,
             ..ShardedConfig::default()
@@ -118,9 +120,9 @@ fn main() -> Result<()> {
     );
 
     // The shared build pool compacts shards on its own: push every shard's dead-row ratio
-    // over the policy threshold and each gets rebuilt by one of the two pool threads (never
-    // more than one rebuild in flight at once). Delete ~12% of each shard's rows, then wait
-    // for the queues to drain.
+    // over the policy threshold and each gets rebuilt by the pool's one thread (never more
+    // than one rebuild in flight at once). Delete ~12% of each shard's rows, then wait until
+    // no shard is due or rebuilding.
     let mut to_delete: Vec<usize> = service
         .epochs()
         .iter()
@@ -137,9 +139,9 @@ fn main() -> Result<()> {
         }
     }
     let deadline = Instant::now() + Duration::from_secs(10);
-    while service.epochs().iter().enumerate().any(|(s, _)| {
+    while (0..service.shard_count()).any(|s| {
         let engine = service.shard(s).read();
-        engine.dead_rows() as f64 > 0.10 * engine.dataset().len().max(1) as f64
+        engine.rebuild_in_flight() || policy.due(&engine)
     }) {
         assert!(Instant::now() < deadline, "build pool never caught up");
         std::thread::sleep(Duration::from_millis(5));
@@ -153,18 +155,43 @@ fn main() -> Result<()> {
         service.epochs().iter().map(|e| e.get()).collect::<Vec<_>>()
     );
 
-    // Generation swaps keep the merged cache warm: cache a fresh answer, force every shard
-    // through a rebuild (row ids renumber on each shard independently), and serve again —
-    // each swap re-tagged the entry into its shard's new id space instead of dropping it.
+    // A swap carries no cached answer across: cache a fresh answer, force shard 0 through a
+    // rebuild (its row ids renumber), and serve again — the swap moved shard 0's skyline
+    // epoch, so the entry expired and the answer is recomputed. Renumbered through the remap
+    // the swap returns, the pre-swap answer is the new one.
     let pref = generator.random_preference(&schema, &template, config.pref_order, None);
-    service.serve(&pref)?;
-    service.force_rebuild_all()?;
+    // One tombstone on shard 0, so its swap renumbers rows. (The pool's swaps renumbered
+    // shard 0 already, so `rows` no longer names its rows: ask the engine for a live one.)
+    let victim = service.shard(0).read().dataset().live_ids().next();
+    service.delete_row(GlobalRowId {
+        shard: 0,
+        row: victim.expect("shard 0 holds live rows"),
+    })?;
+    let before = service.serve(&pref)?;
+    let remap = service
+        .force_rebuild_shard(0)?
+        .expect("the build pool is idle");
     let after = service.serve(&pref)?;
+    assert!(!after.cache_hit, "the swap expired the cached answer");
+    // Answers are sorted by (shard, row): shard 0's rows come first.
+    let (on_0, rest): (Vec<GlobalRowId>, Vec<GlobalRowId>) =
+        before.outcome.skyline.iter().partition(|g| g.shard == 0);
+    let old_rows: Vec<PointId> = on_0.iter().map(|g| g.row).collect();
+    let new_rows = remap
+        .translate_ids(&old_rows)
+        .expect("answers name live rows");
+    let renumbered: Vec<GlobalRowId> = new_rows
+        .into_iter()
+        .map(|row| GlobalRowId { shard: 0, row })
+        .chain(rest)
+        .collect();
+    assert_eq!(renumbered, after.outcome.skyline);
     println!(
-        "after force-rebuilding all shards: cache_hit={} (re-tagged at each swap, \
-         {} remapped hit(s) total)",
+        "after force-rebuilding shard 0: cache_hit={}, {} reclaimed row(s); the pre-swap \
+         answer renumbered through the swap's remap equals the recomputed one ({} rows)",
         after.cache_hit,
-        service.stats().remapped_hits
+        remap.reclaimed(),
+        after.outcome.skyline.len()
     );
     Ok(())
 }

@@ -14,12 +14,10 @@
 //! lazily, one by one, exactly when they are next touched or evicted by capacity. A write
 //! that leaves every template skyline unchanged changes no answer and keeps every entry.
 //!
-//! Staleness has one reprieve, granted by whoever performs a generation swap: a swap
-//! renumbers a shard's rows but changes no answer, so right after it installs, the caller walks
-//! the cache once with `ResultCache::retag` and rewrites every entry computed on the replaced
-//! generation into the new id space and the new tag. Nothing else knows about renumbering: a
-//! lookup compares tags, and an entry the walk did not rewrite expires as above. The first hit
-//! on a rewritten entry counts one remapped hit (`StatsSnapshot::remapped_hits`).
+//! A generation swap renumbers a shard's rows but changes no answer. It also moves the shard's
+//! skyline epoch to the installed generation's epoch, so an entry computed before the swap
+//! carries an old tag and expires like any other stale one: the cache knows nothing about
+//! renumbering, and the next lookup recomputes the answer in the new id space.
 //!
 //! The cache is split into independently locked shards so concurrent workers rarely contend;
 //! a key's shard is chosen from its stable fingerprint. Each shard runs the classic
@@ -32,11 +30,9 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// A poisoned shard lock is recovered, not propagated: the only caller-supplied code that
-/// runs under it is the [`ResultCache::retag`] callback, which executes *before* its entry is
-/// rewritten, so a panic there (or anywhere else on a thread that happens to hold the lock)
-/// can at worst leave a dangling recency pair in the queue — a state the stamp-checked
-/// eviction already tolerates by design.
+/// A poisoned shard lock is recovered, not propagated: no caller-supplied code runs under it,
+/// so a panic on a thread that happens to hold the lock can at worst leave a dangling recency
+/// pair in the queue — a state the stamp-checked eviction already tolerates by design.
 fn lock_shard<E, V>(shard: &Mutex<Shard<E, V>>) -> MutexGuard<'_, Shard<E, V>> {
     shard.lock().unwrap_or_else(|poisoned| {
         shard.clear_poison();
@@ -54,8 +50,6 @@ pub struct ResultCache<E, V> {
     capacity_per_shard: usize,
     /// Entries dropped because their epoch no longer matched the engine's (lazy expiry).
     stale_evictions: AtomicU64,
-    /// First hits on entries a [`ResultCache::retag`] rewrote.
-    remapped_hits: AtomicU64,
 }
 
 #[derive(Debug)]
@@ -102,8 +96,6 @@ struct Entry<E, V> {
     stamp: u64,
     /// The epoch tag the value was computed at.
     epoch: E,
-    /// Set by [`ResultCache::retag`]; the next hit counts a remapped hit and clears it.
-    translated: bool,
 }
 
 impl<E: PartialEq, V> ResultCache<E, V> {
@@ -123,19 +115,12 @@ impl<E: PartialEq, V> ResultCache<E, V> {
                 .collect(),
             capacity_per_shard,
             stale_evictions: AtomicU64::new(0),
-            remapped_hits: AtomicU64::new(0),
         }
     }
 
     /// Entries dropped so far because their epoch no longer matched the lookup's.
     pub fn stale_evictions(&self) -> u64 {
         self.stale_evictions.load(Ordering::Relaxed)
-    }
-
-    /// Hits so far on entries a [`ResultCache::retag`] rewrote, each entry counted at its
-    /// first hit after the rewrite: how much of the cache the swaps kept warm.
-    pub(crate) fn remapped_hits(&self) -> u64 {
-        self.remapped_hits.load(Ordering::Relaxed)
     }
 
     /// Number of shards the key space is split over.
@@ -180,31 +165,11 @@ impl<E: PartialEq, V> ResultCache<E, V> {
             self.stale_evictions.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        if std::mem::take(&mut entry.translated) {
-            self.remapped_hits.fetch_add(1, Ordering::Relaxed);
-        }
         entry.stamp = stamp;
         let value = entry.value.clone();
         shard.queue.push_back((stamp, key.clone()));
         shard.compact_if_bloated();
         Some(value)
-    }
-
-    /// Walks every entry once, one cache shard lock at a time, and replaces each one `rewrite`
-    /// returns a new tag and value for; `None` leaves the entry as it is. A generation swap
-    /// calls this right after it installs, to carry the entries computed on the replaced
-    /// generation into the new id space. A rewritten entry keeps its recency, and its next
-    /// hit counts one [`ResultCache::remapped_hits`].
-    pub(crate) fn retag(&self, mut rewrite: impl FnMut(&E, &V) -> Option<(E, V)>) {
-        for shard in &self.shards {
-            for entry in lock_shard(shard).map.values_mut() {
-                if let Some((epoch, value)) = rewrite(&entry.epoch, &entry.value) {
-                    entry.epoch = epoch;
-                    entry.value = Arc::new(value);
-                    entry.translated = true;
-                }
-            }
-        }
     }
 
     /// Inserts (or refreshes) a value computed at `epoch`, evicting least-recently-used
@@ -222,7 +187,6 @@ impl<E: PartialEq, V> ResultCache<E, V> {
                 value,
                 stamp,
                 epoch,
-                translated: false,
             },
         );
         while shard.map.len() > self.capacity_per_shard {
@@ -240,7 +204,7 @@ impl<E: PartialEq, V> ResultCache<E, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skyline::{GenerationRemap, MethodUsed, QueryOutcome};
+    use skyline::{MethodUsed, QueryOutcome};
     use skyline_core::{Dataset, DatasetEpoch, Dimension, NominalDomain, Preference, Schema};
 
     const E0: DatasetEpoch = DatasetEpoch::INITIAL;
@@ -263,19 +227,6 @@ mod tests {
 
     /// The single-engine instantiation the unit tests run on.
     type Cache = ResultCache<DatasetEpoch, QueryOutcome>;
-
-    /// The walk a generation swap drives, on one engine's tag: an entry computed at exactly
-    /// the epoch the swap replaced is renumbered into the new id space and re-tagged.
-    fn retag_through(cache: &Cache, swap: &GenerationRemap) {
-        cache.retag(|&epoch, value| {
-            if epoch != swap.from {
-                return None;
-            }
-            let skyline = swap.remap.translate_ids(&value.skyline)?;
-            let method = value.method;
-            Some((swap.to, QueryOutcome { skyline, method }))
-        });
-    }
 
     fn outcome(id: u32) -> Arc<QueryOutcome> {
         Arc::new(QueryOutcome {
@@ -387,132 +338,6 @@ mod tests {
         assert!(cache.get(&k2, bumped).is_none());
         assert_eq!(cache.stale_evictions(), 2);
         assert!(cache.get(&k2, E0).is_none(), "dropped, not resurrected");
-    }
-
-    /// A dataset of rows 0..5 with rows 0 and 2 dead, so its compaction renumbers.
-    fn two_dead_rows(schema: &Schema) -> Dataset {
-        let mut data = Dataset::from_columns(
-            schema.clone(),
-            vec![vec![1.0, 2.0, 3.0, 4.0, 5.0]],
-            vec![vec![0, 1, 2, 3, 4]],
-        )
-        .unwrap();
-        data.tombstone(0).unwrap();
-        data.tombstone(2).unwrap();
-        data
-    }
-
-    /// The swap that compacts `data`, and the compacted dataset.
-    fn swap(data: &Dataset) -> (Dataset, GenerationRemap) {
-        let (compact, remap) = data.compacted();
-        let to = compact.epoch();
-        let from = data.epoch();
-        (compact, GenerationRemap { remap, from, to })
-    }
-
-    fn adaptive(skyline: Vec<u32>) -> Arc<QueryOutcome> {
-        Arc::new(QueryOutcome {
-            skyline,
-            method: MethodUsed::AdaptiveSfs,
-        })
-    }
-
-    #[test]
-    fn generation_swaps_translate_entries_instead_of_dropping_them() {
-        let schema = schema(8);
-        let cache = Cache::new(8, 2);
-        let (k, k2) = (key(&schema, &[1]), key(&schema, &[2]));
-        let data = two_dead_rows(&schema);
-        let (_, swap) = swap(&data);
-
-        // An entry cached at exactly the pre-swap epoch, naming (live) rows 1, 3, 4, and one
-        // from an older epoch, which predates changes the swap knows nothing about.
-        cache.insert(k.clone(), swap.from, adaptive(vec![1, 3, 4]));
-        cache.insert(k2.clone(), E0, outcome(1));
-        retag_through(&cache, &swap);
-
-        // Looked up at the post-swap epoch: translated by the walk, not dropped.
-        let outcome = cache.get(&k, swap.to).unwrap();
-        assert_eq!(
-            outcome.skyline,
-            vec![0, 1, 2],
-            "ids rewritten to the new space"
-        );
-        assert_eq!(outcome.method, MethodUsed::AdaptiveSfs);
-        assert_eq!(cache.remapped_hits(), 1);
-        // Only the first hit after the walk counts as remapped.
-        assert_eq!(cache.get(&k, swap.to).unwrap().skyline, vec![0, 1, 2]);
-        assert_eq!(cache.remapped_hits(), 1);
-        assert_eq!(cache.stale_evictions(), 0);
-
-        // The walk left the older entry alone; it expires at its next lookup.
-        assert!(cache.get(&k2, swap.to).is_none());
-        assert_eq!(cache.stale_evictions(), 1);
-        assert_eq!(cache.remapped_hits(), 1);
-    }
-
-    /// Back-to-back swaps each walk the cache, so an entry follows any number of them.
-    #[test]
-    fn back_to_back_swaps_retag_the_entry_each_time() {
-        let schema = schema(8);
-        let cache = Cache::new(8, 2);
-        let (k, k2) = (key(&schema, &[1]), key(&schema, &[2]));
-        // Swap 1 reclaims rows 0 and 2; swap 2 is a back-to-back rebuild with nothing to
-        // reclaim (identity renumbering), but it still opens a fresh epoch.
-        let data = two_dead_rows(&schema);
-        let (compact1, swap1) = swap(&data);
-        let (_, swap2) = swap(&compact1);
-        assert_eq!(swap1.to, swap2.from, "no mutation between the swaps");
-
-        // Cached at the epoch swap 1 starts from: live old rows {1, 3, 4}, and reclaimed row 0,
-        // which no walk can carry across its compaction.
-        cache.insert(k.clone(), swap1.from, adaptive(vec![1, 3, 4]));
-        cache.insert(k2.clone(), swap1.from, adaptive(vec![0]));
-
-        // {1,3,4} → swap1 → {0,1,2} → swap2 (identity) → {0,1,2}.
-        retag_through(&cache, &swap1);
-        retag_through(&cache, &swap2);
-        assert_eq!(cache.get(&k, swap2.to).unwrap().skyline, vec![0, 1, 2]);
-        assert_eq!(cache.remapped_hits(), 1, "one entry, one first hit");
-        assert_eq!(cache.stale_evictions(), 0);
-
-        // The untranslatable entry kept its old tag, so it expires instead of serving.
-        assert!(cache.get(&k2, swap2.to).is_none());
-        assert_eq!(cache.stale_evictions(), 1);
-    }
-
-    #[test]
-    fn vector_epoch_tags_work_with_retag() {
-        // The sharded service tags entries with per-shard epoch vectors; exercise the
-        // generic walk with that tag type and a custom rewrite.
-        let schema = schema(8);
-        let cache: ResultCache<Arc<[DatasetEpoch]>, Vec<u32>> = ResultCache::new(8, 2);
-        let k = key(&schema, &[1]);
-        let tag_a: Arc<[DatasetEpoch]> = Arc::from(vec![E0, E0].into_boxed_slice());
-        cache.insert(k.clone(), tag_a.clone(), Arc::new(vec![1, 2]));
-        assert_eq!(*cache.get(&k, tag_a.clone()).unwrap(), vec![1, 2]);
-
-        let bumped = {
-            let mut data =
-                Dataset::from_columns(schema.clone(), vec![vec![1.0]], vec![vec![0]]).unwrap();
-            data.tombstone(0).unwrap();
-            data.epoch()
-        };
-        let tag_b: Arc<[DatasetEpoch]> = Arc::from(vec![E0, bumped].into_boxed_slice());
-        // The walk rewrites (here: trivially) the entries whose shard 1 was at E0.
-        cache.retag(|old, value| {
-            assert_eq!(old, &tag_a);
-            (old[1] == E0).then(|| (tag_b.clone(), value.iter().map(|x| x + 10).collect()))
-        });
-        // A walk that rewrites nothing leaves every entry as it is.
-        cache.retag(|_, _| None);
-        assert_eq!(*cache.get(&k, tag_b.clone()).unwrap(), vec![11, 12]);
-        assert_eq!(cache.remapped_hits(), 1);
-        // A tag the walk did not reach expires as usual.
-        let tag_c: Arc<[DatasetEpoch]> = Arc::from(vec![bumped, bumped].into_boxed_slice());
-        assert!(cache.get(&k, tag_c).is_none());
-        assert_eq!(cache.stale_evictions(), 1);
-        assert!(cache.get(&k, tag_b).is_none(), "dropped, not resurrected");
     }
 
     #[test]

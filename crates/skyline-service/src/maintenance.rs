@@ -5,9 +5,10 @@
 //! One maintenance thread per shard does not survive sharding: N shards would spawn N
 //! threads that are idle almost always and then all rebuild at once right after a write
 //! burst, oversubscribing the machine exactly when query traffic resumes. The scheduler
-//! shares a fixed set of build threads across the shards, which are fixed at construction,
-//! and a **global in-flight cap** bounds how many shard rebuilds run at once however many
-//! shards turned due together. A mutation nudges its shard ([`Scheduler::notify`]); the
+//! shares a fixed set of build threads across the shards, which are fixed at construction.
+//! A build thread runs one rebuild at a time, so the thread count is the **global in-flight
+//! cap**: it bounds how many shard rebuilds run at once however many shards turned due
+//! together. A mutation nudges its shard ([`Scheduler::notify`]); the
 //! policy's `poll_interval` is the heartbeat that catches everything else. A claimed shard
 //! that is due runs the service's one rebuild path, [`ShardSet::rebuild_shard`], which
 //! contains a panicking build — so a build thread never unwinds, and a claimed shard is
@@ -23,8 +24,6 @@ use std::thread::JoinHandle;
 struct State {
     /// Shards with a pending nudge, oldest first, each at most once.
     queue: VecDeque<usize>,
-    /// Claimed shards, bounded by `Inner::max_in_flight`.
-    in_flight: usize,
     shutdown: bool,
 }
 
@@ -32,7 +31,6 @@ struct State {
 struct Inner {
     shards: Arc<ShardSet>,
     policy: MaintenancePolicy,
-    max_in_flight: usize,
     state: Mutex<State>,
     wake: Condvar,
 }
@@ -46,8 +44,8 @@ pub(crate) struct Scheduler {
 }
 
 impl Scheduler {
-    /// Spawns `threads` build threads (at least 1) that run at most `max_in_flight` (at
-    /// least 1) shard rebuilds at once.
+    /// Spawns `threads.min(max_in_flight)` build threads (at least 1). Each runs one shard
+    /// rebuild at a time, so no more than that many rebuilds run at once.
     pub(crate) fn new(
         shards: Arc<ShardSet>,
         policy: MaintenancePolicy,
@@ -57,11 +55,10 @@ impl Scheduler {
         let inner = Arc::new(Inner {
             shards,
             policy,
-            max_in_flight: max_in_flight.max(1),
             state: Mutex::default(),
             wake: Condvar::new(),
         });
-        let threads = (0..threads.max(1))
+        let threads = (0..threads.min(max_in_flight).max(1))
             .map(|i| {
                 let inner = inner.clone();
                 std::thread::Builder::new()
@@ -96,35 +93,29 @@ impl Drop for Scheduler {
 }
 
 impl Inner {
-    /// Nothing panics while holding the lock, and the state is a queue and two scalars that
-    /// no update leaves torn — so a poisoned lock is recovered, not propagated.
+    /// Nothing panics while holding the lock, and the state is a queue and a flag that no
+    /// update leaves torn — so a poisoned lock is recovered, not propagated.
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// One build thread: claim the oldest nudge under the in-flight cap, rebuild it if it is
-    /// due, and otherwise sleep until a nudge or the heartbeat.
+    /// One build thread: claim the oldest nudge, rebuild it if it is due, and otherwise sleep
+    /// until a nudge or the heartbeat.
     fn work(&self) {
         let mut state = self.lock();
         while !state.shutdown {
-            if state.in_flight < self.max_in_flight {
-                if let Some(s) = state.queue.pop_front() {
-                    state.in_flight += 1;
-                    drop(state);
-                    // Policy evaluation and the build run without the scheduler lock: other
-                    // threads keep claiming, and nudges never wait on a build. A nudge that
-                    // lands mid-build finds the shard not due (its rebuild is in flight).
-                    // A failed build is recorded by `rebuild_shard` (quarantine); leftover
-                    // debt is caught by the next heartbeat.
-                    if self.policy.due(&self.shards.engines[s].read()) {
-                        let _ = self.shards.rebuild_shard(s);
-                    }
-                    state = self.lock();
-                    state.in_flight -= 1;
-                    // The freed cap may make a queued shard runnable for a sibling.
-                    self.wake.notify_one();
-                    continue;
+            if let Some(s) = state.queue.pop_front() {
+                drop(state);
+                // Policy evaluation and the build run without the scheduler lock: other
+                // threads keep claiming, and nudges never wait on a build. A nudge that lands
+                // mid-build finds the shard not due (its rebuild is in flight). A failed
+                // build is recorded by `rebuild_shard` (quarantine); leftover debt is caught
+                // by the next heartbeat.
+                if self.policy.due(&self.shards.engines[s].read()) {
+                    let _ = self.shards.rebuild_shard(s);
                 }
+                state = self.lock();
+                continue;
             }
             let (guard, timeout) = self
                 .wake
@@ -166,13 +157,7 @@ mod tests {
     }
 
     fn shard_set(engines: Vec<SharedEngine>) -> Arc<ShardSet> {
-        let cache = crate::ResultCache::new(0, 1);
-        Arc::new(ShardSet::new(
-            engines,
-            RecoveryPolicy::default(),
-            None,
-            cache,
-        ))
+        Arc::new(ShardSet::new(engines, RecoveryPolicy::default(), None))
     }
 
     /// Rebuilds once a `dead_row_ratio` of the rows are dead, polling every 5 ms.
@@ -207,8 +192,8 @@ mod tests {
             let data = engine.dataset();
             assert_eq!(data.len(), data.live_count(), "only live rows remain");
             assert_eq!(engine.generation().id(), 1);
-            assert_eq!(engine.maintenance_stats().rebuilds, 1);
-            assert_eq!(engine.maintenance_stats().reclaimed_rows, 2);
+            assert_eq!(engine.rebuilds(), 1);
+            assert_eq!(engine.reclaimed_rows(), 2);
         }
         drop(scheduler); // joins the thread
         assert!(!engine.read().rebuild_in_flight());
@@ -221,9 +206,7 @@ mod tests {
         engine.write().delete_row(0).unwrap();
         engine.write().delete_row(1).unwrap();
         scheduler.notify(0);
-        wait_until("worker never compacted", || {
-            engine.read().maintenance_stats().rebuilds >= 1
-        });
+        wait_until("worker never compacted", || engine.read().rebuilds() >= 1);
         let engine_guard = engine.read();
         let data = engine_guard.dataset();
         assert_eq!(data.dead_count(), 0);
@@ -234,25 +217,21 @@ mod tests {
     fn pool_serves_many_engines_under_one_in_flight_cap() {
         let engines: Vec<SharedEngine> =
             (0..2).map(|_| shared(EngineConfig::AdaptiveSfs)).collect();
-        // Both shards become due together, but with a cap of 1 their builds serialize.
+        // Both shards become due together, but with a cap of 1 the service runs one build
+        // thread, so their builds serialize.
         let scheduler = Scheduler::new(shard_set(engines.clone()), eager(0.2), 2, 1);
-        assert_eq!(scheduler.threads.len(), 2);
+        assert_eq!(scheduler.threads.len(), 1);
         for (s, engine) in engines.iter().enumerate() {
             engine.write().delete_row(0).unwrap();
             engine.write().delete_row(1).unwrap();
             scheduler.notify(s);
         }
         wait_until("scheduler never compacted every shard", || {
-            engines
-                .iter()
-                .all(|e| e.read().maintenance_stats().rebuilds > 0)
+            engines.iter().all(|e| e.read().rebuilds() > 0)
         });
         for engine in &engines {
             assert_eq!(engine.read().dataset().dead_count(), 0);
         }
-        wait_until("in-flight count never drained", || {
-            scheduler.inner.lock().in_flight == 0
-        });
     }
 
     #[test]
@@ -265,18 +244,14 @@ mod tests {
         engine.write().delete_row(0).unwrap();
         engine.write().delete_row(1).unwrap();
         scheduler.notify(0);
-        // The first build panics inside `rebuild_shard`; the thread must survive, the claim
-        // and the in-flight cap must be released, and the still-due shard must be rebuilt
-        // by a later claim (heartbeat or nudge).
+        // The first build panics inside `rebuild_shard`; the only thread must survive and
+        // rebuild the still-due shard on a later claim (heartbeat or nudge).
         wait_until("panicking build wedged the scheduler", || {
             scheduler.notify(0);
-            engine.read().maintenance_stats().rebuilds > 0
+            engine.read().rebuilds() > 0
         });
         // The failpoint fired (it is spent), so the first build did panic.
         shards.faults.before_build(0);
-        wait_until("in-flight count restored after the panic", || {
-            scheduler.inner.lock().in_flight == 0
-        });
         assert!(!engine.read().rebuild_in_flight());
         assert_eq!(engine.read().dataset().dead_count(), 0);
         // Forced rebuilds keep working too.

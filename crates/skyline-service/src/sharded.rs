@@ -67,7 +67,7 @@
 //!   Mutations route to their owning shard and touch only that engine's lock.
 //! * [`ShardedService`] — the facade: queries with a result cache tagged by the
 //!   skyline-epoch **vector** (a write invalidates exactly the answers whose shard skyline it
-//!   changed: all of them, or none; a swap re-tags them, below). The batch and the streaming
+//!   changed: all of them, or none; a swap expires them, below). The batch and the streaming
 //!   path share one miss path: one front end (admission, deadline, guards, key, cache
 //!   lookup, quarantine policy), one open of the rows — `G`'s scan, or the engine's stream at
 //!   one shard — and one finish that caches a complete answer. A batch answer is the stream
@@ -75,26 +75,18 @@
 //! * one rebuild path: the build threads of [`ShardedConfig::maintenance`] (a few threads
 //!   shared by every shard under a global in-flight cap),
 //!   [`ShardedService::force_rebuild_shard`] and quarantine recovery all run the same
-//!   shard rebuild, which contains a panicking build and, when it installs, re-tags the
-//!   result cache, lifts a quarantine and writes the shard's snapshot through to
-//!   [`ShardedConfig::snapshot_dir`].
+//!   shard rebuild, which contains a panicking build and, when it installs, lifts a
+//!   quarantine and writes the shard's snapshot through to [`ShardedConfig::snapshot_dir`].
 //!
-//! # A swap re-tags the cache once
+//! # A swap carries nothing across
 //!
-//! A generation swap renumbers a shard's rows but changes no answer. So the one rebuild path
-//! (above) walks the result cache once, right after it installs a generation of shard `s`.
-//! An entry whose vector holds, at `s`, the skyline epoch the swap replaced was computed on
-//! the replaced generation, so the swap's [`GenerationRemap`] is exactly its id map: the
-//! entry's rows on shard `s` are renumbered (the map keeps their order, so the answer stays
-//! sorted) and its tag moves to the installed epoch. The first hit on it counts one
-//! [`StatsSnapshot::remapped_hits`]. Every other entry expires lazily. An entry follows any
-//! number of back-to-back swaps, and nothing else in the service knows about renumbering.
-//!
-//! Three cases miss once instead of being carried: a stream opened before the swap that
-//! caches its answer after the walk, a lookup that lands between the install and the walk,
-//! and a swap the service did not drive (a caller rebuilding an engine it handed to
-//! [`ShardedService::from_engines`]). Each such entry keeps the replaced epoch in its tag,
-//! which no lookup carries again, so it expires and answers stay correct.
+//! A generation swap renumbers a shard's rows but changes no answer. The install moves the
+//! shard's skyline epoch to the new generation's epoch, so every cached answer and `G` keyed
+//! by the old vector expire like any stale entry: the next lookup of each misses once and
+//! recomputes it in the new id space. A swap the service did not drive (a caller rebuilding
+//! an engine it handed to [`ShardedService::from_engines`]) moves the epoch the same way.
+//! Nothing in the service knows about renumbering; a caller that holds row ids translates
+//! them through the [`RowIdRemap`] the swap returns ([`ShardedService::force_rebuild_shard`]).
 //!
 //! # One shard: the single-engine service
 //!
@@ -136,14 +128,13 @@ use crate::maintenance::Scheduler;
 use crate::stats::{ServiceMetrics, StatsSnapshot};
 use skyline::adaptive::{AdaptiveSfs, ScanMode, ScoredEntry};
 use skyline::{
-    EngineConfig, EngineStream, GenerationRemap, MaintenancePolicy, MethodUsed, SharedEngine,
-    SkylineEngine,
+    EngineConfig, EngineStream, MaintenancePolicy, MethodUsed, SharedEngine, SkylineEngine,
 };
 use skyline_core::algo::sfs::Scan;
 use skyline_core::score::ScoreFn;
 use skyline_core::{
     CanonicalPreference, CompiledOrder, CompiledRelation, Dataset, DatasetEpoch, Deadline, PointId,
-    Preference, Result, Schema, SkylineError, SkylineMerger, Template, ValueId,
+    Preference, Result, RowIdRemap, Schema, SkylineError, SkylineMerger, Template, ValueId,
 };
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -193,9 +184,9 @@ impl ShardPartition {
 /// A row's global identity: which shard owns it and its row id *inside that shard's engine*.
 ///
 /// Shard-local ids are renumbered by that shard's generation swaps (compaction), exactly
-/// like a single engine's ids. The service carries its cached answers across a swap (module
-/// docs); an id a caller holds is translated through the [`GenerationRemap`] the swap
-/// returns ([`ShardedService::force_rebuild_shard`]).
+/// like a single engine's ids. A swap expires the cached answers that name them (module
+/// docs); an id a caller holds is renumbered through the [`RowIdRemap`] the swap returns
+/// ([`ShardedService::force_rebuild_shard`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GlobalRowId {
     /// Index of the owning shard.
@@ -403,15 +394,13 @@ impl Quarantine {
 }
 
 /// The shard engines plus what a rebuild of one touches — its failpoints, its quarantine
-/// entry, its snapshot file, the result cache it re-tags — shared by the service and its
-/// build threads.
+/// entry, its snapshot file — shared by the service and its build threads.
 #[derive(Debug)]
 pub(crate) struct ShardSet {
     pub(crate) engines: Vec<SharedEngine>,
     pub(crate) faults: FaultInjector,
     quarantine: Quarantine,
     snapshot_dir: Option<PathBuf>,
-    cache: ResultCache<EpochVector, ShardedOutcome>,
 }
 
 impl ShardSet {
@@ -419,30 +408,27 @@ impl ShardSet {
         engines: Vec<SharedEngine>,
         recovery: RecoveryPolicy,
         snapshot_dir: Option<PathBuf>,
-        cache: ResultCache<EpochVector, ShardedOutcome>,
     ) -> Self {
         Self {
             quarantine: Quarantine::new(engines.len(), recovery),
             engines,
             faults: FaultInjector::from_env(),
             snapshot_dir,
-            cache,
         }
     }
 
     /// Rebuilds shard `s`'s generation on the calling thread — the one rebuild path behind
     /// the build threads' policy-driven cycles, [`ShardedService::force_rebuild_shard`] and
-    /// quarantine recovery. Returns the installed generation's [`GenerationRemap`], or
-    /// `Ok(None)` when a rebuild of `s` was already in flight.
+    /// quarantine recovery. Returns the swap's [`RowIdRemap`], or `Ok(None)` when a rebuild
+    /// of `s` was already in flight.
     ///
-    /// Right after the install the result cache is re-tagged ([`ShardSet::retag_cache`]). A
-    /// full rebuild re-derives every serving structure from the shard's intact rows, so an
+    /// A full rebuild re-derives every serving structure from the shard's intact rows, so an
     /// install is the proof of health that lifts a quarantine; it also writes the shard's
     /// snapshot through to [`ShardedConfig::snapshot_dir`]. The `panic-on-build` failpoint
     /// fires first. A panicking build is contained here: the torn rebuild is aborted, the
     /// shard quarantined and [`SkylineError::ShardUnavailable`] returned. A build error on a
     /// quarantined shard counts as a failed recovery attempt.
-    pub(crate) fn rebuild_shard(&self, s: usize) -> Result<Option<GenerationRemap>> {
+    pub(crate) fn rebuild_shard(&self, s: usize) -> Result<Option<RowIdRemap>> {
         let engine = self.engines.get(s).ok_or_else(|| {
             SkylineError::InvalidArgument(format!(
                 "shard {s} does not exist ({} shards)",
@@ -456,8 +442,7 @@ impl ShardSet {
             engine.rebuild_now()
         }));
         match built {
-            Ok(Ok(Some(swap))) => {
-                self.retag_cache(s, &swap);
+            Ok(Ok(Some(remap))) => {
                 self.quarantine.mark_recovered(s);
                 // Best-effort: a failed write keeps serving, and the next install retries.
                 if let Some(dir) = &self.snapshot_dir {
@@ -467,7 +452,7 @@ impl ShardSet {
                             .write_snapshot_file(&shard_snapshot_path(dir, s));
                     }
                 }
-                Ok(Some(swap))
+                Ok(Some(remap))
             }
             Ok(Ok(None)) => Ok(None),
             Ok(Err(e)) => {
@@ -487,26 +472,6 @@ impl ShardSet {
                 Err(SkylineError::ShardUnavailable { shard: s })
             }
         }
-    }
-
-    /// The walk that keeps the result cache warm across shard `s`'s `swap` (module docs): an
-    /// entry whose tag holds the skyline epoch the swap replaced gets shard `s`'s rows
-    /// renumbered — in order, so the answer stays sorted — and that epoch replaced by the
-    /// installed one. Every other entry is left to expire lazily.
-    fn retag_cache(&self, s: usize, swap: &GenerationRemap) {
-        self.cache.retag(|tags, outcome| {
-            if tags[s] != swap.from {
-                return None;
-            }
-            let mut skyline = outcome.skyline.clone();
-            for g in skyline.iter_mut().filter(|g| g.shard == s) {
-                g.row = swap.remap.new_id(g.row)?;
-            }
-            let mut tags = tags.to_vec();
-            tags[s] = swap.to;
-            let methods = outcome.methods.clone();
-            Some((tags.into(), ShardedOutcome { skyline, methods }))
-        });
     }
 }
 
@@ -528,10 +493,11 @@ pub struct ShardedConfig {
     /// crosses this policy.
     pub maintenance: Option<MaintenancePolicy>,
     /// Build threads (only with `maintenance`). This is the only build parallelism: each
-    /// shard's rebuild preprocesses serially on one build thread, so up to this many shard
-    /// rebuilds run at once (capped by `max_in_flight_builds`).
+    /// shard's rebuild preprocesses serially on one build thread, one rebuild at a time, so
+    /// the service runs the smaller of this and `max_in_flight_builds` threads.
     pub build_threads: usize,
-    /// Global cap on concurrently running shard rebuilds (only with `maintenance`).
+    /// Global cap on concurrently running shard rebuilds (only with `maintenance`): the
+    /// service runs the smaller of this and `build_threads` build threads.
     pub max_in_flight_builds: usize,
     /// What a request does when shards cannot answer (default: fail closed).
     pub degrade: DegradePolicy,
@@ -711,6 +677,7 @@ pub struct ShardedService {
     workers: usize,
     /// The one home of the global template skyline `G`.
     global: GlobalSlot,
+    cache: ResultCache<EpochVector, ShardedOutcome>,
 }
 
 impl ShardedService {
@@ -861,13 +828,7 @@ impl ShardedService {
                 "a service of two or more shards needs a template with an implicit form".into(),
             ));
         }
-        let cache = ResultCache::new(config.cache_capacity, config.cache_shards);
-        let shards = Arc::new(ShardSet::new(
-            engines,
-            config.recovery,
-            config.snapshot_dir,
-            cache,
-        ));
+        let shards = Arc::new(ShardSet::new(engines, config.recovery, config.snapshot_dir));
         let scheduler = config.maintenance.map(|policy| {
             Scheduler::new(
                 shards.clone(),
@@ -894,6 +855,7 @@ impl ShardedService {
             scheduler,
             workers,
             global: GlobalSlot::default(),
+            cache: ResultCache::new(config.cache_capacity, config.cache_shards),
         })
     }
 
@@ -959,7 +921,7 @@ impl ShardedService {
 
     /// Current number of cached answers.
     pub fn cache_len(&self) -> usize {
-        self.shards.cache.len()
+        self.cache.len()
     }
 
     /// Every shard's current mutation epoch, in shard order.
@@ -980,29 +942,28 @@ impl ShardedService {
             .sum()
     }
 
-    /// Counters accumulated since the service was built; `rebuilds` and `reclaimed_rows`
-    /// aggregate over every shard's maintenance lifecycle.
+    /// Counters accumulated since the service was built; `rebuilds` and `reclaimed_rows` sum
+    /// every shard engine's counts.
     pub fn stats(&self) -> StatsSnapshot {
         let mut snapshot = self.metrics.snapshot();
-        snapshot.stale_evictions = self.shards.cache.stale_evictions();
-        snapshot.remapped_hits = self.shards.cache.remapped_hits();
+        snapshot.stale_evictions = self.cache.stale_evictions();
         snapshot.queue_depth = self.admission.depth() as u64;
         for shard in &self.shards.engines {
-            let maintenance = shard.read().maintenance_stats();
-            snapshot.rebuilds += maintenance.rebuilds;
-            snapshot.reclaimed_rows += maintenance.reclaimed_rows;
+            let engine = shard.read();
+            snapshot.rebuilds += engine.rebuilds();
+            snapshot.reclaimed_rows += engine.reclaimed_rows();
         }
         snapshot
     }
 
     /// Rebuilds shard `s`'s generation right now, on the calling thread, and waits for it;
-    /// returns the [`GenerationRemap`] the install published (`None` when a rebuild of `s`
-    /// was already in flight), as [`SharedEngine::rebuild_now`] does. An install re-tags the
-    /// result cache, lifts the shard's quarantine and writes its snapshot through to
-    /// [`ShardedConfig::snapshot_dir`]. A build that panics — the
+    /// returns the swap's [`RowIdRemap`] (`None` when a rebuild of `s` was already in
+    /// flight), as [`SharedEngine::rebuild_now`] does. An install expires the cached answers
+    /// of the replaced generation (module docs), lifts the shard's quarantine and writes its
+    /// snapshot through to [`ShardedConfig::snapshot_dir`]. A build that panics — the
     /// `panic-on-build` failpoint included — quarantines `s` and fails with
     /// [`SkylineError::ShardUnavailable`], the rule a panicking query leg follows.
-    pub fn force_rebuild_shard(&self, s: usize) -> Result<Option<GenerationRemap>> {
+    pub fn force_rebuild_shard(&self, s: usize) -> Result<Option<RowIdRemap>> {
         self.shards.rebuild_shard(s)
     }
 
@@ -1112,8 +1073,8 @@ impl ShardedService {
 
     /// The front end both request paths share, up to the miss: admission, the upfront
     /// deadline check, opportunistic recovery, read guards on every shard with the epoch
-    /// vector they pin, the canonical key, every shard's servability check, the cache lookup
-    /// and — on a miss — the policy check for shards already quarantined.
+    /// vector they pin, the canonical key, the servability check, the cache lookup and — on a
+    /// miss — the policy check for shards already quarantined.
     fn front_end(&self, pref: &Preference, deadline: &Deadline) -> Result<Admitted<'_>> {
         let permit = self.admission.try_admit().inspect_err(|_| {
             self.metrics.record_shed();
@@ -1140,14 +1101,14 @@ impl ShardedService {
         let tags: EpochVector = guards.iter().map(|g| g.skyline_epoch()).collect();
         let key = CanonicalPreference::new(&self.schema, pref)
             .inspect_err(|_| self.metrics.record_error())?;
-        for guard in &guards {
-            guard
-                .check_servable(pref)
-                .inspect_err(|_| self.metrics.record_error())?;
-        }
+        // Every constructor refuses shards whose schema or template differ (`shared_shape`),
+        // so shard 0's verdict is every shard's.
+        guards[0]
+            .check_servable(pref)
+            .inspect_err(|_| self.metrics.record_error())?;
         // Cached answers are complete by construction and the quarantined shards' data is
         // intact, so a hit keeps serving full answers right through a quarantine.
-        let hit = self.shards.cache.get(&key, tags.clone());
+        let hit = self.cache.get(&key, tags.clone());
         let quarantined = match hit {
             Some(_) => Vec::new(),
             None => self.shards.quarantine.quarantined(),
@@ -1718,7 +1679,7 @@ impl ShardedStream<'_> {
         });
         if self.degraded.is_empty() {
             let tags = self.tags.clone();
-            self.service.shards.cache.insert(key, tags, outcome.clone());
+            self.service.cache.insert(key, tags, outcome.clone());
         } else {
             self.service.metrics.record_degraded();
         }
@@ -1869,64 +1830,6 @@ mod tests {
         // Deleting it again is routed to the same shard and epoch-bumps once more.
         assert!(service.delete_row(id).unwrap());
         assert!(!service.delete_row(id).unwrap(), "double delete is a no-op");
-    }
-
-    #[test]
-    fn shard_rebuilds_translate_the_merged_cache_entry() {
-        let (data, template) = experiment(400, 17);
-        let service = ShardedService::build(
-            &data,
-            template.clone(),
-            EngineConfig::AdaptiveSfs,
-            ShardedConfig {
-                shards: 2,
-                workers: 1,
-                ..ShardedConfig::default()
-            },
-        )
-        .unwrap();
-        let mut generator = QueryGenerator::new(9);
-        let pref = generator.random_preference(data.schema(), &template, 2, None);
-
-        // Tombstone one row per shard so both rebuilds renumber, then cache an answer.
-        for shard in 0..2 {
-            // Row ids 0..n exist on every shard (rows were distributed round-robin-ish);
-            // pick a row that is live by construction.
-            let target = GlobalRowId { shard, row: 0 };
-            service.delete_row(target).unwrap();
-        }
-        let before = service.serve(&pref).unwrap();
-        assert!(!before.cache_hit);
-
-        // Back-to-back rebuilds on both shards: two swaps each, no mutations between.
-        assert_eq!(service.force_rebuild_all().unwrap(), 2);
-        assert_eq!(service.force_rebuild_all().unwrap(), 2);
-
-        let after = service.serve(&pref).unwrap();
-        assert!(after.cache_hit, "entry re-tagged at each of the four swaps");
-        let stats = service.stats();
-        assert_eq!(stats.remapped_hits, 1);
-        assert_eq!(stats.rebuilds, 4);
-        // The translated answer names the same rows: values match a fresh computation.
-        let fresh = {
-            let service2 = ShardedService::build(
-                &data,
-                template.clone(),
-                EngineConfig::AdaptiveSfs,
-                ShardedConfig {
-                    shards: 2,
-                    workers: 1,
-                    ..ShardedConfig::default()
-                },
-            )
-            .unwrap();
-            for shard in 0..2 {
-                service2.delete_row(GlobalRowId { shard, row: 0 }).unwrap();
-            }
-            let served = service2.serve(&pref).unwrap();
-            sharded_values(&service2, &served)
-        };
-        assert_eq!(sharded_values(&service, &after), fresh);
     }
 
     #[test]
@@ -2145,13 +2048,13 @@ mod tests {
         let full = service.serve(&cached_pref).unwrap();
         assert!(!full.cache_hit);
 
-        // Quarantine shard 1 via a different query's scatter panic. A miss at an unchanged
-        // vector reads no shard (it is answered from the cached global template skyline), so
-        // a swap moves the vector first; the cached answer survives it, re-tagged by the swap.
-        let other = generator.random_preference(data.schema(), &template, 1, None);
-        assert!(service.force_rebuild_shard(0).unwrap().is_some());
-        service.fault_injector().panic_on_shard_query(1, 1);
-        let _ = service.serve(&other);
+        // Quarantine shard 1 through a panicking rebuild: it installs nothing, so the
+        // skyline-epoch vector, and with it the cached answer, stays put.
+        service.fault_injector().panic_on_build(1, 1);
+        assert!(matches!(
+            service.force_rebuild_shard(1),
+            Err(SkylineError::ShardUnavailable { shard: 1 })
+        ));
         assert_eq!(service.quarantined_shards(), vec![1]);
 
         // The cached complete answer still serves — data is intact, only availability is
@@ -2160,6 +2063,8 @@ mod tests {
         assert!(hit.cache_hit);
         assert!(!hit.is_degraded());
         assert_eq!(hit.outcome.skyline, full.outcome.skyline);
+        let other = generator.random_preference(data.schema(), &template, 1, None);
+        assert_eq!(service.serve(&other).unwrap().degraded_shards, vec![1]);
     }
 
     #[test]
@@ -3025,10 +2930,11 @@ mod tests {
         assert_eq!(first.outcome.skyline, second.outcome.skyline);
     }
 
-    /// Entries cached *before* back-to-back generation rebuilds are re-tagged at every swap
-    /// and keep serving as hits, however many swaps pass.
+    /// An entry cached *before* back-to-back generation rebuilds is not served after them: the
+    /// first lookup drops it once and recomputes the answer in the newest id space, and the
+    /// recomputed entry serves until the next swap.
     #[test]
-    fn back_to_back_rebuilds_keep_pre_swap_entries_warm() {
+    fn back_to_back_rebuilds_expire_pre_swap_entries_once() {
         let (data, template) = experiment(300, 5);
         let service = one_shard(
             SkylineEngine::build(
@@ -3040,9 +2946,14 @@ mod tests {
         );
         let mut generator = QueryGenerator::new(21);
         let pref = generator.random_preference(data.schema(), &template, 2, None);
+        let fresh = |pref: &Preference| -> Vec<GlobalRowId> {
+            let rows = service.shard(0).read().query(pref).unwrap().skyline;
+            rows.into_iter()
+                .map(|row| GlobalRowId { shard: 0, row })
+                .collect()
+        };
 
-        // A tombstone gives the first rebuild something to reclaim (non-trivial remap); the
-        // entry is cached *after* it, at the epoch the rebuild will snapshot from.
+        // A tombstone gives the first rebuild something to reclaim (a renumbering remap).
         service
             .delete_row(GlobalRowId { shard: 0, row: 0 })
             .unwrap();
@@ -3054,46 +2965,25 @@ mod tests {
         assert!(service.force_rebuild_shard(0).unwrap().is_some());
         assert_eq!(service.stats().rebuilds, 2);
 
-        // The entry is now two swaps behind — it must translate, not drop.
         let after = service.serve(&pref).unwrap();
-        assert!(after.cache_hit, "pre-swap entry must survive both swaps");
-        let fresh = service.shard(0).read().query(&pref).unwrap().skyline;
-        assert_eq!(
-            after.outcome.skyline,
-            fresh
-                .into_iter()
-                .map(|row| GlobalRowId { shard: 0, row })
-                .collect::<Vec<_>>(),
-            "translated ids must name the same rows in the new id space"
-        );
-        let stats = service.stats();
-        assert_eq!(stats.remapped_hits, 1);
-        assert_eq!(stats.stale_evictions, 0);
+        assert!(!after.cache_hit, "a pre-swap entry is never served");
+        assert_eq!(after.outcome.skyline, fresh(&pref));
+        assert_eq!(service.stats().stale_evictions, 1, "dropped once");
+        assert!(service.serve(&pref).unwrap().cache_hit);
 
-        // Nine more swaps in a row: the entry still serves, in the newest id space.
-        let other = generator.random_preference(data.schema(), &template, 2, None);
-        assert!(!service.serve(&other).unwrap().cache_hit);
+        // Nine more swaps in a row: the entry still expires once and is recomputed.
         for _ in 0..9 {
             assert!(service.force_rebuild_shard(0).unwrap().is_some());
         }
-        let after = service.serve(&other).unwrap();
-        assert!(
-            after.cache_hit,
-            "the entry survives nine back-to-back swaps"
-        );
-        let fresh = service.shard(0).read().query(&other).unwrap().skyline;
-        let fresh: Vec<GlobalRowId> = fresh
-            .into_iter()
-            .map(|row| GlobalRowId { shard: 0, row })
-            .collect();
-        assert_eq!(after.outcome.skyline, fresh);
-        assert_eq!(service.stats().remapped_hits, 2);
-        assert_eq!(service.stats().stale_evictions, 0);
+        let after = service.serve(&pref).unwrap();
+        assert!(!after.cache_hit);
+        assert_eq!(after.outcome.skyline, fresh(&pref));
+        assert_eq!(service.stats().stale_evictions, 2);
     }
 
-    /// A stream opened before a swap caches its answer after the re-tag walk: in the replaced
-    /// id space, under the replaced skyline epoch. That entry must expire, not serve — the
-    /// next `serve` equals a fresh evaluation in the new id space.
+    /// A stream opened before a swap caches its answer after the install: in the replaced id
+    /// space, under the replaced skyline epoch. That entry must expire, not serve — the next
+    /// `serve` equals a fresh evaluation in the new id space.
     #[test]
     fn a_stream_that_straddles_a_swap_never_serves_old_ids() {
         let (data, template) = experiment(300, 13);

@@ -228,10 +228,10 @@ pub struct StatsSnapshot {
     /// Cached results dropped because a mutation made their epoch stale (lazy expiry; filled
     /// in from the result cache by `ShardedService::stats`).
     pub stale_evictions: u64,
-    /// Cache hits on entries a generation swap re-tagged into its new id space, each entry
-    /// counted at its first hit after the swap (a subset of `hits`): how much of the cache a
-    /// compaction swap *kept* warm (filled in from the result cache by
-    /// `ShardedService::stats`).
+    /// Always 0. A generation swap expires the cached answers it renumbers instead of
+    /// carrying them across, so no hit is ever served from a remapped entry. The field stays
+    /// only because the benchmark adapter reads it; the `[benchmark]` slice of ROADMAP item
+    /// (i) that moves the adapter deletes it.
     pub remapped_hits: u64,
     /// Misses that waited on another request's in-flight build of the global template
     /// skyline at the same skyline-epoch vector instead of starting their own (only services

@@ -1,4 +1,4 @@
-//! Service-level lifecycle behavior: the shared build pool, the result cache a swap re-tags
+//! Service-level lifecycle behavior: the shared build pool, the cached answers a swap expires
 //! and the surfaced lifecycle metrics — at one shard (the single-engine case) and at two.
 
 use skyline::prelude::*;
@@ -36,44 +36,61 @@ fn small_service(engine: EngineConfig, shards: usize) -> (ShardedService, Vec<Gl
     (service, placed)
 }
 
-/// A generation swap translates cached entries through the published remap instead of
-/// cold-starting the cache: the very first serve after the swap is a (remapped) hit.
+/// A generation swap carries no cached answer across: after `P` answers are cached and one
+/// shard swaps, each of them misses exactly once (`stale_evictions` rises by `P`), the
+/// recomputed answer is the brute-force skyline in the new id space, and the next serve hits.
 #[test]
-fn generation_swaps_keep_the_cache_warm_via_the_remap() {
+fn generation_swaps_expire_each_cached_answer_once() {
+    let prefs: Vec<Preference> = (0..3u16)
+        .map(|v| Preference::from_dims(vec![ImplicitPreference::new([v]).unwrap()]))
+        .collect();
+    let p = prefs.len() as u64;
     for shards in [1, 2] {
         let (service, placed) = small_service(EngineConfig::AdaptiveSfs, shards);
-        let pref = Preference::from_dims(vec![ImplicitPreference::new([0]).unwrap()]);
-
-        // Create a tombstone, then cache the answer at the pre-swap epochs.
+        // A tombstone makes the first swap renumber.
         assert!(service.delete_row(placed[3]).unwrap());
-        let before = service.serve(&pref).unwrap();
-        assert!(!before.cache_hit);
-        assert!(service.serve(&pref).unwrap().cache_hit);
+        for s in 0..shards {
+            let before: Vec<_> = prefs.iter().map(|q| service.serve(q).unwrap()).collect();
+            assert!(prefs.iter().all(|q| service.serve(q).unwrap().cache_hit));
+            let (stale, misses) = (service.stats().stale_evictions, service.stats().misses);
 
-        // The swap renumbers every row id on every shard …
-        assert_eq!(service.force_rebuild_all().unwrap(), shards);
-        assert_eq!(service.stats().rebuilds, shards as u64);
-        assert_eq!(service.stats().reclaimed_rows, 1);
-
-        // … yet the cached entry survives, translated — no engine run, ids in the new space.
-        let after = service.serve(&pref).unwrap();
-        assert!(after.cache_hit, "the swap must not cold-start the cache");
-        assert_eq!(service.stats().remapped_hits, 1);
-        assert_eq!(service.stats().misses, 1, "still only the original miss");
-        assert_eq!(
-            after.outcome.skyline,
-            live_oracle(&service, &pref),
-            "translated ids must match a fresh evaluation in the new id space"
-        );
-        if shards == 1 {
-            let engine = service.shard(0).read().query(&pref).unwrap().skyline;
-            assert_eq!(rows(&after), engine);
+            let remap = service
+                .force_rebuild_shard(s)
+                .unwrap()
+                .expect("nothing in flight");
+            for (q, before) in prefs.iter().zip(&before) {
+                let after = service.serve(q).unwrap();
+                assert!(!after.cache_hit, "shards = {shards}, swap of {s}");
+                assert_eq!(after.outcome.skyline, live_oracle(&service, q));
+                assert_ne!(after.epochs, before.epochs);
+                // The pre-swap answer, renumbered through the returned remap, is the new one.
+                let renumbered: Vec<GlobalRowId> = before
+                    .outcome
+                    .skyline
+                    .iter()
+                    .map(|&g| {
+                        if g.shard != s {
+                            return g;
+                        }
+                        let row = remap.new_id(g.row).expect("answers name live rows");
+                        GlobalRowId { shard: s, row }
+                    })
+                    .collect();
+                assert_eq!(renumbered, after.outcome.skyline);
+            }
+            let stats = service.stats();
+            assert_eq!(stats.stale_evictions, stale + p, "each answer dropped once");
+            assert_eq!(stats.misses, misses + p);
+            assert!(prefs.iter().all(|q| service.serve(q).unwrap().cache_hit));
+            assert_eq!(service.stats().remapped_hits, 0);
         }
-        assert_ne!(after.epochs, before.epochs);
-
-        // A later *mutation* invalidates as usual — translation never bridges real changes.
-        service.insert_row(&[0.1], &[0]).unwrap();
-        assert!(!service.serve(&pref).unwrap().cache_hit);
+        let stats = service.stats();
+        assert_eq!(stats.rebuilds, shards as u64);
+        assert_eq!(stats.reclaimed_rows, 1);
+        if shards == 1 {
+            let engine = service.shard(0).read().query(&prefs[0]).unwrap().skyline;
+            assert_eq!(rows(&service.serve(&prefs[0]).unwrap()), engine);
+        }
     }
 }
 
@@ -171,10 +188,9 @@ fn forced_rebuilds_preserve_answers() {
 }
 
 /// Swaps under a warm cache and concurrent readers: every answer served while the shards
-/// renumber names the same rows (by value) as before the swaps, and a swap with nothing
-/// racing it carries every cached entry across — the next serve of each is a remapped hit.
+/// renumber names the same rows (by value) as before the swaps.
 #[test]
-fn concurrent_swaps_keep_answers_and_the_warm_cache() {
+fn concurrent_swaps_keep_answers() {
     let experiment = ExperimentConfig {
         n: 600,
         numeric_dims: 2,
@@ -255,20 +271,12 @@ fn concurrent_swaps_keep_answers_and_the_warm_cache() {
         }
     });
 
-    // A miss that raced a swap cached its answer under the replaced epochs, and that entry
-    // expires: one pass re-caches every preference at the current epochs.
-    for pref in &pool {
-        service.serve(pref).unwrap();
-    }
-    let remapped = service.stats().remapped_hits;
-    assert_eq!(service.force_rebuild_all().unwrap(), 2);
+    // With the swaps over, every answer — cached or recomputed — still names the same rows.
     for (k, pref) in pool.iter().enumerate() {
         let served = service.serve(pref).unwrap();
-        assert!(served.cache_hit, "preference {k} survives the swap");
         let values = values_at(&service, &served.outcome.skyline, &served.epochs);
-        assert_eq!(values.unwrap(), oracle[k]);
+        assert_eq!(values.unwrap(), oracle[k], "preference {k}");
     }
-    assert_eq!(service.stats().remapped_hits, remapped + pool.len() as u64);
 }
 
 /// The sorted values of the rows an answer names.

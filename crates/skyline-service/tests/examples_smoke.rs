@@ -1,5 +1,6 @@
 //! Smoke test: the `sharded_service` and `dynamic_updates` examples must run to successful
-//! exit. Both drive generation swaps under a warm cache and print the remapped-hit counter.
+//! exit. Both drive generation swaps under a warm cache and check the recomputed answer
+//! against the pre-swap one renumbered through the remap the swap returns.
 //!
 //! `cargo test` compiles every example of the package before running integration tests, so the
 //! binaries are guaranteed to exist under `target/<profile>/examples/` next to this test

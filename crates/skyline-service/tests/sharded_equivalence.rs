@@ -183,11 +183,9 @@ proptest! {
                         }
                     }
                     Update::Rebuild => {
-                        let published = reference.rebuild_now().unwrap().unwrap();
+                        let remap = reference.rebuild_now().unwrap().unwrap();
                         for (p, _) in rows.iter_mut() {
-                            *p = p.and_then(|old| {
-                                published.remap.translate_ids(&[old]).map(|v| v[0])
-                            });
+                            *p = p.and_then(|old| remap.new_id(old));
                         }
                         for s in 0..service.shard_count() {
                             let remap = service.force_rebuild_shard(s).unwrap();
@@ -198,10 +196,7 @@ proptest! {
                                     if old.shard != s {
                                         return Some(old);
                                     }
-                                    remap.remap.translate_ids(&[old.row]).map(|v| GlobalRowId {
-                                        shard: s,
-                                        row: v[0],
-                                    })
+                                    remap.new_id(old.row).map(|row| GlobalRowId { shard: s, row })
                                 });
                             }
                         }

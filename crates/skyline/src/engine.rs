@@ -5,7 +5,7 @@
 //! re-materialization — constructs the *next* generation off the live rows without blocking
 //! readers, replays mutations that arrived mid-build, and swaps it in atomically.
 
-use skyline_adaptive::{AdaptiveSfs, MaintenanceStats, ScanMode};
+use skyline_adaptive::{AdaptiveSfs, ScanMode};
 use skyline_core::algo::sfs::Scan;
 use skyline_core::score::ScoreFn;
 use skyline_core::{
@@ -86,8 +86,8 @@ pub struct Generation {
     /// Epoch the IPO tree was materialized at; when the template skyline has moved past it,
     /// the hybrid configuration stops consulting its (stale) tree.
     pub(crate) tree_epoch: DatasetEpoch,
-    /// Epoch the generation started serving at: its dataset's epoch when built or loaded,
-    /// the swap's [`GenerationRemap::to`] when installed. No skyline epoch precedes it.
+    /// Epoch the generation started serving at: its dataset's epoch when built, loaded or
+    /// installed by a swap. No skyline epoch precedes it.
     pub(crate) installed_epoch: DatasetEpoch,
 }
 
@@ -177,28 +177,6 @@ impl Generation {
     }
 }
 
-/// The row-id translation published by a generation swap, bridging the skyline epochs on
-/// either side.
-///
-/// Compaction renumbers rows, so every id minted before the swap is stale afterwards. Whoever
-/// drives the swap and holds answers — a service's result cache — translates them through
-/// [`GenerationRemap::remap`] once, right after the install, **iff** an answer is tagged with
-/// exactly [`GenerationRemap::from`] (the engine's [`SkylineEngine::skyline_epoch`] right
-/// before the swap): the template skyline has not changed since that tag, so the answer's
-/// rows are still live members of it and the translation is lossless. Answers tagged earlier
-/// predate skyline changes the remap knows nothing about and must be discarded as usual. The
-/// engine keeps no remap once it has returned it.
-#[derive(Debug, Clone)]
-pub struct GenerationRemap {
-    /// Old row ids → new row ids (order-preserving; reclaimed rows map to `None`).
-    pub remap: RowIdRemap,
-    /// The engine's skyline epoch immediately before the swap.
-    pub from: DatasetEpoch,
-    /// The installed generation's epoch, which is also its skyline epoch (strictly greater
-    /// than `from`).
-    pub to: DatasetEpoch,
-}
-
 /// An epoch-bumping mutation recorded while a rebuild is in flight, replayed onto the next
 /// generation before the swap.
 #[derive(Debug, Clone)]
@@ -207,7 +185,7 @@ enum LoggedMutation {
         numeric: Vec<f64>,
         nominal: Vec<ValueId>,
     },
-    /// Row id in the **pre-swap** id space (translated through the remap at replay time).
+    /// Row id in the **pre-swap** id space (renumbered through the remap at replay time).
     Delete { row: PointId },
 }
 
@@ -334,9 +312,9 @@ impl PendingGeneration {
 ///    re-materializes the next generation;
 /// 3. [`SkylineEngine::install_generation`] (write lock) replays the logged mutations onto
 ///    the new generation — translating logged deletes into the new id space — swaps it in
-///    atomically, and returns a [`GenerationRemap`]. The engine keeps none: the caller that
-///    drove the swap translates the ids it holds, once (a sharded service re-tags its result
-///    cache).
+///    atomically, and returns the swap's [`RowIdRemap`]. The engine keeps none: a caller that
+///    holds row ids translates them through it. The swap moves
+///    [`SkylineEngine::skyline_epoch`], so answers tagged with the old one expire.
 ///
 /// [`SharedEngine::rebuild_now`] packages the three steps for synchronous use; a sharded
 /// service's build threads run it under a [`crate::maintenance::MaintenancePolicy`].
@@ -351,13 +329,10 @@ pub struct SkylineEngine {
     /// Epoch-bumping mutations applied since the last installed generation (or the build) —
     /// one of the two quantities maintenance policies watch.
     pub(crate) mutations_since_rebuild: u64,
-    /// Counters of structures replaced by past generation swaps, plus the engine-level
-    /// `rebuilds`/`reclaimed_rows` — merged with the live structure's counters by
-    /// [`SkylineEngine::maintenance_stats`].
-    pub(crate) carried_stats: MaintenanceStats,
-    /// Mutation counters for [`EngineConfig::SfsD`], which has no maintained structure of its
-    /// own to count them.
-    pub(crate) sfsd_stats: MaintenanceStats,
+    /// Generation swaps installed since the build (or the snapshot load).
+    pub(crate) rebuilds: u64,
+    /// Tombstoned rows those swaps physically reclaimed.
+    pub(crate) reclaimed_rows: u64,
 }
 
 /// A skyline engine shared between readers and writers: `Arc<RwLock<SkylineEngine>>` with the
@@ -408,15 +383,14 @@ impl SharedEngine {
     /// Runs one full generation rebuild synchronously: snapshot under the write lock
     /// (microseconds), [`GenerationSnapshot::build_next`] with **no lock held** — concurrent
     /// readers keep serving the old generation, and mutations keep landing (they are
-    /// replayed) — then the atomic swap under the write lock. Returns the published
-    /// [`GenerationRemap`], or `None` when another rebuild was already in flight (checked
-    /// under the same write lock that begins this one, so two racing callers never both
-    /// begin).
+    /// replayed) — then the atomic swap under the write lock. Returns the swap's
+    /// [`RowIdRemap`], or `None` when another rebuild was already in flight (checked under
+    /// the same write lock that begins this one, so two racing callers never both begin).
     ///
     /// A sharded service drives every shard's rebuilds through this cycle under a
     /// [`crate::maintenance::MaintenancePolicy`]; call it directly for deterministic
     /// rebuilds in tests or batch jobs.
-    pub fn rebuild_now(&self) -> Result<Option<GenerationRemap>> {
+    pub fn rebuild_now(&self) -> Result<Option<RowIdRemap>> {
         let snapshot = {
             let mut engine = self.write();
             if engine.rebuild_in_flight() {
@@ -474,8 +448,8 @@ impl SkylineEngine {
             generation,
             replay_log: None,
             mutations_since_rebuild: 0,
-            carried_stats: MaintenanceStats::default(),
-            sfsd_stats: MaintenanceStats::default(),
+            rebuilds: 0,
+            reclaimed_rows: 0,
         })
     }
 
@@ -564,9 +538,6 @@ impl SkylineEngine {
     /// mutates in place.
     pub fn insert_row(&mut self, numeric: &[f64], nominal: &[ValueId]) -> Result<DatasetEpoch> {
         self.generation.apply_insert(numeric, nominal)?;
-        if self.generation.asfs.is_none() {
-            self.sfsd_stats.inserts += 1;
-        }
         self.mutations_since_rebuild += 1;
         if let Some(log) = &mut self.replay_log {
             log.mutations.push(LoggedMutation::Insert {
@@ -585,9 +556,6 @@ impl SkylineEngine {
     pub fn delete_row(&mut self, p: PointId) -> Result<DatasetEpoch> {
         let was_live = self.generation.apply_delete(p)?;
         if was_live {
-            if self.generation.asfs.is_none() {
-                self.sfsd_stats.deletes += 1;
-            }
             self.mutations_since_rebuild += 1;
             if let Some(log) = &mut self.replay_log {
                 log.mutations.push(LoggedMutation::Delete { row: p });
@@ -612,16 +580,14 @@ impl SkylineEngine {
         self.replay_log.is_some()
     }
 
-    /// Maintenance counters across the engine's whole lifetime: the live structure's
-    /// incremental-maintenance counters plus everything carried over from generations
-    /// replaced by past swaps, including [`MaintenanceStats::rebuilds`] (installed swaps) and
-    /// [`MaintenanceStats::reclaimed_rows`] (rows physically reclaimed by those swaps).
-    pub fn maintenance_stats(&self) -> MaintenanceStats {
-        let live = match &self.generation.asfs {
-            Some(asfs) => asfs.maintenance_stats(),
-            None => self.sfsd_stats,
-        };
-        self.carried_stats.merged(live)
+    /// Generation swaps installed since the engine was built or loaded.
+    pub fn rebuilds(&self) -> u64 {
+        self.rebuilds
+    }
+
+    /// Tombstoned rows physically reclaimed by those swaps.
+    pub fn reclaimed_rows(&self) -> u64 {
+        self.reclaimed_rows
     }
 
     /// True when `pref` would currently be answered from the materialized IPO tree: the
@@ -685,16 +651,15 @@ impl SkylineEngine {
 
     /// Atomically swaps in a built generation (call under the write lock): replays the
     /// mutations that arrived while the build ran — translating deleted row ids through the
-    /// remap — installs the new generation, and publishes the [`GenerationRemap`] bridging
-    /// the old id space to the new one.
+    /// remap — installs the new generation, and returns the [`RowIdRemap`] from the old id
+    /// space to the new one.
     ///
     /// The installed epoch is strictly greater than every epoch the old generation ever
     /// served, so epoch-tagged artifacts built against old row ids can never be misread
-    /// against the renumbered dataset. It is also the new generation's skyline epoch; the
-    /// remap's `from` is the old generation's. Fails — leaving the old generation serving — when the
-    /// pending generation is stale (the engine was swapped by someone else in between) or no
-    /// rebuild was begun.
-    pub fn install_generation(&mut self, pending: PendingGeneration) -> Result<GenerationRemap> {
+    /// against the renumbered dataset. It is also the new generation's skyline epoch. Fails —
+    /// leaving the old generation serving — when the pending generation is stale (the engine
+    /// was swapped by someone else in between) or no rebuild was begun.
+    pub fn install_generation(&mut self, pending: PendingGeneration) -> Result<RowIdRemap> {
         // Validate BEFORE consuming the log: a rejected stale pending (e.g. one built before
         // an abort, or for another generation) must leave the legitimately armed rebuild —
         // and its mutation recording — intact.
@@ -720,52 +685,35 @@ impl SkylineEngine {
         let log = self.replay_log.take().expect("validated above");
         let mut generation = pending.generation;
         let mut remap = pending.remap;
-        // Logical mutations replayed here were already counted by the old generation's
-        // structure when they were applied live; the new structure counts them a second time
-        // during the replay. Track them so the merge below deducts the duplicates (pure work
-        // counters like `resurface_candidates` keep both sides — both scans really ran).
-        let mut replayed_inserts = 0u64;
-        let mut replayed_deletes = 0u64;
         for mutation in log.mutations {
             match mutation {
                 LoggedMutation::Insert { numeric, nominal } => {
                     let new = generation.apply_insert(&numeric, &nominal)?;
                     remap.push_appended(new);
-                    replayed_inserts += 1;
                 }
                 LoggedMutation::Delete { row } => {
                     // Logged deletes target rows live at snapshot time or appended after it,
                     // so the translation cannot fail; skip defensively if it ever does.
                     if let Some(new) = remap.new_id(row) {
                         generation.apply_delete(new)?;
-                        replayed_deletes += 1;
                     } else {
                         debug_assert!(false, "logged delete of an unmapped row {row}");
                     }
                 }
             }
         }
-        let from = self.skyline_epoch();
         let to = generation.epoch();
-        debug_assert!(to > from, "the installed epoch must move past the old one");
+        debug_assert!(
+            to > self.skyline_epoch(),
+            "the installed epoch must move past the old one"
+        );
         generation.id = self.generation.id + 1;
         generation.installed_epoch = to;
-        let old = std::mem::replace(&mut self.generation, generation);
-        let old_stats = match &old.asfs {
-            Some(asfs) => asfs.maintenance_stats(),
-            None => std::mem::take(&mut self.sfsd_stats),
-        };
-        self.carried_stats = self.carried_stats.merged(old_stats);
-        if old.asfs.is_some() {
-            // SfsD replay bypasses `sfsd_stats`, so only the Adaptive-SFS-backed
-            // configurations double-count and need the deduction.
-            self.carried_stats.inserts -= replayed_inserts;
-            self.carried_stats.deletes -= replayed_deletes;
-        }
-        self.carried_stats.rebuilds += 1;
-        self.carried_stats.reclaimed_rows += remap.reclaimed() as u64;
+        self.generation = generation;
+        self.rebuilds += 1;
+        self.reclaimed_rows += remap.reclaimed() as u64;
         self.mutations_since_rebuild = 0;
-        Ok(GenerationRemap { remap, from, to })
+        Ok(remap)
     }
 
     fn ensure_epoch(&self, expected: DatasetEpoch) -> Result<()> {

@@ -52,8 +52,8 @@ pub mod maintenance;
 pub mod snapshot;
 
 pub use engine::{
-    EngineConfig, EngineStream, Generation, GenerationRemap, GenerationSnapshot, MethodUsed,
-    PendingGeneration, QueryOutcome, SharedEngine, SkylineEngine,
+    EngineConfig, EngineStream, Generation, GenerationSnapshot, MethodUsed, PendingGeneration,
+    QueryOutcome, SharedEngine, SkylineEngine,
 };
 pub use maintenance::MaintenancePolicy;
 
@@ -65,8 +65,8 @@ pub use skyline_ipo as ipo;
 /// Convenient glob import for applications: `use skyline::prelude::*;`.
 pub mod prelude {
     pub use crate::engine::{
-        EngineConfig, EngineStream, Generation, GenerationRemap, MethodUsed, QueryOutcome,
-        SharedEngine, SkylineEngine,
+        EngineConfig, EngineStream, Generation, MethodUsed, QueryOutcome, SharedEngine,
+        SkylineEngine,
     };
     pub use crate::maintenance::MaintenancePolicy;
     pub use skyline_adaptive::{AdaptiveSfs, MaintenanceStats};

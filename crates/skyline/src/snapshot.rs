@@ -227,8 +227,8 @@ impl SkylineEngine {
             generation,
             replay_log: None,
             mutations_since_rebuild: 0,
-            carried_stats: Default::default(),
-            sfsd_stats: Default::default(),
+            rebuilds: 0,
+            reclaimed_rows: 0,
         })
     }
 

@@ -5,7 +5,7 @@
 //!   skylines bit-for-bit equal to a from-scratch computation over the live rows, for every
 //!   mutable configuration — and after every rebuild the dataset holds only live rows.
 //! * Replay: mutations arriving between `begin_rebuild` and `install_generation` land in the
-//!   installed generation, with the published remap covering them.
+//!   installed generation, with the returned remap covering them.
 //! * Concurrency: queries issued while generation swaps race them never observe a torn or
 //!   stale-epoch result.
 
@@ -89,7 +89,7 @@ proptest! {
 
     /// Every configuration: after any interleaving of inserts, deletes and generation
     /// rebuilds, answers equal a from-scratch computation over the live rows, rebuilds leave
-    /// only live rows in the dataset, and the published remap translates the pre-swap skyline
+    /// only live rows in the dataset, and the returned remap translates the pre-swap skyline
     /// onto the post-swap one.
     #[test]
     fn rebuilt_engines_match_from_scratch_for_every_mutable_config(
@@ -128,28 +128,26 @@ proptest! {
                             let engine = shared.read();
                             (engine.skyline_epoch(), engine.query(&pref).unwrap().skyline)
                         };
-                        let published = shared.rebuild_now().unwrap().unwrap();
+                        let remap = shared.rebuild_now().unwrap().unwrap();
                         rebuilds += 1;
                         let engine = shared.read();
-                        // The swap bridges exactly the observed skyline epochs; the installed
-                        // epoch is both the dataset's and the skyline's.
-                        prop_assert_eq!(published.from, before.0);
-                        prop_assert_eq!(published.to, engine.epoch());
-                        prop_assert_eq!(published.to, engine.skyline_epoch());
-                        prop_assert!(published.to > published.from);
+                        // The installed epoch is both the dataset's and the skyline's, and
+                        // moves past the skyline epoch the swap replaced.
+                        prop_assert_eq!(engine.skyline_epoch(), engine.epoch());
+                        prop_assert!(engine.skyline_epoch() > before.0);
                         // Acceptance criterion: only live rows remain, physically.
                         let data = engine.dataset();
                         prop_assert_eq!(data.live_ids().count(), data.len());
                         prop_assert_eq!(data.live_count(), data.len());
                         // The pre-swap answer translates onto the post-swap answer.
-                        let translated = published.remap.translate_ids(&before.1).unwrap();
-                        prop_assert_eq!(translated, engine.query(&pref).unwrap().skyline);
+                        let renumbered = remap.translate_ids(&before.1).unwrap();
+                        prop_assert_eq!(renumbered, engine.query(&pref).unwrap().skyline);
                         prop_assert_eq!(engine.generation().id(), rebuilds);
                     }
                 }
             }
             let engine = shared.read();
-            prop_assert_eq!(engine.maintenance_stats().rebuilds, rebuilds);
+            prop_assert_eq!(engine.rebuilds(), rebuilds);
             let expected = live_oracle(&engine, &pref);
             prop_assert_eq!(
                 engine.query(&pref).unwrap().skyline,
@@ -207,17 +205,17 @@ proptest! {
                     Update::Rebuild => {} // one rebuild is already in flight
                 }
             }
-            let pre_swap = engine.query(&pref).unwrap().skyline;
+            let pre_swap = (engine.skyline_epoch(), engine.query(&pref).unwrap().skyline);
             let pending = snapshot.build_next().unwrap();
-            let published = engine.install_generation(pending).unwrap();
+            let remap = engine.install_generation(pending).unwrap();
             prop_assert!(!engine.rebuild_in_flight());
 
             // The replay preserved the answer (modulo renumbering) …
-            let translated = published.remap.translate_ids(&pre_swap).unwrap();
-            prop_assert_eq!(&translated, &engine.query(&pref).unwrap().skyline);
+            let renumbered = remap.translate_ids(&pre_swap.1).unwrap();
+            prop_assert_eq!(&renumbered, &engine.query(&pref).unwrap().skyline);
             // … and the final state equals the from-scratch oracle over the live rows.
             prop_assert_eq!(engine.query(&pref).unwrap().skyline, live_oracle(&engine, &pref));
-            prop_assert!(engine.epoch() > published.from);
+            prop_assert!(engine.epoch() > pre_swap.0);
         }
     }
 }
@@ -275,7 +273,7 @@ fn hybrid_recovers_tree_served_queries_after_a_rebuild() {
     assert!(!shared.read().serves_from_tree(&pref));
     shared.rebuild_now().unwrap();
     assert!(shared.read().serves_from_tree(&pref));
-    assert_eq!(shared.read().maintenance_stats().rebuilds, 2);
+    assert_eq!(shared.read().rebuilds(), 2);
 }
 
 /// One rebuild at a time: a second `begin_rebuild` is rejected while one is in flight, and a
@@ -354,7 +352,8 @@ fn stale_pending_generations_are_rejected_and_leave_the_armed_rebuild_intact() {
     );
 }
 
-/// Mutations replayed at install time are not double-counted by `maintenance_stats`.
+/// A swap counts one rebuild and reclaims only the rows dead at the snapshot: mutations
+/// replayed at install time, deletes among them, are not counted again.
 #[test]
 fn replayed_mutations_are_counted_once_in_maintenance_stats() {
     let schema = Schema::new(vec![
@@ -384,11 +383,12 @@ fn replayed_mutations_are_counted_once_in_maintenance_stats() {
         let pending = snapshot.build_next().unwrap();
         engine.install_generation(pending).unwrap();
 
-        let stats = engine.maintenance_stats();
-        assert_eq!(stats.inserts, 3, "config {config:?}");
-        assert_eq!(stats.deletes, 2, "config {config:?}");
-        assert_eq!(stats.rebuilds, 1, "config {config:?}");
-        assert_eq!(stats.reclaimed_rows, 1, "only the pre-snapshot tombstone");
+        assert_eq!(engine.rebuilds(), 1, "config {config:?}");
+        assert_eq!(
+            engine.reclaimed_rows(),
+            1,
+            "only the pre-snapshot tombstone"
+        );
         // And the installed state is still exactly the live rows.
         let pref = Preference::none(1);
         assert_eq!(
@@ -477,7 +477,7 @@ fn queries_during_swaps_are_never_torn_or_stale() {
     });
 
     let engine = shared.read();
-    assert!(engine.maintenance_stats().rebuilds >= 13);
+    assert!(engine.rebuilds() >= 13);
     assert_eq!(
         engine.dataset().len(),
         6,
