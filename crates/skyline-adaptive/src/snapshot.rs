@@ -42,11 +42,13 @@ pub fn decode_entries(bytes: &[u8], max_entries: usize) -> Result<Vec<ScoredEntr
         )));
     }
     let scores = r.get_f64_vec(count)?;
-    let mut entries = Vec::with_capacity(count);
-    for score in scores {
-        entries.push(ScoredEntry::new(r.get_u32()?, score));
-    }
+    let points = r.get_u32_vec(count)?;
     r.expect_end()?;
+    let entries: Vec<ScoredEntry> = points
+        .into_iter()
+        .zip(scores)
+        .map(|(point, score)| ScoredEntry::new(point, score))
+        .collect();
     if entries.windows(2).any(|w| w[0] >= w[1]) {
         return Err(SnapshotError::Corrupt(
             "sorted list entries are not strictly ascending by (score, point)".into(),

@@ -178,7 +178,8 @@ impl From<SkylineError> for SnapshotError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected) — hand-rolled slicing-by-16 so the format needs no deps.
+// CRC-32 (IEEE 802.3, reflected) — hand-rolled slicing-by-16 in four joined chains, so the
+// format needs no deps.
 // ---------------------------------------------------------------------------
 
 const fn crc32_table() -> [u32; 256] {
@@ -222,37 +223,110 @@ const fn crc32_tables() -> [[u32; 256]; 16] {
 
 static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
+/// Buffers of at least this many bytes are checksummed as four interleaved chains.
+const CRC32_FOUR_CHAIN_MIN: usize = 4096;
+
 /// CRC-32 (IEEE) of `bytes` — the checksum every section and the table are covered by.
+///
 /// Slicing-by-16: each step folds 16 bytes through 16 lookups that do not wait on one
-/// another; the tail shorter than 16 bytes goes through the bytewise loop.
+/// another; the tail shorter than 16 bytes goes through the bytewise loop. One chain still
+/// waits on its own previous step, so a buffer of at least 4 KiB is cut into four quarters
+/// of equal length, a multiple of 16, that are folded as four independent chains in one
+/// loop. The chains are then joined with `crc(A‖B) = crc(A)·x^(8|B|) ⊕ crc(B)` over GF(2)
+/// (on the raw registers, so only the first chain starts from the `!0` preset), and the
+/// bytes past the fourth quarter continue the joined register.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
     let mut crc = !0u32;
-    let mut blocks = bytes.chunks_exact(16);
+    let mut rest = bytes;
+    if bytes.len() >= CRC32_FOUR_CHAIN_MIN {
+        let quarter = bytes.len() / 64 * 16;
+        let (a, tail) = bytes.split_at(quarter);
+        let (b, tail) = tail.split_at(quarter);
+        let (c, tail) = tail.split_at(quarter);
+        let (d, tail) = tail.split_at(quarter);
+        let mut regs = [!0u32, 0, 0, 0];
+        let blocks = a
+            .chunks_exact(16)
+            .zip(b.chunks_exact(16))
+            .zip(c.chunks_exact(16))
+            .zip(d.chunks_exact(16));
+        for (((a, b), c), d) in blocks {
+            regs[0] = crc32_fold16(regs[0], a);
+            regs[1] = crc32_fold16(regs[1], b);
+            regs[2] = crc32_fold16(regs[2], c);
+            regs[3] = crc32_fold16(regs[3], d);
+        }
+        let shift = x_pow_8n(quarter);
+        crc = regs[0];
+        for &reg in &regs[1..] {
+            crc = gf2_mul(crc, shift) ^ reg;
+        }
+        rest = tail;
+    }
+    let mut blocks = rest.chunks_exact(16);
     for block in &mut blocks {
-        let b: &[u8; 16] = block.try_into().expect("16-byte block");
-        let head = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        crc = t[15][(head & 0xFF) as usize]
-            ^ t[14][((head >> 8) & 0xFF) as usize]
-            ^ t[13][((head >> 16) & 0xFF) as usize]
-            ^ t[12][(head >> 24) as usize]
-            ^ t[11][b[4] as usize]
-            ^ t[10][b[5] as usize]
-            ^ t[9][b[6] as usize]
-            ^ t[8][b[7] as usize]
-            ^ t[7][b[8] as usize]
-            ^ t[6][b[9] as usize]
-            ^ t[5][b[10] as usize]
-            ^ t[4][b[11] as usize]
-            ^ t[3][b[12] as usize]
-            ^ t[2][b[13] as usize]
-            ^ t[1][b[14] as usize]
-            ^ t[0][b[15] as usize];
+        crc = crc32_fold16(crc, block);
     }
     for &b in blocks.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+        crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
+}
+
+/// Advances the raw CRC register `crc` by one 16-byte `block`.
+#[inline(always)]
+fn crc32_fold16(crc: u32, block: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let b: &[u8; 16] = block.try_into().expect("16-byte block");
+    let head = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    t[15][(head & 0xFF) as usize]
+        ^ t[14][((head >> 8) & 0xFF) as usize]
+        ^ t[13][((head >> 16) & 0xFF) as usize]
+        ^ t[12][(head >> 24) as usize]
+        ^ t[11][b[4] as usize]
+        ^ t[10][b[5] as usize]
+        ^ t[9][b[6] as usize]
+        ^ t[8][b[7] as usize]
+        ^ t[7][b[8] as usize]
+        ^ t[6][b[9] as usize]
+        ^ t[5][b[10] as usize]
+        ^ t[4][b[11] as usize]
+        ^ t[3][b[12] as usize]
+        ^ t[2][b[13] as usize]
+        ^ t[1][b[14] as usize]
+        ^ t[0][b[15] as usize]
+}
+
+/// `a · b mod P` over GF(2) in the reflected representation the register uses (bit 31 is
+/// `x^0`, bit 0 is `x^31`).
+fn gf2_mul(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    for bit in (0..32).rev() {
+        if a >> bit & 1 != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 {
+            (b >> 1) ^ 0xEDB8_8320
+        } else {
+            b >> 1
+        };
+    }
+    product
+}
+
+/// `x^(8n) mod P` by square-and-multiply: multiplying a raw register by it is the same as
+/// folding `n` zero bytes into it.
+fn x_pow_8n(mut n: usize) -> u32 {
+    let mut result = 1 << 31; // x^0
+    let mut power = 1 << 23; // x^8
+    while n != 0 {
+        if n & 1 != 0 {
+            result = gf2_mul(result, power);
+        }
+        power = gf2_mul(power, power);
+        n >>= 1;
+    }
+    result
 }
 
 // ---------------------------------------------------------------------------
@@ -381,11 +455,9 @@ impl<'a> SnapshotView<'a> {
                     offset,
                 });
             }
-            let end = offset
-                .checked_add(len)
-                .ok_or(SnapshotError::Corrupt(format!(
-                    "section {id} offset + length overflows"
-                )))?;
+            let end = offset.checked_add(len).ok_or_else(|| {
+                SnapshotError::Corrupt(format!("section {id} offset + length overflows"))
+            })?;
             if end > buf.len() as u64 {
                 return Err(SnapshotError::Truncated {
                     needed: end as usize,
@@ -561,7 +633,7 @@ impl<'a> ByteReader<'a> {
         let end = self
             .pos
             .checked_add(n)
-            .ok_or(SnapshotError::Corrupt("length overflow".into()))?;
+            .ok_or_else(|| SnapshotError::Corrupt("length overflow".into()))?;
         if end > self.buf.len() {
             return Err(SnapshotError::Truncated {
                 needed: end,
@@ -612,7 +684,7 @@ impl<'a> ByteReader<'a> {
         let bytes = self.take(
             count
                 .checked_mul(2)
-                .ok_or(SnapshotError::Corrupt("u16 array length overflow".into()))?,
+                .ok_or_else(|| SnapshotError::Corrupt("u16 array length overflow".into()))?,
         )?;
         Ok(decode_u16_slice(bytes))
     }
@@ -622,26 +694,49 @@ impl<'a> ByteReader<'a> {
         let bytes = self.take(
             count
                 .checked_mul(8)
-                .ok_or(SnapshotError::Corrupt("f64 array length overflow".into()))?,
+                .ok_or_else(|| SnapshotError::Corrupt("f64 array length overflow".into()))?,
         )?;
         Ok(decode_f64_slice(bytes))
     }
 
-    /// Reads a vbyte integer (rejects encodings longer than a `u64`).
+    /// Bulk-reads `count` `u32`s.
+    pub fn get_u32_vec(&mut self, count: usize) -> Result<Vec<u32>, SnapshotError> {
+        let bytes = self.take(
+            count
+                .checked_mul(4)
+                .ok_or_else(|| SnapshotError::Corrupt("u32 array length overflow".into()))?,
+        )?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+            .collect())
+    }
+
+    /// Reads a vbyte integer (rejects encodings longer than a `u64`) in one walk over the
+    /// unread bytes. A one-byte integer — most posting-list gaps — returns at once.
+    #[inline]
     pub fn get_vbyte(&mut self) -> Result<u64, SnapshotError> {
+        if let Some(&byte) = self.buf.get(self.pos).filter(|&&b| b < 0x80) {
+            self.pos += 1;
+            return Ok(u64::from(byte));
+        }
         let mut value = 0u64;
         let mut shift = 0u32;
-        loop {
-            let byte = self.get_u8()?;
+        for (i, &byte) in self.buf[self.pos..].iter().enumerate() {
             if shift >= 64 || (shift == 63 && byte > 1) {
                 return Err(SnapshotError::Corrupt("vbyte integer overflows u64".into()));
             }
             value |= u64::from(byte & 0x7F) << shift;
             if byte & 0x80 == 0 {
+                self.pos += i + 1;
                 return Ok(value);
             }
             shift += 7;
         }
+        Err(SnapshotError::Truncated {
+            needed: self.buf.len() + 1,
+            available: self.buf.len(),
+        })
     }
 
     /// Reads a delta-encoded vbyte posting list, validating strict monotonicity and the
@@ -666,9 +761,9 @@ impl<'a> ByteReader<'a> {
             let id = prev
                 .checked_add_unsigned(delta)
                 .filter(|&id| id <= PointId::MAX as i64)
-                .ok_or(SnapshotError::Corrupt(
-                    "posting list id overflows PointId".into(),
-                ))?;
+                .ok_or_else(|| {
+                    SnapshotError::Corrupt("posting list id overflows PointId".into())
+                })?;
             ids.push(id as PointId);
             prev = id;
         }
@@ -954,7 +1049,7 @@ pub fn read_dataset(view: &SnapshotView<'_>, schema: &Schema) -> Result<Dataset,
         nums_bytes.len(),
         len.checked_mul(numeric_dims)
             .and_then(|n| n.checked_mul(8))
-            .ok_or(SnapshotError::Corrupt("numeric array overflows".into()))?,
+            .ok_or_else(|| SnapshotError::Corrupt("numeric array overflows".into()))?,
     )?;
     // One pass decodes and checks finiteness; only a refusal scans again, to name the first
     // non-finite cell in row order.
@@ -981,7 +1076,7 @@ pub fn read_dataset(view: &SnapshotView<'_>, schema: &Schema) -> Result<Dataset,
         noms_bytes.len(),
         len.checked_mul(nominal_dims)
             .and_then(|n| n.checked_mul(2))
-            .ok_or(SnapshotError::Corrupt("nominal array overflows".into()))?,
+            .ok_or_else(|| SnapshotError::Corrupt("nominal array overflows".into()))?,
     )?;
     let max_bytes = view.section(SECTION_BLOCK_MAX_VALUES)?;
     expect("max-value", max_bytes.len(), nominal_dims * 2)?;
@@ -1097,7 +1192,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
         let dir = path
             .parent()
             .filter(|d| !d.as_os_str().is_empty())
-            .unwrap_or(Path::new("."));
+            .unwrap_or_else(|| Path::new("."));
         std::fs::File::open(dir)
             .and_then(|d| d.sync_all())
             .map_err(|e| SnapshotError::Io(format!("syncing {}: {e}", dir.display())))?;
@@ -1162,6 +1257,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `len` pseudo-random bytes (xorshift64).
+    fn random_bytes(len: usize) -> Vec<u8> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 24) as u8
+            })
+            .collect()
+    }
+
+    /// Around the 4 KiB threshold (one chain below it, four joined chains from it on), at
+    /// every start offset 0–15, the joined chains equal the bytewise loop.
+    #[test]
+    fn four_chain_crc32_equals_the_bytewise_loop_across_the_threshold() {
+        let random = random_bytes(CRC32_FOUR_CHAIN_MIN + 17 + 16);
+        let ones = vec![0xFFu8; random.len()];
+        for buf in [&random, &ones] {
+            for start in 0..16 {
+                for len in CRC32_FOUR_CHAIN_MIN - 17..=CRC32_FOUR_CHAIN_MIN + 17 {
+                    let bytes = &buf[start..start + len];
+                    assert_eq!(
+                        crc32(bytes),
+                        crc32_bytewise(bytes),
+                        "start {start}, length {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A buffer of more than 3 MB, whose length is no multiple of 64, so every quarter is
+    /// long and a tail follows the fourth.
+    #[test]
+    fn four_chain_crc32_equals_the_bytewise_loop_on_a_large_buffer() {
+        let bytes = random_bytes(3 * 1024 * 1024 + 45);
+        assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
     }
 
     #[test]
@@ -1246,6 +1382,35 @@ mod tests {
         assert_eq!(r.get_postings(2000).unwrap(), vec![0, 1, 5, 64, 1000, 1001]);
         assert_eq!(r.get_postings(2000).unwrap(), Vec::<PointId>::new());
         r.expect_end().unwrap();
+    }
+
+    /// A vbyte cut short names the byte it still needs; one longer than a `u64` is corrupt.
+    #[test]
+    fn vbyte_reports_truncation_and_overflow() {
+        assert_eq!(
+            ByteReader::new(&[0x80, 0xFF]).get_vbyte(),
+            Err(SnapshotError::Truncated {
+                needed: 3,
+                available: 2
+            })
+        );
+        assert_eq!(
+            ByteReader::new(&[]).get_vbyte(),
+            Err(SnapshotError::Truncated {
+                needed: 1,
+                available: 0
+            })
+        );
+        let mut too_long = vec![0xFF; 9];
+        too_long.push(0x02);
+        assert!(matches!(
+            ByteReader::new(&too_long).get_vbyte(),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        let mut r = ByteReader::new(&[0x05, 0xAC, 0x02, 0x07]);
+        assert_eq!(r.get_vbyte(), Ok(5));
+        assert_eq!(r.get_vbyte(), Ok(300));
+        assert_eq!(r.remaining(), 1);
     }
 
     #[test]

@@ -13,20 +13,19 @@
 //! checksum-colliding payload can only fail with a
 //! [`SnapshotError`], never panic or serve out-of-range rows:
 //!
-//! * every disqualified set is a subset of the skyline — checked through the crate's
-//!   size-adaptive galloping [`setops::intersection`], the same merge primitive queries use
-//!   (this is what [`BitmapIpoTree::from_tree`](crate::BitmapIpoTree::from_tree)'s
-//!   position lookup requires);
+//! * every disqualified set is a subset of the skyline — checked against one bitmap of the
+//!   skyline's ids, built once per tree, so each decoded id costs one bit test (this is
+//!   what [`BitmapIpoTree::from_tree`](crate::BitmapIpoTree::from_tree)'s position lookup
+//!   requires);
 //! * the node graph is a tree rooted at node 0 whose children at depth `d` are exactly the
 //!   φ child plus one child per materialized value of dimension `d` (what
 //!   `child_of(..).expect(..)` requires after `require_materialized` passes);
 //! * skyline ids stay below the row count (what `data.nominal(p, d)` in the merge step and
 //!   the inverted-index build require).
 
-use crate::setops;
 use crate::tree::{IpoNode, IpoTree, Materialization};
 use skyline_core::snapshot::{ByteReader, ByteWriter, SnapshotError};
-use skyline_core::{Template, ValueId};
+use skyline_core::{PointId, Template, ValueId};
 
 /// Serializes `tree` into the `SECTION_IPO_TREE` payload.
 ///
@@ -123,12 +122,21 @@ pub fn decode_tree(
             bytes.len()
         )));
     }
+    // One bit per row id up to the last skyline member: the subset check reads a bit per
+    // disqualified id, and an id past the bitmap (so also one ≥ `n_rows`) is no member.
+    let mut members = vec![0u64; skyline.last().map_or(0, |&p| p as usize / 64 + 1)];
+    for &p in &skyline {
+        members[p as usize / 64] |= 1 << (p % 64);
+    }
+    let is_member = |p: PointId| {
+        members
+            .get(p as usize / 64)
+            .is_some_and(|word| word >> (p % 64) & 1 != 0)
+    };
     let mut nodes = Vec::with_capacity(node_count);
     for _ in 0..node_count {
         let disqualified = r.get_postings(skyline.len())?;
-        // Subset-of-skyline check via the size-adaptive galloping intersection (the
-        // decoded list is usually ≪ the skyline, exactly the shape the gallop is for).
-        if setops::intersection(&disqualified, &skyline).len() != disqualified.len() {
+        if !disqualified.iter().all(|&p| is_member(p)) {
             return Err(SnapshotError::Corrupt(
                 "disqualified set is not a subset of the template skyline".into(),
             ));
@@ -410,6 +418,49 @@ mod tests {
             decode_tree(template, 1, &bytes),
             Err(SnapshotError::Corrupt(_) | SnapshotError::Truncated { .. })
         ));
+    }
+
+    /// A labelled node whose disqualified set is `ids` instead of what the builder wrote:
+    /// the decode refuses it as no subset of the template skyline.
+    fn refusal_for_disqualified(ids: Vec<PointId>) -> Result<IpoTree, SnapshotError> {
+        let data = table3_data();
+        let template = Template::empty(data.schema());
+        let mut tree = IpoTreeBuilder::new().build(&data, &template).unwrap();
+        let node = tree
+            .nodes
+            .iter_mut()
+            .find(|node| node.label.is_some())
+            .expect("a labelled node");
+        node.disqualified = ids;
+        decode_tree(template, data.len(), &encode_tree(&tree))
+    }
+
+    const NOT_A_SUBSET: &str = "disqualified set is not a subset of the template skyline";
+
+    #[test]
+    fn decode_refuses_a_disqualified_id_outside_the_skyline() {
+        let data = table3_data();
+        let template = Template::empty(data.schema());
+        let tree = IpoTreeBuilder::new().build(&data, &template).unwrap();
+        let outside = (0..data.len() as PointId)
+            .find(|p| !tree.skyline().contains(p))
+            .expect("a row outside the template skyline");
+        assert_eq!(
+            refusal_for_disqualified(vec![outside]).err(),
+            Some(SnapshotError::Corrupt(NOT_A_SUBSET.into()))
+        );
+    }
+
+    #[test]
+    fn decode_refuses_a_disqualified_id_beyond_the_rows() {
+        let n_rows = table3_data().len() as PointId;
+        for id in [n_rows, n_rows + 64, 1 << 20] {
+            assert_eq!(
+                refusal_for_disqualified(vec![id]).err(),
+                Some(SnapshotError::Corrupt(NOT_A_SUBSET.into())),
+                "id {id}"
+            );
+        }
     }
 
     #[test]

@@ -1359,7 +1359,7 @@ impl ShardedService {
             // Deadline misses are the request's fault, so they only fail the request as
             // `DeadlineExceeded`; a panicked (or already-quarantined) shard is named.
             self.check_policy(
-                panicked.first().or(quarantined.first()).copied(),
+                panicked.first().or_else(|| quarantined.first()).copied(),
                 degraded.len(),
             )?;
         }
